@@ -6,14 +6,6 @@
 //! matrix in twelve 216-column blocks on 8 nodes, simulated with ghost
 //! payloads (NOALLOC). `DVNS_SMOKE=1` shrinks the matrix for CI.
 //!
-//! `--scaling` instead sweeps the parallel engine core's thread count
-//! (`SimConfig::engine_threads` ∈ {1, 2, 4, 8}) over the headline instance
-//! and a ~10× larger one, appending per-thread-count throughput and peak-RSS
-//! rows to the same JSON in one invocation. Every scaling row carries the
-//! host's core count and an `oversubscribed` flag, so rows measured with
-//! more engine threads than cores (≈0.5–0.7× serial is *expected* there)
-//! are machine-readably distinguishable from real speedup rows.
-//!
 //! `--replay [path]` instead verifies a journal recorded by
 //! `scenarios --journal` (default `results/lu_reference.journal`): the run
 //! is rebuilt from the journal's own metadata, resumed from an empty, a
@@ -24,9 +16,6 @@
 use dps_bench::harness::{peak_rss_bytes, smoke, thread_count, BenchJson};
 use dps_bench::{default_journal_path, replay_journal_file, Env, N};
 use lu_app::LuConfig;
-
-/// Engine thread counts the `--scaling` sweep measures.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn batch_samples(default_batch: u32, default_samples: u32) -> (u32, u32) {
     let batch = std::env::var("DVNS_PERF_BATCH")
@@ -62,61 +51,6 @@ fn sample_predict(env: &Env, cfg: &LuConfig, batch: u32, samples: u32) -> (u64, 
         }
     }
     (steps, best_secs)
-}
-
-/// The engine-threads scaling sweep (`--scaling`): events/s at each thread
-/// count, on the headline instance and a ~10× larger one.
-fn scaling(json: &mut BenchJson) {
-    // (n, r, batch, samples): the reference Table 1 instance and a ~10×
-    // larger one (3× the blocks — triple-digit seconds serial on the paper's
-    // hardware class), sampled more lightly.
-    let instances: &[(usize, usize, u32, u32)] = if smoke() {
-        &[(432, 36, 2, 2), (864, 72, 1, 2)]
-    } else {
-        &[(N, 216, 5, 3), (3 * N, 216, 1, 2)]
-    };
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for &(n, r, default_batch, default_samples) in instances {
-        let (batch, samples) = batch_samples(default_batch, default_samples);
-        let mut eps_t1 = f64::NAN;
-        for t in SCALING_THREADS {
-            let env = Env::paper().with_engine_threads(t);
-            let mut cfg = env.lu(r, 8);
-            cfg.n = n;
-            let (steps, secs) = sample_predict(&env, &cfg, batch, samples);
-            let eps = steps as f64 / secs;
-            if t == 1 {
-                eps_t1 = eps;
-            }
-            let speedup = eps / eps_t1;
-            let rss = peak_rss_bytes().unwrap_or(0);
-            let oversubscribed = t > host_cores;
-            println!(
-                "lu_scaling n={n} r={r} 8 nodes t={t}: {steps} steps in {secs:.3}s host \
-                 = {eps:.0} events/sec ({speedup:.2}x vs t=1{})",
-                if oversubscribed {
-                    ", oversubscribed"
-                } else {
-                    ""
-                }
-            );
-            json.record(
-                &format!("lu_scaling_{n}_r{r}_8n_t{t}"),
-                &[
-                    ("n", n as f64),
-                    ("r", r as f64),
-                    ("engine_threads", t as f64),
-                    ("steps", steps as f64),
-                    ("host_wall_secs", secs),
-                    ("events_per_sec", eps),
-                    ("speedup_vs_t1", speedup),
-                    ("peak_rss_bytes", rss as f64),
-                    ("host_cores", host_cores as f64),
-                    ("oversubscribed", f64::from(u8::from(oversubscribed))),
-                ],
-            );
-        }
-    }
 }
 
 /// The default throughput benchmarks: simulator and testbed events/s on the
@@ -187,15 +121,13 @@ fn throughput(json: &mut BenchJson) {
 /// diagnostic otherwise).
 fn replay_mode(path_arg: Option<String>) -> ! {
     let path = path_arg.map_or_else(default_journal_path, std::path::PathBuf::from);
-    let threads = workload::engine_threads();
-    match replay_journal_file(&path, threads) {
+    match replay_journal_file(&path) {
         Ok(r) => {
             println!(
-                "replay: {} ({} events) byte-identical from prefixes {:?} at engine_threads={}",
+                "replay: {} ({} events) byte-identical from prefixes {:?}",
                 path.display(),
                 r.events,
-                r.prefixes,
-                r.threads
+                r.prefixes
             );
             std::process::exit(0);
         }
@@ -212,11 +144,7 @@ fn main() {
         replay_mode(args.get(i + 1).cloned());
     }
     let mut json = BenchJson::new();
-    if args.iter().any(|a| a == "--scaling") {
-        scaling(&mut json);
-    } else {
-        throughput(&mut json);
-    }
+    throughput(&mut json);
 
     if let Some(rss) = peak_rss_bytes() {
         println!(

@@ -1,26 +1,22 @@
 //! Scenario runner: lists and executes any registered scenario —
 //! the workload crate's built-ins (efficiency profiles, the simulator-
 //! backed cluster server) plus this crate's figure reproductions —
-//! through the bench harness, behind a persistent result cache.
+//! through the bench harness.
 //!
 //! ```text
 //! scenarios --list          # every registered scenario
 //! scenarios server-sim      # run one (or several) by name
 //! scenarios --all           # run everything
 //! scenarios server-elastic --seed 7   # re-seed the stochastic inputs
-//! scenarios fig10-granularity --no-cache   # force recomputation
 //! ```
 //!
 //! `--seed N` (default 42) is the root seed every stochastic ingredient —
 //! analytic job sets, fault schedules — derives from; two invocations with
-//! the same seed emit byte-identical CSVs. That determinism backs the
-//! result cache (`results/cache/`, override with `DVNS_CACHE_DIR`): a rerun
-//! with an unchanged fingerprint replays the stored rendering instead of
-//! re-simulating, and `--no-cache` bypasses the lookup. `DVNS_SMOKE=1` (or
-//! the `--smoke` flag) shrinks every scenario to its CI-sized subset and
+//! the same seed emit byte-identical CSVs. `DVNS_SMOKE=1` (or the
+//! `--smoke` flag) shrinks every scenario to its CI-sized subset and
 //! `DVNS_THREADS` bounds the fan-out, exactly as for the figure binaries.
 //!
-//! Selecting `server-scale` additionally times one uncached run of the
+//! Selecting `server-scale` additionally times one more run of the
 //! sharded cluster service and records host throughput (jobs/s, events/s)
 //! and the P99 scheduling latency in `results/BENCH_engine.json`.
 //! Selecting `server-whatif` records the what-if decision-latency
@@ -29,10 +25,8 @@
 //! (`fork_vs_fresh_speedup`) the same way.
 //!
 //! `--journal` additionally records the committed-event journal of the
-//! reference LU run at the session seed, pinpoint-checks the serial stream
-//! against a parallel-engine run, and writes it (with replay metadata) to
-//! `results/lu_reference.journal` for `perf --replay`. A determinism
-//! violation exits non-zero with the first diverging event named.
+//! reference LU run at the session seed and writes it (with replay
+//! metadata) to `results/lu_reference.journal` for `perf --replay`.
 //!
 //! `--chaos` additionally runs the seeded crash/recovery sweep (see the
 //! `chaos` binary): the durable server-scale run is crashed at several
@@ -65,23 +59,14 @@ fn list(specs: &[ScenarioSpec]) {
     println!("\nrun with: scenarios <name>... | --all   (DVNS_SMOKE=1 for the CI-sized subset)");
 }
 
-fn run(spec: &ScenarioSpec, ctx: &ScenarioCtx, use_cache: bool, json: &mut BenchJson) {
-    let (outcome, wall) = time(|| run_scenario(spec, ctx, use_cache));
-    if outcome.cache_hit {
-        eprintln!("scenario {}: cache hit", spec.name);
-    }
+fn run(spec: &ScenarioSpec, ctx: &ScenarioCtx, json: &mut BenchJson) {
+    let (outcome, wall) = time(|| run_scenario(spec, ctx));
     emit(
         &format!("scenario_{}", spec.name),
         &outcome.text,
         Some(&outcome.csv),
     );
-    json.record(
-        &format!("scenario_{}", spec.name),
-        &[
-            ("wall_secs", wall),
-            ("cache_hit", f64::from(u8::from(outcome.cache_hit))),
-        ],
-    );
+    json.record(&format!("scenario_{}", spec.name), &[("wall_secs", wall)]);
 }
 
 fn main() {
@@ -97,11 +82,6 @@ fn main() {
             std::process::exit(2);
         });
         args.drain(i..=i + 1);
-    }
-    let mut use_cache = true;
-    if let Some(i) = args.iter().position(|a| a == "--no-cache") {
-        use_cache = false;
-        args.remove(i);
     }
     let mut journal = false;
     if let Some(i) = args.iter().position(|a| a == "--journal") {
@@ -142,14 +122,14 @@ fn main() {
     let mut bench_scale = false;
     let mut bench_whatif = false;
     for spec in selected {
-        run(spec, &ctx, use_cache, &mut json);
+        run(spec, &ctx, &mut json);
         bench_scale |= spec.name == "server-scale";
         bench_whatif |= spec.name == "server-whatif";
     }
     if bench_scale {
-        // Host-throughput row: one uncached, timed run at the highest
-        // shard count. Virtual-time metrics live in the scenario CSV (they
-        // are cached and byte-compared); wall-clock numbers belong here.
+        // Host-throughput row: one timed run at the highest shard count.
+        // Virtual-time metrics live in the scenario CSV (they are
+        // byte-compared); wall-clock numbers belong here.
         let (b, wall) = time(|| server_scale_bench(&ctx));
         json.record(
             "server_scale",
@@ -164,8 +144,8 @@ fn main() {
         );
     }
     if bench_whatif {
-        // Decision-latency row: one uncached run with the per-decision
-        // wall-clock histogram enabled.
+        // Decision-latency row: one run with the per-decision wall-clock
+        // histogram enabled.
         let (b, wall) = time(|| server_whatif_bench(&ctx));
         json.record(
             "whatif_decision_latency",
@@ -204,16 +184,13 @@ fn main() {
     }
     if journal {
         let path = default_journal_path();
-        let cross = workload::engine_threads().max(2);
-        let (res, wall) = time(|| record_reference_journal(seed, ctx.smoke, cross, &path));
+        let (res, wall) = time(|| record_reference_journal(seed, ctx.smoke, &path));
         match res {
             Ok(probe) => {
                 println!(
-                    "journal: {} events recorded to {} \
-                     (serial \u{2261} parallel at engine_threads={}, canonical {})",
+                    "journal: {} events recorded to {} (canonical {})",
                     probe.events,
                     path.display(),
-                    probe.cross_threads,
                     probe.digest
                 );
                 json.record(

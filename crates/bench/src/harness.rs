@@ -24,45 +24,12 @@ use std::time::Instant;
 /// than the serial one there. An unparseable value falls back to all cores
 /// (the same as unset) with a warning, instead of silently forcing the
 /// serial path.
-///
-/// When the engine itself runs multi-threaded ([`engine_threads`] > 1),
-/// each sweep point already occupies that many cores, so the per-core
-/// budget shrinks accordingly: `P × T ≤ cores`. The conflict is warned
-/// about once, and only the *sweep* fan-out is reduced — the engine thread
-/// count is what the user is measuring and is never second-guessed here.
 pub fn thread_count() -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let engine = engine_threads();
-    let budget = if engine > 1 {
-        let b = (cores / engine).max(1);
-        if b < cores {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: DVNS_ENGINE_THREADS={engine} leaves {b} of {cores} core(s) \
-                     for the sweep; capping sweep threads at {b} to avoid oversubscription"
-                );
-            });
-        }
-        b
-    } else {
-        cores
-    };
-    resolve_thread_count(std::env::var("DVNS_THREADS").ok().as_deref(), budget)
+    resolve_thread_count(std::env::var("DVNS_THREADS").ok().as_deref(), cores)
 }
 
-/// Engine threads each sweep point will use ([`SimConfig::engine_threads`]
-/// via `DVNS_ENGINE_THREADS`); re-exported from `workload` so the harness
-/// and the experiment environment can never disagree on the parse.
-///
-/// [`SimConfig::engine_threads`]: dps_sim::SimConfig
-pub fn engine_threads() -> usize {
-    workload::engine_threads()
-}
-
-/// The pure policy behind [`thread_count`], split out for testing. `cores`
-/// is the per-point thread budget: the machine's cores divided by the
-/// engine threads each point consumes.
+/// The pure policy behind [`thread_count`], split out for testing.
 fn resolve_thread_count(var: Option<&str>, cores: usize) -> usize {
     match var {
         Some(v) => match v.trim().parse::<usize>() {
@@ -354,13 +321,6 @@ mod tests {
         // Garbage behaves like unset (all cores), not like "1".
         assert_eq!(resolve_thread_count(Some("lots"), 8), 8);
         assert_eq!(resolve_thread_count(Some(""), 2), 2);
-        // With a multi-threaded engine the budget passed in is
-        // cores / engine_threads; the same policy then caps the sweep so
-        // P × T never exceeds the machine.
-        let budget = |cores: usize, engine: usize| (cores / engine).max(1);
-        assert_eq!(resolve_thread_count(None, budget(8, 4)), 2);
-        assert_eq!(resolve_thread_count(Some("8"), budget(8, 4)), 2);
-        assert_eq!(resolve_thread_count(Some("8"), budget(1, 4)), 1);
     }
 
     #[test]

@@ -3,21 +3,20 @@
 //!
 //! `scenarios --journal` records the committed-event journal of a
 //! reference LU run (the Figure 8 reference configuration, smoke-sized
-//! under `DVNS_SMOKE=1`), cross-checks the serial stream against a
-//! parallel-engine run with the divergence pinpointer, and writes the
-//! encoded stream to `results/lu_reference.journal`. The file is
-//! self-contained: the application configuration, root seed and a digest
-//! of the canonical report ride along as journal metadata, so
-//! `perf --replay <path>` can rebuild the exact run in a later process,
-//! resume it from several prefixes, and byte-compare — reporting the
-//! first diverging event (ticket, virtual time, op, field) on any
-//! mismatch instead of a whole-file diff.
+//! under `DVNS_SMOKE=1`) and writes the encoded stream to
+//! `results/lu_reference.journal`. The file is self-contained: the
+//! application configuration, root seed and a digest of the canonical
+//! report ride along as journal metadata, so `perf --replay <path>` can
+//! rebuild the exact run in a later process, resume it from several
+//! prefixes, and byte-compare — reporting the first diverging event
+//! (ticket, virtual time, op, field) on any mismatch instead of a
+//! whole-file diff.
 
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 use desim::fxhash::FxHasher;
-use dps_sim::{check_equivalent, replay, Journal};
+use dps_sim::{replay, Journal};
 use lu_app::{build_lu_app, LuConfig};
 
 use crate::Env;
@@ -52,41 +51,27 @@ fn reference_cfg(env: &Env, smoke: bool) -> LuConfig {
 pub struct JournalProbe {
     /// Committed events in the recorded stream.
     pub events: usize,
-    /// Engine thread count the serial stream was cross-checked against.
-    pub cross_threads: usize,
     /// Digest of the canonical report (also stored in the journal).
     pub digest: String,
 }
 
-/// Runs the reference configuration journaled at `engine_threads` 1 and
-/// `cross_threads`, pinpoint-checks serial ≡ parallel, and writes the
-/// serial stream (plus replay metadata) to `path`.
+/// Runs the reference configuration journaled and writes the stream (plus
+/// replay metadata) to `path`.
 pub fn record_reference_journal(
     seed: u64,
     smoke: bool,
-    cross_threads: usize,
     path: &Path,
 ) -> Result<JournalProbe, String> {
-    let journaled_env = |threads: usize| {
-        let mut env = Env::paper_seeded(seed).with_engine_threads(threads);
-        env.simcfg.record_journal = true;
-        env
-    };
-    let env = journaled_env(1);
+    let mut env = Env::paper_seeded(seed);
+    env.simcfg.record_journal = true;
     let cfg = reference_cfg(&env, smoke);
-    let serial = env
+    let report = env
         .predict(&cfg)
-        .map_err(|e| format!("serial reference run failed: {e}"))?
+        .map_err(|e| format!("reference run failed: {e}"))?
         .report;
-    let parallel = journaled_env(cross_threads)
-        .predict(&cfg)
-        .map_err(|e| format!("parallel reference run failed: {e}"))?
-        .report;
-    check_equivalent(&parallel, &serial)
-        .map_err(|d| format!("serial \u{2262} parallel at engine_threads={cross_threads}: {d}"))?;
 
-    let digest = canonical_digest(&serial.canonical_string());
-    let mut journal = serial.journal.expect("record_journal was set");
+    let digest = canonical_digest(&report.canonical_string());
+    let mut journal = report.journal.expect("record_journal was set");
     journal.set_meta("app", "lu");
     journal.set_meta("n", cfg.n.to_string());
     journal.set_meta("r", cfg.r.to_string());
@@ -101,7 +86,6 @@ pub fn record_reference_journal(
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(JournalProbe {
         events: journal.len(),
-        cross_threads,
         digest,
     })
 }
@@ -113,17 +97,14 @@ pub struct JournalReplay {
     pub events: usize,
     /// Prefix lengths replay resumed from (each byte-identical).
     pub prefixes: Vec<usize>,
-    /// Engine thread count the replays ran at.
-    pub threads: usize,
 }
 
 /// Decodes a journal written by [`record_reference_journal`], rebuilds
 /// the run from its metadata, and replays it from an empty, a midpoint
-/// and a full prefix at `threads` engine threads. Every replay must
-/// re-emit the recorded stream event-for-event and reproduce the recorded
-/// canonical digest; the error pinpoints the first diverging event
-/// otherwise.
-pub fn replay_journal_file(path: &Path, threads: usize) -> Result<JournalReplay, String> {
+/// and a full prefix. Every replay must re-emit the recorded stream
+/// event-for-event and reproduce the recorded canonical digest; the error
+/// pinpoints the first diverging event otherwise.
+pub fn replay_journal_file(path: &Path) -> Result<JournalReplay, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let recorded =
         Journal::decode(&bytes).map_err(|e| format!("cannot decode {}: {e}", path.display()))?;
@@ -152,7 +133,7 @@ pub fn replay_journal_file(path: &Path, threads: usize) -> Result<JournalReplay,
     let seed = parse("seed")?;
     let digest = meta("canonical_fxhash")?;
 
-    let mut env = Env::paper_seeded(seed).with_engine_threads(threads);
+    let mut env = Env::paper_seeded(seed);
     env.simcfg.record_journal = true;
     let cfg = env.lu_sized(n, r, nodes);
     let (app, _shared) = build_lu_app(cfg);
@@ -174,7 +155,6 @@ pub fn replay_journal_file(path: &Path, threads: usize) -> Result<JournalReplay,
     Ok(JournalReplay {
         events: recorded.len(),
         prefixes,
-        threads,
     })
 }
 
@@ -188,9 +168,9 @@ mod tests {
     fn recorded_reference_journal_replays_from_disk() {
         let path =
             std::env::temp_dir().join(format!("dvns-journal-probe-{}.journal", std::process::id()));
-        let probe = record_reference_journal(42, true, 2, &path).unwrap();
+        let probe = record_reference_journal(42, true, &path).unwrap();
         assert!(probe.events > 0);
-        let replayed = replay_journal_file(&path, 2).unwrap();
+        let replayed = replay_journal_file(&path).unwrap();
         assert_eq!(replayed.events, probe.events);
         assert_eq!(replayed.prefixes.len(), 3);
         let _ = std::fs::remove_file(&path);
@@ -201,7 +181,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("dvns-journal-trunc-{}.journal", std::process::id()));
         std::fs::write(&path, b"DVNSJ1\n").unwrap();
-        let err = replay_journal_file(&path, 1).unwrap_err();
+        let err = replay_journal_file(&path).unwrap_err();
         assert!(err.contains("cannot decode"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

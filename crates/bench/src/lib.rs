@@ -43,8 +43,5 @@ pub use journal_probe::{
     default_journal_path, record_reference_journal, replay_journal_file, JournalProbe,
     JournalReplay,
 };
-pub use runner::{
-    cache_dir, gc_corrupt_entries, run_scenario, run_scenario_at, scenario_fingerprint,
-    ScenarioOutcome, ScenarioRow, CACHE_VERSION, CORRUPT_KEEP,
-};
+pub use runner::{run_scenario, ScenarioOutcome, ScenarioRow};
 pub use scenarios::figure_scenarios;

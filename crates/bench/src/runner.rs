@@ -1,231 +1,30 @@
-//! Scenario execution with a persistent on-disk result cache.
+//! Scenario execution: every point of a [`ScenarioSpec`] through the
+//! harness, rendered as an aligned table plus a CSV.
 //!
 //! Scenario runs are deterministic functions of `(scenario, seed, smoke
-//! flag)` — the registry's whole design (see `workload::scenarios`) is that
-//! two invocations with the same context emit byte-identical tables. That
-//! makes their outputs cacheable: [`run_scenario`] fingerprints the
-//! scenario identity and context, and on a hit replays the stored
-//! rendering instead of re-simulating.
-//!
-//! Cache entries live under `results/cache/` (override with
-//! `DVNS_CACHE_DIR`), one `<name>-<fingerprint>.txt`/`.csv` pair per entry.
-//! The fingerprint covers the scenario name and summary, the expanded point
-//! labels, the root seed, the smoke flag and a version salt
-//! ([`CACHE_VERSION`], bumped whenever engine semantics change) — anything
-//! that legitimately changes results changes the file name, so stale
-//! entries are never *wrong*, only orphaned. `scenarios --no-cache`
-//! bypasses the lookup (and still refreshes the entry), and the
-//! `cache determinism` CI step asserts that a cache hit is byte-identical
-//! to a recomputation.
-//!
-//! Entries are additionally **sealed** with an integrity footer (a comment
-//! line carrying the cache version and a content hash). A truncated,
-//! hand-edited, or otherwise corrupt entry fails the seal check and is
-//! treated as a miss: the bad file is quarantined as `<entry>.corrupt`, a
-//! warning goes to stderr, and the entry is recomputed and rewritten.
+//! flag)` — two invocations with the same context emit byte-identical
+//! tables (see `workload::scenarios`).
 //!
 //! Points run under per-point panic isolation
 //! ([`crate::harness::run_parallel_isolated`]): a poisoned point becomes an
 //! error row (`!error` in the CSV) while every other point's row stays
 //! byte-identical to a clean run.
 
-use std::hash::Hasher;
-use std::path::{Path, PathBuf};
-
-use desim::fxhash::FxHasher;
 use workload::{ScenarioCtx, ScenarioSpec};
 
 use crate::harness::run_parallel_isolated;
 
-/// Salt folded into every cache fingerprint. Bump when simulator or
-/// scenario semantics change in ways the fingerprinted inputs don't
-/// capture.
-///
-/// v2: `RunReport` lost its `stall` field to the typed-error rework
-/// (`canonical_string` changed) and rows can now carry error columns.
-///
-/// v3: `ServiceReport::canonical_string` grew profile-cache and what-if
-/// counter lines, and server scenarios gained what-if columns.
-///
-/// v4: `ServiceReport::canonical_string` grew the profiling-retry counter
-/// on its faults line and the circuit-breaker line.
-pub const CACHE_VERSION: u32 = 4;
-
-/// Where cache entries live: `DVNS_CACHE_DIR`, or `results/cache`.
-pub fn cache_dir() -> PathBuf {
-    match std::env::var("DVNS_CACHE_DIR") {
-        Ok(d) if !d.trim().is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("results").join("cache"),
-    }
-}
-
-/// How many quarantined `.corrupt` entries [`gc_corrupt_entries`] keeps
-/// for post-mortem inspection. Quarantine files are only ever *written*
-/// (every failed seal check renames another one into the cache directory),
-/// so without a cap they accumulate unboundedly.
-pub const CORRUPT_KEEP: usize = 8;
-
-/// Deletes all but the `keep` newest quarantined `.corrupt` entries under
-/// `dir`, logging each removal to stderr, and returns the removed paths.
-/// Ties on modification time break by path so the survivor set is
-/// deterministic. A missing or unreadable directory is a no-op.
-pub fn gc_corrupt_entries(dir: &Path, keep: usize) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut corrupt: Vec<(std::time::SystemTime, PathBuf)> = entries
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "corrupt"))
-        .map(|e| {
-            let modified = e
-                .metadata()
-                .and_then(|m| m.modified())
-                .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            (modified, e.path())
-        })
-        .collect();
-    if corrupt.len() <= keep {
-        return Vec::new();
-    }
-    // Newest first; the tail past `keep` goes.
-    corrupt.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let mut removed = Vec::new();
-    for (_, path) in corrupt.split_off(keep) {
-        if std::fs::remove_file(&path).is_ok() {
-            eprintln!(
-                "cache: removed stale quarantined entry {} (keeping the {keep} newest)",
-                path.display()
-            );
-            removed.push(path);
-        }
-    }
-    removed
-}
-
-/// Fingerprint of one scenario execution: everything its deterministic
-/// output depends on. Point labels are included (they encode the expanded
-/// configuration list, e.g. smoke truncation), point *closures* cannot be —
-/// the version salt stands in for their code.
-pub fn scenario_fingerprint(spec: &ScenarioSpec, ctx: &ScenarioCtx) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u32(CACHE_VERSION);
-    h.write(spec.name.as_bytes());
-    h.write(spec.summary.as_bytes());
-    h.write_u64(ctx.seed);
-    h.write_u8(u8::from(ctx.smoke));
-    for p in (spec.points)(ctx) {
-        h.write(p.label.as_bytes());
-    }
-    h.finish()
-}
-
-/// Outcome of [`run_scenario`]: the rendered table, its CSV, and whether
-/// the result came from the cache.
+/// Outcome of [`run_scenario`]: the rendered table and its CSV.
 pub struct ScenarioOutcome {
     /// Aligned human-readable table.
     pub text: String,
     /// Machine-readable CSV of the same rows.
     pub csv: String,
-    /// `true` when both renderings were replayed from the cache.
-    pub cache_hit: bool,
 }
 
-fn content_hash(content: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(content.as_bytes());
-    h.finish()
-}
-
-/// Appends the integrity footer to a cache entry's content.
-fn seal(content: &str) -> String {
-    format!(
-        "{content}# dvns-cache {CACHE_VERSION} {:016x}\n",
-        content_hash(content)
-    )
-}
-
-/// Validates and strips the integrity footer. `None` means the entry is
-/// truncated, hand-edited, or from a different cache version — treat as a
-/// miss.
-fn unseal(sealed: &str) -> Option<String> {
-    let body_end = sealed.trim_end_matches('\n').rfind('\n')? + 1;
-    let (content, footer) = sealed.split_at(body_end);
-    let mut parts = footer.trim_end().split(' ');
-    if (parts.next(), parts.next()) != (Some("#"), Some("dvns-cache")) {
-        return None;
-    }
-    if parts.next()? != CACHE_VERSION.to_string() {
-        return None;
-    }
-    let hash = u64::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() || hash != content_hash(content) {
-        return None;
-    }
-    Some(content.to_string())
-}
-
-/// Reads a sealed cache entry. A file that exists but fails the seal check
-/// is quarantined as `<path>.corrupt` (a warning goes to stderr) so the
-/// caller recomputes and rewrites it.
-fn read_sealed(path: &Path) -> Option<String> {
-    let sealed = std::fs::read_to_string(path).ok()?;
-    match unseal(&sealed) {
-        Some(content) => Some(content),
-        None => {
-            let quarantine = {
-                let mut os = path.as_os_str().to_owned();
-                os.push(".corrupt");
-                PathBuf::from(os)
-            };
-            eprintln!(
-                "warning: cache entry {} failed its integrity check; \
-                 quarantining as {} and recomputing",
-                path.display(),
-                quarantine.display()
-            );
-            let _ = std::fs::rename(path, &quarantine);
-            None
-        }
-    }
-}
-
-/// Runs a scenario through the harness, consulting the persistent cache.
-/// With `use_cache` false the lookup is skipped but the entry is still
-/// (re)written, so a later cached run can be diffed against this one.
-///
-/// The first call of a process garbage-collects old `.corrupt`
-/// quarantine files in the cache directory (see [`gc_corrupt_entries`]).
-pub fn run_scenario(spec: &ScenarioSpec, ctx: &ScenarioCtx, use_cache: bool) -> ScenarioOutcome {
-    static GC: std::sync::Once = std::sync::Once::new();
-    GC.call_once(|| {
-        gc_corrupt_entries(&cache_dir(), CORRUPT_KEEP);
-    });
-    run_scenario_at(spec, ctx, use_cache, &cache_dir())
-}
-
-/// [`run_scenario`] against an explicit cache directory — the determinism
-/// tests point this at a scratch directory instead of mutating
-/// `DVNS_CACHE_DIR`.
-pub fn run_scenario_at(
-    spec: &ScenarioSpec,
-    ctx: &ScenarioCtx,
-    use_cache: bool,
-    dir: &std::path::Path,
-) -> ScenarioOutcome {
-    let stem = format!("{}-{:016x}", spec.name, scenario_fingerprint(spec, ctx));
-    let txt_path = dir.join(format!("{stem}.txt"));
-    let csv_path = dir.join(format!("{stem}.csv"));
-
-    if use_cache {
-        if let (Some(text), Some(csv)) = (read_sealed(&txt_path), read_sealed(&csv_path)) {
-            return ScenarioOutcome {
-                text,
-                csv,
-                cache_hit: true,
-            };
-        }
-    }
-
+/// Runs every point of a scenario through the harness and renders the
+/// rows.
+pub fn run_scenario(spec: &ScenarioSpec, ctx: &ScenarioCtx) -> ScenarioOutcome {
     let points = (spec.points)(ctx);
     let rows = run_parallel_isolated(&points, |_, p| (p.label.clone(), (p.run)()));
     let rows: Vec<ScenarioRow> = points
@@ -237,15 +36,7 @@ pub fn run_scenario_at(
         })
         .collect();
     let (text, csv) = render(spec, &rows);
-    if std::fs::create_dir_all(dir).is_ok() {
-        let _ = std::fs::write(&txt_path, seal(&text));
-        let _ = std::fs::write(&csv_path, seal(&csv));
-    }
-    ScenarioOutcome {
-        text,
-        csv,
-        cache_hit: false,
-    }
+    ScenarioOutcome { text, csv }
 }
 
 /// One executed scenario row: the point's fields, or the message of the
@@ -329,16 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_contexts() {
-        let spec = toy_spec();
-        let a = scenario_fingerprint(&spec, &ScenarioCtx::new(false, 1));
-        let b = scenario_fingerprint(&spec, &ScenarioCtx::new(false, 2));
-        let c = scenario_fingerprint(&spec, &ScenarioCtx::new(true, 1));
-        assert_ne!(a, b, "seed must be keyed");
-        assert_ne!(a, c, "smoke flag must be keyed");
-    }
-
-    #[test]
     fn render_emits_headers_and_rows() {
         let spec = toy_spec();
         let rows = vec![(
@@ -364,48 +145,5 @@ mod tests {
         assert!(csv.contains("dead,!error,boom; with a comma\n"));
         assert!(csv.contains("live,42\n"));
         assert!(text.contains("!error: boom, with a comma"));
-    }
-
-    #[test]
-    fn corrupt_gc_keeps_newest_and_spares_live_entries() {
-        let dir = std::env::temp_dir().join(format!("dvns-corrupt-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for i in 0..12 {
-            std::fs::write(dir.join(format!("entry-{i:02}.csv.corrupt")), "junk").unwrap();
-        }
-        std::fs::write(dir.join("live-entry.csv"), "kept").unwrap();
-
-        let removed = gc_corrupt_entries(&dir, 8);
-        assert_eq!(removed.len(), 4);
-        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
-        assert_eq!(left.len(), 9, "8 quarantined + 1 live entry survive");
-        assert!(
-            dir.join("live-entry.csv").exists(),
-            "non-corrupt files are spared"
-        );
-
-        // At or under the cap (and on a missing directory) it is a no-op.
-        assert!(gc_corrupt_entries(&dir, 8).is_empty());
-        assert!(gc_corrupt_entries(&dir.join("missing"), 8).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seal_roundtrips_and_rejects_tampering() {
-        let content = "label,answer\nonly,42\n";
-        let sealed = seal(content);
-        assert_eq!(unseal(&sealed).as_deref(), Some(content));
-        // Truncation, edits and footer-less files all fail the check.
-        assert_eq!(unseal(&sealed[..sealed.len() - 2]), None);
-        assert_eq!(unseal(&sealed.replace("42", "43")), None);
-        assert_eq!(unseal(content), None);
-        // A footer from another cache version fails even when its hash is
-        // formally correct.
-        let other = sealed.replace(
-            &format!("# dvns-cache {CACHE_VERSION} "),
-            "# dvns-cache 999 ",
-        );
-        assert_eq!(unseal(&other), None);
     }
 }

@@ -2,9 +2,8 @@
 //! deterministic engine *commits*.
 //!
 //! Determinism in this workspace means: the same configuration produces the
-//! same committed event sequence, byte for byte, no matter how the work was
-//! scheduled on the host (serial event loop or the ticketed parallel
-//! pipeline, fresh run or forked continuation, cache hit or miss). The
+//! same committed event sequence, byte for byte, no matter how it was
+//! reached (fresh run, forked continuation, or replay from a prefix). The
 //! journal makes that sequence first-class. An engine appends one
 //! [`JournalEntry`] per committed event — invocation dispatch, atomic-step
 //! completion, post, transfer arrival, mark, deactivation, credit release,
@@ -56,8 +55,7 @@ pub const JOURNAL_MAGIC: &[u8; 7] = b"DVNSJ1\n";
 /// One committed engine event. Integer fields are the raw values of the
 /// emitting engine's typed ids (`op` = operation id, `thread` = DPS thread
 /// id, `node` = cluster node id); `ticket`/`job` are the engine's monotone
-/// atomic-step ids, identical between serial and parallel execution by the
-/// ticketing construction.
+/// atomic-step ids.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEvent {
     /// A scheduled capacity window on one node's links — a fault plan's

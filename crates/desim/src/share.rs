@@ -340,75 +340,6 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
             .retain(|Reverse(c)| jobs.get(&c.key).is_some_and(|j| j.gen == c.gen));
         self.clone()
     }
-
-    /// A read-only view of the set. Engines that overlap computation with
-    /// bookkeeping use views to answer queries (pending work? next
-    /// completion?) from contexts that must not — or cannot, holding only a
-    /// shared borrow — mutate the set.
-    pub fn view(&self) -> ProgressView<'_, K> {
-        ProgressView { set: self }
-    }
-}
-
-/// Immutable query interface over a [`ProgressSet`] (see
-/// [`ProgressSet::view`]).
-///
-/// Everything here is answerable without settling jobs or popping stale
-/// completion-heap entries, so a view never perturbs the set's lazy
-/// accounting. [`earliest_announced`](ProgressView::earliest_announced)
-/// scans the heap instead of draining it: O(heap) worst case versus
-/// `earliest_completion`'s amortized O(stale entries), which is the price of
-/// immutability.
-#[derive(Clone, Copy)]
-pub struct ProgressView<'a, K: Eq + Hash + Copy + Ord> {
-    set: &'a ProgressSet<K>,
-}
-
-impl<K: Eq + Hash + Copy + Ord> ProgressView<'_, K> {
-    /// Number of live jobs.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether no jobs remain.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
-    /// Whether `key` is a live job.
-    pub fn contains(&self, key: K) -> bool {
-        self.set.contains(key)
-    }
-
-    /// Remaining work of a job.
-    pub fn remaining(&self, key: K) -> Option<f64> {
-        self.set.remaining(key)
-    }
-
-    /// Current drain rate of a job.
-    pub fn rate(&self, key: K) -> Option<f64> {
-        self.set.rate(key)
-    }
-
-    /// Iterates over live job keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.set.keys()
-    }
-
-    /// The earliest announced completion under current rates, with its key
-    /// — the same `(key, time)` that [`ProgressSet::earliest_completion`]
-    /// would return, computed by a read-only scan over the still-valid heap
-    /// entries rather than by popping stale ones. Jobs stalled at rate 0
-    /// with positive work carry no announcement and never appear.
-    pub fn earliest_announced(&self) -> Option<(K, SimTime)> {
-        self.set
-            .completions
-            .iter()
-            .filter(|Reverse(c)| self.set.jobs.get(&c.key).is_some_and(|j| j.gen == c.gen))
-            .map(|Reverse(c)| c)
-            .min()
-            .map(|c| (c.key, c.time.max(self.set.last)))
-    }
 }
 
 #[cfg(test)]
@@ -559,74 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn view_mirrors_set_without_mutation() {
-        let mut ps = ProgressSet::new();
-        ps.insert(SimTime::ZERO, 3u32, 100.0);
-        ps.insert(SimTime::ZERO, 7u32, 100.0);
-        ps.set_rate(SimTime::ZERO, 7, 50.0);
-        let v = ps.view();
-        assert_eq!(v.len(), 2);
-        assert!(!v.is_empty());
-        assert!(v.contains(3) && v.contains(7) && !v.contains(9));
-        assert_eq!(v.remaining(7), Some(100.0));
-        assert_eq!(v.rate(7), Some(50.0));
-        assert_eq!(v.rate(3), Some(0.0));
-        let mut keys: Vec<u32> = v.keys().collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![3, 7]);
-    }
-
-    #[test]
-    fn earliest_announced_matches_earliest_completion() {
-        let mut ps = ProgressSet::new();
-        // Empty set: both are None.
-        assert_eq!(ps.view().earliest_announced(), None);
-        assert_eq!(ps.earliest_completion(), None);
-        ps.insert(SimTime::ZERO, 9u32, 100.0);
-        ps.insert(SimTime::ZERO, 3u32, 100.0);
-        ps.insert(SimTime::ZERO, 5u32, 100.0);
-        ps.set_rate(SimTime::ZERO, 9, 100.0);
-        ps.set_rate(SimTime::ZERO, 3, 100.0);
-        // Churn job 5 so the heap holds stale entries it must skip.
-        ps.set_rate(SimTime::ZERO, 5, 10.0);
-        ps.set_rate(t(1), 5, 0.0);
-        let announced = ps.view().earliest_announced();
-        assert_eq!(announced, ps.earliest_completion());
-        assert_eq!(announced, Some((3, t(1_000_000_000))));
-        // A stalled-only set announces nothing on either path.
-        let mut stalled = ProgressSet::new();
-        stalled.insert(SimTime::ZERO, 1u32, 5.0);
-        assert_eq!(stalled.view().earliest_announced(), None);
-        assert_eq!(stalled.earliest_completion(), None);
-    }
-
-    #[test]
-    fn earliest_announced_clamps_overdue_completions_to_now() {
+    fn overdue_completions_clamp_to_now() {
         let mut ps = ProgressSet::new();
         ps.insert(SimTime::ZERO, 1u32, 100.0);
-        ps.set_rate(SimTime::ZERO, 1, 100.0); // finishes at 1s
-                                              // Advance past the completion without collecting it: the announced
-                                              // time must clamp to `now`, never lie in the past.
+        // Finishes at 1s. Advance past that without collecting it: the
+        // reported time must clamp to `now`, never lie in the past.
+        ps.set_rate(SimTime::ZERO, 1, 100.0);
         ps.advance_to(t(2_000_000_000));
-        let announced = ps.view().earliest_announced();
-        assert_eq!(announced, Some((1, t(2_000_000_000))));
-        assert_eq!(announced, ps.earliest_completion());
-    }
-
-    #[test]
-    fn earliest_announced_agrees_with_completion_under_heavy_churn() {
-        let mut ps = ProgressSet::new();
-        for i in 0..4u32 {
-            ps.insert(SimTime::ZERO, i, 1000.0);
-        }
-        for round in 0..64u64 {
-            ps.set_rate(t(round), (round % 4) as u32, 1.0 + (round % 7) as f64);
-            // The read-only heap scan (before) must agree with the
-            // stale-popping path (after), every round.
-            let announced = ps.view().earliest_announced();
-            assert_eq!(announced, ps.earliest_completion());
-            assert!(announced.is_some());
-        }
+        assert_eq!(ps.earliest_completion(), Some((1, t(2_000_000_000))));
     }
 
     #[test]

@@ -23,12 +23,6 @@
 //! * Threads can be deactivated at runtime (dynamic node deallocation);
 //!   routing helpers immediately stop selecting them and the allocated-node
 //!   timeline feeds the dynamic-efficiency computation.
-//! * With [`SimConfig::engine_threads`] > 1 the engine runs as a ticketed
-//!   sequencer/workers/committer pipeline (the private `parallel`
-//!   submodule): invocations'
-//!   pure compute phases execute on worker threads against immutable
-//!   snapshots while every mutation commits serially in ticket order, so
-//!   the run's output is byte-identical to the serial engine's.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -48,9 +42,6 @@ use crate::memory::MemoryMeter;
 use crate::report::{Interval, RunReport};
 use crate::timing::{Stopwatch, TimingMode, TimingState};
 
-#[path = "parallel.rs"]
-mod parallel;
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -66,8 +57,7 @@ pub struct SimConfig {
     pub record_trace: bool,
     /// Record the committed-event journal into
     /// [`crate::RunReport::journal`]: one [`desim::journal::JournalEntry`]
-    /// per committed event, identical between the serial engine and the
-    /// ticketed parallel pipeline. The journal is the engine's determinism
+    /// per committed event. The journal is the engine's determinism
     /// oracle — see [`crate::journal`] for replay and divergence
     /// pinpointing. Costs memory proportional to the event count.
     pub record_journal: bool,
@@ -91,14 +81,6 @@ pub struct SimConfig {
     /// cluster server, the sweep planner) cancel it to abort a runaway job
     /// with [`crate::SimErrorKind::Cancelled`].
     pub cancel: Option<CancelToken>,
-    /// Threads the engine itself may use for one run (the serial event loop
-    /// plus `engine_threads - 1` compute workers). `1` — the default — is
-    /// the plain serial engine. Larger values enable the ticketed
-    /// sequencer/workers/committer pipeline, which produces byte-identical
-    /// output; it only takes effect when the compute phase is provably pure
-    /// ([`TimingMode::ChargedOnly`] and a [`Fabric::parallel_commit_safe`]
-    /// fabric), and falls back to serial execution otherwise.
-    pub engine_threads: usize,
 }
 
 impl Default for SimConfig {
@@ -113,7 +95,6 @@ impl Default for SimConfig {
             max_steps: 200_000_000,
             max_virtual_time: None,
             cancel: None,
-            engine_threads: 1,
         }
     }
 }
@@ -202,17 +183,10 @@ struct Server {
     op: Option<Box<dyn Operation>>,
     queue: VecDeque<DataObj>,
     run: Option<RunState>,
-    /// A ticketed compute phase for this server is outstanding on the
-    /// worker pool: its behaviour state and head object are checked out,
-    /// and its `RunState` is installed at commit. Keeps deliveries from
-    /// double-starting the server while `run` is still `None`.
-    invoking: bool,
 }
 
 impl Server {
     fn try_clone(&self) -> Option<Server> {
-        // Forks only happen with the pipeline drained.
-        debug_assert!(!self.invoking);
         let op = match &self.op {
             Some(op) => Some(op.fork_op()?),
             None => None,
@@ -235,12 +209,7 @@ impl Server {
             }),
             None => None,
         };
-        Some(Server {
-            op,
-            queue,
-            run,
-            invoking: false,
-        })
+        Some(Server { op, queue, run })
     }
 }
 
@@ -477,20 +446,6 @@ pub(crate) struct Engine<'a> {
     /// Virtual-time ceiling (checkpoint `advance_until`); the loop stops
     /// before advancing past it.
     time_limit: Option<SimTime>,
-
-    // ----- parallel core --------------------------------------------------
-    /// Worker pool for ticketed compute phases; spawned lazily on the first
-    /// parallel submission, absent in serial runs and fresh forks.
-    pool: Option<parallel::WorkerPool>,
-    /// Tickets whose compute phase is in flight, in ticket (= serial
-    /// submission) order. Drained by the committer before the event loop
-    /// consults the CPU set, so the queue is empty whenever the engine is
-    /// observable from outside an event batch.
-    outstanding: VecDeque<parallel::PendingTicket>,
-    /// Immutable snapshot of `active` handed to workers; invalidated by
-    /// every committed deactivation so later submissions in the same batch
-    /// observe it, exactly as serial invocations would.
-    active_snap: Option<Arc<ActiveSet>>,
 }
 
 impl<'a> Engine<'a> {
@@ -528,7 +483,6 @@ impl<'a> Engine<'a> {
                 op: None,
                 queue: VecDeque::new(),
                 run: None,
-                invoking: false,
             })
             .collect();
         let edge_count = app.graph().edge_count();
@@ -579,9 +533,6 @@ impl<'a> Engine<'a> {
             pause: None,
             paused: Vec::new(),
             time_limit: None,
-            pool: None,
-            outstanding: VecDeque::new(),
-            active_snap: None,
         }
     }
 
@@ -653,10 +604,6 @@ impl<'a> Engine<'a> {
                 return false;
             }
         }
-        // Committer: apply outstanding compute phases in ticket order
-        // before consulting the CPU set — their first segments must exist
-        // (at their reserved job ids) for completion times to be right.
-        self.join_outstanding();
         self.recompute_cpu();
         if self.steps_executed > self.cfg.max_steps {
             self.terminated = false;
@@ -785,7 +732,7 @@ impl<'a> Engine<'a> {
         let (qlen, idle) = {
             let server = self.server_mut((op, thread));
             server.queue.push_back(obj);
-            (server.queue.len(), server.run.is_none() && !server.invoking)
+            (server.queue.len(), server.run.is_none())
         };
         self.max_queue_len = self.max_queue_len.max(qlen);
         if idle {
@@ -813,13 +760,8 @@ impl<'a> Engine<'a> {
 
     /// Consumes queued objects until one produces atomic steps (or the
     /// queue drains). Runs the operation's Rust code, decomposing it into
-    /// segments — on a worker thread when the parallel core is active, so
-    /// this is the sequencer's dispatch point.
+    /// segments.
     fn start_invocations(&mut self, key: ServerKey) {
-        if self.parallel_enabled() {
-            self.submit_invocation(key);
-            return;
-        }
         loop {
             // Checkpoint pause: consult the predicate *before* consuming, so
             // the triggering object is still queued in the snapshot and the
@@ -857,10 +799,9 @@ impl<'a> Engine<'a> {
             };
             let mut op = op.unwrap_or_else(|| self.app.make_op(key.0, key.1));
             let consumed_heap = obj.heap_bytes();
-            // Reserve the invocation's first job id at dispatch — the same
-            // instant the parallel sequencer reserves its ticket — so the
-            // journal's Invoke records land at identical stream positions
-            // in both modes. (`CollectCtx::finish` guarantees at least one
+            // Reserve the invocation's first job id at dispatch, before the
+            // operation's code runs: the journal's Invoke record carries it
+            // as the ticket. (`CollectCtx::finish` guarantees at least one
             // segment per invocation, so the id is always consumed.)
             let ticket = self.next_job;
             self.next_job += 1;
@@ -908,22 +849,16 @@ impl<'a> Engine<'a> {
                 next_seg: 0,
                 pending,
             });
-            self.begin_segment_with(key, Some(ticket));
+            self.begin_segment(key, Some(ticket));
             return;
         }
     }
 
     /// Starts the next recorded segment as a CPU job, or finishes the
-    /// invocation when none remain.
-    fn begin_segment(&mut self, key: ServerKey) {
-        self.begin_segment_with(key, None);
-    }
-
-    /// [`begin_segment`](Engine::begin_segment) with an optional
-    /// pre-reserved job id for the first segment — the parallel committer
-    /// reserves the id (the ticket) at dispatch time, so job ids come out
-    /// in serial allocation order even though the install happens later.
-    fn begin_segment_with(&mut self, key: ServerKey, ticket: Option<u64>) {
+    /// invocation when none remain. An invocation's first segment runs
+    /// under the job id reserved at dispatch (`ticket`); later segments
+    /// allocate theirs here.
+    fn begin_segment(&mut self, key: ServerKey, ticket: Option<u64>) {
         let node = self.app.deployment().node_of(key.1);
         let server = self.server_mut(key);
         let run = server.run.as_mut().expect("running invocation");
@@ -961,119 +896,6 @@ impl<'a> Engine<'a> {
                 self.start_invocations(key);
             }
         }
-    }
-
-    // ----- parallel core: sequencer and committer ------------------------
-
-    /// Whether new invocations may be dispatched to the worker pool.
-    ///
-    /// The compute phase must be provably pure: [`TimingMode::ChargedOnly`]
-    /// never consults host clocks or mutates timing state, and a
-    /// [`Fabric::parallel_commit_safe`] fabric lets `compute_time` move to
-    /// the serial commit. Checkpoint pause predicates inspect behaviour
-    /// state *before* an invocation runs, so any active pause machinery
-    /// forces the serial path.
-    fn parallel_enabled(&self) -> bool {
-        self.cfg.engine_threads > 1
-            && matches!(self.cfg.timing, TimingMode::ChargedOnly)
-            && self.pause.is_none()
-            && self.paused.is_empty()
-            && self.fabric.parallel_commit_safe()
-    }
-
-    /// Sequencer: checks out the server's head object and behaviour state,
-    /// reserves the next job id as the invocation's ticket, and hands the
-    /// pure compute phase to the worker pool. All shared state the phase
-    /// reads travels with the task as immutable snapshots.
-    fn submit_invocation(&mut self, key: ServerKey) {
-        let (obj, op) = {
-            let server = self.server_mut(key);
-            debug_assert!(server.run.is_none() && !server.invoking);
-            let Some(obj) = server.queue.pop_front() else {
-                return;
-            };
-            (obj, server.op.take())
-        };
-        let op = op.unwrap_or_else(|| self.app.make_op(key.0, key.1));
-        // Every invocation yields at least one segment (`CollectCtx::finish`
-        // guarantees it), whose job id the serial engine would allocate
-        // right here — reserving it now keeps ids in serial order no matter
-        // when the commit lands.
-        let ticket = self.next_job;
-        self.next_job += 1;
-        // The Invoke record is fixed at dispatch (nothing in it depends on
-        // the compute phase), so emitting it here — not at commit — keeps
-        // the stream identical to the serial engine's, where dispatch and
-        // invocation coincide.
-        self.jot(JournalEvent::Invoke {
-            ticket,
-            op: key.0 .0,
-            thread: key.1 .0,
-            obj_bytes: obj.heap_bytes(),
-        });
-        self.server_mut(key).invoking = true;
-        let active = match &self.active_snap {
-            Some(a) => Arc::clone(a),
-            None => {
-                let a = Arc::new(self.active.clone());
-                self.active_snap = Some(Arc::clone(&a));
-                a
-            }
-        };
-        if self.pool.is_none() {
-            self.pool = Some(parallel::WorkerPool::new(
-                self.cfg.engine_threads - 1,
-                self.cfg.timing,
-                self.cfg.step_overhead,
-                Arc::new(self.app.deployment().clone()),
-            ));
-        }
-        let task = parallel::ComputeTask {
-            op,
-            obj,
-            op_id: key.0,
-            thread: key.1,
-            now: self.now,
-            active,
-        };
-        let slot = self.pool.as_mut().expect("pool just ensured").submit(task);
-        self.outstanding
-            .push_back(parallel::PendingTicket { key, ticket, slot });
-    }
-
-    /// Committer: applies every outstanding compute phase in strict ticket
-    /// order. Blocks on unfinished workers (stealing still-queued tasks
-    /// inline rather than idling); a panic from an operation's code resumes
-    /// here, at the invocation's serial position.
-    fn join_outstanding(&mut self) {
-        while let Some(p) = self.outstanding.pop_front() {
-            let res = self
-                .pool
-                .as_mut()
-                .expect("worker pool exists while tickets are outstanding")
-                .join(&p.slot);
-            self.commit_invocation(p.key, p.ticket, res);
-        }
-    }
-
-    /// Installs one compute phase's result exactly as the serial engine
-    /// would at the invocation's position: behaviour state back in place,
-    /// recorded segments installed, first segment started under the
-    /// reserved ticket id.
-    fn commit_invocation(&mut self, key: ServerKey, ticket: u64, res: parallel::ComputeResult) {
-        let pending = self.action_pool.pop().unwrap_or_default();
-        let server = self.server_mut(key);
-        server.invoking = false;
-        server.op = Some(res.op);
-        debug_assert!(server.run.is_none());
-        debug_assert!(!res.segments.is_empty(), "invocations always yield steps");
-        server.run = Some(RunState {
-            consumed_heap: res.consumed_heap,
-            segments: res.segments,
-            next_seg: 0,
-            pending,
-        });
-        self.begin_segment_with(key, Some(ticket));
     }
 
     fn recycle_actions(&mut self, mut buf: VecDeque<Action>) {
@@ -1165,7 +987,7 @@ impl<'a> Engine<'a> {
                 return;
             }
         }
-        self.begin_segment(key);
+        self.begin_segment(key, None);
     }
 
     /// Records the first typed failure; the event loop halts on it and the
@@ -1283,9 +1105,6 @@ impl<'a> Engine<'a> {
         self.jot(JournalEvent::Deactivate { thread: t.0 });
         self.flush_node_seconds();
         self.active.deactivate(t);
-        // Later submissions in this event batch must see the deactivation,
-        // exactly as serial invocations running after this commit would.
-        self.active_snap = None;
         let nodes = self.active.allocated_nodes(self.app.deployment()).len();
         if nodes != self.cur_nodes {
             self.cur_nodes = nodes;
@@ -1363,7 +1182,7 @@ impl<'a> Engine<'a> {
         !self.pending_net.is_empty()
             || !self.pending_jobs.is_empty()
             || !self.paused.is_empty()
-            || self.cpu.view().earliest_announced().is_some()
+            || self.cpu.earliest_completion().is_some()
             || self.fabric.next_event_time().is_some()
     }
 
@@ -1372,8 +1191,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Committed atomic steps so far — the deterministic cost metric
-    /// (identical between serial and parallel execution by the ticketing
-    /// construction; surfaced as `RunReport::steps` at the end of a run).
+    /// (surfaced as `RunReport::steps` at the end of a run).
     pub(crate) fn steps(&self) -> u64 {
         self.steps_executed
     }
@@ -1386,10 +1204,6 @@ impl<'a> Engine<'a> {
         op: OpId,
         thread: ThreadId,
     ) -> Option<&mut dyn std::any::Any> {
-        // Behaviour state rides along with outstanding compute phases;
-        // normally drained by the event loop, but a run abandoned mid-batch
-        // (terminated/errored) can still carry tickets here.
-        self.join_outstanding();
         let i = self.sidx((op, thread));
         self.servers[i].op.as_mut()?.as_any_mut()
     }
@@ -1400,8 +1214,6 @@ impl<'a> Engine<'a> {
     /// fabric does not support cloning — callers then fall back to a fresh
     /// run.
     pub(crate) fn try_fork(&mut self) -> Option<Engine<'a>> {
-        // Quiesce the pipeline: a fork must copy fully committed state.
-        self.join_outstanding();
         let fabric = self.fabric.fork_fabric()?;
         let servers = self
             .servers
@@ -1477,11 +1289,6 @@ impl<'a> Engine<'a> {
             pause: None,
             paused: self.paused.clone(),
             time_limit: None,
-            // The fork spawns its own pool on demand; worker threads and
-            // in-flight tickets are never shared between engines.
-            pool: None,
-            outstanding: VecDeque::new(),
-            active_snap: None,
         })
     }
 
@@ -1590,12 +1397,7 @@ impl<'a> Engine<'a> {
             node_seconds: self.node_seconds_acc,
         });
         // The Gantt/chrome trace is a derived view of the journal.
-        let mut journal = self.journal.take();
-        if let Some(j) = &mut journal {
-            // Metadata never enters stream comparison, so stamping the
-            // thread count cannot break serial≡parallel equivalence.
-            j.set_meta("engine_threads", self.cfg.engine_threads.to_string());
-        }
+        let journal = self.journal.take();
         let trace = if self.cfg.record_trace {
             journal
                 .as_ref()

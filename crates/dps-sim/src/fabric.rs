@@ -78,19 +78,6 @@ pub trait Fabric {
     fn scheduled_windows(&self) -> Vec<(NodeId, f64, f64, SimTime, SimTime)> {
         Vec::new()
     }
-
-    /// Whether [`compute_time`](Fabric::compute_time) is a pure function of
-    /// its arguments, so the engine's parallel core may defer the call from
-    /// an atomic step's compute phase to its serial commit without changing
-    /// the value it returns relative to serial execution.
-    ///
-    /// `false` — the default — keeps the engine serial regardless of
-    /// `SimConfig::engine_threads`. Fabrics with stateful `compute_time`
-    /// (e.g. the testbed's seeded perturbation stream, which must observe
-    /// calls in exact serial order) must leave it `false`.
-    fn parallel_commit_safe(&self) -> bool {
-        false
-    }
 }
 
 /// The paper's machine model: [`netmodel`] flow network + linear CPU cost of
@@ -197,12 +184,6 @@ impl Fabric for SimFabric {
 
     fn scheduled_windows(&self) -> Vec<(NodeId, f64, f64, SimTime, SimTime)> {
         self.net.scheduled_windows()
-    }
-
-    fn parallel_commit_safe(&self) -> bool {
-        // `compute_time` is the identity; committing it out of order with
-        // the compute phase cannot change anything.
-        true
     }
 }
 

@@ -331,6 +331,65 @@ fn flow_control_blocks_and_resumes() {
 }
 
 #[test]
+fn leaf_released_window_serializes_every_commit_without_deadlock() {
+    // Every commit conflicts with every other: all 48 posts go through the
+    // split's one window, and each leaf invocation both releases a credit
+    // into that window and posts to the one merge server. A misordered
+    // credit release would deadlock or move the timeline.
+    let app = |window: usize| {
+        let n = 48;
+        let mut b = AppBuilder::new("shared-window");
+        b.thread_group("workers", 4);
+        let main = b.thread_on_node("main", 4);
+        let split = b.declare("split", OpKind::Split);
+        let leaf = b.declare("leaf", OpKind::Leaf);
+        let merge = b.declare("merge", OpKind::Merge);
+        b.body(split, move |_, _| {
+            op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+                for _ in 0..n {
+                    ctx.charge(US);
+                    ctx.post(leaf, Box::new(Result_ { bytes: 8 }));
+                }
+            })
+        });
+        b.body(leaf, move |_, _| {
+            op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+                ctx.charge(US * 3);
+                ctx.fc_release(split);
+                ctx.post(merge, Box::new(Result_ { bytes: 8 }));
+            })
+        });
+        b.body(merge, move |_, _| {
+            let mut seen = 0;
+            op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+                seen += 1;
+                if seen == n {
+                    ctx.terminate();
+                }
+            })
+        });
+        b.edge(split, leaf, round_robin("workers"));
+        b.edge(leaf, merge, to_thread(main));
+        b.flow_control(split, window);
+        b.start(split, main, || Box::new(Work(0)));
+        b.build().unwrap()
+    };
+    let completion = |window: usize| {
+        let r = simulate(&app(window), NetParams::ideal(), &cfg())
+            .unwrap_or_else(|e| panic!("deadlocked at window {window}: {e}"));
+        assert!(r.terminated);
+        r.completion
+    };
+    // Window 1: piece k is posted when piece k-1's leaf releases, so the
+    // 3us computes run back to back after the first 1us generation.
+    assert_eq!(completion(1), SimTime(1_000 + 48 * 3_000));
+    // Four workers: from window 4 up the split's 1us generation is the
+    // bottleneck, so the last piece is posted at 48us and computed by 51us.
+    assert!(completion(2) < completion(1));
+    assert_eq!(completion(7), SimTime(48_000 + 3_000));
+}
+
+#[test]
 fn without_flow_control_pieces_pipeline_immediately() {
     // Same app without the window: computes back-to-back [1,4][4,7][7,10]
     // — same end here (single worker), but generation finishes at 3ms and

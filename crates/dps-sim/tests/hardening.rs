@@ -3,6 +3,10 @@
 //! a hang or a panic), budgets and cancellation must fail runs cleanly,
 //! and a killed run must leave the application reusable.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
@@ -129,6 +133,11 @@ fn cyclic_credit_wait_names_the_cycle() {
 
 /// A well-formed two-stage pipeline that terminates after `n` results.
 fn good_app(n: u64) -> Application {
+    poisonable_app(n, Arc::new(AtomicBool::new(false)))
+}
+
+/// [`good_app`] whose next leaf invocation panics once `poison` is set.
+fn poisonable_app(n: u64, poison: Arc<AtomicBool>) -> Application {
     let mut b = AppBuilder::new("good");
     b.thread_group("workers", 2);
     let main = b.thread_on_node("main", 2);
@@ -144,7 +153,12 @@ fn good_app(n: u64) -> Application {
         })
     });
     b.body(leaf, move |_, _| {
+        let poison = Arc::clone(&poison);
         op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            assert!(
+                !poison.swap(false, Ordering::SeqCst),
+                "poisoned leaf invocation"
+            );
             ctx.charge(MS);
             ctx.post(merge, Box::new(Token(0)));
         })
@@ -236,6 +250,29 @@ fn budget_killed_run_leaves_the_application_reusable() {
     assert!(simulate(&bad, NetParams::ideal(), &cfg()).is_err());
     let after = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
     assert_eq!(after.canonical_string(), clean.canonical_string());
+}
+
+#[test]
+fn operation_panic_propagates_and_leaves_the_application_reusable() {
+    // A panic in application code is not a simulator error: it unwinds to
+    // the caller with its message intact, and the application value runs
+    // again afterwards exactly as if the panicked run never happened.
+    let poison = Arc::new(AtomicBool::new(false));
+    let app = poisonable_app(8, Arc::clone(&poison));
+    let clean = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
+
+    poison.store(true, Ordering::SeqCst);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        simulate(&app, NetParams::ideal(), &cfg())
+    }))
+    .expect_err("the poisoned invocation must panic");
+    let msg = payload
+        .downcast_ref::<&str>()
+        .expect("panic carries its message");
+    assert!(msg.contains("poisoned leaf invocation"), "{msg}");
+
+    let again = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
+    assert_eq!(again.canonical_string(), clean.canonical_string());
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Determinism property tests for the fork-based what-if policy: the
 //! decision journal (every placement, every candidate score, every
-//! committed winner) must be byte-identical across shard counts and
-//! engine thread counts, quiet and under a seeded fault plan.
+//! committed winner) must be byte-identical across shard counts, quiet
+//! and under a seeded fault plan.
 //!
 //! The streams mix analytic synthetic jobs with simulator-backed LU jobs,
 //! so the byte-compare covers the fork-scoring path, the profile-memo
@@ -19,10 +19,9 @@ const JOBS: u64 = 300;
 const BOXED: u64 = 2;
 const SEED: u64 = 7;
 
-/// A small mixed stream whose boxed LU jobs simulate under `threads`
-/// engine threads — the dimension the determinism contract must absorb.
-fn mixed_load(threads: usize) -> Vec<JobSpec> {
-    let env = SimEnv::paper().with_engine_threads(threads);
+/// A small mixed stream: analytic jobs plus boxed simulator-backed LU jobs.
+fn mixed_load() -> Vec<JobSpec> {
+    let env = SimEnv::paper();
     let mut cfg = env.lu_sized(324, 81, 4);
     cfg.workers = 4;
     let lu: Arc<dyn Workload> = Arc::new(LuWorkload::new(cfg, env.net, env.simcfg));
@@ -36,7 +35,7 @@ fn mixed_load(threads: usize) -> Vec<JobSpec> {
     specs
 }
 
-fn run(shards: u32, threads: usize, faulted: bool) -> ServiceOutcome {
+fn run(shards: u32, faulted: bool) -> ServiceOutcome {
     let svc = ClusterService::new(server_whatif_config(shards)).expect("valid config");
     let plan = if faulted {
         server_scale_plan(JOBS, SEED)
@@ -47,7 +46,7 @@ fn run(shards: u32, threads: usize, faulted: bool) -> ServiceOutcome {
         journal: true,
         ..ServeOptions::default()
     };
-    svc.serve(mixed_load(threads), &plan, &opts)
+    svc.serve(mixed_load(), &plan, &opts)
         .expect("what-if serve")
 }
 
@@ -80,8 +79,8 @@ fn assert_identical(reference: &ServiceOutcome, other: &ServiceOutcome, what: &s
 }
 
 #[test]
-fn quiet_decisions_are_invariant_across_shards_and_engine_threads() {
-    let reference = run(1, 1, false);
+fn quiet_decisions_are_invariant_across_shards() {
+    let reference = run(1, false);
     let r = &reference.report;
     assert!(
         r.whatif.decisions > 0,
@@ -89,39 +88,31 @@ fn quiet_decisions_are_invariant_across_shards_and_engine_threads() {
     );
     assert!(r.whatif.fork_scored > 0, "boxed jobs must be fork-scored");
     assert!(r.whatif.analytic_scored > 0);
-    for (shards, threads) in [(2, 1), (4, 1), (2, 4)] {
-        let other = run(shards, threads, false);
-        assert_identical(
-            &reference,
-            &other,
-            &format!("quiet, {shards} shards, {threads} engine threads"),
-        );
+    for shards in [2, 4] {
+        let other = run(shards, false);
+        assert_identical(&reference, &other, &format!("quiet, {shards} shards"));
     }
 }
 
 #[test]
-fn faulted_decisions_are_invariant_across_shards_and_engine_threads() {
-    let reference = run(1, 1, true);
+fn faulted_decisions_are_invariant_across_shards() {
+    let reference = run(1, true);
     let r = &reference.report;
     assert!(r.whatif.decisions > 0);
     assert!(
         r.total_restarts() > 0,
         "the seeded plan must interrupt jobs for the faulted compare to bite"
     );
-    for (shards, threads) in [(2, 1), (4, 4)] {
-        let other = run(shards, threads, true);
-        assert_identical(
-            &reference,
-            &other,
-            &format!("faulted, {shards} shards, {threads} engine threads"),
-        );
+    for shards in [2, 4] {
+        let other = run(shards, true);
+        assert_identical(&reference, &other, &format!("faulted, {shards} shards"));
     }
 }
 
 /// A breaker-wrapped run with a step budget tiny enough that every
 /// non-memoized fork breaches: trips, profile-priced fallback, and
 /// half-open probes after the deterministic cooldown are all exercised.
-fn run_breaker(shards: u32, threads: usize) -> ServiceOutcome {
+fn run_breaker(shards: u32) -> ServiceOutcome {
     let cfg = server_whatif_config(shards).with_breaker(BreakerSpec {
         max_steps_per_decision: 1,
         trip_after: 2,
@@ -132,13 +123,13 @@ fn run_breaker(shards: u32, threads: usize) -> ServiceOutcome {
         journal: true,
         ..ServeOptions::default()
     };
-    svc.serve(mixed_load(threads), &FaultPlan::none(), &opts)
+    svc.serve(mixed_load(), &FaultPlan::none(), &opts)
         .expect("breaker serve")
 }
 
 #[test]
 fn tripped_breaker_degrades_and_probes_deterministically() {
-    let reference = run_breaker(1, 1);
+    let reference = run_breaker(1);
     let b = &reference.report.breaker;
     assert!(b.breaches > 0, "the tiny budget must be breached: {b:?}");
     assert!(b.trips > 0, "consecutive breaches must trip: {b:?}");
@@ -152,19 +143,13 @@ fn tripped_breaker_degrades_and_probes_deterministically() {
     );
     // The breaker's life cycle is part of the determinism contract: its
     // journaled transitions and counters must be byte-identical across
-    // shard counts and engine thread counts.
-    for (shards, threads) in [(2, 1), (2, 4)] {
-        let other = run_breaker(shards, threads);
-        assert_eq!(&other.report.breaker, b, "{shards} shards, {threads} threads");
-        assert_identical(
-            &reference,
-            &other,
-            &format!("breaker, {shards} shards, {threads} engine threads"),
-        );
-    }
+    // shard counts.
+    let other = run_breaker(2);
+    assert_eq!(&other.report.breaker, b, "2 shards");
+    assert_identical(&reference, &other, "breaker, 2 shards");
     // Degraded mode is visible against the unbroken run: the breaker
     // diverts fork-scored decisions to the profile path.
-    let unbroken = run(1, 1, false);
+    let unbroken = run(1, false);
     assert!(
         reference.report.whatif.fork_scored < unbroken.report.whatif.fork_scored,
         "breaker={} unbroken={}",
@@ -175,8 +160,8 @@ fn tripped_breaker_degrades_and_probes_deterministically() {
 
 #[test]
 fn repeat_runs_are_byte_identical() {
-    let a = run(2, 1, false);
-    let b = run(2, 1, false);
+    let a = run(2, false);
+    let b = run(2, false);
     assert_eq!(journal_bytes(&a), journal_bytes(&b));
     assert_eq!(a.report.canonical_string(), b.report.canonical_string());
 }
