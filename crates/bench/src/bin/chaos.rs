@@ -9,14 +9,12 @@
 //! Each crash point truncates the write-ahead log at a seeded frame
 //! boundary (tearing the in-flight frame), recovers by validated replay,
 //! and pinpoint-diffs the recovered decision journal and report against
-//! the baseline. Appends the `chaos_recovery` and `recovery_latency`
-//! rows to `results/BENCH_engine.json`; exits non-zero if any crash
-//! point diverged. `DVNS_SMOKE=1` shrinks the run to CI size;
-//! `DVNS_CHAOS_POINTS` overrides the default crash-point count (the
-//! `--points` flag wins over both).
+//! the baseline. Exits non-zero if any crash point diverged.
+//! `DVNS_SMOKE=1` shrinks the run to CI size; `--points` sets the number
+//! of crash points (default 8).
 
-use dps_bench::chaos::{record_chaos, run_chaos, ChaosConfig};
-use dps_bench::{smoke, BenchJson};
+use dps_bench::chaos::{run_chaos, ChaosConfig};
+use dps_bench::smoke;
 
 struct Args {
     points: u64,
@@ -27,10 +25,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        points: std::env::var("DVNS_CHAOS_POINTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
+        points: 8,
         seed: 42,
         faulted: false,
         quiet: false,
@@ -82,9 +77,6 @@ fn main() {
          catch-up mean {:.2}s max {:.2}s",
         s.passed, s.points, s.torn, s.mean_catch_up_secs, s.max_catch_up_secs
     );
-    let mut json = BenchJson::new();
-    record_chaos(&mut json, &out);
-    json.write();
     if !out.passed() {
         std::process::exit(1);
     }

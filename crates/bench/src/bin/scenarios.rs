@@ -1,7 +1,7 @@
 //! Scenario runner: lists and executes any registered scenario —
 //! the workload crate's built-ins (efficiency profiles, the simulator-
-//! backed cluster server) plus this crate's figure reproductions —
-//! through the bench harness.
+//! backed cluster server) plus this crate's figure reproductions and
+//! model ablations — through the bench harness.
 //!
 //! ```text
 //! scenarios --list          # every registered scenario
@@ -14,35 +14,28 @@
 //! analytic job sets, fault schedules — derives from; two invocations with
 //! the same seed emit byte-identical CSVs. `DVNS_SMOKE=1` (or the
 //! `--smoke` flag) shrinks every scenario to its CI-sized subset and
-//! `DVNS_THREADS` bounds the fan-out, exactly as for the figure binaries.
-//!
-//! Selecting `server-scale` additionally times one more run of the
-//! sharded cluster service and records host throughput (jobs/s, events/s)
-//! and the P99 scheduling latency in `results/BENCH_engine.json`.
-//! Selecting `server-whatif` records the what-if decision-latency
-//! histogram (`whatif_decision_latency`: p50/p99/max microseconds per
-//! decision) and the fork-vs-fresh candidate-scoring speedup
-//! (`fork_vs_fresh_speedup`) the same way.
+//! `DVNS_THREADS` bounds the fan-out.
 //!
 //! `--journal` additionally records the committed-event journal of the
 //! reference LU run at the session seed and writes it (with replay
-//! metadata) to `results/lu_reference.journal` for `perf --replay`.
+//! metadata) to `results/lu_reference.journal`.
 //!
-//! `--chaos` additionally runs the seeded crash/recovery sweep (see the
-//! `chaos` binary): the durable server-scale run is crashed at several
-//! seeded commit boundaries and each recovery must be byte-identical to
-//! the uninterrupted run. Records the `chaos_recovery` and
-//! `recovery_latency` rows; any divergence exits non-zero, pinpointed.
+//! `--replay [path]` instead verifies such a journal (default
+//! `results/lu_reference.journal`): the run is rebuilt from the journal's
+//! own metadata, resumed from an empty, a midpoint and a full prefix, and
+//! every replay must re-emit the recorded event stream and canonical digest
+//! byte-for-byte. A mismatch exits non-zero naming the first diverging
+//! event.
+//!
+//! Only virtual-time values are written here. Host-time numbers (jobs/s,
+//! decision latency, fork-vs-fresh) come from `benchmark run` / `trace`;
+//! the crash/recovery sweep is the `chaos` binary.
 
-use dps_bench::chaos::{record_chaos, run_chaos, ChaosConfig};
 use dps_bench::{
-    default_journal_path, emit, figure_scenarios, record_reference_journal, run_scenario, smoke,
-    time, BenchJson,
+    default_journal_path, emit, figure_scenarios, record_reference_journal, replay_journal_file,
+    run_scenario, smoke,
 };
-use workload::{
-    builtin_scenarios, find_scenario, fork_vs_fresh_bench, server_scale_bench, server_whatif_bench,
-    ScenarioCtx, ScenarioSpec, SimEnv, DEFAULT_SEED,
-};
+use workload::{builtin_scenarios, find_scenario, ScenarioCtx, ScenarioSpec, DEFAULT_SEED};
 
 fn registry() -> Vec<ScenarioSpec> {
     let mut specs = builtin_scenarios();
@@ -59,18 +52,42 @@ fn list(specs: &[ScenarioSpec]) {
     println!("\nrun with: scenarios <name>... | --all   (DVNS_SMOKE=1 for the CI-sized subset)");
 }
 
-fn run(spec: &ScenarioSpec, ctx: &ScenarioCtx, json: &mut BenchJson) {
-    let (outcome, wall) = time(|| run_scenario(spec, ctx));
+fn run(spec: &ScenarioSpec, ctx: &ScenarioCtx) {
+    let outcome = run_scenario(spec, ctx);
     emit(
         &format!("scenario_{}", spec.name),
         &outcome.text,
         Some(&outcome.csv),
     );
-    json.record(&format!("scenario_{}", spec.name), &[("wall_secs", wall)]);
+}
+
+/// The `--replay` mode: verify a recorded reference journal end to end.
+/// Exits the process (0 on a faithful replay, 1 with a pinpointed
+/// diagnostic otherwise).
+fn replay_mode(path_arg: Option<String>) -> ! {
+    let path = path_arg.map_or_else(default_journal_path, std::path::PathBuf::from);
+    match replay_journal_file(&path) {
+        Ok(r) => {
+            println!(
+                "replay: {} ({} events) byte-identical from prefixes {:?}",
+                path.display(),
+                r.events,
+                r.prefixes
+            );
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("replay: {msg}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(i) = args.iter().position(|a| a == "--replay") {
+        replay_mode(args.get(i + 1).cloned());
+    }
     let mut seed = DEFAULT_SEED;
     if let Some(i) = args.iter().position(|a| a == "--seed") {
         let value = args.get(i + 1).unwrap_or_else(|| {
@@ -88,11 +105,6 @@ fn main() {
         journal = true;
         args.remove(i);
     }
-    let mut chaos = false;
-    if let Some(i) = args.iter().position(|a| a == "--chaos") {
-        chaos = true;
-        args.remove(i);
-    }
     let mut force_smoke = false;
     if let Some(i) = args.iter().position(|a| a == "--smoke") {
         force_smoke = true;
@@ -100,7 +112,7 @@ fn main() {
     }
     let ctx = ScenarioCtx::new(smoke() || force_smoke, seed);
     let specs = registry();
-    if !journal && !chaos && (args.is_empty() || args.iter().any(|a| a == "--list")) {
+    if !journal && (args.is_empty() || args.iter().any(|a| a == "--list")) {
         list(&specs);
         return;
     }
@@ -118,112 +130,22 @@ fn main() {
             .collect()
     };
 
-    let mut json = BenchJson::new();
-    let mut bench_scale = false;
-    let mut bench_whatif = false;
     for spec in selected {
-        run(spec, &ctx, &mut json);
-        bench_scale |= spec.name == "server-scale";
-        bench_whatif |= spec.name == "server-whatif";
-    }
-    if bench_scale {
-        // Host-throughput row: one timed run at the highest shard count.
-        // Virtual-time metrics live in the scenario CSV (they are
-        // byte-compared); wall-clock numbers belong here.
-        let (b, wall) = time(|| server_scale_bench(&ctx));
-        json.record(
-            "server_scale",
-            &[
-                ("jobs", b.jobs as f64),
-                ("jobs_per_sec", b.jobs as f64 / wall.max(1e-9)),
-                ("events", b.events as f64),
-                ("events_per_sec", b.events as f64 / wall.max(1e-9)),
-                ("p99_sched_latency_ms", b.p99_sched_latency_ms),
-                ("wall_secs", wall),
-            ],
-        );
-    }
-    if bench_whatif {
-        // Decision-latency row: one run with the per-decision wall-clock
-        // histogram enabled.
-        let (b, wall) = time(|| server_whatif_bench(&ctx));
-        json.record(
-            "whatif_decision_latency",
-            &[
-                ("jobs", b.jobs as f64),
-                ("decisions", b.decisions as f64),
-                ("decisions_per_sec", b.decisions as f64 / wall.max(1e-9)),
-                ("p50_us", b.p50_us),
-                ("p99_us", b.p99_us),
-                ("max_us", b.max_us),
-                ("wall_secs", wall),
-            ],
-        );
-        // Fork-vs-fresh row: the same candidate slate answered by forking
-        // one warm checkpointed base versus fresh full simulations.
-        let env = SimEnv::paper();
-        let mut cfg = if ctx.smoke {
-            env.lu_sized(324, 81, 4)
-        } else {
-            env.lu_sized(648, 81, 8)
-        };
-        cfg.workers = cfg.nodes;
-        let barriers: Vec<usize> = (1..cfg.k_blocks()).collect();
-        match fork_vs_fresh_bench(&cfg, env.net, &env.simcfg, &barriers) {
-            Ok(r) => json.record(
-                "fork_vs_fresh_speedup",
-                &[
-                    ("candidates", r.candidates as f64),
-                    ("forked_secs", r.forked_secs),
-                    ("fresh_secs", r.fresh_secs),
-                    ("speedup", r.speedup()),
-                ],
-            ),
-            Err(e) => eprintln!("fork_vs_fresh bench failed: {e}"),
-        }
+        run(spec, &ctx);
     }
     if journal {
         let path = default_journal_path();
-        let (res, wall) = time(|| record_reference_journal(seed, ctx.smoke, &path));
-        match res {
-            Ok(probe) => {
-                println!(
-                    "journal: {} events recorded to {} (canonical {})",
-                    probe.events,
-                    path.display(),
-                    probe.digest
-                );
-                json.record(
-                    "journal_probe",
-                    &[("events", probe.events as f64), ("wall_secs", wall)],
-                );
-            }
+        match record_reference_journal(seed, ctx.smoke, &path) {
+            Ok(probe) => println!(
+                "journal: {} events recorded to {} (canonical {})",
+                probe.events,
+                path.display(),
+                probe.digest
+            ),
             Err(msg) => {
                 eprintln!("journal: {msg}");
                 std::process::exit(1);
             }
         }
     }
-    if chaos {
-        // Crash/recovery sweep: fewer points than the dedicated `chaos`
-        // binary — this is the "ride-along" smoke, not the full harness.
-        let out = run_chaos(
-            &ChaosConfig {
-                points: 4,
-                seed,
-                faulted: true,
-                smoke: ctx.smoke,
-            },
-            |l| println!("{l}"),
-        );
-        record_chaos(&mut json, &out);
-        if !out.passed() {
-            for f in &out.failures {
-                eprintln!("chaos: {f}");
-            }
-            json.write();
-            std::process::exit(1);
-        }
-    }
-    json.write();
 }

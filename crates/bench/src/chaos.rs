@@ -3,15 +3,10 @@
 //!
 //! This is the bench-side wrapper around `workload`'s chaos harness
 //! ([`workload::chaos_baseline`] / [`workload::chaos_sweep`]): it sizes
-//! the run (smoke vs full), times the baseline and the sweep, logs one
-//! line per crash point, collects divergence diagnostics, and knows how
-//! to record the `chaos_recovery` and `recovery_latency` rows of
-//! `results/BENCH_engine.json`. Both the `chaos` binary and
-//! `scenarios --chaos` drive it.
+//! the run (smoke vs full), logs one line per crash point and collects
+//! divergence diagnostics. The `chaos` binary drives it.
 
 use workload::{chaos_baseline, chaos_sweep, ChaosSummary, SCALE_JOBS, SCALE_SMOKE_JOBS};
-
-use crate::harness::{time, BenchJson};
 
 /// Shard count chaos runs at: crashes and recoveries must cross shards.
 pub const CHAOS_SHARDS: u32 = 2;
@@ -30,18 +25,13 @@ pub struct ChaosConfig {
 }
 
 /// What a chaos sweep produced: the aggregate, the per-point failure
-/// diagnostics (empty = all crash points recovered byte-identically),
-/// and the host timings.
+/// diagnostics (empty = all crash points recovered byte-identically).
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
     /// Sweep aggregate (pass counts, catch-up latency).
     pub summary: ChaosSummary,
     /// One pinpointed diagnostic per diverging crash point.
     pub failures: Vec<String>,
-    /// Host seconds the uninterrupted durable baseline took.
-    pub baseline_secs: f64,
-    /// Host seconds the whole crash/recover sweep took.
-    pub sweep_secs: f64,
 }
 
 impl ChaosOutcome {
@@ -59,9 +49,9 @@ pub fn run_chaos(cfg: &ChaosConfig, mut line: impl FnMut(&str)) -> ChaosOutcome 
     } else {
         SCALE_JOBS
     };
-    let (base, baseline_secs) = time(|| chaos_baseline(CHAOS_SHARDS, jobs, cfg.seed, cfg.faulted));
+    let base = chaos_baseline(CHAOS_SHARDS, jobs, cfg.seed, cfg.faulted);
     line(&format!(
-        "chaos: baseline {} jobs, {} shards, faulted={} — {} WAL frames, {} committed entries ({baseline_secs:.1}s)",
+        "chaos: baseline {} jobs, {} shards, faulted={} — {} WAL frames, {} committed entries",
         jobs,
         CHAOS_SHARDS,
         cfg.faulted,
@@ -70,16 +60,15 @@ pub fn run_chaos(cfg: &ChaosConfig, mut line: impl FnMut(&str)) -> ChaosOutcome 
     ));
     let mut failures = Vec::new();
     let crash_base = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let (summary, sweep_secs) = time(|| {
-        chaos_sweep(&base, cfg.points, crash_base, |run| {
-            let verdict = match &run.divergence {
-                None => "ok".to_string(),
-                Some(d) => {
-                    failures.push(format!("crash seed {}: {d}", run.crash_seed));
-                    format!("DIVERGED: {d}")
-                }
-            };
-            line(&format!(
+    let summary = chaos_sweep(&base, cfg.points, crash_base, |run| {
+        let verdict = match &run.divergence {
+            None => "ok".to_string(),
+            Some(d) => {
+                failures.push(format!("crash seed {}: {d}", run.crash_seed));
+                format!("DIVERGED: {d}")
+            }
+        };
+        line(&format!(
                 "  crash seed {}: kept {}/{} frames, recovered {}/{} entries{}, caught up in {:.2}s — {verdict}",
                 run.crash_seed,
                 run.kept_frames,
@@ -89,40 +78,6 @@ pub fn run_chaos(cfg: &ChaosConfig, mut line: impl FnMut(&str)) -> ChaosOutcome 
                 if run.torn { " (torn tail truncated)" } else { "" },
                 run.catch_up_secs,
             ));
-        })
     });
-    ChaosOutcome {
-        summary,
-        failures,
-        baseline_secs,
-        sweep_secs,
-    }
-}
-
-/// Records the sweep as the `chaos_recovery` and `recovery_latency` rows
-/// of `BENCH_engine.json`.
-pub fn record_chaos(json: &mut BenchJson, out: &ChaosOutcome) {
-    let s = &out.summary;
-    json.record(
-        "chaos_recovery",
-        &[
-            ("points", s.points as f64),
-            ("passed", s.passed as f64),
-            ("torn_tails", s.torn as f64),
-            ("baseline_secs", out.baseline_secs),
-            ("sweep_secs", out.sweep_secs),
-        ],
-    );
-    json.record(
-        "recovery_latency",
-        &[
-            ("mean_catch_up_secs", s.mean_catch_up_secs),
-            ("max_catch_up_secs", s.max_catch_up_secs),
-            ("mean_recovered_entries", s.mean_recovered_entries),
-            (
-                "entries_per_sec",
-                s.mean_recovered_entries / s.mean_catch_up_secs.max(1e-9),
-            ),
-        ],
-    );
+    ChaosOutcome { summary, failures }
 }

@@ -1,20 +1,20 @@
 //! Shared experiment definitions: the paper's workload configurations and
 //! measured/predicted run pairs.
 //!
-//! With `DVNS_SMOKE=1` every configuration list shrinks to a CI-sized
-//! subset (fewer points, one seed where figures sweep several) that still
-//! exercises every code path — variants, granularity, flow control,
-//! thread removal — in seconds instead of minutes.
+//! Every configuration builder takes the `smoke` flag of the expanding
+//! [`workload::ScenarioCtx`] and shrinks to a CI-sized subset (fewer
+//! points, one seed where figures sweep several) that still exercises
+//! every code path — variants, granularity, flow control, thread removal —
+//! in seconds instead of minutes. Nothing here reads the environment.
 
-use crate::harness::smoke;
 use lu_app::LuConfig;
 
 pub use workload::{SimEnv as Env, N};
 
 /// Truncates a configuration list in smoke mode, keeping the first
 /// `keep` entries (the list shapes put one of each regime up front).
-fn smoke_truncate<T>(mut v: Vec<T>, keep: usize) -> Vec<T> {
-    if smoke() {
+fn smoke_truncate<T>(mut v: Vec<T>, smoke: bool, keep: usize) -> Vec<T> {
+    if smoke {
         v.truncate(keep);
     }
     v
@@ -35,7 +35,7 @@ impl Pair {
 
 /// Runs one configuration through both engines. A failing run panics with
 /// the typed simulation error; sweep drivers running points through
-/// [`crate::harness::run_parallel_isolated`] turn that into an error row.
+/// [`crate::harness::run_parallel_isolated_with`] turn that into an error row.
 pub fn run_pair(env: &Env, cfg: &LuConfig, seed: u64) -> Pair {
     let measured = env
         .measure(cfg, seed)
@@ -71,14 +71,14 @@ pub fn variant_set() -> Vec<(&'static str, bool, bool, bool)> {
 
 /// Figure 8 configurations: variants at r = 648 plus granularity changes,
 /// 4 nodes. Returns (label, config).
-pub fn fig8_configs(env: &Env) -> Vec<(String, LuConfig)> {
+pub fn fig8_configs(env: &Env, smoke: bool) -> Vec<(String, LuConfig)> {
     let mut out = Vec::new();
-    for (label, p, pm, fc) in smoke_truncate(variant_set(), 2) {
+    for (label, p, pm, fc) in smoke_truncate(variant_set(), smoke, 2) {
         let mut cfg = env.lu(648, 4);
         apply_variant(&mut cfg, p, pm, fc);
         out.push((label.to_string(), cfg));
     }
-    let rs: &[usize] = if smoke() {
+    let rs: &[usize] = if smoke {
         &[324, 216]
     } else {
         &[324, 216, 162, 108]
@@ -90,8 +90,8 @@ pub fn fig8_configs(env: &Env) -> Vec<(String, LuConfig)> {
 }
 
 /// Figure 9 configurations: variants at r = 324, 4 nodes.
-pub fn fig9_configs(env: &Env) -> Vec<(String, LuConfig)> {
-    smoke_truncate(variant_set(), 2)
+pub fn fig9_configs(env: &Env, smoke: bool) -> Vec<(String, LuConfig)> {
+    smoke_truncate(variant_set(), smoke, 2)
         .into_iter()
         .map(|(label, p, pm, fc)| {
             let mut cfg = env.lu(324, 4);
@@ -102,9 +102,9 @@ pub fn fig9_configs(env: &Env) -> Vec<(String, LuConfig)> {
 }
 
 /// Figure 10 configurations: (strategy, r, config) on 8 nodes.
-pub fn fig10_configs(env: &Env) -> Vec<(String, usize, LuConfig)> {
+pub fn fig10_configs(env: &Env, smoke: bool) -> Vec<(String, usize, LuConfig)> {
     let mut out = Vec::new();
-    let rs: &[usize] = if smoke() {
+    let rs: &[usize] = if smoke {
         &[216]
     } else {
         &[81, 108, 162, 216, 324]
@@ -125,7 +125,7 @@ pub fn fig10_configs(env: &Env) -> Vec<(String, usize, LuConfig)> {
 
 /// Figure 11/12 configurations (r = 324, basic graph): the removal
 /// strategies. Returns (label, config).
-pub fn removal_configs(env: &Env) -> Vec<(String, LuConfig)> {
+pub fn removal_configs(env: &Env, smoke: bool) -> Vec<(String, LuConfig)> {
     let mut out = Vec::new();
     {
         let mut cfg = env.lu(324, 4);
@@ -153,12 +153,12 @@ pub fn removal_configs(env: &Env) -> Vec<(String, LuConfig)> {
         cfg.removal = plan;
         out.push((label.to_string(), cfg));
     }
-    smoke_truncate(out, 3)
+    smoke_truncate(out, smoke, 3)
 }
 
 /// Measurement seeds per configuration for the Figure 13 error histogram.
-pub fn fig13_seeds() -> u64 {
-    if smoke() {
+pub fn fig13_seeds(smoke: bool) -> u64 {
+    if smoke {
         1
     } else {
         3
@@ -167,18 +167,18 @@ pub fn fig13_seeds() -> u64 {
 
 /// Every (label, config) pair of the evaluation, for the Figure 13 error
 /// sweep.
-pub fn all_configs(env: &Env) -> Vec<(String, LuConfig)> {
+pub fn all_configs(env: &Env, smoke: bool) -> Vec<(String, LuConfig)> {
     let mut out = Vec::new();
-    for (l, c) in fig8_configs(env) {
+    for (l, c) in fig8_configs(env, smoke) {
         out.push((format!("fig8:{l}"), c));
     }
-    for (l, c) in fig9_configs(env) {
+    for (l, c) in fig9_configs(env, smoke) {
         out.push((format!("fig9:{l}"), c));
     }
-    for (s, r, c) in fig10_configs(env) {
+    for (s, r, c) in fig10_configs(env, smoke) {
         out.push((format!("fig10:{s}:r={r}"), c));
     }
-    for (l, c) in removal_configs(env) {
+    for (l, c) in removal_configs(env, smoke) {
         out.push((format!("fig11-12:{l}"), c));
     }
     out
@@ -202,20 +202,21 @@ mod tests {
 
     #[test]
     fn config_sets_have_paper_shapes() {
-        if smoke() {
-            // Counts below are the paper's full matrix; smoke mode
-            // deliberately shrinks it.
-            return;
-        }
         let env = Env::paper();
-        assert_eq!(fig8_configs(&env).len(), 9);
-        assert_eq!(fig9_configs(&env).len(), 5);
-        assert_eq!(fig10_configs(&env).len(), 15);
-        assert_eq!(removal_configs(&env).len(), 5);
-        assert_eq!(all_configs(&env).len(), 34);
-        for (label, cfg) in all_configs(&env) {
+        assert_eq!(fig8_configs(&env, false).len(), 9);
+        assert_eq!(fig9_configs(&env, false).len(), 5);
+        assert_eq!(fig10_configs(&env, false).len(), 15);
+        assert_eq!(removal_configs(&env, false).len(), 5);
+        assert_eq!(all_configs(&env, false).len(), 34);
+        for (label, cfg) in all_configs(&env, false) {
             cfg.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
         }
+        // Smoke keeps one of each regime: variants and granularity, every
+        // pipelining strategy, a static pair and a removal.
+        assert_eq!(fig8_configs(&env, true).len(), 4);
+        assert_eq!(fig9_configs(&env, true).len(), 2);
+        assert_eq!(fig10_configs(&env, true).len(), 3);
+        assert_eq!(removal_configs(&env, true).len(), 3);
     }
 
     #[test]

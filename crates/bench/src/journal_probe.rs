@@ -1,12 +1,12 @@
 //! Reference-run journal capture and self-contained replay: the plumbing
-//! behind `scenarios --journal` and `perf --replay`.
+//! behind `scenarios --journal` and `scenarios --replay`.
 //!
 //! `scenarios --journal` records the committed-event journal of a
 //! reference LU run (the Figure 8 reference configuration, smoke-sized
 //! under `DVNS_SMOKE=1`) and writes the encoded stream to
 //! `results/lu_reference.journal`. The file is self-contained: the
 //! application configuration, root seed and a digest of the canonical
-//! report ride along as journal metadata, so `perf --replay <path>` can
+//! report ride along as journal metadata, so `scenarios --replay <path>` can
 //! rebuild the exact run in a later process, resume it from several
 //! prefixes, and byte-compare — reporting the first diverging event
 //! (ticket, virtual time, op, field) on any mismatch instead of a
@@ -22,7 +22,7 @@ use lu_app::{build_lu_app, LuConfig};
 use crate::Env;
 
 /// Where `scenarios --journal` writes the reference journal and where
-/// `perf --replay` looks without an explicit path.
+/// `scenarios --replay` looks without an explicit path.
 pub fn default_journal_path() -> PathBuf {
     PathBuf::from("results").join("lu_reference.journal")
 }

@@ -1,25 +1,23 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§7–§8).
 //!
-//! Each binary in `src/bin` reproduces one exhibit:
+//! `scenarios` is the one exhibit runner; the other binaries are the
+//! host-timed table and tools:
 //!
-//! | binary   | paper exhibit | content |
-//! |----------|---------------|---------|
-//! | `table1` | Table 1       | simulation cost & memory per simulation setting, plus predicted times |
-//! | `fig8`   | Figure 8      | impact of modifications + granularity, 4 nodes, reference r = 648 |
-//! | `fig9`   | Figure 9      | impact of modifications, 4 nodes, reference r = 324 |
-//! | `fig10`  | Figure 10     | granularity sweep × pipelining strategies, 8 nodes |
-//! | `fig11`  | Figure 11     | dynamic efficiency per LU iteration, with thread removal |
-//! | `fig12`  | Figure 12     | total running time of removal strategies |
-//! | `fig13`  | Figure 13     | histogram of prediction errors over all measurements |
-//! | `all`    | —             | everything above in sequence |
-//! | `scenarios` | —          | lists/runs any registered [`workload::ScenarioSpec`], figures included |
+//! | binary      | content |
+//! |-------------|---------|
+//! | `scenarios` | lists/runs any registered [`workload::ScenarioSpec`]: Figures 8–13 (`fig8-variants`, `fig9-variants`, `fig10-granularity`, `fig11-efficiency`, `fig11-12-removal`, `fig13-errors`), the four `ablation-*` sweeps and the workload crate's built-ins; `--journal` / `--replay` record and verify the reference journal |
+//! | `table1`    | Table 1: simulation cost & memory per simulation setting, plus predicted times (host-timed, serial, so not a scenario) |
+//! | `lurun`     | one LU run through any engine from the command line |
+//! | `fuzz`      | seeded determinism and journal-codec fuzzing |
+//! | `chaos`     | seeded crash/recovery sweep of the durable cluster service |
 //!
 //! "Measured" values come from the seeded ground-truth testbed emulator
 //! (this repository's stand-in for the paper's Sun cluster — see
 //! `testbed`); "predicted" values from the simulator using only the
 //! published platform parameters. See `EXPERIMENTS.md` for paper-vs-
-//! reproduction numbers.
+//! reproduction numbers. Host-time numbers come from the `benchmark/`
+//! package (`benchmark run` / `trace`), never from this crate.
 
 pub mod chaos;
 pub mod experiments;
@@ -29,19 +27,18 @@ pub mod journal_probe;
 pub mod runner;
 pub mod scenarios;
 
-pub use chaos::{record_chaos, run_chaos, ChaosConfig, ChaosOutcome, CHAOS_SHARDS};
+pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome, CHAOS_SHARDS};
 pub use experiments::*;
 pub use fuzz::{
     first_text_divergence, fuzz, fuzz_journal_decode, fuzz_with, FuzzConfig, FuzzOutcome,
     JournalFuzzReport,
 };
 pub use harness::{
-    panic_message, run_parallel, run_parallel_isolated, run_parallel_isolated_with,
-    run_parallel_with, smoke, thread_count, time, BenchJson,
+    panic_message, run_parallel_isolated_with, run_parallel_with, smoke, thread_count,
 };
 pub use journal_probe::{
     default_journal_path, record_reference_journal, replay_journal_file, JournalProbe,
     JournalReplay,
 };
-pub use runner::{run_scenario, ScenarioOutcome, ScenarioRow};
+pub use runner::{run_scenario, run_scenario_with, ScenarioOutcome, ScenarioRow};
 pub use scenarios::figure_scenarios;

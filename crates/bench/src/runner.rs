@@ -6,13 +6,13 @@
 //! tables (see `workload::scenarios`).
 //!
 //! Points run under per-point panic isolation
-//! ([`crate::harness::run_parallel_isolated`]): a poisoned point becomes an
+//! ([`crate::harness::run_parallel_isolated_with`]): a poisoned point becomes an
 //! error row (`!error` in the CSV) while every other point's row stays
 //! byte-identical to a clean run.
 
 use workload::{ScenarioCtx, ScenarioSpec};
 
-use crate::harness::run_parallel_isolated;
+use crate::harness::{run_parallel_isolated_with, thread_count};
 
 /// Outcome of [`run_scenario`]: the rendered table and its CSV.
 pub struct ScenarioOutcome {
@@ -22,19 +22,22 @@ pub struct ScenarioOutcome {
     pub csv: String,
 }
 
-/// Runs every point of a scenario through the harness and renders the
-/// rows.
+/// Runs every point of a scenario through the harness at the ambient
+/// [`thread_count`] and renders the rows.
 pub fn run_scenario(spec: &ScenarioSpec, ctx: &ScenarioCtx) -> ScenarioOutcome {
+    run_scenario_with(spec, ctx, thread_count())
+}
+
+/// [`run_scenario`] at an explicit harness thread count — the determinism
+/// tests compare 1 against 4 threads without touching the environment.
+pub fn run_scenario_with(
+    spec: &ScenarioSpec,
+    ctx: &ScenarioCtx,
+    threads: usize,
+) -> ScenarioOutcome {
     let points = (spec.points)(ctx);
-    let rows = run_parallel_isolated(&points, |_, p| (p.label.clone(), (p.run)()));
-    let rows: Vec<ScenarioRow> = points
-        .iter()
-        .zip(rows)
-        .map(|(p, r)| match r {
-            Ok((label, fields)) => (label, Ok(fields)),
-            Err(msg) => (p.label.clone(), Err(msg)),
-        })
-        .collect();
+    let results = run_parallel_isolated_with(&points, threads, |_, p| (p.run)());
+    let rows: Vec<ScenarioRow> = points.into_iter().map(|p| p.label).zip(results).collect();
     let (text, csv) = render(spec, &rows);
     ScenarioOutcome { text, csv }
 }

@@ -1,51 +1,53 @@
-//! The parallel harness must be invisible in the output: a figure sweep
-//! fanned across threads renders **byte-identical** CSV to the serial run.
+//! The parallel harness must be invisible in the output: a scenario's
+//! points fanned across threads render **byte-identical** CSV to the
+//! serial run.
 //! This holds because (a) every point's simulation is seeded and
 //! self-contained, and (b) [`dps_bench::run_parallel_with`] merges results
 //! in input order regardless of completion order.
 
 use cluster::ClusterSim;
-use dps_bench::{run_pair, run_parallel_with, Env, Pair};
+use dps_bench::{run_pair, run_parallel_with, run_scenario_with, Env};
 use lu_app::{DataMode, LuConfig};
-use report::{Figure, Series};
-use workload::{server_policies, sim_job_set, SimEnv};
+use workload::{server_policies, sim_job_set, ScenarioCtx, ScenarioPoint, ScenarioSpec, SimEnv};
 
-/// A miniature fig-10-shaped sweep: small matrix so debug-mode tests stay
-/// fast, several block sizes, fixed per-point seeds.
-fn sweep_csv(threads: usize) -> String {
-    let env = Env::paper();
-    let points: Vec<(LuConfig, u64)> = [54usize, 72, 108, 216]
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let mut cfg = LuConfig::new(432, r, 4);
-            cfg.mode = DataMode::Ghost;
-            cfg.cost = Some(env.cost);
-            (cfg, 900 + i as u64)
-        })
-        .collect();
-    let pairs: Vec<Pair> = run_parallel_with(&points, threads, |_, (cfg, seed)| {
-        run_pair(&env, cfg, *seed)
-    });
-
-    let mut measured = Series::new("Measurement");
-    let mut predicted = Series::new("Prediction");
-    for ((cfg, _), pair) in points.iter().zip(&pairs) {
-        measured.push(&cfg.r.to_string(), pair.measured_secs);
-        predicted.push(&cfg.r.to_string(), pair.predicted_secs);
+/// A miniature fig-10-shaped scenario: small matrix so debug-mode tests
+/// stay fast, several block sizes, fixed per-point seeds.
+fn probe_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "determinism-probe",
+        summary: "block-size sweep, measured and predicted",
+        points: |_| {
+            [54usize, 72, 108, 216]
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    ScenarioPoint::new(format!("r={r}"), move || {
+                        let env = Env::paper();
+                        let mut cfg = LuConfig::new(432, r, 4);
+                        cfg.mode = DataMode::Ghost;
+                        cfg.cost = Some(env.cost);
+                        let pair = run_pair(&env, &cfg, 900 + i as u64);
+                        vec![
+                            ("measured_secs", pair.measured_secs),
+                            ("predicted_secs", pair.predicted_secs),
+                        ]
+                    })
+                })
+                .collect()
+        },
     }
-    let mut fig = Figure::new("determinism probe", "block size r");
-    fig.add(measured);
-    fig.add(predicted);
-    fig.to_csv()
+}
+
+fn sweep_csv(threads: usize) -> String {
+    run_scenario_with(&probe_spec(), &ScenarioCtx::default(), threads).csv
 }
 
 #[test]
 fn parallel_sweep_csv_is_byte_identical_to_serial() {
     let serial = sweep_csv(1);
     let parallel = sweep_csv(4);
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "parallel harness changed figure output");
+    assert_eq!(serial.lines().count(), 5, "header plus four points");
+    assert_eq!(serial, parallel, "parallel harness changed scenario output");
     // And it is stable across repeated parallel runs, too.
     assert_eq!(parallel, sweep_csv(4));
 }

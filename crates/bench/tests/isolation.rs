@@ -2,8 +2,7 @@
 //! `!error` row while every other point's rendered CSV bytes stay identical
 //! to a clean sweep — under serial and parallel thread counts alike.
 
-use dps_bench::runner::render;
-use dps_bench::{run_parallel_isolated_with, run_scenario, ScenarioRow};
+use dps_bench::{run_scenario, run_scenario_with};
 use workload::{ScenarioCtx, ScenarioPoint, ScenarioSpec};
 
 fn poisoned_spec() -> ScenarioSpec {
@@ -49,21 +48,8 @@ fn clean_spec() -> ScenarioSpec {
     }
 }
 
-/// Runs the poisoned spec through the isolating harness at an explicit
-/// thread count and renders it, mirroring what `run_scenario_at` does with
-/// the ambient `DVNS_THREADS`.
 fn sweep_csv(spec: &ScenarioSpec, ctx: &ScenarioCtx, threads: usize) -> String {
-    let points = (spec.points)(ctx);
-    let raw = run_parallel_isolated_with(&points, threads, |_, p| (p.label.clone(), (p.run)()));
-    let rows: Vec<ScenarioRow> = points
-        .iter()
-        .zip(raw)
-        .map(|(p, r)| match r {
-            Ok((label, fields)) => (label, Ok(fields)),
-            Err(msg) => (p.label.clone(), Err(msg)),
-        })
-        .collect();
-    render(spec, &rows).1
+    run_scenario_with(spec, ctx, threads).csv
 }
 
 #[test]

@@ -143,14 +143,10 @@ impl ServiceConfig {
         }
         if let Some(b) = &self.breaker {
             if b.trip_after == 0 {
-                return Err(SimError::protocol(
-                    "breaker trip_after must be at least 1",
-                ));
+                return Err(SimError::protocol("breaker trip_after must be at least 1"));
             }
             if b.max_steps_per_decision == 0 {
-                return Err(SimError::protocol(
-                    "breaker step budget must be at least 1",
-                ));
+                return Err(SimError::protocol("breaker step budget must be at least 1"));
             }
         }
         Ok(())

@@ -122,7 +122,11 @@ pub struct WalError {
 
 impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unrecoverable WAL at offset {}: {}", self.offset, self.reason)
+        write!(
+            f,
+            "unrecoverable WAL at offset {}: {}",
+            self.offset, self.reason
+        )
     }
 }
 
@@ -476,13 +480,21 @@ mod tests {
     fn every_frame_prefix_scans_back_to_its_committed_entries() {
         let (out, wal) = durable_run(2);
         let j = out.journal.expect("journal");
-        assert!(wal.frames() > 4, "want several frames, got {}", wal.frames());
+        assert!(
+            wal.frames() > 4,
+            "want several frames, got {}",
+            wal.frames()
+        );
         assert_eq!(wal.entries(), j.len() as u64);
         for k in 1..=wal.frames() {
             let rec = WriteAheadLog::scan(wal.frame_prefix(k)).unwrap();
             assert_eq!(rec.frames, k);
             assert!(rec.torn.is_none());
-            assert_eq!(rec.journal.len() as u64, wal.entries_through(k), "frame {k}");
+            assert_eq!(
+                rec.journal.len() as u64,
+                wal.entries_through(k),
+                "frame {k}"
+            );
             assert_eq!(&rec.journal.entries[..], &j.entries[..rec.journal.len()]);
             assert_eq!(rec.journal.labels, j.labels);
             assert_eq!(rec.journal.meta, j.meta);
@@ -549,7 +561,10 @@ mod tests {
             let (out, cr) = svc(2)
                 .recover(load(150), &FaultPlan::none(), &opts, &bytes)
                 .unwrap();
-            assert_eq!(cr.recovered_entries, wal.entries_through(crash.keep_frames(&wal)));
+            assert_eq!(
+                cr.recovered_entries,
+                wal.entries_through(crash.keep_frames(&wal))
+            );
             assert_eq!(
                 out.report.canonical_string(),
                 full.report.canonical_string(),

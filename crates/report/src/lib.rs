@@ -1,26 +1,15 @@
-//! Experiment reporting: aligned tables, data series and histograms that
-//! regenerate the paper's tables and figures as text, plus CSV output for
-//! external plotting.
+//! Experiment reporting: the aligned table behind Table 1 (text plus CSV)
+//! and the relative prediction error every exhibit reports.
 
 #![warn(missing_docs)]
 
-pub mod hist;
-pub mod series;
 pub mod table;
 
-pub use hist::Histogram;
-pub use series::{Figure, Series};
 pub use table::Table;
 
 /// Relative prediction error `(predicted − measured) / measured`.
 pub fn rel_error(measured: f64, predicted: f64) -> f64 {
     (predicted - measured) / measured
-}
-
-/// Relative performance improvement as the paper defines it: reference time
-/// over the variant's time (>1 is faster than the reference).
-pub fn improvement(reference_secs: f64, variant_secs: f64) -> f64 {
-    reference_secs / variant_secs
 }
 
 #[cfg(test)]
@@ -31,11 +20,5 @@ mod tests {
     fn rel_error_signs() {
         assert!((rel_error(100.0, 104.0) - 0.04).abs() < 1e-12);
         assert!((rel_error(100.0, 92.0) + 0.08).abs() < 1e-12);
-    }
-
-    #[test]
-    fn improvement_definition() {
-        assert_eq!(improvement(200.0, 100.0), 2.0);
-        assert_eq!(improvement(100.0, 200.0), 0.5);
     }
 }

@@ -14,10 +14,9 @@
 //! simulations. Its rows additionally surface the [`cluster::ProfileCache`]
 //! hit/miss/eviction counters and the what-if decision counters.
 //!
-//! Only virtual-time metrics go into scenario fields (they are cached and
+//! Only virtual-time metrics go into scenario fields (they are
 //! byte-compared); host throughput and decision latency are measured by
-//! the `scenarios` binary with [`server_scale_bench`] /
-//! [`server_whatif_bench`] and recorded in `results/BENCH_engine.json`.
+//! the `benchmark/` package's `server_scale` and `server_whatif` workloads.
 
 use std::sync::Arc;
 
@@ -161,33 +160,6 @@ pub fn server_scale_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
     points
 }
 
-/// Host-throughput numbers from one uncached run at the highest shard
-/// count (the `scenarios` binary times this and derives jobs/s).
-pub struct ScaleBenchRun {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Events processed.
-    pub events: u64,
-    /// P99 scheduling latency, milliseconds.
-    pub p99_sched_latency_ms: f64,
-}
-
-/// Runs the throughput measurement configuration (quiet, 4 shards; the
-/// caller wraps it in a wall-clock timer).
-pub fn server_scale_bench(ctx: &ScenarioCtx) -> ScaleBenchRun {
-    let jobs = if ctx.smoke {
-        SCALE_SMOKE_JOBS
-    } else {
-        SCALE_JOBS
-    };
-    let r = run_server_scale(4, jobs, ctx.seed, false);
-    ScaleBenchRun {
-        jobs: r.completed_jobs(),
-        events: r.events,
-        p99_sched_latency_ms: r.p99_wait().as_secs_f64() * 1e3,
-    }
-}
-
 // ----- the server-whatif experiment -----------------------------------------
 
 /// Synthetic jobs per full-scale what-if run. Smaller than [`SCALE_JOBS`]:
@@ -328,45 +300,6 @@ pub fn server_whatif_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
     points
 }
 
-/// Host-measured numbers from one uncached what-if run, for the
-/// `whatif_decision_latency` row of `BENCH_engine.json`.
-pub struct WhatIfBenchRun {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// What-if decisions taken.
-    pub decisions: u64,
-    /// Median per-decision wall-clock latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile per-decision latency, microseconds.
-    pub p99_us: f64,
-    /// Largest per-decision latency, microseconds.
-    pub max_us: f64,
-}
-
-/// Runs the decision-latency measurement (quiet, highest shard count,
-/// [`ServeOptions::measure_decisions`] on; the caller wraps it in a
-/// wall-clock timer).
-pub fn server_whatif_bench(ctx: &ScenarioCtx) -> WhatIfBenchRun {
-    let (jobs, boxed, shards) = if ctx.smoke {
-        (WHATIF_SMOKE_JOBS, WHATIF_SMOKE_BOXED, 2)
-    } else {
-        (WHATIF_JOBS, WHATIF_BOXED, 4)
-    };
-    let opts = ServeOptions {
-        measure_decisions: true,
-        ..ServeOptions::default()
-    };
-    let out = run_server_whatif(shards, jobs, boxed, ctx.seed, false, &opts);
-    let hist = &out.report.decision_hist;
-    WhatIfBenchRun {
-        jobs: out.report.completed_jobs(),
-        decisions: out.report.whatif.decisions,
-        p50_us: hist.quantile(0.5).as_secs_f64() * 1e6,
-        p99_us: hist.quantile(0.99).as_secs_f64() * 1e6,
-        max_us: hist.max().as_secs_f64() * 1e6,
-    }
-}
-
 // ----- the chaos (crash / recover) harness ----------------------------------
 
 /// Group-commit cadence (committed decisions per sealed WAL frame) the
@@ -467,7 +400,8 @@ impl ChaosBaseline {
     pub fn crash_and_recover(&self, crash_seed: u64) -> ChaosRun {
         let plan = CrashPlan::new(crash_seed);
         let bytes = plan.crashed_bytes(&self.wal);
-        let svc = ClusterService::new(server_scale_config(self.shards)).expect("valid scale config");
+        let svc =
+            ClusterService::new(server_scale_config(self.shards)).expect("valid scale config");
         let (out, crash) = svc
             .recover(
                 server_scale_load(self.jobs, self.seed),
@@ -500,8 +434,7 @@ impl ChaosBaseline {
     }
 }
 
-/// Aggregate of one chaos sweep, for the `recovery_latency` row of
-/// `BENCH_engine.json`.
+/// Aggregate of one chaos sweep.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosSummary {
     /// Crash points exercised.

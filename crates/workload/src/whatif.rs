@@ -10,9 +10,8 @@
 //! prefix is simulated **once per job**, not once per candidate, which is
 //! where the fork-vs-fresh speedup comes from.
 //!
-//! The module also hosts the benchmark drivers behind the
-//! `whatif_decision_latency` and `fork_vs_fresh_speedup` rows of
-//! `BENCH_engine.json`.
+//! The module also hosts [`fork_vs_fresh_bench`], the driver behind the
+//! `benchmark/` package's `dps-sim.fork_vs_fresh` layer metric.
 
 use std::time::Instant;
 

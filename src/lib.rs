@@ -28,7 +28,8 @@
 //! * [`workload`] — simulator-backed workloads ([`workload::LuWorkload`],
 //!   [`workload::StencilWorkload`]), the shared [`workload::SimEnv`]
 //!   experiment wiring and the scenario registry.
-//! * [`report`] — experiment tables, series and histograms.
+//! * [`report`] — the Table 1 text/CSV table and the relative-error
+//!   definition.
 //!
 //! [`fxhash`] (from `desim`) is also re-exported directly: the event
 //! queue, the cluster server's profile cache and the workload keys all

@@ -258,3 +258,66 @@ fn engine_output_is_pinned() {
     ];
     assert_eq!(got, pinned);
 }
+
+#[test]
+fn service_output_is_pinned() {
+    // The same contract for the cluster service: the `server-scale` and
+    // `server-whatif` smoke configurations at two shards, quiet and under
+    // the seeded fault plan, pinned by absolute output (canonical report
+    // plus decision-journal bytes) before anyone restructures the engine.
+    // Shard-count invariance is asserted elsewhere, so one count suffices.
+    use dvns::cluster_svc::{ClusterService, JobSpec, ServeOptions, ServiceConfig};
+    use dvns::faults::FaultPlan;
+    use dvns::workload::scale::WHATIF_SMOKE_BOXED;
+    use dvns::workload::{
+        server_scale_config, server_scale_load, server_scale_plan, server_whatif_config,
+        server_whatif_load, DEFAULT_SEED, SCALE_SMOKE_JOBS, WHATIF_SMOKE_JOBS,
+    };
+    const SHARDS: u32 = 2;
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let digest = |cfg: ServiceConfig, load: Vec<JobSpec>, jobs: u64, faulted: bool| {
+        let plan = if faulted {
+            server_scale_plan(jobs, DEFAULT_SEED)
+        } else {
+            FaultPlan::none()
+        };
+        let out = ClusterService::new(cfg)
+            .unwrap()
+            .serve(load, &plan, &opts)
+            .unwrap();
+        let mut h = FxHasher::default();
+        h.write(out.report.canonical_string().as_bytes());
+        h.write(&out.journal.expect("journal requested").encode());
+        h.finish()
+    };
+    let scale = |faulted| {
+        let load = server_scale_load(SCALE_SMOKE_JOBS, DEFAULT_SEED).collect();
+        digest(server_scale_config(SHARDS), load, SCALE_SMOKE_JOBS, faulted)
+    };
+    let whatif = |faulted| {
+        let load = server_whatif_load(WHATIF_SMOKE_JOBS, WHATIF_SMOKE_BOXED, DEFAULT_SEED);
+        digest(
+            server_whatif_config(SHARDS),
+            load,
+            WHATIF_SMOKE_JOBS,
+            faulted,
+        )
+    };
+    let got = [
+        ("server-scale quiet", scale(false)),
+        ("server-scale faulted", scale(true)),
+        ("server-whatif quiet", whatif(false)),
+        ("server-whatif faulted", whatif(true)),
+    ]
+    .map(|(name, digest)| format!("{name}: {digest:016x}"));
+    let pinned = [
+        "server-scale quiet: 4a67dba02b6cd51a",
+        "server-scale faulted: 29674f016134725b",
+        "server-whatif quiet: 62e3cd2899d29f91",
+        "server-whatif faulted: 84289b278eecb5e3",
+    ];
+    assert_eq!(got, pinned);
+}

@@ -292,3 +292,34 @@ fn flow_control_bounds_queues_and_window_has_an_optimum() {
     assert!(t_fc8 < t_nofc, "a reasonable window improves pipelining");
     assert!(t_fc2 > t_nofc, "an over-tight window serializes the stream");
 }
+
+#[test]
+fn prediction_errors_stay_within_the_papers_bound() {
+    // Figure 13 as a gate: the registered `fig13-errors` scenario at smoke
+    // size (whole runs of every figure's configurations, the stencil, and
+    // per-iteration times of the removal study). The floor is the paper's
+    // own claim — more than 95 % of predictions within ±12 % — and the
+    // mean-|error| ceiling is the smoke run's 1.54 % with headroom, so a
+    // model change that degrades accuracy fails here instead of silently
+    // re-committing the full-size CSV.
+    use dvns::workload::{find_scenario, ScenarioCtx, DEFAULT_SEED};
+    let specs = dps_bench::figure_scenarios();
+    let spec = find_scenario(&specs, "fig13-errors").expect("registered");
+    let rows = spec.run_serial(&ScenarioCtx::new(true, DEFAULT_SEED));
+    type Fields = [(&'static str, f64)];
+    let field = |fields: &Fields, key: &str| fields.iter().find(|(k, _)| *k == key).unwrap().1;
+    let total = |of: &dyn Fn(&Fields) -> f64| rows.iter().map(|(_, f)| of(f)).sum::<f64>();
+    let samples = total(&|f| field(f, "samples"));
+    assert!(samples >= 30.0, "only {samples} samples at smoke size");
+    let within_12 = total(&|f| field(f, "within_12")) / samples;
+    assert!(
+        within_12 >= 0.95,
+        "{:.1}% of predictions within ±12% (paper: >95%)",
+        within_12 * 100.0
+    );
+    let mean_abs = total(&|f| field(f, "samples") * field(f, "mean_abs_err_pct")) / samples;
+    assert!(
+        mean_abs <= 2.5,
+        "mean |error| {mean_abs:.2}% (smoke run: 1.54%)"
+    );
+}
