@@ -18,8 +18,9 @@ use dps_sim::{SimError, SimResult};
 pub struct TenantSpec {
     /// Display name (unique within a service).
     pub name: String,
-    /// Fair-share weight: the deficit round-robin quantum, in node units,
-    /// credited each scheduling visit. Must be at least 1.
+    /// Fair-share weight: serving the tenant `n` nodes advances its stride
+    /// pass by `n / weight`, so contended capacity splits in proportion to
+    /// the weights. Must be at least 1.
     pub weight: u32,
     /// Backpressure bound: arrivals beyond this many queued jobs are
     /// rejected at admission. `0` means unbounded.
@@ -101,7 +102,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Total nodes across all cells.
+    /// Total nodes across all cells ([`ServiceConfig::validate`] rejects
+    /// topologies where this would overflow).
     pub fn total_nodes(&self) -> u32 {
         self.nodes_per_cell * self.cells
     }
@@ -115,6 +117,14 @@ impl ServiceConfig {
         }
         if self.cells == 0 {
             return Err(SimError::protocol("service needs at least one cell"));
+        }
+        if self.nodes_per_cell.checked_mul(self.cells).is_none() {
+            return Err(SimError::protocol(format!(
+                "{} cells of {} nodes exceed the {} nodes a service can address",
+                self.cells,
+                self.nodes_per_cell,
+                u32::MAX
+            )));
         }
         if self.shards == 0 || self.shards > self.cells {
             return Err(SimError::protocol(format!(
@@ -194,6 +204,18 @@ mod tests {
         let sizes: Vec<usize> = (0..3).map(|s| c.shard_cells(s).len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 8);
         assert!(sizes.iter().all(|&n| n == 2 || n == 3), "{sizes:?}");
+    }
+
+    #[test]
+    fn validation_rejects_a_node_count_that_overflows() {
+        let huge = ServiceConfig::new(65_536, 65_536, 1, SchedulePolicy::Rigid)
+            .with_tenant(TenantSpec::new("t0", 1));
+        let err = huge.validate().unwrap_err();
+        assert!(matches!(err.kind, dps_sim::SimErrorKind::Protocol { .. }));
+        let fits = ServiceConfig::new(65_535, 65_537, 1, SchedulePolicy::Rigid)
+            .with_tenant(TenantSpec::new("t0", 1));
+        assert_eq!(fits.total_nodes(), u32::MAX);
+        assert!(fits.validate().is_ok());
     }
 
     #[test]

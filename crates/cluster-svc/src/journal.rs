@@ -1,0 +1,232 @@
+//! The decision log: the scheduling-decision journal and its validated
+//! replay.
+//!
+//! With [`crate::ServeOptions::journal`] set, every scheduling decision is
+//! committed to a [`desim::Journal`] as a `Step` event whose `op` field
+//! indexes the journal's Mark-label table ([`DECISION_LABELS`]):
+//! `job` = the service-assigned monotone submission id, `thread` = tenant,
+//! `node` = cell (`u32::MAX` when the decision concerns no cell),
+//! `start` = nodes requested/granted, `work` = decision-specific extra
+//! (queue wait on `place`, lost work on `requeue`, released nodes on
+//! `shrink`, turnaround on `complete`). Two runs are equivalent iff their
+//! decision streams match — [`desim::Journal::first_divergence`] pinpoints
+//! the first disagreeing field, which is what lets what-if forks be
+//! diffed decision-by-decision.
+//!
+//! [`DecisionLog`] is the only code that touches the journal. When the
+//! run resumes from a recovered prefix it also checks each committed
+//! entry against that prefix, so a recovery that diverges fails instead
+//! of silently rewriting history.
+
+use std::sync::Arc;
+use std::time::Instant;
+
+use desim::{Journal, JournalEntry, JournalEvent, SimTime};
+use dps_sim::{SimError, SimResult};
+
+use crate::config::ServiceConfig;
+
+/// Decision codes recorded in journal `Step.op`, indexing
+/// [`DECISION_LABELS`].
+pub mod decision {
+    /// Job admitted into its tenant's queue.
+    pub const ADMIT: u32 = 0;
+    /// Job placed on a cell (first start).
+    pub const PLACE: u32 = 1;
+    /// Allocation shrunk at an iteration boundary.
+    pub const SHRINK: u32 = 2;
+    /// Job interrupted by a fault and re-queued.
+    pub const REQUEUE: u32 = 3;
+    /// Interrupted job re-placed (restart).
+    pub const RECOVER: u32 = 4;
+    /// Job rejected at admission.
+    pub const REJECT: u32 = 5;
+    /// Job completed.
+    pub const COMPLETE: u32 = 6;
+    /// Job terminally failed after admission.
+    pub const FAIL: u32 = 7;
+    /// Job cancelled.
+    pub const CANCEL: u32 = 8;
+    /// A what-if candidate future was scored (`start` = nodes, `work` =
+    /// predicted remaining span in ns).
+    pub const CANDIDATE: u32 = 9;
+    /// The winning what-if candidate was committed (`work` = its
+    /// [`cluster::CandidateKind`] as an integer).
+    pub const WHATIF: u32 = 10;
+    /// The what-if circuit breaker changed state (`start` = the new
+    /// [`cluster::BreakerState`] code, `work` = the step cost of the
+    /// decision that caused the transition, when one did).
+    pub const BREAKER: u32 = 11;
+}
+
+/// Names of the decision codes, interned into the journal's label table in
+/// code order (so `labels[op]` names a decision).
+pub const DECISION_LABELS: [&str; 12] = [
+    "admit",
+    "place",
+    "shrink",
+    "requeue",
+    "recover",
+    "reject",
+    "complete",
+    "fail",
+    "cancel",
+    "candidate",
+    "whatif",
+    "breaker",
+];
+
+/// `Step.node` value for decisions that concern no cell.
+pub const NO_CELL: u32 = u32::MAX;
+
+/// A recovered committed decision prefix for validated replay (see
+/// [`crate::ServeOptions::resume`] and the `recovery` module).
+#[derive(Clone, Debug)]
+pub struct ResumePrefix {
+    /// Committed entries recovered from the durable log, in commit order.
+    pub entries: Arc<Vec<JournalEntry>>,
+}
+
+/// How a validated replay went.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ReplayStats {
+    /// Entries in the recovered committed prefix.
+    pub prefix_entries: u64,
+    /// Prefix entries the re-execution reproduced (all of them, on a
+    /// successful recovery).
+    pub matched: u64,
+    /// Host wall seconds spent re-executing through the prefix — the
+    /// recovery's catch-up latency.
+    pub catch_up_secs: f64,
+}
+
+/// Journal identity of the job a decision concerns.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct JobTag {
+    /// Service-assigned monotone submission id.
+    pub id: u64,
+    pub tenant: u32,
+}
+
+/// Live state of a validated journal replay.
+struct ResumeCheck {
+    /// The recovered committed prefix.
+    entries: Arc<Vec<JournalEntry>>,
+    /// Prefix entries matched so far.
+    cursor: usize,
+    /// Wall instant the replay started.
+    started: Instant,
+    /// Wall seconds to re-execute through the full prefix.
+    caught_up: Option<f64>,
+    /// First divergence, surfaced as a protocol error by the main loop.
+    error: Option<String>,
+}
+
+/// The journal tap and the replay check behind it.
+pub(crate) struct DecisionLog {
+    journal: Option<Journal>,
+    resume: Option<ResumeCheck>,
+}
+
+impl DecisionLog {
+    /// A log that records when asked to or when resuming (a replay needs
+    /// the stream it validates).
+    pub fn new(cfg: &ServiceConfig, record: bool, resume: Option<&ResumePrefix>) -> DecisionLog {
+        let journal = (record || resume.is_some()).then(|| {
+            let mut j = Journal::new();
+            for label in DECISION_LABELS {
+                j.intern_label(label);
+            }
+            j.set_meta("service", "cluster-svc");
+            j.set_meta("nodes_per_cell", cfg.nodes_per_cell.to_string());
+            j.set_meta("cells", cfg.cells.to_string());
+            j.set_meta("shards", cfg.shards.to_string());
+            j.set_meta("policy", format!("{:?}", cfg.policy));
+            j.set_meta("tenants", cfg.tenants.len().to_string());
+            j
+        });
+        DecisionLog {
+            journal,
+            resume: resume.map(|r| ResumeCheck {
+                entries: Arc::clone(&r.entries),
+                cursor: 0,
+                started: Instant::now(),
+                caught_up: None,
+                error: None,
+            }),
+        }
+    }
+
+    /// Commits one decision at `now`.
+    pub fn record(
+        &mut self,
+        now: SimTime,
+        op: u32,
+        job: JobTag,
+        cell: u32,
+        nodes: u32,
+        extra: u64,
+    ) {
+        let Some(j) = &mut self.journal else { return };
+        j.push(
+            now,
+            JournalEvent::Step {
+                job: job.id,
+                op,
+                thread: job.tenant,
+                node: cell,
+                start: u64::from(nodes),
+                work: extra,
+            },
+        );
+        let Some(rc) = &mut self.resume else { return };
+        if rc.error.is_some() || rc.cursor == rc.entries.len() {
+            return;
+        }
+        let got = j.entries.last().expect("entry just pushed");
+        let want = &rc.entries[rc.cursor];
+        if got == want {
+            rc.cursor += 1;
+            if rc.cursor == rc.entries.len() {
+                rc.caught_up = Some(rc.started.elapsed().as_secs_f64());
+            }
+        } else {
+            rc.error = Some(format!(
+                "re-execution diverged from the recovered prefix at \
+                 entry {}: expected {want:?}, got {got:?}",
+                rc.cursor
+            ));
+        }
+    }
+
+    /// Fails once a committed entry has diverged from the recovered
+    /// prefix; with `finished`, also when the run ended short of it.
+    pub fn check(&mut self, finished: bool) -> SimResult<()> {
+        let Some(rc) = &mut self.resume else {
+            return Ok(());
+        };
+        let msg = match rc.error.take() {
+            Some(msg) => msg,
+            None if finished && rc.cursor < rc.entries.len() => format!(
+                "re-execution committed only {} of {} recovered decisions",
+                rc.cursor,
+                rc.entries.len()
+            ),
+            None => return Ok(()),
+        };
+        Err(SimError::protocol(msg).context("validated journal replay"))
+    }
+
+    /// The journal (when recording) and the replay statistics (when
+    /// resuming).
+    pub fn finish(self) -> (Option<Journal>, Option<ReplayStats>) {
+        let replay = self.resume.map(|rc| ReplayStats {
+            prefix_entries: rc.entries.len() as u64,
+            matched: rc.cursor as u64,
+            catch_up_secs: rc
+                .caught_up
+                .unwrap_or_else(|| rc.started.elapsed().as_secs_f64()),
+        });
+        (self.journal, replay)
+    }
+}

@@ -9,14 +9,14 @@
 //! The moving parts:
 //!
 //! * **Cells and shards** — the node pool is split into fixed cells
-//!   (`nodes_per_cell` each); shards are contiguous groupings of cells
-//!   that each drain their own event loop. The shard count is purely an
-//!   execution choice: reports and decision journals are byte-identical
-//!   across shard counts (see `service` module docs for the determinism
-//!   contract).
+//!   (`nodes_per_cell` each); shards are contiguous groupings of cells.
+//!   The shard count is purely an execution choice: reports and decision
+//!   journals are byte-identical across shard counts (see `service`
+//!   module docs for the determinism contract and the component map).
 //! * **Fair-share admission** — per-tenant FIFO queues scheduled by
-//!   weighted deficit round-robin, with `max_pending` backpressure
-//!   (reject at admission) and `max_inflight` quotas.
+//!   deterministic stride scheduling over the tenants' weights, with
+//!   `max_pending` backpressure (reject at admission) and `max_inflight`
+//!   quotas.
 //! * **Elastic recovery** — faults interrupt placed jobs, refund their
 //!   unused allocation, charge lost work, and re-queue them; the re-placed
 //!   job may land in any surviving cell, so recovery crosses shards.
@@ -51,19 +51,19 @@
 mod config;
 mod fairshare;
 mod job;
+mod journal;
+mod live;
+mod recovery;
 mod report;
+mod scorer;
 mod service;
 mod shard;
 
-mod recovery;
-
 pub use config::{ServiceConfig, TenantSpec};
 pub use job::{AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
+pub use journal::{decision, ReplayStats, ResumePrefix, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };
 pub use report::{CellReport, LatencyHist, ServiceReport, TenantReport};
-pub use service::{
-    decision, ClusterService, ReplayStats, ResumePrefix, ServeOptions, ServiceBudget,
-    ServiceOutcome, DECISION_LABELS, NO_CELL,
-};
+pub use service::{ClusterService, ServeOptions, ServiceBudget, ServiceOutcome};

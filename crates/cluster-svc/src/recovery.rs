@@ -8,8 +8,8 @@
 //! followed by length-prefixed, CRC32-checksummed frames. Frame 0 holds
 //! the journal header (meta table + interned labels, no entries); every
 //! later frame holds one *group commit* — a delta-coded batch of journal
-//! entries sealed by the [`DurabilitySpec`] (every K committed events
-//! and/or every V of virtual time). A frame boundary models an `fsync`:
+//! entries sealed by the [`DurabilitySpec`] (every K committed events).
+//! A frame boundary models an `fsync`:
 //! a crash loses only the unsealed tail, never a sealed frame.
 //!
 //! Because the sealing cadence is a pure function of the committed entry
@@ -38,38 +38,26 @@
 use std::fmt;
 use std::sync::Arc;
 
-use desim::{crc32, Journal, JournalEntry, SimDuration};
+use desim::{crc32, Journal, JournalEntry};
 use dps_sim::{SimError, SimResult};
 use faults::FaultPlan;
 
 use crate::job::JobSpec;
-use crate::service::{ClusterService, ResumePrefix, ServeOptions, ServiceOutcome};
+use crate::journal::ResumePrefix;
+use crate::service::{ClusterService, ServeOptions, ServiceOutcome};
 
 /// Magic bytes opening every WAL.
 pub const WAL_MAGIC: &[u8] = b"DVNSWAL1\n";
 
 /// Group-commit (modeled `fsync`) cadence: when a frame is sealed.
 ///
-/// Both bounds are consulted; a frame seals as soon as either is hit.
-/// The cadence depends only on the committed entry stream — entry count
-/// and virtual time — never on host state, so the log layout is as
-/// deterministic as the journal itself.
+/// The cadence depends only on the committed entry stream — its entry
+/// count — never on host state, so the log layout is as deterministic as
+/// the journal itself.
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilitySpec {
     /// Seal a frame after this many committed events (minimum 1).
     pub group_events: u64,
-    /// Also seal once a frame spans at least this much virtual time
-    /// (zero disables the bound).
-    pub group_vtime: SimDuration,
-}
-
-impl Default for DurabilitySpec {
-    fn default() -> Self {
-        DurabilitySpec {
-            group_events: 1024,
-            group_vtime: SimDuration::ZERO,
-        }
-    }
 }
 
 impl DurabilitySpec {
@@ -77,36 +65,18 @@ impl DurabilitySpec {
     pub fn group_commit(events: u64) -> DurabilitySpec {
         DurabilitySpec {
             group_events: events,
-            ..DurabilitySpec::default()
         }
-    }
-
-    /// Adds a virtual-time sealing bound (builder style).
-    pub fn with_vtime_bound(mut self, v: SimDuration) -> DurabilitySpec {
-        self.group_vtime = v;
-        self
     }
 
     /// Entry-index ranges `[start, end)` of each sealed frame — the pure
     /// function of the committed stream that makes post-hoc WAL
     /// construction equal online logging.
     pub fn frame_ranges(&self, entries: &[JournalEntry]) -> Vec<(usize, usize)> {
-        let group = self.group_events.max(1);
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        while start < entries.len() {
-            let first_vt = entries[start].vtime;
-            let mut end = start + 1;
-            while end < entries.len()
-                && ((end - start) as u64) < group
-                && (self.group_vtime.is_zero() || entries[end].vtime < first_vt + self.group_vtime)
-            {
-                end += 1;
-            }
-            out.push((start, end));
-            start = end;
-        }
-        out
+        let group = usize::try_from(self.group_events.max(1)).unwrap_or(usize::MAX);
+        (0..entries.len())
+            .step_by(group)
+            .map(|start| (start, entries.len().min(start.saturating_add(group))))
+            .collect()
     }
 }
 
@@ -329,15 +299,14 @@ impl WriteAheadLog {
     }
 }
 
-/// A seeded crash point: which sealed frames survive, and whether the
-/// write in flight at the crash leaves a torn partial frame behind.
+/// A seeded crash point: which sealed frames survive. The write in
+/// flight at the crash leaves a torn partial of the next frame behind —
+/// half its bytes with one bit flipped — exercising checksum truncation
+/// on recovery.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashPlan {
     /// Seed picking the crash boundary (and the torn bit position).
     pub seed: u64,
-    /// Append a torn partial of the next frame — half its bytes with one
-    /// bit flipped — exercising checksum truncation on recovery.
-    pub tear: bool,
 }
 
 fn xorshift(mut x: u64) -> u64 {
@@ -349,15 +318,9 @@ fn xorshift(mut x: u64) -> u64 {
 }
 
 impl CrashPlan {
-    /// A tearing crash plan with the given seed.
+    /// A crash plan with the given seed.
     pub fn new(seed: u64) -> CrashPlan {
-        CrashPlan { seed, tear: true }
-    }
-
-    /// Sets whether the crash tears the in-flight frame (builder style).
-    pub fn with_tear(mut self, tear: bool) -> CrashPlan {
-        self.tear = tear;
-        self
+        CrashPlan { seed }
     }
 
     /// Sealed frames surviving this crash: `1..=frames` (the header
@@ -367,11 +330,11 @@ impl CrashPlan {
     }
 
     /// What the disk holds after the crash: the surviving frame prefix,
-    /// plus (with `tear`) a corrupted partial of the next frame.
+    /// plus a corrupted partial of the next frame when there is one.
     pub fn crashed_bytes(&self, wal: &WriteAheadLog) -> Vec<u8> {
         let keep = self.keep_frames(wal);
         let mut out = wal.frame_prefix(keep).to_vec();
-        if self.tear && keep < wal.frames() {
+        if keep < wal.frames() {
             let next = wal.frame_bytes(keep);
             let take = (next.len() / 2).max(1);
             let mut part = next[..take].to_vec();
@@ -437,6 +400,7 @@ mod tests {
     use crate::config::{ServiceConfig, TenantSpec};
     use crate::job::SyntheticLoad;
     use cluster::SchedulePolicy;
+    use desim::SimDuration;
 
     fn svc(shards: u32) -> ClusterService {
         ClusterService::new(

@@ -1,0 +1,646 @@
+//! The scorer: everything the service asks of a job's workload.
+//!
+//! It prices iterations, finds efficiency targets and, under
+//! [`cluster::SchedulePolicy::WhatIf`], takes the decisions: it builds the
+//! candidate slate of a placement ([`Scorer::grant`]) or an iteration
+//! boundary ([`Scorer::boundary`]), scores it, journals it and returns the
+//! winner ([`Scorer::decide`] is the one loop behind both).
+//!
+//! A candidate is scored by the first tier that applies, in this order:
+//!
+//! 1. **analytic** — an [`AnalyticJob`](crate::AnalyticJob)'s closed form;
+//! 2. **fork** — a real run of the candidate's removal plan, forked from
+//!    the job's warm [`WhatIfSession`], when the candidate does not grow
+//!    the job, the job never grew, migrated or restarted, and the circuit
+//!    breaker admits it;
+//! 3. **profile** — the suffix of a memoized fixed-allocation profile.
+//!
+//! Tiers 2 and 3 look their [`score_fingerprint`] up in the
+//! [`ProfileCache`]'s score **memo** first and store what they compute.
+//!
+//! Workload code is tenant code: every call into it goes through
+//! [`shielded`], so a panic there costs one job, never the service. The
+//! scorer owns the profile cache, the warm sessions and their FIFO, the
+//! breaker, the decision counters and each job's [`ScoreState`]; nothing
+//! else touches them.
+
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
+
+use cluster::{
+    capped_backoff, efficiency_target, profile_suffix, realized_suffix, score_fingerprint,
+    BreakerState, BreakerStats, CandidateKind, CandidateScore, CircuitBreaker, NodePool,
+    ProfileCache, SchedulePolicy, WhatIfSession, Workload,
+};
+use desim::fxhash::FxHashMap;
+use desim::{SimDuration, SimTime};
+use dps_sim::{SimError, SimResult};
+use faults::{CheckpointSpec, FaultPlan};
+
+use crate::config::ServiceConfig;
+use crate::job::JobPayload;
+use crate::journal::{decision, DecisionLog};
+use crate::live::LiveJob;
+use crate::report::{LatencyHist, ServiceReport, WhatIfStats};
+
+/// Live what-if sessions kept warm at once (each holds a paused engine
+/// run); the oldest-opened is dropped first and reopened on demand.
+const MAX_SESSIONS: usize = 32;
+/// Score-fingerprint discriminant for fork-realized scores. Profile-suffix
+/// scores use `CandidateKind::Keep as u32`; this tag keeps the two
+/// semantics apart in the memo.
+const FORK_TAG: u32 = 6;
+/// Profiling-panic retries per phase schedule before the job fails.
+const RETRY_MAX: u32 = 3;
+/// Base of the profiling-retry exponential backoff (10 ms virtual).
+const RETRY_BASE: SimDuration = SimDuration(10_000_000);
+/// Cap of the profiling-retry backoff (1 s virtual).
+const RETRY_CAP: SimDuration = SimDuration(1_000_000_000);
+/// Bound (exclusive) on the deterministic retry jitter (1 ms virtual).
+const RETRY_JITTER_NS: u64 = 1_000_000;
+
+/// Why a call into a workload failed: a typed workload error is terminal;
+/// a panic (already reported by the panic hook) is retryable.
+enum ProfileError {
+    Failed(SimError),
+    Panicked,
+}
+
+impl ProfileError {
+    /// The terminal error of a call that is not retried.
+    fn terminal(self, what: &str) -> SimError {
+        match self {
+            ProfileError::Failed(e) => e,
+            ProfileError::Panicked => SimError::protocol(format!("{what} panicked")),
+        }
+    }
+}
+
+/// The service's one panic shield: runs workload code, turning a panic
+/// into a value.
+fn shielded<T>(f: impl FnOnce() -> SimResult<T>) -> Result<T, ProfileError> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(ProfileError::Failed(e)),
+        Err(_) => Err(ProfileError::Panicked),
+    }
+}
+
+/// What the scorer remembers about one job.
+#[derive(Default)]
+pub(crate) struct ScoreState {
+    /// Allocation of the job's first start — the baseline every committed
+    /// removal-plan entry shrinks from.
+    start_nodes: u32,
+    /// Removal-plan entries committed so far (`(after, count)`, 1-based).
+    plan: Vec<(usize, u32)>,
+    /// Whether fork-based scoring is still exact for this job: true from
+    /// its first start until it grows, migrates, restarts, or its backend
+    /// refuses to fork.
+    fork_ok: bool,
+    /// Profiling-panic attempts for the iteration currently being priced
+    /// (reset by the first successful profile point).
+    panics: u32,
+}
+
+/// What pricing a job's next iteration came to.
+pub(crate) enum Priced {
+    /// `(span, work)` on the job's current allocation.
+    Point(SimDuration, SimDuration),
+    /// The workload panicked: ask again after this backoff.
+    Retry(SimDuration),
+    /// The workload errored, or panicked once too often.
+    Failed,
+}
+
+/// What a boundary decision commits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum WhatIfAction {
+    /// Run the next iteration on this many nodes in the current cell.
+    Resize(u32),
+    /// Checkpoint, move to `cell`, and restart there on `nodes`.
+    Migrate { cell: u32, nodes: u32 },
+    /// Keep the allocation and charge one extra checkpoint to the next
+    /// iteration.
+    Checkpoint,
+}
+
+/// One candidate future of a slate.
+#[derive(Clone, Copy)]
+struct Candidate {
+    kind: CandidateKind,
+    nodes: u32,
+    cell: u32,
+}
+
+/// Adds a candidate unless the slate already holds its `(nodes, cell)`;
+/// enumeration order breaks exact score ties.
+fn propose(slate: &mut Vec<Candidate>, kind: CandidateKind, nodes: u32, cell: u32) {
+    if !slate.iter().any(|c| c.nodes == nodes && c.cell == cell) {
+        slate.push(Candidate { kind, nodes, cell });
+    }
+}
+
+/// The candidates every slate opens with, for a job on (or offered) `n`
+/// nodes in `cell`: keep them, shrink to the efficiency target, halve.
+fn opening_slate(n: u32, target: u32, cell: u32) -> Vec<Candidate> {
+    let mut slate = Vec::with_capacity(7);
+    propose(&mut slate, CandidateKind::Keep, n, cell);
+    let to_target = target.min(n).max(1);
+    propose(&mut slate, CandidateKind::ShrinkTarget, to_target, cell);
+    propose(&mut slate, CandidateKind::ShrinkHalf, (n / 2).max(1), cell);
+    slate
+}
+
+pub(crate) struct Scorer {
+    cache: ProfileCache,
+    /// Whether the policy is [`SchedulePolicy::WhatIf`]; otherwise
+    /// placements take what is free and boundaries resize to the target.
+    whatif: bool,
+    min_eff: Option<f64>,
+    ckpt: CheckpointSpec,
+    /// Whether the fault plan can interrupt jobs (gates checkpoint-now).
+    has_faults: bool,
+    /// Warm per-job what-if sessions, keyed by job slot.
+    sessions: FxHashMap<u32, Box<dyn WhatIfSession>>,
+    /// Session slots in open order (FIFO eviction at [`MAX_SESSIONS`]).
+    session_order: VecDeque<u32>,
+    stats: WhatIfStats,
+    /// Optional circuit breaker around fork scoring (service-global, like
+    /// the profile cache).
+    breaker: Option<CircuitBreaker>,
+    /// Host-measure decision latency
+    /// ([`crate::ServeOptions::measure_decisions`]).
+    measure: bool,
+    decision_hist: LatencyHist,
+    /// Profiling-panic retries granted so far.
+    profile_retries: u64,
+}
+
+impl Scorer {
+    pub fn new(cfg: &ServiceConfig, plan: &FaultPlan, measure: bool) -> Scorer {
+        Scorer {
+            cache: ProfileCache::new(),
+            whatif: matches!(cfg.policy, SchedulePolicy::WhatIf { .. }),
+            min_eff: cfg.policy.min_efficiency(),
+            ckpt: plan.checkpoint,
+            has_faults: !plan.outages().is_empty(),
+            sessions: FxHashMap::default(),
+            session_order: VecDeque::new(),
+            stats: WhatIfStats::default(),
+            breaker: cfg.breaker.map(CircuitBreaker::new),
+            measure,
+            decision_hist: LatencyHist::new(),
+            profile_retries: 0,
+        }
+    }
+
+    /// Writes the cache, decision, breaker and retry counters into `report`.
+    pub fn fill_report(self, report: &mut ServiceReport) {
+        report.cache_hits = self.cache.hits();
+        report.cache_misses = self.cache.misses();
+        report.cache_entries = (self.cache.len() + self.cache.scores_len()) as u64;
+        report.cache_evictions = self.cache.evictions();
+        report.whatif = self.stats;
+        report.breaker = self
+            .breaker
+            .as_ref()
+            .map_or_else(BreakerStats::default, CircuitBreaker::stats);
+        report.decision_hist = self.decision_hist;
+        report.profile_retries = self.profile_retries;
+    }
+
+    // ----- pricing and targets ----------------------------------------------
+
+    /// Prices the job's next iteration on its current allocation. A
+    /// workload panic is retried after a capped exponential backoff with
+    /// deterministic jitter, up to [`RETRY_MAX`] times per iteration.
+    pub fn price(&mut self, job: &mut LiveJob) -> Priced {
+        let (phase, n) = (job.phase, job.held.len() as u32);
+        let point = match &job.payload {
+            JobPayload::Analytic(a) => {
+                let (span, work, _) = a.point(phase, n);
+                Ok((span, work))
+            }
+            JobPayload::Boxed(w) => {
+                let cache = &mut self.cache;
+                shielded(|| cache.point(&**w, n, phase as usize)).map(|p| (p.span, p.cpu_work))
+            }
+        };
+        let attempt = job.scoring.panics;
+        match point {
+            Ok((span, work)) => {
+                job.scoring.panics = 0;
+                Priced::Point(span, work)
+            }
+            Err(ProfileError::Panicked) if attempt < RETRY_MAX => {
+                job.scoring.panics += 1;
+                self.profile_retries += 1;
+                // A mix of the job id and the attempt number: backoff
+                // instants never depend on host state, yet jobs that
+                // panicked at the same instant de-synchronize.
+                let mut x = job.id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x ^= x >> 33;
+                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+                x ^= x >> 29;
+                let jitter = SimDuration(x % RETRY_JITTER_NS);
+                Priced::Retry(capped_backoff(RETRY_BASE, RETRY_CAP, attempt) + jitter)
+            }
+            Err(_) => Priced::Failed,
+        }
+    }
+
+    /// Allocation iteration `phase` should run on (the malleable target),
+    /// capped at `cap`.
+    pub fn target(&mut self, payload: &JobPayload, phase: u32, cap: u32) -> SimResult<u32> {
+        let Some(min_eff) = self.min_eff else {
+            return Ok(cap);
+        };
+        match payload {
+            JobPayload::Analytic(a) => Ok(a.target_nodes(phase, min_eff, cap)),
+            JobPayload::Boxed(w) => {
+                let cache = &mut self.cache;
+                shielded(|| efficiency_target(cache, &**w, phase as usize, cap, min_eff))
+                    .map_err(|e| e.terminal("workload profile"))
+            }
+        }
+    }
+
+    // ----- job lifecycle ----------------------------------------------------
+
+    /// The job starts for the first time, on `grant` nodes.
+    pub fn started(&self, job: &mut LiveJob, grant: u32) {
+        job.scoring.start_nodes = grant;
+        job.scoring.fork_ok = self.whatif && matches!(job.payload, JobPayload::Boxed(_));
+    }
+
+    /// The job's forked future stopped being exact (it was interrupted —
+    /// the live session does not model replay — or left its slot): drop
+    /// its session and score from profiles from here on.
+    pub fn forget(&mut self, slot: u32, job: &mut LiveJob) {
+        if self.sessions.remove(&slot).is_some() {
+            self.session_order.retain(|&s| s != slot);
+        }
+        job.scoring.fork_ok = false;
+    }
+
+    // ----- what-if decisions ------------------------------------------------
+
+    /// Placement sizing, given the `full` allocation `cell` can offer.
+    /// Under what-if: score granting it all against the efficiency target
+    /// and a half grant, and return the winner. Falls back to the full
+    /// grant if any candidate fails to score — the job then fails at start
+    /// with the same error, deterministically, on its own slot.
+    pub fn grant(
+        &mut self,
+        log: &mut DecisionLog,
+        now: SimTime,
+        slot: u32,
+        job: &mut LiveJob,
+        full: u32,
+        cell: u32,
+    ) -> u32 {
+        if !self.whatif {
+            return full;
+        }
+        let started = self.measure.then(Instant::now);
+        let Ok(target) = self.target(&job.payload, job.phase, full) else {
+            return full;
+        };
+        // `scoring.fork_ok` is still false before the first start, so this
+        // scores analytically or from the profile cache — no forking on
+        // the placement path.
+        let slate = opening_slate(full, target, cell);
+        let Ok(win) = self.decide(log, now, slot, job, full, &slate) else {
+            return full;
+        };
+        self.clock(started);
+        win.nodes
+    }
+
+    /// The boundary decision for `job`, about to run iteration `job.phase`
+    /// with in-place cap `cap`: resize to the efficiency target — or, under
+    /// what-if, enumerate candidate futures, score each by predicted
+    /// dynamic efficiency, journal the slate and commit the winner.
+    pub fn boundary(
+        &mut self,
+        log: &mut DecisionLog,
+        now: SimTime,
+        slot: u32,
+        job: &mut LiveJob,
+        cap: u32,
+        pool: &NodePool,
+    ) -> SimResult<WhatIfAction> {
+        let started = self.measure.then(Instant::now);
+        let (phase, n, cell) = (job.phase, job.held.len() as u32, job.cell);
+        let target = self.target(&job.payload, phase, cap)?;
+        if !self.whatif {
+            return Ok(WhatIfAction::Resize(target));
+        }
+        let mut slate = opening_slate(n, target, cell);
+        if cap > n {
+            propose(&mut slate, CandidateKind::Grow, cap, cell);
+            if target > n {
+                propose(&mut slate, CandidateKind::Grow, target, cell);
+            }
+        }
+        // Migration: the roomiest *other* cell, considered only when it
+        // offers more than any in-place allocation can (`m > cap`, so
+        // migration always grows).
+        if let Some((to, free)) = pool.roomiest(Some(cell)) {
+            let m = job.requested.min(free).min(job.payload.max_nodes());
+            if m > cap {
+                propose(&mut slate, CandidateKind::Migrate, m, to);
+            }
+        }
+        // Checkpoint-now: only worth considering while faults can still
+        // strike and the uncheckpointed work exceeds the checkpoint's own
+        // cost. Always last, and never a duplicate of Keep.
+        if self.has_faults
+            && !self.ckpt.checkpoint_cost.is_zero()
+            && job.since_ckpt > self.ckpt.checkpoint_cost
+        {
+            slate.push(Candidate {
+                kind: CandidateKind::CheckpointNow,
+                nodes: n,
+                cell,
+            });
+        }
+        let win = self.decide(log, now, slot, job, n, &slate)?;
+        let action = match win.kind {
+            CandidateKind::Keep => WhatIfAction::Resize(n),
+            CandidateKind::ShrinkTarget | CandidateKind::ShrinkHalf => {
+                self.commit_shrink(slot, job, n - win.nodes);
+                WhatIfAction::Resize(win.nodes)
+            }
+            CandidateKind::Grow => {
+                // The removal-plan language cannot express growth; from
+                // here this job scores via profile suffixes.
+                self.forget(slot, job);
+                WhatIfAction::Resize(win.nodes)
+            }
+            CandidateKind::Migrate => {
+                self.forget(slot, job);
+                self.stats.migrations += 1;
+                WhatIfAction::Migrate {
+                    cell: win.cell,
+                    nodes: win.nodes,
+                }
+            }
+            CandidateKind::CheckpointNow => {
+                self.stats.extra_checkpoints += 1;
+                WhatIfAction::Checkpoint
+            }
+        };
+        self.clock(started);
+        Ok(action)
+    }
+
+    fn clock(&mut self, started: Option<Instant>) {
+        if let Some(t0) = started {
+            self.decision_hist.record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Scores `slate` for `job` (currently on `n` nodes), journals every
+    /// candidate and the winner, and returns the winner: the first
+    /// candidate no later one [`CandidateScore::beats`].
+    fn decide(
+        &mut self,
+        log: &mut DecisionLog,
+        now: SimTime,
+        slot: u32,
+        job: &mut LiveJob,
+        n: u32,
+        slate: &[Candidate],
+    ) -> SimResult<Candidate> {
+        let min_eff = self.min_eff.unwrap_or(0.0);
+        let mut scored: Vec<(Candidate, CandidateScore)> = Vec::with_capacity(slate.len());
+        for &c in slate {
+            let s = if c.kind == CandidateKind::CheckpointNow {
+                // Keep's future, plus one checkpoint next iteration, minus
+                // the replay a future fault would no longer cost.
+                let keep = scored[0].1;
+                let cost = self.ckpt.checkpoint_cost.as_nanos();
+                CandidateScore {
+                    span_ns: keep
+                        .span_ns
+                        .saturating_add(cost)
+                        .saturating_sub(job.since_ckpt.as_nanos()),
+                    work_ns: keep.work_ns,
+                    alloc_node_ns: keep.alloc_node_ns + u128::from(c.nodes) * u128::from(cost),
+                }
+            } else {
+                let mut s = self.score_resize(log, now, slot, job, c.nodes, n)?;
+                if c.kind == CandidateKind::Migrate {
+                    // Migration pays its checkpoint + restart up front.
+                    let cost = (self.ckpt.checkpoint_cost + self.ckpt.restart_cost).as_nanos();
+                    s.span_ns = s.span_ns.saturating_add(cost);
+                    s.alloc_node_ns += u128::from(c.nodes) * u128::from(cost);
+                }
+                s
+            };
+            scored.push((c, s));
+        }
+        let (tag, mut win) = (job.tag(), 0);
+        for (i, &(c, s)) in scored.iter().enumerate() {
+            log.record(now, decision::CANDIDATE, tag, c.cell, c.nodes, s.span_ns);
+            if i > 0 && s.beats(&scored[win].1, min_eff) {
+                win = i;
+            }
+        }
+        let (c, _) = scored[win];
+        let kind = c.kind as u32 as u64;
+        log.record(now, decision::WHATIF, tag, c.cell, c.nodes, kind);
+        self.stats.decisions += 1;
+        self.stats.candidates += scored.len() as u64;
+        Ok(c)
+    }
+
+    /// Scores "run the remaining iterations from `job.phase` on `m` nodes"
+    /// for a job currently on `n`, by the first tier that applies (see the
+    /// module docs).
+    fn score_resize(
+        &mut self,
+        log: &mut DecisionLog,
+        now: SimTime,
+        slot: u32,
+        job: &mut LiveJob,
+        m: u32,
+        n: u32,
+    ) -> SimResult<CandidateScore> {
+        let w = match &job.payload {
+            JobPayload::Analytic(a) => {
+                self.stats.analytic_scored += 1;
+                return Ok(a.suffix_score(job.phase, m));
+            }
+            JobPayload::Boxed(w) => w.clone(),
+        };
+        // Breaker transitions are journaled against the job whose decision
+        // caused them, with the decision's step cost when it has one.
+        let (tag, cell) = (job.tag(), job.cell);
+        let mut transition = |to: Option<BreakerState>, steps: u64| {
+            if let Some(st) = to {
+                log.record(now, decision::BREAKER, tag, cell, st.code(), steps);
+            }
+        };
+        let admitted = m <= n
+            && job.scoring.fork_ok
+            && self.breaker.as_mut().is_none_or(|b| {
+                let (ok, to) = b.allow_fork(now);
+                transition(to, 0);
+                ok
+            });
+        if admitted {
+            // Breaker budgets are charged in committed simulator steps of
+            // the job's warm session: virtual work, never host time.
+            let steps = |s: &Scorer| s.sessions.get(&slot).map_or(0, |s| s.steps_used());
+            let before = steps(self);
+            let score = self.fork_score(slot, job, &*w, m, n)?;
+            let used = steps(self).saturating_sub(before);
+            if let Some(b) = &mut self.breaker {
+                // A step cost over the budget is a breach; so is a fork
+                // the service wanted and could not get.
+                let (to, steps) = match score {
+                    Some(_) if used <= b.spec().max_steps_per_decision => (b.record_ok(), used),
+                    Some(_) => (b.record_breach(now), used),
+                    None => (b.record_breach(now), 0),
+                };
+                transition(to, steps);
+            }
+            if let Some(s) = score {
+                return Ok(s);
+            }
+        }
+        self.profile_score(&*w, job.phase, m)
+    }
+
+    /// Scores a candidate by forking the job's live what-if session at the
+    /// current barrier and executing its removal plan for real. `Ok(None)`
+    /// means forking is unavailable (the backend refused, the run already
+    /// finished, or no session could be opened) — the caller falls back to
+    /// profile scoring.
+    fn fork_score(
+        &mut self,
+        slot: u32,
+        job: &mut LiveJob,
+        w: &dyn Workload,
+        m: u32,
+        n: u32,
+    ) -> SimResult<Option<CandidateScore>> {
+        let barrier = job.phase as usize;
+        let start_nodes = job.scoring.start_nodes;
+        let mut plan = job.scoring.plan.clone();
+        if m < n {
+            plan.push((barrier, n - m));
+        }
+        let fp = score_fingerprint(&w.key(), start_nodes, &plan, barrier, m, FORK_TAG);
+        if let Some(s) = self.cache.score(fp) {
+            self.stats.memo_scored += 1;
+            return Ok(Some(s));
+        }
+        if !self.ensure_session(slot, job, w) {
+            return Ok(None);
+        }
+        let mut sess = self.sessions.remove(&slot).expect("session just ensured");
+        let realized = shielded(|| {
+            if !sess.advance_to_barrier(barrier)? {
+                return Ok(None);
+            }
+            Ok(Some(sess.score_plan(&plan)?))
+        });
+        if let Ok(Some(profile)) = realized {
+            self.sessions.insert(slot, sess);
+            let score = realized_suffix(&profile, start_nodes, &plan, barrier);
+            self.cache.insert_score(fp, score);
+            self.stats.fork_scored += 1;
+            return Ok(Some(score));
+        }
+        // The session is spent or broken either way.
+        self.session_order.retain(|&s| s != slot);
+        match realized {
+            // The warm base finished the whole run first (nothing left to
+            // fork for this job, ever), or the backend refused.
+            Ok(_) => job.scoring.fork_ok = false,
+            Err(ProfileError::Failed(e)) if e.is_fork_refused() => job.scoring.fork_ok = false,
+            Err(e) => return Err(e.terminal("what-if session")),
+        }
+        Ok(None)
+    }
+
+    /// Scores a candidate from the memoized fixed-allocation profile at `m`
+    /// nodes — the fallback predictor when forking is unavailable.
+    fn profile_score(&mut self, w: &dyn Workload, phase: u32, m: u32) -> SimResult<CandidateScore> {
+        let from = phase as usize;
+        let fp = score_fingerprint(&w.key(), m, &[], from, m, CandidateKind::Keep as u32);
+        if let Some(s) = self.cache.score(fp) {
+            self.stats.memo_scored += 1;
+            return Ok(s);
+        }
+        let cache = &mut self.cache;
+        let s = shielded(|| Ok(profile_suffix(cache.profile(w, m)?, from, m)))
+            .map_err(|e| e.terminal("workload profile"))?;
+        self.cache.insert_score(fp, s);
+        self.stats.profile_scored += 1;
+        Ok(s)
+    }
+
+    /// Records a committed shrink in the job's removal plan and re-commits
+    /// the full plan into its live session so future forks inherit it. A
+    /// session that errors here degrades the job to profile scoring — a
+    /// bookkeeping fork must never fail the job.
+    fn commit_shrink(&mut self, slot: u32, job: &mut LiveJob, count: u32) {
+        if !job.scoring.fork_ok {
+            return;
+        }
+        job.scoring.plan.push((job.phase as usize, count));
+        let Some(mut sess) = self.sessions.remove(&slot) else {
+            return; // reopened lazily with the full plan on the next fork
+        };
+        if shielded(|| sess.commit_plan(&job.scoring.plan)).is_ok() {
+            self.sessions.insert(slot, sess);
+        } else {
+            self.session_order.retain(|&s| s != slot);
+            job.scoring.fork_ok = false;
+        }
+    }
+
+    /// Opens (or confirms) the warm what-if session for `slot`, committing
+    /// the job's removal plan so far. FIFO-evicts the oldest session at
+    /// [`MAX_SESSIONS`]. Returns `false` — and clears `scoring.fork_ok` —
+    /// when the backend cannot provide one.
+    fn ensure_session(&mut self, slot: u32, job: &mut LiveJob, w: &dyn Workload) -> bool {
+        if self.sessions.contains_key(&slot) {
+            return true;
+        }
+        if !job.scoring.fork_ok {
+            return false;
+        }
+        let fork = &job.scoring;
+        let opened = shielded(|| {
+            let Some(mut s) = w.whatif_session(fork.start_nodes)? else {
+                return Ok(None);
+            };
+            if !fork.plan.is_empty() {
+                s.commit_plan(&fork.plan)?;
+            }
+            Ok(Some(s))
+        });
+        let Ok(Some(s)) = opened else {
+            job.scoring.fork_ok = false;
+            return false;
+        };
+        while self.sessions.len() >= MAX_SESSIONS {
+            match self.session_order.pop_front() {
+                Some(old) => self.sessions.remove(&old),
+                None => break,
+            };
+        }
+        self.sessions.insert(slot, s);
+        self.session_order.push_back(slot);
+        self.stats.sessions_opened += 1;
+        true
+    }
+}

@@ -1,0 +1,167 @@
+//! The `serve` contract, black-box: completion accounting, budgets,
+//! cancellation, the decision journal's shape, and stream validation.
+
+use cluster::SchedulePolicy;
+use cluster_svc::{
+    decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceBudget, ServiceConfig,
+    SyntheticLoad, TenantSpec, DECISION_LABELS,
+};
+use desim::{Journal, JournalEvent, SimDuration, SimTime};
+use dps_sim::{BudgetKind, CancelToken, SimErrorKind};
+use faults::FaultPlan;
+
+fn small_cfg(shards: u32) -> ServiceConfig {
+    ServiceConfig::new(
+        4,
+        4,
+        shards,
+        SchedulePolicy::Malleable {
+            min_efficiency: 0.5,
+        },
+    )
+    .with_tenant(TenantSpec::new("a", 2))
+    .with_tenant(TenantSpec::new("b", 1))
+}
+
+fn small_load(jobs: u64) -> SyntheticLoad {
+    SyntheticLoad::new(
+        jobs,
+        2,
+        4,
+        SimDuration::from_millis(50),
+        SimDuration::from_millis(400),
+        11,
+    )
+}
+
+#[test]
+fn quiet_run_completes_every_admitted_job() {
+    let svc = ClusterService::new(small_cfg(2)).unwrap();
+    let out = svc
+        .serve(
+            small_load(300),
+            &FaultPlan::none(),
+            &ServeOptions::default(),
+        )
+        .unwrap();
+    let r = &out.report;
+    assert_eq!(r.submitted, 300);
+    assert_eq!(r.rejected_jobs(), 0);
+    assert_eq!(r.completed_jobs(), 300);
+    assert_eq!(r.failed_jobs(), 0);
+    assert!(r.makespan > SimTime::ZERO);
+    assert!(r.events > 300);
+    assert!(r.allocation_efficiency() > 0.0);
+}
+
+#[test]
+fn event_budget_fires_a_typed_error() {
+    let svc = ClusterService::new(small_cfg(1)).unwrap();
+    let opts = ServeOptions {
+        budget: ServiceBudget {
+            max_events: 10,
+            max_virtual_time: SimDuration::ZERO,
+        },
+        ..ServeOptions::default()
+    };
+    let err = svc
+        .serve(small_load(300), &FaultPlan::none(), &opts)
+        .unwrap_err();
+    assert!(matches!(
+        err.kind,
+        SimErrorKind::BudgetExceeded {
+            kind: BudgetKind::Steps,
+            ..
+        }
+    ));
+}
+
+#[test]
+fn virtual_time_budget_fires_a_typed_error() {
+    let svc = ClusterService::new(small_cfg(1)).unwrap();
+    let opts = ServeOptions {
+        budget: ServiceBudget {
+            max_events: 0,
+            max_virtual_time: SimDuration::from_millis(1),
+        },
+        ..ServeOptions::default()
+    };
+    let err = svc
+        .serve(small_load(300), &FaultPlan::none(), &opts)
+        .unwrap_err();
+    assert!(matches!(
+        err.kind,
+        SimErrorKind::BudgetExceeded {
+            kind: BudgetKind::VirtualTime,
+            ..
+        }
+    ));
+}
+
+#[test]
+fn cancel_token_aborts_between_events() {
+    let svc = ClusterService::new(small_cfg(1)).unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let opts = ServeOptions {
+        cancel: Some(token),
+        ..ServeOptions::default()
+    };
+    let err = svc
+        .serve(small_load(300_000), &FaultPlan::none(), &opts)
+        .unwrap_err();
+    assert!(matches!(err.kind, SimErrorKind::Cancelled { .. }));
+}
+
+#[test]
+fn decision_journal_names_every_kind() {
+    let svc = ClusterService::new(small_cfg(2)).unwrap();
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = svc
+        .serve(small_load(200), &FaultPlan::none(), &opts)
+        .unwrap();
+    let j = out.journal.expect("journal requested");
+    assert_eq!(&j.labels[..], &DECISION_LABELS[..]);
+    assert!(j.len() > 400, "admit + place + complete per job");
+    let mut ops = vec![0u64; DECISION_LABELS.len()];
+    for entry in &j.entries {
+        if let JournalEvent::Step { op, .. } = entry.event {
+            ops[op as usize] += 1;
+        }
+    }
+    assert_eq!(ops[decision::ADMIT as usize], 200);
+    assert_eq!(ops[decision::PLACE as usize], 200);
+    assert_eq!(ops[decision::COMPLETE as usize], 200);
+    // Round-trips through the binary format.
+    let decoded = Journal::decode(&j.encode()).unwrap();
+    assert!(decoded.same_stream(&j));
+}
+
+#[test]
+fn stream_with_decreasing_arrivals_is_a_protocol_error() {
+    let svc = ClusterService::new(small_cfg(1)).unwrap();
+    let job = |at: u64| {
+        JobSpec::analytic(
+            0,
+            SimTime(at),
+            2,
+            AnalyticJob {
+                work: SimDuration::from_millis(10),
+                parallel_first: 0.8,
+                parallel_last: 0.8,
+                iterations: 1,
+            },
+        )
+    };
+    let err = svc
+        .serve(
+            vec![job(100), job(50)],
+            &FaultPlan::none(),
+            &ServeOptions::default(),
+        )
+        .unwrap_err();
+    assert!(matches!(err.kind, SimErrorKind::Protocol { .. }));
+}

@@ -15,6 +15,9 @@
 //!   server and any malleable application backend (simulator-backed DPS
 //!   applications in the `workload` crate, or the analytic
 //!   [`PhaseWorkload`]) — plus the memoizing [`ProfileCache`];
+//! * [`rules`] holds the scheduling rules the batch server and the
+//!   `cluster-svc` service share: the node pool, fault-window span
+//!   pricing, capped backoff and the efficiency-target scan;
 //! * [`server`] implements the paper's stated future work: "a cluster
 //!   server running concurrently multiple, possibly different applications
 //!   whose allocations of compute nodes vary dynamically over time" —
@@ -28,6 +31,7 @@
 
 pub mod efficiency;
 pub mod policy;
+pub mod rules;
 pub mod server;
 pub mod whatif;
 pub mod workload;
@@ -36,9 +40,10 @@ pub use efficiency::{profile_from_report, EfficiencyProfile, IterationPoint};
 pub use policy::{
     recommend_removal, BreakerSpec, BreakerState, BreakerStats, CircuitBreaker, ThresholdPolicy,
 };
+pub use rules::{capped_backoff, efficiency_target, FaultPricing, NodePool, Strike};
 pub use server::{ClusterSim, Job, JobOutcome, JobRecord, Phase, SchedulePolicy, ServerReport};
 pub use whatif::{
-    best_allocation, profile_suffix, realized_suffix, score_fingerprint, CandidateKind,
-    CandidateScore, WhatIfSession,
+    profile_suffix, realized_suffix, score_fingerprint, CandidateKind, CandidateScore,
+    WhatIfSession,
 };
 pub use workload::{random_jobs, PhaseWorkload, ProfileCache, Workload, DEFAULT_PROFILE_CAPACITY};

@@ -6,7 +6,7 @@
 //! (simulator-backed DPS applications such as the LU factorization and the
 //! Jacobi stencil, or the cheap analytic Amdahl model
 //! [`crate::workload::PhaseWorkload`]). The server owns `N` nodes and
-//! schedules arriving jobs under one of two policies:
+//! schedules arriving jobs under one of four policies:
 //!
 //! * [`SchedulePolicy::Rigid`] — a job holds its requested allocation from
 //!   start to finish (the classic static cluster);
@@ -18,7 +18,10 @@
 //! * [`SchedulePolicy::ElasticRecovery`] — malleable scheduling plus
 //!   fault-aware recovery: an interrupted job resumes from its last
 //!   checkpoint (instead of restarting from scratch) after a capped
-//!   exponential backoff, on whatever nodes remain.
+//!   exponential backoff, on whatever nodes remain;
+//! * [`SchedulePolicy::WhatIf`] — a policy of the `cluster-svc` service,
+//!   which scores candidate slates at every decision. This batch server
+//!   has no slates: it runs the policy as `ElasticRecovery`.
 //!
 //! [`ClusterSim::run_with_faults`] plays a deterministic
 //! [`faults::FaultPlan`] against the server: crashes permanently remove
@@ -39,10 +42,9 @@
 use std::collections::VecDeque;
 
 use desim::{EventQueue, SimDuration, SimTime};
-use dps_sim::SimResult;
-use faults::{CheckpointSpec, FaultPlan, RateTimeline};
+use faults::FaultPlan;
 
-use crate::efficiency::IterationPoint;
+use crate::rules::{capped_backoff, efficiency_target, FaultPricing, NodePool, Strike};
 use crate::workload::{PhaseWorkload, ProfileCache, Workload};
 
 /// One phase of an analytic job: `work` of serial computation with parallel
@@ -56,7 +58,8 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// Creates an empty instance.
+    /// A phase of `work` serial computation, `parallel_fraction` of which
+    /// parallelizes (must lie in `[0, 1]`).
     pub fn new(work: SimDuration, parallel_fraction: f64) -> Phase {
         assert!((0.0..=1.0).contains(&parallel_fraction));
         Phase {
@@ -180,6 +183,48 @@ pub enum SchedulePolicy {
         /// Ceiling on the exponentially growing backoff.
         max_backoff: SimDuration,
     },
+}
+
+impl SchedulePolicy {
+    /// The efficiency floor allocations are resized against (`None` under
+    /// [`SchedulePolicy::Rigid`], which never resizes).
+    pub fn min_efficiency(&self) -> Option<f64> {
+        match *self {
+            SchedulePolicy::Rigid => None,
+            SchedulePolicy::Malleable { min_efficiency }
+            | SchedulePolicy::ElasticRecovery { min_efficiency, .. }
+            | SchedulePolicy::WhatIf { min_efficiency, .. } => Some(min_efficiency),
+        }
+    }
+
+    /// Smallest allocation a job requesting `request` nodes may start on.
+    /// Under every policy but rigid jobs are *moldable*: they start on as
+    /// little as half the request rather than wait for all of it.
+    pub fn min_start(&self, request: u32) -> u32 {
+        match self {
+            SchedulePolicy::Rigid => request,
+            _ => request.div_ceil(2),
+        }
+    }
+
+    /// `(base, max)` of the requeue backoff under the policies that
+    /// recover elastically — resuming from the last checkpoint instead of
+    /// restarting from scratch; `None` otherwise.
+    pub fn backoff(&self) -> Option<(SimDuration, SimDuration)> {
+        match *self {
+            SchedulePolicy::ElasticRecovery {
+                base_backoff,
+                max_backoff,
+                ..
+            }
+            | SchedulePolicy::WhatIf {
+                base_backoff,
+                max_backoff,
+                ..
+            } => Some((base_backoff, max_backoff)),
+            _ => None,
+        }
+    }
 }
 
 /// How a job left the server.
@@ -328,7 +373,9 @@ impl ServerReport {
 
 #[derive(Clone, Debug)]
 enum Ev {
-    Arrival(usize),
+    /// The job joins the waiting queue: on arrival, and again after the
+    /// backoff of an elastic recovery.
+    Enqueue(usize),
     PhaseEnd {
         job: usize,
         gen: u64,
@@ -337,9 +384,6 @@ enum Ev {
     Fault(usize),
     /// A preempted node rejoins the free pool.
     Return(u32),
-    /// An elastically recovering job re-enters the waiting queue after its
-    /// backoff.
-    Requeue(usize),
 }
 
 struct RunningJob {
@@ -370,57 +414,6 @@ struct JobState {
     allocations: Vec<u32>,
 }
 
-/// The plan-derived inputs that price an iteration: the slowdown/degrade
-/// timelines plus the checkpoint spec, fixed for a whole server run.
-struct FaultPricing<'a> {
-    cpu: &'a RateTimeline,
-    link: &'a RateTimeline,
-    ckpt: &'a CheckpointSpec,
-}
-
-/// Wall time of one iteration on a specific node set at a specific time:
-/// the profile's nominal span stretched by any active slowdown (CPU) and
-/// degrade (link) windows — a window on *any* held node delays the whole
-/// iteration, matching the BSP-style synchronization of the workloads —
-/// plus the checkpoint write cost at checkpoint boundaries and the
-/// checkpoint read cost on a restart. Returns `(span, degradation extra)`.
-/// With no windows active the nominal span passes through untouched.
-fn priced_span(
-    held: &[u32],
-    point: &IterationPoint,
-    at: SimTime,
-    pricing: &FaultPricing<'_>,
-    iter: usize,
-    restart_cost: SimDuration,
-) -> (SimDuration, SimDuration) {
-    let mut span = point.span;
-    let mut degraded = SimDuration::ZERO;
-    if !pricing.cpu.is_empty() || !pricing.link.is_empty() {
-        let cpu_f = held
-            .iter()
-            .map(|&n| pricing.cpu.factor_at(n, at))
-            .fold(1.0f64, f64::min);
-        let link_f = held
-            .iter()
-            .map(|&n| pricing.link.factor_at(n, at))
-            .fold(1.0f64, f64::min);
-        if cpu_f != 1.0 || link_f != 1.0 {
-            // Split the span into a compute part (ideal work share) and a
-            // communication/imbalance part, and stretch each by its factor.
-            let compute = point.cpu_work.mul_f64(1.0 / held.len() as f64).min(span);
-            let comm = span - compute;
-            let slowed = compute.mul_f64(1.0 / cpu_f) + comm.mul_f64(1.0 / link_f);
-            degraded = slowed.saturating_sub(span);
-            span = slowed;
-        }
-    }
-    if pricing.ckpt.checkpoints_after(iter) {
-        span += pricing.ckpt.checkpoint_cost;
-    }
-    span += restart_cost;
-    (span, degraded)
-}
-
 /// The cluster server simulation.
 pub struct ClusterSim {
     total_nodes: u32,
@@ -428,46 +421,12 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Creates an empty instance.
     /// A server owning `total_nodes` under `policy`.
     pub fn new(total_nodes: u32, policy: SchedulePolicy) -> ClusterSim {
         assert!(total_nodes > 0);
         ClusterSim {
             total_nodes,
             policy,
-        }
-    }
-
-    /// Allocation a job's next iteration should run on: under the malleable
-    /// policy, the largest allocation (up to the request and what is
-    /// available) whose predicted efficiency clears the threshold — so jobs
-    /// both release wasted nodes and grow back when capacity frees up. The
-    /// prediction comes from the workload's (memoized) profile, i.e. from
-    /// simulator runs for dps-sim-backed workloads.
-    fn target_nodes(
-        &self,
-        cache: &mut ProfileCache,
-        w: &dyn Workload,
-        iter: usize,
-        request: u32,
-        available: u32,
-    ) -> SimResult<u32> {
-        let cap = request.min(available).min(w.max_nodes());
-        match self.policy {
-            SchedulePolicy::Rigid => Ok(cap),
-            SchedulePolicy::Malleable { min_efficiency }
-            | SchedulePolicy::ElasticRecovery { min_efficiency, .. } => {
-                let mut best = 1;
-                for n in 1..=cap {
-                    if cache.efficiency(w, n, iter)? >= min_efficiency {
-                        best = n;
-                    }
-                }
-                Ok(best)
-            }
-            SchedulePolicy::WhatIf { min_efficiency, .. } => {
-                crate::whatif::best_allocation(cache, w, iter, cap, min_efficiency)
-            }
         }
     }
 
@@ -512,7 +471,7 @@ impl ClusterSim {
         cache: &mut ProfileCache,
     ) -> ServerReport {
         let mut report = ServerReport::default();
-        let mut admitted: Vec<bool> = vec![true; jobs.len()];
+        let mut q: EventQueue<Ev> = EventQueue::new();
         for (i, j) in jobs.iter().enumerate() {
             let reason = if j.requested_nodes < 1 || j.requested_nodes > self.total_nodes {
                 Some(format!(
@@ -530,48 +489,31 @@ impl ClusterSim {
             } else {
                 None
             };
-            if let Some(reason) = reason {
-                admitted[i] = false;
-                report.jobs.push(JobRecord {
-                    name: j.name.clone(),
-                    start: j.arrival,
-                    completion: j.arrival,
-                    allocations: Vec::new(),
-                    restarts: 0,
-                    lost_work: SimDuration::ZERO,
-                    degraded: SimDuration::ZERO,
-                    outcome: JobOutcome::Failed { reason },
-                });
-            }
+            let Some(reason) = reason else {
+                q.schedule(j.arrival, Ev::Enqueue(i));
+                continue;
+            };
+            report.jobs.push(JobRecord {
+                name: j.name.clone(),
+                start: j.arrival,
+                completion: j.arrival,
+                allocations: Vec::new(),
+                restarts: 0,
+                lost_work: SimDuration::ZERO,
+                degraded: SimDuration::ZERO,
+                outcome: JobOutcome::Failed { reason },
+            });
         }
-        let cpu_tl = RateTimeline::new(plan.cpu_windows());
-        let link_tl = RateTimeline::new(plan.link_windows());
+        let pricing = FaultPricing::new(plan);
         let outages = plan.outages();
         let ckpt = plan.checkpoint;
-        let pricing = FaultPricing {
-            cpu: &cpu_tl,
-            link: &link_tl,
-            ckpt: &ckpt,
-        };
-        let elastic = matches!(
-            self.policy,
-            SchedulePolicy::ElasticRecovery { .. } | SchedulePolicy::WhatIf { .. }
-        );
-
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        for (i, j) in jobs.iter().enumerate() {
-            if admitted[i] {
-                q.schedule(j.arrival, Ev::Arrival(i));
-            }
-        }
+        let backoff = self.policy.backoff();
+        let elastic = backoff.is_some();
         for (i, o) in outages.iter().enumerate() {
             q.schedule(o.at, Ev::Fault(i));
         }
-        // The free pool carries node identities (kept sorted; grants take
-        // the lowest ids) so outages can tell a held node from a free one.
-        let mut free: Vec<u32> = (0..self.total_nodes).collect();
-        let mut dead: Vec<bool> = vec![false; self.total_nodes as usize];
-        let mut away: Vec<bool> = vec![false; self.total_nodes as usize];
+        // One cell holding every node; holders are job indices.
+        let mut pool = NodePool::new(self.total_nodes, 1);
         let mut waiting: VecDeque<usize> = VecDeque::new();
         let mut running: Vec<Option<RunningJob>> = jobs.iter().map(|_| None).collect();
         let mut st: Vec<JobState> = jobs.iter().map(|_| JobState::default()).collect();
@@ -579,18 +521,11 @@ impl ClusterSim {
         let mut now = SimTime::ZERO;
         let mut gen_counter = 0u64;
 
-        // Starts any waiting jobs that now fit, in FCFS order. Under the
-        // malleable policies jobs are also *moldable*: they may start on a
-        // reduced allocation (at least half the request) rather than wait
-        // for the full one. Requests are capped at the surviving capacity
-        // so jobs stay schedulable after crashes.
-        let moldable = !matches!(self.policy, SchedulePolicy::Rigid);
-
-        // Records a terminal failure for a job whose workload errored. The
-        // caller has already returned the job's nodes to the free pool; the
-        // batch keeps running.
-        macro_rules! fail_job {
-            ($idx:expr, $err:expr) => {{
+        // Records a job's terminal outcome: completed, or failed because
+        // its workload errored. The caller has already returned the job's
+        // nodes to the pool; the batch keeps running.
+        macro_rules! finish_job {
+            ($idx:expr, $outcome:expr) => {{
                 let s = &mut st[$idx];
                 report.jobs.push(JobRecord {
                     name: jobs[$idx].name.clone(),
@@ -600,29 +535,32 @@ impl ClusterSim {
                     restarts: s.restarts,
                     lost_work: s.lost_work,
                     degraded: s.degraded,
-                    outcome: JobOutcome::Failed {
-                        reason: $err.to_string(),
-                    },
+                    outcome: $outcome,
                 });
                 report.makespan = report.makespan.max(now);
             }};
         }
+        let failed = |e: dps_sim::SimError| JobOutcome::Failed {
+            reason: e.to_string(),
+        };
 
+        // Starts any waiting jobs that now fit, in FCFS order. Requests are
+        // capped at the surviving capacity so jobs stay schedulable after
+        // crashes.
         macro_rules! start_waiting {
             () => {
                 while let Some(&idx) = waiting.front() {
-                    let alive = self.total_nodes - dead.iter().filter(|&&d| d).count() as u32;
-                    let req = jobs[idx].requested_nodes.min(alive);
+                    let req = jobs[idx].requested_nodes.min(pool.max_alive());
                     if req == 0 {
                         break;
                     }
-                    let min_start = if moldable { req.div_ceil(2) } else { req };
-                    if min_start as usize > free.len() {
+                    if self.policy.min_start(req) > pool.free_in(0) {
                         break;
                     }
-                    let grant = req.min(free.len() as u32);
+                    let grant = req.min(pool.free_in(0));
                     waiting.pop_front();
-                    let held: Vec<u32> = free.drain(..grant as usize).collect();
+                    let mut held = Vec::new();
+                    pool.grant(0, grant, idx as u32, &mut held);
                     gen_counter += 1;
                     let s = &mut st[idx];
                     let phase0 = s.resume_phase;
@@ -635,14 +573,13 @@ impl ClusterSim {
                     let point = match cache.point(&*jobs[idx].workload, grant, phase0) {
                         Ok(p) => p,
                         Err(e) => {
-                            free.extend(held);
-                            free.sort_unstable();
-                            fail_job!(idx, e);
+                            pool.release_all(&mut held);
+                            finish_job!(idx, failed(e));
                             continue;
                         }
                     };
                     let (span, extra) =
-                        priced_span(&held, &point, now, &pricing, phase0, restart_cost);
+                        pricing.span(&held, point.span, point.cpu_work, now, phase0, restart_cost);
                     s.degraded += extra;
                     if s.first_start.is_none() {
                         s.first_start = Some(now);
@@ -672,7 +609,7 @@ impl ClusterSim {
         while let Some((t, ev)) = q.pop() {
             now = t;
             match ev {
-                Ev::Arrival(idx) => {
+                Ev::Enqueue(idx) => {
                     waiting.push_back(idx);
                     start_waiting!();
                 }
@@ -691,69 +628,56 @@ impl ClusterSim {
                     }
                     if rj.phase == jobs[job].workload.iterations() {
                         // Job done: free everything.
-                        let done = running[job].take().expect("job running");
-                        free.extend(done.held);
-                        free.sort_unstable();
-                        let s = &mut st[job];
-                        report.jobs.push(JobRecord {
-                            name: jobs[job].name.clone(),
-                            start: s.first_start.expect("job started"),
-                            completion: now,
-                            allocations: std::mem::take(&mut s.allocations),
-                            restarts: s.restarts,
-                            lost_work: s.lost_work,
-                            degraded: s.degraded,
-                            outcome: JobOutcome::Completed,
-                        });
-                        report.makespan = report.makespan.max(now);
+                        let mut done = running[job].take().expect("job running");
+                        pool.release_all(&mut done.held);
+                        finish_job!(job, JobOutcome::Completed);
                         start_waiting!();
                         continue;
                     }
-                    // Next iteration: shrink or grow the allocation at the
-                    // boundary.
+                    // Next iteration: resize at the boundary to the largest
+                    // allocation (up to the request and what is available)
+                    // whose predicted efficiency clears the policy's floor —
+                    // so jobs both release wasted nodes and grow back when
+                    // capacity frees up.
                     let w = &*jobs[job].workload;
                     let iter = rj.phase;
                     let nodes = rj.held.len() as u32;
-                    let target = match self.target_nodes(
-                        cache,
-                        w,
-                        iter,
-                        jobs[job].requested_nodes,
-                        nodes + free.len() as u32,
-                    ) {
-                        Ok(t) => t,
+                    let cap = jobs[job]
+                        .requested_nodes
+                        .min(nodes + pool.free_in(0))
+                        .min(w.max_nodes());
+                    let next = match self.policy.min_efficiency() {
+                        None => Ok(cap),
+                        Some(min_eff) => efficiency_target(cache, w, iter, cap, min_eff),
+                    }
+                    .and_then(|target| {
+                        if target < nodes {
+                            pool.shrink(&mut rj.held, target);
+                        } else if target > nodes {
+                            pool.grant(0, target - nodes, job as u32, &mut rj.held);
+                        }
+                        st[job].allocations.push(target);
+                        Ok((target, cache.point(w, target, iter)?))
+                    });
+                    let (target, point) = match next {
+                        Ok(next) => next,
                         Err(e) => {
-                            let failed = running[job].take().expect("job running");
-                            free.extend(failed.held);
-                            free.sort_unstable();
-                            fail_job!(job, e);
+                            let mut rj = running[job].take().expect("job running");
+                            pool.release_all(&mut rj.held);
+                            finish_job!(job, failed(e));
                             start_waiting!();
                             continue;
                         }
                     };
                     let rj = running[job].as_mut().expect("job running");
-                    if target < nodes {
-                        // Release the highest-numbered held nodes.
-                        rj.held.sort_unstable();
-                        free.extend(rj.held.split_off(target as usize));
-                        free.sort_unstable();
-                    } else if target > nodes {
-                        rj.held.extend(free.drain(..(target - nodes) as usize));
-                    }
-                    st[job].allocations.push(target);
-                    let point = match cache.point(w, target, iter) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            let failed = running[job].take().expect("job running");
-                            free.extend(failed.held);
-                            free.sort_unstable();
-                            fail_job!(job, e);
-                            start_waiting!();
-                            continue;
-                        }
-                    };
-                    let (span, extra) =
-                        priced_span(&rj.held, &point, now, &pricing, iter, SimDuration::ZERO);
+                    let (span, extra) = pricing.span(
+                        &rj.held,
+                        point.span,
+                        point.cpu_work,
+                        now,
+                        iter,
+                        SimDuration::ZERO,
+                    );
                     st[job].degraded += extra;
                     gen_counter += 1;
                     rj.gen = gen_counter;
@@ -773,99 +697,59 @@ impl ClusterSim {
                 }
                 Ev::Fault(i) => {
                     let o = &outages[i];
-                    let node = o.node;
-                    if node >= self.total_nodes || dead[node as usize] {
-                        continue;
-                    }
-                    let crash = o.returns.is_none();
-                    if away[node as usize] {
-                        // Already out of service; a crash while away makes
-                        // the removal permanent.
-                        if crash {
-                            dead[node as usize] = true;
-                        }
-                        continue;
-                    }
-                    if let Some(pos) = free.iter().position(|&n| n == node) {
-                        free.remove(pos);
-                    } else if let Some(job) = (0..jobs.len()).find(|&j| {
-                        running[j]
-                            .as_ref()
-                            .is_some_and(|rj| rj.held.contains(&node))
-                    }) {
-                        // Interrupt the holder: refund the unfinished part
-                        // of the iteration and the work that will replay,
-                        // then requeue the job per policy.
-                        let rj = running[job].take().expect("job running");
-                        let s = &mut st[job];
-                        let elapsed = now - rj.iter_start;
-                        let remaining = rj.iter_span.saturating_sub(elapsed);
-                        report.allocated_node_seconds -=
-                            rj.held.len() as f64 * remaining.as_secs_f64();
-                        let partial = if rj.iter_span.is_zero() {
-                            SimDuration::ZERO
-                        } else {
-                            rj.iter_work
-                                .mul_f64(elapsed.as_secs_f64() / rj.iter_span.as_secs_f64())
-                        };
-                        let replay = if elastic { s.since_ckpt } else { s.done_work };
-                        report.work_node_seconds -= (replay + rj.iter_work).as_secs_f64();
-                        s.lost_work += replay + partial;
-                        s.restarts += 1;
-                        s.done_work -= replay;
-                        s.since_ckpt = SimDuration::ZERO;
-                        s.resume_phase = if elastic {
-                            ckpt.resume_point(rj.phase)
-                        } else {
-                            0
-                        };
-                        s.pending_restart = elastic && s.resume_phase > 0;
-                        // Surviving nodes return to the pool; the struck
-                        // one does not.
-                        free.extend(rj.held.into_iter().filter(|&n| n != node));
-                        free.sort_unstable();
-                        match self.policy {
-                            SchedulePolicy::ElasticRecovery {
-                                base_backoff,
-                                max_backoff,
-                                ..
+                    match pool.strike(o.node, o.returns.is_none()) {
+                        Strike::Ignored => continue,
+                        Strike::Idle => {}
+                        Strike::Held(job) => {
+                            // Interrupt the holder: refund the unfinished part
+                            // of the iteration and the work that will replay,
+                            // then requeue the job per policy.
+                            let job = job as usize;
+                            let mut rj = running[job].take().expect("holder is running");
+                            let s = &mut st[job];
+                            let elapsed = now - rj.iter_start;
+                            let remaining = rj.iter_span.saturating_sub(elapsed);
+                            report.allocated_node_seconds -=
+                                rj.held.len() as f64 * remaining.as_secs_f64();
+                            let partial = if rj.iter_span.is_zero() {
+                                SimDuration::ZERO
+                            } else {
+                                rj.iter_work
+                                    .mul_f64(elapsed.as_secs_f64() / rj.iter_span.as_secs_f64())
+                            };
+                            let replay = if elastic { s.since_ckpt } else { s.done_work };
+                            report.work_node_seconds -= (replay + rj.iter_work).as_secs_f64();
+                            s.lost_work += replay + partial;
+                            s.restarts += 1;
+                            s.done_work -= replay;
+                            s.since_ckpt = SimDuration::ZERO;
+                            s.resume_phase = if elastic {
+                                ckpt.resume_point(rj.phase)
+                            } else {
+                                0
+                            };
+                            s.pending_restart = elastic && s.resume_phase > 0;
+                            // Surviving nodes return to the pool; the struck
+                            // one does not.
+                            pool.release_all(&mut rj.held);
+                            match backoff {
+                                Some((base, max)) => q.schedule(
+                                    now + capped_backoff(base, max, s.restarts - 1),
+                                    Ev::Enqueue(job),
+                                ),
+                                None => waiting.push_back(job),
                             }
-                            | SchedulePolicy::WhatIf {
-                                base_backoff,
-                                max_backoff,
-                                ..
-                            } => {
-                                let shift = (s.restarts - 1).min(20);
-                                let backoff = SimDuration(
-                                    base_backoff
-                                        .as_nanos()
-                                        .saturating_mul(1u64 << shift)
-                                        .min(max_backoff.as_nanos()),
-                                );
-                                q.schedule(now + backoff, Ev::Requeue(job));
-                            }
-                            _ => waiting.push_back(job),
                         }
                     }
-                    if crash {
-                        dead[node as usize] = true;
-                    } else {
-                        away[node as usize] = true;
-                        q.schedule(o.returns.expect("preemption returns"), Ev::Return(node));
+                    if let Some(at) = o.returns {
+                        q.schedule(at, Ev::Return(o.node));
                     }
                     start_waiting!();
                 }
                 Ev::Return(node) => {
-                    away[node as usize] = false;
-                    if !dead[node as usize] {
-                        free.push(node);
-                        free.sort_unstable();
+                    if pool.rejoin(node) {
                         start_waiting!();
                     }
-                }
-                Ev::Requeue(job) => {
-                    waiting.push_back(job);
-                    start_waiting!();
                 }
             }
         }
@@ -881,6 +765,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faults::CheckpointSpec;
 
     fn lu_job(name: &str, arrival_s: u64, nodes: u32) -> Job {
         Job::from_phases(

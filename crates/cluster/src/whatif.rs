@@ -33,7 +33,6 @@ use desim::fxhash::FxHasher;
 use dps_sim::SimResult;
 
 use crate::efficiency::EfficiencyProfile;
-use crate::workload::{ProfileCache, Workload};
 
 /// The kinds of candidate future a what-if decision considers. The `u32`
 /// value doubles as the journal tag and the fingerprint discriminant.
@@ -216,60 +215,10 @@ pub trait WhatIfSession {
     }
 }
 
-/// The batch server's what-if allocation choice: scores the candidate
-/// set `{cap, efficiency target, half of cap, 1}` as constant-allocation
-/// suffixes from iteration `iter` (memoized in `cache`) and returns the
-/// winner under [`CandidateScore::beats`].
-pub fn best_allocation(
-    cache: &mut ProfileCache,
-    w: &dyn Workload,
-    iter: usize,
-    cap: u32,
-    min_eff: f64,
-) -> SimResult<u32> {
-    let cap = cap.max(1);
-    let mut target = 1;
-    for n in 1..=cap {
-        if cache.efficiency(w, n, iter)? >= min_eff {
-            target = n;
-        }
-    }
-    let mut candidates = [cap, target, cap.div_ceil(2), 1];
-    candidates.sort_unstable_by(|a, b| b.cmp(a));
-    let key = w.key();
-    let mut best: Option<(u32, CandidateScore)> = None;
-    let mut last = 0;
-    for &m in &candidates {
-        if m == last {
-            continue; // deduped: sorted descending
-        }
-        last = m;
-        let fp = score_fingerprint(&key, m, &[], iter, m, CandidateKind::Keep as u32);
-        let score = match cache.score(fp) {
-            Some(s) => s,
-            None => {
-                let s = profile_suffix(cache.profile(w, m)?, iter, m);
-                cache.insert_score(fp, s);
-                s
-            }
-        };
-        let better = match &best {
-            None => true,
-            Some((_, b)) => score.beats(b, min_eff),
-        };
-        if better {
-            best = Some((m, score));
-        }
-    }
-    Ok(best.expect("at least one candidate").0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::efficiency::IterationPoint;
-    use crate::server::lu_like_job;
-    use crate::workload::PhaseWorkload;
     use desim::SimDuration;
 
     fn profile_of(spans: &[(u64, u64)]) -> EfficiencyProfile {
@@ -370,24 +319,5 @@ mod tests {
         assert_ne!(base, score_fingerprint("w", 8, &[(2, 4)], 2, 4, 0));
         assert_ne!(base, score_fingerprint("w", 8, &[(2, 4)], 3, 5, 0));
         assert_ne!(base, score_fingerprint("w", 8, &[(2, 4)], 3, 4, 2));
-    }
-
-    #[test]
-    fn best_allocation_prefers_the_efficiency_target() {
-        // The LU-like shape: late iterations parallelize worse, so the
-        // scored winner should sit at or below the pointwise target and
-        // never above the cap.
-        let w = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(100), 6));
-        let mut cache = ProfileCache::new();
-        for iter in 0..6 {
-            let n = best_allocation(&mut cache, &w, iter, 8, 0.5).unwrap();
-            assert!((1..=8).contains(&n));
-        }
-        // Memoized: a second pass over the same decisions is all hits.
-        let misses = cache.misses();
-        for iter in 0..6 {
-            best_allocation(&mut cache, &w, iter, 8, 0.5).unwrap();
-        }
-        assert_eq!(cache.misses(), misses);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time,
 //! * [`EventQueue`] — a deterministic pending-event set with stable
-//!   tie-breaking and lazy cancellation,
+//!   tie-breaking,
 //! * [`ProgressSet`] — a *progress-sharing resource*: a set of jobs that each
 //!   carry an amount of remaining work and drain at externally assigned
 //!   rates. Both the flow-level network model (bytes over shared links) and
@@ -25,6 +25,6 @@ pub mod time;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use journal::{crc32, Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent};
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use share::ProgressSet;
 pub use time::{SimDuration, SimTime};

@@ -5,96 +5,42 @@
 //! order pop them in the same order — a prerequisite for the reproducible
 //! traces the simulator and testbed compare against each other.
 //!
-//! Cancellation is lazy: cancelled entries stay in the heap and are skipped
-//! on pop. The engines cancel events frequently (every bandwidth or CPU-share
-//! change invalidates previously scheduled completions), so `cancel` must be
-//! O(1) — here it is a slot lookup and a generation bump, no hashing.
-//!
-//! Event payloads live in a slab of reusable slots; the heap holds only
-//! small `Copy` entries `(time, seq, slot, generation)`. An [`EventId`]
-//! packs the slot index with the slot's generation at scheduling time, so a
-//! stale handle (already popped or cancelled) can never alias a later event
-//! that reuses the slot. When more than half of the heap is dead weight the
-//! queue compacts it in place, so heap memory stays proportional to the
-//! number of *live* events no matter how churn-heavy the cancel pattern is.
+//! There is no cancellation: both schedulers that use the queue guard
+//! against stale events with their own per-job generation counters and
+//! drop them when popped.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Handle identifying a scheduled event, used for cancellation.
-///
-/// Packs a slab slot index (low 32 bits) and the slot's generation at
-/// scheduling time (high 32 bits).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventId((generation as u64) << 32 | slot as u64)
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Heap entry: everything needed for ordering plus the slot holding the
-/// payload. Kept `Copy` and payload-free so sift operations move 24 bytes
-/// regardless of the event type.
-#[derive(Clone, Copy)]
-struct Entry {
+/// Heap entry, ordered by `(time, seq)` alone.
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
-    generation: u32,
+    event: E,
 }
 
-impl PartialEq for Entry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
 }
 
-#[derive(Clone)]
-struct Slot<E> {
-    /// Bumped every time the slot's event is consumed (popped or cancelled),
-    /// invalidating outstanding `EventId`s and stale heap entries.
-    generation: u32,
-    /// `Some` while an event is scheduled in this slot.
-    event: Option<E>,
-}
-
-/// Minimum heap size before compaction is considered; tiny heaps are not
-/// worth rebuilding.
-const COMPACT_MIN: usize = 64;
-
 /// A time-ordered queue of future events.
-#[derive(Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry>>,
-    slots: Vec<Slot<E>>,
-    /// Indices of vacant slots, reused LIFO.
-    free: Vec<u32>,
-    /// Number of live (scheduled, not cancelled, not popped) events. The
-    /// difference `heap.len() - live` is the number of dead heap entries.
-    live: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
@@ -109,158 +55,35 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
             next_seq: 0,
         }
     }
 
-    /// Schedules `event` at `time`; returns a handle usable with [`cancel`].
-    ///
-    /// [`cancel`]: EventQueue::cancel
-    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
+    /// Schedules `event` at `time`.
+    pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].event = Some(event);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("event slot overflow");
-                self.slots.push(Slot {
-                    generation: 0,
-                    event: Some(event),
-                });
-                s
-            }
-        };
-        let generation = self.slots[slot as usize].generation;
-        self.heap.push(Reverse(Entry {
-            time,
-            seq,
-            slot,
-            generation,
-        }));
-        self.live += 1;
-        EventId::new(slot, generation)
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
-    /// Cancels a previously scheduled event. Returns whether the event was
-    /// still pending; cancelling an already-popped or already-cancelled event
-    /// is a no-op returning `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.slot() as usize) else {
-            return false;
-        };
-        if slot.generation != id.generation() || slot.event.is_none() {
-            return false;
-        }
-        // Drop the payload now and recycle the slot; the heap entry turns
-        // stale via the generation bump and is skipped (or compacted away).
-        slot.event = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(id.slot());
-        self.live -= 1;
-        self.maybe_compact();
-        true
-    }
-
-    fn entry_is_live(&self, e: &Entry) -> bool {
-        let slot = &self.slots[e.slot as usize];
-        slot.generation == e.generation && slot.event.is_some()
-    }
-
-    /// Rebuilds the heap without dead entries once they outnumber live ones;
-    /// amortized O(1) per cancellation, bounding heap memory by the live
-    /// event count.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() >= COMPACT_MIN && self.heap.len() - self.live > self.heap.len() / 2 {
-            let slots = &self.slots;
-            self.heap.retain(|Reverse(e)| {
-                let slot = &slots[e.slot as usize];
-                slot.generation == e.generation && slot.event.is_some()
-            });
-        }
-    }
-
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.entry_is_live(&entry) {
-                let slot = &mut self.slots[entry.slot as usize];
-                let event = slot.event.take().expect("live entry has payload");
-                slot.generation = slot.generation.wrapping_add(1);
-                self.free.push(entry.slot);
-                self.live -= 1;
-                return Some((entry.time, event));
-            }
-        }
-        None
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
-    /// Time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            match self.heap.peek() {
-                None => return None,
-                Some(Reverse(entry)) => {
-                    if self.entry_is_live(entry) {
-                        return Some(entry.time);
-                    }
-                    self.heap.pop();
-                }
-            }
-        }
+    /// Time of the earliest event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Heap entries currently held, live or dead — an implementation detail
-    /// exposed for memory-bound regression tests.
-    pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
-}
 
-impl<E: Clone> EventQueue<E> {
-    /// An O(live-state) copy for checkpoint/fork: dead heap entries and
-    /// vacant slab slots are dropped first, so the snapshot's memory is
-    /// proportional to the live event count, not the churn history. The
-    /// original queue keeps its behaviour (compaction here also benefits
-    /// it); the copy pops the same `(time, seq)` sequence as the original.
-    pub fn snapshot(&mut self) -> EventQueue<E> {
-        // Full compaction (not the amortized half-dead heuristic): retain
-        // only live heap entries, then drop slots above the highest one
-        // still referenced.
-        let slots = &self.slots;
-        self.heap.retain(|Reverse(e)| {
-            let slot = &slots[e.slot as usize];
-            slot.generation == e.generation && slot.event.is_some()
-        });
-        let high = self
-            .slots
-            .iter()
-            .rposition(|s| s.event.is_some())
-            .map_or(0, |i| i + 1);
-        self.slots.truncate(high);
-        self.free.retain(|&s| (s as usize) < high);
-        EventQueue {
-            heap: self.heap.clone(),
-            slots: self.slots.clone(),
-            free: self.free.clone(),
-            live: self.live,
-            next_seq: self.next_seq,
-        }
+    /// Whether no events remain.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -279,10 +102,14 @@ mod tests {
         q.schedule(at(30), "c");
         q.schedule(at(10), "a");
         q.schedule(at(20), "b");
+        assert_eq!(q.peek_time(), Some(at(10)));
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((at(10), "a")));
         assert_eq!(q.pop(), Some((at(20), "b")));
         assert_eq!(q.pop(), Some((at(30), "c")));
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -294,72 +121,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(at(1), "a");
-        q.schedule(at(2), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((at(2), "b")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_noop() {
-        let mut q: EventQueue<&str> = EventQueue::new();
-        assert!(!q.cancel(EventId::new(42, 0)));
-    }
-
-    #[test]
-    fn cancel_popped_id_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(at(1), "a");
-        q.schedule(at(2), "b");
-        assert_eq!(q.pop(), Some((at(1), "a")));
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn stale_id_does_not_cancel_slot_reuser() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(at(1), "a");
-        assert!(q.cancel(a));
-        // "b" reuses a's slot with a bumped generation.
-        let b = q.schedule(at(2), "b");
-        assert!(!q.cancel(a), "stale handle must not hit the reused slot");
-        assert_eq!(q.pop(), Some((at(2), "b")));
-        assert!(!q.cancel(b));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(at(1), "a");
-        q.schedule(at(7), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(at(7)));
-        assert_eq!(q.pop(), Some((at(7), "b")));
-    }
-
-    #[test]
-    fn len_tracks_live_entries() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10).map(|i| q.schedule(at(i), i)).collect();
-        assert_eq!(q.len(), 10);
-        for id in &ids[..5] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.len(), 5);
-        let mut popped = 0;
-        while q.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 5);
     }
 
     #[test]
@@ -392,134 +153,5 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
-    }
-
-    #[test]
-    fn compaction_bounds_heap_under_churn() {
-        let mut q = EventQueue::new();
-        for round in 0..1_000u64 {
-            let ids: Vec<_> = (0..100)
-                .map(|i| q.schedule(at(round * 100 + i), i))
-                .collect();
-            for id in ids {
-                q.cancel(id);
-            }
-            // Dead entries may linger, but never more than ~half the heap
-            // (plus the compaction floor).
-            assert!(
-                q.heap_len() <= 2 * q.len() + COMPACT_MIN,
-                "heap grew unbounded: {} entries for {} live",
-                q.heap_len(),
-                q.len()
-            );
-        }
-        assert!(q.is_empty());
-        assert!(q.heap_len() <= COMPACT_MIN);
-    }
-
-    #[test]
-    fn million_event_churn_keeps_heap_and_slab_bounded() {
-        // Regression guard for the compaction logic at realistic scale: one
-        // million schedule/cancel (and some pop) operations with a bounded
-        // live set must never let dead heap entries or slab slots pile up.
-        let mut q = EventQueue::new();
-        let mut live = Vec::new();
-        let mut x: u64 = 0x9E3779B97F4A7C15;
-        for round in 0..10_000u64 {
-            for i in 0..100u64 {
-                live.push(q.schedule(at(round * 100 + i), i));
-            }
-            // Cancel most of the batch in pseudo-random order, pop a few.
-            while live.len() > 20 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let idx = (x as usize) % live.len();
-                q.cancel(live.swap_remove(idx));
-            }
-            if round % 10 == 0 {
-                while q.pop().is_some() {}
-                live.clear();
-            }
-            assert!(
-                q.heap_len() <= 2 * q.len() + COMPACT_MIN,
-                "heap grew unbounded at round {round}: {} entries for {} live",
-                q.heap_len(),
-                q.len()
-            );
-        }
-        // 1M events passed through; storage stays proportional to the live
-        // window (~120 events), not the total volume.
-        assert!(
-            q.slots.len() <= 1024,
-            "slab kept growing: {}",
-            q.slots.len()
-        );
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert!(q.heap_len() <= COMPACT_MIN);
-    }
-
-    #[test]
-    fn snapshot_is_compact_and_equivalent() {
-        let mut q = EventQueue::new();
-        let mut keep = Vec::new();
-        for i in 0..1_000u64 {
-            let id = q.schedule(at(i), i);
-            if i % 10 == 0 {
-                keep.push((i, id));
-            } else {
-                q.cancel(id);
-            }
-        }
-        let mut snap = q.snapshot();
-        // O(live-state): no dead heap entries or trailing vacant slots.
-        assert_eq!(snap.heap_len(), snap.len());
-        assert_eq!(q.heap_len(), q.len());
-        assert!(snap.slots.len() <= 1_000 / 10 * 2 + 1);
-        // Cancellation handles taken before the snapshot still work on both.
-        let (_, cancel_id) = keep[3];
-        assert!(q.cancel(cancel_id));
-        assert!(snap.cancel(cancel_id));
-        // Both queues pop the same remaining sequence.
-        let mut a = Vec::new();
-        while let Some(e) = q.pop() {
-            a.push(e);
-        }
-        let mut b = Vec::new();
-        while let Some(e) = snap.pop() {
-            b.push(e);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.len(), keep.len() - 1);
-    }
-
-    #[test]
-    fn snapshot_diverges_independently() {
-        let mut q = EventQueue::new();
-        q.schedule(at(1), "a");
-        q.schedule(at(2), "b");
-        let mut snap = q.snapshot();
-        q.schedule(at(0), "q-only");
-        snap.schedule(at(3), "s-only");
-        assert_eq!(q.pop(), Some((at(0), "q-only")));
-        assert_eq!(snap.pop(), Some((at(1), "a")));
-        assert_eq!(q.len(), 2);
-        assert_eq!(snap.len(), 2);
-    }
-
-    #[test]
-    fn slots_are_reused() {
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            let id = q.schedule(at(i), i);
-            if i % 2 == 0 {
-                q.cancel(id);
-            } else {
-                q.pop();
-            }
-        }
-        // One event in flight at a time -> a handful of slots, not 10k.
-        assert!(q.slots.len() <= 4, "slab kept growing: {}", q.slots.len());
     }
 }

@@ -116,7 +116,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates an empty instance.
+    /// A network with no flows in it, sharing link capacity per `sharing`.
+    /// Panics if `params` do not validate.
     pub fn new(params: NetParams, sharing: Sharing) -> Network {
         params.validate().expect("invalid network parameters");
         Network {

@@ -321,3 +321,74 @@ fn service_output_is_pinned() {
     ];
     assert_eq!(got, pinned);
 }
+
+#[test]
+fn batch_server_and_service_agree_on_quiet_runs() {
+    // `ClusterSim` and the `cluster-svc` engine are two implementations of
+    // one scheduler. On what both can express — one tenant, one cell, no
+    // faults — they must produce the same schedule: every job completes at
+    // the same instant. (Under faults they differ by one documented rule,
+    // DESIGN §10: the batch server requeues an interrupted job at the
+    // tail of its queue, the service at the head.)
+    use dvns::cluster::{random_jobs, ClusterSim, SchedulePolicy};
+    use dvns::cluster_svc::{
+        decision, ClusterService, JobSpec, ServeOptions, ServiceConfig, TenantSpec,
+    };
+    use dvns::desim::JournalEvent;
+    use dvns::faults::FaultPlan;
+    use std::sync::Arc;
+
+    const NODES: u32 = 8;
+    let policies = [
+        SchedulePolicy::Rigid,
+        SchedulePolicy::Malleable {
+            min_efficiency: 0.5,
+        },
+        SchedulePolicy::ElasticRecovery {
+            min_efficiency: 0.5,
+            base_backoff: SimDuration::from_secs(2),
+            max_backoff: SimDuration::from_secs(60),
+        },
+    ];
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    for seed in 1000..1008 {
+        for policy in policies {
+            let jobs = random_jobs(16, NODES, seed);
+            let batch = ClusterSim::new(NODES, policy).run(&jobs);
+            let names: Vec<String> = jobs.iter().map(|j| j.name.clone()).collect();
+            let stream: Vec<JobSpec> = jobs
+                .into_iter()
+                .map(|j| JobSpec::boxed(0, j.arrival, j.requested_nodes, Arc::from(j.workload)))
+                .collect();
+            let cfg = ServiceConfig::new(NODES, 1, 1, policy).with_tenant(TenantSpec::new("t", 1));
+            let out = ClusterService::new(cfg)
+                .unwrap()
+                .serve(stream, &FaultPlan::none(), &opts)
+                .unwrap();
+            let mut completions = vec![None; names.len()];
+            for e in &out.journal.as_ref().expect("journal requested").entries {
+                if let JournalEvent::Step { job, op, .. } = e.event {
+                    if op == decision::COMPLETE {
+                        completions[job as usize] = Some(e.vtime);
+                    }
+                }
+            }
+            for (name, served) in names.iter().zip(completions) {
+                assert_eq!(
+                    batch.completion_of(name),
+                    served,
+                    "{name}, seed {seed}, {policy:?}"
+                );
+            }
+            assert_eq!(batch.makespan, out.report.makespan, "seed {seed}");
+            let (a, b) = (
+                batch.allocation_efficiency(),
+                out.report.allocation_efficiency(),
+            );
+            assert!((a - b).abs() < 1e-12, "seed {seed}, {policy:?}: {a} vs {b}");
+        }
+    }
+}
