@@ -260,6 +260,89 @@ fn engine_output_is_pinned() {
 }
 
 #[test]
+fn faulted_engine_output_is_pinned() {
+    // The quiet pins above never cross a capacity or slowdown window. These
+    // do: LU under `FaultFabric`, with link windows that start at t = 0,
+    // overlap on one node and run alongside one on another node, two
+    // slowdowns that overlap in time, and a 100-ms window; then six
+    // generated plans on the paper-sized run.
+    use dvns::desim::SimTime;
+    use dvns::faults::{CheckpointSpec, FaultEvent, FaultGenConfig, FaultKind, FaultPlan};
+    use dvns::sim::{simulate_with_fabric, FaultFabric};
+    let sc = SimConfig {
+        record_journal: true,
+        ..simcfg()
+    };
+    let run = |mut cfg: LuConfig, plan: &FaultPlan| {
+        cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
+        cfg.validate().unwrap();
+        let (app, _sh) = build_lu_app(cfg);
+        let mut fabric = FaultFabric::new(NetParams::fast_ethernet(), plan);
+        output_digest(simulate_with_fabric(&app, &mut fabric, &sc).unwrap())
+    };
+    let ms = SimDuration::from_millis;
+    let event = |at_ms: u64, node, kind| FaultEvent {
+        at: SimTime::ZERO + ms(at_ms),
+        node,
+        kind,
+    };
+    let degrade = |factor, len_ms| FaultKind::LinkDegrade {
+        factor,
+        window: ms(len_ms),
+    };
+    let slowdown = |factor, len_ms| FaultKind::NodeSlowdown {
+        factor,
+        window: ms(len_ms),
+    };
+    let by_hand = FaultPlan::new(
+        vec![
+            event(0, 1, degrade(0.5, 4_500)),
+            event(1_800, 1, degrade(0.25, 3_600)),
+            event(2_700, 2, degrade(0.6, 6_000)),
+            event(1_200, 0, slowdown(0.5, 4_800)),
+            event(3_000, 3, slowdown(0.7, 7_500)),
+            event(6_600, 0, degrade(0.3, 100)),
+        ],
+        CheckpointSpec::none(),
+    );
+    let small = |edit: &dyn Fn(&mut LuConfig)| {
+        let mut cfg = LuConfig::new(1296, 108, 4);
+        edit(&mut cfg);
+        run(cfg, &by_hand)
+    };
+    let gen = FaultGenConfig {
+        slowdowns: 3,
+        degrades: 4,
+        ..FaultGenConfig::quiet(8, SimDuration::from_secs(20))
+    };
+    let mut got = vec![
+        format!("by hand, basic: {:016x}", small(&|_| {})),
+        format!(
+            "by hand, pipelined fc=6: {:016x}",
+            small(&|c| {
+                c.pipelined = true;
+                c.flow_control = Some(6);
+            })
+        ),
+    ];
+    for seed in 0..6 {
+        let digest = run(LuConfig::new(2592, 216, 8), &gen.generate(seed));
+        got.push(format!("generated, seed {seed}: {digest:016x}"));
+    }
+    let pinned = [
+        "by hand, basic: efd823d41e75a30a",
+        "by hand, pipelined fc=6: 14cbbda794783647",
+        "generated, seed 0: 0264e1bc9f408348",
+        "generated, seed 1: cf65b6b90782544c",
+        "generated, seed 2: 34c25b859b2e16d1",
+        "generated, seed 3: 9c7f592c296f6a9c",
+        "generated, seed 4: 2e85f09f70ffbc7f",
+        "generated, seed 5: 8eac1155fe5382b3",
+    ];
+    assert_eq!(got, pinned);
+}
+
+#[test]
 fn service_output_is_pinned() {
     // The same contract for the cluster service: the `server-scale` and
     // `server-whatif` smoke configurations at two shards, quiet and under
