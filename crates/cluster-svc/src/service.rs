@@ -119,13 +119,16 @@ impl ClusterService {
     /// boundaries per the policy, interrupted and re-queued (cross-shard)
     /// by outages, and accounted into the aggregate report. Budgets and
     /// the cancel token abort with typed errors; a workload that errors or
-    /// panics fails only its own job.
+    /// panics fails only its own job. A `plan` that does not
+    /// [`validate`](FaultPlan::validate) is a protocol error.
     pub fn serve(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
         plan: &FaultPlan,
         opts: &ServeOptions,
     ) -> SimResult<ServiceOutcome> {
+        plan.validate()
+            .map_err(|why| SimError::protocol(why).context("validating the fault plan"))?;
         let mut engine = Engine::new(&self.cfg, plan, opts);
         engine.run(stream.into_iter(), plan)?;
         Ok(engine.finish())

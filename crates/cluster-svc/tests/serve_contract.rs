@@ -165,3 +165,30 @@ fn stream_with_decreasing_arrivals_is_a_protocol_error() {
         .unwrap_err();
     assert!(matches!(err.kind, SimErrorKind::Protocol { .. }));
 }
+
+#[test]
+fn hostile_fault_windows_are_protocol_errors() {
+    // `FaultPlan::events` is a public field, so a literal plan skips the
+    // checks of `FaultPlan::new`; and a window that starts within its own
+    // length of the end of virtual time passes them, then saturates to the
+    // empty interval. Neither may reach the pricing timelines' asserts.
+    use faults::{CheckpointSpec, FaultEvent, FaultKind};
+    let svc = ClusterService::new(small_cfg(1)).unwrap();
+    for (at, window) in [
+        (SimTime(1_000), SimDuration::ZERO),
+        (SimTime(u64::MAX), SimDuration::from_secs(1)),
+    ] {
+        let kind = FaultKind::LinkDegrade {
+            factor: 0.5,
+            window,
+        };
+        let plan = FaultPlan {
+            events: vec![FaultEvent { at, node: 0, kind }],
+            checkpoint: CheckpointSpec::none(),
+        };
+        let err = svc
+            .serve(small_load(10), &plan, &ServeOptions::default())
+            .unwrap_err();
+        assert!(matches!(err.kind, SimErrorKind::Protocol { .. }), "{err}");
+    }
+}

@@ -1,6 +1,6 @@
 //! Discrete-event simulation core.
 //!
-//! This crate provides the three primitives every virtual-time engine in this
+//! This crate provides the four primitives every virtual-time engine in this
 //! workspace is built from:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time,
@@ -10,7 +10,9 @@
 //!   carry an amount of remaining work and drain at externally assigned
 //!   rates. Both the flow-level network model (bytes over shared links) and
 //!   the CPU model (cpu-seconds under processor sharing) of the simulator are
-//!   instances of this abstraction.
+//!   instances of this abstraction,
+//! * [`RateTimeline`] — time-windowed per-node rate multipliers
+//!   ([`RateWindow`]s): degraded links, slowed-down processors.
 //!
 //! The crate is deliberately free of any application or platform knowledge;
 //! it is reused by `netmodel`, `dps-sim` and `testbed`.
@@ -22,9 +24,11 @@ pub mod journal;
 pub mod queue;
 pub mod share;
 pub mod time;
+pub mod timeline;
 
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use journal::{crc32, Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent};
 pub use queue::EventQueue;
 pub use share::ProgressSet;
 pub use time::{SimDuration, SimTime};
+pub use timeline::{RateTimeline, RateWindow};

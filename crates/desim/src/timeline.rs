@@ -1,13 +1,39 @@
-//! Querying rate windows over time.
+//! Time-windowed rate multipliers.
 //!
-//! [`RateTimeline`] answers the questions injection layers ask about a set
-//! of [`RateWindow`]s: what is the effective rate multiplier of a node at
-//! an instant, when does the next window boundary fall, and which nodes'
-//! multipliers changed across a time interval.
+//! A [`RateWindow`] scales one node's rate (CPU speed, link bandwidth) by a
+//! factor on `[from, to)`. [`RateTimeline`] answers the questions injection
+//! layers ask about a set of them: what is the effective multiplier of a
+//! node at an instant, when does the next window boundary fall, and which
+//! nodes' multipliers changed across a time interval. It is the workspace's
+//! only window mechanism: `netmodel`'s link capacity windows, `dps-sim`'s
+//! fault fabric and `cluster`'s fault pricing all query one.
 
-use desim::SimTime;
+use crate::time::SimTime;
 
-use crate::plan::RateWindow;
+/// A time-windowed per-node rate multiplier (CPU speed or link bandwidth),
+/// active on `[from, to)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RateWindow {
+    /// Affected node.
+    pub node: u32,
+    /// Remaining fraction of the nominal rate, in `(0, 1]`.
+    pub factor: f64,
+    /// Window start (inclusive).
+    pub from: SimTime,
+    /// Window end (exclusive).
+    pub to: SimTime,
+}
+
+impl RateWindow {
+    fn check(&self) {
+        assert!(self.to > self.from, "empty rate window");
+        assert!(
+            self.factor > 0.0 && self.factor <= 1.0,
+            "rate window factor {} outside (0, 1]",
+            self.factor
+        );
+    }
+}
 
 /// A queryable set of per-node rate windows.
 #[derive(Clone, Debug, Default)]
@@ -16,13 +42,17 @@ pub struct RateTimeline {
 }
 
 impl RateTimeline {
-    /// A timeline over the given windows.
+    /// A timeline over the given windows. Panics on an empty window or a
+    /// factor outside `(0, 1]`.
     pub fn new(windows: Vec<RateWindow>) -> RateTimeline {
-        for w in &windows {
-            assert!(w.to > w.from, "empty rate window");
-            assert!(w.factor > 0.0 && w.factor <= 1.0);
-        }
+        windows.iter().for_each(RateWindow::check);
         RateTimeline { windows }
+    }
+
+    /// Schedules one more window, under the same checks.
+    pub fn push(&mut self, w: RateWindow) {
+        w.check();
+        self.windows.push(w);
     }
 
     /// Whether the timeline has no windows (every factor is exactly 1).
@@ -30,15 +60,15 @@ impl RateTimeline {
         self.windows.is_empty()
     }
 
-    /// The windows.
+    /// The windows, in scheduling order.
     pub fn windows(&self) -> &[RateWindow] {
         &self.windows
     }
 
-    /// Effective multiplier of `node` at time `t`: the product of every
-    /// window active at `t` (windows are active on `[from, to)`). Exactly
-    /// `1.0` when no window applies, so fault-free nodes keep bit-identical
-    /// rates.
+    /// Effective multiplier of `node` at time `t`: the product, in
+    /// scheduling order, of every window active at `t` (windows are active
+    /// on `[from, to)`). Exactly `1.0` when no window applies, so
+    /// fault-free nodes keep bit-identical rates.
     pub fn factor_at(&self, node: u32, t: SimTime) -> f64 {
         let mut f = 1.0;
         for w in &self.windows {

@@ -45,7 +45,7 @@ pub use crate::engine::PausePoint;
 
 /// A paused, forkable simulation (see module docs).
 pub struct SimCheckpoint {
-    eng: Engine<'static>,
+    eng: Engine<Arc<Application>, Box<dyn Fabric + Send>>,
     /// Host wall time spent driving this branch so far (inherited by
     /// forks); folded into the final report's `host_wall`.
     host: std::time::Duration,
@@ -72,7 +72,7 @@ impl SimCheckpoint {
     /// arbitrary (owned) fabric.
     pub fn new(app: Arc<Application>, fabric: Box<dyn Fabric + Send>, cfg: &SimConfig) -> Self {
         SimCheckpoint {
-            eng: Engine::new_owned(app, fabric, cfg),
+            eng: Engine::start(app, fabric, cfg),
             host: std::time::Duration::ZERO,
         }
     }
@@ -83,7 +83,10 @@ impl SimCheckpoint {
     /// budget, or was cancelled while advancing.
     pub fn advance_until(&mut self, t: SimTime) -> SimResult<bool> {
         let wall = Instant::now();
-        let live = self.eng.drive_until(t);
+        self.eng.control.time_limit = Some(t);
+        self.eng.resume();
+        self.eng.control.time_limit = None;
+        let live = self.eng.has_work();
         self.host += wall.elapsed();
         if let Some(err) = self.eng.error() {
             return Err(err.clone().context("advancing a checkpoint"));
@@ -97,7 +100,10 @@ impl SimCheckpoint {
     /// run failed before either.
     pub fn run_until(&mut self, pred: PausePred) -> SimResult<bool> {
         let wall = Instant::now();
-        let paused = self.eng.drive_with_pause(pred);
+        self.eng.control.pause = Some(pred);
+        self.eng.resume();
+        self.eng.control.pause = None;
+        let paused = !self.eng.control.parked.is_empty();
         self.host += wall.elapsed();
         if let Some(err) = self.eng.error() {
             return Err(err.clone().context("running a checkpoint to a pause point"));
@@ -154,7 +160,9 @@ impl SimCheckpoint {
     /// typed failure that stopped it). The report's `host_wall` covers all
     /// drive phases of this branch, including time inherited from the
     /// checkpoint it was forked from.
-    pub fn finish(self) -> SimResult<RunReport> {
-        self.eng.finish_run(self.host)
+    pub fn finish(mut self) -> SimResult<RunReport> {
+        let wall = Instant::now();
+        self.eng.resume();
+        self.eng.into_result(self.host + wall.elapsed())
     }
 }

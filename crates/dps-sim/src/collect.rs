@@ -1,0 +1,232 @@
+//! Step collection: an operation's Rust code runs once, when its server
+//! starts consuming an object, and is cut into **atomic steps** at every
+//! post. What it asked for between two cuts — posts, marks, credit
+//! releases — is recorded as the [`Action`]s of the step that ends there,
+//! to be carried out when that step's computation has drained in virtual
+//! time. A step's actions stay in its [`Segment`] from recording to
+//! execution; nothing else ever holds them.
+
+use std::collections::VecDeque;
+
+use desim::{SimDuration, SimTime};
+use dps::{ActiveSet, DataObj, Deployment, OpCtx, OpId, ThreadId};
+use netmodel::NodeId;
+
+use crate::engine::{ServerKey, SimConfig};
+use crate::timing::{Stopwatch, TimingState};
+
+/// Something an operation asked the runtime to do at the end of a step.
+pub(crate) enum Action {
+    Post { to: OpId, obj: DataObj },
+    Mark(String),
+    Deactivate(ThreadId),
+    Release(OpId),
+    Account(i64),
+    Terminate,
+}
+
+impl Action {
+    /// Deep copy for checkpoint/fork; fails when a posted payload opted out
+    /// of cloning (see [`dps::DataObject::try_clone_obj`]).
+    fn try_clone(&self) -> Option<Action> {
+        Some(match self {
+            Action::Post { to, obj } => Action::Post {
+                to: *to,
+                obj: obj.clone_obj()?,
+            },
+            Action::Mark(l) => Action::Mark(l.clone()),
+            Action::Deactivate(t) => Action::Deactivate(*t),
+            Action::Release(op) => Action::Release(*op),
+            Action::Account(d) => Action::Account(*d),
+            Action::Terminate => Action::Terminate,
+        })
+    }
+}
+
+/// One atomic step: `work` of computation, then `actions`.
+struct Segment {
+    work: SimDuration,
+    actions: VecDeque<Action>,
+}
+
+/// The recorded steps of one object consumption that have not played out
+/// yet; the front one is running, or having its actions carried out.
+pub(crate) struct Invocation {
+    /// Heap bytes of the consumed object, freed when the invocation ends.
+    pub(crate) consumed_heap: u64,
+    steps: VecDeque<Segment>,
+}
+
+impl Invocation {
+    /// Nominal work of the current step, or `None` when the invocation has
+    /// played out.
+    pub(crate) fn current_work(&self) -> Option<SimDuration> {
+        self.steps.front().map(|s| s.work)
+    }
+
+    /// Actions of the current step not yet carried out. The front one is a
+    /// post while the server is parked on a flow-control credit.
+    pub(crate) fn pending(&mut self) -> &mut VecDeque<Action> {
+        &mut self.steps.front_mut().expect("a current step").actions
+    }
+
+    /// Drops the current step, its actions carried out.
+    pub(crate) fn finish_step(&mut self) {
+        self.steps.pop_front();
+    }
+
+    /// Target of the post the server is parked on, if it is parked.
+    pub(crate) fn parked_post(&self) -> Option<OpId> {
+        match self.steps.front()?.actions.front()? {
+            Action::Post { to, .. } => Some(*to),
+            _ => None,
+        }
+    }
+
+    /// Deep copy for checkpoint/fork (see [`Action::try_clone`]).
+    pub(crate) fn try_clone(&self) -> Option<Invocation> {
+        let clone = |s: &Segment| {
+            Some(Segment {
+                work: s.work,
+                actions: s
+                    .actions
+                    .iter()
+                    .map(Action::try_clone)
+                    .collect::<Option<_>>()?,
+            })
+        };
+        Some(Invocation {
+            consumed_heap: self.consumed_heap,
+            steps: self.steps.iter().map(clone).collect::<Option<_>>()?,
+        })
+    }
+}
+
+/// The [`OpCtx`] handed to an operation while its code runs: answers its
+/// questions about the deployment and records everything else.
+pub(crate) struct CollectCtx<'a> {
+    now: SimTime,
+    op_id: OpId,
+    thread: ThreadId,
+    deployment: &'a Deployment,
+    active: &'a ActiveSet,
+    cfg: &'a SimConfig,
+    timing: &'a mut TimingState,
+    segments: VecDeque<Segment>,
+    cur_actions: VecDeque<Action>,
+    cur_charge: Option<SimDuration>,
+    sw: Stopwatch,
+}
+
+impl<'a> CollectCtx<'a> {
+    pub(crate) fn new(
+        now: SimTime,
+        (op_id, thread): ServerKey,
+        deployment: &'a Deployment,
+        active: &'a ActiveSet,
+        cfg: &'a SimConfig,
+        timing: &'a mut TimingState,
+    ) -> CollectCtx<'a> {
+        CollectCtx {
+            now,
+            op_id,
+            thread,
+            deployment,
+            active,
+            cfg,
+            timing,
+            segments: VecDeque::new(),
+            cur_actions: VecDeque::new(),
+            cur_charge: None,
+            sw: Stopwatch::for_mode(cfg.timing),
+        }
+    }
+
+    /// Prices the code that ran since the last cut.
+    fn lap(&mut self) -> SimDuration {
+        let measured = self.sw.lap();
+        self.timing.step_duration(
+            self.cfg.timing,
+            self.op_id,
+            self.segments.len() as u32,
+            self.cur_charge.take(),
+            measured,
+        )
+    }
+
+    fn close_segment(&mut self, closing: Action) {
+        let work = self.lap() + self.cfg.step_overhead;
+        let mut actions = std::mem::take(&mut self.cur_actions);
+        actions.push_back(closing);
+        self.segments.push_back(Segment { work, actions });
+    }
+
+    /// Ends the recording. The result always holds at least one step: every
+    /// object consumption costs the dispatch overhead, even if the
+    /// operation body did nothing observable (e.g. a merge that only
+    /// counted an arrival).
+    pub(crate) fn finish(mut self, consumed_heap: u64) -> Invocation {
+        // Trailing segment: only if it does something or costs something.
+        let work = self.lap();
+        if !self.cur_actions.is_empty() || !work.is_zero() || self.segments.is_empty() {
+            self.segments.push_back(Segment {
+                work: work + self.cfg.step_overhead,
+                actions: self.cur_actions,
+            });
+        }
+        Invocation {
+            consumed_heap,
+            steps: self.segments,
+        }
+    }
+}
+
+impl OpCtx for CollectCtx<'_> {
+    fn post(&mut self, to: OpId, obj: DataObj) {
+        self.close_segment(Action::Post { to, obj });
+    }
+
+    fn charge(&mut self, d: SimDuration) {
+        self.cur_charge = Some(self.cur_charge.unwrap_or(SimDuration::ZERO) + d);
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn self_thread(&self) -> ThreadId {
+        self.thread
+    }
+
+    fn node_of(&self, t: ThreadId) -> NodeId {
+        self.deployment.node_of(t)
+    }
+
+    fn active_threads(&self, group: &str) -> Vec<ThreadId> {
+        self.active.active_in(self.deployment, group)
+    }
+
+    fn all_threads(&self, group: &str) -> Vec<ThreadId> {
+        self.deployment.group(group).to_vec()
+    }
+
+    fn mark(&mut self, label: &str) {
+        self.cur_actions.push_back(Action::Mark(label.to_string()));
+    }
+
+    fn deactivate_thread(&mut self, t: ThreadId) {
+        self.cur_actions.push_back(Action::Deactivate(t));
+    }
+
+    fn fc_release(&mut self, source: OpId) {
+        self.cur_actions.push_back(Action::Release(source));
+    }
+
+    fn account_state(&mut self, delta_bytes: i64) {
+        self.cur_actions.push_back(Action::Account(delta_bytes));
+    }
+
+    fn terminate(&mut self) {
+        self.cur_actions.push_back(Action::Terminate);
+    }
+}

@@ -7,11 +7,13 @@
 //! with [`SimError::context`], so an error surfacing from a cluster run
 //! still names the simulation-level cause.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use desim::SimTime;
+use dps::OpId;
 
 /// Result alias used throughout the simulation stack.
 pub type SimResult<T> = Result<T, SimError>;
@@ -70,6 +72,53 @@ pub struct DeadlockDiag {
     pub busy_servers: usize,
     /// Network transfers still in flight.
     pub inflight_transfers: usize,
+}
+
+/// Finds a directed cycle in the wait-for graph over flow-control windows
+/// (edge `blocked op -> target of its parked post`) by DFS three-colouring;
+/// only ops that are themselves blocked can extend a cycle.
+pub(crate) fn find_wait_cycle(edges: &BTreeMap<OpId, Vec<OpId>>) -> Option<Vec<OpId>> {
+    fn dfs(
+        op: OpId,
+        edges: &BTreeMap<OpId, Vec<OpId>>,
+        state: &mut BTreeMap<OpId, u8>, // 1 = on stack, 2 = done
+        stack: &mut Vec<OpId>,
+    ) -> Option<Vec<OpId>> {
+        state.insert(op, 1);
+        stack.push(op);
+        if let Some(nexts) = edges.get(&op) {
+            for &next in nexts {
+                match state.get(&next) {
+                    Some(1) => {
+                        let start = stack.iter().position(|&o| o == next).unwrap_or(0);
+                        return Some(stack[start..].to_vec());
+                    }
+                    Some(_) => {}
+                    None => {
+                        if edges.contains_key(&next) {
+                            if let Some(c) = dfs(next, edges, state, stack) {
+                                return Some(c);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        stack.pop();
+        state.insert(op, 2);
+        None
+    }
+    let mut state = BTreeMap::new();
+    let mut stack = Vec::new();
+    for &op in edges.keys() {
+        if !state.contains_key(&op) {
+            if let Some(c) = dfs(op, edges, &mut state, &mut stack) {
+                return Some(c);
+            }
+            stack.clear();
+        }
+    }
+    None
 }
 
 impl fmt::Display for DeadlockDiag {

@@ -84,29 +84,19 @@ pub trait Fabric {
 /// communications.
 pub struct SimFabric {
     net: Network,
-    params: NetParams,
 }
 
 impl SimFabric {
     /// Creates an empty instance.
     pub fn new(params: NetParams) -> SimFabric {
-        SimFabric {
-            net: Network::new(params, Sharing::EqualSplit),
-            params,
-        }
+        SimFabric::with_sharing(params, Sharing::EqualSplit)
     }
 
     /// Variant with max-min fair bandwidth sharing (model ablation).
     pub fn with_sharing(params: NetParams, sharing: Sharing) -> SimFabric {
         SimFabric {
             net: Network::new(params, sharing),
-            params,
         }
-    }
-
-    /// The underlying network model.
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     /// Concrete-typed fork (see [`Fabric::fork_fabric`]); used by wrapper
@@ -114,7 +104,6 @@ impl SimFabric {
     pub(crate) fn fork_sim(&mut self) -> SimFabric {
         SimFabric {
             net: self.net.snapshot(),
-            params: self.params,
         }
     }
 
@@ -157,12 +146,7 @@ impl Fabric for SimFabric {
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {
-        let (n_in, n_out) = self.net.comm_counts(node);
-        let used = n_in as f64 * self.params.cpu_in_cost + n_out as f64 * self.params.cpu_out_cost;
-        // Communications are kernel work; they can consume most but never
-        // quite all of the processor — running operations always make some
-        // progress.
-        (1.0 - used).max(0.05)
+        self.net.cpu_available(node)
     }
 
     fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) -> bool {

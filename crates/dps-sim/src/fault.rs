@@ -27,7 +27,7 @@
 use desim::{SimDuration, SimTime};
 use faults::{FaultPlan, RateTimeline};
 use netmodel::network::NetStats;
-use netmodel::{NetParams, NodeId, Sharing};
+use netmodel::{NetParams, NodeId};
 
 use crate::fabric::{Fabric, SimFabric};
 
@@ -39,19 +39,12 @@ pub struct FaultFabric {
     /// Nodes whose CPU multiplier changed since the last
     /// [`Fabric::comm_dirty_nodes`] drain.
     changed: Vec<NodeId>,
-    /// Scratch buffer for draining the timeline's raw node indices.
-    scratch: Vec<u32>,
 }
 
 impl FaultFabric {
     /// A fabric over the paper's machine model with `plan` injected.
     pub fn new(params: NetParams, plan: &FaultPlan) -> FaultFabric {
-        FaultFabric::with_sharing(params, Sharing::EqualSplit, plan)
-    }
-
-    /// Variant selecting the bandwidth-sharing discipline.
-    pub fn with_sharing(params: NetParams, sharing: Sharing, plan: &FaultPlan) -> FaultFabric {
-        let mut inner = SimFabric::with_sharing(params, sharing);
+        let mut inner = SimFabric::new(params);
         for w in plan.link_windows() {
             inner.schedule_capacity_window(NodeId(w.node), w.factor, w.factor, w.from, w.to);
         }
@@ -60,19 +53,7 @@ impl FaultFabric {
             cpu: RateTimeline::new(plan.cpu_windows()),
             now: SimTime::ZERO,
             changed: Vec::new(),
-            scratch: Vec::new(),
         }
-    }
-
-    /// The wrapped fabric.
-    pub fn inner(&self) -> &SimFabric {
-        &self.inner
-    }
-
-    /// Effective CPU-speed multiplier of `node` at the fabric's current
-    /// time.
-    pub fn cpu_factor(&self, node: NodeId) -> f64 {
-        self.cpu.factor_at(node.0, self.now)
     }
 }
 
@@ -83,20 +64,18 @@ impl Fabric for FaultFabric {
 
     fn next_event_time(&mut self) -> Option<SimTime> {
         let boundary = self.cpu.next_boundary_after(self.now);
-        match (self.inner.next_event_time(), boundary) {
-            (None, x) | (x, None) => x,
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
+        [self.inner.next_event_time(), boundary]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     fn advance(&mut self, now: SimTime) -> Vec<u64> {
         // CPU windows crossed by this advance change those nodes' rates;
         // report them as dirty so the engine re-prices their steps.
-        if !self.cpu.is_empty() {
-            self.scratch.clear();
-            self.cpu.changed_nodes(self.now, now, &mut self.scratch);
-            self.changed.extend(self.scratch.drain(..).map(NodeId));
-        }
+        let mut crossed = Vec::new();
+        self.cpu.changed_nodes(self.now, now, &mut crossed);
+        self.changed.extend(crossed.into_iter().map(NodeId));
         self.now = now;
         self.inner.advance(now)
     }
@@ -149,7 +128,6 @@ impl Fabric for FaultFabric {
             cpu: self.cpu.clone(),
             now: self.now,
             changed: self.changed.clone(),
-            scratch: Vec::new(),
         }))
     }
 }
@@ -203,7 +181,6 @@ mod tests {
         f.advance(SimTime(1_000));
         assert_eq!(f.cpu_available(NodeId(2)), 0.5);
         assert_eq!(f.cpu_available(NodeId(1)), 1.0);
-        assert_eq!(f.cpu_factor(NodeId(2)), 0.5);
         // The node is reported dirty so the engine re-prices its steps.
         let mut dirty = Vec::new();
         assert!(f.comm_dirty_nodes(&mut dirty));

@@ -30,6 +30,8 @@
 //! resumes. Replay therefore doubles as verification — every event after
 //! the pause is checked against the recorded stream too.
 
+use std::time::Instant;
+
 use desim::SimTime;
 use dps::{Application, OpId, ThreadId};
 use netmodel::{NetParams, NodeId};
@@ -38,7 +40,7 @@ pub use desim::journal::{
     Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent, JOURNAL_MAGIC,
 };
 
-use crate::engine::{run_replay, SimConfig};
+use crate::engine::{Engine, SimConfig};
 use crate::error::SimResult;
 use crate::fabric::{Fabric, SimFabric};
 use crate::report::RunReport;
@@ -123,7 +125,20 @@ pub fn replay_with_fabric(
     recorded: &Journal,
     prefix: usize,
 ) -> SimResult<ReplayOutcome> {
-    let (report, prefix_time, prefix_steps) = run_replay(app, fabric, cfg, prefix)?;
+    // Two phases: first up to the batch boundary at or past `prefix` journal
+    // entries (the reconstructed intermediate state), then to completion.
+    let wall = Instant::now();
+    let cfg = SimConfig {
+        record_journal: true,
+        ..cfg.clone()
+    };
+    let mut eng = Engine::start(app, fabric, &cfg);
+    eng.control.journal_limit = Some(prefix);
+    eng.resume();
+    let (prefix_time, prefix_steps) = (eng.current_time(), eng.steps());
+    eng.control.journal_limit = None;
+    eng.resume();
+    let report = eng.into_result(wall.elapsed())?;
     let divergence = report
         .journal
         .as_ref()

@@ -26,7 +26,12 @@
 
 #![warn(missing_docs)]
 
+mod accounting;
 pub mod checkpoint;
+mod collect;
+mod config;
+mod control;
+mod cpu;
 pub mod engine;
 pub mod error;
 pub mod fabric;

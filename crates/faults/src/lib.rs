@@ -12,9 +12,10 @@
 //!   costs;
 //! * [`FaultGenConfig`] ([`mod@gen`]) — seeded random generation of plans
 //!   (`simrng`-backed, reproducible from one `u64`);
-//! * [`RateTimeline`] ([`timeline`]) — time-indexed queries over the plan's
-//!   CPU and link [`RateWindow`]s, used by `dps-sim`'s fault fabric and
-//!   `netmodel`'s capacity windows.
+//! * [`RateTimeline`] (defined in `desim`, re-exported here) — time-indexed
+//!   queries over the plan's CPU and link [`RateWindow`]s, used by
+//!   `dps-sim`'s fault fabric, `netmodel`'s capacity windows and `cluster`'s
+//!   fault pricing.
 //!
 //! The empty plan ([`FaultPlan::none`]) is guaranteed to be a strict no-op
 //! in every consumer: injecting it produces bit-identical results to the
@@ -24,8 +25,7 @@
 
 pub mod gen;
 pub mod plan;
-pub mod timeline;
 
+pub use desim::{RateTimeline, RateWindow};
 pub use gen::FaultGenConfig;
-pub use plan::{CheckpointSpec, FaultEvent, FaultKind, FaultPlan, Outage, RateWindow};
-pub use timeline::RateTimeline;
+pub use plan::{CheckpointSpec, FaultEvent, FaultKind, FaultPlan, Outage};

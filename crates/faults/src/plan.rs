@@ -14,7 +14,7 @@
 use std::hash::Hasher;
 
 use desim::fxhash::FxHasher;
-use desim::{SimDuration, SimTime};
+use desim::{RateWindow, SimDuration, SimTime};
 
 /// What kind of fault strikes a node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,20 +129,6 @@ impl CheckpointSpec {
     }
 }
 
-/// A time-windowed per-node rate multiplier (CPU speed or link bandwidth),
-/// active on `[from, to)`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RateWindow {
-    /// Affected node.
-    pub node: u32,
-    /// Remaining fraction of the nominal rate, in `(0, 1]`.
-    pub factor: f64,
-    /// Window start (inclusive).
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub to: SimTime,
-}
-
 /// A node leaving the pool: a crash (never returns) or a preemption
 /// (returns at a known time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,23 +169,43 @@ impl FaultPlan {
     }
 
     /// A plan from explicit events (sorted deterministically) and a
-    /// checkpoint model. Panics on invalid factors or empty windows.
+    /// checkpoint model. Panics on a plan that does not
+    /// [`validate`](FaultPlan::validate).
     pub fn new(mut events: Vec<FaultEvent>, checkpoint: CheckpointSpec) -> FaultPlan {
-        for e in &events {
-            match e.kind {
-                FaultKind::NodeSlowdown { factor, window }
-                | FaultKind::LinkDegrade { factor, window } => {
-                    assert!(
-                        factor > 0.0 && factor <= 1.0,
-                        "fault factor {factor} outside (0, 1]"
-                    );
-                    assert!(!window.is_zero(), "empty fault window");
+        events.sort_by_key(|e| (e.at, e.node, e.kind.rank()));
+        let plan = FaultPlan { events, checkpoint };
+        if let Err(why) = plan.validate() {
+            panic!("{why}");
+        }
+        plan
+    }
+
+    /// Checks every slowdown and degrade window: factor in `(0, 1]`,
+    /// non-zero length, and an end that fits in [`SimTime`] (`at + window`
+    /// saturates, which would leave the empty interval `[at, at)`).
+    /// [`events`](FaultPlan::events) is a public field, so consumers that
+    /// take plans from outside call this before projecting windows out of
+    /// one.
+    pub fn validate(&self) -> Result<(), String> {
+        for e in &self.events {
+            if let FaultKind::NodeSlowdown { factor, window }
+            | FaultKind::LinkDegrade { factor, window } = e.kind
+            {
+                if !(factor > 0.0 && factor <= 1.0) {
+                    return Err(format!("fault factor {factor} outside (0, 1]"));
                 }
-                FaultKind::NodeCrash | FaultKind::NodePreempt { .. } => {}
+                if window.is_zero() {
+                    return Err(format!("empty fault window at {} on node {}", e.at, e.node));
+                }
+                if e.at.checked_add(window).is_none() {
+                    return Err(format!(
+                        "fault window at {} on node {} ends past the end of virtual time",
+                        e.at, e.node
+                    ));
+                }
             }
         }
-        events.sort_by_key(|e| (e.at, e.node, e.kind.rank()));
-        FaultPlan { events, checkpoint }
+        Ok(())
     }
 
     /// Whether the plan schedules no faults (the checkpoint model may still
@@ -386,6 +392,20 @@ mod tests {
         let none = CheckpointSpec::none();
         assert_eq!(none.resume_point(7), 0);
         assert!(!none.checkpoints_after(0));
+    }
+
+    #[test]
+    fn validate_rejects_what_a_literal_plan_can_smuggle_in() {
+        let check = |at, factor, window| {
+            let kind = FaultKind::LinkDegrade { factor, window };
+            let events = vec![FaultEvent { at, node: 0, kind }];
+            let checkpoint = CheckpointSpec::none();
+            FaultPlan { events, checkpoint }.validate()
+        };
+        assert!(check(SimTime(u64::MAX - 1), 0.5, SimDuration(1)).is_ok());
+        assert!(check(SimTime(u64::MAX), 0.5, SimDuration(1)).is_err());
+        assert!(check(SimTime(5), 0.5, SimDuration::ZERO).is_err());
+        assert!(check(SimTime(5), f64::NAN, SimDuration(1)).is_err());
     }
 
     #[test]

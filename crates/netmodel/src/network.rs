@@ -21,9 +21,9 @@
 //! transitively through ports) and falls back to the full iterative
 //! computation.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use desim::{FxHashMap, ProgressSet, SimTime};
+use desim::{FxHashMap, ProgressSet, RateTimeline, RateWindow, SimTime};
 
 use crate::fairness::{compute_rates, FlowSpec, Sharing};
 use crate::params::{NetParams, NodeId};
@@ -52,24 +52,28 @@ pub struct NetStats {
     pub wire_bytes: u64,
 }
 
-/// Active-flow counts on one node's two star ports.
-#[derive(Clone, Copy, Debug, Default)]
-struct PortLoad {
-    n_in: usize,
-    n_out: usize,
-}
+/// The two sides of a node's star port, as indices.
+const UP: usize = 0;
+const DOWN: usize = 1;
 
-/// A scheduled per-node capacity multiplier, active on `[from, to)` —
-/// degraded links during a fault window. Factors multiply the node's base
-/// capacity (overridden or default) while active.
-#[derive(Clone, Copy, Debug)]
-struct CapWindow {
-    node: NodeId,
-    up_factor: f64,
-    down_factor: f64,
-    from: SimTime,
-    to: SimTime,
-    active: bool,
+/// Everything the model keeps about one node, `[UP, DOWN]` where its two
+/// links differ. The two flow-list lengths are the only inputs to
+/// equal-split rates.
+#[derive(Clone, Debug, Default)]
+struct Port {
+    /// Bandwidth-phase flows leaving through the uplink / arriving through
+    /// the downlink, in promotion order.
+    flows: [Vec<FlowId>; 2],
+    /// Capacity override in bytes/s, for heterogeneous clusters (straggler
+    /// nodes, mixed link speeds).
+    capacity: Option<[f64; 2]>,
+    /// The link's population or capacity changed since the last rate
+    /// assignment. One mark per link: re-rating a flow settles it even when
+    /// its rate comes out the same, and a moved settlement point moves
+    /// float rounding, so only the side that changed may be re-split.
+    dirty: [bool; 2],
+    /// The flow counts changed since the last [`Network::drain_comm_dirty`].
+    load_dirty: bool,
 }
 
 /// Flow-level star-topology network (see crate docs).
@@ -86,33 +90,22 @@ pub struct Network {
     /// Flows draining bytes under the sharing discipline.
     active: ProgressSet<FlowId>,
     specs: FxHashMap<FlowId, FlowSpec>,
-    /// Per-node active-flow counts — the only inputs to equal-split rates.
-    load: FxHashMap<NodeId, PortLoad>,
-    /// Active flows by source node (uplink users).
-    by_src: FxHashMap<NodeId, Vec<FlowId>>,
-    /// Active flows by destination node (downlink users).
-    by_dst: FxHashMap<NodeId, Vec<FlowId>>,
-    /// Nodes whose uplink / downlink population changed since the last rate
-    /// assignment; drained by `advance`.
-    dirty_src: BTreeSet<NodeId>,
-    dirty_dst: BTreeSet<NodeId>,
-    /// Nodes whose active-flow counts changed since the last
-    /// [`Network::drain_comm_dirty`] — lets a CPU model recompute only the
-    /// nodes whose communication load actually moved.
-    comm_dirty: Vec<NodeId>,
+    /// One record per node, indexed by `NodeId`; grown on first use.
+    ports: Vec<Port>,
+    /// Nodes with a `dirty` mark; drained by `advance`.
+    rate_dirty: Vec<NodeId>,
+    /// Nodes with `load_dirty` set — lets a CPU model recompute only the
+    /// nodes whose communication load actually moved. One entry per node
+    /// at most, however long nobody drains it.
+    load_dirty: Vec<NodeId>,
     /// Scratch buffer for [`Network::reassign_rates`] (avoids a per-event
     /// allocation).
     scratch: Vec<FlowId>,
     stats: NetStats,
-    /// Per-node (up, down) capacity overrides for heterogeneous clusters
-    /// (straggler nodes, mixed link speeds).
-    caps: FxHashMap<NodeId, (f64, f64)>,
-    /// Scheduled time-windowed capacity multipliers (fault injection);
-    /// windows whose end has passed are dropped.
-    windows: Vec<CapWindow>,
-    /// Cached product of the *active* windows' factors per node; absent
-    /// means exactly (1, 1), so fault-free nodes keep bit-identical rates.
-    window_factor: FxHashMap<NodeId, (f64, f64)>,
+    /// Scheduled capacity multipliers (fault injection) of every node's
+    /// uplink and downlink. Each [`Network::schedule_capacity_window`] call
+    /// adds one window to both, so their spans always coincide.
+    windows: [RateTimeline; 2],
 }
 
 impl Network {
@@ -127,17 +120,47 @@ impl Network {
             latent: VecDeque::new(),
             active: ProgressSet::new(),
             specs: FxHashMap::default(),
-            load: FxHashMap::default(),
-            by_src: FxHashMap::default(),
-            by_dst: FxHashMap::default(),
-            dirty_src: BTreeSet::new(),
-            dirty_dst: BTreeSet::new(),
-            comm_dirty: Vec::new(),
+            ports: Vec::new(),
+            rate_dirty: Vec::new(),
+            load_dirty: Vec::new(),
             scratch: Vec::new(),
             stats: NetStats::default(),
-            caps: FxHashMap::default(),
-            windows: Vec::new(),
-            window_factor: FxHashMap::default(),
+            windows: Default::default(),
+        }
+    }
+
+    fn port_mut(&mut self, node: NodeId) -> &mut Port {
+        let i = node.0 as usize;
+        if i >= self.ports.len() {
+            self.ports.resize_with(i + 1, Port::default);
+        }
+        &mut self.ports[i]
+    }
+
+    /// Flags one link of `node` for re-splitting at the next rate
+    /// assignment. A node without a port record never carried a flow, so
+    /// there is nothing to re-split; and since a fault plan may name any
+    /// node, a record must not be allocated just to flag it.
+    fn mark_link(&mut self, node: NodeId, side: usize) {
+        let Some(port) = self.ports.get_mut(node.0 as usize) else {
+            return;
+        };
+        let listed = port.dirty[UP] || port.dirty[DOWN];
+        port.dirty[side] = true;
+        if !listed {
+            self.rate_dirty.push(node);
+        }
+    }
+
+    /// Records that a flow entered or left the bandwidth phase: its
+    /// source's uplink and its destination's downlink need re-splitting,
+    /// and both nodes' communication load moved.
+    fn population_changed(&mut self, spec: FlowSpec) {
+        for (node, side) in [(spec.src, UP), (spec.dst, DOWN)] {
+            self.mark_link(node, side);
+            if !std::mem::replace(&mut self.port_mut(node).load_dirty, true) {
+                self.load_dirty.push(node);
+            }
         }
     }
 
@@ -151,10 +174,9 @@ impl Network {
         down_bytes_per_sec: f64,
     ) {
         assert!(up_bytes_per_sec > 0.0 && down_bytes_per_sec > 0.0);
-        self.caps
-            .insert(node, (up_bytes_per_sec, down_bytes_per_sec));
-        self.dirty_src.insert(node);
-        self.dirty_dst.insert(node);
+        self.port_mut(node).capacity = Some([up_bytes_per_sec, down_bytes_per_sec]);
+        self.mark_link(node, UP);
+        self.mark_link(node, DOWN);
     }
 
     /// Schedules a time-windowed capacity multiplier on one node's links:
@@ -162,7 +184,8 @@ impl Network {
     /// given factors (in `(0, 1]`). Windows on the same node compose by
     /// multiplication. This is the link-level fault-injection hook — the
     /// equal-share fairness solver sees the degraded capacity and re-splits
-    /// rates at the window boundaries.
+    /// rates at the window boundaries. Panics on a factor out of range or
+    /// an empty window.
     pub fn schedule_capacity_window(
         &mut self,
         node: NodeId,
@@ -171,123 +194,55 @@ impl Network {
         from: SimTime,
         to: SimTime,
     ) {
-        assert!(
-            up_factor > 0.0 && up_factor <= 1.0 && down_factor > 0.0 && down_factor <= 1.0,
-            "capacity window factors must be in (0, 1]"
-        );
-        assert!(to > from, "empty capacity window");
-        self.windows.push(CapWindow {
+        let node = node.0;
+        let window = |factor| RateWindow {
             node,
-            up_factor,
-            down_factor,
+            factor,
             from,
             to,
-            active: false,
-        });
+        };
+        self.windows[UP].push(window(up_factor));
+        self.windows[DOWN].push(window(down_factor));
     }
 
     /// An O(live-state) copy of the whole link/fairness state for
-    /// checkpoint/fork: in-flight flows (latent and draining), per-port
-    /// loads, pending dirty sets, accumulated statistics, capacity
-    /// overrides and fault windows (elapsed ones are dropped, active ones
-    /// keep their cached factors). The draining [`ProgressSet`] is
+    /// checkpoint/fork: in-flight flows (latent and draining), per-node
+    /// port records with their pending dirty marks, accumulated
+    /// statistics and fault windows. The draining [`ProgressSet`] is
     /// compacted before cloning so the copy carries no stale
     /// completion-heap entries.
     pub fn snapshot(&mut self) -> Network {
-        let now = self.active.now();
-        self.windows.retain(|w| w.active || w.to > now);
         let mut copy = self.clone();
         copy.active = self.active.snapshot();
         copy.scratch = Vec::new();
         copy
     }
 
-    /// Every capacity window currently scheduled (active or future), as
+    /// Every capacity window scheduled so far, as
     /// `(node, up_factor, down_factor, from, to)` in scheduling order —
     /// lets an observer (the engine's event journal) record the rate edits
     /// this network will undergo.
     pub fn scheduled_windows(&self) -> Vec<(NodeId, f64, f64, SimTime, SimTime)> {
-        self.windows
-            .iter()
-            .map(|w| (w.node, w.up_factor, w.down_factor, w.from, w.to))
+        let (up, down) = (self.windows[UP].windows(), self.windows[DOWN].windows());
+        up.iter()
+            .zip(down)
+            .map(|(u, d)| (NodeId(u.node), u.factor, d.factor, u.from, u.to))
             .collect()
     }
 
-    /// Effective (up, down) capacity of a node, including any active
-    /// fault-window multipliers.
+    /// Effective (up, down) capacity of a node as of the last
+    /// [`advance`](Network::advance), including the multipliers of every
+    /// fault window active then. A node no window touches multiplies by
+    /// exactly `1.0`, so fault-free capacities stay bit-identical.
     pub fn node_capacity(&self, node: NodeId) -> (f64, f64) {
-        let (up, down) = self
-            .caps
-            .get(&node)
-            .copied()
-            .unwrap_or((self.params.up_bytes_per_sec, self.params.down_bytes_per_sec));
-        match self.window_factor.get(&node) {
-            Some(&(fu, fd)) => (up * fu, down * fd),
-            None => (up, down),
-        }
+        (self.link_capacity(node, UP), self.link_capacity(node, DOWN))
     }
 
-    /// Earliest boundary of a not-yet-finished capacity window strictly
-    /// relevant to the future: start of a pending window or end of an
-    /// active one.
-    fn next_window_boundary(&self) -> Option<SimTime> {
-        self.windows
-            .iter()
-            .map(|w| if w.active { w.to } else { w.from })
-            .min()
-    }
-
-    /// Applies window starts/ends up to `now`: flips states, drops finished
-    /// windows, recomputes the cached per-node factors and marks affected
-    /// ports dirty so `reassign_rates` re-splits their flows.
-    fn apply_windows(&mut self, now: SimTime) {
-        if self.windows.is_empty() {
-            return;
-        }
-        let mut touched: Vec<NodeId> = Vec::new();
-        for w in &mut self.windows {
-            if !w.active && w.from <= now {
-                w.active = true;
-                touched.push(w.node);
-            }
-            if w.active && w.to <= now {
-                w.active = false;
-                w.from = SimTime::MAX; // finished: never reactivates
-                touched.push(w.node);
-            }
-        }
-        if touched.is_empty() {
-            return;
-        }
-        self.windows.retain(|w| w.from != SimTime::MAX || w.active);
-        touched.sort_unstable();
-        touched.dedup();
-        for node in touched {
-            let mut f = (1.0, 1.0);
-            let mut any = false;
-            for w in self.windows.iter().filter(|w| w.active && w.node == node) {
-                f.0 *= w.up_factor;
-                f.1 *= w.down_factor;
-                any = true;
-            }
-            if any {
-                self.window_factor.insert(node, f);
-            } else {
-                self.window_factor.remove(&node);
-            }
-            self.dirty_src.insert(node);
-            self.dirty_dst.insert(node);
-        }
-    }
-
-    /// The platform parameters.
-    pub fn params(&self) -> &NetParams {
-        &self.params
-    }
-
-    /// The bandwidth-sharing discipline.
-    pub fn sharing(&self) -> Sharing {
-        self.sharing
+    fn link_capacity(&self, node: NodeId, side: usize) -> f64 {
+        let nominal = [self.params.up_bytes_per_sec, self.params.down_bytes_per_sec];
+        let port = self.ports.get(node.0 as usize);
+        let base = port.and_then(|p| p.capacity).unwrap_or(nominal)[side];
+        base * self.windows[side].factor_at(node.0, self.active.now())
     }
 
     /// Cumulative statistics.
@@ -335,29 +290,32 @@ impl Network {
     }
 
     /// The next time something changes inside the model: a latency phase
-    /// ends or a transfer completes. The engine must call [`advance`] at (or
-    /// before) this time.
+    /// ends, a transfer completes, or a capacity window starts or ends. The
+    /// engine must call [`advance`] at (or before) this time.
     ///
     /// [`advance`]: Network::advance
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         let lat = self.latent.front().map(|&(ready, ..)| ready);
         let fin = self.active.earliest_completion().map(|(_, t)| t);
-        let min2 = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
-            (None, x) | (x, None) => x,
-            (Some(a), Some(b)) => Some(a.min(b)),
-        };
-        min2(min2(lat, fin), self.next_window_boundary())
+        let window = self.windows[UP].next_boundary_after(self.active.now());
+        [lat, fin, window].into_iter().flatten().min()
     }
 
     /// Advances the model to `now`, promoting flows out of their latency
     /// phase and collecting completed transfers (in deterministic order).
     pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
         // Drain bytes at the rates valid up to `now` first.
+        let prev = self.active.now();
         self.active.advance_to(now);
 
         // Capacity-window boundaries crossed by this advance take effect
-        // now: the affected ports get re-split below.
-        self.apply_windows(now);
+        // now: both links of the affected nodes get re-split below.
+        let mut crossed = Vec::new();
+        self.windows[UP].changed_nodes(prev, now, &mut crossed);
+        for node in crossed {
+            self.mark_link(NodeId(node), UP);
+            self.mark_link(NodeId(node), DOWN);
+        }
 
         // Promote latency-expired flows into the bandwidth phase.
         while let Some(&(ready, ..)) = self.latent.front() {
@@ -367,14 +325,9 @@ impl Network {
             let (_, id, spec, bytes) = self.latent.pop_front().expect("just seen");
             self.specs.insert(id, spec);
             self.active.insert(now, id, bytes);
-            self.load.entry(spec.src).or_default().n_out += 1;
-            self.load.entry(spec.dst).or_default().n_in += 1;
-            self.by_src.entry(spec.src).or_default().push(id);
-            self.by_dst.entry(spec.dst).or_default().push(id);
-            self.dirty_src.insert(spec.src);
-            self.dirty_dst.insert(spec.dst);
-            self.comm_dirty.push(spec.src);
-            self.comm_dirty.push(spec.dst);
+            self.port_mut(spec.src).flows[UP].push(id);
+            self.port_mut(spec.dst).flows[DOWN].push(id);
+            self.population_changed(spec);
         }
 
         // Collect completions (at the rates assigned before this advance).
@@ -382,25 +335,14 @@ impl Network {
         let mut events = Vec::with_capacity(done.len());
         for id in done {
             let spec = self.specs.remove(&id).expect("active flow has a spec");
-            self.load.entry(spec.src).or_default().n_out -= 1;
-            self.load.entry(spec.dst).or_default().n_in -= 1;
-            self.by_src
-                .get_mut(&spec.src)
-                .expect("indexed")
-                .retain(|&f| f != id);
-            self.by_dst
-                .get_mut(&spec.dst)
-                .expect("indexed")
-                .retain(|&f| f != id);
-            self.dirty_src.insert(spec.src);
-            self.dirty_dst.insert(spec.dst);
-            self.comm_dirty.push(spec.src);
-            self.comm_dirty.push(spec.dst);
+            self.port_mut(spec.src).flows[UP].retain(|&f| f != id);
+            self.port_mut(spec.dst).flows[DOWN].retain(|&f| f != id);
+            self.population_changed(spec);
             self.stats.flows_completed += 1;
             events.push(NetEvent::Completed(id));
         }
 
-        if !(self.dirty_src.is_empty() && self.dirty_dst.is_empty()) {
+        if !self.rate_dirty.is_empty() {
             self.reassign_rates(now);
         }
         events
@@ -411,24 +353,42 @@ impl Network {
     /// their bandwidth phase count — during the latency phase no data is
     /// being copied on either host.
     pub fn comm_counts(&self, node: NodeId) -> (usize, usize) {
-        let l = self.load.get(&node).copied().unwrap_or_default();
-        (l.n_in, l.n_out)
+        self.ports
+            .get(node.0 as usize)
+            .map_or((0, 0), |p| (p.flows[DOWN].len(), p.flows[UP].len()))
+    }
+
+    /// Fraction of `node`'s processor left for computation while it handles
+    /// its current transfers — the paper's linear model: every concurrent
+    /// incoming (outgoing) transfer costs `cpu_in_cost` (`cpu_out_cost`) of
+    /// the processor. Communications are kernel work; they can consume most
+    /// but never quite all of it, so running operations always make some
+    /// progress.
+    pub fn cpu_available(&self, node: NodeId) -> f64 {
+        let (n_in, n_out) = self.comm_counts(node);
+        let used = n_in as f64 * self.params.cpu_in_cost + n_out as f64 * self.params.cpu_out_cost;
+        (1.0 - used).max(0.05)
     }
 
     /// Appends to `out` every node whose active-flow counts changed since
-    /// the previous drain, then forgets them. Nodes may repeat. A CPU model
-    /// whose per-node availability depends only on [`Network::comm_counts`]
-    /// need only recompute these nodes.
+    /// the previous drain, then forgets them. A CPU model whose per-node
+    /// availability depends only on [`Network::comm_counts`] need only
+    /// recompute these nodes.
     pub fn drain_comm_dirty(&mut self, out: &mut Vec<NodeId>) {
-        out.append(&mut self.comm_dirty);
+        for &node in &self.load_dirty {
+            self.ports[node.0 as usize].load_dirty = false;
+        }
+        out.append(&mut self.load_dirty);
     }
 
     /// Equal-split rate of one flow from the current port counts — the same
     /// expression `fairness::equal_split` evaluates, so incremental and
     /// from-scratch assignments agree bit-for-bit.
     fn equal_split_rate(&self, spec: FlowSpec) -> f64 {
-        let up_share = self.node_capacity(spec.src).0 / self.load[&spec.src].n_out as f64;
-        let down_share = self.node_capacity(spec.dst).1 / self.load[&spec.dst].n_in as f64;
+        let n_out = self.ports[spec.src.0 as usize].flows[UP].len();
+        let n_in = self.ports[spec.dst.0 as usize].flows[DOWN].len();
+        let up_share = self.link_capacity(spec.src, UP) / n_out as f64;
+        let down_share = self.link_capacity(spec.dst, DOWN) / n_in as f64;
         up_share.min(down_share)
     }
 
@@ -436,10 +396,8 @@ impl Network {
     /// read of the current active set, specs and capacities, returned in
     /// ascending [`FlowId`] order. This is the rate assignment
     /// [`Network::advance`] installs (bit-for-bit: the incremental
-    /// equal-split path evaluates the same expressions); exposing it as a
-    /// pure function lets callers — engine compute phases running off the
-    /// serial commit thread, oracle tests — price hypothetical states
-    /// without mutating the model.
+    /// equal-split path evaluates the same expressions), which makes it the
+    /// oracle the incremental path is tested against.
     pub fn rates_from_scratch(&self) -> Vec<(FlowId, f64)> {
         let mut ids: Vec<FlowId> = self.active.keys().collect();
         ids.sort_unstable();
@@ -449,48 +407,44 @@ impl Network {
         let flows: Vec<(u64, FlowSpec)> = ids.iter().map(|id| (id.0, self.specs[id])).collect();
         let rates = compute_rates(
             &flows,
-            |n| self.node_capacity(n).0,
-            |n| self.node_capacity(n).1,
+            |n| self.link_capacity(n, UP),
+            |n| self.link_capacity(n, DOWN),
             self.sharing,
         );
         ids.into_iter().map(|id| (id, rates[&id.0])).collect()
     }
 
     /// Reassigns rates after the active set (or a capacity) changed,
-    /// draining the dirty-port sets.
+    /// clearing the links' dirty marks.
     fn reassign_rates(&mut self, now: SimTime) {
+        // Only flows crossing a dirty link can have changed rates.
+        let mut affected = std::mem::take(&mut self.scratch);
+        affected.clear();
+        for node in self.rate_dirty.drain(..) {
+            let port = &mut self.ports[node.0 as usize];
+            for side in [UP, DOWN] {
+                if std::mem::take(&mut port.dirty[side]) {
+                    affected.extend_from_slice(&port.flows[side]);
+                }
+            }
+        }
         match self.sharing {
             Sharing::EqualSplit => {
-                // Only flows crossing a dirty port can have changed rates.
-                let mut affected = std::mem::take(&mut self.scratch);
-                affected.clear();
-                for src in std::mem::take(&mut self.dirty_src) {
-                    if let Some(v) = self.by_src.get(&src) {
-                        affected.extend_from_slice(v);
-                    }
-                }
-                for dst in std::mem::take(&mut self.dirty_dst) {
-                    if let Some(v) = self.by_dst.get(&dst) {
-                        affected.extend_from_slice(v);
-                    }
-                }
                 affected.sort_unstable();
                 affected.dedup();
                 for &id in &affected {
                     let rate = self.equal_split_rate(self.specs[&id]);
                     self.active.set_rate(now, id, rate);
                 }
-                self.scratch = affected;
             }
             Sharing::MaxMin => {
                 // No locality: a departure's slack can cascade anywhere.
-                self.dirty_src.clear();
-                self.dirty_dst.clear();
                 for (id, rate) in self.rates_from_scratch() {
                     self.active.set_rate(now, id, rate);
                 }
             }
         }
+        self.scratch = affected;
     }
 }
 
@@ -631,6 +585,32 @@ mod tests {
         assert_eq!(n.comm_counts(NodeId(0)), (0, 1));
         drain(&mut n);
         assert_eq!(n.comm_counts(NodeId(1)), (0, 0));
+    }
+
+    #[test]
+    fn undrained_load_marks_are_bounded_by_the_node_count() {
+        // A caller that drives the model with `next_event_time` / `advance`
+        // alone never drains the load marks; they must not grow with the
+        // number of flows carried.
+        let mut n = net(10, 1e8);
+        let mut now = SimTime::ZERO;
+        for i in 0..10_000u32 {
+            n.start_flow(now, NodeId(i % 8), NodeId((3 * i + 1) % 8), 1_000);
+            now = n.next_event_time().expect("a flow is in flight");
+            n.advance(now);
+        }
+        drain(&mut n);
+        assert_eq!(n.stats().flows_completed, 10_000);
+        let mut dirty = Vec::new();
+        n.drain_comm_dirty(&mut dirty);
+        dirty.sort_unstable();
+        assert_eq!(dirty, (0..8).map(NodeId).collect::<Vec<_>>());
+        // Draining re-arms the marks.
+        n.start_flow(now, NodeId(0), NodeId(1), 1_000);
+        drain(&mut n);
+        dirty.clear();
+        n.drain_comm_dirty(&mut dirty);
+        assert_eq!(dirty, vec![NodeId(0), NodeId(1)]);
     }
 
     #[test]

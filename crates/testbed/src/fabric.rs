@@ -8,8 +8,8 @@
 //!   sampled factor (headers beyond the modeled constant, retransmits,
 //!   ack-clocking inefficiency);
 //! * **latency jitter** — a lognormal extra delay added to every transfer;
-//! * **TCP slow start** — mid-size transfers pay extra round trips while
-//!   the congestion window opens;
+//! * **TCP slow start** — every transfer pays the round trips an 8-KiB
+//!   one spends while the congestion window opens;
 //! * **computation noise** — kernel durations vary (cache state, TLB,
 //!   daemons) by a sampled lognormal factor;
 //! * **context-switch penalty** — processor sharing between k runnable
@@ -130,11 +130,17 @@ impl TestbedFabric {
         (self.std_normal() * sigma).exp()
     }
 
-    /// Extra tail delay for a completed transfer: latency jitter plus the
-    /// slow-start ramp (round trips spent below full window).
-    fn tail_delay(&mut self, bytes: u64) -> SimDuration {
+    /// Extra tail delay for a completed transfer: a latency-jitter sample
+    /// plus the slow-start ramp of an 8-KiB transfer. The inner network
+    /// reports completions by id only, so every transfer is charged the
+    /// same representative ramp; its size acts through the efficiency
+    /// inflation applied at start.
+    fn tail_delay(&mut self) -> SimDuration {
+        if self.params.latency_jitter_sd <= 0.0 && self.params.rtt.is_zero() {
+            return SimDuration::ZERO;
+        }
         let jitter = (self.std_normal() * self.params.latency_jitter_sd).max(0.0);
-        let segs = bytes as f64 / self.params.mss_bytes;
+        let segs = 8.0 * 1024.0 / self.params.mss_bytes;
         // Slow start doubles the window each RTT starting from ~2 segments;
         // a transfer of `segs` segments spends ~log2(segs/2) RTTs ramping.
         let ramp_rtts = if segs > 2.0 {
@@ -156,26 +162,17 @@ impl Fabric for TestbedFabric {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        let inner = self.net.next_event_time();
         let held = self.held.keys().next().map(|&(t, _)| t);
-        match (inner, held) {
-            (None, x) => x,
-            (x, None) => x,
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
+        [self.net.next_event_time(), held]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     fn advance(&mut self, now: SimTime) -> Vec<u64> {
         // Inner completions are held for their sampled tail delay...
-        for ev in self.net.advance(now) {
-            let NetEvent::Completed(id) = ev;
-            let delay = {
-                // bytes unknown here; delay depends only weakly on size in
-                // this tail model, approximate with the wire stats — use a
-                // per-transfer resample keyed by id for determinism.
-                self.tail_delay_for(id.0)
-            };
-            let release = now + delay;
+        for NetEvent::Completed(id) in self.net.advance(now) {
+            let release = now + self.tail_delay();
             self.held.insert((release, id.0), id.0);
         }
         // ...and released once their time comes.
@@ -191,10 +188,8 @@ impl Fabric for TestbedFabric {
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {
-        let (n_in, n_out) = self.net.comm_counts(node);
-        let p = self.params.true_net;
-        let used = n_in as f64 * p.cpu_in_cost + n_out as f64 * p.cpu_out_cost;
-        (1.0 - used).max(0.05)
+        // The same linear model as the simulator's, on the true parameters.
+        self.net.cpu_available(node)
     }
 
     fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) -> bool {
@@ -215,18 +210,6 @@ impl Fabric for TestbedFabric {
 
     fn net_stats(&self) -> NetStats {
         self.net.stats()
-    }
-}
-
-impl TestbedFabric {
-    /// Tail delay sampling; byte size is folded into the slow-start term at
-    /// start time via the efficiency inflation, so here we sample with a
-    /// representative mid-size transfer unless jitter is disabled.
-    fn tail_delay_for(&mut self, _handle: u64) -> SimDuration {
-        if self.params.latency_jitter_sd <= 0.0 && self.params.rtt.is_zero() {
-            return SimDuration::ZERO;
-        }
-        self.tail_delay(8 * 1024)
     }
 }
 
