@@ -20,14 +20,14 @@
 //! (O(1)); a job's remaining work is *settled* — materialized against the
 //! clock — only when that job's own rate changes, when it is removed, or
 //! when it completes. Between settlements the remaining work is implied by
-//! `settled_remaining − rate·(now − settled_at)`. Completions come from a
-//! min-heap of announced finish times with generation-stamped entries, so
-//! neither advancing time nor finding the next completion ever scans the
-//! whole job set. Per-event cost is O(jobs whose rate changed), not O(all
-//! jobs in flight).
+//! `settled_remaining − rate·(now − settled_at)`. Completions come from an
+//! *indexed* min-heap of announced finish times: at most one entry per job,
+//! whose position the job records, so a rate change re-keys the entry where
+//! it sits. Neither advancing time nor finding the next completion ever
+//! scans the job set, and the heap never holds more entries than there are
+//! jobs. Per-event cost is O(jobs whose rate changed), not O(all jobs in
+//! flight).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::Hash;
 
 use crate::fxhash::FxHashMap;
@@ -37,10 +37,6 @@ use crate::time::{SimDuration, SimTime};
 /// left over by rate changes.
 const WORK_EPS: f64 = 1e-6;
 
-/// Completion-heap size (relative to the live job count) beyond which stale
-/// entries are compacted away.
-const COMPACT_MIN: usize = 64;
-
 #[derive(Clone, Copy, Debug)]
 struct Job {
     /// Remaining work at `settled_at`.
@@ -48,56 +44,35 @@ struct Job {
     rate: f64,
     /// Time at which `remaining` was last materialized.
     settled_at: SimTime,
-    /// Stamp identifying the job's current (rate, remaining) epoch; heap
-    /// entries carrying an older stamp are stale.
-    gen: u64,
+    /// Where the job's announcement sits in the completion heap, if it has
+    /// one.
+    pos: Option<u32>,
 }
 
-/// Announced completion: ordered by (time, key) so ties break by smallest
-/// key, matching the deterministic ordering the engines rely on.
-#[derive(Clone, Copy)]
-struct Completion<K> {
-    time: SimTime,
+/// Announced completion of the job in slab slot `slot`. The heap orders
+/// these by `(at, key)`, so ties break by smallest key — the deterministic
+/// ordering the engines rely on.
+#[derive(Clone, Copy, Debug)]
+struct Due<K> {
+    at: SimTime,
     key: K,
-    gen: u64,
-}
-
-impl<K: Eq> PartialEq for Completion<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key && self.gen == other.gen
-    }
-}
-impl<K: Eq> Eq for Completion<K> {}
-impl<K: Ord> PartialOrd for Completion<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord> Ord for Completion<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, &self.key, self.gen).cmp(&(other.time, &other.key, other.gen))
-    }
+    slot: u32,
 }
 
 /// A set of jobs draining remaining work at assigned rates.
 ///
 /// `K` identifies jobs; `Ord` is required so that completion ties are broken
 /// deterministically regardless of hash-map iteration order.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ProgressSet<K: Eq + Hash + Copy + Ord> {
-    jobs: FxHashMap<K, Job>,
-    completions: BinaryHeap<Reverse<Completion<K>>>,
+    /// Job slab; the slots listed in `free` are vacant.
+    jobs: Vec<Job>,
+    free: Vec<u32>,
+    /// Slab slot of every live job.
+    index: FxHashMap<K, u32>,
+    /// Binary min-heap on `(at, key)` with one entry per announced job.
+    heap: Vec<Due<K>>,
     last: SimTime,
-    next_gen: u64,
-}
-
-impl<K: Eq + Hash + Copy + Ord + std::fmt::Debug> std::fmt::Debug for ProgressSet<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressSet")
-            .field("jobs", &self.jobs)
-            .field("last", &self.last)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<K: Eq + Hash + Copy + Ord> Default for ProgressSet<K> {
@@ -110,10 +85,11 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     /// An empty set anchored at time zero.
     pub fn new() -> Self {
         ProgressSet {
-            jobs: FxHashMap::default(),
-            completions: BinaryHeap::new(),
+            jobs: Vec::new(),
+            free: Vec::new(),
+            index: FxHashMap::default(),
+            heap: Vec::new(),
             last: SimTime::ZERO,
-            next_gen: 0,
         }
     }
 
@@ -147,12 +123,57 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         job.settled_at = last;
     }
 
-    /// Pushes the completion announcement for a just-settled job, if it has
-    /// one: immediately when already finished, at the rounded drain time
-    /// when running, never when stalled at rate 0.
-    fn announce(&mut self, key: K, gen: u64, remaining: f64, rate: f64) {
-        let time = if Self::finished_at(remaining, rate) {
-            self.last
+    /// Writes `due` at heap position `i` and tells its job where it went.
+    fn place(&mut self, i: usize, due: Due<K>) {
+        self.heap[i] = due;
+        self.jobs[due.slot as usize].pos = Some(i as u32);
+    }
+
+    /// Restores heap order after the entry at position `i` changed, moving
+    /// it up or down as far as it has to go.
+    fn sift(&mut self, mut i: usize) {
+        let due = self.heap[i];
+        let before = |a: &Due<K>, b: &Due<K>| (a.at, a.key) < (b.at, b.key);
+        while i > 0 && before(&due, &self.heap[(i - 1) / 2]) {
+            self.place(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let mut child = 2 * i + 1;
+            if child + 1 < self.heap.len() && before(&self.heap[child + 1], &self.heap[child]) {
+                child += 1;
+            }
+            if child >= self.heap.len() || !before(&self.heap[child], &due) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, due);
+    }
+
+    /// Withdraws the announcement at heap position `pos`.
+    fn unannounce(&mut self, pos: u32) {
+        let due = self.heap.swap_remove(pos as usize);
+        self.jobs[due.slot as usize].pos = None;
+        if (pos as usize) < self.heap.len() {
+            self.sift(pos as usize);
+        }
+    }
+
+    /// Brings the announcement of the just-settled job `key` in `slot` up
+    /// to date: due immediately when already finished, at the rounded drain
+    /// time when running, none when stalled at rate 0. An existing entry is
+    /// re-keyed where it sits.
+    fn announce(&mut self, key: K, slot: u32) {
+        let Job {
+            remaining,
+            rate,
+            pos,
+            ..
+        } = self.jobs[slot as usize];
+        let at = if Self::finished_at(remaining, rate) {
+            Some(self.last)
         } else if rate > 0.0 {
             // Round to the nearest nanosecond: the clock cannot resolve
             // finer, and `finished` tolerates up to one nanosecond of
@@ -160,24 +181,24 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
             let secs = remaining / rate;
             let ns = (secs * 1e9).round().max(1.0);
             if ns >= u64::MAX as f64 {
-                return;
+                None
+            } else {
+                Some(self.last + SimDuration::from_nanos(ns as u64))
             }
-            self.last + SimDuration::from_nanos(ns as u64)
         } else {
-            return;
+            None
         };
-        self.completions
-            .push(Reverse(Completion { time, key, gen }));
-        self.maybe_compact();
-    }
-
-    /// Drops stale heap entries once they dominate; keeps completion-heap
-    /// memory proportional to the live job count.
-    fn maybe_compact(&mut self) {
-        if self.completions.len() >= COMPACT_MIN && self.completions.len() > 2 * self.jobs.len() {
-            let jobs = &self.jobs;
-            self.completions
-                .retain(|Reverse(c)| jobs.get(&c.key).is_some_and(|j| j.gen == c.gen));
+        match (at, pos) {
+            (Some(at), Some(pos)) => {
+                self.heap[pos as usize].at = at;
+                self.sift(pos as usize);
+            }
+            (Some(at), None) => {
+                self.heap.push(Due { at, key, slot });
+                self.sift(self.heap.len() - 1);
+            }
+            (None, Some(pos)) => self.unannounce(pos),
+            (None, None) => {}
         }
     }
 
@@ -187,94 +208,104 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn insert(&mut self, now: SimTime, key: K, work: f64) {
         self.advance_to(now);
         assert!(work >= 0.0, "negative work");
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let prev = self.jobs.insert(
-            key,
-            Job {
-                remaining: work,
-                rate: 0.0,
-                settled_at: now,
-                gen,
-            },
-        );
+        let job = Job {
+            remaining: work,
+            rate: 0.0,
+            settled_at: now,
+            pos: None,
+        };
+        let slot = self.free.pop().unwrap_or(self.jobs.len() as u32);
+        match self.jobs.get_mut(slot as usize) {
+            Some(vacant) => *vacant = job,
+            None => self.jobs.push(job),
+        }
+        let prev = self.index.insert(key, slot);
         assert!(prev.is_none(), "duplicate ProgressSet job key");
-        self.announce(key, gen, work, 0.0);
+        self.announce(key, slot);
     }
 
     /// Assigns a new drain rate to `key`. The caller is responsible for
     /// having advanced to `now` conceptually; this method does it for them.
+    ///
+    /// Every call settles the job, a bit-equal rate included: the settlement
+    /// point is where `remaining` is rounded, so skipping one would move
+    /// completion nanoseconds.
     pub fn set_rate(&mut self, now: SimTime, key: K, rate: f64) {
         self.advance_to(now);
         assert!(rate >= 0.0 && rate.is_finite(), "invalid rate {rate}");
-        let last = self.last;
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let job = self.jobs.get_mut(&key).expect("set_rate on unknown job");
-        Self::settle(last, job);
+        let slot = *self.index.get(&key).expect("set_rate on unknown job");
+        let job = &mut self.jobs[slot as usize];
+        Self::settle(self.last, job);
         job.rate = rate;
-        job.gen = gen; // invalidates any previously announced completion
-        let remaining = job.remaining;
-        self.announce(key, gen, remaining, rate);
+        self.announce(key, slot);
+    }
+
+    /// Forgets the job `key` in `slot` and its announcement, returning it.
+    fn release(&mut self, key: K, slot: u32) -> Job {
+        let job = self.jobs[slot as usize];
+        if let Some(pos) = job.pos {
+            self.unannounce(pos);
+        }
+        self.index.remove(&key);
+        self.free.push(slot);
+        job
     }
 
     /// Removes a job, returning its remaining work if it was present.
     pub fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
         self.advance_to(now);
-        let last = self.last;
-        self.jobs.remove(&key).map(|mut j| {
-            Self::settle(last, &mut j);
-            j.remaining
-        })
+        let slot = *self.index.get(&key)?;
+        let mut job = self.release(key, slot);
+        Self::settle(self.last, &mut job);
+        Some(job.remaining)
+    }
+
+    fn job(&self, key: K) -> Option<&Job> {
+        self.index.get(&key).map(|&slot| &self.jobs[slot as usize])
     }
 
     /// Remaining work of a job.
     pub fn remaining(&self, key: K) -> Option<f64> {
-        self.jobs.get(&key).map(|j| self.implied_remaining(j))
+        self.job(key).map(|j| self.implied_remaining(j))
     }
 
     /// Current drain rate of a job.
     pub fn rate(&self, key: K) -> Option<f64> {
-        self.jobs.get(&key).map(|j| j.rate)
+        self.job(key).map(|j| j.rate)
     }
 
     /// Whether `key` is a live job.
     pub fn contains(&self, key: K) -> bool {
-        self.jobs.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// Number of live jobs.
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.index.len()
     }
 
     /// Whether no jobs remain.
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.index.is_empty()
     }
 
     /// Iterates over live job keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.jobs.keys().copied()
+        self.index.keys().copied()
     }
 
     /// The earliest time at which some job finishes under current rates,
     /// with its key. Jobs with rate 0 and positive work never finish. Ties
     /// are broken by smallest key.
     ///
-    /// The returned time is rounded *up* to the next nanosecond so that
-    /// advancing to it is guaranteed to drain the job to within the
-    /// internal work epsilon.
+    /// The returned time is rounded to the *nearest* nanosecond (see
+    /// `announce`); a job counts as finished within one nanosecond of
+    /// draining, so advancing to it is guaranteed to complete the job.
     pub fn earliest_completion(&mut self) -> Option<(K, SimTime)> {
-        loop {
-            let c = *self.completions.peek().map(|Reverse(c)| c)?;
-            if self.jobs.get(&c.key).is_some_and(|j| j.gen == c.gen) {
-                // Announcements never predate the clock by more than
-                // rounding; clamp so callers never see time regress.
-                return Some((c.key, c.time.max(self.last)));
-            }
-            self.completions.pop();
-        }
+        // Announcements never predate the clock by more than rounding;
+        // clamp so callers never see time regress.
+        let due = self.heap.first()?;
+        Some((due.key, due.at.max(self.last)))
     }
 
     /// Whether a job counts as finished: fully drained, or within one
@@ -286,36 +317,33 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     /// Advances to `now` and removes every job whose announced completion
     /// has come due, returning their keys sorted (deterministic order).
     pub fn take_finished(&mut self, now: SimTime) -> Vec<K> {
+        let mut done = Vec::new();
+        self.take_finished_into(now, &mut done);
+        done
+    }
+
+    /// [`take_finished`](Self::take_finished) into a caller-owned buffer:
+    /// the keys are appended to `out`, sorted among themselves.
+    pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<K>) {
         self.advance_to(now);
-        let mut done: Vec<K> = Vec::new();
-        while let Some(Reverse(c)) = self.completions.peek() {
-            if c.time > now {
+        let first = out.len();
+        while let Some(&Due { at, key, slot }) = self.heap.first() {
+            if at > now {
                 break;
             }
-            let Reverse(c) = self.completions.pop().expect("just peeked");
-            let Some(job) = self.jobs.get_mut(&c.key) else {
-                continue; // stale: job re-keyed or removed
-            };
-            if job.gen != c.gen {
-                continue; // stale: rate changed since the announcement
-            }
+            let job = &mut self.jobs[slot as usize];
             Self::settle(now, job);
             if Self::finished_at(job.remaining, job.rate) {
-                self.jobs.remove(&c.key);
-                done.push(c.key);
+                self.release(key, slot);
+                out.push(key);
             } else {
                 // Rounding left residual work (possible only when the rate
                 // dropped between announce and due time in the same
                 // nanosecond); re-announce from the settled state.
-                let gen = self.next_gen;
-                self.next_gen += 1;
-                job.gen = gen;
-                let (remaining, rate) = (job.remaining, job.rate);
-                self.announce(c.key, gen, remaining, rate);
+                self.announce(key, slot);
             }
         }
-        done.sort_unstable();
-        done
+        out[first..].sort_unstable();
     }
 
     /// Current virtual time of the set (time of the last advance).
@@ -323,22 +351,11 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         self.last
     }
 
-    /// Completion-heap entries currently held, live or stale — an
-    /// implementation detail exposed for memory-bound regression tests.
+    /// Completion-heap entries currently held, never more than
+    /// [`len`](Self::len) — an implementation detail exposed for
+    /// memory-bound regression tests.
     pub fn completion_heap_len(&self) -> usize {
-        self.completions.len()
-    }
-
-    /// An O(live-state) copy for checkpoint/fork: stale completion-heap
-    /// entries (from rate churn) are compacted away first — unconditionally,
-    /// not via the amortized heuristic — so the snapshot holds exactly one
-    /// announcement per announced job. The copy drains, announces and
-    /// completes identically to the original.
-    pub fn snapshot(&mut self) -> ProgressSet<K> {
-        let jobs = &self.jobs;
-        self.completions
-            .retain(|Reverse(c)| jobs.get(&c.key).is_some_and(|j| j.gen == c.gen));
-        self.clone()
+        self.heap.len()
     }
 }
 
@@ -431,11 +448,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_announcements_do_not_resurrect_jobs() {
+    fn withdrawn_announcements_do_not_resurrect_jobs() {
         let mut ps = ProgressSet::new();
         ps.insert(SimTime::ZERO, 1u32, 100.0);
         ps.set_rate(SimTime::ZERO, 1, 100.0); // announced at 1s
-        ps.set_rate(t(100_000_000), 1, 0.0); // stalled; announcement stale
+        ps.set_rate(t(100_000_000), 1, 0.0); // stalled; announcement withdrawn
         assert!(ps.earliest_completion().is_none());
         assert!(ps.take_finished(t(2_000_000_000)).is_empty());
         assert!((ps.remaining(1).unwrap() - 90.0).abs() < 1e-6);
@@ -459,33 +476,27 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_and_behaves_identically() {
+    fn clone_after_rate_churn_behaves_identically() {
         let mut ps = ProgressSet::new();
         for i in 0..8u32 {
             ps.insert(SimTime::ZERO, i, 1e6);
         }
-        // Churn rates so the completion heap accumulates stale entries.
         for round in 0..1_000u64 {
             ps.set_rate(t(round), (round % 8) as u32, 1.0 + (round % 5) as f64);
         }
-        let mut snap = ps.snapshot();
-        assert!(
-            snap.completion_heap_len() <= snap.len(),
-            "snapshot kept stale announcements: {} for {} jobs",
-            snap.completion_heap_len(),
-            snap.len()
-        );
+        let mut copy = ps.clone();
+        assert_eq!(copy.completion_heap_len(), copy.len());
         // Identical evolution: same completions at the same instants.
         for step in 0..50u64 {
             let now = t(10_000 + step * 1_000_000_000);
-            assert_eq!(ps.earliest_completion(), snap.earliest_completion());
-            assert_eq!(ps.take_finished(now), snap.take_finished(now));
+            assert_eq!(ps.earliest_completion(), copy.earliest_completion());
+            assert_eq!(ps.take_finished(now), copy.take_finished(now));
         }
-        // Divergence after the snapshot stays independent.
+        // Divergence after the copy stays independent.
         let first = ps.keys().next();
         if let Some(k) = first {
             ps.remove(t(1e18 as u64), k);
-            assert_eq!(snap.len(), ps.len() + 1);
+            assert_eq!(copy.len(), ps.len() + 1);
         }
     }
 
@@ -510,8 +521,8 @@ mod tests {
             let now = t(round);
             ps.set_rate(now, (round % 8) as u32, 1.0 + (round % 13) as f64);
             assert!(
-                ps.completion_heap_len() <= 2 * ps.len() + COMPACT_MIN,
-                "completion heap grew unbounded: {} entries for {} jobs",
+                ps.completion_heap_len() <= ps.len(),
+                "more than one announcement per job: {} entries for {} jobs",
                 ps.completion_heap_len(),
                 ps.len()
             );
@@ -668,6 +679,177 @@ mod props {
                         r.remaining
                     );
                 }
+            }
+        }
+    }
+
+    /// The reference the indexed heap is checked against: jobs in a `Vec`,
+    /// the next completion found by linear scan. It settles and announces
+    /// with the same arithmetic, written out again here, so every answer
+    /// must be `==`, not close.
+    #[derive(Default)]
+    struct Naive {
+        jobs: Vec<NaiveJob>,
+        last: SimTime,
+    }
+
+    struct NaiveJob {
+        key: u32,
+        remaining: f64,
+        rate: f64,
+        settled_at: SimTime,
+        due: Option<SimTime>,
+    }
+
+    impl Naive {
+        fn finished(j: &NaiveJob) -> bool {
+            j.remaining <= 1e-6 || j.remaining <= j.rate * 1.5e-9
+        }
+
+        fn settle_and_announce(&mut self, i: usize) {
+            let (last, j) = (self.last, &mut self.jobs[i]);
+            if j.rate > 0.0 && last > j.settled_at {
+                let dt = (last - j.settled_at).as_secs_f64();
+                j.remaining = (j.remaining - j.rate * dt).max(0.0);
+            }
+            j.settled_at = last;
+            j.due = if Self::finished(j) {
+                Some(last)
+            } else if j.rate > 0.0 {
+                let ns = (j.remaining / j.rate * 1e9).round().max(1.0);
+                (ns < u64::MAX as f64).then(|| last + SimDuration::from_nanos(ns as u64))
+            } else {
+                None
+            };
+        }
+
+        fn find(&self, key: u32) -> usize {
+            self.jobs.iter().position(|j| j.key == key).unwrap()
+        }
+
+        fn insert(&mut self, now: SimTime, key: u32, work: f64) {
+            self.last = self.last.max(now);
+            self.jobs.push(NaiveJob {
+                key,
+                remaining: work,
+                rate: 0.0,
+                settled_at: now,
+                due: None,
+            });
+            self.settle_and_announce(self.jobs.len() - 1);
+        }
+
+        fn set_rate(&mut self, now: SimTime, key: u32, rate: f64) {
+            self.last = self.last.max(now);
+            let i = self.find(key);
+            // Settle at the old rate, then announce at the new one.
+            self.settle_and_announce(i);
+            self.jobs[i].rate = rate;
+            self.settle_and_announce(i);
+        }
+
+        fn remove(&mut self, now: SimTime, key: u32) -> f64 {
+            self.last = self.last.max(now);
+            let i = self.find(key);
+            self.settle_and_announce(i);
+            self.jobs.remove(i).remaining
+        }
+
+        fn earliest(&self) -> Option<(usize, SimTime)> {
+            let due = |i: usize| self.jobs[i].due.map(|at| (at, self.jobs[i].key, i));
+            let (at, _, i) = (0..self.jobs.len()).filter_map(due).min()?;
+            Some((i, at))
+        }
+
+        fn earliest_completion(&self) -> Option<(u32, SimTime)> {
+            let (i, at) = self.earliest()?;
+            Some((self.jobs[i].key, at.max(self.last)))
+        }
+
+        fn take_finished(&mut self, now: SimTime) -> Vec<u32> {
+            self.last = self.last.max(now);
+            let mut done = Vec::new();
+            while let Some((i, _)) = self.earliest().filter(|&(_, at)| at <= now) {
+                self.settle_and_announce(i);
+                if Self::finished(&self.jobs[i]) {
+                    done.push(self.jobs.remove(i).key);
+                }
+            }
+            done.sort_unstable();
+            done
+        }
+    }
+
+    /// Every live job's recorded heap position holds its own entry, every
+    /// entry belongs to a live job, and the heap is in `(at, key)` order.
+    fn assert_heap_indexed(ps: &ProgressSet<u32>) {
+        assert!(ps.completion_heap_len() <= ps.len());
+        let mut announced = 0;
+        for (&key, &slot) in &ps.index {
+            if let Some(pos) = ps.jobs[slot as usize].pos {
+                let due = &ps.heap[pos as usize];
+                assert_eq!((due.key, due.slot), (key, slot), "stale position");
+                announced += 1;
+            }
+        }
+        assert_eq!(announced, ps.heap.len(), "an entry without a live job");
+        for (i, due) in ps.heap.iter().enumerate().skip(1) {
+            let parent = &ps.heap[(i - 1) / 2];
+            assert!((parent.at, parent.key) <= (due.at, due.key), "heap order");
+        }
+    }
+
+    /// The indexed heap answers exactly as the naive reference does, over
+    /// random streams built to collide: few distinct rates and amounts of
+    /// work (completion ties), re-rates at an unchanged instant, zero rates,
+    /// zero work, removals, and advances that overshoot several completions.
+    #[test]
+    fn indexed_heap_matches_naive_reference() {
+        let mut rng = Xoshiro256::seed_from_u64(0x1DE7);
+        for case in 0..128 {
+            let mut ps: ProgressSet<u32> = ProgressSet::new();
+            let mut naive = Naive::default();
+            let mut now = SimTime::ZERO;
+            let mut next_key = 0u32;
+            for step in 0..300 {
+                let live: Vec<u32> = naive.jobs.iter().map(|j| j.key).collect();
+                let pick = |rng: &mut Xoshiro256| live[rng.gen_index(live.len())];
+                match rng.gen_index(6) {
+                    0 | 1 => {
+                        let work = [0.0, 1.0, 1.0, 2.0, 1e3][rng.gen_index(5)];
+                        ps.insert(now, next_key, work);
+                        naive.insert(now, next_key, work);
+                        next_key += 1;
+                    }
+                    2 | 3 if !live.is_empty() => {
+                        // A burst re-rates at one instant, as a reassignment does.
+                        for _ in 0..1 + rng.gen_index(3) {
+                            let key = pick(&mut rng);
+                            let rate = [0.0, 0.5, 1.0, 1.0, 2.0, 1e9][rng.gen_index(6)];
+                            ps.set_rate(now, key, rate);
+                            naive.set_rate(now, key, rate);
+                        }
+                    }
+                    4 if !live.is_empty() => {
+                        let key = pick(&mut rng);
+                        assert_eq!(ps.remove(now, key), Some(naive.remove(now, key)));
+                    }
+                    _ => {
+                        now = match ps.earliest_completion() {
+                            Some((_, at)) if rng.gen_bool() => at,
+                            _ => now + SimDuration::from_nanos(rng.gen_range_u64(0, 3_000_000_000)),
+                        };
+                        let done = ps.take_finished(now);
+                        assert_eq!(done, naive.take_finished(now), "case {case} step {step}");
+                    }
+                }
+                assert_eq!(
+                    ps.earliest_completion(),
+                    naive.earliest_completion(),
+                    "case {case} step {step}"
+                );
+                assert_eq!(ps.len(), naive.jobs.len());
+                assert_heap_indexed(&ps);
             }
         }
     }

@@ -4,8 +4,6 @@
 //! journal-prefix limit — and the buffer of same-instant events that makes
 //! stopping *between* two of them possible.
 
-use std::collections::VecDeque;
-
 use desim::SimTime;
 use dps::{AnyDataObject, OpId, Operation, ThreadId};
 
@@ -36,9 +34,12 @@ pub type PausePred = Box<dyn FnMut(&PausePoint<'_>) -> bool>;
 pub(crate) struct RunControl {
     /// Completed transfers / finished steps not yet acted upon. The event
     /// loop buffers them so a pause can stop between same-instant events
-    /// and a fork resumes with the remainder intact.
-    pub(crate) arrived: VecDeque<u64>,
-    pub(crate) finished: VecDeque<u64>,
+    /// and a fork resumes with the remainder intact. The fabric and the CPU
+    /// model fill them in place once per instant, so the loop allocates
+    /// nothing per event; [`RunControl::order_batch`] then reverses them,
+    /// and `pop` takes the events in the order they were reported.
+    pub(crate) arrived: Vec<u64>,
+    pub(crate) finished: Vec<u64>,
     /// Active pause predicate (checkpoint `run_until`).
     pub(crate) pause: Option<PausePred>,
     /// Servers stopped by the predicate, their triggering object still at
@@ -56,17 +57,11 @@ pub(crate) struct RunControl {
 }
 
 impl RunControl {
-    /// Buffers one instant's events. `tie_break_swap` is the fuzzing hook
-    /// of that name: it perturbs the id tie-break of the n-th batch in
-    /// which two or more steps finished together.
-    pub(crate) fn buffer(
-        &mut self,
-        arrived: Vec<u64>,
-        finished: Vec<u64>,
-        tie_break_swap: Option<u64>,
-    ) {
-        self.arrived.extend(arrived);
-        self.finished.extend(finished);
+    /// Readies the events one instant just reported for consumption.
+    /// `tie_break_swap` is the fuzzing hook of that name: it perturbs the
+    /// id tie-break of the n-th batch in which two or more steps finished
+    /// together.
+    pub(crate) fn order_batch(&mut self, tie_break_swap: Option<u64>) {
         if let Some(n) = tie_break_swap {
             if self.finished.len() >= 2 {
                 if self.tie_batches == n {
@@ -75,6 +70,8 @@ impl RunControl {
                 self.tie_batches += 1;
             }
         }
+        self.arrived.reverse();
+        self.finished.reverse();
     }
 
     /// Asks the pause predicate, if one is set, about a server about to

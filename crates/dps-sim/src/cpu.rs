@@ -3,7 +3,7 @@
 //! concurrent transfers costs (the paper's §3).
 //!
 //! The engine drives it like the fabric: [`CpuModel::next_completion`] says
-//! when a step finishes on its own, [`CpuModel::take_finished`] collects the
+//! when a step finishes on its own, [`CpuModel::take_finished_into`] collects the
 //! steps due at an instant, and [`CpuModel::reprice`] re-splits the
 //! processors whose population or communication load changed.
 
@@ -29,7 +29,7 @@ struct NodeCpu {
     steps: Vec<u64>,
     /// Rate last pushed to every one of `steps`; they are only re-rated
     /// when the share moves or `dirty` is set, because touching a step
-    /// costs a settle and a heap push.
+    /// settles it and re-keys its completion-heap entry.
     rate: f64,
     /// A step started or finished here since the last reprice — its steps
     /// need fresh rates even if the share is unchanged (a new step still
@@ -37,6 +37,8 @@ struct NodeCpu {
     dirty: bool,
 }
 
+/// Cloning it gives a fork its own independent copy.
+#[derive(Clone)]
 pub(crate) struct CpuModel {
     progress: ProgressSet<u64>,
     steps: FxHashMap<u64, StepInfo>,
@@ -90,16 +92,19 @@ impl CpuModel {
         self.progress.earliest_completion().map(|(_, t)| t)
     }
 
-    /// Steps whose computation has drained by `now`, in id order. Each
-    /// stays on its node until it is [`retire`](CpuModel::retire)d.
-    pub(crate) fn take_finished(&mut self, now: SimTime) -> Vec<u64> {
-        self.progress.take_finished(now)
+    /// Appends the steps whose computation has drained by `now`, in id
+    /// order. Each stays on its node until it is
+    /// [`retire`](CpuModel::retire)d.
+    pub(crate) fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
+        self.progress.take_finished_into(now, out);
     }
 
     /// Forgets a finished step, freeing its share of the node.
     pub(crate) fn retire(&mut self, id: u64) -> StepInfo {
         let info = self.steps.remove(&id).expect("unknown step");
-        self.nodes[info.node.0 as usize].steps.retain(|&s| s != id);
+        let steps = &mut self.nodes[info.node.0 as usize].steps;
+        let at = steps.iter().position(|&s| s == id);
+        steps.remove(at.expect("running step is on its node"));
         self.touch(info.node);
         info
     }
@@ -140,18 +145,5 @@ impl CpuModel {
             }
         }
         self.scratch = affected;
-    }
-
-    /// An independent copy for checkpoint/fork (the progress set is
-    /// compacted first, see [`ProgressSet::snapshot`]).
-    pub(crate) fn fork(&mut self) -> CpuModel {
-        CpuModel {
-            progress: self.progress.snapshot(),
-            steps: self.steps.clone(),
-            nodes: self.nodes.clone(),
-            dirty: self.dirty.clone(),
-            next_id: self.next_id,
-            scratch: Vec::new(),
-        }
     }
 }

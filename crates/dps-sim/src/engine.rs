@@ -267,14 +267,14 @@ where
             return false;
         }
         // Network first: arrivals may start new computations at `now`.
-        while let Some(handle) = self.control.arrived.pop_front() {
+        while let Some(handle) = self.control.arrived.pop() {
             self.deliver_transfer(handle);
             if self.terminated || !self.control.parked.is_empty() {
                 return false;
             }
         }
         // Then completed atomic steps.
-        while let Some(step) = self.control.finished.pop_front() {
+        while let Some(step) = self.control.finished.pop() {
             self.complete_step(step);
             if self.terminated || self.error.is_some() || !self.control.parked.is_empty() {
                 return false;
@@ -307,10 +307,12 @@ where
             return false;
         }
         self.now = t;
-        let arrived = self.fabric.advance(t);
-        let finished = self.cpu.take_finished(t);
-        self.control
-            .buffer(arrived, finished, self.cfg.tie_break_swap);
+        // Both buffers were drained above, so this instant's events are all
+        // they will hold.
+        debug_assert!(self.control.arrived.is_empty() && self.control.finished.is_empty());
+        self.fabric.advance_into(t, &mut self.control.arrived);
+        self.cpu.take_finished_into(t, &mut self.control.finished);
+        self.control.order_batch(self.cfg.tie_break_swap);
         true
     }
 
@@ -744,7 +746,7 @@ impl<A: Clone> Engine<A, Box<dyn Fabric + Send>> {
         Some(Engine {
             app: self.app.clone(),
             fabric,
-            cpu: self.cpu.fork(),
+            cpu: self.cpu.clone(),
             acct: self.acct.clone(),
             control: self.control.fork(),
             // The fork inherits the parent's committed prefix and keeps

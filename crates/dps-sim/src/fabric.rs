@@ -26,6 +26,13 @@ pub trait Fabric {
     /// deterministic order.
     fn advance(&mut self, now: SimTime) -> Vec<u64>;
 
+    /// [`advance`](Fabric::advance) into a caller-owned buffer: the handles
+    /// are appended to `out`. The engine's loop calls this one, so a fabric
+    /// that overrides it keeps the loop free of per-event allocations.
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
+        out.extend(self.advance(now));
+    }
+
     /// Fraction of `node`'s processing power currently available to
     /// computation, after communication handling costs.
     fn cpu_available(&self, node: NodeId) -> f64;
@@ -64,8 +71,6 @@ pub trait Fabric {
     /// An independent deep copy of the fabric's current state, for engines
     /// that snapshot and fork a running simulation. `None` — the default —
     /// marks the fabric as unforkable; checkpoints over it cannot fork.
-    /// Takes `&mut self` so implementations may compact internal state
-    /// (dead heap entries) before copying.
     fn fork_fabric(&mut self) -> Option<Box<dyn Fabric + Send>> {
         None
     }
@@ -84,6 +89,8 @@ pub trait Fabric {
 /// communications.
 pub struct SimFabric {
     net: Network,
+    /// Buffer for one [`Fabric::advance_into`]'s events; empty between calls.
+    events: Vec<NetEvent>,
 }
 
 impl SimFabric {
@@ -96,14 +103,16 @@ impl SimFabric {
     pub fn with_sharing(params: NetParams, sharing: Sharing) -> SimFabric {
         SimFabric {
             net: Network::new(params, sharing),
+            events: Vec::new(),
         }
     }
 
     /// Concrete-typed fork (see [`Fabric::fork_fabric`]); used by wrapper
     /// fabrics that need to rebuild themselves around the copy.
-    pub(crate) fn fork_sim(&mut self) -> SimFabric {
+    pub(crate) fn fork_sim(&self) -> SimFabric {
         SimFabric {
-            net: self.net.snapshot(),
+            net: self.net.clone(),
+            events: Vec::new(),
         }
     }
 
@@ -138,11 +147,14 @@ impl Fabric for SimFabric {
     }
 
     fn advance(&mut self, now: SimTime) -> Vec<u64> {
-        self.net
-            .advance(now)
-            .into_iter()
-            .map(|NetEvent::Completed(id)| id.0)
-            .collect()
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
+    }
+
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
+        self.net.advance_into(now, &mut self.events);
+        out.extend(self.events.drain(..).map(|NetEvent::Completed(id)| id.0));
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {

@@ -71,13 +71,19 @@ impl Fabric for FaultFabric {
     }
 
     fn advance(&mut self, now: SimTime) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.advance_into(now, &mut out);
+        out
+    }
+
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
         // CPU windows crossed by this advance change those nodes' rates;
         // report them as dirty so the engine re-prices their steps.
         let mut crossed = Vec::new();
         self.cpu.changed_nodes(self.now, now, &mut crossed);
         self.changed.extend(crossed.into_iter().map(NodeId));
         self.now = now;
-        self.inner.advance(now)
+        self.inner.advance_into(now, out);
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {

@@ -16,10 +16,11 @@
 //! down(dst)/n_in(dst))`, so an arrival or departure can only change the
 //! rates of flows sharing its source's uplink or its destination's
 //! downlink. `advance` therefore reassigns rates only for flows on those
-//! *dirty* ports — O(port degree) per change — instead of recomputing the
-//! whole flow set. Max-min sharing has no such locality (slack propagates
-//! transitively through ports) and falls back to the full iterative
-//! computation.
+//! *dirty* links — O(port degree) per change — instead of recomputing the
+//! whole flow set, from a per-link share `capacity / n` that is refreshed
+//! once per dirty link. Max-min sharing has no such locality (slack
+//! propagates transitively through ports) and falls back to the full
+//! iterative computation.
 
 use std::collections::VecDeque;
 
@@ -62,11 +63,16 @@ const DOWN: usize = 1;
 #[derive(Clone, Debug, Default)]
 struct Port {
     /// Bandwidth-phase flows leaving through the uplink / arriving through
-    /// the downlink, in promotion order.
-    flows: [Vec<FlowId>; 2],
+    /// the downlink, each with the node at its other end, in promotion
+    /// order.
+    flows: [Vec<(FlowId, NodeId)>; 2],
     /// Capacity override in bytes/s, for heterogeneous clusters (straggler
     /// nodes, mixed link speeds).
     capacity: Option<[f64; 2]>,
+    /// Equal share of each link, `link_capacity / flows.len()`, as of the
+    /// last rate assignment that found the link dirty. Whatever moves
+    /// either input marks the link, so a clean link's share is current.
+    share: [f64; 2],
     /// The link's population or capacity changed since the last rate
     /// assignment. One mark per link: re-rating a flow settles it even when
     /// its rate comes out the same, and a moved settlement point moves
@@ -98,9 +104,9 @@ pub struct Network {
     /// nodes whose communication load actually moved. One entry per node
     /// at most, however long nobody drains it.
     load_dirty: Vec<NodeId>,
-    /// Scratch buffer for [`Network::reassign_rates`] (avoids a per-event
-    /// allocation).
-    scratch: Vec<FlowId>,
+    /// Buffer for the flows one [`Network::advance_into`] finds finished;
+    /// empty between calls.
+    finished: Vec<FlowId>,
     stats: NetStats,
     /// Scheduled capacity multipliers (fault injection) of every node's
     /// uplink and downlink. Each [`Network::schedule_capacity_window`] call
@@ -123,7 +129,7 @@ impl Network {
             ports: Vec::new(),
             rate_dirty: Vec::new(),
             load_dirty: Vec::new(),
-            scratch: Vec::new(),
+            finished: Vec::new(),
             stats: NetStats::default(),
             windows: Default::default(),
         }
@@ -203,19 +209,9 @@ impl Network {
         };
         self.windows[UP].push(window(up_factor));
         self.windows[DOWN].push(window(down_factor));
-    }
-
-    /// An O(live-state) copy of the whole link/fairness state for
-    /// checkpoint/fork: in-flight flows (latent and draining), per-node
-    /// port records with their pending dirty marks, accumulated
-    /// statistics and fault windows. The draining [`ProgressSet`] is
-    /// compacted before cloning so the copy carries no stale
-    /// completion-heap entries.
-    pub fn snapshot(&mut self) -> Network {
-        let mut copy = self.clone();
-        copy.active = self.active.snapshot();
-        copy.scratch = Vec::new();
-        copy
+        // A window that has already begun moves the capacities now.
+        self.mark_link(NodeId(node), UP);
+        self.mark_link(NodeId(node), DOWN);
     }
 
     /// Every capacity window scheduled so far, as
@@ -304,6 +300,14 @@ impl Network {
     /// Advances the model to `now`, promoting flows out of their latency
     /// phase and collecting completed transfers (in deterministic order).
     pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
+        let mut events = Vec::new();
+        self.advance_into(now, &mut events);
+        events
+    }
+
+    /// [`advance`](Network::advance) into a caller-owned buffer: the
+    /// completed transfers are appended to `events`.
+    pub fn advance_into(&mut self, now: SimTime, events: &mut Vec<NetEvent>) {
         // Drain bytes at the rates valid up to `now` first.
         let prev = self.active.now();
         self.active.advance_to(now);
@@ -325,27 +329,31 @@ impl Network {
             let (_, id, spec, bytes) = self.latent.pop_front().expect("just seen");
             self.specs.insert(id, spec);
             self.active.insert(now, id, bytes);
-            self.port_mut(spec.src).flows[UP].push(id);
-            self.port_mut(spec.dst).flows[DOWN].push(id);
+            self.port_mut(spec.src).flows[UP].push((id, spec.dst));
+            self.port_mut(spec.dst).flows[DOWN].push((id, spec.src));
             self.population_changed(spec);
         }
 
         // Collect completions (at the rates assigned before this advance).
-        let done = self.active.take_finished(now);
-        let mut events = Vec::with_capacity(done.len());
-        for id in done {
+        let mut done = std::mem::take(&mut self.finished);
+        self.active.take_finished_into(now, &mut done);
+        for id in done.drain(..) {
             let spec = self.specs.remove(&id).expect("active flow has a spec");
-            self.port_mut(spec.src).flows[UP].retain(|&f| f != id);
-            self.port_mut(spec.dst).flows[DOWN].retain(|&f| f != id);
+            for (node, side) in [(spec.src, UP), (spec.dst, DOWN)] {
+                // Order-preserving, and stops at the hit.
+                let flows = &mut self.ports[node.0 as usize].flows[side];
+                let at = flows.iter().position(|&(f, _)| f == id);
+                flows.remove(at.expect("active flow is on both its links"));
+            }
             self.population_changed(spec);
             self.stats.flows_completed += 1;
             events.push(NetEvent::Completed(id));
         }
+        self.finished = done;
 
         if !self.rate_dirty.is_empty() {
             self.reassign_rates(now);
         }
-        events
     }
 
     /// Concurrent transfer counts `(incoming, outgoing)` for `node`, used by
@@ -383,7 +391,9 @@ impl Network {
 
     /// Equal-split rate of one flow from the current port counts — the same
     /// expression `fairness::equal_split` evaluates, so incremental and
-    /// from-scratch assignments agree bit-for-bit.
+    /// from-scratch assignments agree bit-for-bit. The incremental path
+    /// reads the two quotients from [`Port::share`]; debug builds check every
+    /// rate it installs against this.
     fn equal_split_rate(&self, spec: FlowSpec) -> f64 {
         let n_out = self.ports[spec.src.0 as usize].flows[UP].len();
         let n_in = self.ports[spec.dst.0 as usize].flows[DOWN].len();
@@ -416,35 +426,54 @@ impl Network {
 
     /// Reassigns rates after the active set (or a capacity) changed,
     /// clearing the links' dirty marks.
+    ///
+    /// Under equal split only flows crossing a dirty link can have changed
+    /// rates, and every one of them is re-rated exactly once — also when its
+    /// rate comes out bit-equal, because the re-rate settles the flow and
+    /// the settlement point is where its remaining bytes are rounded. Flows
+    /// that merely share a *node* with a dirty link (its other side) are
+    /// left alone for the same reason.
     fn reassign_rates(&mut self, now: SimTime) {
-        // Only flows crossing a dirty link can have changed rates.
-        let mut affected = std::mem::take(&mut self.scratch);
-        affected.clear();
+        if self.sharing == Sharing::MaxMin {
+            // No locality: a departure's slack can cascade anywhere.
+            for (id, rate) in self.rates_from_scratch() {
+                self.active.set_rate(now, id, rate);
+            }
+        } else {
+            for i in 0..self.rate_dirty.len() {
+                let node = self.rate_dirty[i];
+                for side in [UP, DOWN] {
+                    let port = &self.ports[node.0 as usize];
+                    if port.dirty[side] {
+                        let n = port.flows[side].len() as f64;
+                        self.ports[node.0 as usize].share[side] =
+                            self.link_capacity(node, side) / n;
+                    }
+                }
+            }
+            for &node in &self.rate_dirty {
+                let port = &self.ports[node.0 as usize];
+                for side in [UP, DOWN].into_iter().filter(|&side| port.dirty[side]) {
+                    for &(id, peer) in &port.flows[side] {
+                        let (src, dst) = [(node, peer), (peer, node)][side];
+                        let (up, down) = (&self.ports[src.0 as usize], &self.ports[dst.0 as usize]);
+                        if side == DOWN && up.dirty[UP] {
+                            continue; // re-rated from its source's dirty uplink
+                        }
+                        let rate = up.share[UP].min(down.share[DOWN]);
+                        debug_assert_eq!(
+                            rate.to_bits(),
+                            self.equal_split_rate(FlowSpec { src, dst }).to_bits(),
+                            "stale link share"
+                        );
+                        self.active.set_rate(now, id, rate);
+                    }
+                }
+            }
+        }
         for node in self.rate_dirty.drain(..) {
-            let port = &mut self.ports[node.0 as usize];
-            for side in [UP, DOWN] {
-                if std::mem::take(&mut port.dirty[side]) {
-                    affected.extend_from_slice(&port.flows[side]);
-                }
-            }
+            self.ports[node.0 as usize].dirty = [false; 2];
         }
-        match self.sharing {
-            Sharing::EqualSplit => {
-                affected.sort_unstable();
-                affected.dedup();
-                for &id in &affected {
-                    let rate = self.equal_split_rate(self.specs[&id]);
-                    self.active.set_rate(now, id, rate);
-                }
-            }
-            Sharing::MaxMin => {
-                // No locality: a departure's slack can cascade anywhere.
-                for (id, rate) in self.rates_from_scratch() {
-                    self.active.set_rate(now, id, rate);
-                }
-            }
-        }
-        self.scratch = affected;
     }
 }
 
@@ -481,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mid_flight_drains_identically() {
+    fn clone_mid_flight_drains_identically() {
         let mut n = net(50, 1e6);
         n.set_node_capacity(NodeId(2), 5e5, 5e5);
         n.schedule_capacity_window(NodeId(1), 0.5, 0.5, SimTime(0), SimTime(40_000_000));
@@ -497,11 +526,11 @@ mod tests {
         // capacity window active.
         let mid = SimTime(10_000_000);
         n.advance(mid);
-        let mut copy = n.snapshot();
+        let mut copy = n.clone();
         assert_eq!(copy.in_flight(), n.in_flight());
         let a = drain(&mut n);
         let b = drain(&mut copy);
-        assert_eq!(a, b, "snapshot must drain bit-identically");
+        assert_eq!(a, b, "the copy must drain bit-identically");
         assert_eq!(n.stats().flows_completed, copy.stats().flows_completed);
     }
 
@@ -758,19 +787,34 @@ mod props {
     use desim::SimDuration;
     use simrng::{Rng, Xoshiro256};
 
+    /// After every advance the installed rates are exactly what a
+    /// from-scratch computation gives, while node capacities are overridden
+    /// mid-run and capacity windows open and close inside the run (some
+    /// scheduled after they began) — so a link share cached across any of
+    /// those would show as a stale rate.
     #[test]
     fn incremental_rates_match_from_scratch_on_random_sequences() {
         let mut rng = Xoshiro256::seed_from_u64(0x1ACE);
+        let params = NetParams {
+            latency: SimDuration::from_micros(50),
+            ..NetParams::fast_ethernet()
+        };
         for case in 0..64 {
-            let mut n = Network::new(
-                NetParams {
-                    latency: SimDuration::from_micros(50),
-                    ..NetParams::fast_ethernet()
-                },
-                Sharing::EqualSplit,
-            );
-            let nodes = 2 + rng.gen_index(7) as u32;
+            let sharing = [Sharing::EqualSplit, Sharing::MaxMin][case % 2];
+            let mut n = Network::new(params, sharing);
+            let nodes = 2 + rng.gen_below(7) as u32;
             let mut now = SimTime::ZERO;
+            // The run lasts about 0.2 s of virtual time.
+            let window = |n: &mut Network, rng: &mut Xoshiro256| {
+                let from = rng.gen_range_u64(0, 200_000_000);
+                let to = from + rng.gen_range_u64(1, 100_000_000);
+                let node = NodeId(rng.gen_below(nodes as u64) as u32);
+                let factor = [0.25, 0.5, 1.0][rng.gen_index(3)];
+                n.schedule_capacity_window(node, factor, 0.5, SimTime(from), SimTime(to));
+            };
+            for _ in 0..rng.gen_index(4) {
+                window(&mut n, &mut rng);
+            }
             for _ in 0..200 {
                 // Random arrivals, random time steps; departures happen
                 // naturally as transfers drain.
@@ -782,27 +826,28 @@ mod props {
                     }
                     n.start_flow(now, src, dst, rng.gen_range_u64(0, 200_000));
                 }
+                match rng.gen_index(32) {
+                    0 | 1 => {
+                        let node = NodeId(rng.gen_below(nodes as u64) as u32);
+                        let scale = |rng: &mut Xoshiro256| [0.5, 1.0, 2.0][rng.gen_index(3)];
+                        let up = params.up_bytes_per_sec * scale(&mut rng);
+                        let down = params.down_bytes_per_sec * scale(&mut rng);
+                        n.set_node_capacity(node, up, down);
+                    }
+                    2 => window(&mut n, &mut rng),
+                    _ => {}
+                }
                 now += SimDuration::from_nanos(rng.gen_range_u64(1, 2_000_000));
                 n.advance(now);
 
-                // Oracle: full equal_split over the current active set.
-                let flows: Vec<(u64, FlowSpec)> = {
-                    let mut v: Vec<FlowId> = n.active.keys().collect();
-                    v.sort_unstable();
-                    v.into_iter().map(|id| (id.0, n.specs[&id])).collect()
-                };
-                let want = compute_rates(
-                    &flows,
-                    |x| n.node_capacity(x).0,
-                    |x| n.node_capacity(x).1,
-                    Sharing::EqualSplit,
-                );
-                for (raw, _) in &flows {
-                    let got = n.flow_rate(FlowId(*raw)).unwrap();
+                let want = n.rates_from_scratch();
+                assert_eq!(want.len(), n.active.len());
+                for (id, want) in want {
+                    let got = n.flow_rate(id).unwrap();
                     assert!(
-                        got == want[raw],
-                        "case {case}: flow {raw}: incremental {got} != full {}",
-                        want[raw]
+                        got == want,
+                        "case {case} ({sharing:?}): flow {}: installed {got} != full {want}",
+                        id.0
                     );
                 }
             }
