@@ -14,8 +14,10 @@
 //! `--journal` instead fuzzes the journal *codec*: every truncated prefix
 //! of a seeded reference journal must come back as a typed decode error
 //! (never a panic, never a silent success), seeded bit flips must never
-//! panic the decoder, and truncated entry batches must be rejected by the
-//! incremental appender.
+//! panic the decoder, truncated entry batches must be rejected by the
+//! incremental appender, and the same journal framed as a WAL must scan
+//! back to whole frames (at most one torn tail) at every truncation and
+//! under seeded bit flips.
 
 use std::time::{Duration, Instant};
 
@@ -75,11 +77,13 @@ fn fuzz_journal(args: &Args) {
     match fuzz_journal_decode(args.seed, args.flips) {
         Ok(r) => println!(
             "fuzz --journal: ok — {} byte journal, {} truncations, {} bit flips, \
-             {} batch truncations in {:.1}s",
+             {} batch truncations, {} WAL truncations, {} WAL bit flips in {:.1}s",
             r.bytes,
             r.truncations,
             r.flips,
             r.batch_truncations,
+            r.wal_truncations,
+            r.wal_flips,
             start.elapsed().as_secs_f64()
         ),
         Err(failures) => {

@@ -19,6 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use cluster_svc::{DurabilitySpec, WriteAheadLog};
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps::Application;
 use dps_sim::journal::replay_with_fabric;
@@ -270,6 +271,10 @@ pub struct JournalFuzzReport {
     pub flips: usize,
     /// Truncated entry batches checked against `append_entry_batch`.
     pub batch_truncations: usize,
+    /// Truncated prefixes of the journal's WAL checked against `scan`.
+    pub wal_truncations: usize,
+    /// Seeded single-bit corruptions of the WAL checked against `scan`.
+    pub wal_flips: usize,
 }
 
 /// Draws a seeded reference journal covering every event kind, labels and
@@ -355,7 +360,11 @@ fn decode_no_panic(bytes: &[u8], what: &str) -> Result<Result<Journal, String>, 
 /// *every* truncated prefix of an encoded journal to a typed
 /// [`desim::JournalDecodeError`], survive seeded single-bit corruptions
 /// without panicking, and reject every truncated entry batch fed to
-/// `append_entry_batch`. Returns pinpointed diagnostics on violation.
+/// `append_entry_batch`. The same journal framed as a WAL must scan, at
+/// every truncation point, to its whole frames plus at most one torn tail
+/// (or to a typed `WalError` while the header frame is incomplete), and
+/// never recover anything but a prefix of the source, bit flips included.
+/// Returns pinpointed diagnostics on violation.
 pub fn fuzz_journal_decode(seed: u64, flips: usize) -> Result<JournalFuzzReport, Vec<String>> {
     let journal = draw_journal(seed, 200);
     let bytes = journal.encode();
@@ -428,6 +437,56 @@ pub fn fuzz_journal_decode(seed: u64, flips: usize) -> Result<JournalFuzzReport,
         }
     }
 
+    // 4. The journal as WAL frames, cut at every byte and bit-flipped.
+    let wal = WriteAheadLog::build(&journal, &DurabilitySpec::group_commit(16));
+    let log = wal.bytes();
+    // `whole` = how many frames must survive, where the damage says so
+    // (none surviving means the header frame is gone: a typed error).
+    let mut scan = |bytes: &[u8], whole: Option<usize>, what: &str| {
+        let rec = match catch_unwind(AssertUnwindSafe(|| WriteAheadLog::scan(bytes))) {
+            Err(_) => return failures.push(format!("{what}: WAL scan panicked")),
+            Ok(Err(_)) if whole.is_none_or(|k| k == 0) => return,
+            Ok(Err(e)) => return failures.push(format!("{what}: {e}")),
+            Ok(Ok(rec)) => rec,
+        };
+        let kept = wal.frame_prefix(rec.frames).len();
+        if whole.is_some_and(|k| k != rec.frames) || rec.torn.is_some() != (kept < bytes.len()) {
+            failures.push(format!(
+                "{what}: scanned {} frames (torn tail: {:?}), want {whole:?}",
+                rec.frames, rec.torn
+            ));
+        }
+        if rec.journal.len() as u64 != wal.entries_through(rec.frames)
+            || rec.journal.entries[..] != journal.entries[..rec.journal.len()]
+        {
+            failures.push(format!("{what}: recovered entries are not a source prefix"));
+        }
+    };
+    for cut in 0..=log.len() {
+        report.wal_truncations += 1;
+        let whole = (1..=wal.frames())
+            .rev()
+            .find(|&k| wal.frame_prefix(k).len() <= cut)
+            .unwrap_or(0);
+        scan(
+            &log[..cut],
+            Some(whole),
+            &format!("WAL truncated at byte {cut}"),
+        );
+    }
+    for _ in 0..flips {
+        report.wal_flips += 1;
+        let i = rng.gen_range_u64(0, log.len() as u64) as usize;
+        let bit = rng.gen_range_u64(0, 8) as u8;
+        let mut corrupt = log.to_vec();
+        corrupt[i] ^= 1 << bit;
+        scan(
+            &corrupt,
+            None,
+            &format!("WAL bit flip at byte {i} bit {bit}"),
+        );
+    }
+
     if failures.is_empty() {
         Ok(report)
     } else {
@@ -497,6 +556,8 @@ mod tests {
         assert_eq!(report.truncations, report.bytes);
         assert_eq!(report.flips, 64);
         assert!(report.batch_truncations > 0);
+        assert!(report.wal_truncations > report.bytes, "frames add bytes");
+        assert_eq!(report.wal_flips, 64);
     }
 
     /// One seeded case end-to-end: the invariant holds on a real workload.

@@ -14,11 +14,13 @@
 //! diffed decision-by-decision.
 //!
 //! [`DecisionLog`] is the only code that touches the journal. When the
-//! run resumes from a recovered prefix it also checks each committed
-//! entry against that prefix, so a recovery that diverges fails instead
-//! of silently rewriting history.
+//! run resumes from a recovered prefix it adopts that prefix as the head
+//! of its own journal: while the re-execution is still inside it, each
+//! decision is built on the stack and compared with the entry already
+//! there, and nothing is pushed — so a recovery that diverges fails
+//! instead of silently rewriting history, and a recovery that does not
+//! holds one journal, not a recovered one and a re-recorded one.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use desim::{Journal, JournalEntry, JournalEvent, SimTime};
@@ -79,14 +81,6 @@ pub const DECISION_LABELS: [&str; 12] = [
 /// `Step.node` value for decisions that concern no cell.
 pub const NO_CELL: u32 = u32::MAX;
 
-/// A recovered committed decision prefix for validated replay (see
-/// [`crate::ServeOptions::resume`] and the `recovery` module).
-#[derive(Clone, Debug)]
-pub struct ResumePrefix {
-    /// Committed entries recovered from the durable log, in commit order.
-    pub entries: Arc<Vec<JournalEntry>>,
-}
-
 /// How a validated replay went.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayStats {
@@ -110,16 +104,40 @@ pub(crate) struct JobTag {
 
 /// Live state of a validated journal replay.
 struct ResumeCheck {
-    /// The recovered committed prefix.
-    entries: Arc<Vec<JournalEntry>>,
+    /// Length of the recovered committed prefix: the journal's first
+    /// `prefix_len` entries came from the durable log.
+    prefix_len: usize,
     /// Prefix entries matched so far.
     cursor: usize,
     /// Wall instant the replay started.
     started: Instant,
-    /// Wall seconds to re-execute through the full prefix.
+    /// Wall seconds to re-execute through the full prefix (an empty one
+    /// is caught up before it starts).
     caught_up: Option<f64>,
     /// First divergence, surfaced as a protocol error by the main loop.
     error: Option<String>,
+}
+
+impl ResumeCheck {
+    /// Checks a re-executed decision against the prefix entry it must
+    /// reproduce.
+    fn validate(&mut self, want: &JournalEntry, got: &JournalEntry) {
+        if self.error.is_some() {
+            return;
+        }
+        if got == want {
+            self.cursor += 1;
+            if self.cursor == self.prefix_len {
+                self.caught_up = Some(self.started.elapsed().as_secs_f64());
+            }
+        } else {
+            self.error = Some(format!(
+                "re-execution diverged from the recovered prefix at \
+                 entry {}: expected {want:?}, got {got:?}",
+                self.cursor
+            ));
+        }
+    }
 }
 
 /// The journal tap and the replay check behind it.
@@ -129,11 +147,23 @@ pub(crate) struct DecisionLog {
 }
 
 impl DecisionLog {
-    /// A log that records when asked to or when resuming (a replay needs
-    /// the stream it validates).
-    pub fn new(cfg: &ServiceConfig, record: bool, resume: Option<&ResumePrefix>) -> DecisionLog {
-        let journal = (record || resume.is_some()).then(|| {
+    /// A log that records when asked to or when resuming from `prefix`
+    /// (recovered committed entries, which become the journal's head).
+    pub fn new(
+        cfg: &ServiceConfig,
+        record: bool,
+        prefix: Option<Vec<JournalEntry>>,
+    ) -> DecisionLog {
+        let resume = prefix.as_ref().map(|p| ResumeCheck {
+            prefix_len: p.len(),
+            cursor: 0,
+            started: Instant::now(),
+            caught_up: p.is_empty().then_some(0.0),
+            error: None,
+        });
+        let journal = (record || prefix.is_some()).then(|| {
             let mut j = Journal::new();
+            j.entries = prefix.unwrap_or_default();
             for label in DECISION_LABELS {
                 j.intern_label(label);
             }
@@ -145,16 +175,7 @@ impl DecisionLog {
             j.set_meta("tenants", cfg.tenants.len().to_string());
             j
         });
-        DecisionLog {
-            journal,
-            resume: resume.map(|r| ResumeCheck {
-                entries: Arc::clone(&r.entries),
-                cursor: 0,
-                started: Instant::now(),
-                caught_up: None,
-                error: None,
-            }),
-        }
+        DecisionLog { journal, resume }
     }
 
     /// Commits one decision at `now`.
@@ -168,9 +189,9 @@ impl DecisionLog {
         extra: u64,
     ) {
         let Some(j) = &mut self.journal else { return };
-        j.push(
-            now,
-            JournalEvent::Step {
+        let got = JournalEntry {
+            vtime: now,
+            event: JournalEvent::Step {
                 job: job.id,
                 op,
                 thread: job.tenant,
@@ -178,24 +199,11 @@ impl DecisionLog {
                 start: u64::from(nodes),
                 work: extra,
             },
-        );
-        let Some(rc) = &mut self.resume else { return };
-        if rc.error.is_some() || rc.cursor == rc.entries.len() {
-            return;
-        }
-        let got = j.entries.last().expect("entry just pushed");
-        let want = &rc.entries[rc.cursor];
-        if got == want {
-            rc.cursor += 1;
-            if rc.cursor == rc.entries.len() {
-                rc.caught_up = Some(rc.started.elapsed().as_secs_f64());
-            }
-        } else {
-            rc.error = Some(format!(
-                "re-execution diverged from the recovered prefix at \
-                 entry {}: expected {want:?}, got {got:?}",
-                rc.cursor
-            ));
+        };
+        match &mut self.resume {
+            // Inside the adopted prefix the entry is already in the journal.
+            Some(rc) if rc.cursor < rc.prefix_len => rc.validate(&j.entries[rc.cursor], &got),
+            _ => j.entries.push(got),
         }
     }
 
@@ -207,10 +215,9 @@ impl DecisionLog {
         };
         let msg = match rc.error.take() {
             Some(msg) => msg,
-            None if finished && rc.cursor < rc.entries.len() => format!(
+            None if finished && rc.cursor < rc.prefix_len => format!(
                 "re-execution committed only {} of {} recovered decisions",
-                rc.cursor,
-                rc.entries.len()
+                rc.cursor, rc.prefix_len
             ),
             None => return Ok(()),
         };
@@ -221,7 +228,7 @@ impl DecisionLog {
     /// resuming).
     pub fn finish(self) -> (Option<Journal>, Option<ReplayStats>) {
         let replay = self.resume.map(|rc| ReplayStats {
-            prefix_entries: rc.entries.len() as u64,
+            prefix_entries: rc.prefix_len as u64,
             matched: rc.cursor as u64,
             catch_up_secs: rc
                 .caught_up

@@ -61,7 +61,7 @@ mod shard;
 
 pub use config::{ServiceConfig, TenantSpec};
 pub use job::{AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
-pub use journal::{decision, ReplayStats, ResumePrefix, DECISION_LABELS, NO_CELL};
+pub use journal::{decision, ReplayStats, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };

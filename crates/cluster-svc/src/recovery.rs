@@ -27,23 +27,24 @@
 //! never replayed ([`TornTail`]); a WAL whose magic or header frame is
 //! unreadable has no committed state at all and fails with a typed
 //! [`WalError`]. [`ClusterService::recover`] then re-executes the job
-//! stream from scratch with [`ServeOptions::resume`] set to the
-//! recovered prefix: the deterministic engine must reproduce every
-//! recovered decision entry-for-entry (any divergence is a typed
-//! protocol error) and continues past the crash point to completion. A
-//! recovered run's report and journal are byte-identical to an
-//! uninterrupted run — the recover-at-every-prefix property tests assert
-//! exactly that.
+//! stream from scratch and hands the recovered entries, by value, to the
+//! run's decision log, where they become the head of the run's own
+//! journal: while the re-execution is inside that prefix each decision
+//! is compared in place with the entry already there and nothing is
+//! pushed (any divergence is a typed protocol error); past it the run
+//! appends as usual and continues to completion. There is one journal,
+//! never a recovered copy beside a re-recorded one. A recovered run's
+//! report and journal are byte-identical to an uninterrupted run — the
+//! recover-at-every-prefix property tests assert exactly that.
 
 use std::fmt;
-use std::sync::Arc;
 
+use desim::journal::MAX_ENTRY_BYTES;
 use desim::{crc32, Journal, JournalEntry};
 use dps_sim::{SimError, SimResult};
 use faults::FaultPlan;
 
 use crate::job::JobSpec;
-use crate::journal::ResumePrefix;
 use crate::service::{ClusterService, ServeOptions, ServiceOutcome};
 
 /// Magic bytes opening every WAL.
@@ -70,15 +71,32 @@ impl DurabilitySpec {
 
     /// Entry-index ranges `[start, end)` of each sealed frame — the pure
     /// function of the committed stream that makes post-hoc WAL
-    /// construction equal online logging.
+    /// construction equal online logging. A group that could outgrow a
+    /// frame's 4-byte length prefix is sealed early.
     pub fn frame_ranges(&self, entries: &[JournalEntry]) -> Vec<(usize, usize)> {
-        let group = usize::try_from(self.group_events.max(1)).unwrap_or(usize::MAX);
-        (0..entries.len())
+        self.frame_ranges_under(entries.len(), MAX_FRAME_PAYLOAD)
+    }
+
+    /// [`DurabilitySpec::frame_ranges`] for frames of at most
+    /// `max_payload` bytes: no group holds more entries than fit in that
+    /// at their widest encoding, whatever their values turn out to be.
+    fn frame_ranges_under(&self, entries: usize, max_payload: usize) -> Vec<(usize, usize)> {
+        let fits = max_payload.saturating_sub(BATCH_COUNT_BYTES) / MAX_ENTRY_BYTES;
+        let group = usize::try_from(self.group_events)
+            .unwrap_or(usize::MAX)
+            .clamp(1, fits.max(1));
+        (0..entries)
             .step_by(group)
-            .map(|start| (start, entries.len().min(start.saturating_add(group))))
+            .map(|start| (start, entries.min(start.saturating_add(group))))
             .collect()
     }
 }
+
+/// Largest payload a frame's `u32` length prefix can carry.
+const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
+
+/// Most bytes a batch's leading entry-count varint can take.
+const BATCH_COUNT_BYTES: usize = 10;
 
 /// Unrecoverable WAL corruption: bad magic, or an unreadable header
 /// frame — there is no committed state to recover.
@@ -145,10 +163,18 @@ pub struct WriteAheadLog {
     cum_entries: Vec<u64>,
 }
 
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame whose payload `write` encodes straight into the log
+/// after an 8-byte hole, then back-patches the hole with the payload's
+/// length and checksum — no payload buffer, no copy.
+fn push_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let hole = out.len();
+    out.extend_from_slice(&[0; 8]);
+    write(out);
+    let payload = &out[hole + 8..];
+    let len = u32::try_from(payload.len()).expect("frame_ranges seals before 4 GiB");
+    let crc = crc32(payload);
+    out[hole..hole + 4].copy_from_slice(&len.to_le_bytes());
+    out[hole + 4..hole + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Reads the frame at `pos`; an error is the reason the frame is invalid
@@ -178,15 +204,21 @@ impl WriteAheadLog {
     /// Builds the WAL of a finished run's journal under `spec`. Frame 0
     /// is the journal header; each later frame is one sealed entry batch.
     pub fn build(journal: &Journal, spec: &DurabilitySpec) -> WriteAheadLog {
-        let mut bytes = Vec::new();
+        Self::build_framed(journal, spec.frame_ranges(&journal.entries))
+    }
+
+    fn build_framed(journal: &Journal, ranges: Vec<(usize, usize)>) -> WriteAheadLog {
+        let mut bytes = Vec::with_capacity(64 + journal.entries.len() * 8);
         bytes.extend_from_slice(WAL_MAGIC);
         let mut offsets = vec![bytes.len()];
         let mut cum_entries = vec![0u64];
-        push_frame(&mut bytes, &journal.encode_header());
+        push_frame(&mut bytes, |out| {
+            out.extend_from_slice(&journal.encode_header())
+        });
         offsets.push(bytes.len());
         cum_entries.push(0);
-        for (s, e) in spec.frame_ranges(&journal.entries) {
-            push_frame(&mut bytes, &journal.encode_entry_batch(s, e));
+        for (s, e) in ranges {
+            push_frame(&mut bytes, |out| journal.encode_entries_into(out, s, e));
             offsets.push(bytes.len());
             cum_entries.push(e as u64);
         }
@@ -367,9 +399,9 @@ impl ClusterService {
 
     /// Recovers from crashed WAL bytes: truncates the log at the last
     /// valid checksum, then re-serves `stream` with the recovered
-    /// committed prefix as a validated [`ServeOptions::resume`] replay —
-    /// the rerun must reproduce every recovered decision before
-    /// committing anything new, and continues to completion. The
+    /// committed prefix adopted as the head of the run's journal — the
+    /// rerun must reproduce every recovered decision, compared in place,
+    /// before committing anything new, and continues to completion. The
     /// outcome's `replay` carries the catch-up latency.
     pub fn recover(
         &self,
@@ -384,12 +416,7 @@ impl ClusterService {
             frames: rec.frames,
             torn: rec.torn,
         };
-        let mut o = opts.clone();
-        o.journal = true;
-        o.resume = Some(ResumePrefix {
-            entries: Arc::new(rec.journal.entries),
-        });
-        let out = self.serve(stream, plan, &o)?;
+        let out = self.serve_resumed(stream, plan, opts, Some(rec.journal.entries))?;
         Ok((out, report))
     }
 }
@@ -557,5 +584,97 @@ mod tests {
             .unwrap_err();
         let msg = format!("{err}");
         assert!(msg.contains("recovered"), "unexpected error: {msg}");
+    }
+
+    /// Taken on the commit before frames were built in place: the log is
+    /// the same bytes, not merely one that scans back clean.
+    #[test]
+    fn wal_bytes_are_pinned() {
+        use std::hash::Hasher;
+        let (_, wal) = durable_run(2);
+        let mut h = desim::FxHasher::default();
+        h.write(wal.bytes());
+        assert_eq!(
+            (wal.bytes().len(), wal.frames(), h.finish()),
+            (6277, 9, 0xcc92_58c6_989d_ccc5)
+        );
+    }
+
+    #[test]
+    fn a_group_too_large_for_the_length_prefix_is_sealed_early() {
+        let (out, _) = durable_run(1);
+        let j = out.journal.expect("journal");
+        let spec = DurabilitySpec::group_commit(u64::MAX);
+        assert_eq!(spec.frame_ranges(&j.entries), [(0, j.len())]);
+        // A stand-in for 4 GiB: frames that can be sure of eight entries.
+        let cap = BATCH_COUNT_BYTES + 8 * MAX_ENTRY_BYTES;
+        let ranges = spec.frame_ranges_under(j.len(), cap);
+        assert_eq!(ranges.len(), j.len().div_ceil(8));
+        assert!(ranges.iter().all(|&(s, e)| s < e && e - s <= 8));
+        let wal = WriteAheadLog::build_framed(&j, ranges);
+        for i in 0..wal.frames() {
+            assert!(wal.frame_bytes(i).len() - 8 <= cap, "frame {i}");
+        }
+        let rec = WriteAheadLog::scan(wal.bytes()).unwrap();
+        assert!(rec.torn.is_none());
+        assert_eq!(rec.journal.entries, j.entries);
+        // Groups that fit are left alone.
+        let small = DurabilitySpec::group_commit(5);
+        assert_eq!(
+            small.frame_ranges_under(j.len(), cap),
+            small.frame_ranges(&j.entries)
+        );
+    }
+
+    #[test]
+    fn an_empty_prefix_is_caught_up_at_once() {
+        let (full, wal) = durable_run(2);
+        let crash = (0..)
+            .map(CrashPlan::new)
+            .find(|c| c.keep_frames(&wal) == 1)
+            .expect("some seed keeps only the header frame");
+        let (out, cr) = svc(2)
+            .recover(
+                load(150),
+                &FaultPlan::none(),
+                &ServeOptions::default(),
+                &crash.crashed_bytes(&wal),
+            )
+            .unwrap();
+        assert_eq!((cr.recovered_entries, cr.frames), (0, 1));
+        let replay = out.replay.expect("replay stats");
+        assert_eq!((replay.prefix_entries, replay.matched), (0, 0));
+        assert_eq!(replay.catch_up_secs, 0.0);
+        assert_eq!(
+            out.journal.expect("journal").encode(),
+            full.journal.expect("journal").encode()
+        );
+    }
+
+    #[test]
+    fn a_divergence_inside_the_prefix_is_reported_at_its_entry() {
+        let (out, _) = durable_run(1);
+        let original = out.journal.expect("journal");
+        let k = original.len() / 2;
+        let mut planted = original.clone();
+        match &mut planted.entries[k].event {
+            desim::JournalEvent::Step { work, .. } => *work += 1,
+            other => panic!("decisions are Step events, got {other:?}"),
+        }
+        let wal = WriteAheadLog::build(&planted, &DurabilitySpec::group_commit(64));
+        let err = svc(1)
+            .recover(
+                load(150),
+                &FaultPlan::none(),
+                &ServeOptions::default(),
+                wal.bytes(),
+            )
+            .unwrap_err();
+        let want = format!(
+            "re-execution diverged from the recovered prefix at entry {k}: \
+             expected {:?}, got {:?}",
+            planted.entries[k], original.entries[k]
+        );
+        assert!(format!("{err}").contains(&want), "{err}");
     }
 }

@@ -39,14 +39,14 @@
 //!   derived accessors computed once at the end.
 
 use cluster::{capped_backoff, FaultPricing, NodePool, Strike};
-use desim::{EventQueue, Journal, SimDuration, SimTime};
+use desim::{EventQueue, Journal, JournalEntry, SimDuration, SimTime};
 use dps_sim::{BudgetKind, CancelToken, SimError, SimErrorKind, SimResult};
 use faults::{FaultPlan, Outage};
 
 use crate::config::ServiceConfig;
 use crate::fairshare::FairShare;
 use crate::job::JobSpec;
-use crate::journal::{decision, DecisionLog, JobTag, ReplayStats, ResumePrefix, NO_CELL};
+use crate::journal::{decision, DecisionLog, JobTag, ReplayStats, NO_CELL};
 use crate::live::{JobState, JobTable};
 use crate::report::{LatencyHist, ServiceReport, TenantReport};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
@@ -76,11 +76,6 @@ pub struct ServeOptions {
     /// itself costs a couple of clock reads per decision, and the
     /// histogram is host data (never part of the canonical report).
     pub measure_decisions: bool,
-    /// Validated replay: a committed journal prefix recovered from a
-    /// durable log. The re-execution must reproduce these entries exactly,
-    /// in order, before committing anything new; the first divergence is a
-    /// typed protocol error. Implies `journal`.
-    pub resume: Option<ResumePrefix>,
 }
 
 /// What a completed `serve` returns.
@@ -127,9 +122,23 @@ impl ClusterService {
         plan: &FaultPlan,
         opts: &ServeOptions,
     ) -> SimResult<ServiceOutcome> {
+        self.serve_resumed(stream, plan, opts, None)
+    }
+
+    /// [`ClusterService::serve`], resuming from `prefix` when there is
+    /// one: committed decisions recovered from a durable log, adopted as
+    /// the head of the run's journal (so it implies `journal`), which the
+    /// re-execution must reproduce exactly before committing anything new.
+    pub(crate) fn serve_resumed(
+        &self,
+        stream: impl IntoIterator<Item = JobSpec>,
+        plan: &FaultPlan,
+        opts: &ServeOptions,
+        prefix: Option<Vec<JournalEntry>>,
+    ) -> SimResult<ServiceOutcome> {
         plan.validate()
             .map_err(|why| SimError::protocol(why).context("validating the fault plan"))?;
-        let mut engine = Engine::new(&self.cfg, plan, opts);
+        let mut engine = Engine::new(&self.cfg, plan, opts, prefix);
         engine.run(stream.into_iter(), plan)?;
         Ok(engine.finish())
     }
@@ -190,7 +199,12 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a ServiceConfig, plan: &FaultPlan, opts: &'a ServeOptions) -> Engine<'a> {
+    fn new(
+        cfg: &'a ServiceConfig,
+        plan: &FaultPlan,
+        opts: &'a ServeOptions,
+        prefix: Option<Vec<JournalEntry>>,
+    ) -> Engine<'a> {
         Engine {
             cfg,
             opts,
@@ -201,7 +215,7 @@ impl<'a> Engine<'a> {
             queues: FairShare::new(&cfg.tenants),
             global: EventQueue::new(),
             scorer: Scorer::new(cfg, plan, opts.measure_decisions),
-            log: DecisionLog::new(cfg, opts.journal, opts.resume.as_ref()),
+            log: DecisionLog::new(cfg, opts.journal, prefix),
             tenants: cfg
                 .tenants
                 .iter()

@@ -49,6 +49,10 @@
 
 use crate::time::SimTime;
 
+mod codec;
+
+pub use codec::{crc32, MAX_ENTRY_BYTES};
+
 /// Magic bytes opening every encoded journal (format version 1).
 pub const JOURNAL_MAGIC: &[u8; 7] = b"DVNSJ1\n";
 
@@ -495,171 +499,6 @@ impl Journal {
         }
         None
     }
-
-    // ----- binary encoding -------------------------------------------------
-
-    /// Encodes the journal to its compact binary form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.entries.len() * 8);
-        out.extend_from_slice(JOURNAL_MAGIC);
-        put_varint(&mut out, self.meta.len() as u64);
-        for (k, v) in &self.meta {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
-        }
-        put_varint(&mut out, self.labels.len() as u64);
-        for l in &self.labels {
-            put_str(&mut out, l);
-        }
-        put_varint(&mut out, self.entries.len() as u64);
-        let mut prev = 0u64;
-        for e in &self.entries {
-            let t = e.vtime.as_nanos();
-            debug_assert!(t >= prev, "journal entries must be time-ordered");
-            let (kind, fields) = encode_event(&e.event);
-            out.push(kind);
-            put_varint(&mut out, t.saturating_sub(prev));
-            prev = t;
-            for f in fields {
-                put_varint(&mut out, f);
-            }
-        }
-        out
-    }
-
-    /// Decodes a journal previously produced by [`Journal::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Journal, JournalDecodeError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        let magic = c.take(JOURNAL_MAGIC.len())?;
-        if magic != JOURNAL_MAGIC {
-            return Err(c.err("bad magic (not a dvns journal)"));
-        }
-        let meta_count = c.varint()? as usize;
-        let mut meta = Vec::with_capacity(meta_count.min(1024));
-        for _ in 0..meta_count {
-            let k = c.string()?;
-            let v = c.string()?;
-            meta.push((k, v));
-        }
-        let label_count = c.varint()? as usize;
-        let mut labels = Vec::with_capacity(label_count.min(1024));
-        for _ in 0..label_count {
-            labels.push(c.string()?);
-        }
-        let entry_count = c.varint()? as usize;
-        let mut entries = Vec::with_capacity(entry_count.min(1 << 20));
-        let mut prev = 0u64;
-        for _ in 0..entry_count {
-            let kind = c.byte()?;
-            let delta = c.varint()?;
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| c.err("vtime overflow"))?;
-            let event = decode_event(kind, &mut c)?;
-            entries.push(JournalEntry {
-                vtime: SimTime(prev),
-                event,
-            });
-        }
-        if c.pos != bytes.len() {
-            return Err(c.err("trailing bytes after last entry"));
-        }
-        Ok(Journal {
-            meta,
-            labels,
-            entries,
-        })
-    }
-
-    // ----- segmented (WAL) framing primitives ------------------------------
-
-    /// Encodes only the header — magic, metadata and label table, with an
-    /// empty entry list. This is the payload of a segmented WAL's first
-    /// frame: the entries follow in batches ([`Journal::encode_entry_batch`])
-    /// so a torn tail loses events, never the tables they refer to.
-    pub fn encode_header(&self) -> Vec<u8> {
-        Journal {
-            meta: self.meta.clone(),
-            labels: self.labels.clone(),
-            entries: Vec::new(),
-        }
-        .encode()
-    }
-
-    /// Encodes `entries[start..end]` as a standalone delta-coded batch —
-    /// the payload of one WAL entry frame. The first entry's vtime is
-    /// delta-coded against `entries[start - 1]` (zero for `start == 0`), so
-    /// concatenating the batches in order reproduces the exact bytes of the
-    /// monolithic [`Journal::encode`] entry section.
-    ///
-    /// # Panics
-    /// If `start..end` is not a valid, ordered range into the entries.
-    pub fn encode_entry_batch(&self, start: usize, end: usize) -> Vec<u8> {
-        assert!(start <= end && end <= self.entries.len(), "bad batch range");
-        let mut out = Vec::with_capacity(8 + (end - start) * 8);
-        put_varint(&mut out, (end - start) as u64);
-        let mut prev = if start == 0 {
-            0
-        } else {
-            self.entries[start - 1].vtime.as_nanos()
-        };
-        for e in &self.entries[start..end] {
-            let t = e.vtime.as_nanos();
-            debug_assert!(t >= prev, "journal entries must be time-ordered");
-            let (kind, fields) = encode_event(&e.event);
-            out.push(kind);
-            put_varint(&mut out, t.saturating_sub(prev));
-            prev = t;
-            for f in fields {
-                put_varint(&mut out, f);
-            }
-        }
-        out
-    }
-
-    /// Decodes a batch produced by [`Journal::encode_entry_batch`] and
-    /// appends its entries, delta-decoding vtimes against the current last
-    /// entry. Returns how many entries were appended. On error the journal
-    /// is left unchanged.
-    pub fn append_entry_batch(&mut self, bytes: &[u8]) -> Result<usize, JournalDecodeError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        let count = c.varint()? as usize;
-        let mut prev = self.entries.last().map_or(0, |e| e.vtime.as_nanos());
-        let mut batch = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let kind = c.byte()?;
-            let delta = c.varint()?;
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| c.err("vtime overflow"))?;
-            let event = decode_event(kind, &mut c)?;
-            batch.push(JournalEntry {
-                vtime: SimTime(prev),
-                event,
-            });
-        }
-        if c.pos != bytes.len() {
-            return Err(c.err("trailing bytes after last batch entry"));
-        }
-        self.entries.append(&mut batch);
-        Ok(count)
-    }
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes` — the
-/// per-frame checksum of the segmented WAL built on this journal (see the
-/// cluster service's recovery module). Bitwise, dependency-free; frames are
-/// small enough that a lookup table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// First differing field between two same-index entries, if any.
@@ -685,331 +524,77 @@ fn entry_divergence(
     None
 }
 
-// ----- event <-> field-list mapping ----------------------------------------
-
-const K_RATE_WINDOW: u8 = 0;
-const K_INVOKE: u8 = 1;
-const K_STEP: u8 = 2;
-const K_POST: u8 = 3;
-const K_ARRIVE: u8 = 4;
-const K_MARK: u8 = 5;
-const K_DEACTIVATE: u8 = 6;
-const K_RELEASE: u8 = 7;
-const K_ACCOUNT: u8 = 8;
-const K_TERMINATE: u8 = 9;
-
-/// At most this many varint fields per event kind.
-type FieldBuf = Vec<u64>;
-
-fn encode_event(e: &JournalEvent) -> (u8, FieldBuf) {
-    match *e {
+/// A ten-entry journal covering every event kind, for this module's and
+/// the codec's tests.
+#[cfg(test)]
+fn sample() -> Journal {
+    let mut j = Journal::new();
+    j.set_meta("app", "lu");
+    j.set_meta("seed", "42");
+    let l = j.intern_label("iter:1");
+    j.push(
+        SimTime(0),
         JournalEvent::RateWindow {
-            node,
-            up_bits,
-            down_bits,
-            from,
-            to,
-        } => (
-            K_RATE_WINDOW,
-            vec![node as u64, up_bits, down_bits, from, to],
-        ),
+            node: 2,
+            up_bits: 0.5f64.to_bits(),
+            down_bits: 0.5f64.to_bits(),
+            from: 1_000,
+            to: 2_000,
+        },
+    );
+    j.push(
+        SimTime(10),
         JournalEvent::Invoke {
-            ticket,
-            op,
-            thread,
-            obj_bytes,
-        } => (K_INVOKE, vec![ticket, op as u64, thread as u64, obj_bytes]),
+            ticket: 0,
+            op: 3,
+            thread: 1,
+            obj_bytes: 4096,
+        },
+    );
+    j.push(
+        SimTime(50),
         JournalEvent::Step {
-            job,
-            op,
-            thread,
-            node,
-            start,
-            work,
-        } => (
-            K_STEP,
-            vec![job, op as u64, thread as u64, node as u64, start, work],
-        ),
+            job: 0,
+            op: 3,
+            thread: 1,
+            node: 0,
+            start: 10,
+            work: 40,
+        },
+    );
+    j.push(
+        SimTime(50),
         JournalEvent::Post {
-            op,
-            thread,
-            to,
-            dst_thread,
-            wire_bytes,
-            local,
-        } => (
-            K_POST,
-            vec![
-                op as u64,
-                thread as u64,
-                to as u64,
-                dst_thread as u64,
-                wire_bytes,
-                local as u64,
-            ],
-        ),
+            op: 3,
+            thread: 1,
+            to: 4,
+            dst_thread: 2,
+            wire_bytes: 1024,
+            local: 0,
+        },
+    );
+    j.push(
+        SimTime(90),
         JournalEvent::Arrive {
-            to,
-            thread,
-            src,
-            dst,
-            wire_bytes,
-            start,
-        } => (
-            K_ARRIVE,
-            vec![
-                to as u64,
-                thread as u64,
-                src as u64,
-                dst as u64,
-                wire_bytes,
-                start,
-            ],
-        ),
-        JournalEvent::Mark { label } => (K_MARK, vec![label as u64]),
-        JournalEvent::Deactivate { thread } => (K_DEACTIVATE, vec![thread as u64]),
-        JournalEvent::Release { op } => (K_RELEASE, vec![op as u64]),
-        JournalEvent::Account { delta } => (K_ACCOUNT, vec![zigzag(delta)]),
-        JournalEvent::Terminate => (K_TERMINATE, Vec::new()),
-    }
-}
-
-fn decode_event(kind: u8, c: &mut Cursor<'_>) -> Result<JournalEvent, JournalDecodeError> {
-    fn u32_of(v: u64, c: &Cursor<'_>) -> Result<u32, JournalDecodeError> {
-        u32::try_from(v).map_err(|_| c.err("field exceeds u32"))
-    }
-    Ok(match kind {
-        K_RATE_WINDOW => JournalEvent::RateWindow {
-            node: u32_of(c.varint()?, c)?,
-            up_bits: c.varint()?,
-            down_bits: c.varint()?,
-            from: c.varint()?,
-            to: c.varint()?,
+            to: 4,
+            thread: 2,
+            src: 0,
+            dst: 1,
+            wire_bytes: 1024,
+            start: 50,
         },
-        K_INVOKE => JournalEvent::Invoke {
-            ticket: c.varint()?,
-            op: u32_of(c.varint()?, c)?,
-            thread: u32_of(c.varint()?, c)?,
-            obj_bytes: c.varint()?,
-        },
-        K_STEP => JournalEvent::Step {
-            job: c.varint()?,
-            op: u32_of(c.varint()?, c)?,
-            thread: u32_of(c.varint()?, c)?,
-            node: u32_of(c.varint()?, c)?,
-            start: c.varint()?,
-            work: c.varint()?,
-        },
-        K_POST => JournalEvent::Post {
-            op: u32_of(c.varint()?, c)?,
-            thread: u32_of(c.varint()?, c)?,
-            to: u32_of(c.varint()?, c)?,
-            dst_thread: u32_of(c.varint()?, c)?,
-            wire_bytes: c.varint()?,
-            local: u32_of(c.varint()?, c)?,
-        },
-        K_ARRIVE => JournalEvent::Arrive {
-            to: u32_of(c.varint()?, c)?,
-            thread: u32_of(c.varint()?, c)?,
-            src: u32_of(c.varint()?, c)?,
-            dst: u32_of(c.varint()?, c)?,
-            wire_bytes: c.varint()?,
-            start: c.varint()?,
-        },
-        K_MARK => JournalEvent::Mark {
-            label: u32_of(c.varint()?, c)?,
-        },
-        K_DEACTIVATE => JournalEvent::Deactivate {
-            thread: u32_of(c.varint()?, c)?,
-        },
-        K_RELEASE => JournalEvent::Release {
-            op: u32_of(c.varint()?, c)?,
-        },
-        K_ACCOUNT => JournalEvent::Account {
-            delta: unzigzag(c.varint()?),
-        },
-        K_TERMINATE => JournalEvent::Terminate,
-        other => return Err(c.err(format!("unknown event kind {other}"))),
-    })
-}
-
-// ----- varint plumbing ------------------------------------------------------
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, reason: impl Into<String>) -> JournalDecodeError {
-        JournalDecodeError {
-            offset: self.pos,
-            reason: reason.into(),
-        }
-    }
-
-    fn byte(&mut self) -> Result<u8, JournalDecodeError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalDecodeError> {
-        // `n` comes from an untrusted varint: the addition must not wrap
-        // (debug overflow panic / release wrap-around past the bounds
-        // check) on a malformed length near `usize::MAX`.
-        if self
-            .pos
-            .checked_add(n)
-            .is_none_or(|end| end > self.bytes.len())
-        {
-            return Err(self.err("unexpected end of input"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, JournalDecodeError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift == 63 && b > 1 {
-                return Err(self.err("varint overflows u64"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(self.err("varint too long"));
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JournalDecodeError> {
-        let len = self.varint()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.err("invalid UTF-8 in string"))
-    }
+    );
+    j.push(SimTime(90), JournalEvent::Mark { label: l });
+    j.push(SimTime(91), JournalEvent::Deactivate { thread: 3 });
+    j.push(SimTime(92), JournalEvent::Release { op: 4 });
+    j.push(SimTime(93), JournalEvent::Account { delta: -4096 });
+    j.push(SimTime(100), JournalEvent::Terminate);
+    j
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Journal {
-        let mut j = Journal::new();
-        j.set_meta("app", "lu");
-        j.set_meta("seed", "42");
-        let l = j.intern_label("iter:1");
-        j.push(
-            SimTime(0),
-            JournalEvent::RateWindow {
-                node: 2,
-                up_bits: 0.5f64.to_bits(),
-                down_bits: 0.5f64.to_bits(),
-                from: 1_000,
-                to: 2_000,
-            },
-        );
-        j.push(
-            SimTime(10),
-            JournalEvent::Invoke {
-                ticket: 0,
-                op: 3,
-                thread: 1,
-                obj_bytes: 4096,
-            },
-        );
-        j.push(
-            SimTime(50),
-            JournalEvent::Step {
-                job: 0,
-                op: 3,
-                thread: 1,
-                node: 0,
-                start: 10,
-                work: 40,
-            },
-        );
-        j.push(
-            SimTime(50),
-            JournalEvent::Post {
-                op: 3,
-                thread: 1,
-                to: 4,
-                dst_thread: 2,
-                wire_bytes: 1024,
-                local: 0,
-            },
-        );
-        j.push(
-            SimTime(90),
-            JournalEvent::Arrive {
-                to: 4,
-                thread: 2,
-                src: 0,
-                dst: 1,
-                wire_bytes: 1024,
-                start: 50,
-            },
-        );
-        j.push(SimTime(90), JournalEvent::Mark { label: l });
-        j.push(SimTime(91), JournalEvent::Deactivate { thread: 3 });
-        j.push(SimTime(92), JournalEvent::Release { op: 4 });
-        j.push(SimTime(93), JournalEvent::Account { delta: -4096 });
-        j.push(SimTime(100), JournalEvent::Terminate);
-        j
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let j = sample();
-        let bytes = j.encode();
-        let back = Journal::decode(&bytes).unwrap();
-        assert_eq!(back.meta, j.meta);
-        assert_eq!(back.labels, j.labels);
-        assert_eq!(back.entries, j.entries);
-        assert!(j.same_stream(&back));
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        let j = sample();
-        // 10 entries with metadata in well under 200 bytes.
-        assert!(j.encode().len() < 200, "len = {}", j.encode().len());
-    }
 
     #[test]
     fn identical_streams_have_no_divergence() {
@@ -1081,95 +666,5 @@ mod tests {
         b.set_meta("seed", "43");
         assert!(a.same_stream(&b));
         assert_eq!(b.meta_get("seed"), Some("43"));
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Journal::decode(b"not a journal").is_err());
-        let mut bytes = sample().encode();
-        bytes.push(0); // trailing byte
-        assert!(Journal::decode(&bytes).is_err());
-        let bytes = sample().encode();
-        assert!(Journal::decode(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_huge_length_without_panicking() {
-        // A string length varint near u64::MAX must surface as a typed
-        // error (offset + reason), not an overflow panic in the cursor.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(JOURNAL_MAGIC);
-        put_varint(&mut bytes, 1); // one meta pair
-        put_varint(&mut bytes, u64::MAX); // absurd key length
-        let err = Journal::decode(&bytes).unwrap_err();
-        assert!(err.offset <= bytes.len(), "offset {} in bounds", err.offset);
-        assert!(err.reason.contains("end of input"), "{}", err.reason);
-    }
-
-    #[test]
-    fn truncation_at_every_byte_is_a_typed_error() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            match Journal::decode(&bytes[..cut]) {
-                Ok(j) => panic!("decoded {} entries from a {cut}-byte prefix", j.len()),
-                Err(e) => assert!(e.offset <= cut),
-            }
-        }
-    }
-
-    #[test]
-    fn entry_batches_reassemble_the_monolithic_encoding() {
-        let j = sample();
-        // Rebuild via header + arbitrary batch split points: entries and
-        // tables must round-trip exactly.
-        for split in 0..=j.len() {
-            let mut back = Journal::decode(&j.encode_header()).unwrap();
-            assert!(back.is_empty());
-            back.append_entry_batch(&j.encode_entry_batch(0, split))
-                .unwrap();
-            back.append_entry_batch(&j.encode_entry_batch(split, j.len()))
-                .unwrap();
-            assert_eq!(back.entries, j.entries, "split at {split}");
-            assert_eq!(back.encode(), j.encode(), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn a_failed_batch_append_leaves_the_journal_unchanged() {
-        let j = sample();
-        let mut back = Journal::decode(&j.encode_header()).unwrap();
-        let mut batch = j.encode_entry_batch(0, j.len());
-        batch.pop(); // torn tail
-        assert!(back.append_entry_batch(&batch).is_err());
-        assert!(back.is_empty(), "partial batches must not be applied");
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The standard CRC-32 check vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        let j = sample().encode();
-        assert_ne!(crc32(&j), crc32(&j[..j.len() - 1]));
-    }
-
-    #[test]
-    fn zigzag_roundtrip() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn varint_roundtrip_extremes() {
-        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut c = Cursor {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(c.varint().unwrap(), v);
-        }
     }
 }

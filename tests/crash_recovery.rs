@@ -125,3 +125,21 @@ fn quiet_server_scale_recovers_from_every_committed_prefix() {
 fn faulted_server_scale_recovers_from_every_committed_prefix() {
     every_prefix_recovers(true);
 }
+
+/// The faulted run's WAL, byte for byte: FxHash and length taken on the
+/// commit before `build` encoded frames in place (the job count, and so
+/// the log, differs between debug and release).
+#[test]
+fn faulted_server_scale_wal_bytes_are_pinned() {
+    use std::hash::Hasher;
+    let (_, wal) = durable_baseline(true);
+    let mut h = dvns::fxhash::FxHasher::default();
+    h.write(wal.bytes());
+    let want = if cfg!(debug_assertions) {
+        (98_228, 0x36f6_50bd_e906_2ccc)
+    } else {
+        (992_987, 0xc11f_4c54_d4d7_c636)
+    };
+    assert_eq!(wal.frames(), 5);
+    assert_eq!((wal.bytes().len(), h.finish()), want);
+}
