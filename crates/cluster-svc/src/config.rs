@@ -1,14 +1,11 @@
 //! Service topology and tenant configuration.
 //!
 //! The semantic unit of partitioning is the **cell**: a fixed slice of
-//! `nodes_per_cell` compute nodes with its own free pool and event queue.
-//! A job runs entirely inside one cell; the placement layer balances work
-//! across cells. **Shards** are executors: shard `s` owns a contiguous
-//! range of cells and drains their queues as one event loop. Because the
-//! cell layout (and the global event order — see `service`) never depends
-//! on the shard count, reports are byte-identical across shard counts.
-
-use std::ops::Range;
+//! `nodes_per_cell` compute nodes with its own free set and totals. A job
+//! runs entirely inside one cell; the placement layer balances work across
+//! cells. The **shard** count is validated and echoed (report, journal
+//! meta) but the event loop never reads it, so reports are byte-identical
+//! across shard counts.
 
 use cluster::{BreakerSpec, SchedulePolicy};
 use dps_sim::{SimError, SimResult};
@@ -61,10 +58,10 @@ pub struct ServiceConfig {
     pub nodes_per_cell: u32,
     /// Number of cells (fixed node-pool slices).
     pub cells: u32,
-    /// Number of shard executors; each owns a contiguous cell range.
-    /// Purely an execution grouping — results do not depend on it.
+    /// Shard count, in `1..=cells`. Validated and echoed only: the event
+    /// loop never reads it, so results do not depend on it.
     pub shards: u32,
-    /// Scheduling policy shared by every shard (rigid / malleable /
+    /// Scheduling policy shared by every cell (rigid / malleable /
     /// elastic recovery), identical in meaning to the batch `ClusterSim`.
     pub policy: SchedulePolicy,
     /// Registered tenants; a `JobSpec.tenant` indexes this list.
@@ -161,17 +158,6 @@ impl ServiceConfig {
         }
         Ok(())
     }
-
-    /// Cells owned by shard `s`: a contiguous, balanced range. The union
-    /// over shards covers `0..cells` in ascending cell order, so iterating
-    /// shards then their cells visits cells in global order regardless of
-    /// the shard count.
-    pub fn shard_cells(&self, s: u32) -> Range<u32> {
-        let c = u64::from(self.cells);
-        let n = u64::from(self.shards);
-        let s = u64::from(s);
-        (s * c / n) as u32..((s + 1) * c / n) as u32
-    }
 }
 
 #[cfg(test)]
@@ -181,29 +167,6 @@ mod tests {
     fn cfg(cells: u32, shards: u32) -> ServiceConfig {
         ServiceConfig::new(4, cells, shards, SchedulePolicy::Rigid)
             .with_tenant(TenantSpec::new("t0", 1))
-    }
-
-    #[test]
-    fn shard_ranges_cover_cells_in_order() {
-        for cells in 1..=9 {
-            for shards in 1..=cells {
-                let c = cfg(cells, shards);
-                let mut seen = Vec::new();
-                for s in 0..shards {
-                    let r = c.shard_cells(s);
-                    seen.extend(r);
-                }
-                assert_eq!(seen, (0..cells).collect::<Vec<_>>(), "{cells}/{shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_ranges_are_balanced() {
-        let c = cfg(8, 3);
-        let sizes: Vec<usize> = (0..3).map(|s| c.shard_cells(s).len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 8);
-        assert!(sizes.iter().all(|&n| n == 2 || n == 3), "{sizes:?}");
     }
 
     #[test]

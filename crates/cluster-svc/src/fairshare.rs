@@ -10,10 +10,10 @@
 //! backlogged tenants, which prevents banking unbounded credit while
 //! idle (and, symmetrically, being starved after a long busy period).
 //!
-//! The structure is global (not per shard): admission order and the pass
-//! counters evolve identically regardless of how cells are grouped into
-//! shards, which is what keeps placement — and therefore every downstream
-//! report byte — shard-count invariant.
+//! The structure is global (not per cell): admission order and the pass
+//! counters evolve in the one global event order, which is what keeps
+//! placement — and therefore every downstream report byte — shard-count
+//! invariant.
 
 use std::collections::VecDeque;
 
@@ -49,7 +49,7 @@ impl TenantQueue {
     }
 }
 
-/// The fair-share scheduler state shared by all shards.
+/// The fair-share scheduler state shared by all cells.
 pub(crate) struct FairShare {
     pub tenants: Vec<TenantQueue>,
     /// Total pending jobs across tenants (fast emptiness check).

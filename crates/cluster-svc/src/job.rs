@@ -86,6 +86,9 @@ impl AnalyticJob {
     /// linear profile scan. `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`,
     /// so the target is a floor division instead of a per-decision loop.
     /// A short exact correction absorbs float rounding at the boundary.
+    /// The quotient is compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔
+    /// ⌊x⌋ ≥ 1`, and `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN
+    /// fraction lands on 1 rather than on `NaN as u32 = 0`.
     pub fn target_nodes(&self, k: u32, min_eff: f64, cap: u32) -> u32 {
         let cap = cap.max(1);
         if min_eff <= 0.0 {
@@ -95,13 +98,13 @@ impl AnalyticJob {
         if p >= 1.0 {
             return cap;
         }
-        let raw = ((1.0 / min_eff - p) / (1.0 - p)).floor();
-        let mut n = if raw < 1.0 {
-            1
-        } else if raw >= f64::from(cap) {
+        let raw = (1.0 / min_eff - p) / (1.0 - p);
+        let mut n = if raw >= f64::from(cap) {
             cap
-        } else {
+        } else if raw >= 1.0 {
             raw as u32
+        } else {
+            1 // below 1, or NaN
         };
         let eff = |n: u32| self.point(k, n).2;
         while n < cap && eff(n + 1) >= min_eff {
@@ -314,6 +317,27 @@ mod tests {
                                 best,
                                 "pf={pf} pl={pl} k={k} eff={min_eff} cap={cap}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+        // Fractions outside [0, 1) — the fields are public and admission
+        // does not check them — still land in 1..=cap.
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -3.0];
+        for pf in odd {
+            for pl in odd.into_iter().chain([0.5]) {
+                let job = AnalyticJob {
+                    work: SimDuration::from_secs(8),
+                    parallel_first: pf,
+                    parallel_last: pl,
+                    iterations: 4,
+                };
+                for k in 0..4 {
+                    for min_eff in [0.3, 0.5, 0.9] {
+                        for cap in [1, 3, 8, 32] {
+                            let n = job.target_nodes(k, min_eff, cap);
+                            assert!((1..=cap).contains(&n), "pf={pf} pl={pl} k={k} n={n}");
                         }
                     }
                 }

@@ -1,4 +1,4 @@
-//! Long-lived sharded multi-tenant cluster job service.
+//! Long-lived multi-tenant cluster job service.
 //!
 //! `cluster-svc` layers a *service* on top of the batch-oriented
 //! [`cluster`] simulator: instead of one workload per run, a
@@ -8,18 +8,18 @@
 //!
 //! The moving parts:
 //!
-//! * **Cells and shards** — the node pool is split into fixed cells
-//!   (`nodes_per_cell` each); shards are contiguous groupings of cells.
-//!   The shard count is purely an execution choice: reports and decision
-//!   journals are byte-identical across shard counts (see `service`
-//!   module docs for the determinism contract and the component map).
+//! * **Cells** — the node pool is split into fixed cells
+//!   (`nodes_per_cell` each). The configured shard count is an echo that
+//!   changes nothing: reports and decision journals are byte-identical
+//!   across shard counts (see `service` module docs for the determinism
+//!   contract and the component map).
 //! * **Fair-share admission** — per-tenant FIFO queues scheduled by
 //!   deterministic stride scheduling over the tenants' weights, with
 //!   `max_pending` backpressure (reject at admission) and `max_inflight`
 //!   quotas.
 //! * **Elastic recovery** — faults interrupt placed jobs, refund their
 //!   unused allocation, charge lost work, and re-queue them; the re-placed
-//!   job may land in any surviving cell, so recovery crosses shards.
+//!   job may land in any surviving cell, so recovery crosses cells.
 //! * **Budgets and cancellation** — [`ServiceBudget`] bounds events and
 //!   virtual time with typed errors; a [`dps_sim::CancelToken`] aborts a
 //!   `serve` cooperatively; per-job `cancel_at` cancels one submission.
@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+mod cells;
 mod config;
 mod fairshare;
 mod job;
@@ -57,7 +58,6 @@ mod recovery;
 mod report;
 mod scorer;
 mod service;
-mod shard;
 
 pub use config::{ServiceConfig, TenantSpec};
 pub use job::{AnalyticJob, JobPayload, JobSpec, SyntheticLoad};

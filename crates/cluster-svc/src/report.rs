@@ -5,9 +5,9 @@
 //! [`TenantReport`] per tenant, and a global integer log-bucket
 //! scheduling-latency histogram. Every counter is an integer (`u64`/`u128`
 //! nanoseconds and node-nanoseconds) and every mutation happens in the
-//! deterministic global event order, so sums are invariant under any
-//! grouping of cells into shards — `f64` only appears in derived accessor
-//! values computed once from the final integers.
+//! deterministic global event order, so sums do not depend on the order
+//! cells are added in — `f64` only appears in derived accessor values
+//! computed once from the final integers.
 //!
 //! [`ServiceReport::canonical_string`] renders the full report (shard
 //! count excluded — it is an execution detail) for the byte-compare
@@ -19,7 +19,7 @@ use desim::{SimDuration, SimTime};
 /// Quarter-octave integer histogram of scheduling latencies (arrival →
 /// first start), exact below 4 ns and within ~12% above. Buckets, counts
 /// and the quantile scan are all integer arithmetic, so quantiles are
-/// byte-stable across shard groupings and host thread counts.
+/// byte-stable across shard counts and host thread counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHist {
     buckets: Vec<u64>,
@@ -50,7 +50,8 @@ fn bucket_upper(idx: usize) -> u64 {
     if msb >= 62 {
         return u64::MAX;
     }
-    ((5 + sub) << msb) / 4
+    // In u128: `(5 + 3) << 61` is 2^64, one past u64.
+    ((u128::from(5 + sub) << msb) / 4) as u64
 }
 
 impl Default for LatencyHist {
@@ -115,9 +116,9 @@ impl LatencyHist {
     }
 }
 
-/// Shard-locally computed per-cell totals. Every field is monotone or
-/// strictly cell-local (allocation refunds land in the cell that granted
-/// them), so summing any grouping of cells yields identical totals.
+/// Per-cell totals. Every field is monotone or strictly cell-local
+/// (allocation refunds land in the cell that granted them), so summing any
+/// grouping of cells yields identical totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CellReport {
     /// Jobs that completed in this cell.
@@ -145,7 +146,7 @@ pub struct CellReport {
 }
 
 impl CellReport {
-    /// Accumulates `other` into `self` (shard and service totals).
+    /// Accumulates `other` into `self` (service totals).
     pub fn absorb(&mut self, other: &CellReport) {
         self.completed += other.completed;
         self.failed += other.failed;
@@ -252,34 +253,14 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Sum of all per-cell totals. The per-cell (and therefore per-shard)
-    /// values are computed shard-locally; this accessor is the only place
-    /// they are combined, in ascending cell order.
+    /// Sum of all per-cell totals; this accessor is the only place they
+    /// are combined, in ascending cell order.
     pub fn cell_totals(&self) -> CellReport {
         let mut total = CellReport::default();
         for c in &self.cells {
             total.absorb(c);
         }
         total
-    }
-
-    /// Per-shard totals for `shards` executors over the report's cells,
-    /// using the same contiguous balanced split as the service. Summing
-    /// these equals [`ServiceReport::cell_totals`] for *any* shard count.
-    pub fn shard_totals(&self, shards: u32) -> Vec<CellReport> {
-        let cells = self.cells.len() as u64;
-        let shards = u64::from(shards.max(1)).min(cells.max(1));
-        (0..shards)
-            .map(|s| {
-                let lo = (s * cells / shards) as usize;
-                let hi = ((s + 1) * cells / shards) as usize;
-                let mut total = CellReport::default();
-                for c in &self.cells[lo..hi] {
-                    total.absorb(c);
-                }
-                total
-            })
-            .collect()
     }
 
     /// Completed jobs.
@@ -503,6 +484,20 @@ mod tests {
         for v in 1..10_000u64 {
             assert!(bucket_of(v) >= bucket_of(v - 1));
         }
+        // Strictly rising up to the saturated buckets (msb >= 62).
+        for b in 8..248 {
+            assert!(bucket_upper(b) > bucket_upper(b - 1), "upper({b})");
+        }
+    }
+
+    #[test]
+    fn the_top_quarter_below_2_pow_62_reports_its_value_not_zero() {
+        // Bucket 247 (msb 61, sub 3): its bound is 2^62, whose shifted
+        // numerator is 2^64.
+        let mut h = LatencyHist::new();
+        h.record((1 << 62) - 1);
+        assert_eq!(bucket_of((1 << 62) - 1), 247);
+        assert_eq!(h.quantile(0.99), h.max());
     }
 
     #[test]
@@ -520,46 +515,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_totals_sum_to_cell_totals_for_any_grouping() {
-        // The accessor-level invariance the sharded service relies on:
-        // however cells are grouped into shards, the summed shard-local
-        // totals are identical.
-        let mut report = ServiceReport {
-            nodes_per_cell: 4,
-            shards: 1,
-            ..ServiceReport::default()
-        };
+    fn totals_sum_every_cell() {
+        let mut report = ServiceReport::default();
         for i in 0..8u64 {
             report.cells.push(CellReport {
                 completed: i + 1,
-                failed: i % 2,
-                cancelled: i % 3,
-                iterations: 10 * i,
                 restarts: i,
-                allocated_node_ns: u128::from(i) * 1_000_003,
-                committed_work_ns: u128::from(i) * 999_983,
-                replayed_work_ns: u128::from(i) * 101,
                 lost_work_ns: u128::from(i) * 77,
                 degraded_ns: u128::from(i) * 13,
+                ..CellReport::default()
             });
         }
-        let want = report.cell_totals();
-        for shards in 1..=8 {
-            let per_shard = report.shard_totals(shards);
-            assert_eq!(per_shard.len(), shards as usize);
-            let mut sum = CellReport::default();
-            for s in &per_shard {
-                sum.absorb(s);
-            }
-            assert_eq!(sum, want, "shards={shards}");
-        }
-        assert_eq!(report.total_restarts(), want.restarts);
-        assert_eq!(report.completed_jobs(), want.completed);
-        assert_eq!(
-            report.total_lost_work().as_nanos() as u128,
-            want.lost_work_ns
-        );
-        assert_eq!(report.total_degraded().as_nanos() as u128, want.degraded_ns);
+        assert_eq!(report.completed_jobs(), 36);
+        assert_eq!(report.total_restarts(), 28);
+        assert_eq!(report.total_lost_work(), SimDuration(28 * 77));
+        assert_eq!(report.total_degraded(), SimDuration(28 * 13));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!
 //! * [`cluster::NodePool`] — which nodes are free, held (by which job
 //!   slot), away or dead, per cell; the same type the batch server uses.
-//! * `shard::Shards` — per-cell iteration-end queues and cell totals.
+//! * `cells::Cells` — every cell's iteration ends in one cell-ranked
+//!   queue, and the cell totals.
 //! * `live::JobTable` — admitted jobs and their lifecycle state.
 //! * `fairshare::FairShare` — per-tenant queues and stride passes.
 //! * `scorer::Scorer` — everything asked of a workload: iteration
@@ -24,15 +25,16 @@
 //! That holds structurally:
 //!
 //! * **Fixed cells.** The node pool is partitioned into cells by the
-//!   config; shards are contiguous groupings of cells, so regrouping
-//!   changes nothing a job can observe.
+//!   config; the shard count is only echoed, never consulted by the loop.
 //! * **Fixed global order.** Each virtual instant is processed in three
 //!   stages: global events (faults, returns, requeues, job cancellations,
 //!   in schedule order), then stream arrivals, then cell events in
 //!   ascending cell id.
-//! * **Per-cell queues.** Event-queue insertion sequence numbers — the
-//!   tie-break inside one instant — are cell-local, so they cannot depend
-//!   on the shard grouping.
+//! * **One cell-ranked queue.** Every iteration end sits in one queue
+//!   ordered by `(time, cell, insertion)`. Spans are floored at 1 ns, so
+//!   handling an instant never schedules into it: the events due at `t`
+//!   are fixed before stage 3 and pop in ascending cell id, then in the
+//!   order they were scheduled.
 //! * **Integer accounting.** All accumulated report state is integer
 //!   nanoseconds / node-nanoseconds; `f64` appears only inside per-job
 //!   pricing (identical inputs per job regardless of grouping) and in
@@ -43,6 +45,7 @@ use desim::{EventQueue, Journal, JournalEntry, SimDuration, SimTime};
 use dps_sim::{BudgetKind, CancelToken, SimError, SimErrorKind, SimResult};
 use faults::{FaultPlan, Outage};
 
+use crate::cells::{Cells, PhaseEnd};
 use crate::config::ServiceConfig;
 use crate::fairshare::FairShare;
 use crate::job::JobSpec;
@@ -50,7 +53,6 @@ use crate::journal::{decision, DecisionLog, JobTag, ReplayStats, NO_CELL};
 use crate::live::{JobState, JobTable};
 use crate::report::{LatencyHist, ServiceReport, TenantReport};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
-use crate::shard::{PhaseEnd, Shards};
 
 /// Execution budgets for one `serve` call (`0`/zero duration = unlimited),
 /// the service-level analogue of `SimConfig::max_steps`/`max_virtual_time`.
@@ -90,7 +92,7 @@ pub struct ServiceOutcome {
     pub replay: Option<ReplayStats>,
 }
 
-/// The long-lived sharded multi-tenant job service.
+/// The long-lived multi-tenant job service.
 pub struct ClusterService {
     cfg: ServiceConfig,
 }
@@ -111,7 +113,7 @@ impl ClusterService {
     ///
     /// Jobs are admitted per tenant (quotas, backpressure), placed on the
     /// least-loaded cell by the fair-share scheduler, resized at iteration
-    /// boundaries per the policy, interrupted and re-queued (cross-shard)
+    /// boundaries per the policy, interrupted and re-queued (cross-cell)
     /// by outages, and accounted into the aggregate report. Budgets and
     /// the cancel token abort with typed errors; a workload that errors or
     /// panics fails only its own job. A `plan` that does not
@@ -174,7 +176,7 @@ struct Engine<'a> {
     opts: &'a ServeOptions,
     pricing: FaultPricing,
     pool: NodePool,
-    cells: Shards,
+    cells: Cells,
     jobs: JobTable,
     queues: FairShare,
     global: EventQueue<GlobalEv>,
@@ -210,7 +212,7 @@ impl<'a> Engine<'a> {
             opts,
             pricing: FaultPricing::new(plan),
             pool: NodePool::new(cfg.nodes_per_cell, cfg.cells),
-            cells: Shards::new(cfg),
+            cells: Cells::new(cfg.cells),
             jobs: JobTable::default(),
             queues: FairShare::new(&cfg.tenants),
             global: EventQueue::new(),
@@ -270,7 +272,7 @@ impl<'a> Engine<'a> {
                 }
             }
             // Next instant: the min over the global queue, the arrival
-            // stream and every cell queue.
+            // stream and the cells' queue.
             let next = [
                 self.global.peek_time(),
                 next_arrival.as_ref().map(|a| a.arrival),
@@ -321,11 +323,9 @@ impl<'a> Engine<'a> {
                 self.admit(spec)?;
             }
             // Stage 3: cell events, in ascending cell id.
-            for cell in 0..self.cfg.cells {
-                while let Some(pe) = self.cells.pop_due(cell, t) {
-                    self.events += 1;
-                    self.handle_phase_end(cell, pe)?;
-                }
+            while let Some(pe) = self.cells.pop_due(t) {
+                self.events += 1;
+                self.handle_phase_end(pe)?;
             }
         }
         self.log.check(true)
@@ -335,7 +335,7 @@ impl<'a> Engine<'a> {
         let mut report = ServiceReport {
             nodes_per_cell: self.cfg.nodes_per_cell,
             shards: self.cfg.shards,
-            cells: self.cells.into_reports(),
+            cells: self.cells.reports,
             tenants: self.tenants,
             submitted: self.submitted,
             events: self.events,
@@ -511,12 +511,12 @@ impl<'a> Engine<'a> {
         let now = self.now;
         let e = &mut self.jobs[slot];
         let n = e.held.len() as u64;
-        let cell = self.cells.cell(e.cell);
+        let report = &mut self.cells.reports[e.cell as usize];
         let (nominal, work) = match self.scorer.price(e) {
             Priced::Point(span, work) => (span, work),
             Priced::Failed => return self.fail_running(slot),
             Priced::Retry(backoff) => {
-                cell.report.allocated_node_ns += u128::from(n) * u128::from(backoff.as_nanos());
+                report.allocated_node_ns += u128::from(n) * u128::from(backoff.as_nanos());
                 let retry = GlobalEv::RetryPhase {
                     slot,
                     epoch: e.epoch,
@@ -544,10 +544,14 @@ impl<'a> Engine<'a> {
         e.iter_start = now;
         e.iter_span = span;
         e.iter_work = work;
-        cell.report.degraded_ns += u128::from(degraded.as_nanos());
-        cell.report.allocated_node_ns += u128::from(n) * u128::from(span.as_nanos());
-        cell.queue
-            .schedule(now + span, PhaseEnd { slot, gen: e.gen });
+        report.degraded_ns += u128::from(degraded.as_nanos());
+        report.allocated_node_ns += u128::from(n) * u128::from(span.as_nanos());
+        let pe = PhaseEnd {
+            cell: e.cell,
+            slot,
+            gen: e.gen,
+        };
+        self.cells.schedule(now + span, pe);
         Ok(())
     }
 
@@ -568,14 +572,14 @@ impl<'a> Engine<'a> {
         self.schedule_phase(slot, restart)
     }
 
-    fn handle_phase_end(&mut self, cell_id: u32, pe: PhaseEnd) -> SimResult<()> {
-        let slot = pe.slot;
+    fn handle_phase_end(&mut self, pe: PhaseEnd) -> SimResult<()> {
+        let (cell_id, slot) = (pe.cell, pe.slot);
         let e = &mut self.jobs[slot];
         if e.state != JobState::Running || e.gen != pe.gen {
             return Ok(()); // stale (interrupted or cancelled meanwhile)
         }
         let iter_work = e.finish_iteration(&self.pricing.ckpt);
-        let report = &mut self.cells.cell(cell_id).report;
+        let report = &mut self.cells.reports[cell_id as usize];
         report.iterations += 1;
         report.committed_work_ns += u128::from(iter_work.as_nanos());
         if e.phase >= e.payload.iterations() {
@@ -661,7 +665,7 @@ impl<'a> Engine<'a> {
     fn complete_job(&mut self, slot: u32) -> SimResult<()> {
         let turnaround = (self.now - self.jobs[slot].arrival).as_nanos();
         let (tag, cell, n) = self.vacate(slot);
-        self.cells.cell(cell).report.completed += 1;
+        self.cells.reports[cell as usize].completed += 1;
         self.tenants[tag.tenant as usize].completed += 1;
         self.log
             .record(self.now, decision::COMPLETE, tag, cell, n, turnaround);
@@ -678,7 +682,7 @@ impl<'a> Engine<'a> {
             // free again, so capacity-blocked tenants deserve a retry.
             self.freed_while_placing = true;
         }
-        self.cells.cell(cell).report.failed += 1;
+        self.cells.reports[cell as usize].failed += 1;
         self.tenants[tag.tenant as usize].failed += 1;
         self.log.record(self.now, decision::FAIL, tag, cell, n, 0);
         self.release_slot(slot);
@@ -715,14 +719,14 @@ impl<'a> Engine<'a> {
     /// as lost work, and re-queue the job — immediately (head of its
     /// tenant's queue) under rigid/malleable, after a capped exponential
     /// backoff under elastic recovery. The re-placed job may land in *any*
-    /// cell: recovery is cross-shard by construction.
+    /// cell: recovery is cross-cell by construction.
     fn interrupt(&mut self, slot: u32) {
         let now = self.now;
         let backoff = self.cfg.policy.backoff();
         let e = &mut self.jobs[slot];
         let grant = e.held.len() as u32;
         let hit = e.interrupt(now, backoff.is_some(), &self.pricing.ckpt);
-        let report = &mut self.cells.cell(e.cell).report;
+        let report = &mut self.cells.reports[e.cell as usize];
         report.allocated_node_ns -= hit.refund;
         report.lost_work_ns += u128::from(hit.lost.as_nanos());
         report.replayed_work_ns += u128::from(hit.replay.as_nanos());
@@ -777,7 +781,7 @@ impl<'a> Engine<'a> {
                 let refund = e.unused_node_ns(self.now);
                 e.gen += 1; // stale out the PhaseEnd
                 let (_, cell, grant) = self.vacate(slot);
-                let report = &mut self.cells.cell(cell).report;
+                let report = &mut self.cells.reports[cell as usize];
                 report.allocated_node_ns -= refund;
                 report.cancelled += 1;
                 self.log

@@ -198,3 +198,49 @@ fn per_job_cancellation_hits_pending_and_running_jobs() {
     assert_eq!(r.completed_jobs(), 2);
     assert_eq!(r.failed_jobs(), 0);
 }
+
+/// Taken on the commit before the per-cell queues merged into one
+/// cell-ranked queue: at one instant, cell order still beats the order the
+/// events were scheduled in.
+#[test]
+fn same_instant_phase_ends_pop_in_cell_order() {
+    use std::hash::Hasher;
+    // Two 4-node cells. B's end (cell 1, at 3 s) is scheduled at t=0; C
+    // takes cell 0 when A leaves it at 1 s and also ends at 3 s. Cell 0
+    // must still go first at 3 s, so the waiting D lands in cell 0.
+    let cfg =
+        ServiceConfig::new(4, 2, 2, SchedulePolicy::Rigid).with_tenant(TenantSpec::new("t", 1));
+    let job = |at: u64, work_secs: u64| {
+        JobSpec::analytic(
+            0,
+            SimTime(at),
+            4,
+            cluster_svc::AnalyticJob {
+                work: SimDuration::from_secs(work_secs),
+                parallel_first: 1.0,
+                parallel_last: 1.0,
+                iterations: 1,
+            },
+        )
+    };
+    let stream = vec![
+        job(0, 4),             // A: cell 0, ends at 1 s
+        job(0, 12),            // B: cell 1, ends at 3 s
+        job(1_000_000_000, 8), // C: cell 0 from 1 s, ends at 3 s
+        job(2_000_000_000, 4), // D: waits for the first cell freed at 3 s
+    ];
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .unwrap()
+        .serve(stream, &FaultPlan::none(), &opts)
+        .unwrap();
+    assert_eq!(out.report.completed_jobs(), 4);
+    assert_eq!(out.report.cells[0].completed, 3, "D ran in cell 0");
+    let bytes = out.journal.expect("journal").encode();
+    let mut h = desim::FxHasher::default();
+    h.write(&bytes);
+    assert_eq!((bytes.len(), h.finish()), (323, 0x5338_8e04_d815_f389));
+}

@@ -5,8 +5,10 @@
 use std::sync::Arc;
 
 use cluster::{EfficiencyProfile, SchedulePolicy, Workload};
-use cluster_svc::{AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, TenantSpec};
-use desim::{SimDuration, SimTime};
+use cluster_svc::{
+    decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, TenantSpec,
+};
+use desim::{JournalEvent, SimDuration, SimTime};
 use dps_sim::{SimError, SimResult};
 use faults::FaultPlan;
 
@@ -200,4 +202,56 @@ fn unknown_tenant_is_a_protocol_error() {
         )
         .unwrap_err();
     assert!(matches!(err.kind, dps_sim::SimErrorKind::Protocol { .. }));
+}
+
+#[test]
+fn a_nan_parallel_fraction_never_shrinks_a_job_to_zero_nodes() {
+    // The fields are public and admission does not check them: a NaN
+    // fraction must still target an allocation in 1..=cap.
+    let cfg = ServiceConfig::new(
+        8,
+        1,
+        1,
+        SchedulePolicy::ElasticRecovery {
+            min_efficiency: 0.5,
+            base_backoff: SimDuration::from_secs(2),
+            max_backoff: SimDuration::from_secs(60),
+        },
+    )
+    .with_tenant(TenantSpec::new("t", 1));
+    let stream = vec![JobSpec::analytic(
+        0,
+        SimTime::ZERO,
+        4,
+        AnalyticJob {
+            work: SimDuration::from_secs(8),
+            parallel_first: f64::NAN,
+            parallel_last: 0.5,
+            iterations: 4,
+        },
+    )];
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .unwrap()
+        .serve(stream, &FaultPlan::none(), &opts)
+        .unwrap();
+    assert_eq!(out.report.completed_jobs(), 1);
+    let shrinks: Vec<u64> = out
+        .journal
+        .expect("journal")
+        .entries
+        .iter()
+        .filter_map(|e| match e.event {
+            JournalEvent::Step { op, start, .. } if op == decision::SHRINK => Some(start),
+            _ => None,
+        })
+        .collect();
+    assert!(!shrinks.is_empty(), "the job shrinks at a boundary");
+    assert!(
+        shrinks.iter().all(|&n| n >= 1),
+        "shrink grants: {shrinks:?}"
+    );
 }

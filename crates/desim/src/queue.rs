@@ -1,9 +1,12 @@
 //! Deterministic pending-event set.
 //!
-//! Events are ordered by `(time, sequence)` where the sequence number is the
-//! insertion order, so two runs that schedule the same events in the same
-//! order pop them in the same order — a prerequisite for the reproducible
-//! traces the simulator and testbed compare against each other.
+//! Events are ordered by `(time, rank, sequence)` where the sequence number
+//! is the insertion order, so two runs that schedule the same events in the
+//! same order pop them in the same order — a prerequisite for the
+//! reproducible traces the simulator and testbed compare against each
+//! other. The rank is a caller-chosen tie-break inside one instant
+//! ([`EventQueue::schedule_ranked`]); plain [`EventQueue::schedule`] uses
+//! rank 0, which leaves ties in insertion order.
 //!
 //! There is no cancellation: both schedulers that use the queue guard
 //! against stale events with their own per-job generation counters and
@@ -14,9 +17,10 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Heap entry, ordered by `(time, seq)` alone.
+/// Heap entry, ordered by `(time, rank, seq)` alone.
 struct Entry<E> {
     time: SimTime,
+    rank: u32,
     seq: u64,
     event: E,
 }
@@ -34,7 +38,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        (self.time, self.rank, self.seq).cmp(&(other.time, other.rank, other.seq))
     }
 }
 
@@ -59,11 +63,23 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at `time`.
+    /// Schedules `event` at `time`, after every event already pending at
+    /// that instant with rank 0.
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        self.schedule_ranked(time, 0, event);
+    }
+
+    /// Schedules `event` at `time` with tie-break `rank`: at one instant,
+    /// lower ranks pop first and equal ranks in insertion order.
+    pub fn schedule_ranked(&mut self, time: SimTime, rank: u32, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        self.heap.push(Reverse(Entry {
+            time,
+            rank,
+            seq,
+            event,
+        }));
     }
 
     /// Removes and returns the earliest event.
@@ -121,6 +137,27 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
+    }
+
+    #[test]
+    fn ranks_break_ties_before_insertion_order() {
+        let mut q = EventQueue::new();
+        q.schedule_ranked(at(5), 3, "rank 3");
+        q.schedule_ranked(at(5), 1, "rank 1, first");
+        q.schedule_ranked(at(5), 1, "rank 1, second");
+        q.schedule_ranked(at(4), 9, "earlier instant");
+        assert_eq!(q.pop(), Some((at(4), "earlier instant")));
+        assert_eq!(q.pop(), Some((at(5), "rank 1, first")));
+        assert_eq!(q.pop(), Some((at(5), "rank 1, second")));
+        assert_eq!(q.pop(), Some((at(5), "rank 3")));
+        // Plain `schedule` is rank 0: FIFO at ties, ahead of higher ranks.
+        q.schedule_ranked(at(7), 1, "ranked");
+        q.schedule(at(7), "plain a");
+        q.schedule(at(7), "plain b");
+        assert_eq!(q.pop(), Some((at(7), "plain a")));
+        assert_eq!(q.pop(), Some((at(7), "plain b")));
+        assert_eq!(q.pop(), Some((at(7), "ranked")));
+        assert!(q.is_empty());
     }
 
     #[test]
