@@ -5,10 +5,13 @@
 //! self-contained, and (b) [`dps_bench::run_parallel_with`] merges results
 //! in input order regardless of completion order.
 
-use cluster::ClusterSim;
+use cluster_svc::{ClusterService, ServeOptions};
 use dps_bench::{run_pair, run_parallel_with, run_scenario_with, Env};
+use faults::FaultPlan;
 use lu_app::{DataMode, LuConfig};
-use workload::{server_policies, sim_job_set, ScenarioCtx, ScenarioPoint, ScenarioSpec, SimEnv};
+use workload::{
+    one_cell_config, server_policies, sim_job_set, ScenarioCtx, ScenarioPoint, ScenarioSpec, SimEnv,
+};
 
 /// A miniature fig-10-shaped scenario: small matrix so debug-mode tests
 /// stay fast, several block sizes, fixed per-point seeds.
@@ -52,17 +55,25 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
     assert_eq!(parallel, sweep_csv(4));
 }
 
-/// The simulator-backed cluster server under the same contract: both
+/// The simulator-backed one-cell server under the same contract: both
 /// policies run over the sim-backed job set on one worker thread and on
 /// four (the harness's explicit thread-count entry point stands in for
 /// `DVNS_THREADS=1` vs `DVNS_THREADS=4` without mutating the
-/// environment), and every `ServerReport` must be bit-identical.
-fn server_sweep(threads: usize) -> Vec<String> {
+/// environment), and every report and decision journal must be
+/// bit-identical.
+fn server_sweep(threads: usize) -> Vec<(String, Vec<u8>)> {
     let points = server_policies();
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
     run_parallel_with(&points, threads, |_, (_, policy)| {
         let env = SimEnv::paper();
-        let report = ClusterSim::new(8, *policy).run(&sim_job_set(&env));
-        format!("{report:?}")
+        let out = ClusterService::new(one_cell_config(8, *policy))
+            .unwrap()
+            .serve(sim_job_set(&env), &FaultPlan::none(), &opts)
+            .unwrap();
+        (out.report.canonical_string(), out.journal.unwrap().encode())
     })
 }
 
@@ -73,6 +84,6 @@ fn sim_backed_server_reports_are_thread_count_invariant() {
     assert!(!serial.is_empty());
     assert_eq!(
         serial, parallel,
-        "ServerReport differs between 1 and 4 harness threads"
+        "server output differs between 1 and 4 harness threads"
     );
 }

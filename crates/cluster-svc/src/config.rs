@@ -61,8 +61,9 @@ pub struct ServiceConfig {
     /// Shard count, in `1..=cells`. Validated and echoed only: the event
     /// loop never reads it, so results do not depend on it.
     pub shards: u32,
-    /// Scheduling policy shared by every cell (rigid / malleable /
-    /// elastic recovery), identical in meaning to the batch `ClusterSim`.
+    /// Scheduling policy shared by every cell (rigid / malleable / elastic
+    /// recovery / what-if). Its efficiency floor, where it has one, must
+    /// lie in `[0, 1]`.
     pub policy: SchedulePolicy,
     /// Registered tenants; a `JobSpec.tenant` indexes this list.
     pub tenants: Vec<TenantSpec>,
@@ -129,6 +130,14 @@ impl ServiceConfig {
                 self.cells, self.shards
             )));
         }
+        if let Some(e) = self.policy.min_efficiency() {
+            // A NaN floor would make every efficiency target 1 node.
+            if !(0.0..=1.0).contains(&e) {
+                return Err(SimError::protocol(format!(
+                    "policy min_efficiency must lie in [0, 1], got {e}"
+                )));
+            }
+        }
         if self.tenants.is_empty() {
             return Err(SimError::protocol("service needs at least one tenant"));
         }
@@ -193,5 +202,31 @@ mod tests {
         assert!(zero_weight.validate().is_err());
         let dup = cfg(4, 1).with_tenant(TenantSpec::new("t0", 2));
         assert!(dup.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_an_efficiency_floor_outside_the_unit_interval() {
+        let with_floor = |min_efficiency| {
+            let mut c = cfg(4, 1);
+            c.policy = SchedulePolicy::Malleable { min_efficiency };
+            c.validate()
+        };
+        for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let err = with_floor(bad).unwrap_err();
+            assert!(
+                matches!(err.kind, dps_sim::SimErrorKind::Protocol { .. }),
+                "{bad}"
+            );
+        }
+        for ok in [0.0, 0.3, 0.99, 1.0] {
+            assert!(with_floor(ok).is_ok(), "{ok}");
+        }
+        let mut elastic = cfg(4, 1);
+        elastic.policy = SchedulePolicy::ElasticRecovery {
+            min_efficiency: f64::NAN,
+            base_backoff: desim::SimDuration::from_secs(2),
+            max_backoff: desim::SimDuration::from_secs(60),
+        };
+        assert!(elastic.validate().is_err());
     }
 }

@@ -1,10 +1,10 @@
 //! Job payloads and the streaming submission model.
 //!
-//! The batch `ClusterSim` takes a `&[Job]` with per-job `String` names and
-//! record-keeping; at millions of jobs that is hundreds of megabytes of
-//! strings before the first event fires. The service instead consumes an
-//! *iterator* of compact [`JobSpec`]s — [`SyntheticLoad`] generates them
-//! lazily from a seed in O(1) memory — and reports aggregates only.
+//! The service consumes an *iterator* of compact [`JobSpec`]s and reports
+//! aggregates only: per-job names and records would cost hundreds of
+//! megabytes at millions of jobs before the first event fires.
+//! [`SyntheticLoad`] generates specs lazily from a seed in O(1) memory;
+//! [`random_jobs`] draws a small seeded batch for scheduler studies.
 //!
 //! Two payload kinds:
 //!
@@ -15,12 +15,12 @@
 //!   job's lifetime. The policy target is inverted in closed form, keeping
 //!   the scheduler hot path free of profile loops.
 //! * [`JobPayload::Boxed`] — any [`cluster::Workload`] (e.g. the
-//!   simulator-backed LU/stencil apps), memoized through a
-//!   [`cluster::ProfileCache`] exactly as in the batch server.
+//!   simulator-backed LU/stencil apps), memoized through the serve's
+//!   [`cluster::ProfileCache`].
 
 use std::sync::Arc;
 
-use cluster::Workload;
+use cluster::{lu_like_job, PhaseWorkload, Workload};
 use desim::{SimDuration, SimTime};
 
 /// A closed-form Amdahl job: `iterations` equal slices of `work`, with the
@@ -287,6 +287,32 @@ impl Iterator for SyntheticLoad {
     }
 }
 
+/// A seeded batch of `count` tenant-0 jobs for scheduler studies: LU-like
+/// [`PhaseWorkload`]s ([`lu_like_job`], 200–2 000 s of work in 4–11
+/// phases) arriving up to two minutes apart, each requesting
+/// `1..=max_nodes` nodes.
+pub fn random_jobs(count: usize, max_nodes: u32, seed: u64) -> Vec<JobSpec> {
+    // Splitmix-style seeding so adjacent seeds diverge immediately.
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut t = 0u64;
+    (0..count)
+        .map(|_| {
+            t += next() % 120;
+            let nodes = 1 + (next() % u64::from(max_nodes)) as u32;
+            let work = 200 + next() % 1800;
+            let phases = 4 + (next() % 8) as usize;
+            let w = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(work), phases));
+            JobSpec::boxed(0, SimTime(t * 1_000_000_000), nodes, Arc::new(w))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,5 +431,25 @@ mod tests {
             a.iter().zip(&c).any(|(x, y)| x.arrival != y.arrival),
             "different seeds must draw different loads"
         );
+    }
+
+    #[test]
+    fn random_workloads_are_reproducible() {
+        let a = random_jobs(10, 8, 42);
+        let b = random_jobs(10, 8, 42);
+        let c = random_jobs(10, 8, 43);
+        assert_eq!(a.len(), 10);
+        assert_eq!(
+            a.iter().map(|j| j.arrival).collect::<Vec<_>>(),
+            b.iter().map(|j| j.arrival).collect::<Vec<_>>()
+        );
+        assert_ne!(
+            a.iter().map(|j| j.requested_nodes).collect::<Vec<_>>(),
+            c.iter().map(|j| j.requested_nodes).collect::<Vec<_>>()
+        );
+        for j in &a {
+            assert!(j.requested_nodes >= 1 && j.requested_nodes <= 8);
+            assert!(j.payload.iterations() >= 1);
+        }
     }
 }

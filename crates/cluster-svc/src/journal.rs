@@ -81,6 +81,15 @@ pub const DECISION_LABELS: [&str; 12] = [
 /// `Step.node` value for decisions that concern no cell.
 pub const NO_CELL: u32 = u32::MAX;
 
+/// `(submission id, instant)` of every `complete` decision in a decision
+/// journal, in commit order: the per-job completion times of a run.
+pub fn completions(journal: &Journal) -> impl Iterator<Item = (u64, SimTime)> + '_ {
+    journal.entries.iter().filter_map(|e| match e.event {
+        JournalEvent::Step { job, op, .. } if op == decision::COMPLETE => Some((job, e.vtime)),
+        _ => None,
+    })
+}
+
 /// How a validated replay went.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplayStats {

@@ -1,10 +1,12 @@
-//! Long-lived multi-tenant cluster job service.
+//! Long-lived multi-tenant cluster job service: the repo's one scheduler
+//! engine.
 //!
-//! `cluster-svc` layers a *service* on top of the batch-oriented
-//! [`cluster`] simulator: instead of one workload per run, a
-//! [`ClusterService`] drains an arbitrarily long stream of [`JobSpec`]s —
-//! millions per run — submitted by competing tenants against a partitioned
-//! node pool, under a [`faults::FaultPlan`], deterministically per seed.
+//! A [`ClusterService`] applies the [`cluster`] crate's policies and rules
+//! to an arbitrarily long stream of [`JobSpec`]s — millions per run —
+//! submitted by competing tenants against a partitioned node pool, under a
+//! [`faults::FaultPlan`], deterministically per seed. A batch experiment
+//! is a one-cell, one-tenant configuration of it: per-job completion times
+//! come from the decision journal ([`completions`]).
 //!
 //! The moving parts:
 //!
@@ -60,8 +62,8 @@ mod scorer;
 mod service;
 
 pub use config::{ServiceConfig, TenantSpec};
-pub use job::{AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
-pub use journal::{decision, ReplayStats, DECISION_LABELS, NO_CELL};
+pub use job::{random_jobs, AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
+pub use journal::{completions, decision, ReplayStats, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };

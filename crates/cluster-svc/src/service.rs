@@ -4,7 +4,7 @@
 //! # Components
 //!
 //! * [`cluster::NodePool`] — which nodes are free, held (by which job
-//!   slot), away or dead, per cell; the same type the batch server uses.
+//!   slot), away or dead, per cell.
 //! * `cells::Cells` — every cell's iteration ends in one cell-ranked
 //!   queue, and the cell totals.
 //! * `live::JobTable` — admitted jobs and their lifecycle state.

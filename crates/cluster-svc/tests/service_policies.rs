@@ -1,16 +1,18 @@
 //! Fair-share, quota, backpressure and tenant-isolation behavior of the
 //! service: the multi-tenant guarantees that hold *inside* one
-//! deterministic run.
+//! deterministic run. Then the policies and fault handling on one cell
+//! with one tenant, the configuration batch experiments run on.
 
 use std::sync::Arc;
 
-use cluster::{EfficiencyProfile, SchedulePolicy, Workload};
+use cluster::{lu_like_job, EfficiencyProfile, PhaseWorkload, SchedulePolicy, Workload};
 use cluster_svc::{
-    decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, TenantSpec,
+    completions, decision, random_jobs, AnalyticJob, ClusterService, JobSpec, ServeOptions,
+    ServiceConfig, ServiceReport, TenantSpec,
 };
-use desim::{JournalEvent, SimDuration, SimTime};
+use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps_sim::{SimError, SimResult};
-use faults::FaultPlan;
+use faults::{CheckpointSpec, FaultEvent, FaultKind, FaultPlan};
 
 fn unit_job(tenant: u32, at: u64, nodes: u32, work_secs: u64) -> JobSpec {
     JobSpec::analytic(
@@ -204,22 +206,76 @@ fn unknown_tenant_is_a_protocol_error() {
     assert!(matches!(err.kind, dps_sim::SimErrorKind::Protocol { .. }));
 }
 
+// ----- one cell, one tenant --------------------------------------------------
+
+const MALLEABLE: SchedulePolicy = SchedulePolicy::Malleable {
+    min_efficiency: 0.5,
+};
+
+fn elastic(min_efficiency: f64) -> SchedulePolicy {
+    SchedulePolicy::ElasticRecovery {
+        min_efficiency,
+        base_backoff: SimDuration::from_secs(2),
+        max_backoff: SimDuration::from_secs(60),
+    }
+}
+
+/// An LU-like analytic job: 400 s of work in 8 phases of decaying size and
+/// parallel fraction.
+fn lu_job(at_secs: u64, nodes: u32) -> JobSpec {
+    let w = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(400), 8));
+    JobSpec::boxed(0, SimTime(at_secs * 1_000_000_000), nodes, Arc::new(w))
+}
+
+/// Serves `stream` on one cell of `nodes` nodes with one tenant, journal
+/// on.
+fn one_cell(
+    nodes: u32,
+    policy: SchedulePolicy,
+    stream: Vec<JobSpec>,
+    plan: &FaultPlan,
+) -> (ServiceReport, Journal) {
+    let cfg = ServiceConfig::new(nodes, 1, 1, policy).with_tenant(TenantSpec::new("t", 1));
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .unwrap()
+        .serve(stream, plan, &opts)
+        .unwrap();
+    (out.report, out.journal.unwrap())
+}
+
+/// `(instant, nodes)` of every `want` decision about submission `id`.
+fn decisions(j: &Journal, id: u64, want: u32) -> Vec<(SimTime, u64)> {
+    j.entries
+        .iter()
+        .filter_map(|e| match e.event {
+            JournalEvent::Step { job, op, start, .. } if job == id && op == want => {
+                Some((e.vtime, start))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn mean_completion(j: &Journal) -> f64 {
+    let done: Vec<f64> = completions(j).map(|(_, t)| t.as_secs_f64()).collect();
+    done.iter().sum::<f64>() / done.len() as f64
+}
+
+fn fault(at_secs: u64, node: u32, kind: FaultKind, checkpoint: CheckpointSpec) -> FaultPlan {
+    let at = SimTime(at_secs * 1_000_000_000);
+    FaultPlan::new(vec![FaultEvent { at, node, kind }], checkpoint)
+}
+
 #[test]
-fn a_nan_parallel_fraction_never_shrinks_a_job_to_zero_nodes() {
-    // The fields are public and admission does not check them: a NaN
-    // fraction must still target an allocation in 1..=cap.
-    let cfg = ServiceConfig::new(
-        8,
-        1,
-        1,
-        SchedulePolicy::ElasticRecovery {
-            min_efficiency: 0.5,
-            base_backoff: SimDuration::from_secs(2),
-            max_backoff: SimDuration::from_secs(60),
-        },
-    )
-    .with_tenant(TenantSpec::new("t", 1));
-    let stream = vec![JobSpec::analytic(
+fn a_job_never_shrinks_to_zero_nodes() {
+    // A NaN fraction (the fields are public and admission does not check
+    // them) and a brutal efficiency floor must both still target an
+    // allocation in 1..=cap.
+    let nan = JobSpec::analytic(
         0,
         SimTime::ZERO,
         4,
@@ -229,29 +285,161 @@ fn a_nan_parallel_fraction_never_shrinks_a_job_to_zero_nodes() {
             parallel_last: 0.5,
             iterations: 4,
         },
-    )];
-    let opts = ServeOptions {
-        journal: true,
-        ..ServeOptions::default()
+    );
+    let brutal = SchedulePolicy::Malleable {
+        min_efficiency: 0.99,
     };
-    let out = ClusterService::new(cfg)
-        .unwrap()
-        .serve(stream, &FaultPlan::none(), &opts)
-        .unwrap();
-    assert_eq!(out.report.completed_jobs(), 1);
-    let shrinks: Vec<u64> = out
-        .journal
-        .expect("journal")
-        .entries
-        .iter()
-        .filter_map(|e| match e.event {
-            JournalEvent::Step { op, start, .. } if op == decision::SHRINK => Some(start),
-            _ => None,
-        })
-        .collect();
-    assert!(!shrinks.is_empty(), "the job shrinks at a boundary");
+    for (policy, job) in [(elastic(0.5), nan), (brutal, lu_job(0, 4))] {
+        let (r, j) = one_cell(8, policy, vec![job], &FaultPlan::none());
+        assert_eq!(r.completed_jobs(), 1, "{policy:?}");
+        let shrinks = decisions(&j, 0, decision::SHRINK);
+        assert!(!shrinks.is_empty(), "the job shrinks at a boundary");
+        assert!(shrinks.iter().all(|&(_, n)| n >= 1), "{shrinks:?}");
+    }
+}
+
+#[test]
+fn an_empty_stream_yields_a_finite_empty_report() {
+    let (r, j) = one_cell(8, SchedulePolicy::Rigid, Vec::new(), &FaultPlan::none());
+    assert_eq!((r.submitted, r.makespan), (0, SimTime::ZERO));
+    // No 0/0 NaNs in the derived accessors.
+    assert_eq!(r.allocation_efficiency(), 0.0);
+    assert_eq!(r.utilization(), 0.0);
+    assert_eq!(completions(&j).count(), 0);
+}
+
+#[test]
+fn malleable_improves_mean_completion_under_contention() {
+    // Two 8-node LU jobs arriving close together on an 8-node cell: the
+    // rigid b waits for all of a's nodes, the malleable b starts on the
+    // nodes a releases as its iterations shrink.
+    let jobs = || vec![lu_job(0, 8), lu_job(1, 8)];
+    let (rigid, rj) = one_cell(8, SchedulePolicy::Rigid, jobs(), &FaultPlan::none());
+    let (mall, mj) = one_cell(8, MALLEABLE, jobs(), &FaultPlan::none());
+    let start_b = |j: &Journal| decisions(j, 1, decision::PLACE)[0].0;
+    assert!(start_b(&rj) >= decisions(&rj, 0, decision::COMPLETE)[0].0);
     assert!(
-        shrinks.iter().all(|&n| n >= 1),
-        "shrink grants: {shrinks:?}"
+        start_b(&mj) < start_b(&rj),
+        "malleable must start b earlier"
+    );
+    let (m, r) = (mean_completion(&mj), mean_completion(&rj));
+    assert!(m < r, "malleable mean completion {m:.1}s !< rigid {r:.1}s");
+    // ...and capacity is used more efficiently.
+    assert!(mall.allocation_efficiency() > rigid.allocation_efficiency());
+}
+
+#[test]
+fn malleable_scheduling_wins_on_average_over_random_workloads() {
+    // Across several seeded workloads, the malleable policy must not lose
+    // on mean completion time and must use capacity better.
+    const SEEDS: u64 = 8;
+    let (mut wins, mut eff_wins) = (0, 0);
+    for seed in 1000..1000 + SEEDS {
+        let serve = |policy| one_cell(8, policy, random_jobs(8, 8, seed), &FaultPlan::none());
+        let (rigid, rj) = serve(SchedulePolicy::Rigid);
+        let (mall, mj) = serve(MALLEABLE);
+        assert_eq!((rigid.completed_jobs(), mall.completed_jobs()), (8, 8));
+        if mean_completion(&mj) <= mean_completion(&rj) {
+            wins += 1;
+        }
+        if mall.allocation_efficiency() >= rigid.allocation_efficiency() {
+            eff_wins += 1;
+        }
+    }
+    assert!(
+        wins >= SEEDS - 2,
+        "malleable lost {} of {SEEDS}",
+        SEEDS - wins
+    );
+    assert!(
+        eff_wins >= SEEDS - 1,
+        "less efficient on {}",
+        SEEDS - eff_wins
+    );
+}
+
+#[test]
+fn crashes_interrupt_the_holder_and_spare_everyone_else() {
+    let none = CheckpointSpec::none();
+    let job = || vec![lu_job(0, 4)];
+    let (quiet, qj) = one_cell(8, SchedulePolicy::Rigid, job(), &FaultPlan::none());
+    // Strike node 0, held by the only job, mid-run: it restarts on the
+    // surviving nodes, and replaying the lost work delays it.
+    let mid = (quiet.makespan.as_secs_f64() as u64 / 2).max(1);
+    let held = fault(mid, 0, FaultKind::NodeCrash, none);
+    let (r, _) = one_cell(8, SchedulePolicy::Rigid, job(), &held);
+    assert_eq!((r.completed_jobs(), r.total_restarts()), (1, 1));
+    assert!(r.total_lost_work() > SimDuration::ZERO);
+    assert!(r.makespan > quiet.makespan);
+    // Nodes 0..4 are held; node 7 is free for the whole run, so crashing
+    // it only shrinks capacity and the job never notices.
+    let (r, j) = one_cell(
+        8,
+        SchedulePolicy::Rigid,
+        job(),
+        &fault(1, 7, FaultKind::NodeCrash, none),
+    );
+    assert_eq!(r.total_restarts(), 0);
+    assert!(j.same_stream(&qj), "{:?}", j.first_divergence(&qj));
+}
+
+#[test]
+fn elastic_recovery_resumes_from_checkpoint_and_beats_full_restart() {
+    // Checkpoint every iteration with tiny costs; crash after a couple of
+    // iterations completed. The elastic policy replays only the in-flight
+    // iteration, the malleable policy replays everything.
+    let ms10 = SimDuration::from_millis(10);
+    let plan = fault(
+        100,
+        0,
+        FaultKind::NodeCrash,
+        CheckpointSpec::every(1, ms10, ms10),
+    );
+    let (mall, _) = one_cell(8, MALLEABLE, vec![lu_job(0, 4)], &plan);
+    let (el, _) = one_cell(8, elastic(0.5), vec![lu_job(0, 4)], &plan);
+    assert_eq!((mall.completed_jobs(), el.completed_jobs()), (1, 1));
+    assert_eq!(el.total_restarts(), 1);
+    assert!(
+        el.total_lost_work() < mall.total_lost_work(),
+        "checkpoint resume loses less work ({:?} !< {:?})",
+        el.total_lost_work(),
+        mall.total_lost_work()
+    );
+    assert!(
+        el.makespan < mall.makespan,
+        "elastic recovery finishes earlier"
+    );
+}
+
+#[test]
+fn a_preempted_node_returns_to_service() {
+    // Preempt node 3 of a 4-node cell from t=1 to t=31: the rigid job
+    // arriving at t=2 needs all 4 nodes, so it starts when the node returns.
+    let away = FaultKind::NodePreempt {
+        return_after: SimDuration::from_secs(30),
+    };
+    let plan = fault(1, 3, away, CheckpointSpec::none());
+    let (r, j) = one_cell(4, SchedulePolicy::Rigid, vec![lu_job(2, 4)], &plan);
+    assert_eq!((r.completed_jobs(), r.total_restarts()), (1, 0));
+    let start = decisions(&j, 0, decision::PLACE)[0].0;
+    assert_eq!(start, SimTime(31 * 1_000_000_000));
+}
+
+#[test]
+fn a_slowdown_window_stretches_the_holders_iterations() {
+    let job = || vec![lu_job(0, 4)];
+    let (quiet, _) = one_cell(8, SchedulePolicy::Rigid, job(), &FaultPlan::none());
+    let slow = FaultKind::NodeSlowdown {
+        factor: 0.5,
+        window: SimDuration::from_secs(1_000),
+    };
+    let plan = fault(0, 0, slow, CheckpointSpec::none());
+    let (r, _) = one_cell(8, SchedulePolicy::Rigid, job(), &plan);
+    assert_eq!(r.total_restarts(), 0, "a slowdown is not an interruption");
+    assert!(r.total_degraded() > SimDuration::ZERO);
+    assert_eq!(
+        r.makespan,
+        quiet.makespan + r.total_degraded(),
+        "all extra wall time is accounted as degradation"
     );
 }

@@ -1,5 +1,6 @@
 //! Allocation policies: turning predicted dynamic-efficiency profiles into
-//! thread-removal plans.
+//! thread-removal plans, and the scheduling policies of the cluster
+//! service.
 //!
 //! This closes the loop the paper motivates: *simulate* the application
 //! once, obtain its dynamic efficiency per iteration, and decide ahead of
@@ -7,6 +8,86 @@
 
 use crate::efficiency::EfficiencyProfile;
 use desim::{SimDuration, SimTime};
+
+/// Scheduling policy of a cluster server.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SchedulePolicy {
+    /// Fixed allocation from start to finish.
+    Rigid,
+    /// Resize before any iteration to the largest allocation whose
+    /// predicted efficiency clears `min_efficiency`.
+    Malleable {
+        /// Efficiency floor an iteration's allocation must clear.
+        min_efficiency: f64,
+    },
+    /// Malleable scheduling plus fault-aware recovery: interrupted jobs
+    /// resume from their last checkpoint after a capped exponential
+    /// backoff instead of restarting from scratch.
+    ElasticRecovery {
+        /// Efficiency floor an iteration's allocation must clear.
+        min_efficiency: f64,
+        /// Requeue delay after a job's first interruption.
+        base_backoff: SimDuration,
+        /// Ceiling on the exponentially growing backoff.
+        max_backoff: SimDuration,
+    },
+    /// Simulation-backed what-if scheduling: at every decision boundary
+    /// the scheduler scores candidate futures (keep / shrink / grow /
+    /// migrate / checkpoint-now) by predicted dynamic efficiency — forked
+    /// from the job's live simulation where the backend supports it — and
+    /// commits the winner (see [`crate::whatif`]). Recovery behaves like
+    /// [`SchedulePolicy::ElasticRecovery`].
+    WhatIf {
+        /// Efficiency floor a candidate must clear to be preferred.
+        min_efficiency: f64,
+        /// Requeue delay after a job's first interruption.
+        base_backoff: SimDuration,
+        /// Ceiling on the exponentially growing backoff.
+        max_backoff: SimDuration,
+    },
+}
+
+impl SchedulePolicy {
+    /// The efficiency floor allocations are resized against (`None` under
+    /// [`SchedulePolicy::Rigid`], which never resizes).
+    pub fn min_efficiency(&self) -> Option<f64> {
+        match *self {
+            SchedulePolicy::Rigid => None,
+            SchedulePolicy::Malleable { min_efficiency }
+            | SchedulePolicy::ElasticRecovery { min_efficiency, .. }
+            | SchedulePolicy::WhatIf { min_efficiency, .. } => Some(min_efficiency),
+        }
+    }
+
+    /// Smallest allocation a job requesting `request` nodes may start on.
+    /// Under every policy but rigid jobs are *moldable*: they start on as
+    /// little as half the request rather than wait for all of it.
+    pub fn min_start(&self, request: u32) -> u32 {
+        match self {
+            SchedulePolicy::Rigid => request,
+            _ => request.div_ceil(2),
+        }
+    }
+
+    /// `(base, max)` of the requeue backoff under the policies that
+    /// recover elastically — resuming from the last checkpoint instead of
+    /// restarting from scratch; `None` otherwise.
+    pub fn backoff(&self) -> Option<(SimDuration, SimDuration)> {
+        match *self {
+            SchedulePolicy::ElasticRecovery {
+                base_backoff,
+                max_backoff,
+                ..
+            }
+            | SchedulePolicy::WhatIf {
+                base_backoff,
+                max_backoff,
+                ..
+            } => Some((base_backoff, max_backoff)),
+            _ => None,
+        }
+    }
+}
 
 /// Release resources once predicted efficiency sinks below a threshold.
 #[derive(Clone, Copy, Debug)]

@@ -1,5 +1,5 @@
-//! The scheduling rules the batch [`crate::ClusterSim`] and the
-//! `cluster-svc` service engine share, each defined once here:
+//! The scheduling rules the `cluster-svc` service engine applies, each
+//! defined once here:
 //!
 //! * [`NodePool`] — a free bitset with a free count per cell, lowest ids
 //!   granted first, with the crash/preempt strike semantics of a
@@ -7,11 +7,8 @@
 //! * [`FaultPricing`] — an iteration's wall time under slowdown/degrade
 //!   windows plus checkpoint and restart costs;
 //! * [`capped_backoff`] — the capped exponential requeue/retry delay;
-//! * [`efficiency_target`] — the malleable policy's allocation scan.
-//!
-//! The batch server is a pool of one cell; the service partitions its
-//! nodes into several. Everything else about the two engines (queueing
-//! discipline, accounting arithmetic, journaling) stays their own.
+//! * [`efficiency_target`] — the malleable policy's allocation scan (the
+//!   `server-shrink` scenario also applies it to one job on its own).
 
 use desim::{SimDuration, SimTime};
 use dps_sim::SimResult;

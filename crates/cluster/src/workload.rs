@@ -9,8 +9,8 @@
 //!
 //! * a full dps-sim run of a real DPS application (`LuWorkload` /
 //!   `StencilWorkload` in the `workload` crate), or
-//! * the cheap analytic Amdahl model ([`PhaseWorkload`], wrapping the
-//!   original [`Phase`] sequences).
+//! * the cheap analytic Amdahl model ([`PhaseWorkload`], wrapping
+//!   [`Phase`] sequences such as [`lu_like_job`]).
 //!
 //! Profiles are deterministic for a given `(workload, node count)` pair, so
 //! the server memoizes them in a [`ProfileCache`] — simulator-backed
@@ -25,7 +25,6 @@ use desim::SimDuration;
 use dps_sim::{SimError, SimResult};
 
 use crate::efficiency::{EfficiencyProfile, IterationPoint};
-use crate::server::Phase;
 use crate::whatif::CandidateScore;
 
 /// A malleable application the cluster server can schedule.
@@ -82,11 +81,64 @@ pub trait Workload: Send + Sync {
     }
 }
 
-/// The analytic Amdahl backend: a [`Phase`] sequence as a [`Workload`].
-///
-/// This is the original `ClusterSim` job model, kept as the cheap third
-/// backend beside the simulator-backed LU and stencil workloads — profiles
-/// cost a few multiplications instead of an engine run.
+/// One phase of an analytic job: `work` of serial computation with parallel
+/// fraction `parallel_fraction` (Amdahl).
+#[derive(Clone, Copy, Debug)]
+pub struct Phase {
+    /// Serial work of the phase.
+    pub work: SimDuration,
+    /// Amdahl parallel fraction.
+    pub parallel_fraction: f64,
+}
+
+impl Phase {
+    /// A phase of `work` serial computation, `parallel_fraction` of which
+    /// parallelizes (must lie in `[0, 1]`).
+    pub fn new(work: SimDuration, parallel_fraction: f64) -> Phase {
+        assert!((0.0..=1.0).contains(&parallel_fraction));
+        Phase {
+            work,
+            parallel_fraction,
+        }
+    }
+
+    /// Amdahl speedup on `n` nodes.
+    pub fn speedup(&self, n: u32) -> f64 {
+        let p = self.parallel_fraction;
+        1.0 / ((1.0 - p) + p / n as f64)
+    }
+
+    /// Wall time of the phase on `n` nodes.
+    pub fn duration_on(&self, n: u32) -> SimDuration {
+        self.work.mul_f64(1.0 / self.speedup(n))
+    }
+
+    /// Efficiency on `n` nodes.
+    pub fn efficiency_on(&self, n: u32) -> f64 {
+        self.speedup(n) / n as f64
+    }
+}
+
+/// An LU-like analytic job: phase `k` of `kb` has work ∝ (kb−k)², and large
+/// phases parallelize better than small ones. The parallel fractions are
+/// fitted to the paper's Figure 11 (8-node efficiency starting around 38%
+/// and decaying), so late iterations genuinely waste most of a large
+/// allocation.
+pub fn lu_like_job(total_work: SimDuration, kb: usize) -> Vec<Phase> {
+    let sum: f64 = (0..kb).map(|k| ((kb - k) * (kb - k)) as f64).sum();
+    (0..kb)
+        .map(|k| {
+            let w = ((kb - k) * (kb - k)) as f64 / sum;
+            let frac = 0.45 + 0.35 * (kb - k) as f64 / kb as f64;
+            Phase::new(total_work.mul_f64(w), frac.min(0.995))
+        })
+        .collect()
+}
+
+/// The analytic Amdahl backend: a [`Phase`] sequence as a [`Workload`] —
+/// the cheap third backend beside the simulator-backed LU and stencil
+/// workloads, whose profiles cost a few multiplications instead of an
+/// engine run.
 #[derive(Clone, Debug)]
 pub struct PhaseWorkload {
     phases: Vec<Phase>,
@@ -340,44 +392,30 @@ impl ProfileCache {
     }
 }
 
-/// Seeded random workload generation for scheduler studies.
-///
-/// Generates `count` LU-like analytic jobs with xorshift-seeded arrivals,
-/// sizes and node requests — a reproducible scheduler-study workload on the
-/// [`PhaseWorkload`] backend.
-pub fn random_jobs(count: usize, max_nodes: u32, seed: u64) -> Vec<crate::server::Job> {
-    use crate::server::{lu_like_job, Job};
-    use desim::SimTime;
-
-    // Splitmix-style seeding so adjacent seeds diverge immediately.
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let mut t = 0u64;
-    (0..count)
-        .map(|i| {
-            t += next() % 120; // inter-arrival up to 2 minutes
-            let nodes = 1 + (next() % u64::from(max_nodes)) as u32;
-            let work = 200 + next() % 1800;
-            let phases = 4 + (next() % 8) as usize;
-            Job::from_phases(
-                format!("job{i}"),
-                SimTime(t * 1_000_000_000),
-                nodes,
-                lu_like_job(SimDuration::from_secs(work), phases),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::lu_like_job;
+
+    #[test]
+    fn phase_math_is_consistent() {
+        let p = Phase::new(SimDuration::from_secs(100), 0.9);
+        assert!((p.speedup(1) - 1.0).abs() < 1e-12);
+        assert!(p.speedup(8) > 4.0 && p.speedup(8) < 8.0);
+        assert!(p.efficiency_on(8) < p.efficiency_on(2));
+        assert_eq!(p.duration_on(1), SimDuration::from_secs(100));
+    }
+
+    #[test]
+    fn lu_like_job_phases_shrink() {
+        let phases = lu_like_job(SimDuration::from_secs(100), 5);
+        assert_eq!(phases.len(), 5);
+        for w in phases.windows(2) {
+            assert!(w[0].work > w[1].work);
+            assert!(w[0].parallel_fraction >= w[1].parallel_fraction);
+        }
+        let total: f64 = phases.iter().map(|p| p.work.as_secs_f64()).sum();
+        assert!((total - 100.0).abs() < 1e-3);
+    }
 
     #[test]
     fn phase_workload_profile_matches_analytic_model() {
@@ -492,25 +530,5 @@ mod tests {
         // The earliest inserted fingerprints are the ones gone.
         assert!(cache.score(7).is_none());
         assert!(cache.score(119).is_some());
-    }
-
-    #[test]
-    fn random_workloads_are_reproducible() {
-        let a = random_jobs(10, 8, 42);
-        let b = random_jobs(10, 8, 42);
-        let c = random_jobs(10, 8, 43);
-        assert_eq!(a.len(), 10);
-        assert_eq!(
-            a.iter().map(|j| j.arrival).collect::<Vec<_>>(),
-            b.iter().map(|j| j.arrival).collect::<Vec<_>>()
-        );
-        assert_ne!(
-            a.iter().map(|j| j.requested_nodes).collect::<Vec<_>>(),
-            c.iter().map(|j| j.requested_nodes).collect::<Vec<_>>()
-        );
-        for j in &a {
-            assert!(j.requested_nodes >= 1 && j.requested_nodes <= 8);
-            assert!(j.workload.iterations() >= 1);
-        }
     }
 }

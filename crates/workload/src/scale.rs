@@ -67,6 +67,13 @@ pub fn server_scale_config(shards: u32) -> ServiceConfig {
     .with_tenant(TenantSpec::new("scavenger", 1).with_max_pending(50_000))
 }
 
+/// The batch configuration of the `server-sim`, `server-analytic` and
+/// `server-elastic` scenarios: one cell of `nodes` nodes, one shard, one
+/// tenant, no quotas — a single FCFS queue in front of one node pool.
+pub fn one_cell_config(nodes: u32, policy: SchedulePolicy) -> ServiceConfig {
+    ServiceConfig::new(nodes, 1, 1, policy).with_tenant(TenantSpec::new("batch", 1))
+}
+
 /// The seeded synthetic job stream (`jobs` jobs, O(1) memory).
 pub fn server_scale_load(jobs: u64, seed: u64) -> SyntheticLoad {
     SyntheticLoad::new(

@@ -14,11 +14,18 @@
 //! fault schedules) derives from that one number, so a whole experiment
 //! reruns bit-identically from `scenarios <name> --seed N`.
 
-use cluster::{random_jobs, ClusterSim, Job, ProfileCache, SchedulePolicy, Workload};
+use std::sync::Arc;
+
+use cluster::{efficiency_target, ProfileCache, SchedulePolicy, Workload};
+use cluster_svc::{
+    completions, random_jobs, ClusterService, JobSpec, ServeOptions, ServiceOutcome,
+};
 use desim::{SimDuration, SimTime};
+use dps_sim::SimResult;
 use faults::{CheckpointSpec, FaultEvent, FaultGenConfig, FaultPlan};
 
 use crate::env::{SimEnv, DEFAULT_SEED};
+use crate::scale::one_cell_config;
 
 /// Execution context a scenario expands under.
 #[derive(Clone, Copy, Debug)]
@@ -92,28 +99,28 @@ impl ScenarioSpec {
 /// a Jacobi stencil arriving close together (within 100 ms, while the
 /// earlier jobs are still running) — the cluster-server configuration of
 /// the paper's future-work section, with every job a real DPS application
-/// simulated by dps-sim.
-pub fn sim_job_set(env: &SimEnv) -> Vec<Job> {
+/// simulated by dps-sim. Submission ids: 0 is an LU on 8 nodes, 1 the
+/// stencil on 4, 2 a smaller LU on 8.
+pub fn sim_job_set(env: &SimEnv) -> Vec<JobSpec> {
+    let lu = |n, r| Arc::new(env.lu_workload(env.lu_sized(n, r, 8)));
+    let stencil = Arc::new(env.stencil_workload(env.stencil(768, 12, 8)));
     vec![
-        Job::new(
-            "lu-a",
-            SimTime::ZERO,
-            8,
-            Box::new(env.lu_workload(env.lu_sized(288, 36, 8))),
-        ),
-        Job::new(
-            "stencil-b",
-            SimTime(50_000_000),
-            4,
-            Box::new(env.stencil_workload(env.stencil(768, 12, 8))),
-        ),
-        Job::new(
-            "lu-c",
-            SimTime(100_000_000),
-            8,
-            Box::new(env.lu_workload(env.lu_sized(216, 27, 8))),
-        ),
+        JobSpec::boxed(0, SimTime::ZERO, 8, lu(288, 36)),
+        JobSpec::boxed(0, SimTime(50_000_000), 4, stencil),
+        JobSpec::boxed(0, SimTime(100_000_000), 8, lu(216, 27)),
     ]
+}
+
+/// Serves `jobs` on [`one_cell_config`] with 8 nodes, journal on.
+fn serve_one_cell(policy: SchedulePolicy, jobs: Vec<JobSpec>, plan: &FaultPlan) -> ServiceOutcome {
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    ClusterService::new(one_cell_config(8, policy))
+        .expect("valid one-cell config")
+        .serve(jobs, plan, &opts)
+        .expect("one-cell serve")
 }
 
 /// The two policies every server scenario compares.
@@ -144,10 +151,20 @@ pub fn fault_server_policies() -> Vec<(&'static str, SchedulePolicy)> {
     pols
 }
 
-fn server_fields(report: &cluster::ServerReport) -> Vec<(&'static str, f64)> {
+/// Completed jobs, their mean completion instant (summed in commit order;
+/// `0.0` when none completed), makespan and allocation efficiency.
+fn server_fields(out: &ServiceOutcome) -> Vec<(&'static str, f64)> {
+    let journal = out.journal.as_ref().expect("journal requested");
+    let done: Vec<f64> = completions(journal).map(|(_, t)| t.as_secs_f64()).collect();
+    let mean = if done.is_empty() {
+        0.0
+    } else {
+        done.iter().sum::<f64>() / done.len() as f64
+    };
+    let report = &out.report;
     vec![
-        ("jobs", report.jobs.len() as f64),
-        ("mean_completion_secs", report.mean_completion_secs()),
+        ("jobs", report.completed_jobs() as f64),
+        ("mean_completion_secs", mean),
         ("makespan_secs", report.makespan.as_secs_f64()),
         (
             "allocation_efficiency_pct",
@@ -156,9 +173,10 @@ fn server_fields(report: &cluster::ServerReport) -> Vec<(&'static str, f64)> {
     ]
 }
 
-fn fault_server_fields(report: &cluster::ServerReport) -> Vec<(&'static str, f64)> {
-    let mut fields = server_fields(report);
-    fields.push(("restarts", f64::from(report.total_restarts())));
+fn fault_server_fields(out: &ServiceOutcome) -> Vec<(&'static str, f64)> {
+    let report = &out.report;
+    let mut fields = server_fields(out);
+    fields.push(("restarts", report.total_restarts() as f64));
     fields.push(("lost_work_secs", report.total_lost_work().as_secs_f64()));
     fields.push(("degraded_secs", report.total_degraded().as_secs_f64()));
     fields
@@ -212,8 +230,11 @@ fn server_sim_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
         .map(|(label, policy)| {
             ScenarioPoint::new(format!("server-sim {label}"), move || {
                 let env = SimEnv::paper_seeded(seed);
-                let report = ClusterSim::new(8, policy).run(&sim_job_set(&env));
-                server_fields(&report)
+                server_fields(&serve_one_cell(
+                    policy,
+                    sim_job_set(&env),
+                    &FaultPlan::none(),
+                ))
             })
         })
         .collect()
@@ -229,8 +250,7 @@ fn server_analytic_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
                 // Offset chosen so the default root seed (42) reproduces the
                 // job set this scenario has always used (42 + 1982 = 2024).
                 let jobs = random_jobs(count, 8, seed.wrapping_add(1982));
-                let report = ClusterSim::new(8, policy).run(&jobs);
-                server_fields(&report)
+                server_fields(&serve_one_cell(policy, jobs, &FaultPlan::none()))
             })
         })
         .collect()
@@ -249,20 +269,34 @@ pub fn shrink_schedule(allocs: &[u32]) -> Vec<u32> {
         .collect()
 }
 
+/// The malleable schedule of `w` running alone on `nodes` nodes, and its
+/// span composed from fixed-allocation profiles: the full request first,
+/// then at every boundary the efficiency target for `min_efficiency`. A
+/// lone job's cap is always its full request, so this is the schedule the
+/// service runs it on.
+pub fn lone_job_schedule(
+    w: &dyn Workload,
+    nodes: u32,
+    min_efficiency: f64,
+) -> SimResult<(Vec<u32>, SimDuration)> {
+    let mut cache = ProfileCache::new();
+    let mut allocs = vec![nodes];
+    let mut span = cache.point(w, nodes, 0)?.span;
+    for k in 1..w.iterations() {
+        let n = efficiency_target(&mut cache, w, k, nodes, min_efficiency)?;
+        span += cache.point(w, n, k)?.span;
+        allocs.push(n);
+    }
+    Ok((allocs, span))
+}
+
 fn server_shrink_points(_ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
     vec![ScenarioPoint::new("lu shrink vs fixed", || {
         let env = SimEnv::paper();
         let w = env.lu_workload(env.lu_sized(288, 36, 8));
-        let job = Job::new("lu", SimTime::ZERO, 8, Box::new(w));
-        let mut cache = ProfileCache::new();
-        let policy = SchedulePolicy::Malleable {
-            min_efficiency: 0.5,
-        };
-        let report =
-            ClusterSim::new(8, policy).run_with_cache(std::slice::from_ref(&job), &mut cache);
-        let allocs = shrink_schedule(&report.jobs[0].allocations);
-        let realized = job
-            .workload
+        let (allocs, composed) = lone_job_schedule(&w, 8, 0.5).expect("LU profile runs");
+        let allocs = shrink_schedule(&allocs);
+        let realized = w
             .realize(&allocs)
             .expect("realization run")
             .expect("shrink-only schedules are realizable")
@@ -271,7 +305,7 @@ fn server_shrink_points(_ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
         vec![
             ("start_nodes", f64::from(allocs[0])),
             ("end_nodes", f64::from(*allocs.last().unwrap())),
-            ("composed_secs", report.makespan.as_secs_f64()),
+            ("composed_secs", composed.as_secs_f64()),
             ("realized_secs", realized),
         ]
     })]
@@ -365,11 +399,10 @@ fn server_elastic_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
             ScenarioPoint::new(format!("server-elastic {label}"), move || {
                 let env = SimEnv::paper_seeded(seed);
                 let jobs = sim_job_set(&env);
-                let mut cache = ProfileCache::new();
                 // Every policy row faces the *same* plan: its horizon comes
                 // from the rigid quiet makespan, not the row's own policy.
                 let quiet =
-                    ClusterSim::new(8, SchedulePolicy::Rigid).run_with_cache(&jobs, &mut cache);
+                    serve_one_cell(SchedulePolicy::Rigid, jobs.clone(), &FaultPlan::none()).report;
                 let plan = FaultGenConfig {
                     crashes: 1,
                     preempts: 1,
@@ -381,8 +414,7 @@ fn server_elastic_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
                     ..FaultGenConfig::quiet(8, (quiet.makespan - SimTime::ZERO).mul_f64(0.6))
                 }
                 .generate(env.seed);
-                let report = ClusterSim::new(8, policy).run_with_faults(&jobs, &plan, &mut cache);
-                fault_server_fields(&report)
+                fault_server_fields(&serve_one_cell(policy, jobs, &plan))
             })
         })
         .collect()
@@ -490,23 +522,6 @@ mod tests {
             let jobs = fields.iter().find(|(k, _)| *k == "jobs").unwrap().1;
             assert_eq!(jobs, 6.0);
         }
-    }
-
-    #[test]
-    fn zero_fault_server_reproduces_the_fault_free_run() {
-        let env = SimEnv::paper();
-        let jobs = sim_job_set(&env);
-        let mut cache = ProfileCache::new();
-        let sim = ClusterSim::new(8, SchedulePolicy::Rigid);
-        let quiet = sim.run_with_cache(&jobs, &mut cache);
-        let empty = sim.run_with_faults(&jobs, &FaultPlan::none(), &mut cache);
-        assert_eq!(
-            quiet.jobs, empty.jobs,
-            "FaultPlan::none() must be a strict no-op"
-        );
-        assert_eq!(quiet.makespan, empty.makespan);
-        assert_eq!(quiet.mean_completion_secs(), empty.mean_completion_secs());
-        assert_eq!(quiet.allocation_efficiency(), empty.allocation_efficiency());
     }
 
     #[test]

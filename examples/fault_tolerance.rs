@@ -4,10 +4,11 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 
-use dvns::cluster::{ClusterSim, ProfileCache};
+use dvns::cluster::SchedulePolicy;
+use dvns::cluster_svc::{completions, ClusterService, ServeOptions, ServiceOutcome};
 use dvns::desim::{SimDuration, SimTime};
-use dvns::faults::{CheckpointSpec, FaultGenConfig};
-use dvns::workload::{fault_server_policies, sim_job_set, SimEnv};
+use dvns::faults::{CheckpointSpec, FaultGenConfig, FaultPlan};
+use dvns::workload::{fault_server_policies, one_cell_config, sim_job_set, SimEnv};
 
 fn main() {
     let env = SimEnv::paper();
@@ -47,11 +48,19 @@ fn main() {
     // --- The cluster server under the same kind of weather ----------------
     // Rigid restarts interrupted jobs from scratch; malleable does too but
     // reallocates; elastic recovery requeues with backoff and resumes from
-    // the last checkpoint.
-    let jobs = sim_job_set(&env);
-    let mut cache = ProfileCache::new();
-    let quiet =
-        ClusterSim::new(8, dvns::cluster::SchedulePolicy::Rigid).run_with_cache(&jobs, &mut cache);
+    // the last checkpoint. The server is the cluster service on one cell of
+    // 8 nodes.
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let serve = |policy, plan: &FaultPlan| -> ServiceOutcome {
+        ClusterService::new(one_cell_config(8, policy))
+            .expect("valid config")
+            .serve(sim_job_set(&env), plan, &opts)
+            .expect("sim-backed jobs serve")
+    };
+    let quiet = serve(SchedulePolicy::Rigid, &FaultPlan::none()).report;
     let server_plan = FaultGenConfig {
         crashes: 1,
         preempts: 1,
@@ -66,12 +75,16 @@ fn main() {
 
     println!("== cluster server under crash + preemption ==");
     for (label, policy) in fault_server_policies() {
-        let report = ClusterSim::new(8, policy).run_with_faults(&jobs, &server_plan, &mut cache);
+        let out = serve(policy, &server_plan);
+        let done: Vec<f64> = completions(out.journal.as_ref().expect("journal requested"))
+            .map(|(_, t)| t.as_secs_f64())
+            .collect();
+        let report = &out.report;
         println!(
             "  {label:<10} makespan {:>7.2}s   mean completion {:>7.2}s   \
              restarts {}   lost work {:.2}s   degraded {:.2}s",
             report.makespan.as_secs_f64(),
-            report.mean_completion_secs(),
+            done.iter().sum::<f64>() / done.len() as f64,
             report.total_restarts(),
             report.total_lost_work().as_secs_f64(),
             report.total_degraded().as_secs_f64()

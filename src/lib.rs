@@ -19,12 +19,14 @@
 //! * [`faults`] — deterministic fault schedules ([`faults::FaultPlan`]),
 //!   seeded generation and checkpoint/restart cost modeling, injected into
 //!   the network, the engine and the cluster server.
-//! * [`cluster`] — dynamic allocation policies and the malleable cluster
-//!   server with its [`cluster::Workload`] trait.
-//! * [`cluster_svc`] — long-lived sharded multi-tenant job service on top
-//!   of the cluster layer: fair-share admission, cross-shard elastic
-//!   recovery and million-job synthetic streams, byte-identical across
-//!   shard counts.
+//! * [`cluster`] — dynamic-efficiency analysis, allocation and scheduling
+//!   policies, the scheduler's shared rules and the [`cluster::Workload`]
+//!   trait.
+//! * [`cluster_svc`] — the cluster server: one scheduler engine, run as a
+//!   long-lived sharded multi-tenant job service (fair-share admission,
+//!   cross-shard elastic recovery, million-job synthetic streams,
+//!   byte-identical across shard counts) or, with one cell and one
+//!   tenant, as a batch server.
 //! * [`workload`] — simulator-backed workloads ([`workload::LuWorkload`],
 //!   [`workload::StencilWorkload`]), the shared [`workload::SimEnv`]
 //!   experiment wiring and the scenario registry.
