@@ -165,3 +165,35 @@ fn repeat_runs_are_byte_identical() {
     assert_eq!(journal_bytes(&a), journal_bytes(&b));
     assert_eq!(a.report.canonical_string(), b.report.canonical_string());
 }
+
+/// The step charge of every fork-scored decision, pinned by absolute
+/// output. The fork tier's decisions here cost 123, 67, 60, 36 and 36
+/// committed steps (base advance plus forked suffix), so a 40-step budget
+/// lands three breaches and two within-budget records; four breaches
+/// would trip, so the count alone moves the report. A session that
+/// answered a repeated future without charging its suffix would turn the
+/// 60-step keep into a 31-step one and drop a breach.
+#[test]
+fn breaker_step_charges_are_pinned() {
+    use std::hash::Hasher;
+    let cfg = server_whatif_config(1).with_breaker(BreakerSpec {
+        max_steps_per_decision: 40,
+        trip_after: 4,
+        cooldown: SimDuration::from_secs(30),
+    });
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .expect("valid breaker config")
+        .serve(mixed_load(), &FaultPlan::none(), &opts)
+        .expect("breaker serve");
+    let (b, w) = (&out.report.breaker, &out.report.whatif);
+    assert!(b.breaches > 0 && b.breaches < w.fork_scored, "{b:?} {w:?}");
+    assert_eq!(b.trips, 0, "{b:?}");
+    let mut h = desim::FxHasher::default();
+    h.write(out.report.canonical_string().as_bytes());
+    h.write(&out.journal.expect("journal requested").encode());
+    assert_eq!(format!("{:016x}", h.finish()), "dfbc11a378e5f841");
+}
