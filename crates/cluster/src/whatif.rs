@@ -197,7 +197,9 @@ pub trait WhatIfSession {
     /// Forks the base and executes the full removal `plan` (entries at or
     /// before the current barrier having already executed in the base),
     /// returning the realized per-iteration profile. Requires a prior
-    /// successful [`WhatIfSession::advance_to_barrier`].
+    /// successful [`WhatIfSession::advance_to_barrier`]. May return a
+    /// previously realized profile of the same effective plan (the
+    /// removals that actually fire), charged as the fork would have been.
     fn score_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<EfficiencyProfile>;
 
     /// Commits `plan` into the warm base so future forks inherit it. The

@@ -37,6 +37,18 @@ use crate::time::{SimDuration, SimTime};
 /// left over by rate changes.
 const WORK_EPS: f64 = 1e-6;
 
+/// `f64::round` for `x ≥ 0` (and NaN), bit for bit, with no libm call: below
+/// 2^52, `t` and `x − t` are exact, and the carry is a compare, not a branch
+/// (the fraction is a coin flip to a predictor). Baseline x86-64 has no `roundsd`.
+fn round_nonneg(x: f64) -> f64 {
+    if x < 4_503_599_627_370_496.0 {
+        let t = x as i64 as f64;
+        t + f64::from(u8::from(x - t >= 0.5))
+    } else {
+        x
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Job {
     /// Remaining work at `settled_at`.
@@ -179,7 +191,7 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
             // finer, and `finished` tolerates up to one nanosecond of
             // residual drain, so nearest-rounding never strands a job.
             let secs = remaining / rate;
-            let ns = (secs * 1e9).round().max(1.0);
+            let ns = round_nonneg(secs * 1e9).max(1.0);
             if ns >= u64::MAX as f64 {
                 None
             } else {
@@ -509,6 +521,48 @@ mod tests {
         ps.set_rate(SimTime::ZERO, 1, 100.0);
         ps.advance_to(t(2_000_000_000));
         assert_eq!(ps.earliest_completion(), Some((1, t(2_000_000_000))));
+    }
+
+    #[test]
+    fn round_nonneg_is_f64_round_bit_for_bit() {
+        use simrng::{Rng, Xoshiro256};
+        let same = |x: f64| {
+            let (ours, std) = (round_nonneg(x), x.round());
+            assert!(
+                ours.to_bits() == std.to_bits() || (ours.is_nan() && std.is_nan()),
+                "{x:e}: {ours:e} vs {std:e}"
+            );
+        };
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let edges = [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        edges.into_iter().for_each(same);
+        let mut rng = Xoshiro256::seed_from_u64(0x20DE);
+        for _ in 0..200_000 {
+            // Every exponent (the sign bit cleared), ties and their
+            // neighbours, and the nanosecond counts `announce` rounds.
+            same(f64::from_bits(rng.next_u64() >> 1));
+            let tie = rng.gen_below(1 << 52) as f64 + 0.5;
+            [tie, tie.next_down(), tie.next_up()]
+                .into_iter()
+                .for_each(same);
+            same(rng.gen_range_f64(0.0, 1e13));
+        }
     }
 
     #[test]
