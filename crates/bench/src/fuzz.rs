@@ -136,7 +136,7 @@ fn draw_plan(rng: &mut Xoshiro256, nodes: u32) -> Option<FaultPlan> {
 
 fn fabric_for(plan: &Option<FaultPlan>, net: NetParams) -> Box<dyn Fabric + Send> {
     match plan {
-        Some(p) => Box::new(FaultFabric::new(net, p)),
+        Some(p) => Box::new(FaultFabric::new(net, p).expect("generated plans validate")),
         None => Box::new(SimFabric::new(net)),
     }
 }

@@ -45,6 +45,4 @@ pub use whatif::{
     profile_suffix, realized_suffix, score_fingerprint, CandidateKind, CandidateScore,
     WhatIfSession,
 };
-pub use workload::{
-    lu_like_job, Phase, PhaseWorkload, ProfileCache, Workload, DEFAULT_PROFILE_CAPACITY,
-};
+pub use workload::{lu_like_job, Phase, PhaseWorkload, ProfileCache, Workload};

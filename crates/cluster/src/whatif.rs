@@ -210,11 +210,8 @@ pub trait WhatIfSession {
     /// steps spent advancing the warm base plus every forked suffix. The
     /// service's circuit breaker charges each decision the delta of this
     /// counter — virtual work, never host wall time, so budget breaches are
-    /// reproducible per seed. Sessions without a meaningful step notion
-    /// report 0 (never breaching).
-    fn steps_used(&self) -> u64 {
-        0
-    }
+    /// reproducible per seed.
+    fn steps_used(&self) -> u64;
 }
 
 #[cfg(test)]

@@ -15,7 +15,9 @@
 //! Profiles are deterministic for a given `(workload, node count)` pair, so
 //! the server memoizes them in a [`ProfileCache`] — simulator-backed
 //! scheduling costs one engine run per distinct allocation probed, not one
-//! per scheduling decision.
+//! per scheduling decision. Beyond profiles, the trait asks only for an
+//! optional live what-if session; replaying a whole allocation schedule
+//! as one run is the LU backend's own business (`LuWorkload::realize`).
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -52,19 +54,6 @@ pub trait Workload: Send + Sync {
     /// Simulator-backed implementations surface the run's typed failure
     /// (deadlock, blown budget, …) instead of panicking.
     fn profile(&self, nodes: u32) -> SimResult<EfficiencyProfile>;
-
-    /// Executes the application **once** with the allocation varying per
-    /// iteration (`allocs[k]` nodes during iteration `k`;
-    /// `allocs.len() == iterations`), using the backend's real dynamic
-    /// reallocation machinery (DPS thread removal for the simulator-backed
-    /// workloads). Returns `Ok(None)` when the backend cannot realize the
-    /// schedule in a single run (e.g. a growing allocation under a
-    /// removal-only mechanism), `Err` when the realization run itself
-    /// failed.
-    fn realize(&self, allocs: &[u32]) -> SimResult<Option<EfficiencyProfile>> {
-        let _ = allocs;
-        Ok(None)
-    }
 
     /// Opens a live what-if session for one job instance starting on
     /// `start_nodes` nodes: a warm paused simulation the scheduler can
@@ -165,16 +154,6 @@ impl PhaseWorkload {
     pub fn phases(&self) -> &[Phase] {
         &self.phases
     }
-
-    fn point(&self, k: usize, nodes: u32) -> IterationPoint {
-        let p = &self.phases[k];
-        IterationPoint {
-            label: format!("iter:{}", k + 1),
-            span: p.duration_on(nodes),
-            cpu_work: p.work,
-            efficiency: p.efficiency_on(nodes),
-        }
-    }
 }
 
 impl Workload for PhaseWorkload {
@@ -195,32 +174,23 @@ impl Workload for PhaseWorkload {
             return Err(SimError::protocol("profile at zero nodes"));
         }
         Ok(EfficiencyProfile {
-            points: (0..self.phases.len())
-                .map(|k| self.point(k, nodes))
+            points: self
+                .phases
+                .iter()
+                .enumerate()
+                .map(|(k, p)| IterationPoint {
+                    label: format!("iter:{}", k + 1),
+                    span: p.duration_on(nodes),
+                    cpu_work: p.work,
+                    efficiency: p.efficiency_on(nodes),
+                })
                 .collect(),
         })
     }
-
-    fn realize(&self, allocs: &[u32]) -> SimResult<Option<EfficiencyProfile>> {
-        if allocs.len() != self.phases.len() {
-            return Err(SimError::protocol(format!(
-                "realize schedule has {} entries for {} phases",
-                allocs.len(),
-                self.phases.len()
-            )));
-        }
-        Ok(Some(EfficiencyProfile {
-            points: allocs
-                .iter()
-                .enumerate()
-                .map(|(k, &n)| self.point(k, n))
-                .collect(),
-        }))
-    }
 }
 
-/// Default capacity of a [`ProfileCache`] (distinct profiles held).
-pub const DEFAULT_PROFILE_CAPACITY: usize = 4096;
+/// Capacity of a [`ProfileCache`] (distinct profiles held).
+const PROFILE_CAPACITY: usize = 4096;
 
 /// How many candidate scores are held per profile-capacity unit (scores
 /// are a few words each; profiles are whole point vectors).
@@ -257,15 +227,16 @@ impl Default for ProfileCache {
 }
 
 impl ProfileCache {
-    /// An empty cache at [`DEFAULT_PROFILE_CAPACITY`].
+    /// An empty cache holding at most 4096 profiles and 16 × that many
+    /// candidate scores.
     pub fn new() -> ProfileCache {
-        ProfileCache::with_capacity(DEFAULT_PROFILE_CAPACITY)
+        ProfileCache::with_capacity(PROFILE_CAPACITY)
     }
 
     /// An empty cache holding at most `capacity` profiles (floored at 1)
     /// and `capacity × 16` candidate scores, evicting the oldest inserted
     /// entry once full.
-    pub fn with_capacity(capacity: usize) -> ProfileCache {
+    fn with_capacity(capacity: usize) -> ProfileCache {
         ProfileCache {
             map: FxHashMap::default(),
             order: VecDeque::new(),
@@ -286,11 +257,6 @@ impl ProfileCache {
     /// Whether nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty() && self.scores.is_empty()
-    }
-
-    /// Profile capacity (scores get 16× this).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of candidate scores currently memoized.
@@ -434,17 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_workload_realizes_any_schedule() {
-        let w = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(100), 4));
-        let r = w
-            .realize(&[4, 2, 4, 1])
-            .expect("no run failure")
-            .expect("analytic realize");
-        assert_eq!(r.points.len(), 4);
-        assert_eq!(r.points[1].span, w.phases()[1].duration_on(2));
-    }
-
-    #[test]
     fn keys_identify_structurally_equal_jobs() {
         let a = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(100), 5));
         let b = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(100), 5));
@@ -492,7 +447,6 @@ mod tests {
     fn profile_cache_evicts_oldest_insertion_first() {
         let w = PhaseWorkload::new(lu_like_job(SimDuration::from_secs(100), 3));
         let mut cache = ProfileCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         cache.profile(&w, 1).unwrap();
         cache.profile(&w, 2).unwrap();
         assert_eq!((cache.len(), cache.evictions()), (2, 0));

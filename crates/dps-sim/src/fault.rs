@@ -29,6 +29,7 @@ use faults::{FaultPlan, RateTimeline};
 use netmodel::network::NetStats;
 use netmodel::{NetParams, NodeId};
 
+use crate::error::{SimError, SimResult};
 use crate::fabric::{Fabric, SimFabric};
 
 /// A [`SimFabric`] with a [`FaultPlan`]'s rate perturbations injected.
@@ -42,18 +43,22 @@ pub struct FaultFabric {
 }
 
 impl FaultFabric {
-    /// A fabric over the paper's machine model with `plan` injected.
-    pub fn new(params: NetParams, plan: &FaultPlan) -> FaultFabric {
+    /// A fabric over the paper's machine model with `plan` injected. A plan
+    /// that fails [`FaultPlan::validate`] (its fields are public, so a
+    /// literal can hold an empty or overflowing window) is a protocol error.
+    pub fn new(params: NetParams, plan: &FaultPlan) -> SimResult<FaultFabric> {
+        plan.validate()
+            .map_err(|e| SimError::protocol(format!("invalid fault plan: {e}")))?;
         let mut inner = SimFabric::new(params);
         for w in plan.link_windows() {
             inner.schedule_capacity_window(NodeId(w.node), w.factor, w.factor, w.from, w.to);
         }
-        FaultFabric {
+        Ok(FaultFabric {
             inner,
             cpu: RateTimeline::new(plan.cpu_windows()),
             now: SimTime::ZERO,
             changed: Vec::new(),
-        }
+        })
     }
 }
 
@@ -151,7 +156,7 @@ mod tests {
     fn empty_plan_matches_plain_fabric() {
         let params = NetParams::fast_ethernet();
         let mut plain = SimFabric::new(params);
-        let mut faulty = FaultFabric::new(params, &FaultPlan::none());
+        let mut faulty = FaultFabric::new(params, &FaultPlan::none()).expect("empty plan");
         for f in [&mut plain as &mut dyn Fabric, &mut faulty] {
             f.start_transfer(SimTime::ZERO, NodeId(0), NodeId(1), 100_000);
         }
@@ -180,7 +185,7 @@ mod tests {
                 window: SimDuration(500),
             },
         }]);
-        let mut f = FaultFabric::new(NetParams::ideal(), &p);
+        let mut f = FaultFabric::new(NetParams::ideal(), &p).expect("valid plan");
         assert_eq!(f.cpu_available(NodeId(2)), 1.0);
         // The window start is the next fabric event.
         assert_eq!(f.next_event_time(), Some(SimTime(1_000)));
@@ -211,7 +216,7 @@ mod tests {
                 window: SimDuration::from_secs(100),
             },
         }]);
-        let mut f = FaultFabric::new(params, &p);
+        let mut f = FaultFabric::new(params, &p).expect("valid plan");
         let h = f.start_transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
         let mut done = Vec::new();
         let mut last = SimTime::ZERO;
@@ -225,5 +230,25 @@ mod tests {
         assert_eq!(done, vec![h]);
         // 1 MB at 0.5 MB/s: 2 s instead of 1 s.
         assert_eq!(last, SimTime(2_000_000_000));
+    }
+
+    #[test]
+    fn a_literal_plan_with_an_empty_window_is_a_typed_error() {
+        let kind = FaultKind::NodeSlowdown {
+            factor: 0.5,
+            window: SimDuration::ZERO,
+        };
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at: SimTime(10),
+                node: 0,
+                kind,
+            }],
+            checkpoint: CheckpointSpec::none(),
+        };
+        let err = FaultFabric::new(NetParams::ideal(), &plan)
+            .err()
+            .expect("rejected");
+        assert!(err.to_string().contains("empty fault window"), "{err}");
     }
 }

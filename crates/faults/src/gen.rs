@@ -126,8 +126,6 @@ mod tests {
         let c = cfg().generate(8);
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds diverge");
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! Node indices are plain `u32`s counted from zero, matching the star
 //! network's `NodeId` numbering and the cluster server's node pool.
 
-use std::hash::Hasher;
-
-use desim::fxhash::FxHasher;
 use desim::{RateWindow, SimDuration, SimTime};
 
 /// What kind of fault strikes a node.
@@ -214,32 +211,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Stable fingerprint of the whole plan, for cache keys: two plans with
-    /// equal fingerprints inject identically.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = FxHasher::default();
-        for e in &self.events {
-            h.write_u64(e.at.as_nanos());
-            h.write_u32(e.node);
-            h.write_u8(e.kind.rank());
-            match e.kind {
-                FaultKind::NodeSlowdown { factor, window }
-                | FaultKind::LinkDegrade { factor, window } => {
-                    h.write_u64(factor.to_bits());
-                    h.write_u64(window.as_nanos());
-                }
-                FaultKind::NodePreempt { return_after } => {
-                    h.write_u64(return_after.as_nanos());
-                }
-                FaultKind::NodeCrash => {}
-            }
-        }
-        h.write_u64(self.checkpoint.interval as u64);
-        h.write_u64(self.checkpoint.checkpoint_cost.as_nanos());
-        h.write_u64(self.checkpoint.restart_cost.as_nanos());
-        h.finish()
-    }
-
     /// The CPU-speed windows of the plan (from `NodeSlowdown` events).
     pub fn cpu_windows(&self) -> Vec<RateWindow> {
         self.events
@@ -352,32 +323,6 @@ mod tests {
         assert_eq!(p.cpu_windows().len(), 1);
         assert_eq!(p.cpu_windows()[0].to, SimTime(40));
         assert_eq!(p.link_windows().len(), 1);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_plans() {
-        let a = FaultPlan::new(
-            vec![FaultEvent {
-                at: SimTime(10),
-                node: 0,
-                kind: FaultKind::NodeCrash,
-            }],
-            CheckpointSpec::none(),
-        );
-        let b = FaultPlan::new(
-            vec![FaultEvent {
-                at: SimTime(10),
-                node: 1,
-                kind: FaultKind::NodeCrash,
-            }],
-            CheckpointSpec::none(),
-        );
-        let mut c = a.clone();
-        c.checkpoint = CheckpointSpec::every(2, SimDuration(1), SimDuration(2));
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        assert_eq!(a.fingerprint(), a.clone().fingerprint());
-        assert_ne!(a.fingerprint(), FaultPlan::none().fingerprint());
     }
 
     #[test]

@@ -94,6 +94,50 @@ impl LuWorkload {
         &self.cfg
     }
 
+    /// This job on `nodes` nodes with one worker per node, so removing a
+    /// worker vacates its node, running the thread-removal plan `removal`.
+    /// Not validated: each caller has its own policy for an invalid shape.
+    pub(crate) fn one_worker_per_node(&self, nodes: u32, removal: Vec<(usize, u32)>) -> LuConfig {
+        let mut cfg = self.cfg.clone();
+        cfg.nodes = nodes;
+        cfg.workers = nodes;
+        cfg.removal = removal;
+        cfg
+    }
+
+    /// One simulator run with the node count genuinely varying mid-job: the
+    /// schedule (`allocs[k]` nodes during iteration `k`, one entry per
+    /// iteration) is translated into the DPS thread-removal plan the LU
+    /// application already supports, so iteration `k` really executes on
+    /// `allocs[k]` nodes inside the engine. Growing schedules return `None`
+    /// — thread removal cannot re-add workers — as do pipelined flow graphs
+    /// (the paper restricts removal to the basic graph).
+    pub fn realize(&self, allocs: &[u32]) -> SimResult<Option<EfficiencyProfile>> {
+        if allocs.len() != self.iterations() {
+            return Err(SimError::protocol(format!(
+                "schedule has {} entries for {} iterations",
+                allocs.len(),
+                self.iterations()
+            )));
+        }
+        if allocs.iter().any(|&n| n < 1) {
+            return Err(SimError::protocol(
+                "schedule grants zero nodes to an iteration",
+            ));
+        }
+        if self.cfg.pipelined {
+            return Ok(None);
+        }
+        let Some(plan) = removal_plan(allocs) else {
+            return Ok(None);
+        };
+        let cfg = self.one_worker_per_node(allocs[0], plan);
+        cfg.validate()
+            .map_err(|e| SimError::protocol(format!("realized schedule is invalid: {e}")))?;
+        let run = predict_lu(&cfg, self.net, &self.simcfg)?;
+        Ok(Some(profile_from_report(&run.report)))
+    }
+
     fn at_nodes(&self, nodes: u32) -> SimResult<LuConfig> {
         if nodes < 1 || nodes > self.cfg.workers {
             return Err(SimError::protocol(format!(
@@ -125,43 +169,6 @@ impl Workload for LuWorkload {
         Ok(profile_from_report(&run.report))
     }
 
-    /// One simulator run with the node count genuinely varying mid-job: the
-    /// schedule is translated into the DPS thread-removal plan the LU
-    /// application already supports (one worker per node), so iteration `k`
-    /// really executes on `allocs[k]` nodes inside the engine. Growing
-    /// schedules return `None` — thread removal cannot re-add workers — as
-    /// do pipelined flow graphs (the paper restricts removal to the basic
-    /// graph).
-    fn realize(&self, allocs: &[u32]) -> SimResult<Option<EfficiencyProfile>> {
-        if allocs.len() != self.iterations() {
-            return Err(SimError::protocol(format!(
-                "schedule has {} entries for {} iterations",
-                allocs.len(),
-                self.iterations()
-            )));
-        }
-        if allocs.iter().any(|&n| n < 1) {
-            return Err(SimError::protocol(
-                "schedule grants zero nodes to an iteration",
-            ));
-        }
-        if self.cfg.pipelined {
-            return Ok(None);
-        }
-        let Some(plan) = removal_plan(allocs) else {
-            return Ok(None);
-        };
-        let mut cfg = self.cfg.clone();
-        // One worker per node so removing a worker vacates its node.
-        cfg.nodes = allocs[0];
-        cfg.workers = allocs[0];
-        cfg.removal = plan;
-        cfg.validate()
-            .map_err(|e| SimError::protocol(format!("realized schedule is invalid: {e}")))?;
-        let run = predict_lu(&cfg, self.net, &self.simcfg)?;
-        Ok(Some(profile_from_report(&run.report)))
-    }
-
     /// A warm checkpointed run of this job at `start_nodes` (one worker
     /// per node, like [`LuWorkload::realize`]), for fork-based candidate
     /// scoring. Pipelined graphs have no barrier to pause at and `Real`
@@ -176,9 +183,7 @@ impl Workload for LuWorkload {
                 self.cfg.workers
             )));
         }
-        let mut cfg = self.cfg.clone();
-        cfg.nodes = start_nodes;
-        cfg.workers = start_nodes;
+        let cfg = self.one_worker_per_node(start_nodes, Vec::new());
         if cfg.validate().is_err() {
             return Ok(None);
         }

@@ -11,10 +11,8 @@
 //! is replayed as extra wall time per the plan's [`faults::CheckpointSpec`].
 //!
 //! [`LuWorkload::realize_under_faults`] runs the whole story as one engine
-//! run; [`FaultedWorkload`] packages a workload + plan pair behind the
-//! [`Workload`] trait so the cluster server's [`cluster::ProfileCache`]
-//! keys profiles by fault schedule (the plan's fingerprint is part of the
-//! cache key — no stale profiles across schedules).
+//! run; [`StencilWorkload::profile_under_faults`] injects only the windows
+//! and checkpoint costs, since the stencil's workers are not removable.
 
 use cluster::{EfficiencyProfile, Workload};
 use desim::{SimDuration, SimTime};
@@ -150,7 +148,7 @@ impl LuWorkload {
     ///
     /// With a crash exactly on an iteration boundary, a checkpoint interval
     /// of 1 and zero costs, the result is identical to
-    /// [`Workload::realize`] on the equivalent voluntary shrink schedule.
+    /// [`LuWorkload::realize`] on the equivalent voluntary shrink schedule.
     pub fn realize_under_faults(
         &self,
         nodes: u32,
@@ -168,14 +166,10 @@ impl LuWorkload {
         let base = self.profile(nodes)?;
         let m = map_outages(&base, nodes, plan);
         let rplan = removal_plan(&m.schedule).expect("outage schedules only shrink");
-        let mut cfg = self.cfg.clone();
-        // One worker per node so removing a worker vacates its node.
-        cfg.nodes = m.schedule[0];
-        cfg.workers = m.schedule[0];
-        cfg.removal = rplan;
+        let cfg = self.one_worker_per_node(m.schedule[0], rplan);
         cfg.validate()
             .map_err(|e| SimError::protocol(format!("faulted schedule is invalid: {e}")))?;
-        let mut fabric = FaultFabric::new(self.net, plan);
+        let mut fabric = FaultFabric::new(self.net, plan)?;
         let run = predict_lu_with_fabric(&cfg, &mut fabric, &self.simcfg)?;
         let mut profile = cluster::profile_from_report(&run.report);
         apply_extras(&mut profile, &m.extra, plan);
@@ -185,27 +179,6 @@ impl LuWorkload {
             restarts: m.restarts,
             lost_work: m.lost_work,
         }))
-    }
-
-    /// Per-iteration profile at a fixed allocation with `plan` injected —
-    /// the [`FaultedWorkload`] backend. Falls back to a fixed-allocation
-    /// run through the [`FaultFabric`] (windows only) when the outage
-    /// schedule cannot be realized (pipelined flow graphs).
-    pub fn profile_under_faults(
-        &self,
-        nodes: u32,
-        plan: &FaultPlan,
-    ) -> SimResult<EfficiencyProfile> {
-        if let Some(run) = self.realize_under_faults(nodes, plan)? {
-            return Ok(run.profile);
-        }
-        let mut cfg = self.cfg.clone();
-        cfg.nodes = nodes;
-        let mut fabric = FaultFabric::new(self.net, plan);
-        let run = predict_lu_with_fabric(&cfg, &mut fabric, &self.simcfg)?;
-        let mut profile = cluster::profile_from_report(&run.report);
-        apply_extras(&mut profile, &[], plan);
-        Ok(profile)
     }
 }
 
@@ -230,79 +203,11 @@ impl StencilWorkload {
         }
         let mut cfg = self.cfg.clone();
         cfg.nodes = nodes;
-        let mut fabric = FaultFabric::new(self.net, plan);
+        let mut fabric = FaultFabric::new(self.net, plan)?;
         let run = predict_stencil_with_fabric(&cfg, &mut fabric, &self.simcfg)?;
         let mut profile = cluster::profile_from_report(&run.report);
         apply_extras(&mut profile, &[], plan);
         Ok(profile)
-    }
-}
-
-/// A [`Workload`] whose faulted profile backend exists — implemented by the
-/// two simulator-backed applications.
-pub trait FaultAware: Workload {
-    /// Profile at `nodes` with `plan` injected.
-    fn faulted_profile(&self, nodes: u32, plan: &FaultPlan) -> SimResult<EfficiencyProfile>;
-}
-
-impl FaultAware for LuWorkload {
-    fn faulted_profile(&self, nodes: u32, plan: &FaultPlan) -> SimResult<EfficiencyProfile> {
-        self.profile_under_faults(nodes, plan)
-    }
-}
-
-impl FaultAware for StencilWorkload {
-    fn faulted_profile(&self, nodes: u32, plan: &FaultPlan) -> SimResult<EfficiencyProfile> {
-        self.profile_under_faults(nodes, plan)
-    }
-}
-
-/// A workload + fault plan pair as a [`Workload`] of its own.
-///
-/// The memo key appends the plan's fingerprint to the inner key, so a
-/// [`cluster::ProfileCache`] shared across fault schedules never serves a
-/// profile computed under a different plan — and the empty plan keeps a
-/// distinct key from the raw workload's only when it carries a checkpoint
-/// model.
-pub struct FaultedWorkload<W: FaultAware> {
-    inner: W,
-    plan: FaultPlan,
-    key: String,
-}
-
-impl<W: FaultAware> FaultedWorkload<W> {
-    /// Pairs a workload with a fault plan.
-    pub fn new(inner: W, plan: FaultPlan) -> FaultedWorkload<W> {
-        let key = format!("{}+faults:{:016x}", inner.key(), plan.fingerprint());
-        FaultedWorkload { inner, plan, key }
-    }
-
-    /// The wrapped workload.
-    pub fn inner(&self) -> &W {
-        &self.inner
-    }
-
-    /// The plan in effect.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl<W: FaultAware> Workload for FaultedWorkload<W> {
-    fn key(&self) -> String {
-        self.key.clone()
-    }
-
-    fn iterations(&self) -> usize {
-        self.inner.iterations()
-    }
-
-    fn max_nodes(&self) -> u32 {
-        self.inner.max_nodes()
-    }
-
-    fn profile(&self, nodes: u32) -> SimResult<EfficiencyProfile> {
-        self.inner.faulted_profile(nodes, &self.plan)
     }
 }
 
@@ -365,45 +270,41 @@ mod tests {
     }
 
     #[test]
-    fn faulted_workload_keys_include_the_plan() {
-        let a = FaultedWorkload::new(small_lu(), FaultPlan::none());
+    fn stencil_faulted_profile_is_the_plain_one_until_a_window_slows_it() {
+        let env = SimEnv::paper();
+        let w = env.stencil_workload(env.stencil(128, 4, 4));
+        let plain = w.profile(4).unwrap();
+        let quiet = w.profile_under_faults(4, &FaultPlan::none()).unwrap();
+        assert_eq!(quiet.points.len(), plain.points.len());
+        for (a, b) in quiet.points.iter().zip(&plain.points) {
+            assert_eq!(a.span, b.span, "{}", a.label);
+            assert_eq!(a.cpu_work, b.cpu_work, "{}", a.label);
+            assert_eq!(a.efficiency, b.efficiency, "{}", a.label);
+        }
+        // Halve node 1's speed over the whole sweep (windows run on the
+        // engine's timeline, where the sweep starts after distribution).
+        let mut cfg = w.config().clone();
+        cfg.nodes = 4;
+        let run = env.predict_stencil(&cfg).unwrap();
+        let dist = run.report.mark_time("dist").expect("distribution mark");
+        let kind = FaultKind::NodeSlowdown {
+            factor: 0.5,
+            window: run.sweep_time,
+        };
         let plan = FaultPlan::new(
             vec![FaultEvent {
-                at: SimTime(1_000_000),
-                node: 0,
-                kind: FaultKind::NodeCrash,
+                at: dist,
+                node: 1,
+                kind,
             }],
             CheckpointSpec::none(),
         );
-        let b = FaultedWorkload::new(small_lu(), plan);
-        assert_ne!(a.key(), b.key(), "different plans must not share profiles");
-        assert!(a.key().starts_with(&small_lu().key()));
-    }
-
-    #[test]
-    fn profile_cache_separates_fault_schedules() {
-        use cluster::ProfileCache;
-        let mut cache = ProfileCache::new();
-        let quiet = FaultedWorkload::new(small_lu(), FaultPlan::none());
-        let plan = FaultPlan::new(
-            vec![FaultEvent {
-                at: SimTime(1),
-                node: 3,
-                kind: FaultKind::NodeCrash,
-            }],
-            CheckpointSpec::none(),
+        let slow = w.profile_under_faults(4, &plan).unwrap();
+        let pairs = || slow.points.iter().zip(&plain.points);
+        assert!(pairs().all(|(a, b)| a.span >= b.span), "no span shortens");
+        assert!(
+            pairs().any(|(a, b)| a.span > b.span),
+            "the window stretches a span"
         );
-        let faulted = FaultedWorkload::new(small_lu(), plan);
-        cache.profile(&quiet, 4).unwrap();
-        cache.profile(&faulted, 4).unwrap();
-        assert_eq!(cache.len(), 2, "plans occupy distinct cache entries");
-        assert_eq!(cache.misses(), 2);
-        cache.profile(&faulted, 4).unwrap();
-        assert_eq!(cache.hits(), 1, "same plan hits the memo");
-        // The faulted profile genuinely differs (three nodes from the
-        // first boundary on).
-        let q = cache.profile(&quiet, 4).unwrap().total_span();
-        let f = cache.profile(&faulted, 4).unwrap().total_span();
-        assert_ne!(q, f);
     }
 }

@@ -10,17 +10,16 @@
 //!
 //! * [`LuWorkload`] / [`StencilWorkload`] ([`apps`]) wrap the two DPS
 //!   evaluation applications as malleable workloads whose per-iteration
-//!   dynamic-efficiency profiles are obtained from dps-sim runs, and whose
-//!   allocation schedules can be *realized* as a single simulator run
-//!   through the DPS thread-removal machinery;
+//!   dynamic-efficiency profiles are obtained from dps-sim runs; an LU
+//!   allocation schedule can be *realized* as a single simulator run
+//!   through the DPS thread-removal machinery ([`LuWorkload::realize`]);
 //! * [`SimEnv`] ([`mod@env`]) is the one place where
 //!   `NetParams`/`TestbedParams`/`SimConfig`/cost-model wiring lives — the
 //!   bench scenarios, the examples and the tools all share it;
 //! * [`faulted`] plays a deterministic [`faults::FaultPlan`] against those
 //!   applications — crashes map onto the thread-removal machinery at
 //!   iteration boundaries with checkpoint/restart replay costs, slowdown
-//!   and link-degrade windows inject through the fault fabric — and
-//!   [`FaultedWorkload`] keys the server's profile cache by fault schedule;
+//!   and link-degrade windows inject through the fault fabric;
 //! * [`scenarios`] is a registry of named experiment setups
 //!   ([`ScenarioSpec`]) the `scenarios` runner binary lists and executes
 //!   through the bench harness;
@@ -39,7 +38,7 @@ pub mod whatif;
 
 pub use apps::{LuWorkload, StencilWorkload};
 pub use env::{SimEnv, DEFAULT_SEED, N};
-pub use faulted::{FaultAware, FaultedRun, FaultedWorkload};
+pub use faulted::FaultedRun;
 pub use scale::{
     chaos_baseline, chaos_sweep, one_cell_config, run_server_scale, run_server_whatif,
     server_scale_config, server_scale_load, server_scale_plan, server_whatif_config,

@@ -1,6 +1,6 @@
 //! Property tests for fault realization: the involuntary path (a crash
 //! played through `realize_under_faults`) must degenerate to the voluntary
-//! path (`Workload::realize` on a shrink schedule) exactly when the fault
+//! path (`LuWorkload::realize` on a shrink schedule) exactly when the fault
 //! model adds nothing — a crash *on* an iteration boundary, checkpoints
 //! every iteration, and zero checkpoint/restart costs.
 

@@ -277,7 +277,7 @@ fn faulted_engine_output_is_pinned() {
         cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
         cfg.validate().unwrap();
         let (app, _sh) = build_lu_app(cfg);
-        let mut fabric = FaultFabric::new(NetParams::fast_ethernet(), plan);
+        let mut fabric = FaultFabric::new(NetParams::fast_ethernet(), plan).expect("valid plan");
         output_digest(simulate_with_fabric(&app, &mut fabric, &sc).unwrap())
     };
     let ms = SimDuration::from_millis;

@@ -81,7 +81,7 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
     let plan = gen.generate(0xFA_17);
     let cfg = lu_cfg();
 
-    let mut fabric = FaultFabric::new(net, &plan);
+    let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
     let baseline = predict_lu_with_fabric(&cfg, &mut fabric, &simcfg()).unwrap();
     let canonical = baseline.report.canonical_string();
     let recorded = baseline.report.journal.as_ref().expect("journal recorded");
@@ -94,7 +94,7 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
 
     for prefix in prefixes(recorded.len()) {
         let (app, _) = build_lu_app(cfg.clone());
-        let mut fabric = FaultFabric::new(net, &plan);
+        let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
         let out = replay_with_fabric(&app, &mut fabric, &simcfg(), recorded, prefix).unwrap();
         assert!(
             out.divergence.is_none(),
