@@ -213,11 +213,12 @@ fn report(run: &lu_app::LuRun, gantt: bool) {
         println!("residual: {res:.2e}");
     }
     println!("per-iteration times and dynamic efficiency:");
-    for (label, span, eff) in lu_app::iteration_times(&run.report) {
+    for p in cluster::profile_from_report(&run.report).points {
         println!(
-            "  {label:>8}  {:8.2}s   {:5.1}%",
-            span.as_secs_f64(),
-            eff * 100.0
+            "  {:>8}  {:8.2}s   {:5.1}%",
+            p.label,
+            p.span.as_secs_f64(),
+            p.efficiency * 100.0
         );
     }
     if gantt {

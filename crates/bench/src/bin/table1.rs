@@ -22,7 +22,74 @@ use linalg::Matrix;
 use lu_app::{DataMode, LuConfig};
 use netmodel::NetParams;
 use perfmodel::{LuCost, PlatformProfile};
-use report::Table;
+
+/// A column-aligned table, rendered as text and as CSV.
+struct Table {
+    title: String,
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    fn new(title: &str, header: &[&str]) -> Table {
+        Table {
+            title: title.to_string(),
+            header: header.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn row(&mut self, cells: &[String]) {
+        assert_eq!(
+            cells.len(),
+            self.header.len(),
+            "row width must match header"
+        );
+        self.rows.push(cells.to_vec());
+    }
+
+    /// Renders with every column padded to its widest cell.
+    fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let fmt_row = |cells: &[String]| {
+            let padded: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, &w)| format!("{c:<w$}"))
+                .collect();
+            padded.join("  ").trim_end().to_string() + "\n"
+        };
+        let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        let mut out = format!("== {} ==\n", self.title);
+        out += &fmt_row(&self.header);
+        out += &"-".repeat(rule);
+        out.push('\n');
+        for row in &self.rows {
+            out += &fmt_row(row);
+        }
+        out
+    }
+
+    /// Header and rows as CSV.
+    fn to_csv(&self) -> String {
+        let esc = |s: &String| {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.clone()
+            }
+        };
+        std::iter::once(&self.header)
+            .chain(&self.rows)
+            .map(|row| row.iter().map(esc).collect::<Vec<_>>().join(",") + "\n")
+            .collect()
+    }
+}
 
 fn main() {
     let env = Env::paper();
@@ -150,4 +217,34 @@ fn main() {
         "PDEXEC vs NOALLOC prediction drift: {:.2}% (paper: -1.3% vs direct)",
         drift * 100.0
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Table;
+
+    #[test]
+    fn renders_aligned_text_and_escaped_csv() {
+        let mut t = Table::new("Demo", &["setting", "time [s]", "memory"]);
+        t.row(&["direct".into(), "193.0".into(), "127".into()]);
+        t.row(&["pdexec, alloc".into(), "9.1".into(), "124".into()]);
+        assert_eq!(
+            t.render(),
+            "== Demo ==\n\
+             setting        time [s]  memory\n\
+             -------------------------------\n\
+             direct         193.0     127\n\
+             pdexec, alloc  9.1       124\n"
+        );
+        assert_eq!(
+            t.to_csv(),
+            "setting,time [s],memory\ndirect,193.0,127\n\"pdexec, alloc\",9.1,124\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn row_width_is_checked() {
+        Table::new("x", &["a", "b"]).row(&["only-one".into()]);
+    }
 }

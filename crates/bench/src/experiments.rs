@@ -20,6 +20,11 @@ fn smoke_truncate<T>(mut v: Vec<T>, smoke: bool, keep: usize) -> Vec<T> {
     v
 }
 
+/// Relative prediction error `(predicted − measured) / measured`.
+pub(crate) fn rel_error(measured: f64, predicted: f64) -> f64 {
+    (predicted - measured) / measured
+}
+
 /// One measured/predicted pair of factorization times.
 #[derive(Clone, Copy, Debug)]
 pub struct Pair {
@@ -29,7 +34,7 @@ pub struct Pair {
 
 impl Pair {
     pub fn rel_error(&self) -> f64 {
-        report::rel_error(self.measured_secs, self.predicted_secs)
+        rel_error(self.measured_secs, self.predicted_secs)
     }
 }
 
@@ -226,6 +231,7 @@ mod tests {
             predicted_secs: 97.0,
         };
         assert!((p.rel_error() + 0.03).abs() < 1e-12);
+        assert!((rel_error(100.0, 104.0) - 0.04).abs() < 1e-12);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! stencil, random sizes and worker→node routing) and an optional seeded
 //! fault plan, then asserts the engine's core invariant three ways:
 //!
-//! 1. **Rerun**: the committed-event journal of a second fresh run equals
-//!    the baseline's (metadata excluded);
+//! 1. **Rerun**: a second fresh run is equivalent to the baseline
+//!    (`dps_sim::check_equivalent`: committed-event journal, metadata
+//!    excluded, then canonical report);
 //! 2. **Replay**: re-executing against the recorded journal from a random
-//!    prefix reproduces the stream and the canonical report exactly;
+//!    prefix is equivalent to the baseline in the same sense;
 //! 3. **Pinpointer sanity**: a run perturbed with an injected commit-order
 //!    tie-break swap either leaves the stream untouched (the drawn swap
 //!    index never fired) or produces a divergence diagnostic that names a
@@ -23,7 +24,7 @@ use cluster_svc::{DurabilitySpec, WriteAheadLog};
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps::Application;
 use dps_sim::journal::replay_with_fabric;
-use dps_sim::{Fabric, FaultFabric, SimConfig, SimFabric, SimResult, TimingMode};
+use dps_sim::{check_equivalent, Fabric, FaultFabric, SimConfig, SimFabric, SimResult, TimingMode};
 use faults::{FaultGenConfig, FaultPlan};
 use lu_app::{build_lu_app, DataMode, LuConfig};
 use netmodel::NetParams;
@@ -182,10 +183,7 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     // 1. A second fresh run commits the same stream.
     let rerun = run_case_app(&app, &plan, net, &base_cfg())
         .map_err(|e| fail("second run", e.to_string()))?;
-    let j = rerun.journal.as_ref().expect("journal recorded");
-    if let Some(d) = j.first_divergence(recorded) {
-        return Err(fail("rerun≡baseline", d.to_string()));
-    }
+    check_equivalent(&rerun, &baseline).map_err(|d| fail("rerun≡baseline", d))?;
 
     // 2. Replay from a random prefix.
     let prefix = rng.gen_range_u64(0, recorded.len() as u64 + 1) as usize;
@@ -193,15 +191,8 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     let mut fabric = fabric_for(&plan, net);
     let out = replay_with_fabric(&built, fabric.as_mut(), &base_cfg(), recorded, prefix)
         .map_err(|e| fail("replay run", e.to_string()))?;
-    if let Some(d) = out.divergence {
-        return Err(fail(&format!("replay at prefix={prefix}"), d.to_string()));
-    }
-    if out.report.canonical_string() != baseline.canonical_string() {
-        return Err(fail(
-            &format!("replay at prefix={prefix}"),
-            "canonical reports differ but journals match".to_string(),
-        ));
-    }
+    check_equivalent(&out.report, &baseline)
+        .map_err(|d| fail(&format!("replay at prefix={prefix}"), d))?;
 
     // 3. Pinpointer sanity under an injected tie-break swap.
     let mut cfg = base_cfg();
@@ -494,58 +485,9 @@ pub fn fuzz_journal_decode(seed: u64, flips: usize) -> Result<JournalFuzzReport,
     }
 }
 
-/// Pinpoints the first difference between two texts as
-/// `line L, column C: ours=... theirs=...` — the CSV-level analogue of the
-/// journal's [`dps_sim::Divergence`], for outputs that are rendered bytes
-/// rather than event streams. Returns `None` when the texts are equal.
-pub fn first_text_divergence(ours: &str, theirs: &str) -> Option<String> {
-    if ours == theirs {
-        return None;
-    }
-    let at = ours
-        .bytes()
-        .zip(theirs.bytes())
-        .position(|(a, b)| a != b)
-        .unwrap_or(ours.len().min(theirs.len()));
-    let line = ours.as_bytes()[..at]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1;
-    let col = at
-        - ours.as_bytes()[..at]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap_or(0);
-    let excerpt = |s: &str| {
-        s.lines()
-            .nth(line - 1)
-            .unwrap_or("<end of text>")
-            .chars()
-            .take(120)
-            .collect::<String>()
-    };
-    Some(format!(
-        "first differing byte at line {line}, column {col}: ours={:?} theirs={:?}",
-        excerpt(ours),
-        excerpt(theirs)
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn text_divergence_pinpoints_line_and_column() {
-        assert!(first_text_divergence("a,b\nc,d\n", "a,b\nc,d\n").is_none());
-        let d = first_text_divergence("a,b\nc,d\n", "a,b\nc,X\n").unwrap();
-        assert!(d.contains("line 2"), "{d}");
-        assert!(d.contains("column 2"), "{d}");
-        let d = first_text_divergence("a,b\n", "a,b\nextra\n").unwrap();
-        assert!(d.contains("line 2"), "{d}");
-    }
 
     /// The journal codec survives truncation and corruption with typed
     /// errors — the decoder-robustness satellite, seeded and quick.

@@ -19,7 +19,6 @@
 //! reproduction numbers. Host-time numbers come from the `benchmark/`
 //! package (`benchmark run` / `trace`), never from this crate.
 
-pub mod chaos;
 pub mod experiments;
 pub mod fuzz;
 pub mod harness;
@@ -27,12 +26,8 @@ pub mod journal_probe;
 pub mod runner;
 pub mod scenarios;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosOutcome, CHAOS_SHARDS};
 pub use experiments::*;
-pub use fuzz::{
-    first_text_divergence, fuzz, fuzz_journal_decode, fuzz_with, FuzzConfig, FuzzOutcome,
-    JournalFuzzReport,
-};
+pub use fuzz::{fuzz, fuzz_journal_decode, fuzz_with, FuzzConfig, FuzzOutcome, JournalFuzzReport};
 pub use harness::{
     panic_message, run_parallel_isolated_with, run_parallel_with, smoke, thread_count,
 };

@@ -15,12 +15,11 @@ use cluster::profile_from_report;
 use dps_sim::SimFabric;
 use lu_app::{build_lu_app, LuConfig, LuRun};
 use netmodel::Sharing;
-use report::rel_error;
 use workload::{ScenarioCtx, ScenarioPoint, ScenarioSpec};
 
 use crate::experiments::{
-    all_configs, fig10_configs, fig13_seeds, fig8_configs, fig9_configs, removal_configs, run_pair,
-    Env,
+    all_configs, fig10_configs, fig13_seeds, fig8_configs, fig9_configs, rel_error,
+    removal_configs, run_pair, Env,
 };
 
 type Fields = Vec<(&'static str, f64)>;
@@ -219,18 +218,17 @@ fn fig13_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
             format!("iterations:{label}"),
             move || {
                 let env = Env::paper();
-                let predicted = lu_app::iteration_times(&predict(&env, &cfg).report);
+                let predicted = profile_from_report(&predict(&env, &cfg).report);
                 let mut errors = Vec::new();
                 for s in 0..seeds.min(2) {
                     let measured = measure(&env, &cfg, 2000 + 17 * i as u64 + s);
-                    for (p, m) in predicted
-                        .iter()
-                        .zip(lu_app::iteration_times(&measured.report))
-                    {
+                    let measured = profile_from_report(&measured.report);
+                    for (p, m) in predicted.points.iter().zip(&measured.points) {
                         // Skip sub-millisecond iterations: relative error on a
                         // near-zero denominator is noise, not signal.
-                        if m.1.as_secs_f64() > 1e-3 {
-                            errors.push(rel_error(m.1.as_secs_f64(), p.1.as_secs_f64()));
+                        let m_secs = m.span.as_secs_f64();
+                        if m_secs > 1e-3 {
+                            errors.push(rel_error(m_secs, p.span.as_secs_f64()));
                         }
                     }
                 }

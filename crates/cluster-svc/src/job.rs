@@ -67,8 +67,8 @@ impl AnalyticJob {
 
     /// Integer what-if score of running iterations `from..` at a constant
     /// allocation of `nodes` — the analytic closed-form counterpart of
-    /// [`cluster::profile_suffix`], keeping the scale path free of caches
-    /// and engine runs.
+    /// [`cluster::realized_suffix`] over a fixed-allocation profile, keeping
+    /// the scale path free of caches and engine runs.
     pub fn suffix_score(&self, from: u32, nodes: u32) -> cluster::CandidateScore {
         let mut s = cluster::CandidateScore::default();
         for k in from..self.iterations {

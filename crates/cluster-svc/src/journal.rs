@@ -1,5 +1,6 @@
-//! The decision log: the scheduling-decision journal and its validated
-//! replay.
+//! The decision log: the scheduling-decision journal, its validated
+//! replay, and the equivalence check between two runs
+//! ([`check_equivalent`]).
 //!
 //! With [`crate::ServeOptions::journal`] set, every scheduling decision is
 //! committed to a [`desim::Journal`] as a `Step` event whose `op` field
@@ -23,10 +24,12 @@
 
 use std::time::Instant;
 
+use desim::journal::first_text_divergence;
 use desim::{Journal, JournalEntry, JournalEvent, SimTime};
 use dps_sim::{SimError, SimResult};
 
 use crate::config::ServiceConfig;
+use crate::service::ServiceOutcome;
 
 /// Decision codes recorded in journal `Step.op`, indexing
 /// [`DECISION_LABELS`].
@@ -88,6 +91,29 @@ pub fn completions(journal: &Journal) -> impl Iterator<Item = (u64, SimTime)> + 
         JournalEvent::Step { job, op, .. } if op == decision::COMPLETE => Some((job, e.vtime)),
         _ => None,
     })
+}
+
+/// Compares the outcomes of two supposedly equivalent service runs — the
+/// counterpart of `dps_sim::check_equivalent`. When both carry decision
+/// journals the first diverging decision is named
+/// ([`desim::Journal::first_divergence`]); otherwise, or when the streams
+/// agree, the first differing line of the canonical reports is. Journal
+/// metadata is not compared, so runs at different shard counts (which the
+/// journal echoes) compare equal.
+pub fn check_equivalent(ours: &ServiceOutcome, theirs: &ServiceOutcome) -> Result<(), String> {
+    if let (Some(a), Some(b)) = (&ours.journal, &theirs.journal) {
+        if let Some(d) = a.first_divergence(b) {
+            return Err(d.to_string());
+        }
+    }
+    let (ca, cb) = (
+        ours.report.canonical_string(),
+        theirs.report.canonical_string(),
+    );
+    match first_text_divergence(&ca, &cb) {
+        Some(d) => Err(format!("canonical reports differ: {d}")),
+        None => Ok(()),
+    }
 }
 
 /// How a validated replay went.

@@ -27,7 +27,8 @@
 //!   `serve` cooperatively; per-job `cancel_at` cancels one submission.
 //! * **Decision journal** — every admit/place/shrink/requeue/recover/
 //!   reject/complete/fail/cancel decision can be committed to a
-//!   [`desim::Journal`] for divergence pinpointing across runs.
+//!   [`desim::Journal`]; [`check_equivalent`] compares two runs and names
+//!   the first decision where they part.
 //!
 //! ```
 //! use cluster_svc::{ClusterService, ServiceConfig, ServeOptions, SyntheticLoad, TenantSpec};
@@ -63,7 +64,7 @@ mod service;
 
 pub use config::{ServiceConfig, TenantSpec};
 pub use job::{random_jobs, AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
-pub use journal::{completions, decision, ReplayStats, DECISION_LABELS, NO_CELL};
+pub use journal::{check_equivalent, completions, decision, ReplayStats, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };

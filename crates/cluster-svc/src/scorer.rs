@@ -29,9 +29,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use cluster::{
-    capped_backoff, efficiency_target, profile_suffix, realized_suffix, score_fingerprint,
-    BreakerState, BreakerStats, CandidateKind, CandidateScore, CircuitBreaker, NodePool,
-    ProfileCache, SchedulePolicy, WhatIfSession, Workload,
+    capped_backoff, efficiency_target, realized_suffix, score_fingerprint, BreakerState,
+    BreakerStats, CandidateKind, CandidateScore, CircuitBreaker, NodePool, ProfileCache,
+    SchedulePolicy, WhatIfSession, Workload,
 };
 use desim::fxhash::FxHashMap;
 use desim::{SimDuration, SimTime};
@@ -580,7 +580,7 @@ impl Scorer {
             return Ok(s);
         }
         let cache = &mut self.cache;
-        let s = shielded(|| Ok(profile_suffix(cache.profile(w, m)?, from, m)))
+        let s = shielded(|| Ok(realized_suffix(cache.profile(w, m)?, m, &[], from)))
             .map_err(|e| e.terminal("workload profile"))?;
         self.cache.insert_score(fp, s);
         self.stats.profile_scored += 1;

@@ -4,9 +4,10 @@
 
 use cluster::SchedulePolicy;
 use cluster_svc::{
-    ClusterService, JobSpec, ServeOptions, ServiceConfig, ServiceReport, SyntheticLoad, TenantSpec,
+    check_equivalent, ClusterService, JobSpec, ServeOptions, ServiceConfig, ServiceOutcome,
+    SyntheticLoad, TenantSpec,
 };
-use desim::{Journal, SimDuration, SimTime};
+use desim::{SimDuration, SimTime};
 use faults::{CheckpointSpec, FaultEvent, FaultGenConfig, FaultKind, FaultPlan};
 
 const JOBS: u64 = 5_000;
@@ -55,75 +56,71 @@ fn seeded_plan(seed: u64) -> FaultPlan {
     .generate(seed)
 }
 
-fn run(shards: u32, seed: u64, plan: &FaultPlan) -> (ServiceReport, Journal) {
+fn run(shards: u32, seed: u64, plan: &FaultPlan) -> ServiceOutcome {
     let svc = ClusterService::new(scale_cfg(shards)).unwrap();
     let opts = ServeOptions {
         journal: true,
         ..ServeOptions::default()
     };
-    let out = svc.serve(load(seed), plan, &opts).unwrap();
-    (out.report, out.journal.unwrap())
+    svc.serve(load(seed), plan, &opts).unwrap()
+}
+
+/// Runs at shard counts 1, 2 and 4 and checks each against the first: the
+/// journal's shard echo is metadata, which the check leaves out.
+fn assert_invariant_across_shards(plan: &FaultPlan) -> ServiceOutcome {
+    let one = run(1, 42, plan);
+    for shards in [2, 4] {
+        check_equivalent(&one, &run(shards, 42, plan))
+            .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
+    }
+    one
 }
 
 #[test]
 fn quiet_reports_are_byte_identical_across_shard_counts() {
-    let (r1, j1) = run(1, 42, &FaultPlan::none());
-    let (r2, j2) = run(2, 42, &FaultPlan::none());
-    let (r4, j4) = run(4, 42, &FaultPlan::none());
-    assert_eq!(r1.completed_jobs(), JOBS);
-    assert_eq!(r1.canonical_string(), r2.canonical_string());
-    assert_eq!(r1.canonical_string(), r4.canonical_string());
-    assert!(j1.same_stream(&j2), "{:?}", j1.first_divergence(&j2));
-    assert!(j1.same_stream(&j4), "{:?}", j1.first_divergence(&j4));
-    // The encoded journal bytes differ only in meta (shard count echo);
-    // the committed event streams are equal.
-    assert_eq!(j1.len(), j4.len());
+    let one = assert_invariant_across_shards(&FaultPlan::none());
+    assert_eq!(one.report.completed_jobs(), JOBS);
 }
 
 #[test]
 fn faulted_reports_are_byte_identical_across_shard_counts() {
-    let plan = seeded_plan(42);
-    let (r1, j1) = run(1, 42, &plan);
-    let (r2, j2) = run(2, 42, &plan);
-    let (r4, j4) = run(4, 42, &plan);
+    let one = assert_invariant_across_shards(&seeded_plan(42));
     assert!(
-        r1.total_restarts() > 0,
+        one.report.total_restarts() > 0,
         "the seeded plan must interrupt jobs"
     );
-    assert_eq!(r1.canonical_string(), r2.canonical_string());
-    assert_eq!(r1.canonical_string(), r4.canonical_string());
-    assert!(j1.same_stream(&j2), "{:?}", j1.first_divergence(&j2));
-    assert!(j1.same_stream(&j4), "{:?}", j1.first_divergence(&j4));
 }
 
 #[test]
 fn different_seeds_diverge_and_the_journal_pinpoints_where() {
-    let (_, ja) = run(2, 42, &FaultPlan::none());
-    let (_, jb) = run(2, 43, &FaultPlan::none());
-    assert!(!ja.same_stream(&jb));
-    let d = ja
-        .first_divergence(&jb)
-        .expect("different seeds must diverge");
-    assert!((d.index as usize) < ja.len());
+    let (mut a, mut b) = (
+        run(2, 42, &FaultPlan::none()),
+        run(2, 43, &FaultPlan::none()),
+    );
+    let err = check_equivalent(&a, &b).expect_err("different seeds must diverge");
+    assert!(err.starts_with("first diverging event #"), "{err}");
+    // Without journals the canonical reports are compared line by line.
+    (a.journal, b.journal) = (None, None);
+    let err = check_equivalent(&a, &b).expect_err("different seeds must diverge");
+    assert!(err.starts_with("canonical reports differ"), "{err}");
 }
 
 #[test]
 fn reruns_at_the_same_seed_are_byte_identical() {
     let plan = seeded_plan(7);
-    let (ra, ja) = run(4, 7, &plan);
-    let (rb, jb) = run(4, 7, &plan);
-    assert_eq!(ra.canonical_string(), rb.canonical_string());
-    assert_eq!(ja.encode(), jb.encode(), "same config ⇒ same bytes");
+    let (a, b) = (run(4, 7, &plan), run(4, 7, &plan));
+    assert_eq!(a.report.canonical_string(), b.report.canonical_string());
+    let bytes = |o: &ServiceOutcome| o.journal.as_ref().expect("journal").encode();
+    assert_eq!(bytes(&a), bytes(&b), "same config ⇒ same bytes");
 }
 
 #[test]
 fn empty_fault_plan_is_a_strict_no_op() {
     let quiet_cfg = FaultGenConfig::quiet(64, SimDuration::from_secs(1));
     let empty_generated = quiet_cfg.generate(42);
-    let (ra, _) = run(2, 42, &FaultPlan::none());
-    let (rb, _) = run(2, 42, &empty_generated);
-    assert_eq!(ra.canonical_string(), rb.canonical_string());
-    assert_eq!(ra.total_restarts(), 0);
+    let a = run(2, 42, &FaultPlan::none());
+    check_equivalent(&a, &run(2, 42, &empty_generated)).unwrap();
+    assert_eq!(a.report.total_restarts(), 0);
 }
 
 #[test]

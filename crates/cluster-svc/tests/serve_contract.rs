@@ -137,7 +137,7 @@ fn decision_journal_names_every_kind() {
     assert_eq!(ops[decision::COMPLETE as usize], 200);
     // Round-trips through the binary format.
     let decoded = Journal::decode(&j.encode()).unwrap();
-    assert!(decoded.same_stream(&j));
+    assert_eq!(decoded.entries, j.entries);
 }
 
 #[test]

@@ -42,7 +42,6 @@ pub use policy::{
 };
 pub use rules::{capped_backoff, efficiency_target, FaultPricing, NodePool, Strike};
 pub use whatif::{
-    profile_suffix, realized_suffix, score_fingerprint, CandidateKind, CandidateScore,
-    WhatIfSession,
+    realized_suffix, score_fingerprint, CandidateKind, CandidateScore, WhatIfSession,
 };
 pub use workload::{lu_like_job, Phase, PhaseWorkload, ProfileCache, Workload};

@@ -111,13 +111,17 @@ impl Default for ThresholdPolicy {
 /// Derives a removal plan `(after 1-based iteration, kill count)` from a
 /// predicted profile at `workers` threads. Returns an empty plan when the
 /// efficiency never drops below the threshold (or only does so on the very
-/// last iteration, where releasing cannot pay off any more).
+/// last iteration, where releasing cannot pay off any more), and when fewer
+/// than two workers leave none to release.
 pub fn recommend_removal(
     profile: &EfficiencyProfile,
     workers: u32,
     policy: ThresholdPolicy,
 ) -> Vec<(usize, u32)> {
     assert!((0.0..=1.0).contains(&policy.release_fraction));
+    if workers < 2 {
+        return Vec::new();
+    }
     let n_iters = profile.points.len();
     match profile.first_below(policy.min_efficiency) {
         // `first_below` is 0-based; removing *after* iteration i means the
@@ -376,6 +380,15 @@ mod tests {
             },
         );
         assert_eq!(plan, vec![(1, 1)], "cannot kill every worker");
+    }
+
+    #[test]
+    fn fewer_than_two_workers_release_nothing() {
+        let p = profile(&[0.9, 0.3, 0.2, 0.1]);
+        for workers in [0, 1] {
+            let plan = recommend_removal(&p, workers, ThresholdPolicy::default());
+            assert!(plan.is_empty(), "{workers} workers: {plan:?}");
+        }
     }
 
     fn breaker() -> CircuitBreaker {

@@ -13,7 +13,7 @@
 //! * **analytic** — closed-form Amdahl suffix sums (the service's scale
 //!   path; no cache, no simulator),
 //! * **profile** — suffix sums over a memoized fixed-allocation profile
-//!   ([`profile_suffix`]), and
+//!   ([`realized_suffix`] under the empty plan), and
 //! * **fork** — a real simulator run of the candidate's removal plan,
 //!   forked from the job's live [`WhatIfSession`] at the current barrier
 //!   ([`realized_suffix`] prices the realized profile's varying
@@ -111,25 +111,13 @@ impl CandidateScore {
     }
 }
 
-/// Scores the suffix `points[from..]` of a fixed-allocation profile run at
-/// `nodes` nodes — the "no fork available" predictor: what the remaining
-/// iterations cost if the job runs them all at `nodes`.
-pub fn profile_suffix(profile: &EfficiencyProfile, from: usize, nodes: u32) -> CandidateScore {
-    let mut s = CandidateScore::default();
-    for pt in profile.points.iter().skip(from) {
-        let span = pt.span.as_nanos();
-        s.span_ns = s.span_ns.saturating_add(span);
-        s.work_ns = s.work_ns.saturating_add(pt.cpu_work.as_nanos());
-        s.alloc_node_ns += u128::from(nodes.max(1)) * u128::from(span);
-    }
-    s
-}
-
-/// Scores the suffix `points[from..]` of a *realized* (fork-executed)
-/// profile, pricing each iteration at the allocation the removal plan
-/// leaves it: iteration `k` runs on `start_nodes` minus every plan entry
-/// `(after, count)` with `after <= k` (the plan's 1-based "kill `count`
-/// workers after iteration `after`" convention).
+/// Scores the suffix `points[from..]` of a profile, pricing each iteration
+/// at the allocation the removal plan leaves it: iteration `k` runs on
+/// `start_nodes` minus every plan entry `(after, count)` with `after <= k`
+/// (the plan's 1-based "kill `count` workers after iteration `after`"
+/// convention), never below one node. A fork-realized profile is priced
+/// under its plan; a fixed-allocation profile under the empty plan — what
+/// the remaining iterations cost if the job runs them all at `start_nodes`.
 pub fn realized_suffix(
     profile: &EfficiencyProfile,
     start_nodes: u32,
@@ -238,11 +226,11 @@ mod tests {
     #[test]
     fn suffix_scores_sum_the_tail() {
         let p = profile_of(&[(100, 80), (50, 40), (25, 20)]);
-        let s = profile_suffix(&p, 1, 4);
+        let s = realized_suffix(&p, 4, &[], 1);
         assert_eq!(s.span_ns, 75);
         assert_eq!(s.work_ns, 60);
         assert_eq!(s.alloc_node_ns, 4 * 75);
-        let empty = profile_suffix(&p, 3, 4);
+        let empty = realized_suffix(&p, 4, &[], 3);
         assert_eq!(empty, CandidateScore::default());
         assert_eq!(empty.dynamic_efficiency(), 1.0);
     }

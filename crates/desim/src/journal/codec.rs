@@ -477,7 +477,6 @@ mod tests {
         assert_eq!(back.meta, j.meta);
         assert_eq!(back.labels, j.labels);
         assert_eq!(back.entries, j.entries);
-        assert!(j.same_stream(&back));
     }
 
     #[test]

@@ -359,6 +359,37 @@ impl std::fmt::Display for Divergence {
     }
 }
 
+/// Pinpoints the first difference between two texts as
+/// `line L, column C: ours=... theirs=...` — the text-level analogue of
+/// [`Divergence`], for outputs that are rendered bytes (canonical reports,
+/// CSVs) rather than event streams. Returns `None` when the texts are equal.
+pub fn first_text_divergence(ours: &str, theirs: &str) -> Option<String> {
+    if ours == theirs {
+        return None;
+    }
+    let at = ours
+        .bytes()
+        .zip(theirs.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(ours.len().min(theirs.len()));
+    let head = &ours.as_bytes()[..at];
+    let line = head.iter().filter(|&&b| b == b'\n').count() + 1;
+    let col = at - head.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+    let excerpt = |s: &str| {
+        s.lines()
+            .nth(line - 1)
+            .unwrap_or("<end of text>")
+            .chars()
+            .take(120)
+            .collect::<String>()
+    };
+    Some(format!(
+        "first differing byte at line {line}, column {col}: ours={:?} theirs={:?}",
+        excerpt(ours),
+        excerpt(theirs)
+    ))
+}
+
 /// Decoding failure: offset and reason.
 #[derive(Clone, Debug)]
 pub struct JournalDecodeError {
@@ -444,12 +475,6 @@ impl Journal {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether two journals carry the same committed event stream
-    /// (metadata excluded).
-    pub fn same_stream(&self, other: &Journal) -> bool {
-        self.first_divergence(other).is_none()
     }
 
     /// Finds the first entry at which the two streams disagree — by kind,
@@ -651,7 +676,7 @@ mod tests {
         b.intern_label("unused");
         let bi = b.intern_label("x");
         b.push(SimTime(1), JournalEvent::Mark { label: bi });
-        assert!(a.same_stream(&b));
+        assert!(a.first_divergence(&b).is_none());
         let mut c = Journal::new();
         let ci = c.intern_label("y");
         c.push(SimTime(1), JournalEvent::Mark { label: ci });
@@ -664,7 +689,17 @@ mod tests {
         let mut b = sample();
         b.set_meta("engine_threads", "4");
         b.set_meta("seed", "43");
-        assert!(a.same_stream(&b));
+        assert!(a.first_divergence(&b).is_none());
         assert_eq!(b.meta_get("seed"), Some("43"));
+    }
+
+    #[test]
+    fn text_divergence_pinpoints_line_and_column() {
+        assert!(first_text_divergence("a,b\nc,d\n", "a,b\nc,d\n").is_none());
+        let d = first_text_divergence("a,b\nc,d\n", "a,b\nc,X\n").unwrap();
+        assert!(d.contains("line 2"), "{d}");
+        assert!(d.contains("column 2"), "{d}");
+        let d = first_text_divergence("a,b\n", "a,b\nextra\n").unwrap();
+        assert!(d.contains("line 2"), "{d}");
     }
 }

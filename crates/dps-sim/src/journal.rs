@@ -40,6 +40,8 @@ pub use desim::journal::{
     Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent, JOURNAL_MAGIC,
 };
 
+use desim::journal::first_text_divergence;
+
 use crate::engine::{Engine, SimConfig};
 use crate::error::SimResult;
 use crate::fabric::{Fabric, SimFabric};
@@ -155,34 +157,21 @@ pub fn replay_with_fabric(
 /// error pinpoints the first diverging journal event when both reports
 /// carry journals (`first diverging event #N at vtime T ticket K op O:
 /// field F: ours=... theirs=...`); otherwise it falls back to the first
-/// difference between the canonical strings. The journal check runs first:
-/// the event stream diverges at (or before) whatever made the aggregate
-/// report differ, and names the exact event.
+/// differing line of the canonical strings
+/// ([`first_text_divergence`]). The journal check runs first: the event
+/// stream diverges at (or before) whatever made the aggregate report
+/// differ, and names the exact event. `cluster_svc::check_equivalent` is
+/// the same check for service runs.
 pub fn check_equivalent(ours: &RunReport, theirs: &RunReport) -> Result<(), String> {
     if let (Some(a), Some(b)) = (&ours.journal, &theirs.journal) {
         if let Some(d) = a.first_divergence(b) {
             return Err(d.to_string());
         }
     }
-    let (ca, cb) = (ours.canonical_string(), theirs.canonical_string());
-    if ca != cb {
-        let at = ca
-            .bytes()
-            .zip(cb.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or(ca.len().min(cb.len()));
-        let ctx = |s: &str| {
-            let lo = at.saturating_sub(40);
-            let hi = (at + 40).min(s.len());
-            s.get(lo..hi).unwrap_or("<non-utf8 boundary>").to_string()
-        };
-        return Err(format!(
-            "canonical reports differ at byte {at}: ours=...{}... theirs=...{}...",
-            ctx(&ca),
-            ctx(&cb)
-        ));
+    match first_text_divergence(&ours.canonical_string(), &theirs.canonical_string()) {
+        Some(d) => Err(format!("canonical reports differ: {d}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

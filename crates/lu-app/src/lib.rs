@@ -38,6 +38,4 @@ pub mod run;
 pub use builder::build_lu_app;
 pub use config::{DataMode, LuConfig};
 pub use payload::{LuOutput, Payload};
-pub use run::{
-    iteration_times, measure_lu, predict_lu, predict_lu_with_fabric, LuCheckpoint, LuRun,
-};
+pub use run::{measure_lu, predict_lu, predict_lu_with_fabric, LuCheckpoint, LuRun};

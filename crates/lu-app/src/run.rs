@@ -207,14 +207,3 @@ pub fn measure_lu(
         testbed::measure(&app, tb, seed, simcfg).map_err(|e| e.context(lu_context(cfg)))?;
     finish(cfg, &sh, report).map_err(|e| e.context(lu_context(cfg)))
 }
-
-/// Per-iteration wall time and efficiency, from the run's mark-delimited
-/// intervals (`iter:1` … `iter:K`) — the data of the paper's Figure 11.
-pub fn iteration_times(report: &RunReport) -> Vec<(String, SimDuration, f64)> {
-    report
-        .intervals
-        .iter()
-        .filter(|i| i.label.starts_with("iter:"))
-        .map(|i| (i.label.clone(), i.span(), i.efficiency()))
-        .collect()
-}

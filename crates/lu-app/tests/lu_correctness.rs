@@ -129,15 +129,21 @@ fn iteration_marks_cover_every_iteration() {
     cfg.mode = DataMode::Ghost;
     cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
     let run = predict_lu(&cfg, NetParams::fast_ethernet(), &simcfg()).unwrap();
-    let iters = lu_app::iteration_times(&run.report);
+    let iters: Vec<_> = run
+        .report
+        .intervals
+        .iter()
+        .filter(|i| i.label.starts_with("iter:"))
+        .collect();
     assert_eq!(iters.len(), 6);
-    for (label, span, eff) in &iters {
-        assert!(span.as_nanos() > 0, "{label} has zero span");
-        assert!((0.0..=1.0).contains(eff), "{label} efficiency {eff}");
+    for i in &iters {
+        let (label, eff) = (&i.label, i.efficiency());
+        assert!(i.span().as_nanos() > 0, "{label} has zero span");
+        assert!((0.0..=1.0).contains(&eff), "{label} efficiency {eff}");
     }
     // Later iterations are cheaper (shrinking trailing matrix).
-    let first = iters.first().unwrap().1;
-    let last = iters.last().unwrap().1;
+    let first = iters.first().unwrap().span();
+    let last = iters.last().unwrap().span();
     assert!(
         first > last,
         "iteration times must shrink: {first} vs {last}"

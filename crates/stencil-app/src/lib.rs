@@ -30,6 +30,4 @@ pub mod run;
 
 pub use builder::build_stencil_app;
 pub use config::StencilConfig;
-pub use run::{
-    measure_stencil, predict_stencil, predict_stencil_with_fabric, StencilCheckpoint, StencilRun,
-};
+pub use run::{measure_stencil, predict_stencil, predict_stencil_with_fabric, StencilRun};

@@ -76,65 +76,6 @@ pub fn predict_stencil(
     finish(cfg, &sh, report).map_err(|e| e.context(st_context(cfg)))
 }
 
-/// A pausable/forkable stencil prediction run (see
-/// `dps_sim::SimCheckpoint`). Only prediction modes fork — `Real` mode
-/// behaviours opt out of cloning and [`StencilCheckpoint::fork`] fails with
-/// `ForkRefused`.
-pub struct StencilCheckpoint {
-    ck: dps_sim::SimCheckpoint,
-    cfg: StencilConfig,
-    sh: std::sync::Arc<crate::ops::StShared>,
-}
-
-impl StencilCheckpoint {
-    /// Builds the application and pauses it at virtual time zero.
-    pub fn start(
-        cfg: &StencilConfig,
-        net: NetParams,
-        simcfg: &SimConfig,
-    ) -> SimResult<StencilCheckpoint> {
-        let (app, sh) = build_stencil_app(cfg.clone());
-        Ok(StencilCheckpoint {
-            ck: dps_sim::simulate_until(
-                std::sync::Arc::new(app),
-                net,
-                simcfg,
-                desim::SimTime::ZERO,
-            )
-            .map_err(|e| e.context(st_context(cfg)))?,
-            cfg: cfg.clone(),
-            sh,
-        })
-    }
-
-    /// Advances until the next event would pass `t`.
-    pub fn advance_until(&mut self, t: desim::SimTime) -> SimResult<bool> {
-        self.ck.advance_until(t)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> desim::SimTime {
-        self.ck.now()
-    }
-
-    /// An independent copy of the paused run; fails with `ForkRefused` when
-    /// the configuration cannot fork (Real mode).
-    pub fn fork(&mut self) -> SimResult<StencilCheckpoint> {
-        Ok(StencilCheckpoint {
-            ck: self.ck.fork()?,
-            cfg: self.cfg.clone(),
-            sh: std::sync::Arc::clone(&self.sh),
-        })
-    }
-
-    /// Runs to completion and extracts the run's quantities.
-    pub fn finish(self) -> SimResult<StencilRun> {
-        let ctx = st_context(&self.cfg);
-        let report = self.ck.finish().map_err(|e| e.context(ctx.clone()))?;
-        finish(&self.cfg, &self.sh, report).map_err(|e| e.context(ctx))
-    }
-}
-
 /// Predicts the run against an arbitrary machine model (e.g. a
 /// `dps_sim::FaultFabric` with injected slowdowns and link degradations).
 pub fn predict_stencil_with_fabric(

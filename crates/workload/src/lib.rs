@@ -40,10 +40,9 @@ pub use apps::{LuWorkload, StencilWorkload};
 pub use env::{SimEnv, DEFAULT_SEED, N};
 pub use faulted::FaultedRun;
 pub use scale::{
-    chaos_baseline, chaos_sweep, one_cell_config, run_server_scale, run_server_whatif,
-    server_scale_config, server_scale_load, server_scale_plan, server_whatif_config,
-    server_whatif_load, ChaosBaseline, ChaosRun, ChaosSummary, CHAOS_GROUP_EVENTS, SCALE_JOBS,
-    SCALE_SMOKE_JOBS, WHATIF_JOBS, WHATIF_SMOKE_JOBS,
+    one_cell_config, run_server_scale, run_server_whatif, server_scale_config, server_scale_load,
+    server_scale_plan, server_whatif_config, server_whatif_load, SCALE_JOBS, SCALE_SMOKE_JOBS,
+    WHATIF_JOBS, WHATIF_SMOKE_JOBS,
 };
 pub use scenarios::{
     builtin_scenarios, fault_server_policies, find_scenario, lone_job_schedule, server_policies,

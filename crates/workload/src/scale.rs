@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use cluster::{SchedulePolicy, Workload};
 use cluster_svc::{
-    ClusterService, CrashPlan, DurabilitySpec, JobSpec, ServeOptions, ServiceConfig,
-    ServiceOutcome, ServiceReport, SyntheticLoad, TenantSpec, WriteAheadLog,
+    ClusterService, JobSpec, ServeOptions, ServiceConfig, ServiceOutcome, ServiceReport,
+    SyntheticLoad, TenantSpec,
 };
 use desim::{SimDuration, SimTime};
 use faults::{CheckpointSpec, FaultGenConfig, FaultPlan};
@@ -307,185 +307,6 @@ pub fn server_whatif_points(ctx: &ScenarioCtx) -> Vec<ScenarioPoint> {
     points
 }
 
-// ----- the chaos (crash / recover) harness ----------------------------------
-
-/// Group-commit cadence (committed decisions per sealed WAL frame) the
-/// chaos harness runs under: small enough that a smoke run yields many
-/// distinct crash boundaries, large enough that the WAL stays compact at
-/// full scale.
-pub const CHAOS_GROUP_EVENTS: u64 = 4_096;
-
-/// An uninterrupted durable `server-scale` run: the ground truth every
-/// seeded crash point is recovered against. Building it once amortizes
-/// the baseline over all crash seeds of a chaos sweep.
-pub struct ChaosBaseline {
-    shards: u32,
-    jobs: u64,
-    seed: u64,
-    faulted: bool,
-    outcome: ServiceOutcome,
-    wal: WriteAheadLog,
-}
-
-/// Verdict of one seeded crash → recover round trip against a
-/// [`ChaosBaseline`]. `divergence == None` is the pass condition: the
-/// recovered run's report *and* journal were byte-identical to the
-/// uninterrupted run's.
-#[derive(Clone, Debug)]
-pub struct ChaosRun {
-    /// The [`CrashPlan`] seed.
-    pub crash_seed: u64,
-    /// Frames in the full (uncrashed) WAL.
-    pub frames: usize,
-    /// Sealed frames that survived the crash.
-    pub kept_frames: usize,
-    /// Committed decision entries recovered from the crashed WAL.
-    pub recovered_entries: u64,
-    /// Committed decision entries in the full run.
-    pub total_entries: u64,
-    /// Whether the crash left a torn tail that recovery truncated.
-    pub torn: bool,
-    /// Host seconds re-execution took to replay the recovered prefix.
-    pub catch_up_secs: f64,
-    /// Pinpointed first difference from the baseline (`None` = pass).
-    pub divergence: Option<String>,
-}
-
-impl ChaosRun {
-    /// Whether the recovered run matched the baseline byte-for-byte.
-    pub fn passed(&self) -> bool {
-        self.divergence.is_none()
-    }
-}
-
-fn scale_fault_plan(jobs: u64, seed: u64, faulted: bool) -> FaultPlan {
-    if faulted {
-        server_scale_plan(jobs, seed)
-    } else {
-        FaultPlan::none()
-    }
-}
-
-/// Runs the uninterrupted durable baseline (journal on, WAL built under
-/// [`CHAOS_GROUP_EVENTS`]).
-pub fn chaos_baseline(shards: u32, jobs: u64, seed: u64, faulted: bool) -> ChaosBaseline {
-    let svc = ClusterService::new(server_scale_config(shards)).expect("valid scale config");
-    let (outcome, wal) = svc
-        .serve_durable(
-            server_scale_load(jobs, seed),
-            &scale_fault_plan(jobs, seed, faulted),
-            &ServeOptions::default(),
-            &DurabilitySpec::group_commit(CHAOS_GROUP_EVENTS),
-        )
-        .expect("durable scale run");
-    ChaosBaseline {
-        shards,
-        jobs,
-        seed,
-        faulted,
-        outcome,
-        wal,
-    }
-}
-
-impl ChaosBaseline {
-    /// The baseline's durable WAL.
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
-    }
-
-    /// The baseline's outcome (report + journal).
-    pub fn outcome(&self) -> &ServiceOutcome {
-        &self.outcome
-    }
-
-    /// Crashes the durable log at the seeded boundary (tearing the
-    /// in-flight frame), recovers from the surviving bytes, and verdicts
-    /// the recovered run against the baseline: committed-event journal
-    /// first (pinpointed via [`desim::Journal::first_divergence`]), then
-    /// canonical report text, then raw journal bytes.
-    pub fn crash_and_recover(&self, crash_seed: u64) -> ChaosRun {
-        let plan = CrashPlan::new(crash_seed);
-        let bytes = plan.crashed_bytes(&self.wal);
-        let svc =
-            ClusterService::new(server_scale_config(self.shards)).expect("valid scale config");
-        let (out, crash) = svc
-            .recover(
-                server_scale_load(self.jobs, self.seed),
-                &scale_fault_plan(self.jobs, self.seed, self.faulted),
-                &ServeOptions::default(),
-                &bytes,
-            )
-            .expect("recovery run");
-        let base_j = self.outcome.journal.as_ref().expect("baseline journal");
-        let j = out.journal.as_ref().expect("recovered journal");
-        let divergence = if let Some(d) = j.first_divergence(base_j) {
-            Some(d.to_string())
-        } else if out.report.canonical_string() != self.outcome.report.canonical_string() {
-            Some("canonical reports differ but journals match".to_string())
-        } else if j.encode() != base_j.encode() {
-            Some("journal bytes differ but events match".to_string())
-        } else {
-            None
-        };
-        ChaosRun {
-            crash_seed,
-            frames: self.wal.frames(),
-            kept_frames: plan.keep_frames(&self.wal),
-            recovered_entries: crash.recovered_entries,
-            total_entries: self.wal.entries(),
-            torn: crash.torn.is_some(),
-            catch_up_secs: out.replay.map_or(0.0, |r| r.catch_up_secs),
-            divergence,
-        }
-    }
-}
-
-/// Aggregate of one chaos sweep.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosSummary {
-    /// Crash points exercised.
-    pub points: u64,
-    /// Crash points whose recovery matched the baseline byte-for-byte.
-    pub passed: u64,
-    /// Crash points that left (and truncated) a torn tail.
-    pub torn: u64,
-    /// Mean catch-up (prefix replay) latency, host seconds.
-    pub mean_catch_up_secs: f64,
-    /// Largest catch-up latency, host seconds.
-    pub max_catch_up_secs: f64,
-    /// Mean committed entries recovered per crash point.
-    pub mean_recovered_entries: f64,
-}
-
-/// Sweeps `points` seeded crash points against one baseline, invoking
-/// `each` per round trip (the binaries use it to log and fail fast).
-pub fn chaos_sweep(
-    base: &ChaosBaseline,
-    points: u64,
-    crash_seed: u64,
-    mut each: impl FnMut(&ChaosRun),
-) -> ChaosSummary {
-    let mut sum = ChaosSummary {
-        points,
-        ..ChaosSummary::default()
-    };
-    for i in 0..points {
-        let run = base.crash_and_recover(crash_seed.wrapping_add(i));
-        sum.passed += u64::from(run.passed());
-        sum.torn += u64::from(run.torn);
-        sum.mean_catch_up_secs += run.catch_up_secs;
-        sum.max_catch_up_secs = sum.max_catch_up_secs.max(run.catch_up_secs);
-        sum.mean_recovered_entries += run.recovered_entries as f64;
-        each(&run);
-    }
-    if points > 0 {
-        sum.mean_catch_up_secs /= points as f64;
-        sum.mean_recovered_entries /= points as f64;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,23 +332,6 @@ mod tests {
         );
         assert!(r.completed_jobs() > 1_800);
         assert!(r.total_lost_work() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn chaos_round_trips_recover_byte_identically_under_faults() {
-        let base = chaos_baseline(2, 1_500, 7, true);
-        let sum = chaos_sweep(&base, 3, 11, |run| {
-            assert!(
-                run.passed(),
-                "crash seed {}: {:?}",
-                run.crash_seed,
-                run.divergence
-            );
-            assert!(run.recovered_entries <= run.total_entries);
-            assert!(run.kept_frames <= run.frames);
-        });
-        assert_eq!(sum.passed, 3);
-        assert_eq!(sum.points, 3);
     }
 
     #[test]

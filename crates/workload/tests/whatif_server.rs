@@ -1,16 +1,17 @@
 //! Determinism property tests for the fork-based what-if policy: the
 //! decision journal (every placement, every candidate score, every
-//! committed winner) must be byte-identical across shard counts, quiet
-//! and under a seeded fault plan.
+//! committed winner) and the canonical report must be identical across
+//! shard counts, quiet and under a seeded fault plan
+//! (`cluster_svc::check_equivalent`).
 //!
 //! The streams mix analytic synthetic jobs with simulator-backed LU jobs,
-//! so the byte-compare covers the fork-scoring path, the profile-memo
-//! path and the analytic path at once.
+//! so the compare covers the fork-scoring path, the profile-memo path and
+//! the analytic path at once.
 
 use std::sync::Arc;
 
 use cluster::{BreakerSpec, Workload};
-use cluster_svc::{ClusterService, JobSpec, ServeOptions, ServiceOutcome};
+use cluster_svc::{check_equivalent, ClusterService, JobSpec, ServeOptions, ServiceOutcome};
 use desim::{SimDuration, SimTime};
 use faults::FaultPlan;
 use workload::{server_scale_load, server_scale_plan, server_whatif_config, LuWorkload, SimEnv};
@@ -50,34 +51,6 @@ fn run(shards: u32, faulted: bool) -> ServiceOutcome {
         .expect("what-if serve")
 }
 
-/// The journal's exact bytes with the one config-echo meta key (`shards`)
-/// normalized — everything else, entry stream included, must match.
-fn journal_bytes(out: &ServiceOutcome) -> Vec<u8> {
-    let mut j = out.journal.clone().expect("journal requested");
-    j.set_meta("shards", "*");
-    j.encode()
-}
-
-fn assert_identical(reference: &ServiceOutcome, other: &ServiceOutcome, what: &str) {
-    assert_eq!(
-        reference.report.canonical_string(),
-        other.report.canonical_string(),
-        "canonical report diverged: {what}"
-    );
-    let (a, b) = (
-        reference.journal.as_ref().unwrap(),
-        other.journal.as_ref().unwrap(),
-    );
-    if let Some(d) = a.first_divergence(b) {
-        panic!("decision stream diverged ({what}): {d:?}");
-    }
-    assert_eq!(
-        journal_bytes(reference),
-        journal_bytes(other),
-        "journal bytes diverged: {what}"
-    );
-}
-
 #[test]
 fn quiet_decisions_are_invariant_across_shards() {
     let reference = run(1, false);
@@ -90,7 +63,8 @@ fn quiet_decisions_are_invariant_across_shards() {
     assert!(r.whatif.analytic_scored > 0);
     for shards in [2, 4] {
         let other = run(shards, false);
-        assert_identical(&reference, &other, &format!("quiet, {shards} shards"));
+        check_equivalent(&reference, &other)
+            .unwrap_or_else(|e| panic!("quiet, {shards} shards: {e}"));
     }
 }
 
@@ -105,7 +79,8 @@ fn faulted_decisions_are_invariant_across_shards() {
     );
     for shards in [2, 4] {
         let other = run(shards, true);
-        assert_identical(&reference, &other, &format!("faulted, {shards} shards"));
+        check_equivalent(&reference, &other)
+            .unwrap_or_else(|e| panic!("faulted, {shards} shards: {e}"));
     }
 }
 
@@ -146,7 +121,7 @@ fn tripped_breaker_degrades_and_probes_deterministically() {
     // shard counts.
     let other = run_breaker(2);
     assert_eq!(&other.report.breaker, b, "2 shards");
-    assert_identical(&reference, &other, "breaker, 2 shards");
+    check_equivalent(&reference, &other).unwrap_or_else(|e| panic!("breaker, 2 shards: {e}"));
     // Degraded mode is visible against the unbroken run: the breaker
     // diverts fork-scored decisions to the profile path.
     let unbroken = run(1, false);
@@ -162,7 +137,8 @@ fn tripped_breaker_degrades_and_probes_deterministically() {
 fn repeat_runs_are_byte_identical() {
     let a = run(2, false);
     let b = run(2, false);
-    assert_eq!(journal_bytes(&a), journal_bytes(&b));
+    let bytes = |o: &ServiceOutcome| o.journal.as_ref().expect("journal requested").encode();
+    assert_eq!(bytes(&a), bytes(&b));
     assert_eq!(a.report.canonical_string(), b.report.canonical_string());
 }
 

@@ -30,8 +30,6 @@
 //! * [`workload`] — simulator-backed workloads ([`workload::LuWorkload`],
 //!   [`workload::StencilWorkload`]), the shared [`workload::SimEnv`]
 //!   experiment wiring and the scenario registry.
-//! * [`report`] — the Table 1 text/CSV table and the relative-error
-//!   definition.
 //!
 //! [`fxhash`] (from `desim`) is also re-exported directly: the event
 //! queue, the cluster server's profile cache and the workload keys all
@@ -48,7 +46,6 @@ pub use linalg;
 pub use lu_app;
 pub use netmodel;
 pub use perfmodel;
-pub use report;
 pub use stencil_app;
 pub use testbed;
 pub use workload;

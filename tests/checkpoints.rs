@@ -4,11 +4,13 @@
 //! run of the same configuration. This is the guarantee the shared-prefix
 //! sweep planner and the bench result cache are built on.
 
+use std::sync::Arc;
+
 use dvns::desim::{SimDuration, SimTime};
 use dvns::lu_app::{predict_lu, DataMode, LuCheckpoint, LuConfig};
 use dvns::netmodel::NetParams;
 use dvns::perfmodel::{LuCost, PlatformProfile};
-use dvns::sim::{check_equivalent, RunReport, SimConfig, TimingMode};
+use dvns::sim::{check_equivalent, simulate_until, RunReport, SimConfig, TimingMode};
 use simrng::{Rng, Xoshiro256};
 
 fn simcfg() -> SimConfig {
@@ -123,7 +125,7 @@ fn removal_rewritten_forks_match_fresh_removal_runs() {
 /// configurations and checkpoint times.
 #[test]
 fn stencil_forks_match_fresh_runs() {
-    use dvns::stencil_app::{predict_stencil, StencilCheckpoint, StencilConfig};
+    use dvns::stencil_app::{build_stencil_app, predict_stencil, StencilConfig};
     let mut rng = Xoshiro256::seed_from_u64(0xBAD5_EED5);
     let net = NetParams::fast_ethernet();
     for _ in 0..3 {
@@ -136,8 +138,8 @@ fn stencil_forks_match_fresh_runs() {
         cfg.validate().expect("generated config is valid");
         let fresh = predict_stencil(&cfg, net, &simcfg()).unwrap();
         let t = SimTime(rng.gen_range_u64(1, fresh.report.completion.as_nanos()));
-        let mut base = StencilCheckpoint::start(&cfg, net, &simcfg()).unwrap();
-        base.advance_until(t).unwrap();
+        let app = Arc::new(build_stencil_app(cfg.clone()).0);
+        let mut base = simulate_until(app, net, &simcfg(), t).unwrap();
         let forked = base.fork().expect("ghost mode forks");
         let a = forked.finish().unwrap();
         let b = base.finish().unwrap();
@@ -145,8 +147,8 @@ fn stencil_forks_match_fresh_runs() {
             "n={} iters={} nodes={} sync={} t={}ns",
             cfg.n, cfg.iters, cfg.nodes, cfg.synchronized, t.0
         );
-        assert_equivalent(&a.report, &fresh.report, &format!("fork ({ctx})"));
-        assert_equivalent(&b.report, &fresh.report, &format!("original ({ctx})"));
+        assert_equivalent(&a, &fresh.report, &format!("fork ({ctx})"));
+        assert_equivalent(&b, &fresh.report, &format!("original ({ctx})"));
     }
 }
 

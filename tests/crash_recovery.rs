@@ -10,7 +10,8 @@
 //! and the fault plan crashes nodes across shard boundaries.
 
 use dvns::cluster_svc::{
-    ClusterService, CrashPlan, DurabilitySpec, ServeOptions, ServiceOutcome, WriteAheadLog,
+    check_equivalent, ClusterService, CrashPlan, DurabilitySpec, ServeOptions, ServiceOutcome,
+    WriteAheadLog,
 };
 use dvns::faults::FaultPlan;
 use dvns::workload::{server_scale_config, server_scale_load, server_scale_plan};
@@ -66,18 +67,11 @@ fn recover_and_compare(baseline: &ServiceOutcome, wal_bytes: &[u8], faulted: boo
             wal_bytes,
         )
         .unwrap_or_else(|e| panic!("recovery failed ({what}): {e}"));
-    assert_eq!(
-        out.report.canonical_string(),
-        baseline.report.canonical_string(),
-        "canonical report diverged: {what}"
-    );
+    check_equivalent(&out, baseline).unwrap_or_else(|e| panic!("{what}: {e}"));
     let (j, bj) = (
         out.journal.as_ref().expect("recovered journal"),
         baseline.journal.as_ref().expect("baseline journal"),
     );
-    if let Some(d) = j.first_divergence(bj) {
-        panic!("decision stream diverged ({what}): {d}");
-    }
     assert_eq!(j.encode(), bj.encode(), "journal bytes diverged: {what}");
     let replay = out.replay.expect("resumed runs report replay stats");
     assert_eq!(replay.prefix_entries, crash.recovered_entries, "{what}");

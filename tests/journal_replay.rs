@@ -14,7 +14,7 @@ use dvns::lu_app::{build_lu_app, predict_lu_with_fabric, DataMode, LuConfig};
 use dvns::netmodel::NetParams;
 use dvns::perfmodel::{LuCost, PlatformProfile};
 use dvns::sim::journal::{replay, replay_with_fabric, Journal};
-use dvns::sim::{FaultFabric, SimConfig, TimingMode};
+use dvns::sim::{check_equivalent, FaultFabric, SimConfig, TimingMode};
 
 fn simcfg() -> SimConfig {
     SimConfig {
@@ -43,7 +43,6 @@ fn replay_from_any_prefix_is_byte_identical() {
     let cfg = lu_cfg();
     let (app, _) = build_lu_app(cfg.clone());
     let baseline = dvns::sim::simulate(&app, net, &simcfg()).unwrap();
-    let canonical = baseline.canonical_string();
     let recorded = baseline.journal.as_ref().expect("journal recorded");
     assert!(!recorded.is_empty());
 
@@ -52,16 +51,8 @@ fn replay_from_any_prefix_is_byte_identical() {
     for prefix in prefixes(recorded.len()) {
         let (app, _) = build_lu_app(cfg.clone());
         let out = replay(&app, net, &simcfg(), recorded, prefix).unwrap();
-        assert!(
-            out.divergence.is_none(),
-            "replay diverged (prefix={prefix}): {}",
-            out.divergence.unwrap()
-        );
-        assert_eq!(
-            out.report.canonical_string(),
-            canonical,
-            "replayed report not byte-identical (prefix={prefix})"
-        );
+        check_equivalent(&out.report, &baseline)
+            .unwrap_or_else(|e| panic!("replay diverged (prefix={prefix}): {e}"));
         // The reconstructed state advances monotonically with the
         // prefix and never past the recorded completion.
         assert!(out.prefix_time >= last_time && out.prefix_time <= baseline.completion);
@@ -83,7 +74,6 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
 
     let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
     let baseline = predict_lu_with_fabric(&cfg, &mut fabric, &simcfg()).unwrap();
-    let canonical = baseline.report.canonical_string();
     let recorded = baseline.report.journal.as_ref().expect("journal recorded");
     // The plan's rate windows open the stream (RateWindow entries at t=0).
     assert!(recorded
@@ -96,16 +86,8 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
         let (app, _) = build_lu_app(cfg.clone());
         let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
         let out = replay_with_fabric(&app, &mut fabric, &simcfg(), recorded, prefix).unwrap();
-        assert!(
-            out.divergence.is_none(),
-            "faulted replay diverged (prefix={prefix}): {}",
-            out.divergence.unwrap()
-        );
-        assert_eq!(
-            out.report.canonical_string(),
-            canonical,
-            "faulted replay not byte-identical (prefix={prefix})"
-        );
+        check_equivalent(&out.report, &baseline.report)
+            .unwrap_or_else(|e| panic!("faulted replay diverged (prefix={prefix}): {e}"));
     }
 }
 

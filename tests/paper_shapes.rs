@@ -173,18 +173,18 @@ fn dynamic_efficiency_decays_and_four_nodes_beat_eight() {
     c8.workers = 8;
     let r4 = predict_lu(&c4, NetParams::fast_ethernet(), &simcfg()).unwrap();
     let r8 = predict_lu(&c8, NetParams::fast_ethernet(), &simcfg()).unwrap();
-    let e4 = dvns::lu_app::iteration_times(&r4.report);
-    let e8 = dvns::lu_app::iteration_times(&r8.report);
+    let e4 = dvns::cluster::profile_from_report(&r4.report).points;
+    let e8 = dvns::cluster::profile_from_report(&r8.report).points;
     assert_eq!(e4.len(), 8);
     assert_eq!(e8.len(), 8);
     // Decay: first iteration clearly more efficient than iteration 7.
     assert!(
-        e8[0].2 > e8[6].2 * 1.5,
+        e8[0].efficiency > e8[6].efficiency * 1.5,
         "efficiency must decay over iterations"
     );
     // 4-node runs are more efficient throughout.
-    let ratio_start = e4[0].2 / e8[0].2;
-    let ratio_it6 = e4[5].2 / e8[5].2;
+    let ratio_start = e4[0].efficiency / e8[0].efficiency;
+    let ratio_it6 = e4[5].efficiency / e8[5].efficiency;
     assert!(
         (1.3..2.2).contains(&ratio_start),
         "iteration-1 efficiency ratio {ratio_start:.2} (paper 60.2/37.6 ≈ 1.6)"
