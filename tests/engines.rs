@@ -260,6 +260,41 @@ fn engine_output_is_pinned() {
 }
 
 #[test]
+fn max_min_and_testbed_output_is_pinned() {
+    // The quiet pins above all run `SimFabric` under equal split. These
+    // pin the two other machine models the engine drives at paper size:
+    // max-min sharing, which re-rates every flow from scratch, and the
+    // stochastic testbed, whose network carries noise-inflated transfers.
+    use dvns::lu_app::predict_lu_with_fabric;
+    use dvns::netmodel::Sharing;
+    use dvns::sim::{Fabric, SimFabric};
+    use dvns::testbed::TestbedFabric;
+    let sc = SimConfig {
+        record_journal: true,
+        ..simcfg()
+    };
+    let net = NetParams::fast_ethernet();
+    let mut cfg = LuConfig::new(2592, 216, 8);
+    cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
+    cfg.validate().unwrap();
+    let mut max_min = SimFabric::with_sharing(net, Sharing::MaxMin);
+    let mut testbed = TestbedFabric::new(TestbedParams::sun_cluster(), 0);
+    let got = [
+        ("lu basic, max-min", &mut max_min as &mut dyn Fabric),
+        ("lu basic, testbed seed 0", &mut testbed),
+    ]
+    .map(|(name, fabric)| {
+        let run = predict_lu_with_fabric(&cfg, fabric, &sc).unwrap();
+        format!("{name}: {:016x}", output_digest(run.report))
+    });
+    let pinned = [
+        "lu basic, max-min: 2b3c58a66d5f1956",
+        "lu basic, testbed seed 0: f8ee7920dbca26c9",
+    ];
+    assert_eq!(got, pinned);
+}
+
+#[test]
 fn faulted_engine_output_is_pinned() {
     // The quiet pins above never cross a capacity or slowdown window. These
     // do: LU under `FaultFabric`, with link windows that start at t = 0,
