@@ -8,9 +8,10 @@
 //!   tie-breaking,
 //! * [`ProgressSet`] — a *progress-sharing resource*: a set of jobs that each
 //!   carry an amount of remaining work and drain at externally assigned
-//!   rates. Both the flow-level network model (bytes over shared links) and
-//!   the CPU model (cpu-seconds under processor sharing) of the simulator are
-//!   instances of this abstraction,
+//!   rates, one rate per group of jobs. Both the flow-level network model
+//!   (bytes over shared links, grouped by node pair) and the CPU model
+//!   (cpu-seconds under processor sharing, grouped by node) of the
+//!   simulator are instances of this abstraction,
 //! * [`RateTimeline`] — time-windowed per-node rate multipliers
 //!   ([`RateWindow`]s): degraded links, slowed-down processors.
 //!

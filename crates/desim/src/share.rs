@@ -2,11 +2,14 @@
 //!
 //! A [`ProgressSet`] is a set of jobs, each carrying an amount of remaining
 //! *work* (bytes, cpu-nanoseconds, …) that drains at an externally assigned
-//! *rate* (work units per virtual second). Engines use it like this:
+//! *rate* (work units per virtual second). Jobs belong to *groups*, and a rate
+//! is assigned to a whole group at once: every transfer between one pair of
+//! nodes gets the same share of the links, and every step on one node the
+//! same share of its processor. Engines use it like this:
 //!
 //! 1. whenever the active set changes, `advance_to(now)` to account the work
 //!    done at the old rates,
-//! 2. assign the new rates (`set_rate`),
+//! 2. assign the new rates (`set_group_rate`),
 //! 3. query `earliest_completion()` and schedule a completion event there,
 //! 4. when that event fires, `advance_to` again and `take_finished` the jobs
 //!    that drained.
@@ -14,93 +17,161 @@
 //! Both the flow-level network model (concurrent transfers sharing link
 //! bandwidth) and the CPU model (atomic steps under processor sharing) are
 //! instances of this pattern, so the fiddly float/rounding logic lives here
-//! exactly once.
+//! exactly once. With every job in a group of its own
+//! ([`insert`](ProgressSet::insert), [`set_rate`](ProgressSet::set_rate)) it
+//! is a plain per-job set.
 //!
 //! Progress is accounted **lazily**: `advance_to` only moves the clock
 //! (O(1)); a job's remaining work is *settled* — materialized against the
-//! clock — only when that job's own rate changes, when it is removed, or
-//! when it completes. Between settlements the remaining work is implied by
+//! clock — only when its group is re-rated or when the job comes due.
+//! Between settlements the remaining work is implied by
 //! `settled_remaining − rate·(now − settled_at)`. Completions come from an
-//! *indexed* min-heap of announced finish times: at most one entry per job,
-//! whose position the job records, so a rate change re-keys the entry where
-//! it sits. Neither advancing time nor finding the next completion ever
-//! scans the job set, and the heap never holds more entries than there are
-//! jobs. Per-event cost is O(jobs whose rate changed), not O(all jobs in
-//! flight).
+//! *indexed* min-heap of announced finish times: at most one entry per
+//! group, whose position the group records, so a re-rate re-keys the entry
+//! where it sits. A re-rate settles every member at one instant and gives
+//! each the same rate, and both settling and the announcement's rounding are
+//! monotone in the remaining work, so the group's earliest completion is its
+//! least-remaining member's: one division and one re-key per group, however
+//! many members it has. Neither advancing time nor finding the next
+//! completion ever scans the job set. Per-event cost is O(jobs whose rate
+//! changed) settlements plus O(groups whose rate changed) heap re-keys.
 
 use std::hash::Hash;
 
 use crate::fxhash::FxHashMap;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Work below this many units counts as finished; guards against float dust
 /// left over by rate changes.
 const WORK_EPS: f64 = 1e-6;
 
-/// `f64::round` for `x ≥ 0` (and NaN), bit for bit, with no libm call: below
-/// 2^52, `t` and `x − t` are exact, and the carry is a compare, not a branch
-/// (the fraction is a coin flip to a predictor). Baseline x86-64 has no `roundsd`.
-fn round_nonneg(x: f64) -> f64 {
+/// A nanosecond count `x` (never NaN) rounded as `f64::round(x).max(1.0)`
+/// rounds it, as an integer; `None` from `u64::MAX` up. No libm call and no
+/// round trip through `f64`: below 2^52, `t` and `x − t` are exact, and the
+/// carry is a compare, not a branch (the fraction is a coin flip to a
+/// predictor); from 2^52 up every `f64` is an integer already. Baseline
+/// x86-64 has no `roundsd`.
+fn round_ns(x: f64) -> Option<u64> {
     if x < 4_503_599_627_370_496.0 {
-        let t = x as i64 as f64;
-        t + f64::from(u8::from(x - t >= 0.5))
+        let t = x as i64;
+        Some((t + i64::from(x - t as f64 >= 0.5)).max(1) as u64)
     } else {
-        x
+        (x < u64::MAX as f64).then_some(x as u64)
+    }
+}
+
+/// Whether a job counts as finished: fully drained, or within one
+/// nanosecond of draining at its current rate (below clock resolution).
+fn finished_at(remaining: f64, rate: f64) -> bool {
+    remaining <= WORK_EPS || remaining <= rate * 1.5e-9
+}
+
+/// The completion a job settled at `at` announces: `at` itself when it has
+/// finished, its drain time when it runs, none when it is stalled at rate 0
+/// or would drain past the end of time. Monotone in `remaining` for one rate
+/// and instant.
+fn due(remaining: f64, rate: f64, at: SimTime) -> Option<SimTime> {
+    if finished_at(remaining, rate) {
+        Some(at)
+    } else if rate > 0.0 {
+        // Round to the nearest nanosecond: the clock cannot resolve
+        // finer, and `finished_at` tolerates up to one nanosecond of
+        // residual drain, so nearest-rounding never strands a job.
+        let ns = round_ns(remaining / rate * 1e9)?;
+        at.as_nanos().checked_add(ns).map(SimTime)
+    } else {
+        None
+    }
+}
+
+/// The earlier of two announcements; `None` is never.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        _ => a.or(b),
     }
 }
 
 #[derive(Clone, Copy, Debug)]
-struct Job {
+struct Job<K> {
+    key: K,
     /// Remaining work at `settled_at`.
     remaining: f64,
+    /// The group's rate as of its last re-rate; 0 for a job that joined
+    /// since.
     rate: f64,
     /// Time at which `remaining` was last materialized.
     settled_at: SimTime,
-    /// Where the job's announcement sits in the completion heap, if it has
-    /// one.
+}
+
+impl<K> Job<K> {
+    /// Materializes the remaining work at `now`.
+    fn settle(&mut self, now: SimTime) {
+        if self.rate > 0.0 && now > self.settled_at {
+            let dt = (now - self.settled_at).as_secs_f64();
+            self.remaining = (self.remaining - self.rate * dt).max(0.0);
+        }
+        self.settled_at = now;
+    }
+
+    fn due(&self) -> Option<SimTime> {
+        due(self.remaining, self.rate, self.settled_at)
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Group<K> {
+    /// Never empty while the group is live.
+    jobs: Vec<Job<K>>,
+    /// Where the group's announcement sits in the completion heap, if it
+    /// has one.
     pos: Option<u32>,
 }
 
-/// Announced completion of the job in slab slot `slot`. The heap orders
-/// these by `(at, key)`, so ties break by smallest key — the deterministic
-/// ordering the engines rely on.
+/// Announced completion of the group in slab slot `slot`: the earliest of
+/// its jobs'. The heap orders these by `(at, group)`, so ties break by
+/// smallest group — the deterministic ordering the engines rely on.
 #[derive(Clone, Copy, Debug)]
-struct Due<K> {
+struct Due<G> {
     at: SimTime,
-    key: K,
+    group: G,
     slot: u32,
 }
 
-/// A set of jobs draining remaining work at assigned rates.
+/// A set of jobs draining remaining work at rates assigned per group.
 ///
-/// `K` identifies jobs; `Ord` is required so that completion ties are broken
+/// `K` identifies jobs and `G` groups; by default every job is its own
+/// group. `Ord` is required so that completion ties are broken
 /// deterministically regardless of hash-map iteration order.
 #[derive(Clone, Debug)]
-pub struct ProgressSet<K: Eq + Hash + Copy + Ord> {
-    /// Job slab; the slots listed in `free` are vacant.
-    jobs: Vec<Job>,
+pub struct ProgressSet<K, G = K> {
+    /// Group slab; the slots listed in `free` are vacant.
+    groups: Vec<Group<K>>,
     free: Vec<u32>,
-    /// Slab slot of every live job.
-    index: FxHashMap<K, u32>,
-    /// Binary min-heap on `(at, key)` with one entry per announced job.
-    heap: Vec<Due<K>>,
+    /// Slab slot of every live group.
+    index: FxHashMap<G, u32>,
+    /// Binary min-heap on `(at, group)` with one entry per announced group.
+    heap: Vec<Due<G>>,
+    /// Live jobs, over all groups.
+    len: usize,
     last: SimTime,
 }
 
-impl<K: Eq + Hash + Copy + Ord> Default for ProgressSet<K> {
+impl<K: Copy + Ord, G: Copy + Ord + Hash> Default for ProgressSet<K, G> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
+impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     /// An empty set anchored at time zero.
     pub fn new() -> Self {
         ProgressSet {
-            jobs: Vec::new(),
+            groups: Vec::new(),
             free: Vec::new(),
             index: FxHashMap::default(),
             heap: Vec::new(),
+            len: 0,
             last: SimTime::ZERO,
         }
     }
@@ -109,7 +180,7 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     /// rates. `now` must not precede the previous advance.
     ///
     /// O(1): only the clock moves; individual jobs are settled lazily when
-    /// their own state is next touched.
+    /// their group is next touched.
     pub fn advance_to(&mut self, now: SimTime) {
         debug_assert!(now >= self.last, "ProgressSet time went backwards");
         if now > self.last {
@@ -117,35 +188,17 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         }
     }
 
-    /// Remaining work of `job` as of the current clock, without mutating it.
-    fn implied_remaining(&self, job: &Job) -> f64 {
-        if job.rate <= 0.0 || self.last <= job.settled_at {
-            return job.remaining;
-        }
-        let dt = (self.last - job.settled_at).as_secs_f64();
-        (job.remaining - job.rate * dt).max(0.0)
-    }
-
-    /// Materializes `job`'s remaining work at the current clock.
-    fn settle(last: SimTime, job: &mut Job) {
-        if job.rate > 0.0 && last > job.settled_at {
-            let dt = (last - job.settled_at).as_secs_f64();
-            job.remaining = (job.remaining - job.rate * dt).max(0.0);
-        }
-        job.settled_at = last;
-    }
-
-    /// Writes `due` at heap position `i` and tells its job where it went.
-    fn place(&mut self, i: usize, due: Due<K>) {
+    /// Writes `due` at heap position `i` and tells its group where it went.
+    fn place(&mut self, i: usize, due: Due<G>) {
         self.heap[i] = due;
-        self.jobs[due.slot as usize].pos = Some(i as u32);
+        self.groups[due.slot as usize].pos = Some(i as u32);
     }
 
     /// Restores heap order after the entry at position `i` changed, moving
     /// it up or down as far as it has to go.
     fn sift(&mut self, mut i: usize) {
         let due = self.heap[i];
-        let before = |a: &Due<K>, b: &Due<K>| (a.at, a.key) < (b.at, b.key);
+        let before = |a: &Due<G>, b: &Due<G>| (a.at, a.group) < (b.at, b.group);
         while i > 0 && before(&due, &self.heap[(i - 1) / 2]) {
             self.place(i, self.heap[(i - 1) / 2]);
             i = (i - 1) / 2;
@@ -167,46 +220,22 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     /// Withdraws the announcement at heap position `pos`.
     fn unannounce(&mut self, pos: u32) {
         let due = self.heap.swap_remove(pos as usize);
-        self.jobs[due.slot as usize].pos = None;
+        self.groups[due.slot as usize].pos = None;
         if (pos as usize) < self.heap.len() {
             self.sift(pos as usize);
         }
     }
 
-    /// Brings the announcement of the just-settled job `key` in `slot` up
-    /// to date: due immediately when already finished, at the rounded drain
-    /// time when running, none when stalled at rate 0. An existing entry is
-    /// re-keyed where it sits.
-    fn announce(&mut self, key: K, slot: u32) {
-        let Job {
-            remaining,
-            rate,
-            pos,
-            ..
-        } = self.jobs[slot as usize];
-        let at = if Self::finished_at(remaining, rate) {
-            Some(self.last)
-        } else if rate > 0.0 {
-            // Round to the nearest nanosecond: the clock cannot resolve
-            // finer, and `finished` tolerates up to one nanosecond of
-            // residual drain, so nearest-rounding never strands a job.
-            let secs = remaining / rate;
-            let ns = round_nonneg(secs * 1e9).max(1.0);
-            if ns >= u64::MAX as f64 {
-                None
-            } else {
-                Some(self.last + SimDuration::from_nanos(ns as u64))
-            }
-        } else {
-            None
-        };
-        match (at, pos) {
+    /// Sets the announcement of `group` in `slot` to `at`: an existing entry
+    /// is re-keyed where it sits, and `None` withdraws it.
+    fn announce(&mut self, group: G, slot: u32, at: Option<SimTime>) {
+        match (at, self.groups[slot as usize].pos) {
             (Some(at), Some(pos)) => {
                 self.heap[pos as usize].at = at;
                 self.sift(pos as usize);
             }
             (Some(at), None) => {
-                self.heap.push(Due { at, key, slot });
+                self.heap.push(Due { at, group, slot });
                 self.sift(self.heap.len() - 1);
             }
             (None, Some(pos)) => self.unannounce(pos),
@@ -214,116 +243,114 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
         }
     }
 
-    /// Adds a job with `work` units remaining and rate 0. Panics if the key
-    /// is already present — reusing keys for live jobs is always an engine
-    /// bug.
-    pub fn insert(&mut self, now: SimTime, key: K, work: f64) {
+    /// Announces `group` in `slot` at `at`, the earliest of its jobs' own
+    /// announcements, or forgets the group once it has no jobs.
+    fn refresh(&mut self, group: G, slot: u32, at: Option<SimTime>) {
+        if self.groups[slot as usize].jobs.is_empty() {
+            self.announce(group, slot, None);
+            self.index.remove(&group);
+            self.free.push(slot);
+        } else {
+            self.announce(group, slot, at);
+        }
+    }
+
+    /// Adds job `key` with `work` units remaining to `group`, at rate 0
+    /// until the group's next re-rate. Panics if the group already holds
+    /// `key` — reusing keys for live jobs is always an engine bug.
+    pub fn insert_in(&mut self, now: SimTime, group: G, key: K, work: f64) {
         self.advance_to(now);
         assert!(work >= 0.0, "negative work");
+        let slot = match self.index.get(&group) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.groups.push(Group {
+                        jobs: Vec::new(),
+                        pos: None,
+                    });
+                    self.groups.len() as u32 - 1
+                });
+                self.index.insert(group, slot);
+                slot
+            }
+        };
         let job = Job {
+            key,
             remaining: work,
             rate: 0.0,
-            settled_at: now,
-            pos: None,
+            settled_at: self.last,
         };
-        let slot = self.free.pop().unwrap_or(self.jobs.len() as u32);
-        match self.jobs.get_mut(slot as usize) {
-            Some(vacant) => *vacant = job,
-            None => self.jobs.push(job),
+        let g = &mut self.groups[slot as usize];
+        assert!(
+            g.jobs.iter().all(|j| j.key != key),
+            "duplicate ProgressSet job key"
+        );
+        g.jobs.push(job);
+        self.len += 1;
+        // At rate 0 only a job with no work left comes due: at once.
+        if let Some(due) = job.due() {
+            let pos = self.groups[slot as usize].pos;
+            let at = pos.map_or(due, |pos| self.heap[pos as usize].at.min(due));
+            self.announce(group, slot, Some(at));
         }
-        let prev = self.index.insert(key, slot);
-        assert!(prev.is_none(), "duplicate ProgressSet job key");
-        self.announce(key, slot);
     }
 
-    /// Assigns a new drain rate to `key`. The caller is responsible for
-    /// having advanced to `now` conceptually; this method does it for them.
+    /// Assigns a new drain rate to every job of `group`. The caller is
+    /// responsible for having advanced to `now` conceptually; this method
+    /// does it for them.
     ///
-    /// Every call settles the job, a bit-equal rate included: the settlement
-    /// point is where `remaining` is rounded, so skipping one would move
-    /// completion nanoseconds.
-    pub fn set_rate(&mut self, now: SimTime, key: K, rate: f64) {
+    /// Every call settles every job, a bit-equal rate included: the
+    /// settlement point is where `remaining` is rounded, so skipping one
+    /// would move completion nanoseconds.
+    pub fn set_group_rate(&mut self, now: SimTime, group: G, rate: f64) {
         self.advance_to(now);
         assert!(rate >= 0.0 && rate.is_finite(), "invalid rate {rate}");
-        let slot = *self.index.get(&key).expect("set_rate on unknown job");
-        let job = &mut self.jobs[slot as usize];
-        Self::settle(self.last, job);
-        job.rate = rate;
-        self.announce(key, slot);
-    }
-
-    /// Forgets the job `key` in `slot` and its announcement, returning it.
-    fn release(&mut self, key: K, slot: u32) -> Job {
-        let job = self.jobs[slot as usize];
-        if let Some(pos) = job.pos {
-            self.unannounce(pos);
+        let slot = *self.index.get(&group).expect("set_rate on unknown group");
+        let last = self.last;
+        let mut least = f64::INFINITY;
+        for job in &mut self.groups[slot as usize].jobs {
+            job.settle(last);
+            job.rate = rate;
+            least = least.min(job.remaining);
         }
-        self.index.remove(&key);
-        self.free.push(slot);
-        job
+        self.announce(group, slot, due(least, rate, last));
     }
 
-    /// Removes a job, returning its remaining work if it was present.
-    pub fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
-        self.advance_to(now);
-        let slot = *self.index.get(&key)?;
-        let mut job = self.release(key, slot);
-        Self::settle(self.last, &mut job);
-        Some(job.remaining)
-    }
-
-    fn job(&self, key: K) -> Option<&Job> {
-        self.index.get(&key).map(|&slot| &self.jobs[slot as usize])
-    }
-
-    /// Remaining work of a job.
-    pub fn remaining(&self, key: K) -> Option<f64> {
-        self.job(key).map(|j| self.implied_remaining(j))
-    }
-
-    /// Current drain rate of a job.
-    pub fn rate(&self, key: K) -> Option<f64> {
-        self.job(key).map(|j| j.rate)
-    }
-
-    /// Whether `key` is a live job.
-    pub fn contains(&self, key: K) -> bool {
-        self.index.contains_key(&key)
-    }
-
-    /// Number of live jobs.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether no jobs remain.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+    /// Current drain rate of job `key` in `group`.
+    pub fn rate(&self, group: G, key: K) -> Option<f64> {
+        let jobs = &self.groups[*self.index.get(&group)? as usize].jobs;
+        jobs.iter().find(|j| j.key == key).map(|j| j.rate)
     }
 
     /// Iterates over live job keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.index.keys().copied()
+        let jobs = |&slot: &u32| self.groups[slot as usize].jobs.iter().map(|j| j.key);
+        self.index.values().flat_map(jobs)
+    }
+
+    /// Number of live jobs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no jobs remain.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// The earliest time at which some job finishes under current rates,
-    /// with its key. Jobs with rate 0 and positive work never finish. Ties
-    /// are broken by smallest key.
+    /// with its group. Jobs with rate 0 and positive work never finish.
+    /// Ties are broken by smallest group.
     ///
     /// The returned time is rounded to the *nearest* nanosecond (see
-    /// `announce`); a job counts as finished within one nanosecond of
-    /// draining, so advancing to it is guaranteed to complete the job.
-    pub fn earliest_completion(&mut self) -> Option<(K, SimTime)> {
+    /// `due`); a job counts as finished within one nanosecond of draining,
+    /// so advancing to it is guaranteed to complete the job.
+    pub fn earliest_completion(&mut self) -> Option<(G, SimTime)> {
         // Announcements never predate the clock by more than rounding;
         // clamp so callers never see time regress.
         let due = self.heap.first()?;
-        Some((due.key, due.at.max(self.last)))
-    }
-
-    /// Whether a job counts as finished: fully drained, or within one
-    /// nanosecond of draining at its current rate (below clock resolution).
-    fn finished_at(remaining: f64, rate: f64) -> bool {
-        remaining <= WORK_EPS || remaining <= rate * 1.5e-9
+        Some((due.group, due.at.max(self.last)))
     }
 
     /// Advances to `now` and removes every job whose announced completion
@@ -339,21 +366,30 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<K>) {
         self.advance_to(now);
         let first = out.len();
-        while let Some(&Due { at, key, slot }) = self.heap.first() {
+        while let Some(&Due { at, group, slot }) = self.heap.first() {
             if at > now {
                 break;
             }
-            let job = &mut self.jobs[slot as usize];
-            Self::settle(now, job);
-            if Self::finished_at(job.remaining, job.rate) {
-                self.release(key, slot);
-                out.push(key);
-            } else {
-                // Rounding left residual work (possible only when the rate
-                // dropped between announce and due time in the same
-                // nanosecond); re-announce from the settled state.
-                self.announce(key, slot);
-            }
+            let jobs = &mut self.groups[slot as usize].jobs;
+            let (before, mut next) = (jobs.len(), None);
+            jobs.retain_mut(|job| {
+                let mut at = job.due();
+                if at.is_some_and(|at| at <= now) {
+                    job.settle(now);
+                    if finished_at(job.remaining, job.rate) {
+                        out.push(job.key);
+                        return false;
+                    }
+                    // Rounding left residual work; the job stays,
+                    // announced from its own settlement point until its
+                    // group's next re-rate.
+                    at = job.due();
+                }
+                next = earlier(next, at);
+                true
+            });
+            self.len -= before - jobs.len();
+            self.refresh(group, slot, next);
         }
         out[first..].sort_unstable();
     }
@@ -362,12 +398,54 @@ impl<K: Eq + Hash + Copy + Ord> ProgressSet<K> {
     pub fn now(&self) -> SimTime {
         self.last
     }
+}
 
-    /// Completion-heap entries currently held, never more than
-    /// [`len`](Self::len) — an implementation detail exposed for
-    /// memory-bound regression tests.
-    pub fn completion_heap_len(&self) -> usize {
+impl<K: Copy + Ord + Hash> ProgressSet<K> {
+    /// Adds job `key`, a group of its own, with `work` units remaining and
+    /// rate 0. Panics if the key is already present.
+    pub fn insert(&mut self, now: SimTime, key: K, work: f64) {
+        self.insert_in(now, key, key, work);
+    }
+
+    /// Assigns a new drain rate to job `key`, a group of its own (see
+    /// [`set_group_rate`](Self::set_group_rate)).
+    pub fn set_rate(&mut self, now: SimTime, key: K, rate: f64) {
+        self.set_group_rate(now, key, rate);
+    }
+}
+
+#[cfg(test)]
+impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
+    /// Completion-heap entries currently held, never more than the live
+    /// groups.
+    fn completion_heap_len(&self) -> usize {
         self.heap.len()
+    }
+}
+
+#[cfg(test)]
+impl<K: Copy + Ord + Hash> ProgressSet<K> {
+    /// Remaining work of job `key`, a group of its own, as of the current
+    /// clock.
+    fn remaining(&self, key: K) -> Option<f64> {
+        let jobs = &self.groups[*self.index.get(&key)? as usize].jobs;
+        let mut job = *jobs.iter().find(|j| j.key == key)?;
+        job.settle(self.last);
+        Some(job.remaining)
+    }
+
+    /// Removes job `key`, a group of its own, returning its remaining work
+    /// if it was present.
+    fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
+        self.advance_to(now);
+        let slot = *self.index.get(&key)?;
+        let jobs = &mut self.groups[slot as usize].jobs;
+        let mut job = jobs.swap_remove(jobs.iter().position(|j| j.key == key)?);
+        let at = jobs.iter().filter_map(Job::due).min();
+        self.len -= 1;
+        job.settle(self.last);
+        self.refresh(key, slot, at);
+        Some(job.remaining)
     }
 }
 
@@ -524,14 +602,29 @@ mod tests {
     }
 
     #[test]
-    fn round_nonneg_is_f64_round_bit_for_bit() {
+    fn completion_past_the_end_of_time_is_never_announced() {
+        // A job that would drain past the last representable instant never
+        // comes due, so collecting at that instant finds nothing instead of
+        // re-announcing the job there forever.
+        let start = SimTime(u64::MAX - 10);
+        let mut ps = ProgressSet::new();
+        ps.insert(start, 1u32, 1.0);
+        ps.set_rate(start, 1, 1.0);
+        assert_eq!(ps.earliest_completion(), None);
+        assert!(ps.take_finished(SimTime(u64::MAX)).is_empty());
+        assert_eq!(ps.remaining(1), Some(1.0 - 10.0 * 1e-9));
+    }
+
+    #[test]
+    fn round_ns_is_f64_round_bit_for_bit() {
         use simrng::{Rng, Xoshiro256};
         let same = |x: f64| {
-            let (ours, std) = (round_nonneg(x), x.round());
-            assert!(
-                ours.to_bits() == std.to_bits() || (ours.is_nan() && std.is_nan()),
-                "{x:e}: {ours:e} vs {std:e}"
-            );
+            if x.is_nan() {
+                return; // a drain time is never NaN
+            }
+            let std = x.round().max(1.0);
+            let std = (std < u64::MAX as f64).then_some(std as u64);
+            assert_eq!(round_ns(x), std, "{x:e}");
         };
         let two52 = 4_503_599_627_370_496.0_f64;
         let edges = [
@@ -547,15 +640,16 @@ mod tests {
             two52,
             two52 + 1.0,
             2.0 * two52,
+            u64::MAX as f64,
+            (u64::MAX as f64).next_down(),
             f64::MAX,
             f64::INFINITY,
-            f64::NAN,
         ];
         edges.into_iter().for_each(same);
         let mut rng = Xoshiro256::seed_from_u64(0x20DE);
         for _ in 0..200_000 {
             // Every exponent (the sign bit cleared), ties and their
-            // neighbours, and the nanosecond counts `announce` rounds.
+            // neighbours, and the nanosecond counts `due` rounds.
             same(f64::from_bits(rng.next_u64() >> 1));
             let tie = rng.gen_below(1 << 52) as f64 + 0.5;
             [tie, tie.next_down(), tie.next_up()]
@@ -587,6 +681,7 @@ mod tests {
 #[cfg(test)]
 mod props {
     use super::*;
+    use crate::time::SimDuration;
     use simrng::{Rng, Xoshiro256};
 
     /// Splitting an advance into arbitrary sub-steps conserves work.
@@ -745,6 +840,8 @@ mod props {
     struct Naive {
         jobs: Vec<NaiveJob>,
         last: SimTime,
+        /// Jobs `take_finished` found due but, once settled, not finished.
+        due_unfinished: usize,
     }
 
     struct NaiveJob {
@@ -771,7 +868,9 @@ mod props {
                 Some(last)
             } else if j.rate > 0.0 {
                 let ns = (j.remaining / j.rate * 1e9).round().max(1.0);
-                (ns < u64::MAX as f64).then(|| last + SimDuration::from_nanos(ns as u64))
+                let ns = (ns < u64::MAX as f64).then_some(ns as u64);
+                ns.and_then(|ns| last.as_nanos().checked_add(ns))
+                    .map(SimTime)
             } else {
                 None
             };
@@ -827,6 +926,8 @@ mod props {
                 self.settle_and_announce(i);
                 if Self::finished(&self.jobs[i]) {
                     done.push(self.jobs.remove(i).key);
+                } else {
+                    self.due_unfinished += 1;
                 }
             }
             done.sort_unstable();
@@ -834,22 +935,37 @@ mod props {
         }
     }
 
-    /// Every live job's recorded heap position holds its own entry, every
-    /// entry belongs to a live job, and the heap is in `(at, key)` order.
-    fn assert_heap_indexed(ps: &ProgressSet<u32>) {
-        assert!(ps.completion_heap_len() <= ps.len());
-        let mut announced = 0;
-        for (&key, &slot) in &ps.index {
-            if let Some(pos) = ps.jobs[slot as usize].pos {
-                let due = &ps.heap[pos as usize];
-                assert_eq!((due.key, due.slot), (key, slot), "stale position");
+    /// Every live group holds jobs, its recorded heap position holds its own
+    /// entry, and that entry is the earliest of its jobs' own announcements
+    /// (none at all when no job is due); every entry belongs to a live group;
+    /// the heap is in `(at, group)` order; and the job count adds up.
+    fn assert_heap_indexed<G: Copy + Ord + Hash + std::fmt::Debug>(ps: &ProgressSet<u32, G>) {
+        assert!(ps.completion_heap_len() <= ps.index.len());
+        let (mut announced, mut jobs) = (0, 0);
+        for (&group, &slot) in &ps.index {
+            let g = &ps.groups[slot as usize];
+            assert!(!g.jobs.is_empty(), "a live group without jobs");
+            jobs += g.jobs.len();
+            let earliest = g.jobs.iter().filter_map(Job::due).min();
+            let entry = g.pos.map(|pos| ps.heap[pos as usize]);
+            if let Some(due) = entry {
+                assert_eq!((due.group, due.slot), (group, slot), "stale position");
                 announced += 1;
             }
+            assert_eq!(
+                entry.map(|due| due.at),
+                earliest,
+                "group {group:?} mis-announced"
+            );
         }
-        assert_eq!(announced, ps.heap.len(), "an entry without a live job");
+        assert_eq!(jobs, ps.len());
+        assert_eq!(announced, ps.heap.len(), "an entry without a live group");
         for (i, due) in ps.heap.iter().enumerate().skip(1) {
             let parent = &ps.heap[(i - 1) / 2];
-            assert!((parent.at, parent.key) <= (due.at, due.key), "heap order");
+            assert!(
+                (parent.at, parent.group) <= (due.at, due.group),
+                "heap order"
+            );
         }
     }
 
@@ -906,5 +1022,115 @@ mod props {
                 assert_heap_indexed(&ps);
             }
         }
+    }
+
+    /// Re-rates every job of `group` in both sets, the reference one job at
+    /// a time.
+    fn re_rate(
+        ps: &mut ProgressSet<u32, u8>,
+        naive: &mut Naive,
+        members: &[u32],
+        (now, group, rate): (SimTime, u8, f64),
+    ) {
+        ps.set_group_rate(now, group, rate);
+        for &key in members {
+            naive.set_rate(now, key, rate);
+        }
+    }
+
+    /// Groups of one to six jobs, each re-rated as a whole, answer exactly as
+    /// the per-job reference does when it re-rates every member on its own:
+    /// the same completions at the same instants, and every job settled to
+    /// the same bits at the same instants. The streams mix zero work,
+    /// same-instant re-rates and rate drops at the instant a group comes due.
+    /// Every other stream drains work large enough, at rates slow enough,
+    /// that float rounding can leave a due job unfinished — a path the
+    /// streams must reach.
+    #[test]
+    fn grouped_set_matches_per_job_reference() {
+        let mut rng = Xoshiro256::seed_from_u64(0x6209);
+        let mut due_unfinished = 0;
+        for case in 0..128 {
+            let mut ps: ProgressSet<u32, u8> = ProgressSet::new();
+            let mut naive = Naive::default();
+            let mut group_of = std::collections::BTreeMap::<u32, u8>::new();
+            let mut now = SimTime::ZERO;
+            let mut next_key = 0u32;
+            let (works, rates): (&[f64], &[f64]) = if case % 2 == 0 {
+                (&[0.0, 1.0, 1.0, 2.0, 1e3], &[0.0, 0.5, 1.0, 1.0, 2.0, 1e9])
+            } else {
+                (&[0.0, 3e11, 3e11, 7e11], &[0.0, 40.0, 7e3, 7e3, 3e4])
+            };
+            for step in 0..300 {
+                let members = |group_of: &std::collections::BTreeMap<u32, u8>, group: u8| {
+                    let of = |(&key, &g): (&u32, &u8)| (g == group).then_some(key);
+                    group_of.iter().filter_map(of).collect::<Vec<u32>>()
+                };
+                let group = rng.gen_below(5) as u8;
+                match rng.gen_index(7) {
+                    0 | 1 if members(&group_of, group).len() < 6 => {
+                        let work = works[rng.gen_index(works.len())];
+                        ps.insert_in(now, group, next_key, work);
+                        naive.insert(now, next_key, work);
+                        group_of.insert(next_key, group);
+                        next_key += 1;
+                    }
+                    2 | 3 => {
+                        // A burst re-rates whole groups at one instant, as a
+                        // reassignment does.
+                        for _ in 0..1 + rng.gen_index(3) {
+                            let group = rng.gen_below(5) as u8;
+                            let jobs = members(&group_of, group);
+                            let rate = rates[rng.gen_index(rates.len())];
+                            if !jobs.is_empty() {
+                                re_rate(&mut ps, &mut naive, &jobs, (now, group, rate));
+                            }
+                        }
+                    }
+                    4 => {
+                        // The group due next drops its rate at its due
+                        // instant, before anything collects it.
+                        if let Some((group, at)) = ps.earliest_completion() {
+                            now = at;
+                            let rate = rates[rng.gen_index(rates.len())] / 4.0;
+                            let jobs = members(&group_of, group);
+                            re_rate(&mut ps, &mut naive, &jobs, (now, group, rate));
+                        }
+                    }
+                    _ => {
+                        now = match ps.earliest_completion() {
+                            Some((_, at)) if rng.gen_bool() => at,
+                            _ => now + SimDuration::from_nanos(rng.gen_range_u64(0, 3_000_000_000)),
+                        };
+                        let done = ps.take_finished(now);
+                        assert_eq!(done, naive.take_finished(now), "case {case} step {step}");
+                        for key in done {
+                            group_of.remove(&key);
+                        }
+                    }
+                }
+                assert_eq!(
+                    ps.earliest_completion().map(|(_, at)| at),
+                    naive.earliest_completion().map(|(_, at)| at),
+                    "case {case} step {step}"
+                );
+                for want in &naive.jobs {
+                    let slot = ps.index[&group_of[&want.key]];
+                    let jobs = &ps.groups[slot as usize].jobs;
+                    let got = jobs.iter().find(|j| j.key == want.key).unwrap();
+                    assert_eq!(
+                        (got.remaining.to_bits(), got.settled_at),
+                        (want.remaining.to_bits(), want.settled_at),
+                        "case {case} step {step}: job {}",
+                        want.key
+                    );
+                }
+                assert_eq!(ps.len(), naive.jobs.len());
+                assert_heap_indexed(&ps);
+            }
+            due_unfinished += naive.due_unfinished;
+        }
+        println!("jobs found due but not finished: {due_unfinished}");
+        assert!(due_unfinished >= 1, "no stream left a due job unfinished");
     }
 }

@@ -25,11 +25,11 @@ pub(crate) struct StepInfo {
 /// One node's processor.
 #[derive(Clone, Default)]
 struct NodeCpu {
-    /// Running steps, in start order.
-    steps: Vec<u64>,
-    /// Rate last pushed to every one of `steps`; they are only re-rated
-    /// when the share moves or `dirty` is set, because touching a step
-    /// settles it and re-keys its completion-heap entry.
+    /// Running steps.
+    steps: usize,
+    /// Rate last pushed to the node's steps; they are only re-rated when
+    /// the share moves or `dirty` is set, because a re-rate settles every
+    /// step and re-keys the node's completion-heap entry.
     rate: f64,
     /// A step started or finished here since the last reprice — its steps
     /// need fresh rates even if the share is unchanged (a new step still
@@ -40,7 +40,8 @@ struct NodeCpu {
 /// Cloning it gives a fork its own independent copy.
 #[derive(Clone)]
 pub(crate) struct CpuModel {
-    progress: ProgressSet<u64>,
+    /// Running steps, grouped by node: a node's steps share one rate.
+    progress: ProgressSet<u64, NodeId>,
     steps: FxHashMap<u64, StepInfo>,
     /// Indexed by `NodeId`.
     nodes: Vec<NodeCpu>,
@@ -81,9 +82,9 @@ impl CpuModel {
     /// [`reprice`]: CpuModel::reprice
     pub(crate) fn start(&mut self, id: u64, info: StepInfo) {
         self.progress
-            .insert(info.start, id, info.work.as_secs_f64());
+            .insert_in(info.start, info.node, id, info.work.as_secs_f64());
         self.steps.insert(id, info);
-        self.nodes[info.node.0 as usize].steps.push(id);
+        self.nodes[info.node.0 as usize].steps += 1;
         self.touch(info.node);
     }
 
@@ -102,9 +103,7 @@ impl CpuModel {
     /// Forgets a finished step, freeing its share of the node.
     pub(crate) fn retire(&mut self, id: u64) -> StepInfo {
         let info = self.steps.remove(&id).expect("unknown step");
-        let steps = &mut self.nodes[info.node.0 as usize].steps;
-        let at = steps.iter().position(|&s| s == id);
-        steps.remove(at.expect("running step is on its node"));
+        self.nodes[info.node.0 as usize].steps -= 1;
         self.touch(info.node);
         info
     }
@@ -131,7 +130,7 @@ impl CpuModel {
                 continue;
             };
             let repopulated = std::mem::take(&mut cpu.dirty);
-            let k = cpu.steps.len();
+            let k = cpu.steps;
             if k == 0 {
                 continue;
             }
@@ -140,10 +139,82 @@ impl CpuModel {
                 continue;
             }
             cpu.rate = rate;
-            for &id in &cpu.steps {
-                self.progress.set_rate(now, id, rate);
-            }
+            self.progress.set_group_rate(now, node, rate);
         }
         self.scratch = affected;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Closed forms for processor sharing on one node: `k` steps share the
+    //! processor evenly, so equal steps finish together and staggered ones
+    //! at the partial sums of `(k − m + 1)·s`.
+
+    use dps::{OpId, ThreadId};
+    use netmodel::NetParams;
+
+    use super::*;
+    use crate::fabric::SimFabric;
+
+    /// Starts steps of the given lengths together on node 0 of an idle
+    /// machine and drives the model the way the engine does: collect,
+    /// retire, re-split. Returns each step's completion instant.
+    fn run_steps(works: &[SimDuration]) -> Vec<SimTime> {
+        let mut fabric = SimFabric::new(NetParams::ideal());
+        let mut cpu = CpuModel::new(1);
+        for &work in works {
+            let id = cpu.reserve_id();
+            let server = (OpId(0), ThreadId(0));
+            let (node, start) = (NodeId(0), SimTime::ZERO);
+            cpu.start(
+                id,
+                StepInfo {
+                    server,
+                    node,
+                    start,
+                    work,
+                },
+            );
+        }
+        cpu.reprice(SimTime::ZERO, &mut fabric);
+        let (mut done, mut finished) = (vec![SimTime::ZERO; works.len()], Vec::new());
+        while let Some(t) = cpu.next_completion() {
+            cpu.take_finished_into(t, &mut finished);
+            for id in finished.drain(..) {
+                cpu.retire(id);
+                done[id as usize] = t;
+            }
+            cpu.reprice(t, &mut fabric);
+        }
+        done
+    }
+
+    fn assert_within_a_nanosecond(got: SimTime, want_ns: f64, what: &str) {
+        let err = (got.as_nanos() as f64 - want_ns).abs();
+        assert!(err <= 1.0, "{what}: {got} vs {want_ns} ns");
+    }
+
+    #[test]
+    fn k_equal_steps_finish_together_at_k_times_their_length() {
+        let s = SimDuration::from_nanos(1_234_567);
+        for k in 1..=6 {
+            for (i, got) in run_steps(&vec![s; k]).into_iter().enumerate() {
+                let want = k as f64 * s.as_nanos() as f64;
+                assert_within_a_nanosecond(got, want, &format!("k={k}, step {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn k_staggered_steps_finish_at_processor_sharing_times() {
+        let s = 1_234_567u64;
+        for k in 1..=6u64 {
+            let works: Vec<_> = (1..=k).map(|j| SimDuration::from_nanos(j * s)).collect();
+            for (got, j) in run_steps(&works).into_iter().zip(1..) {
+                let want: u64 = (1..=j).map(|m| (k - m + 1) * s).sum();
+                assert_within_a_nanosecond(got, want as f64, &format!("k={k}, step {j}"));
+            }
+        }
     }
 }

@@ -15,19 +15,22 @@
 //! star topology a flow's rate is `min(up(src)/n_out(src),
 //! down(dst)/n_in(dst))`, so an arrival or departure can only change the
 //! rates of flows sharing its source's uplink or its destination's
-//! downlink. `advance` therefore reassigns rates only for flows on those
-//! *dirty* links — O(port degree) per change — instead of recomputing the
-//! whole flow set, from a per-link share `capacity / n` that is refreshed
-//! once per dirty link. Max-min sharing has no such locality (slack
-//! propagates transitively through ports) and falls back to the full
-//! iterative computation.
+//! downlink. Every flow between one (source, destination) pair crosses the
+//! same two links, so a rate belongs to the pair: the pair is the flows'
+//! [`ProgressSet`] group. `advance` therefore re-rates only the pairs with
+//! flows on those *dirty* links — one group re-rate per pair, from a
+//! per-link share `capacity / n` that is refreshed once per dirty link —
+//! instead of recomputing the whole flow set. Max-min sharing has no such
+//! locality (slack propagates transitively through ports) and falls back
+//! to the full iterative computation, which still freezes every flow of a
+//! pair at one share.
 
 use std::collections::VecDeque;
 
-use desim::{FxHashMap, ProgressSet, RateTimeline, RateWindow, SimTime};
+use desim::{ProgressSet, RateTimeline, RateWindow, SimTime};
 
 use crate::fairness::{compute_rates, FlowSpec, Sharing};
-use crate::params::{NetParams, NodeId};
+use crate::params::{is_bandwidth, NetParams, NodeId};
 
 /// Identifies one data-object transfer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -53,19 +56,25 @@ pub struct NetStats {
     pub wire_bytes: u64,
 }
 
+/// A bandwidth-phase flow as the progress set keys it: its id, then its
+/// endpoints, so keys order by id.
+type ActiveFlow = (FlowId, NodeId, NodeId);
+
 /// The two sides of a node's star port, as indices.
 const UP: usize = 0;
 const DOWN: usize = 1;
 
 /// Everything the model keeps about one node, `[UP, DOWN]` where its two
-/// links differ. The two flow-list lengths are the only inputs to
-/// equal-split rates.
+/// links differ. The two flow counts are the only inputs to equal-split
+/// rates.
 #[derive(Clone, Debug, Default)]
 struct Port {
     /// Bandwidth-phase flows leaving through the uplink / arriving through
-    /// the downlink, each with the node at its other end, in promotion
-    /// order.
-    flows: [Vec<(FlowId, NodeId)>; 2],
+    /// the downlink.
+    flows: [usize; 2],
+    /// The node at the other end of every pair with bandwidth-phase flows
+    /// on the link, with the pair's flow count.
+    pairs: [Vec<(NodeId, usize)>; 2],
     /// Capacity override in bytes/s, for heterogeneous clusters (straggler
     /// nodes, mixed link speeds).
     capacity: Option<[f64; 2]>,
@@ -93,9 +102,9 @@ pub struct Network {
     /// a queue prefix — no ordered map needed. Equal expiries stay in
     /// FlowId order by construction.
     latent: VecDeque<(SimTime, FlowId, FlowSpec, f64)>,
-    /// Flows draining bytes under the sharing discipline.
-    active: ProgressSet<FlowId>,
-    specs: FxHashMap<FlowId, FlowSpec>,
+    /// Flows draining bytes under the sharing discipline, grouped by
+    /// (source, destination) pair.
+    active: ProgressSet<ActiveFlow, (NodeId, NodeId)>,
     /// One record per node, indexed by `NodeId`; grown on first use.
     ports: Vec<Port>,
     /// Nodes with a `dirty` mark; drained by `advance`.
@@ -106,7 +115,7 @@ pub struct Network {
     load_dirty: Vec<NodeId>,
     /// Buffer for the flows one [`Network::advance_into`] finds finished;
     /// empty between calls.
-    finished: Vec<FlowId>,
+    finished: Vec<ActiveFlow>,
     stats: NetStats,
     /// Scheduled capacity multipliers (fault injection) of every node's
     /// uplink and downlink. Each [`Network::schedule_capacity_window`] call
@@ -125,7 +134,6 @@ impl Network {
             next_id: 0,
             latent: VecDeque::new(),
             active: ProgressSet::new(),
-            specs: FxHashMap::default(),
             ports: Vec::new(),
             rate_dirty: Vec::new(),
             load_dirty: Vec::new(),
@@ -158,11 +166,29 @@ impl Network {
         }
     }
 
-    /// Records that a flow entered or left the bandwidth phase: its
+    /// Counts a flow into (`joined`) or out of the bandwidth phase on both
+    /// its links, listing its pair there while the pair has flows. Its
     /// source's uplink and its destination's downlink need re-splitting,
     /// and both nodes' communication load moved.
-    fn population_changed(&mut self, spec: FlowSpec) {
-        for (node, side) in [(spec.src, UP), (spec.dst, DOWN)] {
+    fn population_changed(&mut self, spec: FlowSpec, joined: bool) {
+        for (node, peer, side) in [(spec.src, spec.dst, UP), (spec.dst, spec.src, DOWN)] {
+            let Port { flows, pairs, .. } = self.port_mut(node);
+            let pairs = &mut pairs[side];
+            let at = pairs.iter().position(|p| p.0 == peer);
+            if joined {
+                flows[side] += 1;
+                match at {
+                    Some(i) => pairs[i].1 += 1,
+                    None => pairs.push((peer, 1)),
+                }
+            } else {
+                flows[side] -= 1;
+                let i = at.expect("a departing flow's pair is listed");
+                pairs[i].1 -= 1;
+                if pairs[i].1 == 0 {
+                    pairs.swap_remove(i);
+                }
+            }
             self.mark_link(node, side);
             if !std::mem::replace(&mut self.port_mut(node).load_dirty, true) {
                 self.load_dirty.push(node);
@@ -179,7 +205,11 @@ impl Network {
         up_bytes_per_sec: f64,
         down_bytes_per_sec: f64,
     ) {
-        assert!(up_bytes_per_sec > 0.0 && down_bytes_per_sec > 0.0);
+        assert!(
+            is_bandwidth(up_bytes_per_sec) && is_bandwidth(down_bytes_per_sec),
+            "capacity of node {node} must be finite and positive, \
+             got up {up_bytes_per_sec}, down {down_bytes_per_sec}"
+        );
         self.port_mut(node).capacity = Some([up_bytes_per_sec, down_bytes_per_sec]);
         self.mark_link(node, UP);
         self.mark_link(node, DOWN);
@@ -254,7 +284,8 @@ impl Network {
     /// Current assigned rate (bytes/s) of a flow in its bandwidth phase.
     /// `None` for latent, completed, or unknown flows.
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.active.rate(id)
+        let key = self.active.keys().find(|key| key.0 == id)?;
+        self.active.rate((key.1, key.2), key)
     }
 
     /// Starts a transfer of `payload_bytes` from `src` to `dst`.
@@ -327,25 +358,17 @@ impl Network {
                 break;
             }
             let (_, id, spec, bytes) = self.latent.pop_front().expect("just seen");
-            self.specs.insert(id, spec);
-            self.active.insert(now, id, bytes);
-            self.port_mut(spec.src).flows[UP].push((id, spec.dst));
-            self.port_mut(spec.dst).flows[DOWN].push((id, spec.src));
-            self.population_changed(spec);
+            let pair = (spec.src, spec.dst);
+            self.active
+                .insert_in(now, pair, (id, spec.src, spec.dst), bytes);
+            self.population_changed(spec, true);
         }
 
         // Collect completions (at the rates assigned before this advance).
         let mut done = std::mem::take(&mut self.finished);
         self.active.take_finished_into(now, &mut done);
-        for id in done.drain(..) {
-            let spec = self.specs.remove(&id).expect("active flow has a spec");
-            for (node, side) in [(spec.src, UP), (spec.dst, DOWN)] {
-                // Order-preserving, and stops at the hit.
-                let flows = &mut self.ports[node.0 as usize].flows[side];
-                let at = flows.iter().position(|&(f, _)| f == id);
-                flows.remove(at.expect("active flow is on both its links"));
-            }
-            self.population_changed(spec);
+        for (id, src, dst) in done.drain(..) {
+            self.population_changed(FlowSpec { src, dst }, false);
             self.stats.flows_completed += 1;
             events.push(NetEvent::Completed(id));
         }
@@ -363,7 +386,7 @@ impl Network {
     pub fn comm_counts(&self, node: NodeId) -> (usize, usize) {
         self.ports
             .get(node.0 as usize)
-            .map_or((0, 0), |p| (p.flows[DOWN].len(), p.flows[UP].len()))
+            .map_or((0, 0), |p| (p.flows[DOWN], p.flows[UP]))
     }
 
     /// Fraction of `node`'s processor left for computation while it handles
@@ -395,8 +418,8 @@ impl Network {
     /// reads the two quotients from [`Port::share`]; debug builds check every
     /// rate it installs against this.
     fn equal_split_rate(&self, spec: FlowSpec) -> f64 {
-        let n_out = self.ports[spec.src.0 as usize].flows[UP].len();
-        let n_in = self.ports[spec.dst.0 as usize].flows[DOWN].len();
+        let n_out = self.ports[spec.src.0 as usize].flows[UP];
+        let n_in = self.ports[spec.dst.0 as usize].flows[DOWN];
         let up_share = self.link_capacity(spec.src, UP) / n_out as f64;
         let down_share = self.link_capacity(spec.dst, DOWN) / n_in as f64;
         up_share.min(down_share)
@@ -409,35 +432,56 @@ impl Network {
     /// equal-split path evaluates the same expressions), which makes it the
     /// oracle the incremental path is tested against.
     pub fn rates_from_scratch(&self) -> Vec<(FlowId, f64)> {
-        let mut ids: Vec<FlowId> = self.active.keys().collect();
-        ids.sort_unstable();
-        if ids.is_empty() {
+        let rates = self.fair_rates().into_iter();
+        rates.map(|((id, ..), rate)| (id, rate)).collect()
+    }
+
+    /// [`rates_from_scratch`](Network::rates_from_scratch), keyed by the
+    /// whole active flow.
+    fn fair_rates(&self) -> Vec<(ActiveFlow, f64)> {
+        let mut keys: Vec<ActiveFlow> = self.active.keys().collect();
+        if keys.is_empty() {
             return Vec::new();
         }
-        let flows: Vec<(u64, FlowSpec)> = ids.iter().map(|id| (id.0, self.specs[id])).collect();
+        keys.sort_unstable();
+        let flows: Vec<(u64, FlowSpec)> = (keys.iter())
+            .map(|&(id, src, dst)| (id.0, FlowSpec { src, dst }))
+            .collect();
         let rates = compute_rates(
             &flows,
             |n| self.link_capacity(n, UP),
             |n| self.link_capacity(n, DOWN),
             self.sharing,
         );
-        ids.into_iter().map(|id| (id, rates[&id.0])).collect()
+        keys.into_iter()
+            .map(|key| (key, rates[&key.0 .0]))
+            .collect()
     }
 
     /// Reassigns rates after the active set (or a capacity) changed,
     /// clearing the links' dirty marks.
     ///
-    /// Under equal split only flows crossing a dirty link can have changed
+    /// Under equal split only pairs crossing a dirty link can have changed
     /// rates, and every one of them is re-rated exactly once — also when its
-    /// rate comes out bit-equal, because the re-rate settles the flow and
-    /// the settlement point is where its remaining bytes are rounded. Flows
-    /// that merely share a *node* with a dirty link (its other side) are
-    /// left alone for the same reason.
+    /// rate comes out bit-equal, because the re-rate settles its flows and
+    /// the settlement point is where their remaining bytes are rounded.
+    /// Pairs that merely share a *node* with a dirty link (its other side)
+    /// are left alone for the same reason.
     fn reassign_rates(&mut self, now: SimTime) {
         if self.sharing == Sharing::MaxMin {
-            // No locality: a departure's slack can cascade anywhere.
-            for (id, rate) in self.rates_from_scratch() {
-                self.active.set_rate(now, id, rate);
+            // No locality: a departure's slack can cascade anywhere. The
+            // flows of a pair are frozen in one round at one share.
+            let rates = self.fair_rates().into_iter();
+            let mut pairs: Vec<_> = rates
+                .map(|((_, src, dst), rate)| ((src, dst), rate))
+                .collect();
+            pairs.sort_unstable_by_key(|&(pair, _)| pair);
+            pairs.dedup_by(|a, b| {
+                debug_assert!(a.0 != b.0 || a.1 == b.1, "pair {:?} split", a.0);
+                a.0 == b.0
+            });
+            for (pair, rate) in pairs {
+                self.active.set_group_rate(now, pair, rate);
             }
         } else {
             for i in 0..self.rate_dirty.len() {
@@ -445,7 +489,7 @@ impl Network {
                 for side in [UP, DOWN] {
                     let port = &self.ports[node.0 as usize];
                     if port.dirty[side] {
-                        let n = port.flows[side].len() as f64;
+                        let n = port.flows[side] as f64;
                         self.ports[node.0 as usize].share[side] =
                             self.link_capacity(node, side) / n;
                     }
@@ -454,7 +498,7 @@ impl Network {
             for &node in &self.rate_dirty {
                 let port = &self.ports[node.0 as usize];
                 for side in [UP, DOWN].into_iter().filter(|&side| port.dirty[side]) {
-                    for &(id, peer) in &port.flows[side] {
+                    for &(peer, _) in &port.pairs[side] {
                         let (src, dst) = [(node, peer), (peer, node)][side];
                         let (up, down) = (&self.ports[src.0 as usize], &self.ports[dst.0 as usize]);
                         if side == DOWN && up.dirty[UP] {
@@ -466,7 +510,7 @@ impl Network {
                             self.equal_split_rate(FlowSpec { src, dst }).to_bits(),
                             "stale link share"
                         );
-                        self.active.set_rate(now, id, rate);
+                        self.active.set_group_rate(now, (src, dst), rate);
                     }
                 }
             }
@@ -555,6 +599,67 @@ mod tests {
         // Each gets 0.5 MB/s, so both 0.5 MB payloads finish at t = 1 s.
         for (t, _) in done {
             assert_eq!(t, SimTime(1_000_000_000));
+        }
+    }
+
+    /// The (source, destination) of the `i`-th of several flows.
+    type Ends = fn(u32) -> (u32, u32);
+
+    /// Where the `i`-th of `k` flows runs: all between one pair (one group
+    /// of `k`), fanning out from node 0, or fanning in to node 0.
+    const SHAPES: [(&str, Ends); 3] = [
+        ("one pair", |_| (0, 1)),
+        ("fan-out", |i| (0, i + 1)),
+        ("fan-in", |i| (i + 1, 0)),
+    ];
+
+    /// Starts flows of the given sizes together, the `i`-th between the
+    /// nodes `ends(i)` names, and returns each one's completion instant.
+    fn run_flows(sizes: &[u64], ends: Ends) -> Vec<SimTime> {
+        let mut n = net(70, 12.5e6);
+        let ids: Vec<FlowId> = (0..sizes.len() as u32)
+            .map(|i| {
+                let (src, dst) = ends(i);
+                n.start_flow(SimTime::ZERO, NodeId(src), NodeId(dst), sizes[i as usize])
+            })
+            .collect();
+        let done = drain(&mut n);
+        let at = |id| done.iter().find(|&&(_, f)| f == id).expect("delivered").0;
+        ids.into_iter().map(at).collect()
+    }
+
+    fn assert_within_a_nanosecond(got: SimTime, want_ns: f64, what: &str) {
+        let err = (got.as_nanos() as f64 - want_ns).abs();
+        assert!(err <= 1.0, "{what}: {got} vs {want_ns} ns");
+    }
+
+    #[test]
+    fn k_equal_flows_complete_together_at_latency_plus_k_shares() {
+        // t = l + k·s/b under exact k-way contention, on one link.
+        let (l, s, b) = (70_000.0, 123_457, 12.5e6);
+        for (shape, ends) in SHAPES {
+            for k in 1..=6 {
+                for (i, got) in run_flows(&vec![s; k], ends).into_iter().enumerate() {
+                    let want = l + k as f64 * s as f64 / b * 1e9;
+                    assert_within_a_nanosecond(got, want, &format!("{shape}, k={k}, flow {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staggered_flows_on_one_uplink_complete_at_processor_sharing_times() {
+        // Sizes s, 2s, …, ks: the j-th completes at l + Σ_{m≤j} (k−m+1)·s/b.
+        let (l, s, b) = (70_000.0, 123_457, 12.5e6);
+        for (shape, ends) in &SHAPES[..2] {
+            for k in 1..=6u64 {
+                let sizes: Vec<u64> = (1..=k).map(|j| j * s).collect();
+                for (got, j) in run_flows(&sizes, *ends).into_iter().zip(1..) {
+                    let bytes: u64 = (1..=j).map(|m| (k - m + 1) * s).sum();
+                    let want = l + bytes as f64 / b * 1e9;
+                    assert_within_a_nanosecond(got, want, &format!("{shape}, k={k}, flow {j}"));
+                }
+            }
         }
     }
 
@@ -689,6 +794,19 @@ mod tests {
         assert_eq!(t_slow, SimTime(1_000_000_000)); // at 0.25 MB/s
         assert_eq!(n.node_capacity(NodeId(1)), (1e6, 0.25e6));
         assert_eq!(n.node_capacity(NodeId(0)), (1e6, 1e6));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity of node n0 must be finite and positive")]
+    fn infinite_node_capacity_is_refused_where_it_is_set() {
+        // `NetParams::validate`'s predicate. Without it, two infinite ports
+        // with a flow between them surface as an invalid rate at the next
+        // advance, far from the cause.
+        let mut n = net(0, 1e6);
+        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1_000);
+        n.set_node_capacity(NodeId(0), f64::INFINITY, f64::INFINITY);
+        n.set_node_capacity(NodeId(1), f64::INFINITY, f64::INFINITY);
+        n.advance(SimTime::ZERO);
     }
 
     #[test]

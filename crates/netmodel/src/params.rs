@@ -37,6 +37,11 @@ pub struct NetParams {
     pub per_message_overhead_bytes: u64,
 }
 
+/// Whether `v` is a usable link capacity in bytes/s: finite and positive.
+pub(crate) fn is_bandwidth(v: f64) -> bool {
+    v.is_finite() && v > 0.0
+}
+
 impl NetParams {
     /// Fast Ethernet parameters matching the paper's testbed (100 Mb/s full
     /// duplex, ~70 µs one-way latency as typical for the era's switches and
@@ -90,8 +95,7 @@ impl NetParams {
 
     /// Checks bandwidths are positive and CPU costs are fractions.
     pub fn validate(&self) -> Result<(), String> {
-        let positive = |v: f64| v.is_finite() && v > 0.0;
-        if !positive(self.up_bytes_per_sec) || !positive(self.down_bytes_per_sec) {
+        if !is_bandwidth(self.up_bytes_per_sec) || !is_bandwidth(self.down_bytes_per_sec) {
             return Err("bandwidth must be positive".into());
         }
         if !(0.0..1.0).contains(&self.cpu_in_cost) || !(0.0..1.0).contains(&self.cpu_out_cost) {
