@@ -78,7 +78,7 @@ struct Port {
     /// Capacity override in bytes/s, for heterogeneous clusters (straggler
     /// nodes, mixed link speeds).
     capacity: Option<[f64; 2]>,
-    /// Equal share of each link, `link_capacity / flows.len()`, as of the
+    /// Equal share of each link, `link_capacity / flows`, as of the
     /// last rate assignment that found the link dirty. Whatever moves
     /// either input marks the link, so a clean link's share is current.
     share: [f64; 2],
@@ -444,9 +444,8 @@ impl Network {
             return Vec::new();
         }
         keys.sort_unstable();
-        let flows: Vec<(u64, FlowSpec)> = (keys.iter())
-            .map(|&(id, src, dst)| (id.0, FlowSpec { src, dst }))
-            .collect();
+        let flow = |&(id, src, dst): &ActiveFlow| (id.0, FlowSpec { src, dst });
+        let flows: Vec<(u64, FlowSpec)> = keys.iter().map(flow).collect();
         let rates = compute_rates(
             &flows,
             |n| self.link_capacity(n, UP),
