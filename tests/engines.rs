@@ -441,6 +441,179 @@ fn service_output_is_pinned() {
 }
 
 #[test]
+fn service_stage_order_is_pinned() {
+    // The pins above serve streams without `cancel_at`, and only under
+    // elastic recovery or what-if. This serve puts `CancelJob` global
+    // events on the same instants as phase ends and arrivals, on pending,
+    // running and limbo jobs, over 3 cells × 4 nodes and three tenants
+    // (one with an inflight quota, one with a pending bound), under rigid,
+    // malleable and elastic recovery, quiet and under a seeded fault plan.
+    // It pins the per-instant stage order: global events, then arrivals,
+    // then phase ends in cell order.
+    use dvns::cluster::SchedulePolicy;
+    use dvns::cluster_svc::{
+        decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, SyntheticLoad,
+        TenantSpec, NO_CELL,
+    };
+    use dvns::desim::{Journal, JournalEvent, SimTime};
+    use dvns::faults::{CheckpointSpec, FaultGenConfig, FaultPlan};
+
+    const JOBS: u64 = 240;
+    let gap = SimDuration::from_millis(150);
+    let cfg = |policy| {
+        ServiceConfig::new(4, 3, 1, policy)
+            .with_tenant(TenantSpec::new("gold", 3).with_max_inflight(3))
+            .with_tenant(TenantSpec::new("silver", 2).with_max_pending(4))
+            .with_tenant(TenantSpec::new("bronze", 1))
+    };
+    let policies = [
+        ("rigid", SchedulePolicy::Rigid),
+        (
+            "malleable",
+            SchedulePolicy::Malleable {
+                min_efficiency: 0.5,
+            },
+        ),
+        (
+            "elastic",
+            SchedulePolicy::ElasticRecovery {
+                min_efficiency: 0.5,
+                base_backoff: SimDuration::from_secs(1),
+                max_backoff: SimDuration::from_secs(8),
+            },
+        ),
+    ];
+    let faulted = FaultGenConfig {
+        crashes: 2,
+        preempts: 4,
+        slowdowns: 2,
+        degrades: 1,
+        checkpoint: CheckpointSpec::every(
+            2,
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(50),
+        ),
+        ..FaultGenConfig::quiet(12, gap * JOBS)
+    }
+    .generate(3);
+    // Job ids are stream positions. Jobs 0 and 1 start at t = 0 on an idle
+    // service and are serial (p = 0), so their iterations end exactly at
+    // 0.5 s; job 1 is cancelled at that instant. Synthetic jobs carry
+    // cancels shortly after arrival, at a later job's arrival instant, and
+    // long after they finished. `limbo` moves one job's cancel.
+    let stream = |limbo: Option<(u64, SimTime)>| {
+        let serial = AnalyticJob {
+            work: SimDuration::from_secs(1),
+            parallel_first: 0.0,
+            parallel_last: 0.0,
+            iterations: 2,
+        };
+        let mut specs = vec![
+            JobSpec::analytic(0, SimTime::ZERO, 2, serial),
+            JobSpec::analytic(1, SimTime::ZERO, 2, serial)
+                .with_cancel_at(SimTime::ZERO + SimDuration::from_millis(500)),
+        ];
+        let synth: Vec<JobSpec> =
+            SyntheticLoad::new(JOBS, 3, 4, gap, SimDuration::from_secs(2), 31).collect();
+        for (i, spec) in synth.iter().enumerate() {
+            let cancel = match i % 8 {
+                3 => Some(spec.arrival + SimDuration::from_millis(100)),
+                6 => synth.get(i + 3).map(|later| later.arrival),
+                _ if i % 19 == 11 => Some(spec.arrival + SimDuration::from_secs(60)),
+                _ => None,
+            };
+            specs.push(match cancel {
+                Some(at) => spec.clone().with_cancel_at(at),
+                None => spec.clone(),
+            });
+        }
+        if let Some((id, at)) = limbo {
+            specs[id as usize].cancel_at = Some(at);
+        }
+        specs
+    };
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let serve = |policy, plan: &FaultPlan, limbo| {
+        let out = ClusterService::new(cfg(policy))
+            .unwrap()
+            .serve(stream(limbo), plan, &opts)
+            .unwrap();
+        let journal = out.journal.expect("journal requested");
+        let mut h = FxHasher::default();
+        h.write(out.report.canonical_string().as_bytes());
+        h.write(&journal.encode());
+        (h.finish(), journal)
+    };
+    let steps = |j: &Journal| -> Vec<(SimTime, u32, u64, u32)> {
+        j.entries
+            .iter()
+            .filter_map(|e| match e.event {
+                JournalEvent::Step { job, op, node, .. } => Some((e.vtime, op, job, node)),
+                _ => None,
+            })
+            .collect()
+    };
+    let (mut got, mut running, mut queued, mut at_arrival) = (Vec::new(), 0, 0, 0);
+    for (name, policy) in policies {
+        for (fault_name, plan) in [("quiet", FaultPlan::none()), ("faulted", faulted.clone())] {
+            let (mut digest, mut journal) = serve(policy, &plan, None);
+            if policy.backoff().is_some() && fault_name == "faulted" {
+                // Cancel the first interrupted job 1 ns into its backoff,
+                // which moves nothing before that instant.
+                let (t, _, id, _) = *steps(&journal)
+                    .iter()
+                    .find(|s| s.1 == decision::REQUEUE)
+                    .expect("the fault plan interrupts a job");
+                let limbo = (id, t + SimDuration(1));
+                (digest, journal) = serve(policy, &plan, Some(limbo));
+                let cancels: Vec<_> = steps(&journal)
+                    .into_iter()
+                    .filter(|s| s.1 == decision::CANCEL && s.2 == id)
+                    .collect();
+                assert_eq!(cancels, [(limbo.1, decision::CANCEL, id, NO_CELL)]);
+            }
+            let s = steps(&journal);
+            let half_second = SimTime::ZERO + SimDuration::from_millis(500);
+            assert!(
+                s.iter().any(|&(t, op, id, node)| {
+                    (t, op, id) == (half_second, decision::CANCEL, 1) && node != NO_CELL
+                }),
+                "{name} {fault_name}: job 1 is cancelled running, at its phase end"
+            );
+            for &(t, op, id, node) in &s {
+                if op != decision::CANCEL {
+                    continue;
+                }
+                if node == NO_CELL {
+                    queued += 1;
+                } else {
+                    running += 1;
+                }
+                let arrival = |&(u, o, other, _): &(SimTime, u32, u64, u32)| {
+                    u == t && other != id && (o == decision::ADMIT || o == decision::REJECT)
+                };
+                at_arrival += usize::from(s.iter().any(arrival));
+            }
+            got.push(format!("{name} {fault_name}: {digest:016x}"));
+        }
+    }
+    // 219 running, 120 queued, 152 at an arrival instant when pinned.
+    assert!(running >= 100 && queued >= 60 && at_arrival >= 60);
+    let pinned = [
+        "rigid quiet: f7c0b955960158fa",
+        "rigid faulted: e50d436c76f64a10",
+        "malleable quiet: 0710faac0913483b",
+        "malleable faulted: 446576a967c30cf8",
+        "elastic quiet: c22a22319b24097c",
+        "elastic faulted: 7ad257b5fcc2f85f",
+    ];
+    assert_eq!(got, pinned);
+}
+
+#[test]
 fn one_cell_service_schedule_is_pinned() {
     // The batch experiments run on the service as one cell, one tenant, no
     // quotas. This digest of every (seed, policy, job, completion instant)
