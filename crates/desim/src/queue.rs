@@ -8,6 +8,10 @@
 //! ([`EventQueue::schedule_ranked`]); plain [`EventQueue::schedule`] uses
 //! rank 0, which leaves ties in insertion order.
 //!
+//! Time and rank are packed into one key, `time << 32 | rank`, so an entry
+//! compares with one `u128` comparison and, on a tie, one `u64`
+//! comparison — the order of the `(time, rank, seq)` tuple, bit for bit.
+//!
 //! There is no cancellation: both schedulers that use the queue guard
 //! against stale events with their own per-job generation counters and
 //! drop them when popped.
@@ -17,12 +21,18 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Heap entry, ordered by `(time, rank, seq)` alone.
+/// Heap entry, ordered by `(key, seq)` alone, where `key = time << 32 |
+/// rank`.
 struct Entry<E> {
-    time: SimTime,
-    rank: u32,
+    key: u128,
     seq: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> SimTime {
+        SimTime((self.key >> 32) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -38,7 +48,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.time, self.rank, self.seq).cmp(&(other.time, other.rank, other.seq))
+        self.key.cmp(&other.key).then(self.seq.cmp(&other.seq))
     }
 }
 
@@ -74,22 +84,18 @@ impl<E> EventQueue<E> {
     pub fn schedule_ranked(&mut self, time: SimTime, rank: u32, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time,
-            rank,
-            seq,
-            event,
-        }));
+        let key = u128::from(time.as_nanos()) << 32 | u128::from(rank);
+        self.heap.push(Reverse(Entry { key, seq, event }));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        self.heap.pop().map(|Reverse(e)| (e.time(), e.event))
     }
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time())
     }
 
     /// Number of pending events.
@@ -190,5 +196,127 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
+    }
+}
+
+#[cfg(test)]
+mod props {
+    use super::*;
+    use simrng::{Rng, Xoshiro256};
+
+    /// The entry before its key was packed, ordered by the `(time, rank,
+    /// seq)` tuple: the oracle for the packed order.
+    struct TupleEntry<E> {
+        time: SimTime,
+        rank: u32,
+        seq: u64,
+        event: E,
+    }
+
+    impl<E> PartialEq for TupleEntry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.seq == other.seq
+        }
+    }
+    impl<E> Eq for TupleEntry<E> {}
+    impl<E> PartialOrd for TupleEntry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for TupleEntry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (self.time, self.rank, self.seq).cmp(&(other.time, other.rank, other.seq))
+        }
+    }
+
+    /// The queue over [`TupleEntry`].
+    struct Reference<E> {
+        heap: BinaryHeap<Reverse<TupleEntry<E>>>,
+        next_seq: u64,
+    }
+
+    impl<E> Reference<E> {
+        fn new() -> Self {
+            Reference {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn schedule_ranked(&mut self, time: SimTime, rank: u32, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Reverse(TupleEntry {
+                time,
+                rank,
+                seq,
+                event,
+            }));
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse(e)| e.time)
+        }
+    }
+
+    /// Seeded streams of `schedule` / `schedule_ranked` / `pop` /
+    /// `peek_time` against the tuple-ordered reference. Times and ranks
+    /// come from a few values each, both ends of their ranges included, so
+    /// ties occur on the time alone, on time and rank, and on the whole
+    /// key; `1 << 32` straddles the rank bits of the packed key.
+    #[test]
+    fn packed_key_matches_the_tuple_order() {
+        const TIMES: [u64; 7] = [0, 1, 7, 1 << 32, (1 << 32) + 1, u64::MAX - 1, u64::MAX];
+        const RANKS: [u32; 6] = [0, 1, 2, 1 << 16, u32::MAX - 1, u32::MAX];
+        let mut rng = Xoshiro256::seed_from_u64(0x9ACE);
+        // Schedules that tied a pending entry on time only, on time and
+        // rank, and pops compared.
+        let (mut time_ties, mut key_ties, mut pops) = (0u64, 0u64, 0u64);
+        for stream in 0..64 {
+            let mut q = EventQueue::new();
+            let mut r = Reference::new();
+            for op in 0..500u64 {
+                let roll = rng.gen_below(10);
+                if roll < 6 {
+                    let time = SimTime(TIMES[rng.gen_index(TIMES.len())]);
+                    let rank = if roll < 2 {
+                        0
+                    } else {
+                        RANKS[rng.gen_index(RANKS.len())]
+                    };
+                    for Reverse(e) in r.heap.iter() {
+                        if e.time == time {
+                            if e.rank == rank {
+                                key_ties += 1;
+                            } else {
+                                time_ties += 1;
+                            }
+                        }
+                    }
+                    if rank == 0 && roll == 0 {
+                        q.schedule(time, op);
+                    } else {
+                        q.schedule_ranked(time, rank, op);
+                    }
+                    r.schedule_ranked(time, rank, op);
+                } else if roll < 9 {
+                    pops += 1;
+                    assert_eq!(q.pop(), r.pop(), "stream {stream}, op {op}");
+                } else {
+                    assert_eq!(q.peek_time(), r.peek_time(), "stream {stream}, op {op}");
+                }
+                assert_eq!(q.len(), r.heap.len());
+            }
+            while let Some(want) = r.pop() {
+                assert_eq!(q.pop(), Some(want), "stream {stream}, drain");
+            }
+            assert!(q.is_empty());
+        }
+        assert!(time_ties > 1_000 && key_ties > 1_000 && pops > 5_000);
     }
 }
