@@ -272,15 +272,24 @@ impl<'a> Engine<'a> {
                 }
             }
             // Next instant: the min over the global queue, the arrival
-            // stream and the cells' queue.
-            let next = [
-                self.global.peek_time(),
-                next_arrival.as_ref().map(|a| a.arrival),
-                self.cells.next_time(),
-            ];
-            let Some(t) = next.into_iter().flatten().min() else {
+            // stream and the cells' queue, an empty source counting as the
+            // end of time. Only there can all three be empty, so that is
+            // the only instant that checks; an event due at the end of
+            // time is still served.
+            let end = SimTime::MAX;
+            let t = self
+                .global
+                .peek_time()
+                .unwrap_or(end)
+                .min(next_arrival.as_ref().map_or(end, |a| a.arrival))
+                .min(self.cells.next_time().unwrap_or(end));
+            if t == end
+                && self.global.is_empty()
+                && next_arrival.is_none()
+                && self.cells.next_time().is_none()
+            {
                 break;
-            };
+            }
             if !budget.max_virtual_time.is_zero()
                 && t.as_nanos() > budget.max_virtual_time.as_nanos()
             {
