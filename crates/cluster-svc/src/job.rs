@@ -23,6 +23,17 @@ use std::sync::Arc;
 use cluster::{lu_like_job, PhaseWorkload, Workload};
 use desim::{SimDuration, SimTime};
 
+/// Amdahl stretch `span ÷ work` of an iteration with parallel fraction `p`
+/// on `n` nodes.
+fn stretch(p: f64, n: f64) -> f64 {
+    (1.0 - p) + p / n
+}
+
+/// Efficiency `work ÷ (n · span)` on `n` nodes at `stretch`.
+fn efficiency(n: f64, stretch: f64) -> f64 {
+    1.0 / (n * stretch)
+}
+
 /// A closed-form Amdahl job: `iterations` equal slices of `work`, with the
 /// parallel fraction decaying linearly from `parallel_first` (iteration 0)
 /// to `parallel_last` (last iteration).
@@ -57,12 +68,10 @@ impl AnalyticJob {
     /// Amdahl: `span = w·((1−p) + p/n)`, `eff = w / (n·span)`.
     pub fn point(&self, k: u32, nodes: u32) -> (SimDuration, SimDuration, f64) {
         let w = self.iter_work();
-        let p = self.fraction(k);
         let n = f64::from(nodes.max(1));
-        let stretch = (1.0 - p) + p / n;
+        let stretch = stretch(self.fraction(k), n);
         let span = SimDuration((w.as_nanos() as f64 * stretch).max(1.0) as u64);
-        let eff = 1.0 / (n * stretch);
-        (span, w, eff)
+        (span, w, efficiency(n, stretch))
     }
 
     /// Integer what-if score of running iterations `from..` at a constant
@@ -106,7 +115,12 @@ impl AnalyticJob {
         } else {
             1 // below 1, or NaN
         };
-        let eff = |n: u32| self.point(k, n).2;
+        // `point(k, n).2` with the fraction taken once: the same
+        // expression, so the same bits.
+        let eff = |n: u32| {
+            let n = f64::from(n);
+            efficiency(n, stretch(p, n))
+        };
         while n < cap && eff(n + 1) >= min_eff {
             n += 1;
         }
@@ -369,6 +383,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn target_matches_the_profile_scan_on_seeded_draws() {
+        // 10⁵ seeded shapes, iterations, caps and floors against the linear
+        // profile scan over `point`. Half the floors are exactly some
+        // point's efficiency: there, a target computed with other rounding
+        // keeps or drops that node differently.
+        let mut x: u64 = 0x7A26_E7D5_0C4B_1F39;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let unit = |v: u64| (v >> 11) as f64 / (1u64 << 53) as f64;
+        let mut on_edge = 0;
+        for draw in 0..100_000 {
+            let job = AnalyticJob {
+                work: SimDuration(1 + next() % 100_000_000_000),
+                parallel_first: unit(next()),
+                parallel_last: unit(next()),
+                iterations: 1 + (next() % 12) as u32,
+            };
+            let k = (next() % u64::from(job.iterations)) as u32;
+            let cap = 1 + (next() % 64) as u32;
+            let min_eff = if next() % 2 == 0 {
+                on_edge += 1;
+                job.point(k, 1 + (next() % u64::from(cap)) as u32).2
+            } else {
+                unit(next())
+            };
+            let scan = (1..=cap)
+                .filter(|&n| job.point(k, n).2 >= min_eff)
+                .max()
+                .unwrap_or(1);
+            assert_eq!(
+                job.target_nodes(k, min_eff, cap),
+                scan,
+                "draw {draw}: {job:?} k={k} min_eff={min_eff} cap={cap}"
+            );
+        }
+        assert!(on_edge > 45_000);
     }
 
     #[test]
