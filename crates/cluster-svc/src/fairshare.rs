@@ -133,14 +133,16 @@ impl FairShare {
     }
 
     /// The startable tenant with the lowest `(pass, index)` among those
-    /// not marked in `blocked`, if any.
+    /// not marked in `blocked`, if any: one pass that keeps the first
+    /// strictly lower pass, so ties go to the lowest index.
     pub fn next_candidate(&self, blocked: &[bool]) -> Option<usize> {
-        self.tenants
-            .iter()
-            .enumerate()
-            .filter(|(i, t)| !blocked[*i] && t.can_start())
-            .min_by_key(|(i, t)| (t.pass, *i))
-            .map(|(i, _)| i)
+        let mut best: Option<(usize, u128)> = None;
+        for (i, (t, &b)) in self.tenants.iter().zip(blocked).enumerate() {
+            if !b && t.can_start() && best.is_none_or(|(_, pass)| t.pass < pass) {
+                best = Some((i, t.pass));
+            }
+        }
+        best.map(|(i, _)| i)
     }
 
     /// Charges a placement of `nodes` nodes against the tenant's pass.
@@ -215,6 +217,57 @@ mod tests {
         fs.tenants[0].spec.max_inflight = 1;
         fs.tenants[0].inflight = 1;
         assert_eq!(fs.next_candidate(&[false, false]), Some(1));
+    }
+
+    /// `next_candidate` as an iterator chain: the oracle for the one-pass
+    /// loop.
+    fn chained_candidate(fs: &FairShare, blocked: &[bool]) -> Option<usize> {
+        fs.tenants
+            .iter()
+            .enumerate()
+            .filter(|(i, t)| !blocked[*i] && t.can_start())
+            .min_by_key(|(i, t)| (t.pass, *i))
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn one_pass_candidate_matches_the_iterator_chain() {
+        // Random passes from a handful of values (so equal passes are
+        // common), random blocked flags, empty queues and quotas at,
+        // below and without their limit.
+        let mut x: u64 = 0xFA1E_5EED_0001;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let passes = [0, 1, 2, 1 << 40, u128::MAX - 1, u128::MAX];
+        let (mut ties, mut found) = (0, 0);
+        for case in 0..20_000 {
+            let nt = 1 + (next() % 7) as usize;
+            let mut fs = share(&vec![1; nt]);
+            let mut blocked = vec![false; nt];
+            for (i, t) in fs.tenants.iter_mut().enumerate() {
+                t.pass = passes[(next() % passes.len() as u64) as usize];
+                if next() % 4 != 0 {
+                    t.pending.push_back(i as u32);
+                }
+                t.spec.max_inflight = (next() % 3) as usize;
+                t.inflight = (next() % 3) as usize;
+                blocked[i] = next() % 4 == 0;
+            }
+            let want = chained_candidate(&fs, &blocked);
+            assert_eq!(fs.next_candidate(&blocked), want, "case {case}");
+            if let Some(w) = want {
+                found += 1;
+                let tied = |(i, t): (usize, &TenantQueue)| {
+                    i != w && t.pass == fs.tenants[w].pass && !blocked[i] && t.can_start()
+                };
+                ties += usize::from(fs.tenants.iter().enumerate().any(tied));
+            }
+        }
+        assert!(found > 10_000 && ties > 1_000, "{found} found, {ties} tied");
     }
 
     #[test]
