@@ -8,9 +8,13 @@
 //! ([`EventQueue::schedule_ranked`]); plain [`EventQueue::schedule`] uses
 //! rank 0, which leaves ties in insertion order.
 //!
-//! Time and rank are packed into one key, `time << 32 | rank`, so an entry
-//! compares with one `u128` comparison and, on a tie, one `u64`
-//! comparison — the order of the `(time, rank, seq)` tuple, bit for bit.
+//! Time, rank and sequence are packed into one `u128` key, `time << 64 |
+//! rank << 32 | seq`, so two entries compare with one integer comparison —
+//! the order of the `(time, rank, seq)` tuple, bit for bit. The sequence
+//! field is 32 bits wide: the one time in 2³² insertions that it runs out,
+//! the pending entries are renumbered `0, 1, …` in their current order,
+//! which keeps every pending tie in insertion order and puts every later
+//! insertion after them.
 //!
 //! There is no cancellation: both schedulers that use the queue guard
 //! against stale events with their own per-job generation counters and
@@ -21,23 +25,24 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Heap entry, ordered by `(key, seq)` alone, where `key = time << 32 |
-/// rank`.
+/// The sequence bits of a key.
+const SEQ_MASK: u128 = u32::MAX as u128;
+
+/// Heap entry, ordered by its key alone: `time << 64 | rank << 32 | seq`.
 struct Entry<E> {
     key: u128,
-    seq: u64,
     event: E,
 }
 
 impl<E> Entry<E> {
     fn time(&self) -> SimTime {
-        SimTime((self.key >> 32) as u64)
+        SimTime((self.key >> 64) as u64)
     }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -48,14 +53,15 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key).then(self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
 /// A time-ordered queue of future events.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    next_seq: u64,
+    /// Sequence field of the next insertion.
+    next_seq: u32,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -82,10 +88,27 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `time` with tie-break `rank`: at one instant,
     /// lower ranks pop first and equal ranks in insertion order.
     pub fn schedule_ranked(&mut self, time: SimTime, rank: u32, event: E) {
-        let seq = self.next_seq;
+        if self.next_seq == u32::MAX {
+            self.renumber();
+        }
+        let key =
+            u128::from(time.as_nanos()) << 64 | u128::from(rank) << 32 | u128::from(self.next_seq);
         self.next_seq += 1;
-        let key = u128::from(time.as_nanos()) << 32 | u128::from(rank);
-        self.heap.push(Reverse(Entry { key, seq, event }));
+        self.heap.push(Reverse(Entry { key, event }));
+    }
+
+    /// Gives the pending entries the sequence numbers `0, 1, …` in key
+    /// order, and the next insertion the one after them.
+    #[cold]
+    fn renumber(&mut self) {
+        // Ascending `Reverse` order is descending key order.
+        let mut entries = std::mem::take(&mut self.heap).into_sorted_vec();
+        assert!(entries.len() < u32::MAX as usize, "event queue full");
+        for (seq, Reverse(e)) in entries.iter_mut().rev().enumerate() {
+            e.key = e.key & !SEQ_MASK | seq as u128;
+        }
+        self.next_seq = entries.len() as u32;
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// Removes and returns the earliest event.
@@ -267,8 +290,9 @@ mod props {
     /// Seeded streams of `schedule` / `schedule_ranked` / `pop` /
     /// `peek_time` against the tuple-ordered reference. Times and ranks
     /// come from a few values each, both ends of their ranges included, so
-    /// ties occur on the time alone, on time and rank, and on the whole
-    /// key; `1 << 32` straddles the rank bits of the packed key.
+    /// ties occur on the time alone and on time and rank, where the
+    /// sequence decides. Now and then the sequence field is brought to the
+    /// end of its range, so that pending entries are renumbered.
     #[test]
     fn packed_key_matches_the_tuple_order() {
         const TIMES: [u64; 7] = [0, 1, 7, 1 << 32, (1 << 32) + 1, u64::MAX - 1, u64::MAX];
@@ -276,15 +300,15 @@ mod props {
         let mut rng = Xoshiro256::seed_from_u64(0x9ACE);
         // Schedules that tied a pending entry on time only, on time and
         // rank, and pops compared.
-        let (mut time_ties, mut key_ties, mut pops) = (0u64, 0u64, 0u64);
+        let (mut time_ties, mut key_ties, mut pops, mut renumbered) = (0u64, 0u64, 0u64, 0u64);
         for stream in 0..64 {
             let mut q = EventQueue::new();
             let mut r = Reference::new();
             for op in 0..500u64 {
-                let roll = rng.gen_below(10);
-                if roll < 6 {
+                let roll = rng.gen_below(20);
+                if roll < 12 {
                     let time = SimTime(TIMES[rng.gen_index(TIMES.len())]);
-                    let rank = if roll < 2 {
+                    let rank = if roll < 4 {
                         0
                     } else {
                         RANKS[rng.gen_index(RANKS.len())]
@@ -298,17 +322,21 @@ mod props {
                             }
                         }
                     }
-                    if rank == 0 && roll == 0 {
+                    renumbered += u64::from(q.next_seq == u32::MAX);
+                    if rank == 0 && roll < 2 {
                         q.schedule(time, op);
                     } else {
                         q.schedule_ranked(time, rank, op);
                     }
                     r.schedule_ranked(time, rank, op);
-                } else if roll < 9 {
+                } else if roll < 18 {
                     pops += 1;
                     assert_eq!(q.pop(), r.pop(), "stream {stream}, op {op}");
-                } else {
+                } else if roll < 19 {
                     assert_eq!(q.peek_time(), r.peek_time(), "stream {stream}, op {op}");
+                } else {
+                    // Sequence numbers only ever grow.
+                    q.next_seq = q.next_seq.max(u32::MAX - rng.gen_below(3) as u32);
                 }
                 assert_eq!(q.len(), r.heap.len());
             }
@@ -317,6 +345,6 @@ mod props {
             }
             assert!(q.is_empty());
         }
-        assert!(time_ties > 1_000 && key_ties > 1_000 && pops > 5_000);
+        assert!(time_ties > 1_000 && key_ties > 1_000 && pops > 5_000 && renumbered > 500);
     }
 }
