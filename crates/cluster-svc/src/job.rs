@@ -23,17 +23,6 @@ use std::sync::Arc;
 use cluster::{lu_like_job, PhaseWorkload, Workload};
 use desim::{SimDuration, SimTime};
 
-/// Amdahl stretch `span ÷ work` of an iteration with parallel fraction `p`
-/// on `n` nodes.
-fn stretch(p: f64, n: f64) -> f64 {
-    (1.0 - p) + p / n
-}
-
-/// Efficiency `work ÷ (n · span)` on `n` nodes at `stretch`.
-fn efficiency(n: f64, stretch: f64) -> f64 {
-    1.0 / (n * stretch)
-}
-
 /// A closed-form Amdahl job: `iterations` equal slices of `work`, with the
 /// parallel fraction decaying linearly from `parallel_first` (iteration 0)
 /// to `parallel_last` (last iteration).
@@ -59,19 +48,19 @@ impl AnalyticJob {
         self.parallel_first + (self.parallel_last - self.parallel_first) * t
     }
 
-    /// Serial work of one iteration.
-    fn iter_work(&self) -> SimDuration {
-        SimDuration(self.work.as_nanos() / u64::from(self.iterations.max(1)))
+    /// Iteration `k`: its serial work and parallel fraction.
+    pub(crate) fn iteration(&self, k: u32) -> Iteration {
+        Iteration {
+            k,
+            w: SimDuration(self.work.as_nanos() / u64::from(self.iterations.max(1))),
+            p: self.fraction(k),
+        }
     }
 
     /// `(span, work, efficiency)` of iteration `k` on `nodes` nodes —
     /// Amdahl: `span = w·((1−p) + p/n)`, `eff = w / (n·span)`.
     pub fn point(&self, k: u32, nodes: u32) -> (SimDuration, SimDuration, f64) {
-        let w = self.iter_work();
-        let n = f64::from(nodes.max(1));
-        let stretch = stretch(self.fraction(k), n);
-        let span = SimDuration((w.as_nanos() as f64 * stretch).max(1.0) as u64);
-        (span, w, efficiency(n, stretch))
+        self.iteration(k).point(nodes)
     }
 
     /// Integer what-if score of running iterations `from..` at a constant
@@ -92,18 +81,55 @@ impl AnalyticJob {
 
     /// Largest allocation in `1..=cap` whose iteration-`k` efficiency
     /// clears `min_eff` — the Amdahl inversion of the malleable policy's
-    /// linear profile scan. `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`,
-    /// so the target is a floor division instead of a per-decision loop.
-    /// A short exact correction absorbs float rounding at the boundary.
-    /// The quotient is compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔
-    /// ⌊x⌋ ≥ 1`, and `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN
-    /// fraction lands on 1 rather than on `NaN as u32 = 0`.
+    /// linear profile scan (see [`Iteration::target`]).
     pub fn target_nodes(&self, k: u32, min_eff: f64, cap: u32) -> u32 {
+        self.iteration(k).target(min_eff, cap)
+    }
+}
+
+/// One iteration of an [`AnalyticJob`]: what its points and its
+/// efficiency target are derived from, computed once per iteration.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Iteration {
+    /// The iteration's index.
+    pub k: u32,
+    /// Serial work (the same in every iteration of a job).
+    w: SimDuration,
+    /// Parallel fraction.
+    p: f64,
+}
+
+impl Iteration {
+    /// Iteration `k` of `job`, the job this iteration belongs to.
+    pub fn next(self, job: &AnalyticJob, k: u32) -> Iteration {
+        Iteration {
+            k,
+            p: job.fraction(k),
+            ..self
+        }
+    }
+
+    /// `(span, work, efficiency)` on `nodes` nodes.
+    pub fn point(&self, nodes: u32) -> (SimDuration, SimDuration, f64) {
+        let n = f64::from(nodes.max(1));
+        let stretch = stretch(self.p, n);
+        let span = SimDuration((self.w.as_nanos() as f64 * stretch).max(1.0) as u64);
+        (span, self.w, efficiency(n, stretch))
+    }
+
+    /// Largest allocation in `1..=cap` whose efficiency clears `min_eff`.
+    /// `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`, so the target is
+    /// a floor division instead of a per-decision loop. A short exact
+    /// correction absorbs float rounding at the boundary. The quotient is
+    /// compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔ ⌊x⌋ ≥ 1`, and
+    /// `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN fraction lands
+    /// on 1 rather than on `NaN as u32 = 0`.
+    pub fn target(&self, min_eff: f64, cap: u32) -> u32 {
         let cap = cap.max(1);
         if min_eff <= 0.0 {
             return cap;
         }
-        let p = self.fraction(k);
+        let p = self.p;
         if p >= 1.0 {
             return cap;
         }
@@ -115,8 +141,8 @@ impl AnalyticJob {
         } else {
             1 // below 1, or NaN
         };
-        // `point(k, n).2` with the fraction taken once: the same
-        // expression, so the same bits.
+        // `point(n).2` without the span: the same expression, so the same
+        // bits.
         let eff = |n: u32| {
             let n = f64::from(n);
             efficiency(n, stretch(p, n))
@@ -129,6 +155,17 @@ impl AnalyticJob {
         }
         n
     }
+}
+
+/// Amdahl stretch `span ÷ work` of an iteration with parallel fraction `p`
+/// on `n` nodes.
+fn stretch(p: f64, n: f64) -> f64 {
+    (1.0 - p) + p / n
+}
+
+/// Efficiency `work ÷ (n · span)` on `n` nodes at `stretch`.
+fn efficiency(n: f64, stretch: f64) -> f64 {
+    1.0 / (n * stretch)
 }
 
 /// What a job executes.
@@ -424,6 +461,10 @@ mod tests {
                 scan,
                 "draw {draw}: {job:?} k={k} min_eff={min_eff} cap={cap}"
             );
+            // The scorer's path: an earlier iteration carried forward.
+            let carried = job.iteration(0).next(&job, k);
+            assert_eq!(carried.target(min_eff, cap), scan, "draw {draw}");
+            assert_eq!(carried.point(cap), job.point(k, cap), "draw {draw}");
         }
         assert!(on_edge > 45_000);
     }

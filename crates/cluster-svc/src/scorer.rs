@@ -39,7 +39,7 @@ use dps_sim::{SimError, SimResult};
 use faults::{CheckpointSpec, FaultPlan};
 
 use crate::config::ServiceConfig;
-use crate::job::JobPayload;
+use crate::job::{AnalyticJob, Iteration, JobPayload};
 use crate::journal::{decision, DecisionLog};
 use crate::live::LiveJob;
 use crate::report::{LatencyHist, ServiceReport, WhatIfStats};
@@ -102,6 +102,22 @@ pub(crate) struct ScoreState {
     /// Profiling-panic attempts for the iteration currently being priced
     /// (reset by the first successful profile point).
     panics: u32,
+    /// An analytic job's latest iteration, so that pricing reuses what the
+    /// boundary's efficiency target computed.
+    iteration: Option<Iteration>,
+}
+
+impl ScoreState {
+    /// Iteration `k` of the analytic job `a`, which this state belongs to.
+    fn iteration(&mut self, a: &AnalyticJob, k: u32) -> Iteration {
+        let it = match self.iteration {
+            Some(it) if it.k == k => it,
+            Some(it) => it.next(a, k),
+            None => a.iteration(k),
+        };
+        self.iteration = Some(it);
+        it
+    }
 }
 
 /// What pricing a job's next iteration came to.
@@ -220,7 +236,7 @@ impl Scorer {
         let (phase, n) = (job.phase, job.held.len() as u32);
         let point = match &job.payload {
             JobPayload::Analytic(a) => {
-                let (span, work, _) = a.point(phase, n);
+                let (span, work, _) = job.scoring.iteration(a, phase).point(n);
                 Ok((span, work))
             }
             JobPayload::Boxed(w) => {
@@ -252,14 +268,15 @@ impl Scorer {
         }
     }
 
-    /// Allocation iteration `phase` should run on (the malleable target),
-    /// capped at `cap`.
-    pub fn target(&mut self, payload: &JobPayload, phase: u32, cap: u32) -> SimResult<u32> {
+    /// Allocation the job's next iteration should run on (the malleable
+    /// target), capped at `cap`.
+    pub fn target(&mut self, job: &mut LiveJob, cap: u32) -> SimResult<u32> {
         let Some(min_eff) = self.min_eff else {
             return Ok(cap);
         };
-        match payload {
-            JobPayload::Analytic(a) => Ok(a.target_nodes(phase, min_eff, cap)),
+        let phase = job.phase;
+        match &job.payload {
+            JobPayload::Analytic(a) => Ok(job.scoring.iteration(a, phase).target(min_eff, cap)),
             JobPayload::Boxed(w) => {
                 let cache = &mut self.cache;
                 shielded(|| efficiency_target(cache, &**w, phase as usize, cap, min_eff))
@@ -306,7 +323,7 @@ impl Scorer {
             return full;
         }
         let started = self.measure.then(Instant::now);
-        let Ok(target) = self.target(&job.payload, job.phase, full) else {
+        let Ok(target) = self.target(job, full) else {
             return full;
         };
         // `scoring.fork_ok` is still false before the first start, so this
@@ -334,8 +351,8 @@ impl Scorer {
         pool: &NodePool,
     ) -> SimResult<WhatIfAction> {
         let started = self.measure.then(Instant::now);
-        let (phase, n, cell) = (job.phase, job.held.len() as u32, job.cell);
-        let target = self.target(&job.payload, phase, cap)?;
+        let (n, cell) = (job.held.len() as u32, job.cell);
+        let target = self.target(job, cap)?;
         if !self.whatif {
             return Ok(WhatIfAction::Resize(target));
         }
