@@ -31,10 +31,13 @@
 //!   in schedule order), then stream arrivals, then cell events in
 //!   ascending cell id.
 //! * **One cell-ranked queue.** Every iteration end sits in one queue
-//!   ordered by `(time, cell, insertion)`. Spans are floored at 1 ns, so
-//!   handling an instant never schedules into it: the events due at `t`
-//!   are fixed before stage 3 and pop in ascending cell id, then in the
-//!   order they were scheduled.
+//!   ordered by `(time, cell, insertion)`. Spans are floored at 1 ns, and
+//!   an iteration must end strictly before the end of time
+//!   (`SimTime::MAX`) — a job whose next iteration cannot fails where it
+//!   would be scheduled — so handling an instant never schedules an
+//!   iteration end into it: the events due at `t` are fixed before stage
+//!   3 and pop in ascending cell id, then in the order they were
+//!   scheduled.
 //! * **Integer accounting.** All accumulated report state is integer
 //!   nanoseconds / node-nanoseconds; `f64` appears only inside per-job
 //!   pricing (identical inputs per job regardless of grouping) and in
@@ -549,6 +552,12 @@ impl<'a> Engine<'a> {
         if span.is_zero() {
             span = SimDuration(1);
         }
+        // An iteration must end before the end of time: one that cannot
+        // would run in zero virtual time, so the job fails here instead.
+        let end = match now.checked_add(span) {
+            Some(end) if end < SimTime::MAX => end,
+            _ => return self.fail_running(slot),
+        };
         e.gen += 1;
         e.iter_start = now;
         e.iter_span = span;
@@ -560,7 +569,7 @@ impl<'a> Engine<'a> {
             slot,
             gen: e.gen,
         };
-        self.cells.schedule(now + span, pe);
+        self.cells.schedule(end, pe);
         Ok(())
     }
 

@@ -192,3 +192,75 @@ fn hostile_fault_windows_are_protocol_errors() {
         assert!(matches!(err.kind, SimErrorKind::Protocol { .. }), "{err}");
     }
 }
+
+#[test]
+fn no_iteration_ends_at_the_end_of_time() {
+    // Two serial jobs of `u64::MAX` ns in two iterations fill both cells:
+    // their second iterations would end past the end of time. They fail
+    // where that iteration would be scheduled, and the 10-ns job
+    // queued behind them runs in the time that is left, instead of all of
+    // it happening at `SimTime::MAX` in zero virtual time. A job that
+    // arrives at the end of time is still served, and fails the same way.
+    let cfg = ServiceConfig::new(
+        2,
+        2,
+        1,
+        SchedulePolicy::Malleable {
+            min_efficiency: 0.5,
+        },
+    )
+    .with_tenant(TenantSpec::new("a", 1));
+    let serial = |work, iterations| AnalyticJob {
+        work: SimDuration(work),
+        parallel_first: 0.0,
+        parallel_last: 0.0,
+        iterations,
+    };
+    let stream = vec![
+        JobSpec::analytic(0, SimTime::ZERO, 2, serial(u64::MAX, 2)),
+        JobSpec::analytic(0, SimTime::ZERO, 2, serial(u64::MAX, 2)),
+        JobSpec::analytic(0, SimTime(1), 2, serial(10, 2)),
+        JobSpec::analytic(0, SimTime::MAX, 1, serial(10, 1)),
+    ];
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .unwrap()
+        .serve(stream, &FaultPlan::none(), &opts)
+        .unwrap();
+    let decisions: Vec<(u64, u64, &str)> = out
+        .journal
+        .as_ref()
+        .unwrap()
+        .entries
+        .iter()
+        .filter_map(|e| match e.event {
+            JournalEvent::Step { job, op, .. } => {
+                Some((e.vtime.as_nanos(), job, DECISION_LABELS[op as usize]))
+            }
+            _ => None,
+        })
+        .filter(|&(_, _, label)| label != "admit")
+        .collect();
+    // One iteration of ⌊u64::MAX / 2⌋ ns, rounded through `f64`.
+    let first = 1 << 63;
+    let max = u64::MAX;
+    assert_eq!(
+        decisions,
+        [
+            (0, 0, "place"),
+            (0, 1, "place"),
+            (first, 0, "fail"),
+            (first, 2, "place"),
+            (first, 1, "fail"),
+            (first + 10, 2, "complete"),
+            (max, 3, "place"),
+            (max, 3, "fail"),
+        ]
+    );
+    let r = &out.report;
+    assert_eq!((r.completed_jobs(), r.failed_jobs()), (1, 3));
+    assert_eq!(r.makespan, SimTime::MAX, "the last job arrived at the end");
+}
