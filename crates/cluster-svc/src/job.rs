@@ -262,7 +262,8 @@ impl JobSpec {
 /// Uniform interarrival in `[0, 2·mean)`, per-job tenant / request /
 /// iteration-count / parallel-fraction draws from one xorshift64 state, so
 /// the whole load derives deterministically from `(jobs, seed)` and costs
-/// O(1) memory no matter how long it runs.
+/// O(1) memory no matter how long it runs. Arrivals, the interarrival
+/// bound and job work saturate at the end of time.
 #[derive(Clone, Debug)]
 pub struct SyntheticLoad {
     remaining: u64,
@@ -270,7 +271,8 @@ pub struct SyntheticLoad {
     state: u64,
     tenants: u32,
     max_request: u32,
-    mean_interarrival_ns: u64,
+    /// `2 · mean interarrival`, the exclusive bound of one interarrival.
+    interarrival_bound_ns: u64,
     mean_work_ns: u64,
 }
 
@@ -292,7 +294,7 @@ impl SyntheticLoad {
             state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             tenants,
             max_request,
-            mean_interarrival_ns: mean_interarrival.as_nanos().max(1),
+            interarrival_bound_ns: mean_interarrival.as_nanos().max(1).saturating_mul(2),
             mean_work_ns: mean_work.as_nanos().max(1),
         }
     }
@@ -315,15 +317,16 @@ impl Iterator for SyntheticLoad {
             return None;
         }
         self.remaining -= 1;
-        self.t += self.next_u64() % (2 * self.mean_interarrival_ns);
+        let gap = self.next_u64() % self.interarrival_bound_ns;
+        self.t = self.t.saturating_add(gap);
         let tenant = (self.next_u64() % u64::from(self.tenants)) as u32;
         let requested = 1 + (self.next_u64() % u64::from(self.max_request)) as u32;
         let iterations = 1 + (self.next_u64() % 4) as u32;
         let p0 = 0.60 + 0.38 * (self.next_u64() % 1000) as f64 / 1000.0;
         let p1 = (p0 - 0.25).max(0.30);
         // Work scales with the request so big jobs are also long jobs.
-        let base = self.mean_work_ns / 2 + self.next_u64() % self.mean_work_ns;
-        let work = base / u64::from(self.max_request) * u64::from(requested) + 1;
+        let base = (self.mean_work_ns / 2).saturating_add(self.next_u64() % self.mean_work_ns);
+        let work = (base / u64::from(self.max_request) * u64::from(requested)).saturating_add(1);
         Some(JobSpec::analytic(
             tenant,
             SimTime(self.t),
@@ -529,6 +532,27 @@ mod tests {
             a.iter().zip(&c).any(|(x, y)| x.arrival != y.arrival),
             "different seeds must draw different loads"
         );
+    }
+
+    #[test]
+    fn synthetic_load_survives_means_near_the_end_of_time() {
+        // A mean interarrival of 2⁶³ ns once wrapped `2 · mean` to 0 (a
+        // remainder by zero), and arrivals past `u64::MAX` wrapped back to
+        // the start of time. Both now saturate, as does the work of a job
+        // whose mean work is the longest span.
+        for mean in [SimDuration(1 << 63), SimDuration::MAX] {
+            let load = SyntheticLoad::new(64, 3, 8, mean, mean, 5);
+            let mut prev = SimTime::ZERO;
+            for spec in load {
+                assert!(spec.arrival >= prev, "{mean:?}: arrivals went backwards");
+                prev = spec.arrival;
+            }
+            assert_eq!(
+                prev,
+                SimTime::MAX,
+                "{mean:?}: 64 draws reach the end of time"
+            );
+        }
     }
 
     #[test]
