@@ -81,7 +81,12 @@ impl AnalyticJob {
 
     /// Largest allocation in `1..=cap` whose iteration-`k` efficiency
     /// clears `min_eff` — the Amdahl inversion of the malleable policy's
-    /// linear profile scan (see [`Iteration::target`]).
+    /// linear profile scan. `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`,
+    /// so the target is a floor division instead of a per-decision loop.
+    /// A short exact correction absorbs float rounding at the boundary.
+    /// The quotient is compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔
+    /// ⌊x⌋ ≥ 1`, and `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN
+    /// fraction lands on 1 rather than on `NaN as u32 = 0`.
     pub fn target_nodes(&self, k: u32, min_eff: f64, cap: u32) -> u32 {
         self.iteration(k).target(min_eff, cap)
     }
@@ -117,13 +122,8 @@ impl Iteration {
         (span, self.w, efficiency(n, stretch))
     }
 
-    /// Largest allocation in `1..=cap` whose efficiency clears `min_eff`.
-    /// `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`, so the target is
-    /// a floor division instead of a per-decision loop. A short exact
-    /// correction absorbs float rounding at the boundary. The quotient is
-    /// compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔ ⌊x⌋ ≥ 1`, and
-    /// `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN fraction lands
-    /// on 1 rather than on `NaN as u32 = 0`.
+    /// Largest allocation in `1..=cap` whose efficiency clears `min_eff`
+    /// (see [`AnalyticJob::target_nodes`]).
     pub fn target(&self, min_eff: f64, cap: u32) -> u32 {
         let cap = cap.max(1);
         if min_eff <= 0.0 {

@@ -213,7 +213,9 @@ impl DecisionLog {
         DecisionLog { journal, resume }
     }
 
-    /// Commits one decision at `now`.
+    /// Commits one decision at `now`. Inlined, so that a serve without a
+    /// journal pays one test per decision and no call.
+    #[inline]
     pub fn record(
         &mut self,
         now: SimTime,
@@ -223,18 +225,23 @@ impl DecisionLog {
         nodes: u32,
         extra: u64,
     ) {
+        if self.journal.is_some() {
+            self.commit(JournalEntry {
+                vtime: now,
+                event: JournalEvent::Step {
+                    job: job.id,
+                    op,
+                    thread: job.tenant,
+                    node: cell,
+                    start: u64::from(nodes),
+                    work: extra,
+                },
+            });
+        }
+    }
+
+    fn commit(&mut self, got: JournalEntry) {
         let Some(j) = &mut self.journal else { return };
-        let got = JournalEntry {
-            vtime: now,
-            event: JournalEvent::Step {
-                job: job.id,
-                op,
-                thread: job.tenant,
-                node: cell,
-                start: u64::from(nodes),
-                work: extra,
-            },
-        };
         match &mut self.resume {
             // Inside the adopted prefix the entry is already in the journal.
             Some(rc) if rc.cursor < rc.prefix_len => rc.validate(&j.entries[rc.cursor], &got),
@@ -244,7 +251,17 @@ impl DecisionLog {
 
     /// Fails once a committed entry has diverged from the recovered
     /// prefix; with `finished`, also when the run ended short of it.
+    /// Inlined, like [`DecisionLog::record`], for the serve that resumes
+    /// nothing.
+    #[inline]
     pub fn check(&mut self, finished: bool) -> SimResult<()> {
+        match self.resume {
+            None => Ok(()),
+            Some(_) => self.check_resume(finished),
+        }
+    }
+
+    fn check_resume(&mut self, finished: bool) -> SimResult<()> {
         let Some(rc) = &mut self.resume else {
             return Ok(());
         };
