@@ -31,13 +31,11 @@
 //!   in schedule order), then stream arrivals, then cell events in
 //!   ascending cell id.
 //! * **One cell-ranked queue.** Every iteration end sits in one queue
-//!   ordered by `(time, cell, insertion)`. Spans are floored at 1 ns, and
-//!   an iteration must end strictly before the end of time
-//!   (`SimTime::MAX`) — a job whose next iteration cannot fails where it
-//!   would be scheduled — so handling an instant never schedules an
-//!   iteration end into it: the events due at `t` are fixed before stage
-//!   3 and pop in ascending cell id, then in the order they were
-//!   scheduled.
+//!   ordered by `(time, cell, insertion)`. Spans are floored at 1 ns and
+//!   an iteration must end before `SimTime::MAX` (else its job fails), so
+//!   handling an instant never schedules into it: the events due at `t`
+//!   are fixed before stage 3 and pop in ascending cell id, then in the
+//!   order they were scheduled.
 //! * **Integer accounting.** All accumulated report state is integer
 //!   nanoseconds / node-nanoseconds; `f64` appears only inside per-job
 //!   pricing (identical inputs per job regardless of grouping) and in
@@ -275,10 +273,8 @@ impl<'a> Engine<'a> {
                 }
             }
             // Next instant: the min over the global queue, the arrival
-            // stream and the cells' queue, an empty source counting as the
-            // end of time. Only there can all three be empty, so that is
-            // the only instant that checks; an event due at the end of
-            // time is still served.
+            // stream and the cells' queue, an empty one counting as the end
+            // of time; all three can be empty only there.
             let end = SimTime::MAX;
             let t = self
                 .global
@@ -552,11 +548,10 @@ impl<'a> Engine<'a> {
         if span.is_zero() {
             span = SimDuration(1);
         }
-        // An iteration must end before the end of time: one that cannot
-        // would run in zero virtual time, so the job fails here instead.
-        let end = match now.checked_add(span) {
-            Some(end) if end < SimTime::MAX => end,
-            _ => return self.fail_running(slot),
+        // An iteration that cannot end before the end of time would run in
+        // zero virtual time: its job fails instead.
+        let Some(end) = now.checked_add(span).filter(|&end| end < SimTime::MAX) else {
+            return self.fail_running(slot);
         };
         e.gen += 1;
         e.iter_start = now;
