@@ -15,13 +15,16 @@
 //! diffed decision-by-decision.
 //!
 //! [`DecisionLog`] is the only code that touches the journal. When the
-//! run resumes from a recovered prefix it adopts that prefix as the head
-//! of its own journal: while the re-execution is still inside it, each
-//! decision is built on the stack and compared with the entry already
-//! there, and nothing is pushed — so a recovery that diverges fails
-//! instead of silently rewriting history, and a recovery that does not
-//! holds one journal, not a recovered one and a re-recorded one.
+//! run resumes from a recovered prefix it receives that prefix in chunks
+//! of decoded entries ([`PrefixFeed`]) while the WAL decoder is still
+//! reading the rest: while the re-execution is inside the
+//! prefix, each decision is built on the stack and compared with the next
+//! entry received, and nothing is pushed — so a recovery that diverges
+//! fails instead of silently rewriting history. Past the prefix the log
+//! appends as usual, and the recovery puts the decoded prefix back in
+//! front: one journal, not a recovered one and a re-recorded one.
 
+use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use desim::journal::first_text_divergence;
@@ -137,11 +140,24 @@ pub(crate) struct JobTag {
     pub tenant: u32,
 }
 
+/// The recovered committed prefix, streamed by the WAL decoder in chunks
+/// while the re-execution validates it.
+pub(crate) struct PrefixFeed {
+    /// The prefix entries in log order, in non-empty chunks; `None` when
+    /// the scan failed (its error outranks the replay's). The channel
+    /// closes at the end of the committed prefix.
+    pub chunks: Receiver<Option<Vec<JournalEntry>>>,
+    /// Spent chunk buffers, back to the decoder for reuse.
+    pub spent: Sender<Vec<JournalEntry>>,
+}
+
 /// Live state of a validated journal replay.
 struct ResumeCheck {
-    /// Length of the recovered committed prefix: the journal's first
-    /// `prefix_len` entries came from the durable log.
-    prefix_len: usize,
+    /// The rest of the prefix; `None` once it has all been matched.
+    feed: Option<PrefixFeed>,
+    /// The prefix chunk being matched, and its next entry.
+    chunk: Vec<JournalEntry>,
+    at: usize,
     /// Prefix entries matched so far.
     cursor: usize,
     /// Wall instant the replay started.
@@ -154,16 +170,37 @@ struct ResumeCheck {
 }
 
 impl ResumeCheck {
+    fn new(feed: PrefixFeed) -> ResumeCheck {
+        let mut rc = ResumeCheck {
+            feed: Some(feed),
+            chunk: Vec::new(),
+            at: 0,
+            cursor: 0,
+            started: Instant::now(),
+            caught_up: None,
+            error: None,
+        };
+        rc.receive();
+        rc
+    }
+
+    /// Whether the re-execution is still inside the prefix.
+    fn inside(&self) -> bool {
+        self.feed.is_some()
+    }
+
     /// Checks a re-executed decision against the prefix entry it must
     /// reproduce.
-    fn validate(&mut self, want: &JournalEntry, got: &JournalEntry) {
+    fn validate(&mut self, got: &JournalEntry) {
         if self.error.is_some() {
             return;
         }
+        let want = &self.chunk[self.at];
         if got == want {
             self.cursor += 1;
-            if self.cursor == self.prefix_len {
-                self.caught_up = Some(self.started.elapsed().as_secs_f64());
+            self.at += 1;
+            if self.at == self.chunk.len() {
+                self.next_chunk();
             }
         } else {
             self.error = Some(format!(
@@ -172,6 +209,45 @@ impl ResumeCheck {
                 self.cursor
             ));
         }
+    }
+
+    /// Hands the spent chunk back and waits for the next one; when the
+    /// feed closes instead, the prefix is caught up.
+    fn next_chunk(&mut self) {
+        if let Some(feed) = &self.feed {
+            // The decoder may have finished already; then the buffer is freed.
+            let _ = feed.spent.send(std::mem::take(&mut self.chunk));
+        }
+        self.receive();
+    }
+
+    fn receive(&mut self) {
+        let Some(feed) = &self.feed else { return };
+        self.at = 0;
+        match feed.chunks.recv() {
+            Ok(Some(chunk)) => self.chunk = chunk,
+            Ok(None) => self.error = Some("the WAL scan failed".to_string()),
+            Err(_) => {
+                self.feed = None;
+                self.caught_up = Some(match self.cursor {
+                    0 => 0.0,
+                    _ => self.started.elapsed().as_secs_f64(),
+                });
+            }
+        }
+    }
+
+    /// Length of the whole prefix: the entries matched plus every one
+    /// still to come, waiting for the decoder to finish.
+    fn prefix_len(&self) -> usize {
+        let mut len = self.cursor + self.chunk.len() - self.at;
+        if let Some(feed) = &self.feed {
+            for chunk in feed.chunks.iter().flatten() {
+                len += chunk.len();
+                let _ = feed.spent.send(chunk);
+            }
+        }
+        len
     }
 }
 
@@ -183,34 +259,14 @@ pub(crate) struct DecisionLog {
 
 impl DecisionLog {
     /// A log that records when asked to or when resuming from `prefix`
-    /// (recovered committed entries, which become the journal's head).
-    pub fn new(
-        cfg: &ServiceConfig,
-        record: bool,
-        prefix: Option<Vec<JournalEntry>>,
-    ) -> DecisionLog {
-        let resume = prefix.as_ref().map(|p| ResumeCheck {
-            prefix_len: p.len(),
-            cursor: 0,
-            started: Instant::now(),
-            caught_up: p.is_empty().then_some(0.0),
-            error: None,
-        });
-        let journal = (record || prefix.is_some()).then(|| {
-            let mut j = Journal::new();
-            j.entries = prefix.unwrap_or_default();
-            for label in DECISION_LABELS {
-                j.intern_label(label);
-            }
-            j.set_meta("service", "cluster-svc");
-            j.set_meta("nodes_per_cell", cfg.nodes_per_cell.to_string());
-            j.set_meta("cells", cfg.cells.to_string());
-            j.set_meta("shards", cfg.shards.to_string());
-            j.set_meta("policy", format!("{:?}", cfg.policy));
-            j.set_meta("tenants", cfg.tenants.len().to_string());
-            j
-        });
-        DecisionLog { journal, resume }
+    /// (the recovered committed entries, which the run must reproduce
+    /// before it records anything; its journal holds only what follows).
+    pub fn new(cfg: &ServiceConfig, record: bool, prefix: Option<PrefixFeed>) -> DecisionLog {
+        let journal = (record || prefix.is_some()).then(|| journal_tables(cfg));
+        DecisionLog {
+            journal,
+            resume: prefix.map(ResumeCheck::new),
+        }
     }
 
     /// Commits one decision at `now`. Inlined, so that a serve without a
@@ -243,8 +299,8 @@ impl DecisionLog {
     fn commit(&mut self, got: JournalEntry) {
         let Some(j) = &mut self.journal else { return };
         match &mut self.resume {
-            // Inside the adopted prefix the entry is already in the journal.
-            Some(rc) if rc.cursor < rc.prefix_len => rc.validate(&j.entries[rc.cursor], &got),
+            // Inside the prefix the entry is already in the decoded WAL.
+            Some(rc) if rc.inside() => rc.validate(&got),
             _ => j.entries.push(got),
         }
     }
@@ -267,20 +323,22 @@ impl DecisionLog {
         };
         let msg = match rc.error.take() {
             Some(msg) => msg,
-            None if finished && rc.cursor < rc.prefix_len => format!(
+            None if finished && rc.inside() => format!(
                 "re-execution committed only {} of {} recovered decisions",
-                rc.cursor, rc.prefix_len
+                rc.cursor,
+                rc.prefix_len()
             ),
             None => return Ok(()),
         };
         Err(SimError::protocol(msg).context("validated journal replay"))
     }
 
-    /// The journal (when recording) and the replay statistics (when
-    /// resuming).
+    /// The journal (when recording; past the prefix, when resuming) and
+    /// the replay statistics (when resuming, after a run that passed
+    /// [`DecisionLog::check`], so every prefix entry was matched).
     pub fn finish(self) -> (Option<Journal>, Option<ReplayStats>) {
         let replay = self.resume.map(|rc| ReplayStats {
-            prefix_entries: rc.prefix_len as u64,
+            prefix_entries: rc.cursor as u64,
             matched: rc.cursor as u64,
             catch_up_secs: rc
                 .caught_up
@@ -288,4 +346,20 @@ impl DecisionLog {
         });
         (self.journal, replay)
     }
+}
+
+/// An entry-less journal with the metadata and label table this service
+/// writes: the head of its decision journal and of its WAL's header frame.
+pub(crate) fn journal_tables(cfg: &ServiceConfig) -> Journal {
+    let mut j = Journal::new();
+    for label in DECISION_LABELS {
+        j.intern_label(label);
+    }
+    j.set_meta("service", "cluster-svc");
+    j.set_meta("nodes_per_cell", cfg.nodes_per_cell.to_string());
+    j.set_meta("cells", cfg.cells.to_string());
+    j.set_meta("shards", cfg.shards.to_string());
+    j.set_meta("policy", format!("{:?}", cfg.policy));
+    j.set_meta("tenants", cfg.tenants.len().to_string());
+    j
 }

@@ -26,18 +26,31 @@
 //! the trailing write it is a **torn tail** — recorded and truncated,
 //! never replayed ([`TornTail`]); a WAL whose magic or header frame is
 //! unreadable has no committed state at all and fails with a typed
-//! [`WalError`]. [`ClusterService::recover`] then re-executes the job
-//! stream from scratch and hands the recovered entries, by value, to the
-//! run's decision log, where they become the head of the run's own
-//! journal: while the re-execution is inside that prefix each decision
-//! is compared in place with the entry already there and nothing is
-//! pushed (any divergence is a typed protocol error); past it the run
-//! appends as usual and continues to completion. There is one journal,
-//! never a recovered copy beside a re-recorded one. A recovered run's
-//! report and journal are byte-identical to an uninterrupted run — the
-//! recover-at-every-prefix property tests assert exactly that.
+//! [`WalError`], and so does a frame that passes its checksum but does
+//! not decode.
+//!
+//! [`ClusterService::recover`] runs that walk beside the re-execution.
+//! It reads the header frame itself, refuses a header whose tables this
+//! service would not have written, and hands the entry frames to one
+//! scoped helper thread. The helper checks and decodes each frame into
+//! the prefix journal (allocated once, to the entry count the frames
+//! declare) and streams copies of the decoded entries, in chunks of
+//! recycled buffers over a bounded channel, to the run's decision log.
+//! The re-execution starts at once and compares each decision with the
+//! next entry received, pushing nothing (any divergence is a typed
+//! protocol error); past the prefix it appends as usual and continues to
+//! completion. The helper always walks the whole log, even after the
+//! re-execution stopped, so the verdict is the serial one: header errors
+//! first, then a frame that does not decode, then the re-execution's
+//! own errors. At the end the decoded prefix becomes the head of the
+//! run's journal, followed by what the run committed past it: one
+//! journal, never a recovered copy beside a re-recorded one. A recovered
+//! run's report and journal are byte-identical to an uninterrupted run —
+//! the recover-at-every-prefix property tests assert exactly that.
 
 use std::fmt;
+use std::sync::mpsc;
+use std::thread;
 
 use desim::journal::MAX_ENTRY_BYTES;
 use desim::{crc32, Journal, JournalEntry};
@@ -45,6 +58,7 @@ use dps_sim::{SimError, SimResult};
 use faults::FaultPlan;
 
 use crate::job::JobSpec;
+use crate::journal::{journal_tables, PrefixFeed};
 use crate::service::{ClusterService, ServeOptions, ServiceOutcome};
 
 /// Magic bytes opening every WAL.
@@ -177,9 +191,9 @@ fn push_frame(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     out[hole + 4..hole + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Reads the frame at `pos`; an error is the reason the frame is invalid
-/// (short header, short payload, or checksum mismatch).
-fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), String> {
+/// Splits the frame at `pos` into its checksum and payload, unverified;
+/// an error is the reason the frame is short.
+fn frame_at(bytes: &[u8], pos: usize) -> Result<(u32, &[u8], usize), String> {
     let Some(hdr) = bytes.get(pos..pos + 8) else {
         return Err(format!(
             "truncated frame header ({} of 8 bytes)",
@@ -194,10 +208,30 @@ fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), String> {
             bytes.len() - pos - 8
         ));
     };
+    Ok((crc, payload, pos + 8 + len))
+}
+
+/// Reads the frame at `pos`; an error is the reason the frame is invalid
+/// (short header, short payload, or checksum mismatch).
+fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), String> {
+    let (crc, payload, next) = frame_at(bytes, pos)?;
     if crc32(payload) != crc {
         return Err("frame checksum mismatch".to_string());
     }
-    Ok((payload, pos + 8 + len))
+    Ok((payload, next))
+}
+
+/// Entries the frames from `pos` declare, read before any checksum: the
+/// capacity the decoded prefix is allocated with up front. A forged count
+/// costs at most one entry of address space per payload byte.
+fn declared_entries(bytes: &[u8], mut pos: usize) -> usize {
+    let mut entries = 0usize;
+    while let Ok((_, payload, next)) = frame_at(bytes, pos) {
+        let n = Journal::entry_batch_len(payload).unwrap_or(0);
+        entries += usize::try_from(n).unwrap_or(usize::MAX).min(payload.len());
+        pos = next;
+    }
+    entries
 }
 
 impl WriteAheadLog {
@@ -264,70 +298,153 @@ impl WriteAheadLog {
     /// The first invalid frame past the header becomes a truncated
     /// [`TornTail`]; a broken magic or header frame is a [`WalError`].
     pub fn scan(bytes: &[u8]) -> Result<RecoveredPrefix, WalError> {
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(WalError {
-                offset: 0,
-                reason: "bad WAL magic".to_string(),
-            });
-        }
-        let mut pos = WAL_MAGIC.len();
-        let mut frames = 0usize;
-        let mut journal: Option<Journal> = None;
-        let mut torn = None;
-        while pos < bytes.len() {
-            match read_frame(bytes, pos) {
-                Ok((payload, next)) => {
-                    match &mut journal {
-                        None => match Journal::decode(payload) {
-                            Ok(j) => journal = Some(j),
-                            Err(e) => {
-                                return Err(WalError {
-                                    offset: pos,
-                                    reason: format!("header frame does not decode: {e}"),
-                                })
-                            }
-                        },
-                        Some(j) => {
-                            if let Err(e) = j.append_entry_batch(payload) {
-                                // A frame that passes its checksum but
-                                // fails to decode is corruption beyond a
-                                // torn write — refuse the whole log.
-                                return Err(WalError {
-                                    offset: pos,
-                                    reason: format!("frame {frames} does not decode: {e}"),
-                                });
-                            }
-                        }
-                    }
-                    frames += 1;
-                    pos = next;
-                }
-                Err(reason) => {
-                    if frames == 0 {
-                        return Err(WalError {
-                            offset: pos,
-                            reason,
-                        });
-                    }
-                    torn = Some(TornTail {
-                        offset: pos,
-                        reason,
-                    });
-                    break;
-                }
-            }
-        }
-        let Some(journal) = journal else {
-            return Err(WalError {
-                offset: pos,
-                reason: "WAL has no header frame".to_string(),
-            });
-        };
+        let (mut journal, pos) = read_header(bytes)?;
+        let (frames, torn) = walk_frames(bytes, pos, &mut journal, |_| {})?;
         Ok(RecoveredPrefix {
             journal,
             frames,
             torn,
         })
+    }
+}
+
+/// Checks the magic and decodes the header frame: the journal's tables,
+/// with no entries, and the offset its first entry frame starts at.
+fn read_header(bytes: &[u8]) -> Result<(Journal, usize), WalError> {
+    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        return Err(WalError {
+            offset: 0,
+            reason: "bad WAL magic".to_string(),
+        });
+    }
+    let pos = WAL_MAGIC.len();
+    let err = |reason| {
+        Err(WalError {
+            offset: pos,
+            reason,
+        })
+    };
+    if pos == bytes.len() {
+        return err("WAL has no header frame".to_string());
+    }
+    let (payload, next) = match read_frame(bytes, pos) {
+        Ok(frame) => frame,
+        Err(reason) => return err(reason),
+    };
+    match Journal::decode(payload) {
+        Err(e) => err(format!("header frame does not decode: {e}")),
+        Ok(j) if !j.is_empty() => err(format!("header frame carries {} entries", j.len())),
+        Ok(j) => Ok((j, next)),
+    }
+}
+
+/// Walks the entry frames from `pos` to the end of `bytes`, appending
+/// each frame's batch to `journal` and passing the entries it added to
+/// `on_frame`. Returns the frames consumed (the header's included) and
+/// the torn tail: the first frame whose length or checksum fails ends
+/// the committed prefix. A frame that passes its checksum but does not
+/// decode is corruption beyond a torn write, and refuses the whole log.
+fn walk_frames(
+    bytes: &[u8],
+    mut pos: usize,
+    journal: &mut Journal,
+    mut on_frame: impl FnMut(&[JournalEntry]),
+) -> Result<(usize, Option<TornTail>), WalError> {
+    let mut frames = 1;
+    while pos < bytes.len() {
+        let (payload, next) = match read_frame(bytes, pos) {
+            Ok(frame) => frame,
+            Err(reason) => {
+                return Ok((
+                    frames,
+                    Some(TornTail {
+                        offset: pos,
+                        reason,
+                    }),
+                ))
+            }
+        };
+        let start = journal.len();
+        if let Err(e) = journal.append_entry_batch(payload) {
+            return Err(WalError {
+                offset: pos,
+                reason: format!("frame {frames} does not decode: {e}"),
+            });
+        }
+        on_frame(&journal.entries[start..]);
+        frames += 1;
+        pos = next;
+    }
+    Ok((frames, None))
+}
+
+/// Prefix entries handed to the re-execution at a time, whatever the
+/// frame size: a few hundred messages per million entries, in buffers
+/// small enough to stay in the allocator's heap.
+const CHUNK_ENTRIES: usize = 1024;
+
+/// Chunks decoded ahead of the re-execution: enough to keep it fed, few
+/// enough to hold little memory.
+const CHUNKS_AHEAD: usize = 4;
+
+/// The decoder's end of a [`PrefixFeed`]: gathers the decoded entries
+/// into chunks, in buffers the re-execution hands back.
+struct ChunkSender {
+    chunks: mpsc::SyncSender<Option<Vec<JournalEntry>>>,
+    spent: mpsc::Receiver<Vec<JournalEntry>>,
+    chunk: Vec<JournalEntry>,
+    /// Cleared once the re-execution has stopped; the scan goes on.
+    open: bool,
+}
+
+impl ChunkSender {
+    /// A sender and the feed it fills. Every chunk buffer is allocated
+    /// here, on the calling thread: one being filled, one being matched,
+    /// and the channel's worth between them.
+    fn new() -> (ChunkSender, PrefixFeed) {
+        let (chunks_tx, chunks) = mpsc::sync_channel(CHUNKS_AHEAD);
+        let (spent, spent_rx) = mpsc::channel();
+        for _ in 0..=CHUNKS_AHEAD {
+            let _ = spent.send(Vec::with_capacity(CHUNK_ENTRIES));
+        }
+        let sender = ChunkSender {
+            chunks: chunks_tx,
+            spent: spent_rx,
+            chunk: Vec::with_capacity(CHUNK_ENTRIES),
+            open: true,
+        };
+        (sender, PrefixFeed { chunks, spent })
+    }
+
+    fn push(&mut self, mut entries: &[JournalEntry]) {
+        while self.open && !entries.is_empty() {
+            let take = entries.len().min(CHUNK_ENTRIES - self.chunk.len());
+            self.chunk.extend_from_slice(&entries[..take]);
+            entries = &entries[take..];
+            if self.chunk.len() == CHUNK_ENTRIES {
+                self.send();
+                // Waits for a spent buffer; none comes once the rerun ends.
+                match self.spent.recv() {
+                    Ok(buf) => self.chunk = buf,
+                    Err(_) => self.open = false,
+                }
+                self.chunk.clear();
+            }
+        }
+    }
+
+    fn send(&mut self) {
+        let chunk = std::mem::take(&mut self.chunk);
+        self.open &= self.chunks.send(Some(chunk)).is_ok();
+    }
+
+    /// Sends the last partial chunk, or `None` when the scan failed.
+    fn finish(mut self, scanned: bool) {
+        if !scanned {
+            let _ = self.chunks.send(None);
+        } else if self.open && !self.chunk.is_empty() {
+            self.send();
+        }
     }
 }
 
@@ -398,11 +515,18 @@ impl ClusterService {
     }
 
     /// Recovers from crashed WAL bytes: truncates the log at the last
-    /// valid checksum, then re-serves `stream` with the recovered
-    /// committed prefix adopted as the head of the run's journal — the
-    /// rerun must reproduce every recovered decision, compared in place,
-    /// before committing anything new, and continues to completion. The
-    /// outcome's `replay` carries the catch-up latency.
+    /// valid checksum, then re-serves `stream` against the recovered
+    /// committed prefix — the rerun must reproduce every recovered
+    /// decision before committing anything new, and continues to
+    /// completion. The outcome's journal is the prefix followed by what
+    /// the rerun committed past it; its `replay` carries the catch-up
+    /// latency.
+    ///
+    /// One helper thread decodes the entry frames while the rerun
+    /// validates the ones already decoded. The verdict is the one of
+    /// scanning the whole log first: a corrupt header or a header this
+    /// service would not have written, then a frame that passes its
+    /// checksum but does not decode, then the rerun's own errors.
     pub fn recover(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
@@ -410,15 +534,59 @@ impl ClusterService {
         opts: &ServeOptions,
         wal_bytes: &[u8],
     ) -> SimResult<(ServiceOutcome, CrashReport)> {
-        let rec = WriteAheadLog::scan(wal_bytes).map_err(|e| SimError::protocol(e.to_string()))?;
+        let wal_err = |e: WalError| SimError::protocol(e.to_string());
+        let (mut head, pos) = read_header(wal_bytes).map_err(wal_err)?;
+        check_tables(&head, &journal_tables(self.config()))?;
+        // Allocated once, here; the decoder faults it in as it fills it.
+        head.entries.reserve_exact(declared_entries(wal_bytes, pos));
+        let (mut sender, feed) = ChunkSender::new();
+        let (served, walked) = thread::scope(|s| {
+            let decoder = s.spawn(move || {
+                let walked = walk_frames(wal_bytes, pos, &mut head, |e| sender.push(e));
+                sender.finish(walked.is_ok());
+                walked.map(|(frames, torn)| (head, frames, torn))
+            });
+            let served = self.serve_resumed(stream, plan, opts, Some(feed));
+            let walked = decoder.join().expect("the WAL decoder does not panic");
+            (served, walked)
+        });
+        let (head, frames, torn) = walked.map_err(wal_err)?;
+        let mut out = served?;
         let report = CrashReport {
-            recovered_entries: rec.journal.len() as u64,
-            frames: rec.frames,
-            torn: rec.torn,
+            recovered_entries: head.len() as u64,
+            frames,
+            torn,
         };
-        let out = self.serve_resumed(stream, plan, opts, Some(rec.journal.entries))?;
+        let journal = out.journal.as_mut().expect("a resumed run records");
+        let suffix = std::mem::replace(&mut journal.entries, head.entries);
+        journal.entries.extend(suffix);
         Ok((out, report))
     }
+}
+
+/// Fails unless the WAL's header tables are the ones this service writes
+/// (`ours`): every metadata key but `shards`, which is only echoed, and
+/// the label table.
+fn check_tables(wal: &Journal, ours: &Journal) -> SimResult<()> {
+    let keys = ours.meta.iter().chain(&wal.meta).map(|(k, _)| k.as_str());
+    for key in keys.filter(|&k| k != "shards") {
+        let (theirs, mine) = (wal.meta_get(key), ours.meta_get(key));
+        if theirs != mine {
+            let show = |v: Option<&str>| v.map_or("nothing".to_string(), |v| format!("{v:?}"));
+            return Err(SimError::protocol(format!(
+                "WAL header meta `{key}` is {}, but this service writes {}",
+                show(theirs),
+                show(mine)
+            )));
+        }
+    }
+    if wal.labels != ours.labels {
+        return Err(SimError::protocol(format!(
+            "WAL header labels are {:?}, this service writes {:?}",
+            wal.labels, ours.labels
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -672,5 +840,215 @@ mod tests {
             planted.entries[k], original.entries[k]
         );
         assert!(format!("{err}").contains(&want), "{err}");
+    }
+
+    #[test]
+    fn a_wal_from_a_differently_configured_service_is_refused() {
+        let rigid = ClusterService::new(
+            ServiceConfig::new(4, 4, 1, SchedulePolicy::Rigid)
+                .with_tenant(TenantSpec::new("a", 2))
+                .with_tenant(TenantSpec::new("b", 1)),
+        )
+        .unwrap();
+        let (_, wal) = rigid
+            .serve_durable(
+                load(150),
+                &FaultPlan::none(),
+                &ServeOptions::default(),
+                &DurabilitySpec::group_commit(64),
+            )
+            .unwrap();
+        let two_cells = ClusterService::new(
+            ServiceConfig::new(
+                4,
+                2,
+                1,
+                SchedulePolicy::Malleable {
+                    min_efficiency: 0.5,
+                },
+            )
+            .with_tenant(TenantSpec::new("a", 2))
+            .with_tenant(TenantSpec::new("b", 1)),
+        )
+        .unwrap();
+        for keep in [1, 2, wal.frames()] {
+            let err = two_cells
+                .recover(
+                    load(150),
+                    &FaultPlan::none(),
+                    &ServeOptions::default(),
+                    wal.frame_prefix(keep),
+                )
+                .unwrap_err();
+            assert!(
+                format!("{err}")
+                    .contains(r#"WAL header meta `cells` is "4", but this service writes "2""#),
+                "{keep} frames: {err}"
+            );
+        }
+        // The shard count is only echoed: any service of the same
+        // configuration recovers the log.
+        let (full, wal) = durable_run(2);
+        let (out, _) = svc(1)
+            .recover(
+                load(150),
+                &FaultPlan::none(),
+                &ServeOptions::default(),
+                wal.bytes(),
+            )
+            .unwrap();
+        crate::check_equivalent(&out, &full).unwrap();
+    }
+
+    #[test]
+    fn a_header_frame_with_entries_is_fatal() {
+        let (out, _) = durable_run(1);
+        let mut bytes = WAL_MAGIC.to_vec();
+        push_frame(&mut bytes, |b| {
+            b.extend_from_slice(&out.journal.as_ref().unwrap().encode())
+        });
+        let err = WriteAheadLog::scan(&bytes).unwrap_err();
+        assert_eq!(err.offset, WAL_MAGIC.len());
+        assert!(err.reason.contains("header frame carries"), "{err}");
+    }
+
+    /// `recover` with the whole log scanned before the re-execution
+    /// starts: the verdict the pipelined recovery must give.
+    fn recover_serially(
+        svc: &ClusterService,
+        stream: SyntheticLoad,
+        opts: &ServeOptions,
+        bytes: &[u8],
+    ) -> SimResult<(ServiceOutcome, CrashReport)> {
+        let wal_err = |e: WalError| SimError::protocol(e.to_string());
+        let (mut head, pos) = read_header(bytes).map_err(wal_err)?;
+        check_tables(&head, &journal_tables(svc.config()))?;
+        let (frames, torn) = walk_frames(bytes, pos, &mut head, |_| {}).map_err(wal_err)?;
+        let (tx, chunks) = mpsc::sync_channel(1);
+        if !head.is_empty() {
+            tx.send(Some(head.entries.clone())).unwrap();
+        }
+        drop(tx);
+        let spent = mpsc::channel().0;
+        let feed = PrefixFeed { chunks, spent };
+        let mut out = svc.serve_resumed(stream, &FaultPlan::none(), opts, Some(feed))?;
+        let report = CrashReport {
+            recovered_entries: head.len() as u64,
+            frames,
+            torn,
+        };
+        let journal = out.journal.as_mut().unwrap();
+        let suffix = std::mem::replace(&mut journal.entries, head.entries);
+        journal.entries.extend(suffix);
+        Ok((out, report))
+    }
+
+    /// Everything a recovery returns, as comparable text.
+    fn verdict(r: SimResult<(ServiceOutcome, CrashReport)>) -> String {
+        match r {
+            Ok((out, cr)) => {
+                let replay = out.replay.map(|r| (r.prefix_entries, r.matched));
+                format!(
+                    "ok {cr:?} {replay:?}\n{}\n{:?}",
+                    out.report.canonical_string(),
+                    out.journal.map(|j| j.encode())
+                )
+            }
+            Err(e) => format!("err {e}"),
+        }
+    }
+
+    /// `wal`'s frames with frame `k` replaced by one that passes its
+    /// checksum but does not decode.
+    fn undecodable_at(wal: &WriteAheadLog, k: usize) -> Vec<u8> {
+        let mut bytes = wal.frame_prefix(k).to_vec();
+        push_frame(&mut bytes, |b| b.extend_from_slice(&[5, 0xff]));
+        for i in k + 1..wal.frames() {
+            bytes.extend_from_slice(wal.frame_bytes(i));
+        }
+        bytes
+    }
+
+    #[test]
+    fn the_pipelined_verdict_is_the_serial_verdict() {
+        // Enough decisions for several chunks, so that the re-execution
+        // can stop while the decoder is still behind or ahead of it.
+        let jobs = 1500;
+        let spec = DurabilitySpec::group_commit(64);
+        let none = FaultPlan::none();
+        let opts = ServeOptions::default();
+        let (out, wal) = svc(1)
+            .serve_durable(load(jobs), &none, &opts, &spec)
+            .unwrap();
+        let original = out.journal.expect("journal");
+        let frames = wal.frames();
+        assert!(
+            original.len() > 4 * CHUNK_ENTRIES,
+            "{} entries",
+            original.len()
+        );
+        // A decision planted in the second frame, where the rerun parts
+        // from the log.
+        let mut planted = original.clone();
+        let k = 64 + 10;
+        match &mut planted.entries[k].event {
+            desim::JournalEvent::Step { work, .. } => *work += 1,
+            other => panic!("decisions are Step events, got {other:?}"),
+        }
+        let planted = WriteAheadLog::build(&planted, &spec);
+        // A prefix longer than anything the rerun commits.
+        let mut longer = original.clone();
+        let last = longer.entries.last().cloned().unwrap();
+        longer.entries.extend(std::iter::repeat_n(last, 3));
+        let longer = WriteAheadLog::build(&longer, &spec);
+        let budget = ServeOptions {
+            budget: crate::ServiceBudget {
+                max_events: 400,
+                ..Default::default()
+            },
+            ..ServeOptions::default()
+        };
+        let recover = |bytes: &[u8], opts| verdict(svc(1).recover(load(jobs), &none, opts, bytes));
+        for seed in 0..6 {
+            let crash = CrashPlan::new(seed);
+            let keep = crash.keep_frames(&wal).min(frames - 1);
+            let mut flipped = wal.bytes().to_vec();
+            flipped[wal.frame_prefix(keep).len() + 9] ^= 1 << seed;
+            let late = frames - 1 - seed as usize;
+            let cases = [
+                ("torn", crash.crashed_bytes(&wal), &opts),
+                ("bit flip", flipped, &opts),
+                ("undecodable", undecodable_at(&wal, keep), &opts),
+                ("divergence", crash.crashed_bytes(&planted), &opts),
+                (
+                    "divergence, then undecodable",
+                    undecodable_at(&planted, late),
+                    &opts,
+                ),
+                ("short stream", longer.bytes().to_vec(), &opts),
+                ("budget", crash.crashed_bytes(&wal), &budget),
+            ];
+            for (what, bytes, opts) in cases {
+                let serial = verdict(recover_serially(&svc(1), load(jobs), opts, &bytes));
+                assert_eq!(recover(&bytes, opts), serial, "seed {seed}, {what}");
+            }
+        }
+        // The cases say what they claim to.
+        let late = frames - 2;
+        let msg = recover(&undecodable_at(&planted, late), &opts);
+        assert!(
+            msg.contains(&format!("frame {late} does not decode")),
+            "{msg}"
+        );
+        let msg = recover(planted.bytes(), &opts);
+        assert!(msg.contains(&format!("prefix at entry {k}")), "{msg}");
+        let n = original.len();
+        let msg = recover(longer.bytes(), &opts);
+        assert!(
+            msg.contains(&format!("committed only {n} of {} recovered", n + 3)),
+            "{msg}"
+        );
+        let msg = recover(wal.bytes(), &budget);
+        assert!(msg.contains("budget exceeded"), "{msg}");
     }
 }

@@ -42,7 +42,7 @@
 //!   derived accessors computed once at the end.
 
 use cluster::{capped_backoff, FaultPricing, NodePool, Strike};
-use desim::{EventQueue, Journal, JournalEntry, SimDuration, SimTime};
+use desim::{EventQueue, Journal, SimDuration, SimTime};
 use dps_sim::{BudgetKind, CancelToken, SimError, SimErrorKind, SimResult};
 use faults::{FaultPlan, Outage};
 
@@ -50,7 +50,7 @@ use crate::cells::{Cells, PhaseEnd};
 use crate::config::ServiceConfig;
 use crate::fairshare::FairShare;
 use crate::job::JobSpec;
-use crate::journal::{decision, DecisionLog, JobTag, ReplayStats, NO_CELL};
+use crate::journal::{decision, DecisionLog, JobTag, PrefixFeed, ReplayStats, NO_CELL};
 use crate::live::{JobState, JobTable};
 use crate::report::{LatencyHist, ServiceReport, TenantReport};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
@@ -129,15 +129,15 @@ impl ClusterService {
     }
 
     /// [`ClusterService::serve`], resuming from `prefix` when there is
-    /// one: committed decisions recovered from a durable log, adopted as
-    /// the head of the run's journal (so it implies `journal`), which the
-    /// re-execution must reproduce exactly before committing anything new.
+    /// one: committed decisions streamed from a durable log, which the
+    /// re-execution must reproduce exactly before committing anything new
+    /// (so it implies `journal`, which holds only what follows them).
     pub(crate) fn serve_resumed(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
         plan: &FaultPlan,
         opts: &ServeOptions,
-        prefix: Option<Vec<JournalEntry>>,
+        prefix: Option<PrefixFeed>,
     ) -> SimResult<ServiceOutcome> {
         plan.validate()
             .map_err(|why| SimError::protocol(why).context("validating the fault plan"))?;
@@ -206,7 +206,7 @@ impl<'a> Engine<'a> {
         cfg: &'a ServiceConfig,
         plan: &FaultPlan,
         opts: &'a ServeOptions,
-        prefix: Option<Vec<JournalEntry>>,
+        prefix: Option<PrefixFeed>,
     ) -> Engine<'a> {
         Engine {
             cfg,

@@ -116,6 +116,12 @@ impl Journal {
         self.append_entries(c, "trailing bytes after last batch entry")
     }
 
+    /// The entry count a batch ([`Journal::encode_entry_batch`]) declares,
+    /// read from its leading varint without decoding the entries.
+    pub fn entry_batch_len(bytes: &[u8]) -> Result<u64, JournalDecodeError> {
+        Cursor { bytes, pos: 0 }.varint()
+    }
+
     /// Decodes a count-prefixed run of entries that must end the input
     /// straight onto `self.entries`; an error truncates them back.
     fn append_entries(
