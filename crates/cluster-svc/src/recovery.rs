@@ -996,10 +996,12 @@ mod tests {
             other => panic!("decisions are Step events, got {other:?}"),
         }
         let planted = WriteAheadLog::build(&planted, &spec);
-        // A prefix longer than anything the rerun commits.
+        // A prefix longer than anything the rerun commits, by more chunks
+        // than the decoder may hold ahead of it.
+        let extra = 2 * (CHUNKS_AHEAD + 2) * CHUNK_ENTRIES;
         let mut longer = original.clone();
         let last = longer.entries.last().cloned().unwrap();
-        longer.entries.extend(std::iter::repeat_n(last, 3));
+        longer.entries.extend(std::iter::repeat_n(last, extra));
         let longer = WriteAheadLog::build(&longer, &spec);
         let budget = ServeOptions {
             budget: crate::ServiceBudget {
@@ -1045,7 +1047,7 @@ mod tests {
         let n = original.len();
         let msg = recover(longer.bytes(), &opts);
         assert!(
-            msg.contains(&format!("committed only {n} of {} recovered", n + 3)),
+            msg.contains(&format!("committed only {n} of {} recovered", n + extra)),
             "{msg}"
         );
         let msg = recover(wal.bytes(), &budget);
