@@ -31,11 +31,12 @@
 //!
 //! [`ClusterService::recover`] runs that walk beside the re-execution.
 //! It reads the header frame itself, refuses a header whose tables this
-//! service would not have written, and hands the entry frames to one
+//! service would not have written, allocates the prefix journal once (to
+//! the entry count the frames declare) and hands the entry frames to one
 //! scoped helper thread. The helper checks and decodes each frame into
-//! the prefix journal (allocated once, to the entry count the frames
-//! declare) and streams copies of the decoded entries, in chunks of
-//! recycled buffers over a bounded channel, to the run's decision log.
+//! the prefix journal and streams copies of the decoded entries, in
+//! chunks of recycled buffers over a bounded channel, to the run's
+//! decision log.
 //! The re-execution starts at once and compares each decision with the
 //! next entry received, pushing nothing (any divergence is a typed
 //! protocol error); past the prefix it appends as usual and continues to
@@ -223,12 +224,15 @@ fn read_frame(bytes: &[u8], pos: usize) -> Result<(&[u8], usize), String> {
 
 /// Entries the frames from `pos` declare, read before any checksum: the
 /// capacity the decoded prefix is allocated with up front. A forged count
-/// costs at most one entry of address space per payload byte.
+/// reserves no more than decoding the payload could fill: an entry takes
+/// at least two bytes, its kind and its vtime delta.
 fn declared_entries(bytes: &[u8], mut pos: usize) -> usize {
     let mut entries = 0usize;
     while let Ok((_, payload, next)) = frame_at(bytes, pos) {
         let n = Journal::entry_batch_len(payload).unwrap_or(0);
-        entries += usize::try_from(n).unwrap_or(usize::MAX).min(payload.len());
+        entries += usize::try_from(n)
+            .unwrap_or(usize::MAX)
+            .min(payload.len() / 2);
         pos = next;
     }
     entries
@@ -309,7 +313,9 @@ impl WriteAheadLog {
 }
 
 /// Checks the magic and decodes the header frame: the journal's tables,
-/// with no entries, and the offset its first entry frame starts at.
+/// with no entries but room for every entry the frames declare (allocated
+/// here, on the calling thread, and only faulted in by the walk), and the
+/// offset its first entry frame starts at.
 fn read_header(bytes: &[u8]) -> Result<(Journal, usize), WalError> {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(WalError {
@@ -334,7 +340,10 @@ fn read_header(bytes: &[u8]) -> Result<(Journal, usize), WalError> {
     match Journal::decode(payload) {
         Err(e) => err(format!("header frame does not decode: {e}")),
         Ok(j) if !j.is_empty() => err(format!("header frame carries {} entries", j.len())),
-        Ok(j) => Ok((j, next)),
+        Ok(mut j) => {
+            j.entries.reserve_exact(declared_entries(bytes, next));
+            Ok((j, next))
+        }
     }
 }
 
@@ -537,8 +546,6 @@ impl ClusterService {
         let wal_err = |e: WalError| SimError::protocol(e.to_string());
         let (mut head, pos) = read_header(wal_bytes).map_err(wal_err)?;
         check_tables(&head, &journal_tables(self.config()))?;
-        // Allocated once, here; the decoder faults it in as it fills it.
-        head.entries.reserve_exact(declared_entries(wal_bytes, pos));
         let (mut sender, feed) = ChunkSender::new();
         let (served, walked) = thread::scope(|s| {
             let decoder = s.spawn(move || {
