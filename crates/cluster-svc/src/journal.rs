@@ -17,12 +17,12 @@
 //! [`DecisionLog`] is the only code that touches the journal. When the
 //! run resumes from a recovered prefix it receives that prefix in chunks
 //! of decoded entries ([`PrefixFeed`]) while the WAL decoder is still
-//! reading the rest: while the re-execution is inside the
-//! prefix, each decision is built on the stack and compared with the next
-//! entry received, and nothing is pushed — so a recovery that diverges
-//! fails instead of silently rewriting history. Past the prefix the log
-//! appends as usual, and the recovery puts the decoded prefix back in
-//! front: one journal, not a recovered one and a re-recorded one.
+//! reading the rest. While the re-execution is inside the prefix, each
+//! decision is built on the stack and compared with the next entry
+//! received, and nothing is pushed — so a recovery that diverges fails
+//! instead of silently rewriting history. Past the prefix the log appends
+//! as usual, and the recovery puts the decoded prefix back in front: one
+//! journal, not a recovered one and a re-recorded one.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
