@@ -524,6 +524,11 @@ impl<'a> Engine<'a> {
             Priced::Point(span, work) => (span, work),
             Priced::Failed => return self.fail_running(slot),
             Priced::Retry(backoff) => {
+                // The backoff is the job's current interval: a fault or a
+                // cancellation inside it refunds only what is left of it.
+                e.iter_start = now;
+                e.iter_span = backoff;
+                e.iter_work = SimDuration::ZERO;
                 report.allocated_node_ns += u128::from(n) * u128::from(backoff.as_nanos());
                 let retry = GlobalEv::RetryPhase {
                     slot,

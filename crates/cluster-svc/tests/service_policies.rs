@@ -3,9 +3,10 @@
 //! deterministic run. Then the policies and fault handling on one cell
 //! with one tenant, the configuration batch experiments run on.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cluster::{lu_like_job, EfficiencyProfile, PhaseWorkload, SchedulePolicy, Workload};
+use cluster::{lu_like_job, EfficiencyProfile, Phase, PhaseWorkload, SchedulePolicy, Workload};
 use cluster_svc::{
     completions, decision, random_jobs, AnalyticJob, ClusterService, JobSpec, ServeOptions,
     ServiceConfig, ServiceReport, TenantSpec,
@@ -442,4 +443,79 @@ fn a_slowdown_window_stretches_the_holders_iterations() {
         quiet.makespan + r.total_degraded(),
         "all extra wall time is accounted as degradation"
     );
+}
+
+/// Two 2 s iterations that parallelize perfectly, whose profile panics
+/// the first time it is asked for 3 nodes.
+struct PanicsOnceAtThree(AtomicBool);
+
+impl Workload for PanicsOnceAtThree {
+    fn key(&self) -> String {
+        "panics-once-at-three".into()
+    }
+    fn iterations(&self) -> usize {
+        2
+    }
+    fn max_nodes(&self) -> u32 {
+        u32::MAX
+    }
+    fn profile(&self, nodes: u32) -> SimResult<EfficiencyProfile> {
+        if nodes == 3 && !self.0.swap(true, Ordering::Relaxed) {
+            panic!("first profile at 3 nodes");
+        }
+        let phase = Phase::new(SimDuration::from_secs(2), 1.0);
+        PhaseWorkload::new(vec![phase; 2]).profile(nodes)
+    }
+}
+
+/// One malleable 4-node cell with no efficiency floor runs one
+/// `PanicsOnceAtThree` job. Node 3 crashes at 50 ms, 50 ms into the first
+/// 500 ms iteration, which loses 0.2 s of work. The job restarts on three
+/// nodes, its profile panics, and it holds them through a ~10 ms retry
+/// backoff; at 52 ms node 0 is preempted for 5 s, or the job is cancelled.
+fn struck_in_retry_backoff(cancel: bool) -> ServiceReport {
+    let w = PanicsOnceAtThree(AtomicBool::new(false));
+    let mut job = JobSpec::boxed(0, SimTime::ZERO, 4, Arc::new(w));
+    let mut events = vec![FaultEvent {
+        at: SimTime(50_000_000),
+        node: 3,
+        kind: FaultKind::NodeCrash,
+    }];
+    let second = SimTime(52_000_000);
+    if cancel {
+        job = job.with_cancel_at(second);
+    } else {
+        let return_after = SimDuration::from_secs(5);
+        let kind = FaultKind::NodePreempt { return_after };
+        events.push(FaultEvent {
+            at: second,
+            node: 0,
+            kind,
+        });
+    }
+    let plan = FaultPlan::new(events, CheckpointSpec::none());
+    let malleable = SchedulePolicy::Malleable {
+        min_efficiency: 0.0,
+    };
+    let (r, _) = one_cell(4, malleable, vec![job], &plan);
+    assert_eq!(r.profile_retries, 1);
+    assert_eq!(r.total_lost_work(), SimDuration::from_millis(200));
+    r
+}
+
+#[test]
+fn a_fault_in_a_retry_backoff_refunds_only_the_backoff() {
+    let r = struck_in_retry_backoff(false);
+    assert_eq!((r.completed_jobs(), r.total_restarts()), (1, 2));
+    // 4 nodes × 50 ms, 3 × the 2 ms of backoff before the preemption,
+    // then both 1 s iterations on the two nodes left.
+    assert_eq!(r.cells[0].allocated_node_ns, 4_206_000_000);
+}
+
+#[test]
+fn a_cancellation_in_a_retry_backoff_refunds_only_the_backoff() {
+    let r = struck_in_retry_backoff(true);
+    assert_eq!(r.cancelled_jobs(), 1);
+    // 4 nodes × 50 ms, then 3 × the 2 ms of backoff before the cancel.
+    assert_eq!(r.cells[0].allocated_node_ns, 206_000_000);
 }
