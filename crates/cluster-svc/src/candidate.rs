@@ -1,43 +1,17 @@
-//! Fork-based what-if scheduling: candidate futures, integer scoring, and
-//! the live-session contract.
-//!
-//! At a scheduling decision the server enumerates a handful of **candidate
-//! futures** for the affected job — keep the current allocation, shrink to
-//! the efficiency target, shrink to half, grow into free capacity, migrate
-//! to another cell, or checkpoint now — scores each by **predicted dynamic
-//! efficiency** (the paper's `work / (nodes · span)` metric over the
-//! remaining iterations), and commits the winner.
-//!
-//! Three score sources share one [`CandidateScore`] representation:
-//!
-//! * **analytic** — closed-form Amdahl suffix sums (the service's scale
-//!   path; no cache, no simulator),
-//! * **profile** — suffix sums over a memoized fixed-allocation profile
-//!   ([`realized_suffix`] under the empty plan), and
-//! * **fork** — a real simulator run of the candidate's removal plan,
-//!   forked from the job's live [`WhatIfSession`] at the current barrier
-//!   ([`realized_suffix`] prices the realized profile's varying
-//!   allocation).
-//!
-//! Scores are integer nanoseconds / node-nanoseconds, compared by
-//! [`CandidateScore::beats`] with a strict deterministic order, and
-//! memoized in the [`crate::ProfileCache`] under a
-//! [`score_fingerprint`] keyed by workload identity, start allocation,
-//! committed removal plan, barrier index and the candidate itself — so
-//! repeated evaluations across decisions hit cache instead of re-running
-//! the simulator.
+//! What a what-if candidate is and how its score is computed and
+//! compared: integer suffix sums over a profile, compared in a strict
+//! deterministic order and fingerprinted for the score memo.
 
 use std::hash::Hasher;
 
+use cluster::EfficiencyProfile;
 use desim::fxhash::FxHasher;
-use dps_sim::SimResult;
-
-use crate::efficiency::EfficiencyProfile;
+use desim::SimDuration;
 
 /// The kinds of candidate future a what-if decision considers. The `u32`
 /// value doubles as the journal tag and the fingerprint discriminant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CandidateKind {
+pub(crate) enum CandidateKind {
     /// Keep the current allocation.
     Keep = 0,
     /// Shrink to the efficiency-floor target.
@@ -57,7 +31,7 @@ pub enum CandidateKind {
 /// and every comparison between them — are byte-deterministic across
 /// shard counts and engine thread counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CandidateScore {
+pub(crate) struct CandidateScore {
     /// Predicted remaining wall time (ns).
     pub span_ns: u64,
     /// Serial work remaining (ns).
@@ -67,19 +41,24 @@ pub struct CandidateScore {
 }
 
 impl CandidateScore {
-    /// Predicted dynamic efficiency: remaining work over allocated
-    /// node-time (`1.0` for an empty suffix — nothing left to waste).
-    pub fn dynamic_efficiency(&self) -> f64 {
-        if self.alloc_node_ns == 0 {
-            1.0
-        } else {
-            self.work_ns as f64 / self.alloc_node_ns as f64
-        }
+    /// Adds one iteration of `span` and `work` on `nodes` nodes: the one
+    /// accumulator of every suffix score, analytic or profiled.
+    pub fn add(&mut self, nodes: u32, span: SimDuration, work: SimDuration) {
+        let span = span.as_nanos();
+        self.span_ns = self.span_ns.saturating_add(span);
+        self.work_ns = self.work_ns.saturating_add(work.as_nanos());
+        self.alloc_node_ns += u128::from(nodes) * u128::from(span);
     }
 
-    /// Whether the candidate clears the policy's efficiency floor.
+    /// Whether the predicted dynamic efficiency — remaining work over
+    /// allocated node-time, `1.0` for an empty suffix (nothing left to
+    /// waste) — clears the policy's floor.
     pub fn clears(&self, min_eff: f64) -> bool {
-        self.dynamic_efficiency() >= min_eff
+        let eff = match self.alloc_node_ns {
+            0 => 1.0,
+            alloc => self.work_ns as f64 / alloc as f64,
+        };
+        eff >= min_eff
     }
 
     /// Strict deterministic preference order: a floor-clearing candidate
@@ -118,7 +97,7 @@ impl CandidateScore {
 /// convention), never below one node. A fork-realized profile is priced
 /// under its plan; a fixed-allocation profile under the empty plan — what
 /// the remaining iterations cost if the job runs them all at `start_nodes`.
-pub fn realized_suffix(
+pub(crate) fn realized_suffix(
     profile: &EfficiencyProfile,
     start_nodes: u32,
     plan: &[(usize, u32)],
@@ -131,11 +110,11 @@ pub fn realized_suffix(
             .filter(|&&(after, _)| after <= k)
             .map(|&(_, count)| count)
             .sum();
-        let alloc = start_nodes.saturating_sub(removed).max(1);
-        let span = pt.span.as_nanos();
-        s.span_ns = s.span_ns.saturating_add(span);
-        s.work_ns = s.work_ns.saturating_add(pt.cpu_work.as_nanos());
-        s.alloc_node_ns += u128::from(alloc) * u128::from(span);
+        s.add(
+            start_nodes.saturating_sub(removed).max(1),
+            pt.span,
+            pt.cpu_work,
+        );
     }
     s
 }
@@ -145,7 +124,7 @@ pub fn realized_suffix(
 /// candidate allocation and a discriminant separating fork-realized from
 /// profile-suffix semantics. Same fingerprint ⇒ same score by
 /// construction, so hits can skip the simulator entirely.
-pub fn score_fingerprint(
+pub(crate) fn score_fingerprint(
     workload_key: &str,
     start_nodes: u32,
     plan: &[(usize, u32)],
@@ -167,46 +146,10 @@ pub fn score_fingerprint(
     h.finish()
 }
 
-/// A job's live what-if session: a paused simulation advanced to the
-/// job's current iteration barrier, from which candidate futures fork
-/// without re-simulating the prefix. Implemented by
-/// `workload::WhatIfEvaluator` over `SimCheckpoint::fork()`; the trait
-/// lives here so `cluster-svc` can drive sessions without depending on
-/// the app crates.
-/// Sessions are engine-local (created and dropped inside one `serve`
-/// call), so the trait is deliberately not `Send`: the underlying paused
-/// simulation pins itself to the thread that runs the service loop.
-pub trait WhatIfSession {
-    /// Advances the warm base to (just before) 1-based barrier `barrier`.
-    /// Barriers must be requested monotonically. Returns `false` when the
-    /// underlying run finished first (the session is then exhausted).
-    fn advance_to_barrier(&mut self, barrier: usize) -> SimResult<bool>;
-
-    /// Forks the base and executes the full removal `plan` (entries at or
-    /// before the current barrier having already executed in the base),
-    /// returning the realized per-iteration profile. Requires a prior
-    /// successful [`WhatIfSession::advance_to_barrier`]. May return a
-    /// previously realized profile of the same effective plan (the
-    /// removals that actually fire), charged as the fork would have been.
-    fn score_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<EfficiencyProfile>;
-
-    /// Commits `plan` into the warm base so future forks inherit it. The
-    /// plan replaces any previously committed plan.
-    fn commit_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<()>;
-
-    /// Cumulative deterministic cost of this session: committed simulator
-    /// steps spent advancing the warm base plus every forked suffix. The
-    /// service's circuit breaker charges each decision the delta of this
-    /// counter — virtual work, never host wall time, so budget breaches are
-    /// reproducible per seed.
-    fn steps_used(&self) -> u64;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::efficiency::IterationPoint;
-    use desim::SimDuration;
+    use cluster::IterationPoint;
 
     fn profile_of(spans: &[(u64, u64)]) -> EfficiencyProfile {
         EfficiencyProfile {
@@ -232,7 +175,7 @@ mod tests {
         assert_eq!(s.alloc_node_ns, 4 * 75);
         let empty = realized_suffix(&p, 4, &[], 3);
         assert_eq!(empty, CandidateScore::default());
-        assert_eq!(empty.dynamic_efficiency(), 1.0);
+        assert!(empty.clears(1.0));
     }
 
     #[test]

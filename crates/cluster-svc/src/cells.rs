@@ -1,7 +1,7 @@
 //! The cells' iteration-end events and totals.
 //!
 //! A cell is the semantic partition unit: a fixed node slice (its free
-//! set lives in the engine's [`cluster::NodePool`]) with its own
+//! set lives in the engine's `rules::NodePool`) with its own
 //! [`CellReport`]. Every cell's iteration ends share one [`EventQueue`]
 //! ranked by cell id, so one instant's events pop in ascending cell id
 //! and, inside a cell, in insertion order.

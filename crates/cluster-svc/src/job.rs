@@ -23,6 +23,8 @@ use std::sync::Arc;
 use cluster::{lu_like_job, PhaseWorkload, Workload};
 use desim::{SimDuration, SimTime};
 
+use crate::candidate::CandidateScore;
+
 /// A closed-form Amdahl job: `iterations` equal slices of `work`, with the
 /// parallel fraction decaying linearly from `parallel_first` (iteration 0)
 /// to `parallel_last` (last iteration).
@@ -65,30 +67,16 @@ impl AnalyticJob {
 
     /// Integer what-if score of running iterations `from..` at a constant
     /// allocation of `nodes` — the analytic closed-form counterpart of
-    /// [`cluster::realized_suffix`] over a fixed-allocation profile, keeping
-    /// the scale path free of caches and engine runs.
-    pub fn suffix_score(&self, from: u32, nodes: u32) -> cluster::CandidateScore {
-        let mut s = cluster::CandidateScore::default();
+    /// `realized_suffix` over a fixed-allocation profile, summed through
+    /// the same accumulator and keeping the scale path free of caches and
+    /// engine runs.
+    pub(crate) fn suffix_score(&self, from: u32, nodes: u32) -> CandidateScore {
+        let mut s = CandidateScore::default();
         for k in from..self.iterations {
             let (span, work, _) = self.point(k, nodes);
-            let ns = span.as_nanos();
-            s.span_ns = s.span_ns.saturating_add(ns);
-            s.work_ns = s.work_ns.saturating_add(work.as_nanos());
-            s.alloc_node_ns += u128::from(nodes.max(1)) * u128::from(ns);
+            s.add(nodes.max(1), span, work);
         }
         s
-    }
-
-    /// Largest allocation in `1..=cap` whose iteration-`k` efficiency
-    /// clears `min_eff` — the Amdahl inversion of the malleable policy's
-    /// linear profile scan. `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`,
-    /// so the target is a floor division instead of a per-decision loop.
-    /// A short exact correction absorbs float rounding at the boundary.
-    /// The quotient is compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔
-    /// ⌊x⌋ ≥ 1`, and `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN
-    /// fraction lands on 1 rather than on `NaN as u32 = 0`.
-    pub fn target_nodes(&self, k: u32, min_eff: f64, cap: u32) -> u32 {
-        self.iteration(k).target(min_eff, cap)
     }
 }
 
@@ -122,8 +110,14 @@ impl Iteration {
         (span, self.w, efficiency(n, stretch))
     }
 
-    /// Largest allocation in `1..=cap` whose efficiency clears `min_eff`
-    /// (see [`AnalyticJob::target_nodes`]).
+    /// Largest allocation in `1..=cap` whose efficiency clears `min_eff` —
+    /// the Amdahl inversion of the malleable policy's linear profile scan.
+    /// `eff(n) = 1/(n(1−p)+p) ≥ E ⇔ n ≤ (1/E−p)/(1−p)`, so the target is a
+    /// floor division instead of a per-decision loop. A short exact
+    /// correction absorbs float rounding at the boundary. The quotient is
+    /// compared unfloored (`x ≥ cap ⇔ ⌊x⌋ ≥ cap`, `x ≥ 1 ⇔ ⌊x⌋ ≥ 1`, and
+    /// `x as u32` truncates to `⌊x⌋` for `x ≥ 1`), and a NaN fraction lands
+    /// on 1 rather than on `NaN as u32 = 0`.
     pub fn target(&self, min_eff: f64, cap: u32) -> u32 {
         let cap = cap.max(1);
         if min_eff <= 0.0 {
@@ -393,7 +387,7 @@ mod tests {
                                 }
                             }
                             assert_eq!(
-                                job.target_nodes(k, min_eff, cap),
+                                job.iteration(k).target(min_eff, cap),
                                 best,
                                 "pf={pf} pl={pl} k={k} eff={min_eff} cap={cap}"
                             );
@@ -416,7 +410,7 @@ mod tests {
                 for k in 0..4 {
                     for min_eff in [0.3, 0.5, 0.9] {
                         for cap in [1, 3, 8, 32] {
-                            let n = job.target_nodes(k, min_eff, cap);
+                            let n = job.iteration(k).target(min_eff, cap);
                             assert!((1..=cap).contains(&n), "pf={pf} pl={pl} k={k} n={n}");
                         }
                     }
@@ -460,7 +454,7 @@ mod tests {
                 .max()
                 .unwrap_or(1);
             assert_eq!(
-                job.target_nodes(k, min_eff, cap),
+                job.iteration(k).target(min_eff, cap),
                 scan,
                 "draw {draw}: {job:?} k={k} min_eff={min_eff} cap={cap}"
             );

@@ -59,10 +59,10 @@ pub mod decision {
     /// predicted remaining span in ns).
     pub const CANDIDATE: u32 = 9;
     /// The winning what-if candidate was committed (`work` = its
-    /// [`cluster::CandidateKind`] as an integer).
+    /// `candidate::CandidateKind` as an integer).
     pub const WHATIF: u32 = 10;
     /// The what-if circuit breaker changed state (`start` = the new
-    /// [`cluster::BreakerState`] code, `work` = the step cost of the
+    /// `breaker::BreakerState` code, `work` = the step cost of the
     /// decision that caused the transition, when one did).
     pub const BREAKER: u32 = 11;
 }

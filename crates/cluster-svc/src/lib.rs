@@ -1,12 +1,16 @@
 //! Long-lived multi-tenant cluster job service: the repo's one scheduler
 //! engine.
 //!
-//! A [`ClusterService`] applies the [`cluster`] crate's policies and rules
-//! to an arbitrarily long stream of [`JobSpec`]s — millions per run —
-//! submitted by competing tenants against a partitioned node pool, under a
-//! [`faults::FaultPlan`], deterministically per seed. A batch experiment
-//! is a one-cell, one-tenant configuration of it: per-job completion times
-//! come from the decision journal ([`completions`]).
+//! A [`ClusterService`] schedules an arbitrarily long stream of
+//! [`JobSpec`]s — millions per run, each an analytic job or any
+//! [`cluster::Workload`] — submitted by competing tenants against a
+//! partitioned node pool, under a [`faults::FaultPlan`], deterministically
+//! per seed. A batch experiment is a one-cell, one-tenant configuration of
+//! it: per-job completion times come from the decision journal
+//! ([`completions`]). This crate owns every scheduling rule: the
+//! [`SchedulePolicy`], the node pool, fault pricing, backoff, the
+//! [`efficiency_target`] scan, the what-if circuit breaker
+//! ([`BreakerSpec`]) and candidate scoring.
 //!
 //! The moving parts:
 //!
@@ -31,8 +35,9 @@
 //!   the first decision where they part.
 //!
 //! ```
-//! use cluster_svc::{ClusterService, ServiceConfig, ServeOptions, SyntheticLoad, TenantSpec};
-//! use cluster::SchedulePolicy;
+//! use cluster_svc::{
+//!     ClusterService, SchedulePolicy, ServeOptions, ServiceConfig, SyntheticLoad, TenantSpec,
+//! };
 //! use desim::SimDuration;
 //! use faults::FaultPlan;
 //!
@@ -51,6 +56,8 @@
 
 #![warn(missing_docs)]
 
+mod breaker;
+mod candidate;
 mod cells;
 mod config;
 mod fairshare;
@@ -59,14 +66,17 @@ mod journal;
 mod live;
 mod recovery;
 mod report;
+mod rules;
 mod scorer;
 mod service;
 
-pub use config::{ServiceConfig, TenantSpec};
+pub use breaker::{BreakerSpec, BreakerStats};
+pub use config::{SchedulePolicy, ServiceConfig, TenantSpec};
 pub use job::{random_jobs, AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
 pub use journal::{check_equivalent, completions, decision, ReplayStats, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };
 pub use report::{CellReport, LatencyHist, ServiceReport, TenantReport};
+pub use rules::efficiency_target;
 pub use service::{ClusterService, ServeOptions, ServiceBudget, ServiceOutcome};

@@ -601,7 +601,7 @@ mod tests {
     use super::*;
     use crate::config::{ServiceConfig, TenantSpec};
     use crate::job::SyntheticLoad;
-    use cluster::SchedulePolicy;
+    use crate::SchedulePolicy;
     use desim::SimDuration;
 
     fn svc(shards: u32) -> ClusterService {

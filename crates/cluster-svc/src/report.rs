@@ -13,8 +13,9 @@
 //! count excluded — it is an execution detail) for the byte-compare
 //! determinism tests and the CI smoke diff.
 
-use cluster::BreakerStats;
 use desim::{SimDuration, SimTime};
+
+use crate::breaker::BreakerStats;
 
 /// Quarter-octave integer histogram of scheduling latencies (arrival →
 /// first start), exact below 4 ns and within ~12% above. Buckets, counts
@@ -231,7 +232,8 @@ pub struct ServiceReport {
     pub makespan: SimTime,
     /// Scheduling-latency histogram over first starts.
     pub wait_hist: LatencyHist,
-    /// Profile/score lookups served from the [`cluster::ProfileCache`].
+    /// Lookups served from the [`cluster::ProfileCache`] or the scorer's
+    /// score memo.
     pub cache_hits: u64,
     /// Lookups that computed fresh profiles or candidate scores.
     pub cache_misses: u64,

@@ -1,5 +1,5 @@
-//! The scheduling rules the `cluster-svc` service engine applies, each
-//! defined once here:
+//! The scheduling rules the service engine applies, each defined once
+//! here:
 //!
 //! * [`NodePool`] — a free bitset with a free count per cell, lowest ids
 //!   granted first, with the crash/preempt strike semantics of a
@@ -10,18 +10,17 @@
 //! * [`efficiency_target`] — the malleable policy's allocation scan (the
 //!   `server-shrink` scenario also applies it to one job on its own).
 
+use cluster::{ProfileCache, Workload};
 use desim::{SimDuration, SimTime};
 use dps_sim::SimResult;
 use faults::{CheckpointSpec, FaultPlan, RateTimeline};
-
-use crate::workload::{ProfileCache, Workload};
 
 /// `holder` entry of a node no job holds.
 const NO_HOLDER: u32 = u32::MAX;
 
 /// What an outage did to the node it struck (see [`NodePool::strike`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strike {
+pub(crate) enum Strike {
     /// Nothing left to take: the node is unknown, already crashed, or
     /// already away (a crash while away only makes the absence permanent).
     Ignored,
@@ -38,7 +37,7 @@ pub enum Strike {
 /// 64-bit words) plus a free count per cell; a grant takes the cell's
 /// lowest free ids, so allocations are a function of the grant/release
 /// sequence alone.
-pub struct NodePool {
+pub(crate) struct NodePool {
     nodes_per_cell: u32,
     /// Bit `id % 64` of word `id / 64` is set while node `id` is free.
     free: Vec<u64>,
@@ -196,7 +195,7 @@ impl NodePool {
 
 /// The plan-derived inputs that price an iteration: the slowdown/degrade
 /// timelines plus the checkpoint spec, fixed for a whole server run.
-pub struct FaultPricing {
+pub(crate) struct FaultPricing {
     cpu: RateTimeline,
     link: RateTimeline,
     /// The checkpoint/restart cost model in force.
@@ -257,7 +256,7 @@ impl FaultPricing {
 }
 
 /// Capped exponential backoff: `base · 2^attempt`, at most `max`.
-pub fn capped_backoff(base: SimDuration, max: SimDuration, attempt: u32) -> SimDuration {
+pub(crate) fn capped_backoff(base: SimDuration, max: SimDuration, attempt: u32) -> SimDuration {
     SimDuration(
         base.as_nanos()
             .saturating_mul(1u64 << attempt.min(20))

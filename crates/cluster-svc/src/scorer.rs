@@ -1,26 +1,39 @@
 //! The scorer: everything the service asks of a job's workload.
 //!
 //! It prices iterations, finds efficiency targets and, under
-//! [`cluster::SchedulePolicy::WhatIf`], takes the decisions: it builds the
+//! [`SchedulePolicy::WhatIf`], takes the decisions: it builds the
 //! candidate slate of a placement ([`Scorer::grant`]) or an iteration
-//! boundary ([`Scorer::boundary`]), scores it, journals it and returns the
-//! winner ([`Scorer::decide`] is the one loop behind both).
+//! boundary ([`Scorer::boundary`]) — keep the allocation, shrink to the
+//! efficiency target, halve it, grow, migrate to another cell, or
+//! checkpoint now — scores every candidate by predicted dynamic
+//! efficiency over the job's remaining iterations (the paper's
+//! `work / (nodes · span)`), journals the slate and commits the winner
+//! ([`Scorer::decide`] is the one loop behind both).
 //!
-//! A candidate is scored by the first tier that applies, in this order:
+//! [`Scorer::score`] picks each candidate's tier. In order:
 //!
-//! 1. **analytic** — an [`AnalyticJob`](crate::AnalyticJob)'s closed form;
-//! 2. **fork** — a real run of the candidate's removal plan, forked from
-//!    the job's warm [`WhatIfSession`], when the candidate does not grow
-//!    the job, the job never grew, migrated or restarted, and the circuit
-//!    breaker admits it;
-//! 3. **profile** — the suffix of a memoized fixed-allocation profile.
+//! 1. **analytic** — an [`AnalyticJob`]'s closed form;
+//! 2. **breaker admission** — a fork is tried only for a candidate that
+//!    does not grow the job, while the job never grew, migrated or
+//!    restarted, and while the circuit breaker admits it;
+//! 3. **fork memo** — the score of an earlier fork with the same
+//!    fingerprint;
+//! 4. **fork** — a real run of the candidate's removal plan, forked from
+//!    the job's warm [`WhatIfSession`] at the current barrier;
+//! 5. **breaker record** — the step cost of steps 3–4 against the
+//!    budget, or the fork the service wanted and could not get;
+//! 6. **profile memo**, then
+//! 7. **profile** — the suffix of a memoized fixed-allocation profile.
 //!
-//! Tiers 2 and 3 look their [`score_fingerprint`] up in the
-//! [`ProfileCache`]'s score **memo** first and store what they compute.
+//! Each of the three memos answers one question. The [`ProfileCache`]:
+//! what is this workload's profile at this allocation? The score memo:
+//! what did this candidate score, keyed by a [`score_fingerprint`] of
+//! workload, start allocation, committed removal plan, barrier and
+//! candidate? The warm sessions: where does this job's next fork start?
 //!
 //! Workload code is tenant code: every call into it goes through
 //! [`shielded`], so a panic there costs one job, never the service. The
-//! scorer owns the profile cache, the warm sessions and their FIFO, the
+//! scorer owns the profile cache, the score memo, the warm sessions, the
 //! breaker, the decision counters and each job's [`ScoreState`]; nothing
 //! else touches them.
 
@@ -28,25 +41,27 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use cluster::{
-    capped_backoff, efficiency_target, realized_suffix, score_fingerprint, BreakerState,
-    BreakerStats, CandidateKind, CandidateScore, CircuitBreaker, NodePool, ProfileCache,
-    SchedulePolicy, WhatIfSession, Workload,
-};
+use cluster::{ProfileCache, WhatIfSession, Workload};
 use desim::fxhash::FxHashMap;
 use desim::{SimDuration, SimTime};
 use dps_sim::{SimError, SimResult};
 use faults::{CheckpointSpec, FaultPlan};
 
-use crate::config::ServiceConfig;
+use crate::breaker::{BreakerState, BreakerStats, CircuitBreaker};
+use crate::candidate::{realized_suffix, score_fingerprint, CandidateKind, CandidateScore};
+use crate::config::{SchedulePolicy, ServiceConfig};
 use crate::job::{AnalyticJob, Iteration, JobPayload};
 use crate::journal::{decision, DecisionLog};
 use crate::live::LiveJob;
 use crate::report::{LatencyHist, ServiceReport, WhatIfStats};
+use crate::rules::{capped_backoff, efficiency_target, NodePool};
 
 /// Live what-if sessions kept warm at once (each holds a paused engine
 /// run); the oldest-opened is dropped first and reopened on demand.
 const MAX_SESSIONS: usize = 32;
+/// Candidate scores the score memo holds: 16 for each of the 4096
+/// profiles a [`ProfileCache`] holds.
+const MEMO_CAPACITY: usize = 16 * 4096;
 /// Score-fingerprint discriminant for fork-realized scores. Profile-suffix
 /// scores use `CandidateKind::Keep as u32`; this tag keeps the two
 /// semantics apart in the memo.
@@ -59,6 +74,42 @@ const RETRY_BASE: SimDuration = SimDuration(10_000_000);
 const RETRY_CAP: SimDuration = SimDuration(1_000_000_000);
 /// Bound (exclusive) on the deterministic retry jitter (1 ms virtual).
 const RETRY_JITTER_NS: u64 = 1_000_000;
+
+/// The score memo: fingerprint → candidate score, FIFO-bounded at
+/// [`MEMO_CAPACITY`] like the profile cache, whose counters the report
+/// adds these to.
+#[derive(Default)]
+struct ScoreMemo {
+    map: FxHashMap<u64, CandidateScore>,
+    order: VecDeque<u64>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl ScoreMemo {
+    /// The memoized score of `fingerprint`, counted as a hit or a miss.
+    fn get(&mut self, fingerprint: u64) -> Option<CandidateScore> {
+        let found = self.map.get(&fingerprint).copied();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    /// Memoizes a computed score, evicting the oldest once full.
+    fn insert(&mut self, fingerprint: u64, score: CandidateScore) {
+        if self.map.insert(fingerprint, score).is_none() {
+            self.order.push_back(fingerprint);
+            if self.map.len() > MEMO_CAPACITY {
+                let oldest = self.order.pop_front().expect("scores tracked");
+                self.map.remove(&oldest);
+                self.evictions += 1;
+            }
+        }
+    }
+}
 
 /// Why a call into a workload failed: a typed workload error is terminal;
 /// a panic (already reported by the panic hook) is retryable.
@@ -171,6 +222,7 @@ fn opening_slate(n: u32, target: u32, cell: u32) -> Vec<Candidate> {
 
 pub(crate) struct Scorer {
     cache: ProfileCache,
+    memo: ScoreMemo,
     /// Whether the policy is [`SchedulePolicy::WhatIf`]; otherwise
     /// placements take what is free and boundaries resize to the target.
     whatif: bool,
@@ -178,10 +230,9 @@ pub(crate) struct Scorer {
     ckpt: CheckpointSpec,
     /// Whether the fault plan can interrupt jobs (gates checkpoint-now).
     has_faults: bool,
-    /// Warm per-job what-if sessions, keyed by job slot.
-    sessions: FxHashMap<u32, Box<dyn WhatIfSession>>,
-    /// Session slots in open order (FIFO eviction at [`MAX_SESSIONS`]).
-    session_order: VecDeque<u32>,
+    /// Warm per-job what-if sessions by job slot, in open order (FIFO
+    /// eviction at [`MAX_SESSIONS`]).
+    sessions: Vec<(u32, Box<dyn WhatIfSession>)>,
     stats: WhatIfStats,
     /// Optional circuit breaker around fork scoring (service-global, like
     /// the profile cache).
@@ -198,12 +249,12 @@ impl Scorer {
     pub fn new(cfg: &ServiceConfig, plan: &FaultPlan, measure: bool) -> Scorer {
         Scorer {
             cache: ProfileCache::new(),
+            memo: ScoreMemo::default(),
             whatif: matches!(cfg.policy, SchedulePolicy::WhatIf { .. }),
             min_eff: cfg.policy.min_efficiency(),
             ckpt: plan.checkpoint,
             has_faults: !plan.outages().is_empty(),
-            sessions: FxHashMap::default(),
-            session_order: VecDeque::new(),
+            sessions: Vec::new(),
             stats: WhatIfStats::default(),
             breaker: cfg.breaker.map(CircuitBreaker::new),
             measure,
@@ -212,12 +263,15 @@ impl Scorer {
         }
     }
 
-    /// Writes the cache, decision, breaker and retry counters into `report`.
+    /// Writes the cache, decision, breaker and retry counters into
+    /// `report`; the cache counters sum the profile cache and the score
+    /// memo.
     pub fn fill_report(self, report: &mut ServiceReport) {
-        report.cache_hits = self.cache.hits();
-        report.cache_misses = self.cache.misses();
-        report.cache_entries = (self.cache.len() + self.cache.scores_len()) as u64;
-        report.cache_evictions = self.cache.evictions();
+        let (cache, memo) = (&self.cache, &self.memo);
+        report.cache_hits = cache.hits() + memo.hits;
+        report.cache_misses = cache.misses() + memo.misses;
+        report.cache_entries = (cache.len() + memo.map.len()) as u64;
+        report.cache_evictions = cache.evictions() + memo.evictions;
         report.whatif = self.stats;
         report.breaker = self
             .breaker
@@ -297,9 +351,7 @@ impl Scorer {
     /// the live session does not model replay — or left its slot): drop
     /// its session and score from profiles from here on.
     pub fn forget(&mut self, slot: u32, job: &mut LiveJob) {
-        if self.sessions.remove(&slot).is_some() {
-            self.session_order.retain(|&s| s != slot);
-        }
+        self.sessions.retain(|s| s.0 != slot);
         job.scoring.fork_ok = false;
     }
 
@@ -326,11 +378,12 @@ impl Scorer {
         let Ok(target) = self.target(job, full) else {
             return full;
         };
-        // `scoring.fork_ok` is still false before the first start, so this
-        // scores analytically or from the profile cache — no forking on
-        // the placement path.
+        // A job being placed holds no nodes and has no exact fork (before
+        // its first start, or after a restart), so this scores
+        // analytically or from profiles — no forking on the placement
+        // path.
         let slate = opening_slate(full, target, cell);
-        let Ok(win) = self.decide(log, now, slot, job, full, &slate) else {
+        let Ok(win) = self.decide(log, now, slot, job, &slate) else {
             return full;
         };
         self.clock(started);
@@ -385,7 +438,7 @@ impl Scorer {
                 cell,
             });
         }
-        let win = self.decide(log, now, slot, job, n, &slate)?;
+        let win = self.decide(log, now, slot, job, &slate)?;
         let action = match win.kind {
             CandidateKind::Keep => WhatIfAction::Resize(n),
             CandidateKind::ShrinkTarget | CandidateKind::ShrinkHalf => {
@@ -421,44 +474,22 @@ impl Scorer {
         }
     }
 
-    /// Scores `slate` for `job` (currently on `n` nodes), journals every
-    /// candidate and the winner, and returns the winner: the first
-    /// candidate no later one [`CandidateScore::beats`].
+    /// Scores `slate` for `job`, journals every candidate and the winner,
+    /// and returns the winner: the first candidate no later one
+    /// [`CandidateScore::beats`].
     fn decide(
         &mut self,
         log: &mut DecisionLog,
         now: SimTime,
         slot: u32,
         job: &mut LiveJob,
-        n: u32,
         slate: &[Candidate],
     ) -> SimResult<Candidate> {
         let min_eff = self.min_eff.unwrap_or(0.0);
         let mut scored: Vec<(Candidate, CandidateScore)> = Vec::with_capacity(slate.len());
         for &c in slate {
-            let s = if c.kind == CandidateKind::CheckpointNow {
-                // Keep's future, plus one checkpoint next iteration, minus
-                // the replay a future fault would no longer cost.
-                let keep = scored[0].1;
-                let cost = self.ckpt.checkpoint_cost.as_nanos();
-                CandidateScore {
-                    span_ns: keep
-                        .span_ns
-                        .saturating_add(cost)
-                        .saturating_sub(job.since_ckpt.as_nanos()),
-                    work_ns: keep.work_ns,
-                    alloc_node_ns: keep.alloc_node_ns + u128::from(c.nodes) * u128::from(cost),
-                }
-            } else {
-                let mut s = self.score_resize(log, now, slot, job, c.nodes, n)?;
-                if c.kind == CandidateKind::Migrate {
-                    // Migration pays its checkpoint + restart up front.
-                    let cost = (self.ckpt.checkpoint_cost + self.ckpt.restart_cost).as_nanos();
-                    s.span_ns = s.span_ns.saturating_add(cost);
-                    s.alloc_node_ns += u128::from(c.nodes) * u128::from(cost);
-                }
-                s
-            };
+            let keep = scored.first().map(|&(_, s)| s);
+            let s = self.score(log, now, slot, job, c, keep)?;
             scored.push((c, s));
         }
         let (tag, mut win) = (job.tag(), 0);
@@ -476,107 +507,142 @@ impl Scorer {
         Ok(c)
     }
 
-    /// Scores "run the remaining iterations from `job.phase` on `m` nodes"
-    /// for a job currently on `n`, by the first tier that applies (see the
-    /// module docs).
-    fn score_resize(
+    /// Scores candidate `c` for `job`: its remaining iterations from
+    /// `job.phase` on `c.nodes` nodes, by the first tier that answers (see
+    /// the module docs), plus what the move itself costs. `keep` is the
+    /// slate's opening keep score, which checkpoint-now adjusts.
+    fn score(
         &mut self,
         log: &mut DecisionLog,
         now: SimTime,
         slot: u32,
         job: &mut LiveJob,
-        m: u32,
-        n: u32,
+        c: Candidate,
+        keep: Option<CandidateScore>,
     ) -> SimResult<CandidateScore> {
-        let w = match &job.payload {
-            JobPayload::Analytic(a) => {
-                self.stats.analytic_scored += 1;
-                return Ok(a.suffix_score(job.phase, m));
+        let (m, n, from) = (c.nodes, job.held.len() as u32, job.phase as usize);
+        let upfront = match c.kind {
+            CandidateKind::CheckpointNow => {
+                // Keep's future, plus one checkpoint next iteration, minus
+                // the replay a future fault would no longer cost.
+                let keep = keep.expect("keep opens every slate");
+                let cost = self.ckpt.checkpoint_cost.as_nanos();
+                return Ok(CandidateScore {
+                    span_ns: keep
+                        .span_ns
+                        .saturating_add(cost)
+                        .saturating_sub(job.since_ckpt.as_nanos()),
+                    work_ns: keep.work_ns,
+                    alloc_node_ns: keep.alloc_node_ns + u128::from(m) * u128::from(cost),
+                });
             }
-            JobPayload::Boxed(w) => w.clone(),
-        };
-        // Breaker transitions are journaled against the job whose decision
-        // caused them, with the decision's step cost when it has one.
-        let (tag, cell) = (job.tag(), job.cell);
-        let mut transition = |to: Option<BreakerState>, steps: u64| {
-            if let Some(st) = to {
-                log.record(now, decision::BREAKER, tag, cell, st.code(), steps);
+            // Migration pays its checkpoint + restart up front.
+            CandidateKind::Migrate => {
+                (self.ckpt.checkpoint_cost + self.ckpt.restart_cost).as_nanos()
             }
+            _ => 0,
         };
-        let admitted = m <= n
-            && job.scoring.fork_ok
-            && self.breaker.as_mut().is_none_or(|b| {
-                let (ok, to) = b.allow_fork(now);
-                transition(to, 0);
-                ok
-            });
-        if admitted {
-            // Breaker budgets are charged in committed simulator steps of
-            // the job's warm session: virtual work, never host time.
-            let steps = |s: &Scorer| s.sessions.get(&slot).map_or(0, |s| s.steps_used());
-            let before = steps(self);
-            let score = self.fork_score(slot, job, &*w, m, n)?;
-            let used = steps(self).saturating_sub(before);
-            if let Some(b) = &mut self.breaker {
-                // A step cost over the budget is a breach; so is a fork
-                // the service wanted and could not get.
-                let (to, steps) = match score {
-                    Some(_) if used <= b.spec().max_steps_per_decision => (b.record_ok(), used),
-                    Some(_) => (b.record_breach(now), used),
-                    None => (b.record_breach(now), 0),
+        let mut s = 'tier: {
+            let w = match &job.payload {
+                JobPayload::Analytic(a) => {
+                    self.stats.analytic_scored += 1;
+                    break 'tier a.suffix_score(job.phase, m);
+                }
+                JobPayload::Boxed(w) => w.clone(),
+            };
+            // Step 2. Breaker transitions are journaled against the job
+            // whose decision caused them, with the decision's step cost
+            // when it has one.
+            let (tag, cell) = (job.tag(), job.cell);
+            let mut transition = |to: Option<BreakerState>, steps: u64| {
+                if let Some(st) = to {
+                    log.record(now, decision::BREAKER, tag, cell, st.code(), steps);
+                }
+            };
+            let admitted = m <= n
+                && job.scoring.fork_ok
+                && self.breaker.as_mut().is_none_or(|b| {
+                    let (ok, to) = b.allow_fork(now);
+                    transition(to, 0);
+                    ok
+                });
+            if admitted {
+                let mut plan = job.scoring.plan.clone();
+                if m < n {
+                    plan.push((from, n - m));
+                }
+                let start = job.scoring.start_nodes;
+                let fp = score_fingerprint(&w.key(), start, &plan, from, m, FORK_TAG);
+                // Steps 3 to 5: the fork memo, the fork, and the breaker's
+                // record of whichever answered.
+                let forked = match self.memo.get(fp) {
+                    Some(s) => {
+                        self.stats.memo_scored += 1;
+                        Some((s, 0))
+                    }
+                    None => self.fork(slot, job, &*w, &plan, fp)?,
                 };
-                transition(to, steps);
+                if let Some(b) = &mut self.breaker {
+                    let steps = forked.map(|(_, used)| used);
+                    transition(b.record(now, steps), steps.unwrap_or(0));
+                }
+                if let Some((s, _)) = forked {
+                    break 'tier s;
+                }
             }
-            if let Some(s) = score {
-                return Ok(s);
+            // Steps 6 and 7: the profile memo, then the profile.
+            let fp = score_fingerprint(&w.key(), m, &[], from, m, CandidateKind::Keep as u32);
+            if let Some(s) = self.memo.get(fp) {
+                self.stats.memo_scored += 1;
+                break 'tier s;
             }
-        }
-        self.profile_score(&*w, job.phase, m)
+            let cache = &mut self.cache;
+            let s = shielded(|| Ok(realized_suffix(cache.profile(&*w, m)?, m, &[], from)))
+                .map_err(|e| e.terminal("workload profile"))?;
+            self.memo.insert(fp, s);
+            self.stats.profile_scored += 1;
+            s
+        };
+        s.span_ns = s.span_ns.saturating_add(upfront);
+        s.alloc_node_ns += u128::from(m) * u128::from(upfront);
+        Ok(s)
     }
 
-    /// Scores a candidate by forking the job's live what-if session at the
-    /// current barrier and executing its removal plan for real. `Ok(None)`
-    /// means forking is unavailable (the backend refused, the run already
-    /// finished, or no session could be opened) — the caller falls back to
-    /// profile scoring.
-    fn fork_score(
+    /// Forks the job's warm session at the current barrier and runs `plan`
+    /// for real, memoizing the score under `fp`. Returns the score and the
+    /// session steps it cost (breaker budgets are virtual work, never host
+    /// time), or `None` when forking is unavailable: the backend refused,
+    /// the run already finished, or no session could be opened.
+    fn fork(
         &mut self,
         slot: u32,
         job: &mut LiveJob,
         w: &dyn Workload,
-        m: u32,
-        n: u32,
-    ) -> SimResult<Option<CandidateScore>> {
-        let barrier = job.phase as usize;
-        let start_nodes = job.scoring.start_nodes;
-        let mut plan = job.scoring.plan.clone();
-        if m < n {
-            plan.push((barrier, n - m));
-        }
-        let fp = score_fingerprint(&w.key(), start_nodes, &plan, barrier, m, FORK_TAG);
-        if let Some(s) = self.cache.score(fp) {
-            self.stats.memo_scored += 1;
-            return Ok(Some(s));
-        }
-        if !self.ensure_session(slot, job, w) {
+        plan: &[(usize, u32)],
+        fp: u64,
+    ) -> SimResult<Option<(CandidateScore, u64)>> {
+        let before = self
+            .warm(slot)
+            .map_or(0, |i| self.sessions[i].1.steps_used());
+        let Some(i) = self.session(slot, job, w) else {
             return Ok(None);
-        }
-        let mut sess = self.sessions.remove(&slot).expect("session just ensured");
+        };
+        let (barrier, sess) = (job.phase as usize, &mut self.sessions[i].1);
         let realized = shielded(|| {
             if !sess.advance_to_barrier(barrier)? {
                 return Ok(None);
             }
-            Ok(Some(sess.score_plan(&plan)?))
+            Ok(Some(sess.score_plan(plan)?))
         });
         if let Ok(Some(profile)) = realized {
-            self.sessions.insert(slot, sess);
-            let score = realized_suffix(&profile, start_nodes, &plan, barrier);
-            self.cache.insert_score(fp, score);
+            let used = sess.steps_used().saturating_sub(before);
+            let score = realized_suffix(&profile, job.scoring.start_nodes, plan, barrier);
+            self.memo.insert(fp, score);
             self.stats.fork_scored += 1;
-            return Ok(Some(score));
+            return Ok(Some((score, used)));
         }
         // The session is spent or broken either way.
-        self.session_order.retain(|&s| s != slot);
+        self.sessions.remove(i);
         match realized {
             // The warm base finished the whole run first (nothing left to
             // fork for this job, ever), or the backend refused.
@@ -585,23 +651,6 @@ impl Scorer {
             Err(e) => return Err(e.terminal("what-if session")),
         }
         Ok(None)
-    }
-
-    /// Scores a candidate from the memoized fixed-allocation profile at `m`
-    /// nodes — the fallback predictor when forking is unavailable.
-    fn profile_score(&mut self, w: &dyn Workload, phase: u32, m: u32) -> SimResult<CandidateScore> {
-        let from = phase as usize;
-        let fp = score_fingerprint(&w.key(), m, &[], from, m, CandidateKind::Keep as u32);
-        if let Some(s) = self.cache.score(fp) {
-            self.stats.memo_scored += 1;
-            return Ok(s);
-        }
-        let cache = &mut self.cache;
-        let s = shielded(|| Ok(realized_suffix(cache.profile(w, m)?, m, &[], from)))
-            .map_err(|e| e.terminal("workload profile"))?;
-        self.cache.insert_score(fp, s);
-        self.stats.profile_scored += 1;
-        Ok(s)
     }
 
     /// Records a committed shrink in the job's removal plan and re-commits
@@ -613,51 +662,74 @@ impl Scorer {
             return;
         }
         job.scoring.plan.push((job.phase as usize, count));
-        let Some(mut sess) = self.sessions.remove(&slot) else {
+        let Some(i) = self.warm(slot) else {
             return; // reopened lazily with the full plan on the next fork
         };
-        if shielded(|| sess.commit_plan(&job.scoring.plan)).is_ok() {
-            self.sessions.insert(slot, sess);
-        } else {
-            self.session_order.retain(|&s| s != slot);
+        let (sess, plan) = (&mut self.sessions[i].1, &job.scoring.plan);
+        if shielded(|| sess.commit_plan(plan)).is_err() {
+            self.sessions.remove(i);
             job.scoring.fork_ok = false;
         }
     }
 
-    /// Opens (or confirms) the warm what-if session for `slot`, committing
-    /// the job's removal plan so far. FIFO-evicts the oldest session at
-    /// [`MAX_SESSIONS`]. Returns `false` — and clears `scoring.fork_ok` —
+    /// Index of `slot`'s warm session, if it has one.
+    fn warm(&self, slot: u32) -> Option<usize> {
+        self.sessions.iter().position(|s| s.0 == slot)
+    }
+
+    /// Index of `slot`'s warm session, opening it — with the job's removal
+    /// plan so far committed — when there is none, and FIFO-evicting the
+    /// oldest at [`MAX_SESSIONS`]. `None` (and `scoring.fork_ok` cleared)
     /// when the backend cannot provide one.
-    fn ensure_session(&mut self, slot: u32, job: &mut LiveJob, w: &dyn Workload) -> bool {
-        if self.sessions.contains_key(&slot) {
-            return true;
+    fn session(&mut self, slot: u32, job: &mut LiveJob, w: &dyn Workload) -> Option<usize> {
+        if let Some(i) = self.warm(slot) {
+            return Some(i);
         }
-        if !job.scoring.fork_ok {
-            return false;
-        }
-        let fork = &job.scoring;
+        let scoring = &job.scoring;
         let opened = shielded(|| {
-            let Some(mut s) = w.whatif_session(fork.start_nodes)? else {
+            let Some(mut s) = w.whatif_session(scoring.start_nodes)? else {
                 return Ok(None);
             };
-            if !fork.plan.is_empty() {
-                s.commit_plan(&fork.plan)?;
+            if !scoring.plan.is_empty() {
+                s.commit_plan(&scoring.plan)?;
             }
             Ok(Some(s))
         });
         let Ok(Some(s)) = opened else {
             job.scoring.fork_ok = false;
-            return false;
+            return None;
         };
-        while self.sessions.len() >= MAX_SESSIONS {
-            match self.session_order.pop_front() {
-                Some(old) => self.sessions.remove(&old),
-                None => break,
-            };
+        if self.sessions.len() == MAX_SESSIONS {
+            self.sessions.remove(0);
         }
-        self.sessions.insert(slot, s);
-        self.session_order.push_back(slot);
+        self.sessions.push((slot, s));
         self.stats.sessions_opened += 1;
-        true
+        Some(self.sessions.len() - 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn score_memo_is_bounded_and_counts() {
+        let mut memo = ScoreMemo::default();
+        assert!(memo.get(7).is_none());
+        let one = CandidateScore {
+            span_ns: 1,
+            work_ns: 1,
+            alloc_node_ns: 1,
+        };
+        memo.insert(7, one);
+        assert_eq!(memo.get(7), Some(one));
+        assert_eq!((memo.hits, memo.misses), (1, 1));
+        for fp in 100..100 + MEMO_CAPACITY as u64 {
+            memo.insert(fp, CandidateScore::default());
+        }
+        assert_eq!((memo.map.len(), memo.evictions), (MEMO_CAPACITY, 1));
+        // The earliest inserted fingerprint is the one gone.
+        assert!(memo.get(7).is_none());
+        assert!(memo.get(100).is_some());
     }
 }

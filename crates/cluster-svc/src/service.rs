@@ -3,7 +3,7 @@
 //!
 //! # Components
 //!
-//! * [`cluster::NodePool`] — which nodes are free, held (by which job
+//! * `rules::NodePool` — which nodes are free, held (by which job
 //!   slot), away or dead, per cell.
 //! * `cells::Cells` — every cell's iteration ends in one cell-ranked
 //!   queue, and the cell totals.
@@ -41,7 +41,6 @@
 //!   pricing (identical inputs per job regardless of grouping) and in
 //!   derived accessors computed once at the end.
 
-use cluster::{capped_backoff, FaultPricing, NodePool, Strike};
 use desim::{EventQueue, Journal, SimDuration, SimTime};
 use dps_sim::{BudgetKind, CancelToken, SimError, SimErrorKind, SimResult};
 use faults::{FaultPlan, Outage};
@@ -53,6 +52,7 @@ use crate::job::JobSpec;
 use crate::journal::{decision, DecisionLog, JobTag, PrefixFeed, ReplayStats, NO_CELL};
 use crate::live::{JobState, JobTable};
 use crate::report::{LatencyHist, ServiceReport, TenantReport};
+use crate::rules::{capped_backoff, FaultPricing, NodePool, Strike};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
 
 /// Execution budgets for one `serve` call (`0`/zero duration = unlimited),

@@ -3,9 +3,9 @@
 //! completion instants follow from the per-iteration spans alone, without
 //! any event loop.
 
-use cluster::SchedulePolicy;
 use cluster_svc::{
-    completions, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, TenantSpec,
+    completions, AnalyticJob, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceConfig,
+    TenantSpec,
 };
 use desim::{SimDuration, SimTime};
 use faults::FaultPlan;

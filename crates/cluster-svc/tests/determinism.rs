@@ -2,10 +2,9 @@
 //! and decision journals across shard counts, under quiet and seeded
 //! faulted runs, and journal divergence pinpointing across seeds.
 
-use cluster::SchedulePolicy;
 use cluster_svc::{
-    check_equivalent, ClusterService, JobSpec, ServeOptions, ServiceConfig, ServiceOutcome,
-    SyntheticLoad, TenantSpec,
+    check_equivalent, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceConfig,
+    ServiceOutcome, SyntheticLoad, TenantSpec,
 };
 use desim::{SimDuration, SimTime};
 use faults::{CheckpointSpec, FaultEvent, FaultGenConfig, FaultKind, FaultPlan};

@@ -1,10 +1,9 @@
 //! The `serve` contract, black-box: completion accounting, budgets,
 //! cancellation, the decision journal's shape, and stream validation.
 
-use cluster::SchedulePolicy;
 use cluster_svc::{
-    decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceBudget, ServiceConfig,
-    SyntheticLoad, TenantSpec, DECISION_LABELS,
+    decision, AnalyticJob, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceBudget,
+    ServiceConfig, SyntheticLoad, TenantSpec, DECISION_LABELS,
 };
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps_sim::{BudgetKind, CancelToken, SimErrorKind};

@@ -6,10 +6,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cluster::{lu_like_job, EfficiencyProfile, Phase, PhaseWorkload, SchedulePolicy, Workload};
+use cluster::{lu_like_job, EfficiencyProfile, Phase, PhaseWorkload, Workload};
 use cluster_svc::{
-    completions, decision, random_jobs, AnalyticJob, ClusterService, JobSpec, ServeOptions,
-    ServiceConfig, ServiceReport, TenantSpec,
+    completions, decision, random_jobs, AnalyticJob, ClusterService, JobSpec, SchedulePolicy,
+    ServeOptions, ServiceConfig, ServiceReport, TenantSpec,
 };
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps_sim::{SimError, SimResult};

@@ -31,13 +31,6 @@ impl EfficiencyProfile {
             .fold(SimDuration::ZERO, |acc, p| acc + p.span)
     }
 
-    /// Sum of iteration work.
-    pub fn total_work(&self) -> SimDuration {
-        self.points
-            .iter()
-            .fold(SimDuration::ZERO, |acc, p| acc + p.cpu_work)
-    }
-
     /// First iteration (0-based) whose efficiency drops below `threshold`,
     /// if any.
     pub fn first_below(&self, threshold: f64) -> Option<usize> {

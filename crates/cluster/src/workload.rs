@@ -27,7 +27,6 @@ use desim::SimDuration;
 use dps_sim::{SimError, SimResult};
 
 use crate::efficiency::{EfficiencyProfile, IterationPoint};
-use crate::whatif::CandidateScore;
 
 /// A malleable application the cluster server can schedule.
 ///
@@ -58,16 +57,49 @@ pub trait Workload: Send + Sync {
     /// Opens a live what-if session for one job instance starting on
     /// `start_nodes` nodes: a warm paused simulation the scheduler can
     /// advance barrier-by-barrier and fork into candidate futures (see
-    /// [`crate::whatif::WhatIfSession`]). Returns `Ok(None)` when the
+    /// [`WhatIfSession`]). Returns `Ok(None)` when the
     /// backend cannot fork (the scheduler then falls back to
     /// profile-suffix scoring), `Err` when opening the run itself failed.
-    fn whatif_session(
-        &self,
-        start_nodes: u32,
-    ) -> SimResult<Option<Box<dyn crate::whatif::WhatIfSession>>> {
+    fn whatif_session(&self, start_nodes: u32) -> SimResult<Option<Box<dyn WhatIfSession>>> {
         let _ = start_nodes;
         Ok(None)
     }
+}
+
+/// A job's live what-if session: a paused simulation advanced to the
+/// job's current iteration barrier, from which candidate futures fork
+/// without re-simulating the prefix. Implemented by
+/// `workload::WhatIfEvaluator` over `SimCheckpoint::fork()`; the trait
+/// lives here so `cluster-svc` can drive sessions without depending on
+/// the app crates.
+///
+/// Sessions are engine-local (created and dropped inside one `serve`
+/// call), so the trait is deliberately not `Send`: the underlying paused
+/// simulation pins itself to the thread that runs the service loop.
+pub trait WhatIfSession {
+    /// Advances the warm base to (just before) 1-based barrier `barrier`.
+    /// Barriers must be requested monotonically. Returns `false` when the
+    /// underlying run finished first (the session is then exhausted).
+    fn advance_to_barrier(&mut self, barrier: usize) -> SimResult<bool>;
+
+    /// Forks the base and executes the full removal `plan` (entries at or
+    /// before the current barrier having already executed in the base),
+    /// returning the realized per-iteration profile. Requires a prior
+    /// successful [`WhatIfSession::advance_to_barrier`]. May return a
+    /// previously realized profile of the same effective plan (the
+    /// removals that actually fire), charged as the fork would have been.
+    fn score_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<EfficiencyProfile>;
+
+    /// Commits `plan` into the warm base so future forks inherit it. The
+    /// plan replaces any previously committed plan.
+    fn commit_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<()>;
+
+    /// Cumulative deterministic cost of this session: committed simulator
+    /// steps spent advancing the warm base plus every forked suffix. The
+    /// service's circuit breaker charges each decision the delta of this
+    /// counter — virtual work, never host wall time, so budget breaches are
+    /// reproducible per seed.
+    fn steps_used(&self) -> u64;
 }
 
 /// One phase of an analytic job: `work` of serial computation with parallel
@@ -149,11 +181,6 @@ impl PhaseWorkload {
             phases,
         }
     }
-
-    /// The wrapped phases.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
 }
 
 impl Workload for PhaseWorkload {
@@ -192,28 +219,20 @@ impl Workload for PhaseWorkload {
 /// Capacity of a [`ProfileCache`] (distinct profiles held).
 const PROFILE_CAPACITY: usize = 4096;
 
-/// How many candidate scores are held per profile-capacity unit (scores
-/// are a few words each; profiles are whole point vectors).
-const SCORES_PER_PROFILE: usize = 16;
-
-/// Memoized `(workload key, node count) → profile` store, plus a
-/// fingerprint-keyed memo of what-if [`CandidateScore`]s.
+/// Memoized `(workload key, node count) → profile` store.
 ///
 /// Keyed with the simulator's [`FxHasher`] maps (the hot-map convention of
 /// the engine crates): profile lookups sit on the server's event-loop hot
 /// path, once per scheduling probe.
 ///
-/// Both memos are **bounded**: once `capacity` profiles (or
-/// `capacity × 16` scores) are held, the oldest entry *by insertion
-/// order* is evicted first. Insertion order is part of the deterministic
-/// event order, so the hit/miss/eviction counters — and everything
-/// downstream of a recomputed profile — are identical across shard
-/// counts and engine thread counts.
+/// The memo is **bounded**: once `capacity` profiles are held, the oldest
+/// *by insertion order* is evicted first. Insertion order is part of the
+/// deterministic event order, so the hit/miss/eviction counters — and
+/// everything downstream of a recomputed profile — are identical across
+/// shard counts and engine thread counts.
 pub struct ProfileCache {
     map: FxHashMap<(String, u32), EfficiencyProfile>,
     order: VecDeque<(String, u32)>,
-    scores: FxHashMap<u64, CandidateScore>,
-    score_order: VecDeque<u64>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -227,21 +246,17 @@ impl Default for ProfileCache {
 }
 
 impl ProfileCache {
-    /// An empty cache holding at most 4096 profiles and 16 × that many
-    /// candidate scores.
+    /// An empty cache holding at most 4096 profiles.
     pub fn new() -> ProfileCache {
         ProfileCache::with_capacity(PROFILE_CAPACITY)
     }
 
-    /// An empty cache holding at most `capacity` profiles (floored at 1)
-    /// and `capacity × 16` candidate scores, evicting the oldest inserted
-    /// entry once full.
+    /// An empty cache holding at most `capacity` profiles (floored at 1),
+    /// evicting the oldest inserted profile once full.
     fn with_capacity(capacity: usize) -> ProfileCache {
         ProfileCache {
             map: FxHashMap::default(),
             order: VecDeque::new(),
-            scores: FxHashMap::default(),
-            score_order: VecDeque::new(),
             capacity: capacity.max(1),
             hits: 0,
             misses: 0,
@@ -256,60 +271,22 @@ impl ProfileCache {
 
     /// Whether nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.scores.is_empty()
+        self.map.is_empty()
     }
 
-    /// Number of candidate scores currently memoized.
-    pub fn scores_len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Lookups (profiles and scores) served from the memo.
+    /// Lookups served from the memo.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Lookups that had to compute (and store) a fresh entry.
+    /// Lookups that had to compute (and store) a fresh profile.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Entries (profiles and scores) evicted to stay within capacity.
+    /// Profiles evicted to stay within capacity.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// A memoized candidate score (see
-    /// [`crate::whatif::score_fingerprint`]); counts as a hit when
-    /// present, a miss when absent (the caller computes and
-    /// [`ProfileCache::insert_score`]s it).
-    pub fn score(&mut self, fingerprint: u64) -> Option<CandidateScore> {
-        match self.scores.get(&fingerprint) {
-            Some(s) => {
-                self.hits += 1;
-                Some(*s)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Memoizes a computed candidate score, evicting the oldest score
-    /// first when full. Re-inserting an existing fingerprint updates in
-    /// place.
-    pub fn insert_score(&mut self, fingerprint: u64, score: CandidateScore) {
-        if self.scores.insert(fingerprint, score).is_some() {
-            return;
-        }
-        self.score_order.push_back(fingerprint);
-        let cap = self.capacity.saturating_mul(SCORES_PER_PROFILE);
-        while self.scores.len() > cap {
-            let oldest = self.score_order.pop_front().expect("scores tracked");
-            self.scores.remove(&oldest);
-            self.evictions += 1;
-        }
     }
 
     /// The profile of `w` at `nodes`, computing and memoizing it on first
@@ -458,31 +435,5 @@ mod tests {
         assert_eq!(cache.misses(), misses);
         cache.profile(&w, 1).unwrap(); // evicted: recomputed
         assert_eq!(cache.misses(), misses + 1);
-    }
-
-    #[test]
-    fn score_memo_is_bounded_and_counts() {
-        use crate::whatif::CandidateScore;
-        let mut cache = ProfileCache::with_capacity(1); // 16 scores
-        assert!(cache.score(7).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.insert_score(
-            7,
-            CandidateScore {
-                span_ns: 1,
-                work_ns: 1,
-                alloc_node_ns: 1,
-            },
-        );
-        assert_eq!(cache.score(7).unwrap().span_ns, 1);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        for fp in 100..120u64 {
-            cache.insert_score(fp, CandidateScore::default());
-        }
-        assert_eq!(cache.scores_len(), 16);
-        assert!(cache.evictions() > 0);
-        // The earliest inserted fingerprints are the ones gone.
-        assert!(cache.score(7).is_none());
-        assert!(cache.score(119).is_some());
     }
 }

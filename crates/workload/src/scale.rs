@@ -20,10 +20,10 @@
 
 use std::sync::Arc;
 
-use cluster::{SchedulePolicy, Workload};
+use cluster::Workload;
 use cluster_svc::{
-    ClusterService, JobSpec, ServeOptions, ServiceConfig, ServiceOutcome, ServiceReport,
-    SyntheticLoad, TenantSpec,
+    ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceConfig, ServiceOutcome,
+    ServiceReport, SyntheticLoad, TenantSpec,
 };
 use desim::{SimDuration, SimTime};
 use faults::{CheckpointSpec, FaultGenConfig, FaultPlan};

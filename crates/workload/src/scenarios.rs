@@ -16,9 +16,10 @@
 
 use std::sync::Arc;
 
-use cluster::{efficiency_target, ProfileCache, SchedulePolicy, Workload};
+use cluster::{ProfileCache, Workload};
 use cluster_svc::{
-    completions, random_jobs, ClusterService, JobSpec, ServeOptions, ServiceOutcome,
+    completions, efficiency_target, random_jobs, ClusterService, JobSpec, SchedulePolicy,
+    ServeOptions, ServiceOutcome,
 };
 use desim::{SimDuration, SimTime};
 use dps_sim::SimResult;

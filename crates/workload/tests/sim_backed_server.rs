@@ -5,8 +5,10 @@
 
 use std::sync::Arc;
 
-use cluster::{IterationPoint, ProfileCache, SchedulePolicy, Workload};
-use cluster_svc::{completions, decision, ClusterService, JobSpec, ServeOptions, ServiceOutcome};
+use cluster::{IterationPoint, ProfileCache, Workload};
+use cluster_svc::{
+    completions, decision, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceOutcome,
+};
 use desim::{Journal, JournalEvent, SimTime};
 use faults::FaultPlan;
 use workload::{lone_job_schedule, one_cell_config, shrink_schedule, sim_job_set, SimEnv};

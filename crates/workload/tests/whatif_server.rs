@@ -10,8 +10,10 @@
 
 use std::sync::Arc;
 
-use cluster::{BreakerSpec, Workload};
-use cluster_svc::{check_equivalent, ClusterService, JobSpec, ServeOptions, ServiceOutcome};
+use cluster::Workload;
+use cluster_svc::{
+    check_equivalent, BreakerSpec, ClusterService, JobSpec, ServeOptions, ServiceOutcome,
+};
 use desim::{SimDuration, SimTime};
 use faults::FaultPlan;
 use workload::{server_scale_load, server_scale_plan, server_whatif_config, LuWorkload, SimEnv};

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 
-use dvns::cluster::SchedulePolicy;
+use dvns::cluster_svc::SchedulePolicy;
 use dvns::cluster_svc::{completions, ClusterService, ServeOptions, ServiceOutcome};
 use dvns::desim::{SimDuration, SimTime};
 use dvns::faults::{CheckpointSpec, FaultGenConfig, FaultPlan};

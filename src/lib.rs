@@ -19,14 +19,15 @@
 //! * [`faults`] — deterministic fault schedules ([`faults::FaultPlan`]),
 //!   seeded generation and checkpoint/restart cost modeling, injected into
 //!   the network, the engine and the cluster server.
-//! * [`cluster`] — dynamic-efficiency analysis, allocation and scheduling
-//!   policies, the scheduler's shared rules and the [`cluster::Workload`]
-//!   trait.
+//! * [`cluster`] — the workload contract: the [`cluster::Workload`] trait
+//!   any malleable application implements, dynamic-efficiency analysis
+//!   and the threshold removal policy.
 //! * [`cluster_svc`] — the cluster server: one scheduler engine, run as a
 //!   long-lived sharded multi-tenant job service (fair-share admission,
 //!   cross-shard elastic recovery, million-job synthetic streams,
 //!   byte-identical across shard counts) or, with one cell and one
-//!   tenant, as a batch server.
+//!   tenant, as a batch server. It owns the scheduling policies and
+//!   rules.
 //! * [`workload`] — simulator-backed workloads ([`workload::LuWorkload`],
 //!   [`workload::StencilWorkload`]), the shared [`workload::SimEnv`]
 //!   experiment wiring and the scenario registry.

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use dvns::cluster::SchedulePolicy;
+use dvns::cluster_svc::SchedulePolicy;
 use dvns::cluster_svc::{
     ClusterService, JobSpec, ServeOptions, ServiceConfig, SyntheticLoad, TenantSpec,
 };

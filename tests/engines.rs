@@ -450,7 +450,7 @@ fn service_stage_order_is_pinned() {
     // malleable and elastic recovery, quiet and under a seeded fault plan.
     // It pins the per-instant stage order: global events, then arrivals,
     // then phase ends in cell order.
-    use dvns::cluster::SchedulePolicy;
+    use dvns::cluster_svc::SchedulePolicy;
     use dvns::cluster_svc::{
         decision, AnalyticJob, ClusterService, JobSpec, ServeOptions, ServiceConfig, SyntheticLoad,
         TenantSpec, NO_CELL,
@@ -619,7 +619,7 @@ fn one_cell_service_schedule_is_pinned() {
     // quotas. This digest of every (seed, policy, job, completion instant)
     // was taken from the former batch engine, which the service matched on
     // these quiet runs, so the one-cell schedule stays pinned to it.
-    use dvns::cluster::SchedulePolicy;
+    use dvns::cluster_svc::SchedulePolicy;
     use dvns::cluster_svc::{completions, random_jobs, ClusterService, ServeOptions};
     use dvns::faults::FaultPlan;
     use dvns::workload::one_cell_config;
