@@ -1,4 +1,4 @@
-//! Service topology and tenant configuration.
+//! Service topology, scheduling policy and tenant configuration.
 //!
 //! The semantic unit of partitioning is the **cell**: a fixed slice of
 //! `nodes_per_cell` compute nodes with its own free set and totals. A job

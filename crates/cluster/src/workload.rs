@@ -57,9 +57,9 @@ pub trait Workload: Send + Sync {
     /// Opens a live what-if session for one job instance starting on
     /// `start_nodes` nodes: a warm paused simulation the scheduler can
     /// advance barrier-by-barrier and fork into candidate futures (see
-    /// [`WhatIfSession`]). Returns `Ok(None)` when the
-    /// backend cannot fork (the scheduler then falls back to
-    /// profile-suffix scoring), `Err` when opening the run itself failed.
+    /// [`WhatIfSession`]). Returns `Ok(None)` when the backend cannot fork
+    /// (the scheduler then falls back to profile-suffix scoring), `Err`
+    /// when opening the run itself failed.
     fn whatif_session(&self, start_nodes: u32) -> SimResult<Option<Box<dyn WhatIfSession>>> {
         let _ = start_nodes;
         Ok(None)
