@@ -2,7 +2,7 @@
 //!
 //! Under a root seed, each case draws a random small workload (LU or
 //! stencil, random sizes and worker→node routing) and an optional seeded
-//! fault plan, then asserts the engine's core invariant three ways:
+//! fault plan, then asserts the engine's core invariant four ways:
 //!
 //! 1. **Rerun**: a second fresh run is equivalent to the baseline
 //!    (`dps_sim::check_equivalent`: committed-event journal, metadata
@@ -12,19 +12,23 @@
 //! 3. **Pinpointer sanity**: a run perturbed with an injected commit-order
 //!    tie-break swap either leaves the stream untouched (the drawn swap
 //!    index never fired) or produces a divergence diagnostic that names a
-//!    ticket and a virtual time.
+//!    ticket and a virtual time;
+//! 4. **Fork**: a run paused at a random instant and forked — fault plan
+//!    and all — finishes equivalent to the baseline, and so does the
+//!    paused original.
 //!
 //! Failures come back as pinpointed one-line diagnostics
 //! ([`dps_sim::Divergence`]), not CSV diffs. The `fuzz` binary drives this
 //! under `--seed` / `--cases` / `--budget-secs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use cluster_svc::{DurabilitySpec, WriteAheadLog};
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps::Application;
 use dps_sim::journal::replay_with_fabric;
-use dps_sim::{check_equivalent, Fabric, FaultFabric, SimConfig, SimFabric, SimResult, TimingMode};
+use dps_sim::{check_equivalent, SimCheckpoint, SimConfig, SimFabric, SimResult, TimingMode};
 use faults::{FaultGenConfig, FaultPlan};
 use lu_app::{build_lu_app, DataMode, LuConfig};
 use netmodel::NetParams;
@@ -129,16 +133,18 @@ fn draw_plan(rng: &mut Xoshiro256, nodes: u32) -> Option<FaultPlan> {
     if rng.gen_range_u64(0, 2) == 0 {
         return None;
     }
-    let mut gen = FaultGenConfig::quiet(nodes, SimDuration::from_secs(300));
+    // The drawn runs take 15-400 ms of virtual time; windows drawn over
+    // the same span overlap them.
+    let mut gen = FaultGenConfig::quiet(nodes, SimDuration::from_millis(400));
     gen.slowdowns = rng.gen_range_u64(0, 4) as usize;
     gen.degrades = rng.gen_range_u64(0, 3) as usize;
     Some(gen.generate(rng.next_u64()))
 }
 
-fn fabric_for(plan: &Option<FaultPlan>, net: NetParams) -> Box<dyn Fabric + Send> {
+fn fabric_for(plan: &Option<FaultPlan>, net: NetParams) -> SimFabric {
     match plan {
-        Some(p) => Box::new(FaultFabric::new(net, p).expect("generated plans validate")),
-        None => Box::new(SimFabric::new(net)),
+        Some(p) => SimFabric::with_plan(net, p).expect("generated plans validate"),
+        None => SimFabric::new(net),
     }
 }
 
@@ -158,8 +164,7 @@ fn run_case_app(
     cfg: &SimConfig,
 ) -> SimResult<dps_sim::RunReport> {
     let built = app.build();
-    let mut fabric = fabric_for(plan, net);
-    dps_sim::simulate_with_fabric(&built, fabric.as_mut(), cfg)
+    dps_sim::simulate_with_fabric(&built, &mut fabric_for(plan, net), cfg)
 }
 
 /// Runs one fuzz case; `Err` carries the pinpointed diagnostic.
@@ -189,7 +194,7 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     let prefix = rng.gen_range_u64(0, recorded.len() as u64 + 1) as usize;
     let built = app.build();
     let mut fabric = fabric_for(&plan, net);
-    let out = replay_with_fabric(&built, fabric.as_mut(), &base_cfg(), recorded, prefix)
+    let out = replay_with_fabric(&built, &mut fabric, &base_cfg(), recorded, prefix)
         .map_err(|e| fail("replay run", e.to_string()))?;
     check_equivalent(&out.report, &baseline)
         .map_err(|d| fail(&format!("replay at prefix={prefix}"), d))?;
@@ -218,6 +223,20 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
             true
         }
     };
+
+    // 4. Pause at a random instant, fork, and finish both copies.
+    let t = SimTime(rng.gen_range_u64(0, baseline.completion.as_nanos() + 1));
+    let mut paused = SimCheckpoint::new(Arc::new(app.build()), fabric_for(&plan, net), &base_cfg());
+    paused
+        .advance_until(t)
+        .map_err(|e| fail("paused run", e.to_string()))?;
+    let fork = paused.fork().map_err(|e| fail("fork", e.to_string()))?;
+    for (name, ck) in [("fork", fork), ("original", paused)] {
+        let report = ck
+            .finish()
+            .map_err(|e| fail(&format!("{name} run"), e.to_string()))?;
+        check_equivalent(&report, &baseline).map_err(|d| fail(&format!("{name} at {t}"), d))?;
+    }
 
     Ok(CaseReport {
         index,

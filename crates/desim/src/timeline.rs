@@ -5,8 +5,9 @@
 //! layers ask about a set of them: what is the effective multiplier of a
 //! node at an instant, when does the next window boundary fall, and which
 //! nodes' multipliers changed across a time interval. It is the workspace's
-//! only window mechanism: `netmodel`'s link capacity windows, `dps-sim`'s
-//! fault fabric and `cluster`'s fault pricing all query one.
+//! only window mechanism: `netmodel`'s link capacity windows, the CPU
+//! slowdowns of `dps-sim`'s `SimFabric` under a fault plan and
+//! `cluster-svc`'s fault pricing all query one.
 
 use crate::time::SimTime;
 

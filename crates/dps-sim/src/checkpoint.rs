@@ -15,14 +15,16 @@
 //!
 //! [`SimCheckpoint::fork`] deep-copies every piece of live state — queued
 //! and in-flight data objects, behaviour state, recorded segments and
-//! pending actions, CPU and network model state, timing calibration, and
-//! accumulated report data. Cloning is *fallible by design*: payloads and
-//! operations opt in via [`dps::DataObject::try_clone_obj`] and
-//! [`dps::Operation::fork_op`]; if anything live opts out, `fork` returns
-//! `None` and the caller falls back to a fresh full run. A completed fork
-//! produces a [`RunReport`] identical (modulo host wall time) to an
-//! uninterrupted simulation of the same configuration — property tests
-//! assert byte-for-byte equality of [`RunReport::canonical_string`].
+//! pending actions, CPU and network model state (a [`SimFabric`], fault
+//! plan included), timing calibration, and accumulated report data.
+//! Cloning is *fallible by design*: payloads and operations opt in via
+//! [`dps::DataObject::try_clone_obj`] and [`dps::Operation::fork_op`]; if
+//! anything live opts out, `fork` fails with
+//! [`crate::SimErrorKind::ForkRefused`] and the caller falls back to a
+//! fresh full run. A completed fork produces a [`RunReport`] identical
+//! (modulo host wall time) to an uninterrupted simulation of the same
+//! configuration — property tests assert byte-for-byte equality of
+//! [`RunReport::canonical_string`].
 //!
 //! The point: a parameter sweep whose configurations share a common prefix
 //! (same matrix, same cluster, different *removal plans* kicking in at
@@ -34,18 +36,19 @@ use std::time::Instant;
 
 use desim::SimTime;
 use dps::{Application, OpId, ThreadId};
+use faults::FaultPlan;
 use netmodel::NetParams;
 
 use crate::engine::{Engine, PausePred, SimConfig};
 use crate::error::{SimError, SimResult};
-use crate::fabric::{Fabric, SimFabric};
+use crate::fabric::SimFabric;
 use crate::report::RunReport;
 
 pub use crate::engine::PausePoint;
 
 /// A paused, forkable simulation (see module docs).
 pub struct SimCheckpoint {
-    eng: Engine<Arc<Application>, Box<dyn Fabric + Send>>,
+    eng: Engine<Arc<Application>, Box<SimFabric>>,
     /// Host wall time spent driving this branch so far (inherited by
     /// forks); folded into the final report's `host_wall`.
     host: std::time::Duration,
@@ -55,24 +58,26 @@ pub struct SimCheckpoint {
 /// it until the next event would pass `t`, returning the paused engine.
 ///
 /// Advancing to [`SimTime::ZERO`] stops before the first event, i.e. right
-/// after start injection.
+/// after start injection. Parameters that fail [`NetParams::validate`] are
+/// a protocol error.
 pub fn simulate_until(
     app: Arc<Application>,
     params: NetParams,
     cfg: &SimConfig,
     t: SimTime,
 ) -> SimResult<SimCheckpoint> {
-    let mut ck = SimCheckpoint::new(app, Box::new(SimFabric::new(params)), cfg);
+    let fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
+    let mut ck = SimCheckpoint::new(app, fabric, cfg);
     ck.advance_until(t)?;
     Ok(ck)
 }
 
 impl SimCheckpoint {
-    /// A checkpoint at virtual time zero, before any event ran, over an
-    /// arbitrary (owned) fabric.
-    pub fn new(app: Arc<Application>, fabric: Box<dyn Fabric + Send>, cfg: &SimConfig) -> Self {
+    /// A checkpoint at virtual time zero, before any event ran, over
+    /// `fabric` (with or without a fault plan).
+    pub fn new(app: Arc<Application>, fabric: SimFabric, cfg: &SimConfig) -> Self {
         SimCheckpoint {
-            eng: Engine::start(app, fabric, cfg),
+            eng: Engine::start(app, Box::new(fabric), cfg),
             host: std::time::Duration::ZERO,
         }
     }
@@ -125,10 +130,9 @@ impl SimCheckpoint {
     }
 
     /// A fully independent copy of the paused simulation.
-    /// [`crate::SimErrorKind::ForkRefused`] when some live payload,
-    /// behaviour state, or the fabric opted out of cloning — callers fall
-    /// back to a fresh run on exactly that variant
-    /// ([`SimError::is_fork_refused`]).
+    /// [`crate::SimErrorKind::ForkRefused`] when some live payload or
+    /// behaviour state opted out of cloning — callers fall back to a fresh
+    /// run on exactly that variant ([`SimError::is_fork_refused`]).
     pub fn fork(&mut self) -> SimResult<SimCheckpoint> {
         match self.eng.try_fork() {
             Some(eng) => Ok(SimCheckpoint {
@@ -136,7 +140,7 @@ impl SimCheckpoint {
                 host: self.host,
             }),
             None => Err(SimError::fork_refused(
-                "a live payload, behaviour state, or the fabric does not support cloning",
+                "a live payload or behaviour state does not support cloning",
             )),
         }
     }

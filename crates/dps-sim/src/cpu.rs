@@ -109,21 +109,15 @@ impl CpuModel {
     }
 
     /// Re-splits processors. Only two things move a node's per-step rate:
-    /// its step population (the `dirty` marks) and its communication load
-    /// (reported by the fabric). When the fabric can enumerate the latter
-    /// the cost is O(nodes that changed); otherwise every node is examined.
+    /// its step population (the `dirty` marks) and its available CPU
+    /// (reported by the fabric), so the cost is O(nodes that changed).
     pub(crate) fn reprice(&mut self, now: SimTime, fabric: &mut (impl Fabric + ?Sized)) {
         let mut affected = std::mem::take(&mut self.scratch);
         affected.clear();
-        if fabric.comm_dirty_nodes(&mut affected) {
-            affected.append(&mut self.dirty);
-            affected.sort_unstable();
-            affected.dedup();
-        } else {
-            affected.clear();
-            self.dirty.clear();
-            affected.extend((0..self.nodes.len() as u32).map(NodeId));
-        }
+        fabric.comm_dirty_nodes(&mut affected);
+        affected.append(&mut self.dirty);
+        affected.sort_unstable();
+        affected.dedup();
         for &node in &affected {
             // The fabric may name nodes the application never deployed to.
             let Some(cpu) = self.nodes.get_mut(node.0 as usize) else {

@@ -31,6 +31,7 @@ use std::time::Instant;
 use desim::journal::{Journal, JournalEvent};
 use desim::{FxHashMap, SimTime};
 use dps::{ActiveSet, Application, DataObj, OpId, Operation, RouteCtx, ThreadId, Window};
+use faults::FaultPlan;
 use netmodel::{NetParams, NodeId};
 
 use crate::accounting::Accounting;
@@ -100,10 +101,11 @@ impl Delivery {
 }
 
 /// Runs `app` on the paper's machine model with the given network
-/// parameters. Fails with a typed [`SimError`] on deadlock, a blown
-/// budget, cancellation, or a wiring bug — never panics, never hangs.
+/// parameters. Fails with a typed [`SimError`] on invalid parameters,
+/// deadlock, a blown budget, cancellation, or a wiring bug — never panics,
+/// never hangs.
 pub fn simulate(app: &Application, params: NetParams, cfg: &SimConfig) -> SimResult<RunReport> {
-    let mut fabric = SimFabric::new(params);
+    let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
     simulate_with_fabric(app, &mut fabric, cfg)
 }
 
@@ -128,7 +130,7 @@ pub fn simulate_with_fabric(
 /// Plain runs borrow the application and the fabric from the caller
 /// (`A = &Application`, `F = &mut dyn Fabric`); checkpoints, which outlive
 /// the calling frame and hand copies to forks, own them
-/// (`A = Arc<Application>`, `F = Box<dyn Fabric + Send>`).
+/// (`A = Arc<Application>`, `F = Box<SimFabric>`).
 pub(crate) struct Engine<A, F> {
     app: A,
     fabric: F,
@@ -731,13 +733,12 @@ where
     }
 }
 
-impl<A: Clone> Engine<A, Box<dyn Fabric + Send>> {
+impl<A: Clone> Engine<A, Box<SimFabric>> {
     /// A fully independent deep copy of the running simulation, sharing
     /// only the (immutable) application with the original. `None` when any
-    /// live payload, behaviour state, or the fabric does not support
-    /// cloning — callers then fall back to a fresh run.
-    pub(crate) fn try_fork(&mut self) -> Option<Self> {
-        let fabric = self.fabric.fork_fabric()?;
+    /// live payload or behaviour state does not support cloning — callers
+    /// then fall back to a fresh run.
+    pub(crate) fn try_fork(&self) -> Option<Self> {
         let servers = self.servers.iter().map(Server::try_clone);
         let inflight = self
             .inflight
@@ -745,7 +746,7 @@ impl<A: Clone> Engine<A, Box<dyn Fabric + Send>> {
             .map(|(&h, d)| Some((h, d.try_clone()?)));
         Some(Engine {
             app: self.app.clone(),
-            fabric,
+            fabric: self.fabric.clone(),
             cpu: self.cpu.clone(),
             acct: self.acct.clone(),
             control: self.control.fork(),

@@ -8,48 +8,61 @@
 //! `testbed` crate implements a much more detailed, stochastic fabric; the
 //! *difference* between the two is exactly what the paper's validation
 //! measures.
+//!
+//! [`SimFabric::with_plan`] plays a [`FaultPlan`]'s *rate* perturbations
+//! against the same models:
+//!
+//! * `LinkDegrade` windows become [`netmodel`] capacity windows — the
+//!   equal-share fairness solver re-splits bandwidth at the window
+//!   boundaries, so concurrent transfers through a degraded node slow down
+//!   and everything sharing its ports feels it;
+//! * `NodeSlowdown` windows scale [`Fabric::cpu_available`] — the engine's
+//!   processor-sharing rates drop for the window's duration and recover
+//!   afterwards. Window boundaries are reported through
+//!   [`Fabric::next_event_time`] and [`Fabric::comm_dirty_nodes`], so the
+//!   engine re-prices running steps exactly at the boundary.
+//!
+//! Crashes and preemptions are **not** fabric-level events: removing a node
+//! under running atomic steps would deadlock the DPS graph (posts to dead
+//! servers). They are realized at the application layer through the DPS
+//! thread-removal machinery at the next iteration boundary (see the
+//! `workload` crate) and at the cluster-server layer through job
+//! interruption — the fabric only carries the continuous perturbations.
+//!
+//! Without a plan the CPU timeline is empty: every multiplier is exactly
+//! `1.0` and no extra event time is reported.
 
 use desim::{SimDuration, SimTime};
+use faults::{FaultPlan, RateTimeline};
 use netmodel::network::NetStats;
 use netmodel::{NetEvent, NetParams, Network, NodeId, Sharing};
+
+use crate::error::{SimError, SimResult};
 
 /// Machine model behind the engine (see module docs).
 pub trait Fabric {
     /// Begins a transfer of `bytes` payload bytes; returns a handle reported
-    /// back by [`advance`](Fabric::advance) on completion.
+    /// back by [`advance_into`](Fabric::advance_into) on completion.
     fn start_transfer(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> u64;
 
     /// Next instant at which the fabric's state changes on its own.
     fn next_event_time(&mut self) -> Option<SimTime>;
 
-    /// Advances to `now`, returning handles of completed transfers in
-    /// deterministic order.
-    fn advance(&mut self, now: SimTime) -> Vec<u64>;
-
-    /// [`advance`](Fabric::advance) into a caller-owned buffer: the handles
-    /// are appended to `out`. The engine's loop calls this one, so a fabric
-    /// that overrides it keeps the loop free of per-event allocations.
-    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
-        out.extend(self.advance(now));
-    }
+    /// Advances to `now`, appending the handles of completed transfers to
+    /// `out` in deterministic order. The buffer is the caller's, so the
+    /// engine's loop allocates nothing per event.
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>);
 
     /// Fraction of `node`'s processing power currently available to
     /// computation, after communication handling costs.
     fn cpu_available(&self, node: NodeId) -> f64;
 
-    /// Appends to `out` every node whose [`cpu_available`] inputs may have
-    /// changed since the previous call (nodes may repeat) and returns
-    /// `true`. Returning `false` means the fabric cannot tell, and the
-    /// engine must re-examine every node. Fabrics whose availability
-    /// depends only on per-node communication counts implement this so the
-    /// engine's per-event CPU recomputation is O(changed nodes), not
-    /// O(all nodes).
+    /// Appends to `out` every node whose [`cpu_available`] may have changed
+    /// since the previous call (nodes may repeat), so the engine's per-event
+    /// CPU recomputation is O(changed nodes), not O(all nodes).
     ///
     /// [`cpu_available`]: Fabric::cpu_available
-    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) -> bool {
-        let _ = out;
-        false
-    }
+    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>);
 
     /// Transforms a nominal computation duration into the duration this
     /// machine actually takes (noise/perturbation hook; identity for the
@@ -68,13 +81,6 @@ pub trait Fabric {
     /// Cumulative transfer statistics.
     fn net_stats(&self) -> NetStats;
 
-    /// An independent deep copy of the fabric's current state, for engines
-    /// that snapshot and fork a running simulation. `None` — the default —
-    /// marks the fabric as unforkable; checkpoints over it cannot fork.
-    fn fork_fabric(&mut self) -> Option<Box<dyn Fabric + Send>> {
-        None
-    }
-
     /// Capacity windows scheduled on this fabric (fault plans, straggler
     /// studies), as `(node, up_factor, down_factor, from, to)` tuples in a
     /// deterministic order. The engine copies these into the event journal
@@ -86,15 +92,26 @@ pub trait Fabric {
 }
 
 /// The paper's machine model: [`netmodel`] flow network + linear CPU cost of
-/// communications.
+/// communications, with an optional fault plan's rate windows. Cloning it
+/// gives a checkpoint's fork its own independent copy.
+#[derive(Clone)]
 pub struct SimFabric {
     net: Network,
+    /// The plan's CPU-slowdown windows; empty without a plan.
+    cpu: RateTimeline,
+    /// Instant of the last advance: CPU multipliers are read there.
+    now: SimTime,
+    /// Nodes whose CPU multiplier changed since the last
+    /// [`Fabric::comm_dirty_nodes`] drain.
+    changed: Vec<u32>,
     /// Buffer for one [`Fabric::advance_into`]'s events; empty between calls.
     events: Vec<NetEvent>,
 }
 
 impl SimFabric {
-    /// Creates an empty instance.
+    /// Creates an empty instance. Panics on parameters that fail
+    /// [`NetParams::validate`]; [`SimFabric::with_plan`] returns them as a
+    /// typed error instead.
     pub fn new(params: NetParams) -> SimFabric {
         SimFabric::with_sharing(params, Sharing::EqualSplit)
     }
@@ -103,37 +120,37 @@ impl SimFabric {
     pub fn with_sharing(params: NetParams, sharing: Sharing) -> SimFabric {
         SimFabric {
             net: Network::new(params, sharing),
+            cpu: RateTimeline::default(),
+            now: SimTime::ZERO,
+            changed: Vec::new(),
             events: Vec::new(),
         }
     }
 
-    /// Concrete-typed fork (see [`Fabric::fork_fabric`]); used by wrapper
-    /// fabrics that need to rebuild themselves around the copy.
-    pub(crate) fn fork_sim(&self) -> SimFabric {
-        SimFabric {
-            net: self.net.clone(),
-            events: Vec::new(),
+    /// A fabric with `plan`'s slowdown and degrade windows injected (see
+    /// module docs). Parameters that fail [`NetParams::validate`] and a plan
+    /// that fails [`FaultPlan::validate`] (its fields are public, so a
+    /// literal can hold an empty or overflowing window) are protocol errors.
+    pub fn with_plan(params: NetParams, plan: &FaultPlan) -> SimResult<SimFabric> {
+        params
+            .validate()
+            .map_err(|e| SimError::protocol(format!("invalid network parameters: {e}")))?;
+        plan.validate()
+            .map_err(|e| SimError::protocol(format!("invalid fault plan: {e}")))?;
+        let mut fabric = SimFabric::new(params);
+        for w in plan.link_windows() {
+            fabric
+                .net
+                .schedule_capacity_window(NodeId(w.node), w.factor, w.factor, w.from, w.to);
         }
+        fabric.cpu = RateTimeline::new(plan.cpu_windows());
+        Ok(fabric)
     }
 
     /// Overrides one node's link capacities (heterogeneous clusters,
     /// straggler studies).
     pub fn set_node_capacity(&mut self, node: NodeId, up: f64, down: f64) {
         self.net.set_node_capacity(node, up, down);
-    }
-
-    /// Schedules a temporary capacity multiplier on one node's ports over
-    /// `[from, to)` (fault injection; see the `faults` crate).
-    pub fn schedule_capacity_window(
-        &mut self,
-        node: NodeId,
-        up_factor: f64,
-        down_factor: f64,
-        from: SimTime,
-        to: SimTime,
-    ) {
-        self.net
-            .schedule_capacity_window(node, up_factor, down_factor, from, to);
     }
 }
 
@@ -143,30 +160,41 @@ impl Fabric for SimFabric {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        self.net.next_event_time()
-    }
-
-    fn advance(&mut self, now: SimTime) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.advance_into(now, &mut out);
-        out
+        let boundary = self.cpu.next_boundary_after(self.now);
+        [self.net.next_event_time(), boundary]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
+        // CPU windows crossed by this advance change those nodes' rates;
+        // they are reported dirty so the engine re-prices their steps.
+        self.cpu.changed_nodes(self.now, now, &mut self.changed);
+        self.now = now;
         self.net.advance_into(now, &mut self.events);
         out.extend(self.events.drain(..).map(|NetEvent::Completed(id)| id.0));
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {
-        self.net.cpu_available(node)
+        let base = self.net.cpu_available(node);
+        let f = self.cpu.factor_at(node.0, self.now);
+        if f == 1.0 {
+            base
+        } else {
+            base * f
+        }
     }
 
-    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) -> bool {
+    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) {
         self.net.drain_comm_dirty(out);
-        true
+        out.extend(self.changed.drain(..).map(NodeId));
     }
 
     fn compute_time(&mut self, _node: NodeId, nominal: SimDuration) -> SimDuration {
+        // Slowdowns act through the processor-sharing *rate*
+        // (cpu_available), which tracks window boundaries mid-step; the
+        // nominal work itself is unchanged.
         nominal
     }
 
@@ -174,18 +202,36 @@ impl Fabric for SimFabric {
         self.net.stats()
     }
 
-    fn fork_fabric(&mut self) -> Option<Box<dyn Fabric + Send>> {
-        Some(Box::new(self.fork_sim()))
-    }
-
     fn scheduled_windows(&self) -> Vec<(NodeId, f64, f64, SimTime, SimTime)> {
-        self.net.scheduled_windows()
+        // Link windows live in the network, CPU-slowdown windows in the
+        // timeline. Both are journalled, slowdowns encoded as windows with
+        // an unscaled up-link (`up_factor == 1.0` marks a CPU window; the
+        // plan never schedules asymmetric link windows).
+        let mut out = self.net.scheduled_windows();
+        out.extend(
+            self.cpu
+                .windows()
+                .iter()
+                .map(|w| (NodeId(w.node), 1.0, w.factor, w.from, w.to)),
+        );
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faults::{CheckpointSpec, FaultEvent, FaultKind};
+
+    fn advance(f: &mut SimFabric, t: SimTime) -> Vec<u64> {
+        let mut done = Vec::new();
+        f.advance_into(t, &mut done);
+        done
+    }
+
+    fn plan_with(events: Vec<FaultEvent>) -> FaultPlan {
+        FaultPlan::new(events, CheckpointSpec::none())
+    }
 
     #[test]
     fn cpu_available_decreases_with_comm_load() {
@@ -195,7 +241,7 @@ mod tests {
         let mut f = SimFabric::new(p);
         assert_eq!(f.cpu_available(NodeId(1)), 1.0);
         f.start_transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
-        f.advance(SimTime::ZERO); // promote into bandwidth phase
+        advance(&mut f, SimTime::ZERO); // promote into bandwidth phase
         let avail = f.cpu_available(NodeId(1));
         assert!((avail - (1.0 - cin)).abs() < 1e-12, "avail = {avail}");
         assert!(f.cpu_available(NodeId(0)) < 1.0);
@@ -211,7 +257,7 @@ mod tests {
         for s in 1..6 {
             f.start_transfer(SimTime::ZERO, NodeId(s), NodeId(0), 1_000_000);
         }
-        f.advance(SimTime::ZERO);
+        advance(&mut f, SimTime::ZERO);
         assert_eq!(f.cpu_available(NodeId(0)), 0.05);
     }
 
@@ -221,7 +267,7 @@ mod tests {
         let h = f.start_transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1234);
         let mut done = Vec::new();
         while let Some(t) = f.next_event_time() {
-            done.extend(f.advance(t));
+            f.advance_into(t, &mut done);
         }
         assert_eq!(done, vec![h]);
         assert_eq!(f.net_stats().flows_completed, 1);
@@ -233,5 +279,85 @@ mod tests {
         let d = SimDuration::from_millis(5);
         assert_eq!(f.compute_time(NodeId(0), d), d);
         assert_eq!(f.sharing_penalty(4), 1.0);
+    }
+
+    #[test]
+    fn slowdown_window_scales_cpu_and_reports_boundaries() {
+        let p = plan_with(vec![FaultEvent {
+            at: SimTime(1_000),
+            node: 2,
+            kind: FaultKind::NodeSlowdown {
+                factor: 0.5,
+                window: SimDuration(500),
+            },
+        }]);
+        let mut f = SimFabric::with_plan(NetParams::ideal(), &p).expect("valid plan");
+        assert_eq!(f.cpu_available(NodeId(2)), 1.0);
+        // The window start is the next fabric event.
+        assert_eq!(f.next_event_time(), Some(SimTime(1_000)));
+        advance(&mut f, SimTime(1_000));
+        assert_eq!(f.cpu_available(NodeId(2)), 0.5);
+        assert_eq!(f.cpu_available(NodeId(1)), 1.0);
+        // The node is reported dirty so the engine re-prices its steps.
+        let mut dirty = Vec::new();
+        f.comm_dirty_nodes(&mut dirty);
+        assert!(dirty.contains(&NodeId(2)));
+        // Window end restores full speed.
+        assert_eq!(f.next_event_time(), Some(SimTime(1_500)));
+        advance(&mut f, SimTime(1_500));
+        assert_eq!(f.cpu_available(NodeId(2)), 1.0);
+        assert_eq!(f.next_event_time(), None);
+        // Journalled as a window with an unscaled up-link.
+        let w = (NodeId(2), 1.0, 0.5, SimTime(1_000), SimTime(1_500));
+        assert_eq!(f.scheduled_windows(), vec![w]);
+    }
+
+    #[test]
+    fn link_degrade_slows_transfers_through_netmodel() {
+        let mut params = NetParams::ideal();
+        params.up_bytes_per_sec = 1e6;
+        params.down_bytes_per_sec = 1e6;
+        let p = plan_with(vec![FaultEvent {
+            at: SimTime(0),
+            node: 0,
+            kind: FaultKind::LinkDegrade {
+                factor: 0.5,
+                window: SimDuration::from_secs(100),
+            },
+        }]);
+        let mut f = SimFabric::with_plan(params, &p).expect("valid plan");
+        let h = f.start_transfer(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
+        let mut done = Vec::new();
+        let mut last = SimTime::ZERO;
+        while let Some(t) = f.next_event_time() {
+            last = t;
+            f.advance_into(t, &mut done);
+            if !done.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(done, vec![h]);
+        // 1 MB at 0.5 MB/s: 2 s instead of 1 s.
+        assert_eq!(last, SimTime(2_000_000_000));
+    }
+
+    #[test]
+    fn a_literal_plan_with_an_empty_window_is_a_typed_error() {
+        let kind = FaultKind::NodeSlowdown {
+            factor: 0.5,
+            window: SimDuration::ZERO,
+        };
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at: SimTime(10),
+                node: 0,
+                kind,
+            }],
+            checkpoint: CheckpointSpec::none(),
+        };
+        let err = SimFabric::with_plan(NetParams::ideal(), &plan)
+            .err()
+            .expect("rejected");
+        assert!(err.to_string().contains("empty fault window"), "{err}");
     }
 }

@@ -34,6 +34,7 @@ use std::time::Instant;
 
 use desim::SimTime;
 use dps::{Application, OpId, ThreadId};
+use faults::FaultPlan;
 use netmodel::{NetParams, NodeId};
 
 pub use desim::journal::{
@@ -107,6 +108,7 @@ pub struct ReplayOutcome {
 /// Replays `recorded` on the paper's machine model: re-executes `app`,
 /// pausing at the reconstructed state `prefix` events in, then resumes to
 /// completion and compares the re-emitted journal against `recorded`.
+/// Parameters that fail [`NetParams::validate`] are a protocol error.
 pub fn replay(
     app: &Application,
     params: NetParams,
@@ -114,12 +116,12 @@ pub fn replay(
     recorded: &Journal,
     prefix: usize,
 ) -> SimResult<ReplayOutcome> {
-    let mut fabric = SimFabric::new(params);
+    let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
     replay_with_fabric(app, &mut fabric, cfg, recorded, prefix)
 }
 
 /// [`replay`] against an arbitrary fabric (fault-injected runs replay over
-/// a [`crate::FaultFabric`] built from the same plan).
+/// a [`SimFabric::with_plan`] built from the same plan).
 pub fn replay_with_fabric(
     app: &Application,
     fabric: &mut dyn Fabric,

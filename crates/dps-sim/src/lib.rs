@@ -20,9 +20,11 @@
 //!
 //! The machine model lives behind the [`fabric::Fabric`] trait so the same
 //! engine executes applications against the paper's flow-level model
-//! ([`fabric::SimFabric`]) or the detailed stochastic testbed emulator from
-//! the `testbed` crate — the pair whose agreement reproduces the paper's
-//! validation experiments.
+//! ([`fabric::SimFabric`], optionally under a fault plan's slowdown and
+//! degrade windows) or the detailed stochastic testbed emulator from the
+//! `testbed` crate — the pair whose agreement reproduces the paper's
+//! validation experiments. Checkpoints run on a [`fabric::SimFabric`], the
+//! one fabric that can be cloned into a fork.
 
 #![warn(missing_docs)]
 
@@ -35,7 +37,6 @@ mod cpu;
 pub mod engine;
 pub mod error;
 pub mod fabric;
-pub mod fault;
 pub mod journal;
 pub mod memory;
 pub mod report;
@@ -48,7 +49,6 @@ pub use error::{
     BlockedOp, BudgetKind, CancelToken, DeadlockDiag, SimError, SimErrorKind, SimResult,
 };
 pub use fabric::{Fabric, SimFabric};
-pub use fault::FaultFabric;
 pub use journal::{
     check_equivalent, replay, replay_with_fabric, trace_from_journal, Divergence, Journal,
     JournalEntry, JournalEvent, ReplayOutcome,

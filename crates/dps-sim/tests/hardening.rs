@@ -1,7 +1,8 @@
 //! Hardened-execution tests: mis-wired flow graphs must come back as
 //! typed `DeadlockDetected` errors naming the blocked operations (never
-//! a hang or a panic), budgets and cancellation must fail runs cleanly,
-//! and a killed run must leave the application reusable.
+//! a hang or a panic), invalid network parameters as typed `Protocol`
+//! errors, budgets and cancellation must fail runs cleanly, and a killed
+//! run must leave the application reusable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -10,7 +11,11 @@ use std::sync::Arc;
 use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
-use dps_sim::{simulate, BudgetKind, CancelToken, SimConfig, SimErrorKind, TimingMode};
+use dps_sim::{
+    replay, simulate, simulate_until, BudgetKind, CancelToken, Journal, SimConfig, SimErrorKind,
+    SimFabric, TimingMode,
+};
+use faults::FaultPlan;
 use netmodel::NetParams;
 
 struct Token(#[allow(dead_code)] u64);
@@ -282,4 +287,38 @@ fn deadlock_detection_is_deterministic() {
     let a = simulate(&non_draining_app(2, 1), NetParams::ideal(), &cfg()).unwrap_err();
     let b = simulate(&non_draining_app(2, 1), NetParams::ideal(), &cfg()).unwrap_err();
     assert_eq!(a, b);
+}
+
+/// Every entry point that builds the paper's machine model from `params`
+/// must return a protocol error carrying `NetParams::validate`'s message.
+#[track_caller]
+fn assert_params_rejected(params: NetParams, want: &str) {
+    let app = good_app(1);
+    let errs = [
+        simulate(&app, params, &cfg()).err(),
+        simulate_until(Arc::new(good_app(1)), params, &cfg(), SimTime::ZERO).err(),
+        replay(&app, params, &cfg(), &Journal::new(), 0).err(),
+        SimFabric::with_plan(params, &FaultPlan::none()).err(),
+    ];
+    for err in errs {
+        let err = err.expect("invalid parameters are rejected");
+        assert!(
+            matches!(&err.kind, SimErrorKind::Protocol { detail } if detail.contains(want)),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn zero_bandwidth_is_a_typed_error() {
+    let mut params = NetParams::ideal();
+    params.up_bytes_per_sec = 0.0;
+    assert_params_rejected(params, "bandwidth must be positive");
+}
+
+#[test]
+fn nan_cpu_cost_is_a_typed_error() {
+    let mut params = NetParams::ideal();
+    params.cpu_in_cost = f64::NAN;
+    assert_params_rejected(params, "cpu comm costs must be in [0,1)");
 }

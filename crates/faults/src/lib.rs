@@ -14,8 +14,8 @@
 //!   (`simrng`-backed, reproducible from one `u64`);
 //! * [`RateTimeline`] (defined in `desim`, re-exported here) — time-indexed
 //!   queries over the plan's CPU and link [`RateWindow`]s, used by
-//!   `dps-sim`'s fault fabric, `netmodel`'s capacity windows and `cluster`'s
-//!   fault pricing.
+//!   `dps-sim`'s `SimFabric::with_plan`, `netmodel`'s capacity windows and
+//!   `cluster-svc`'s fault pricing.
 //!
 //! The empty plan ([`FaultPlan::none`]) is guaranteed to be a strict no-op
 //! in every consumer: injecting it produces bit-identical results to the

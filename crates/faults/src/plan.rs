@@ -3,10 +3,10 @@
 //! A [`FaultPlan`] is a deterministic, pre-computed schedule of involuntary
 //! events on a cluster — the counterpoint to the voluntary shrink/grow
 //! schedules the rest of the workspace models. Plans are plain data: the
-//! injection layers (`dps-sim`'s fault fabric, `netmodel`'s capacity
-//! windows, `cluster`'s recovering server) each consume the projection
-//! relevant to them ([`FaultPlan::cpu_windows`], [`FaultPlan::link_windows`],
-//! [`FaultPlan::outages`]).
+//! injection layers (`dps-sim`'s `SimFabric::with_plan`, `netmodel`'s
+//! capacity windows, `cluster-svc`'s recovering server) each consume the
+//! projection relevant to them ([`FaultPlan::cpu_windows`],
+//! [`FaultPlan::link_windows`], [`FaultPlan::outages`]).
 //!
 //! Node indices are plain `u32`s counted from zero, matching the star
 //! network's `NodeId` numbering and the cluster server's node pool.

@@ -82,7 +82,8 @@ pub fn predict_lu(cfg: &LuConfig, net: NetParams, simcfg: &SimConfig) -> SimResu
 }
 
 /// Predicts the run against an arbitrary machine model (e.g. a
-/// `dps_sim::FaultFabric` with injected slowdowns and link degradations).
+/// `dps_sim::SimFabric::with_plan` fabric with injected slowdowns and link
+/// degradations, or the testbed emulator).
 pub fn predict_lu_with_fabric(
     cfg: &LuConfig,
     fabric: &mut dyn dps_sim::Fabric,

@@ -77,7 +77,8 @@ pub fn predict_stencil(
 }
 
 /// Predicts the run against an arbitrary machine model (e.g. a
-/// `dps_sim::FaultFabric` with injected slowdowns and link degradations).
+/// `dps_sim::SimFabric::with_plan` fabric with injected slowdowns and link
+/// degradations, or the testbed emulator).
 pub fn predict_stencil_with_fabric(
     cfg: &StencilConfig,
     fabric: &mut dyn dps_sim::Fabric,

@@ -103,12 +103,9 @@ pub struct TestbedFabric {
 }
 
 impl TestbedFabric {
-    /// Overrides one node's true link capacities (straggler hardware).
-    pub fn set_node_capacity(&mut self, node: NodeId, up: f64, down: f64) {
-        self.net.set_node_capacity(node, up, down);
-    }
-
-    /// Creates an empty instance.
+    /// Creates an empty instance. Panics on true parameters that fail
+    /// [`NetParams::validate`]; [`crate::measure`] returns them as a typed
+    /// error instead.
     pub fn new(params: TestbedParams, seed: u64) -> TestbedFabric {
         TestbedFabric {
             params,
@@ -169,14 +166,13 @@ impl Fabric for TestbedFabric {
             .min()
     }
 
-    fn advance(&mut self, now: SimTime) -> Vec<u64> {
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
         // Inner completions are held for their sampled tail delay...
         for NetEvent::Completed(id) in self.net.advance(now) {
             let release = now + self.tail_delay();
             self.held.insert((release, id.0), id.0);
         }
         // ...and released once their time comes.
-        let mut out = Vec::new();
         while let Some(&(t, _)) = self.held.keys().next() {
             if t > now {
                 break;
@@ -184,7 +180,6 @@ impl Fabric for TestbedFabric {
             let ((_, _), h) = self.held.pop_first().expect("just peeked");
             out.push(h);
         }
-        out
     }
 
     fn cpu_available(&self, node: NodeId) -> f64 {
@@ -192,9 +187,8 @@ impl Fabric for TestbedFabric {
         self.net.cpu_available(node)
     }
 
-    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) -> bool {
+    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) {
         self.net.drain_comm_dirty(out);
-        true
     }
 
     fn compute_time(&mut self, _node: NodeId, nominal: SimDuration) -> SimDuration {
@@ -218,11 +212,10 @@ mod tests {
     use super::*;
 
     fn drain(f: &mut TestbedFabric) -> Vec<(SimTime, u64)> {
-        let mut out = Vec::new();
+        let (mut out, mut done) = (Vec::new(), Vec::new());
         while let Some(t) = f.next_event_time() {
-            for h in f.advance(t) {
-                out.push((t, h));
-            }
+            f.advance_into(t, &mut done);
+            out.extend(done.drain(..).map(|h| (t, h)));
         }
         out
     }

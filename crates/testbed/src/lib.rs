@@ -29,16 +29,21 @@ pub use fabric::{TestbedFabric, TestbedParams};
 pub use native::{run_native, NativeReport};
 
 use dps::Application;
-use dps_sim::{RunReport, SimConfig, SimResult};
+use dps_sim::{RunReport, SimConfig, SimError, SimResult};
 
 /// Convenience: runs `app` against the testbed emulator — the repository's
-/// equivalent of "measuring on the cluster".
+/// equivalent of "measuring on the cluster". True parameters that fail
+/// [`netmodel::NetParams::validate`] are a protocol error.
 pub fn measure(
     app: &Application,
     params: TestbedParams,
     seed: u64,
     cfg: &SimConfig,
 ) -> SimResult<RunReport> {
+    params
+        .true_net
+        .validate()
+        .map_err(|e| SimError::protocol(format!("invalid network parameters: {e}")))?;
     let mut fabric = TestbedFabric::new(params, seed);
     dps_sim::simulate_with_fabric(app, &mut fabric, cfg)
 }

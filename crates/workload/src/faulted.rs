@@ -1,7 +1,7 @@
 //! Fault injection at the application layer: playing a [`FaultPlan`]
 //! against a single simulated DPS application.
 //!
-//! The fabric-level injection (`dps_sim::FaultFabric`) covers the
+//! The fabric-level injection (`dps_sim::SimFabric::with_plan`) covers the
 //! *continuous* perturbations — CPU slowdown and link degradation windows.
 //! Crashes and preemptions cannot be fabric events (removing a node under
 //! running atomic steps would deadlock the DPS graph), so this module maps
@@ -16,7 +16,7 @@
 
 use cluster::{EfficiencyProfile, Workload};
 use desim::{SimDuration, SimTime};
-use dps_sim::{FaultFabric, SimError, SimResult};
+use dps_sim::{SimError, SimFabric, SimResult};
 use faults::FaultPlan;
 use lu_app::predict_lu_with_fabric;
 use stencil_app::predict_stencil_with_fabric;
@@ -132,10 +132,10 @@ impl LuWorkload {
     ///
     /// Outages map to thread removals at the next iteration boundary (a
     /// preemption cannot re-add a worker within one run, so it removes like
-    /// a crash); slowdown/degrade windows are injected through a
-    /// [`FaultFabric`] so the engine feels them on the wire and in the CPU
-    /// rates; checkpoint writes, restart reads and since-checkpoint replay
-    /// are added to the affected iterations' spans analytically. Returns
+    /// a crash); slowdown/degrade windows are injected through
+    /// [`SimFabric::with_plan`] so the engine feels them on the wire and in
+    /// the CPU rates; checkpoint writes, restart reads and since-checkpoint
+    /// replay are added to the affected iterations' spans analytically. Returns
     /// `None` for pipelined configurations (the paper restricts thread
     /// removal to the basic flow graph); `Err` when the underlying engine
     /// runs fail.
@@ -169,7 +169,7 @@ impl LuWorkload {
         let cfg = self.one_worker_per_node(m.schedule[0], rplan);
         cfg.validate()
             .map_err(|e| SimError::protocol(format!("faulted schedule is invalid: {e}")))?;
-        let mut fabric = FaultFabric::new(self.net, plan)?;
+        let mut fabric = SimFabric::with_plan(self.net, plan)?;
         let run = predict_lu_with_fabric(&cfg, &mut fabric, &self.simcfg)?;
         let mut profile = cluster::profile_from_report(&run.report);
         apply_extras(&mut profile, &m.extra, plan);
@@ -184,7 +184,7 @@ impl LuWorkload {
 
 impl StencilWorkload {
     /// Per-iteration profile at a fixed allocation with `plan`'s
-    /// slowdown/degrade windows injected through a [`FaultFabric`] and
+    /// slowdown/degrade windows injected through [`SimFabric::with_plan`] and
     /// checkpoint write costs added per the plan's [`CheckpointSpec`]
     /// (outages are a cluster-server concern for the stencil — its workers
     /// are not removable mid-run).
@@ -203,7 +203,7 @@ impl StencilWorkload {
         }
         let mut cfg = self.cfg.clone();
         cfg.nodes = nodes;
-        let mut fabric = FaultFabric::new(self.net, plan)?;
+        let mut fabric = SimFabric::with_plan(self.net, plan)?;
         let run = predict_stencil_with_fabric(&cfg, &mut fabric, &self.simcfg)?;
         let mut profile = cluster::profile_from_report(&run.report);
         apply_extras(&mut profile, &[], plan);

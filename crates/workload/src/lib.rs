@@ -19,7 +19,7 @@
 //! * [`faulted`] plays a deterministic [`faults::FaultPlan`] against those
 //!   applications — crashes map onto the thread-removal machinery at
 //!   iteration boundaries with checkpoint/restart replay costs, slowdown
-//!   and link-degrade windows inject through the fault fabric;
+//!   and link-degrade windows inject through `SimFabric::with_plan`;
 //! * [`scenarios`] is a registry of named experiment setups
 //!   ([`ScenarioSpec`]) the `scenarios` runner binary lists and executes
 //!   through the bench harness;

@@ -152,6 +152,48 @@ fn stencil_forks_match_fresh_runs() {
     }
 }
 
+/// A fault plan travels with its fabric into every fork: a faulted LU run
+/// checkpointed at random instants, one of them inside a slowdown window,
+/// forks into copies that finish equivalent to an uninterrupted faulted run.
+#[test]
+fn faulted_forks_match_fresh_faulted_run() {
+    use dvns::faults::FaultGenConfig;
+    use dvns::lu_app::build_lu_app;
+    use dvns::sim::{simulate_with_fabric, SimCheckpoint, SimFabric};
+    let net = NetParams::fast_ethernet();
+    let mut cfg = LuConfig::new(576, 96, 3);
+    cfg.mode = DataMode::Ghost;
+    cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
+    cfg.validate().expect("config is valid");
+    let quiet = predict_lu(&cfg, net, &simcfg()).unwrap().report.completion;
+
+    let mut gen = FaultGenConfig::quiet(cfg.nodes, SimDuration::from_nanos(quiet.as_nanos()));
+    gen.slowdowns = 3;
+    gen.degrades = 2;
+    let plan = gen.generate(0xF0_4C);
+    let fabric = || SimFabric::with_plan(net, &plan).expect("generated plan");
+    let app = Arc::new(build_lu_app(cfg.clone()).0);
+    let fresh = simulate_with_fabric(&app, &mut fabric(), &simcfg()).unwrap();
+    assert_ne!(fresh.completion, quiet, "the plan moves the run");
+
+    let slow = plan.cpu_windows()[0];
+    let inside = SimTime(slow.from.0 + (slow.to.0 - slow.from.0) / 2);
+    assert!(
+        inside < fresh.completion,
+        "window at {inside} falls in the run"
+    );
+    let mut rng = Xoshiro256::seed_from_u64(0xFA_17ED);
+    let span = fresh.completion.as_nanos();
+    let mut random = || SimTime(rng.gen_range_u64(1, span));
+    for t in [inside, random(), random()] {
+        let mut base = SimCheckpoint::new(Arc::clone(&app), fabric(), &simcfg());
+        assert!(base.advance_until(t).unwrap(), "run still live at {t}");
+        let forked = base.fork().expect("ghost mode forks");
+        assert_equivalent(&forked.finish().unwrap(), &fresh, &format!("fork at {t}"));
+        assert_equivalent(&base.finish().unwrap(), &fresh, &format!("original at {t}"));
+    }
+}
+
 /// Real mode must refuse to fork (its branches would share result
 /// channels) rather than silently corrupt output.
 #[test]

@@ -46,6 +46,20 @@ fn calm_testbed_reproduces_simulator_exactly() {
 }
 
 #[test]
+fn invalid_testbed_parameters_are_a_typed_error() {
+    // Not a panic inside `Network::new`: `testbed::measure` checks first.
+    let mut tb = TestbedParams::calm(NetParams::fast_ethernet());
+    tb.true_net.up_bytes_per_sec = 0.0;
+    let err = measure_lu(&small_lu(), tb, 7, &simcfg())
+        .err()
+        .expect("rejected");
+    assert!(
+        err.to_string().contains("bandwidth must be positive"),
+        "{err}"
+    );
+}
+
+#[test]
 fn noisy_testbed_differs_but_stays_close() {
     let cfg = small_lu();
     let predicted = predict_lu(&cfg, NetParams::fast_ethernet(), &simcfg()).unwrap();
@@ -297,13 +311,13 @@ fn max_min_and_testbed_output_is_pinned() {
 #[test]
 fn faulted_engine_output_is_pinned() {
     // The quiet pins above never cross a capacity or slowdown window. These
-    // do: LU under `FaultFabric`, with link windows that start at t = 0,
+    // do: LU under `SimFabric::with_plan`, with link windows that start at t = 0,
     // overlap on one node and run alongside one on another node, two
     // slowdowns that overlap in time, and a 100-ms window; then six
     // generated plans on the paper-sized run.
     use dvns::desim::SimTime;
     use dvns::faults::{CheckpointSpec, FaultEvent, FaultGenConfig, FaultKind, FaultPlan};
-    use dvns::sim::{simulate_with_fabric, FaultFabric};
+    use dvns::sim::{simulate_with_fabric, SimFabric};
     let sc = SimConfig {
         record_journal: true,
         ..simcfg()
@@ -312,7 +326,8 @@ fn faulted_engine_output_is_pinned() {
         cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
         cfg.validate().unwrap();
         let (app, _sh) = build_lu_app(cfg);
-        let mut fabric = FaultFabric::new(NetParams::fast_ethernet(), plan).expect("valid plan");
+        let mut fabric =
+            SimFabric::with_plan(NetParams::fast_ethernet(), plan).expect("valid plan");
         output_digest(simulate_with_fabric(&app, &mut fabric, &sc).unwrap())
     };
     let ms = SimDuration::from_millis;

@@ -14,7 +14,7 @@ use dvns::lu_app::{build_lu_app, predict_lu_with_fabric, DataMode, LuConfig};
 use dvns::netmodel::NetParams;
 use dvns::perfmodel::{LuCost, PlatformProfile};
 use dvns::sim::journal::{replay, replay_with_fabric, Journal};
-use dvns::sim::{check_equivalent, FaultFabric, SimConfig, TimingMode};
+use dvns::sim::{check_equivalent, SimConfig, SimFabric, TimingMode};
 
 fn simcfg() -> SimConfig {
     SimConfig {
@@ -72,7 +72,7 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
     let plan = gen.generate(0xFA_17);
     let cfg = lu_cfg();
 
-    let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
+    let mut fabric = SimFabric::with_plan(net, &plan).expect("generated plan");
     let baseline = predict_lu_with_fabric(&cfg, &mut fabric, &simcfg()).unwrap();
     let recorded = baseline.report.journal.as_ref().expect("journal recorded");
     // The plan's rate windows open the stream (RateWindow entries at t=0).
@@ -84,7 +84,7 @@ fn replay_under_a_seeded_fault_plan_is_byte_identical() {
 
     for prefix in prefixes(recorded.len()) {
         let (app, _) = build_lu_app(cfg.clone());
-        let mut fabric = FaultFabric::new(net, &plan).expect("generated plan");
+        let mut fabric = SimFabric::with_plan(net, &plan).expect("generated plan");
         let out = replay_with_fabric(&app, &mut fabric, &simcfg(), recorded, prefix).unwrap();
         check_equivalent(&out.report, &baseline.report)
             .unwrap_or_else(|e| panic!("faulted replay diverged (prefix={prefix}): {e}"));
