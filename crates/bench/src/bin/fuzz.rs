@@ -143,6 +143,10 @@ fn main() {
         eprintln!("FAIL {f}");
     }
     println!(
+        "fuzz: out-of-range node ids {:?} rejected with typed errors",
+        out.rejected_nodes
+    );
+    println!(
         "fuzz: {} ok, {} failed in {:.1}s",
         out.cases.len(),
         out.failures.len(),

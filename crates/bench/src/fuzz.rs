@@ -1,8 +1,10 @@
 //! Determinism fuzzing harness: randomized schedules, one invariant.
 //!
 //! Under a root seed, each case draws a random small workload (LU or
-//! stencil, random sizes and worker→node routing) and an optional seeded
-//! fault plan, then asserts the engine's core invariant four ways:
+//! stencil, random sizes and worker→node routing) on node ids that are
+//! dense, gappy, or spread up to the engine's node-id limit, and an
+//! optional seeded fault plan, then asserts the engine's core invariant
+//! four ways:
 //!
 //! 1. **Rerun**: a second fresh run is equivalent to the baseline
 //!    (`dps_sim::check_equivalent`: committed-event journal, metadata
@@ -17,10 +19,15 @@
 //!    and all — finishes equivalent to the baseline, and so does the
 //!    paused original.
 //!
+//! Every run also checks two regression cases first: a workload with a
+//! node at `u32::MAX` and one at 50 000 000 must come back from every
+//! engine entry point as a typed protocol error, quickly.
+//!
 //! Failures come back as pinpointed one-line diagnostics
 //! ([`dps_sim::Divergence`]), not CSV diffs. The `fuzz` binary drives this
 //! under `--seed` / `--cases` / `--budget-secs`.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -28,10 +35,13 @@ use cluster_svc::{DurabilitySpec, WriteAheadLog};
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps::Application;
 use dps_sim::journal::replay_with_fabric;
-use dps_sim::{check_equivalent, SimCheckpoint, SimConfig, SimFabric, SimResult, TimingMode};
+use dps_sim::{
+    check_equivalent, SimCheckpoint, SimConfig, SimErrorKind, SimFabric, SimResult, TimingMode,
+    NODE_ID_LIMIT,
+};
 use faults::{FaultGenConfig, FaultPlan};
 use lu_app::{build_lu_app, DataMode, LuConfig};
-use netmodel::NetParams;
+use netmodel::{NetParams, NodeId};
 use perfmodel::{LuCost, PlatformProfile};
 use simrng::{Rng, Xoshiro256};
 use stencil_app::{build_stencil_app, StencilConfig};
@@ -61,6 +71,8 @@ pub struct CaseReport {
 /// Outcome of a fuzz run: per-case logs and pinpointed failures.
 #[derive(Debug, Default)]
 pub struct FuzzOutcome {
+    /// Out-of-range node ids every entry point turned down, as expected.
+    pub rejected_nodes: Vec<u32>,
     /// Successfully checked cases.
     pub cases: Vec<CaseReport>,
     /// One message per failed case — each carries the case description and
@@ -75,11 +87,13 @@ enum CaseApp {
 }
 
 impl CaseApp {
-    fn build(&self) -> Application {
-        match self {
+    /// The workload with node `i` of its config renamed `ids[i]`.
+    fn build(&self, ids: &[u32]) -> Application {
+        let app = match self {
             CaseApp::Lu(cfg) => build_lu_app(cfg.clone()).0,
             CaseApp::Stencil(cfg) => build_stencil_app(cfg.clone()).0,
-        }
+        };
+        app.with_nodes_renamed(|n| NodeId(ids[n.0 as usize]))
     }
 
     fn describe(&self) -> String {
@@ -129,6 +143,22 @@ fn draw_app(rng: &mut Xoshiro256) -> CaseApp {
     }
 }
 
+/// Node ids for a case's `nodes` nodes, in increasing order: `0..nodes` in
+/// a third of the cases, else distinct ids below 64 (gaps, every pair
+/// still array-indexed) or below the engine's limit (most groups hashed).
+fn draw_node_ids(rng: &mut Xoshiro256, nodes: u32) -> Vec<u32> {
+    let span = match rng.gen_range_u64(0, 3) {
+        0 => return (0..nodes).collect(),
+        1 => 64,
+        _ => NODE_ID_LIMIT,
+    };
+    let mut ids = BTreeSet::new();
+    while ids.len() < nodes as usize {
+        ids.insert(rng.gen_range_u64(0, span) as u32);
+    }
+    ids.into_iter().collect()
+}
+
 fn draw_plan(rng: &mut Xoshiro256, nodes: u32) -> Option<FaultPlan> {
     if rng.gen_range_u64(0, 2) == 0 {
         return None;
@@ -139,6 +169,16 @@ fn draw_plan(rng: &mut Xoshiro256, nodes: u32) -> Option<FaultPlan> {
     gen.slowdowns = rng.gen_range_u64(0, 4) as usize;
     gen.degrades = rng.gen_range_u64(0, 3) as usize;
     Some(gen.generate(rng.next_u64()))
+}
+
+/// `plan` with node `i` renamed `ids[i]`, as the case's application is.
+fn rename_plan_nodes(plan: Option<FaultPlan>, ids: &[u32]) -> Option<FaultPlan> {
+    plan.map(|mut plan| {
+        plan.events
+            .iter_mut()
+            .for_each(|e| e.node = ids[e.node as usize]);
+        plan
+    })
 }
 
 fn fabric_for(plan: &Option<FaultPlan>, net: NetParams) -> SimFabric {
@@ -158,13 +198,12 @@ fn base_cfg() -> SimConfig {
 }
 
 fn run_case_app(
-    app: &CaseApp,
+    app: &Application,
     plan: &Option<FaultPlan>,
     net: NetParams,
     cfg: &SimConfig,
 ) -> SimResult<dps_sim::RunReport> {
-    let built = app.build();
-    dps_sim::simulate_with_fabric(&built, &mut fabric_for(plan, net), cfg)
+    dps_sim::simulate_with_fabric(app, &mut fabric_for(plan, net), cfg)
 }
 
 /// Runs one fuzz case; `Err` carries the pinpointed diagnostic.
@@ -172,13 +211,15 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     let mut rng =
         Xoshiro256::seed_from_u64(root_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let net = NetParams::fast_ethernet();
-    let app = draw_app(&mut rng);
-    let plan = draw_plan(&mut rng, app.nodes());
+    let case = draw_app(&mut rng);
+    let ids = draw_node_ids(&mut rng, case.nodes());
+    let plan = rename_plan_nodes(draw_plan(&mut rng, case.nodes()), &ids);
     let what = format!(
-        "{} plan={} seed={root_seed} case={index}",
-        app.describe(),
+        "{} node_ids={ids:?} plan={} seed={root_seed} case={index}",
+        case.describe(),
         plan.is_some()
     );
+    let app = case.build(&ids);
     let fail = |stage: &str, detail: String| format!("[{what}] {stage}: {detail}");
 
     let baseline = run_case_app(&app, &plan, net, &base_cfg())
@@ -192,9 +233,8 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
 
     // 2. Replay from a random prefix.
     let prefix = rng.gen_range_u64(0, recorded.len() as u64 + 1) as usize;
-    let built = app.build();
     let mut fabric = fabric_for(&plan, net);
-    let out = replay_with_fabric(&built, &mut fabric, &base_cfg(), recorded, prefix)
+    let out = replay_with_fabric(&app, &mut fabric, &base_cfg(), recorded, prefix)
         .map_err(|e| fail("replay run", e.to_string()))?;
     check_equivalent(&out.report, &baseline)
         .map_err(|d| fail(&format!("replay at prefix={prefix}"), d))?;
@@ -226,7 +266,11 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
 
     // 4. Pause at a random instant, fork, and finish both copies.
     let t = SimTime(rng.gen_range_u64(0, baseline.completion.as_nanos() + 1));
-    let mut paused = SimCheckpoint::new(Arc::new(app.build()), fabric_for(&plan, net), &base_cfg());
+    let mut paused = SimCheckpoint::new(
+        Arc::new(case.build(&ids)),
+        fabric_for(&plan, net),
+        &base_cfg(),
+    );
     paused
         .advance_until(t)
         .map_err(|e| fail("paused run", e.to_string()))?;
@@ -246,11 +290,65 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     })
 }
 
-/// Runs up to `cfg.cases` fuzz cases, invoking `progress` after each (the
+/// Node ids past every engine table: each regression case must come back
+/// as a typed protocol error from every entry point, before anything sized
+/// by the id is allocated.
+pub const OUT_OF_RANGE_NODES: [u32; 2] = [u32::MAX, 50_000_000];
+
+/// Runs a small LU workload whose last node is renamed `node` through every
+/// entry point the cases use; each must fail with a protocol error.
+fn run_out_of_range_case(node: u32) -> Result<(), String> {
+    let mut cfg = LuConfig::new(96, 48, 2);
+    cfg.mode = DataMode::Ghost;
+    cfg.cost = Some(LuCost::new(PlatformProfile::ultrasparc_ii_440()));
+    let ids = [0, node];
+    let app = CaseApp::Lu(cfg).build(&ids);
+    let net = NetParams::fast_ethernet();
+    let checks = [
+        ("run", run_case_app(&app, &None, net, &base_cfg()).err()),
+        (
+            "replay",
+            replay_with_fabric(
+                &app,
+                &mut SimFabric::new(net),
+                &base_cfg(),
+                &Journal::new(),
+                0,
+            )
+            .err(),
+        ),
+        (
+            "checkpoint",
+            SimCheckpoint::new(Arc::new(app), SimFabric::new(net), &base_cfg())
+                .finish()
+                .err(),
+        ),
+    ];
+    for (stage, err) in checks {
+        match err.map(|e| e.kind) {
+            Some(SimErrorKind::Protocol { .. }) => {}
+            other => {
+                return Err(format!(
+                    "[node id {node}] {stage}: want a protocol error, got {other:?}"
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Runs the [`OUT_OF_RANGE_NODES`] regression cases, then up to
+/// `cfg.cases` fuzz cases, invoking `progress` after each of those (the
 /// binary uses it to log and to enforce a wall-clock budget — returning
 /// `false` stops early).
 pub fn fuzz_with(cfg: &FuzzConfig, mut progress: impl FnMut(&FuzzOutcome) -> bool) -> FuzzOutcome {
     let mut out = FuzzOutcome::default();
+    for node in OUT_OF_RANGE_NODES {
+        match run_out_of_range_case(node) {
+            Ok(()) => out.rejected_nodes.push(node),
+            Err(msg) => out.failures.push(msg),
+        }
+    }
     for index in 0..cfg.cases {
         match run_case(index, cfg.seed) {
             Ok(report) => out.cases.push(report),
@@ -521,12 +619,34 @@ mod tests {
         assert_eq!(report.wal_flips, 64);
     }
 
-    /// One seeded case end-to-end: the invariant holds on a real workload.
+    /// One seeded case end-to-end: the invariant holds on a real workload,
+    /// and both out-of-range node ids are turned down.
     #[test]
     fn single_fuzz_case_passes() {
         let out = fuzz(&FuzzConfig { seed: 7, cases: 1 });
         assert!(out.failures.is_empty(), "{:?}", out.failures);
+        assert_eq!(out.rejected_nodes, OUT_OF_RANGE_NODES);
         assert_eq!(out.cases.len(), 1);
         assert!(out.cases[0].journal_len > 0);
+    }
+
+    /// The drawn node ids cover all three spreads, stay distinct, ordered
+    /// and below the engine's limit.
+    #[test]
+    fn drawn_node_ids_are_distinct_and_in_range() {
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let mut spread = BTreeSet::new();
+        for _ in 0..200 {
+            let ids = draw_node_ids(&mut rng, 4);
+            assert_eq!(ids.len(), 4);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+            assert!(u64::from(ids[3]) < NODE_ID_LIMIT, "{ids:?}");
+            spread.insert(match ids[3] {
+                3 if ids[0] == 0 => 0,
+                0..64 => 1,
+                _ => 2,
+            });
+        }
+        assert_eq!(spread.len(), 3, "every spread drawn");
     }
 }

@@ -30,6 +30,6 @@ pub mod timeline;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use journal::{crc32, Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent};
 pub use queue::EventQueue;
-pub use share::ProgressSet;
+pub use share::{GroupKey, ProgressSet};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{RateTimeline, RateWindow};

@@ -35,11 +35,112 @@
 //! many members it has. Neither advancing time nor finding the next
 //! completion ever scans the job set. Per-event cost is O(jobs whose rate
 //! changed) settlements plus O(groups whose rate changed) heap re-keys.
+//!
+//! The bookkeeping around that arithmetic is kept to array indexing: a
+//! group whose key has a small [`GroupKey::dense_index`] finds its slot in
+//! an array, not a hash map; a re-rate that announces the instant the heap
+//! already holds leaves the heap alone; a sift rewrites the position of
+//! only the entries it moves; and members settled at one instant at one
+//! rate share one `rate·dt` product.
 
 use std::hash::Hash;
 
 use crate::fxhash::FxHashMap;
 use crate::time::SimTime;
+
+/// Dense indices at and above this go to the hash map: the array index of
+/// a set never outgrows this many entries, however sparse its keys.
+const DENSE_LIMIT: usize = 1 << 12;
+
+/// A group key. Keys with a small dense index are looked up in an array
+/// sized by the largest index in use; the rest in a hash map.
+pub trait GroupKey: Copy + Ord + Hash {
+    /// A small integer naming this key and no other, if the type has one.
+    /// The default, `None`, sends every key to the hash map.
+    fn dense_index(self) -> Option<usize> {
+        None
+    }
+}
+
+impl GroupKey for u8 {
+    fn dense_index(self) -> Option<usize> {
+        Some(self as usize)
+    }
+}
+
+impl GroupKey for u32 {
+    fn dense_index(self) -> Option<usize> {
+        Some(self as usize)
+    }
+}
+
+/// Ids drawn from an unbounded counter: no small index.
+impl GroupKey for u64 {}
+
+/// A pair indexes by Szudzik's pairing of its parts' indices, which maps
+/// the pairs with both parts below `m` onto `0..m²`: a pair index grows
+/// with the largest part in use, not with the key space.
+impl<A: GroupKey, B: GroupKey> GroupKey for (A, B) {
+    fn dense_index(self) -> Option<usize> {
+        let (a, b) = (self.0.dense_index()?, self.1.dense_index()?);
+        let hi = a.max(b);
+        hi.checked_mul(hi)?
+            .checked_add(if a < b { a } else { a.checked_add(b)? })
+    }
+}
+
+/// Slab slot of every live group: by array index for keys with a dense
+/// index below [`DENSE_LIMIT`], by hash for the rest.
+#[derive(Clone, Debug)]
+struct GroupIndex<G> {
+    /// Entry `i` holds the group whose dense index is `i`, with its slot.
+    dense: Vec<Option<(G, u32)>>,
+    hashed: FxHashMap<G, u32>,
+}
+
+impl<G: GroupKey> GroupIndex<G> {
+    fn new() -> Self {
+        GroupIndex {
+            dense: Vec::new(),
+            hashed: FxHashMap::default(),
+        }
+    }
+
+    fn dense(group: G) -> Option<usize> {
+        group.dense_index().filter(|&i| i < DENSE_LIMIT)
+    }
+
+    #[inline]
+    fn get(&self, group: G) -> Option<u32> {
+        match Self::dense(group) {
+            Some(i) => self.dense.get(i).copied().flatten().map(|(_, slot)| slot),
+            None => self.hashed.get(&group).copied(),
+        }
+    }
+
+    fn insert(&mut self, group: G, slot: u32) {
+        match Self::dense(group) {
+            Some(i) => {
+                if i >= self.dense.len() {
+                    self.dense.resize(i + 1, None);
+                }
+                self.dense[i] = Some((group, slot));
+            }
+            None => {
+                self.hashed.insert(group, slot);
+            }
+        }
+    }
+
+    fn remove(&mut self, group: G) {
+        match Self::dense(group) {
+            Some(i) => self.dense[i] = None,
+            None => {
+                self.hashed.remove(&group);
+            }
+        }
+    }
+}
 
 /// Work below this many units counts as finished; guards against float dust
 /// left over by rate changes.
@@ -81,14 +182,6 @@ fn due(remaining: f64, rate: f64, at: SimTime) -> Option<SimTime> {
         at.as_nanos().checked_add(ns).map(SimTime)
     } else {
         None
-    }
-}
-
-/// The earlier of two announcements; `None` is never.
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        _ => a.or(b),
     }
 }
 
@@ -149,7 +242,7 @@ pub struct ProgressSet<K, G = K> {
     groups: Vec<Group<K>>,
     free: Vec<u32>,
     /// Slab slot of every live group.
-    index: FxHashMap<G, u32>,
+    index: GroupIndex<G>,
     /// Binary min-heap on `(at, group)` with one entry per announced group.
     heap: Vec<Due<G>>,
     /// Live jobs, over all groups.
@@ -157,19 +250,19 @@ pub struct ProgressSet<K, G = K> {
     last: SimTime,
 }
 
-impl<K: Copy + Ord, G: Copy + Ord + Hash> Default for ProgressSet<K, G> {
+impl<K: Copy + Ord, G: GroupKey> Default for ProgressSet<K, G> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
+impl<K: Copy + Ord, G: GroupKey> ProgressSet<K, G> {
     /// An empty set anchored at time zero.
     pub fn new() -> Self {
         ProgressSet {
             groups: Vec::new(),
             free: Vec::new(),
-            index: FxHashMap::default(),
+            index: GroupIndex::new(),
             heap: Vec::new(),
             len: 0,
             last: SimTime::ZERO,
@@ -195,15 +288,18 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     }
 
     /// Restores heap order after the entry at position `i` changed, moving
-    /// it up or down as far as it has to go.
-    fn sift(&mut self, mut i: usize) {
-        let due = self.heap[i];
+    /// it up or down as far as it has to go. The entry's group must already
+    /// record position `i`: only entries that move are rewritten.
+    fn sift(&mut self, start: usize) {
+        let due = self.heap[start];
         let before = |a: &Due<G>, b: &Due<G>| (a.at, a.group) < (b.at, b.group);
+        let mut i = start;
         while i > 0 && before(&due, &self.heap[(i - 1) / 2]) {
             self.place(i, self.heap[(i - 1) / 2]);
             i = (i - 1) / 2;
         }
-        loop {
+        // An entry that rose never sinks.
+        while i >= start {
             let mut child = 2 * i + 1;
             if child + 1 < self.heap.len() && before(&self.heap[child + 1], &self.heap[child]) {
                 child += 1;
@@ -214,29 +310,38 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
             self.place(i, self.heap[child]);
             i = child;
         }
-        self.place(i, due);
+        if i != start {
+            self.place(i, due);
+        }
     }
 
     /// Withdraws the announcement at heap position `pos`.
     fn unannounce(&mut self, pos: u32) {
         let due = self.heap.swap_remove(pos as usize);
         self.groups[due.slot as usize].pos = None;
-        if (pos as usize) < self.heap.len() {
+        if let Some(&moved) = self.heap.get(pos as usize) {
+            self.groups[moved.slot as usize].pos = Some(pos);
             self.sift(pos as usize);
         }
     }
 
     /// Sets the announcement of `group` in `slot` to `at`: an existing entry
-    /// is re-keyed where it sits, and `None` withdraws it.
+    /// is re-keyed where it sits (left alone when its instant is unchanged),
+    /// and `None` withdraws it.
     fn announce(&mut self, group: G, slot: u32, at: Option<SimTime>) {
         match (at, self.groups[slot as usize].pos) {
             (Some(at), Some(pos)) => {
-                self.heap[pos as usize].at = at;
-                self.sift(pos as usize);
+                let entry = &mut self.heap[pos as usize];
+                if entry.at != at {
+                    entry.at = at;
+                    self.sift(pos as usize);
+                }
             }
             (Some(at), None) => {
+                let pos = self.heap.len();
                 self.heap.push(Due { at, group, slot });
-                self.sift(self.heap.len() - 1);
+                self.groups[slot as usize].pos = Some(pos as u32);
+                self.sift(pos);
             }
             (None, Some(pos)) => self.unannounce(pos),
             (None, None) => {}
@@ -248,7 +353,7 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     fn refresh(&mut self, group: G, slot: u32, at: Option<SimTime>) {
         if self.groups[slot as usize].jobs.is_empty() {
             self.announce(group, slot, None);
-            self.index.remove(&group);
+            self.index.remove(group);
             self.free.push(slot);
         } else {
             self.announce(group, slot, at);
@@ -261,8 +366,8 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     pub fn insert_in(&mut self, now: SimTime, group: G, key: K, work: f64) {
         self.advance_to(now);
         assert!(work >= 0.0, "negative work");
-        let slot = match self.index.get(&group) {
-            Some(&slot) => slot,
+        let slot = match self.index.get(group) {
+            Some(slot) => slot,
             None => {
                 let slot = self.free.pop().unwrap_or_else(|| {
                     self.groups.push(Group {
@@ -302,41 +407,52 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     ///
     /// Every call settles every job, a bit-equal rate included: the
     /// settlement point is where `remaining` is rounded, so skipping one
-    /// would move completion nanoseconds.
+    /// would move completion nanoseconds. Members settled at one instant at
+    /// one rate drain the same `rate·dt`, computed once for them.
     pub fn set_group_rate(&mut self, now: SimTime, group: G, rate: f64) {
         self.advance_to(now);
         assert!(rate >= 0.0 && rate.is_finite(), "invalid rate {rate}");
-        let slot = *self.index.get(&group).expect("set_rate on unknown group");
+        let slot = self.index.get(group).expect("set_rate on unknown group");
         let last = self.last;
+        // `remaining` is never NaN (`insert_in` takes work ≥ 0, settling
+        // clamps at 0), so a plain `<` finds the least.
         let mut least = f64::INFINITY;
+        // The last product computed: `(settled_at, rate, rate·dt)`. It is
+        // `settle`'s own arithmetic, so a reused product is bit-identical.
+        let mut product: Option<(SimTime, f64, f64)> = None;
         for job in &mut self.groups[slot as usize].jobs {
-            job.settle(last);
+            if job.rate > 0.0 && last > job.settled_at {
+                let drained = match product {
+                    Some((at, r, d)) if (at, r) == (job.settled_at, job.rate) => d,
+                    _ => {
+                        let d = job.rate * (last - job.settled_at).as_secs_f64();
+                        product = Some((job.settled_at, job.rate, d));
+                        d
+                    }
+                };
+                job.remaining = (job.remaining - drained).max(0.0);
+            }
+            job.settled_at = last;
             job.rate = rate;
-            least = least.min(job.remaining);
+            if job.remaining < least {
+                least = job.remaining;
+            }
         }
         self.announce(group, slot, due(least, rate, last));
     }
 
     /// Current drain rate of job `key` in `group`.
     pub fn rate(&self, group: G, key: K) -> Option<f64> {
-        let jobs = &self.groups[*self.index.get(&group)? as usize].jobs;
+        let jobs = &self.groups[self.index.get(group)? as usize].jobs;
         jobs.iter().find(|j| j.key == key).map(|j| j.rate)
     }
 
     /// Iterates over live job keys in unspecified order.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        let jobs = |&slot: &u32| self.groups[slot as usize].jobs.iter().map(|j| j.key);
-        self.index.values().flat_map(jobs)
-    }
-
-    /// Number of live jobs.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no jobs remain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+        // A vacant slot holds no jobs.
+        self.groups
+            .iter()
+            .flat_map(|g| g.jobs.iter().map(|j| j.key))
     }
 
     /// The earliest time at which some job finishes under current rates,
@@ -385,13 +501,25 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
                     // group's next re-rate.
                     at = job.due();
                 }
-                next = earlier(next, at);
+                next = SimTime::earlier(next, at);
                 true
             });
             self.len -= before - jobs.len();
             self.refresh(group, slot, next);
         }
         out[first..].sort_unstable();
+    }
+}
+
+impl<K, G> ProgressSet<K, G> {
+    /// Number of live jobs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no jobs remain.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Current virtual time of the set (time of the last advance).
@@ -400,7 +528,7 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     }
 }
 
-impl<K: Copy + Ord + Hash> ProgressSet<K> {
+impl<K: GroupKey> ProgressSet<K> {
     /// Adds job `key`, a group of its own, with `work` units remaining and
     /// rate 0. Panics if the key is already present.
     pub fn insert(&mut self, now: SimTime, key: K, work: f64) {
@@ -415,7 +543,7 @@ impl<K: Copy + Ord + Hash> ProgressSet<K> {
 }
 
 #[cfg(test)]
-impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
+impl<K, G> ProgressSet<K, G> {
     /// Completion-heap entries currently held, never more than the live
     /// groups.
     fn completion_heap_len(&self) -> usize {
@@ -423,12 +551,51 @@ impl<K: Copy + Ord, G: Copy + Ord + Hash> ProgressSet<K, G> {
     }
 }
 
+/// The index read as a map from group to slot, for the invariant checks.
 #[cfg(test)]
-impl<K: Copy + Ord + Hash> ProgressSet<K> {
+impl<G> GroupIndex<G> {
+    fn iter(&self) -> impl Iterator<Item = (&G, &u32)> {
+        let dense = self
+            .dense
+            .iter()
+            .flatten()
+            .map(|(group, slot)| (group, slot));
+        dense.chain(&self.hashed)
+    }
+
+    fn len(&self) -> usize {
+        self.iter().count()
+    }
+}
+
+#[cfg(test)]
+impl<'a, G> IntoIterator for &'a GroupIndex<G> {
+    type Item = (&'a G, &'a u32);
+    type IntoIter = Box<dyn Iterator<Item = (&'a G, &'a u32)> + 'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
+#[cfg(test)]
+impl<G: GroupKey> std::ops::Index<&G> for GroupIndex<G> {
+    type Output = u32;
+
+    fn index(&self, group: &G) -> &u32 {
+        match Self::dense(*group) {
+            Some(i) => &self.dense[i].as_ref().expect("live group").1,
+            None => &self.hashed[group],
+        }
+    }
+}
+
+#[cfg(test)]
+impl<K: GroupKey> ProgressSet<K> {
     /// Remaining work of job `key`, a group of its own, as of the current
     /// clock.
     fn remaining(&self, key: K) -> Option<f64> {
-        let jobs = &self.groups[*self.index.get(&key)? as usize].jobs;
+        let jobs = &self.groups[self.index.get(key)? as usize].jobs;
         let mut job = *jobs.iter().find(|j| j.key == key)?;
         job.settle(self.last);
         Some(job.remaining)
@@ -438,7 +605,7 @@ impl<K: Copy + Ord + Hash> ProgressSet<K> {
     /// if it was present.
     fn remove(&mut self, now: SimTime, key: K) -> Option<f64> {
         self.advance_to(now);
-        let slot = *self.index.get(&key)?;
+        let slot = self.index.get(key)?;
         let jobs = &mut self.groups[slot as usize].jobs;
         let mut job = jobs.swap_remove(jobs.iter().position(|j| j.key == key)?);
         let at = jobs.iter().filter_map(Job::due).min();
@@ -1132,5 +1299,88 @@ mod props {
         }
         println!("jobs found due but not finished: {due_unfinished}");
         assert!(due_unfinished >= 1, "no stream left a due job unfinished");
+    }
+
+    /// Groups on both sides of the dense bound — array-indexed and hashed
+    /// in one set — answer exactly as the per-job reference does, settled
+    /// bits included, and so do pair keys whose pairing index straddles it.
+    #[test]
+    fn dense_and_hashed_groups_match_per_job_reference() {
+        let edge = DENSE_LIMIT as u32;
+        let singles = [0, 1, edge - 1, edge, edge + 1, u32::MAX];
+        // Szudzik indices 0, 4095 (the last dense one), 4160, 4096, and
+        // pairs of large parts.
+        let pairs: [(u32, u32); 6] = [(0, 0), (63, 63), (64, 0), (0, 64), (edge, 1), (u32::MAX, 7)];
+        assert_eq!((63u32, 63u32).dense_index(), Some(DENSE_LIMIT - 1));
+        assert_eq!((0u32, 64u32).dense_index(), Some(DENSE_LIMIT));
+        assert_eq!((u32::MAX, u32::MAX).dense_index(), Some(usize::MAX));
+        straddle_case(&singles, 0x57AD);
+        straddle_case(&pairs, 0x9A1B);
+    }
+
+    fn straddle_case<G: GroupKey + std::fmt::Debug>(keys: &[G], seed: u64) {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        for case in 0..64 {
+            let mut ps: ProgressSet<u32, G> = ProgressSet::new();
+            let mut naive = Naive::default();
+            let mut group_of = std::collections::BTreeMap::<u32, G>::new();
+            let mut now = SimTime::ZERO;
+            let mut next_key = 0u32;
+            for step in 0..300 {
+                let group = keys[rng.gen_index(keys.len())];
+                let members: Vec<u32> = group_of
+                    .iter()
+                    .filter_map(|(&key, &g)| (g == group).then_some(key))
+                    .collect();
+                match rng.gen_index(6) {
+                    0 | 1 if members.len() < 5 => {
+                        let work = [0.0, 1.0, 2.0, 1e3, 3e11][rng.gen_index(5)];
+                        ps.insert_in(now, group, next_key, work);
+                        naive.insert(now, next_key, work);
+                        group_of.insert(next_key, group);
+                        next_key += 1;
+                    }
+                    2 | 3 if !members.is_empty() => {
+                        let rate = [0.0, 0.5, 1.0, 7e3, 1e9][rng.gen_index(5)];
+                        ps.set_group_rate(now, group, rate);
+                        for &key in &members {
+                            naive.set_rate(now, key, rate);
+                        }
+                    }
+                    _ => {
+                        now = match ps.earliest_completion() {
+                            Some((_, at)) if rng.gen_bool() => at,
+                            _ => now + SimDuration::from_nanos(rng.gen_range_u64(0, 3_000_000_000)),
+                        };
+                        let done = ps.take_finished(now);
+                        assert_eq!(done, naive.take_finished(now), "case {case} step {step}");
+                        for key in done {
+                            group_of.remove(&key);
+                        }
+                    }
+                }
+                assert_eq!(
+                    ps.earliest_completion().map(|(_, at)| at),
+                    naive.earliest_completion().map(|(_, at)| at),
+                    "case {case} step {step}"
+                );
+                for want in &naive.jobs {
+                    let slot = ps.index.get(group_of[&want.key]).expect("live group");
+                    let jobs = &ps.groups[slot as usize].jobs;
+                    let got = jobs.iter().find(|j| j.key == want.key).unwrap();
+                    assert_eq!(
+                        (got.remaining.to_bits(), got.settled_at),
+                        (want.remaining.to_bits(), want.settled_at),
+                        "case {case} step {step}: job {}",
+                        want.key
+                    );
+                }
+                assert_heap_indexed(&ps);
+            }
+            assert!(
+                ps.index.dense.len() <= DENSE_LIMIT,
+                "array outgrew the bound"
+            );
+        }
     }
 }

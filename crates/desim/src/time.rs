@@ -44,6 +44,16 @@ impl SimTime {
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
+
+    /// The earlier of two optional instants, `None` meaning never — the
+    /// next-event queries' minimum, one compare and no iterator chain.
+    #[inline]
+    pub fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            _ => a.or(b),
+        }
+    }
 }
 
 impl SimDuration {

@@ -3,8 +3,8 @@
 //! post. What it asked for between two cuts — posts, marks, credit
 //! releases — is recorded as the [`Action`]s of the step that ends there,
 //! to be carried out when that step's computation has drained in virtual
-//! time. A step's actions stay in its [`Segment`] from recording to
-//! execution; nothing else ever holds them.
+//! time. An invocation keeps every step's actions, in order, in one buffer
+//! from recording to execution; nothing else ever holds them.
 
 use std::collections::VecDeque;
 
@@ -43,10 +43,12 @@ impl Action {
     }
 }
 
-/// One atomic step: `work` of computation, then `actions`.
+/// One atomic step: `work` of computation, then the next `actions` of its
+/// invocation's buffer.
+#[derive(Clone, Copy)]
 struct Segment {
     work: SimDuration,
-    actions: VecDeque<Action>,
+    actions: usize,
 }
 
 /// The recorded steps of one object consumption that have not played out
@@ -55,6 +57,8 @@ pub(crate) struct Invocation {
     /// Heap bytes of the consumed object, freed when the invocation ends.
     pub(crate) consumed_heap: u64,
     steps: VecDeque<Segment>,
+    /// The actions of every step not yet carried out, step after step.
+    actions: VecDeque<Action>,
 }
 
 impl Invocation {
@@ -64,10 +68,18 @@ impl Invocation {
         self.steps.front().map(|s| s.work)
     }
 
-    /// Actions of the current step not yet carried out. The front one is a
-    /// post while the server is parked on a flow-control credit.
-    pub(crate) fn pending(&mut self) -> &mut VecDeque<Action> {
-        &mut self.steps.front_mut().expect("a current step").actions
+    /// Takes the current step's next action not yet carried out, if any.
+    pub(crate) fn next_action(&mut self) -> Option<Action> {
+        let left = &mut self.steps.front_mut().expect("a current step").actions;
+        *left = left.checked_sub(1)?;
+        self.actions.pop_front()
+    }
+
+    /// Returns an action to the front of the current step: the post a
+    /// server parks on while it waits for a flow-control credit.
+    pub(crate) fn put_back(&mut self, action: Action) {
+        self.steps.front_mut().expect("a current step").actions += 1;
+        self.actions.push_front(action);
     }
 
     /// Drops the current step, its actions carried out.
@@ -77,30 +89,37 @@ impl Invocation {
 
     /// Target of the post the server is parked on, if it is parked.
     pub(crate) fn parked_post(&self) -> Option<OpId> {
-        match self.steps.front()?.actions.front()? {
+        if self.steps.front()?.actions == 0 {
+            return None;
+        }
+        match self.actions.front()? {
             Action::Post { to, .. } => Some(*to),
             _ => None,
         }
     }
 
+    /// The emptied buffers of a played-out invocation, for the next one to
+    /// record into.
+    pub(crate) fn into_buffers(self) -> Buffers {
+        debug_assert!(self.steps.is_empty() && self.actions.is_empty());
+        Buffers(self.steps, self.actions)
+    }
+
     /// Deep copy for checkpoint/fork (see [`Action::try_clone`]).
     pub(crate) fn try_clone(&self) -> Option<Invocation> {
-        let clone = |s: &Segment| {
-            Some(Segment {
-                work: s.work,
-                actions: s
-                    .actions
-                    .iter()
-                    .map(Action::try_clone)
-                    .collect::<Option<_>>()?,
-            })
-        };
+        let actions = self.actions.iter().map(Action::try_clone);
         Some(Invocation {
             consumed_heap: self.consumed_heap,
-            steps: self.steps.iter().map(clone).collect::<Option<_>>()?,
+            steps: self.steps.clone(),
+            actions: actions.collect::<Option<_>>()?,
         })
     }
 }
+
+/// Empty step and action buffers, handed from a played-out invocation to
+/// the next recording so that recording allocates only to grow them.
+#[derive(Default)]
+pub(crate) struct Buffers(VecDeque<Segment>, VecDeque<Action>);
 
 /// The [`OpCtx`] handed to an operation while its code runs: answers its
 /// questions about the deployment and records everything else.
@@ -113,7 +132,9 @@ pub(crate) struct CollectCtx<'a> {
     cfg: &'a SimConfig,
     timing: &'a mut TimingState,
     segments: VecDeque<Segment>,
-    cur_actions: VecDeque<Action>,
+    actions: VecDeque<Action>,
+    /// Actions recorded since the last cut.
+    cur_actions: usize,
     cur_charge: Option<SimDuration>,
     sw: Stopwatch,
 }
@@ -126,6 +147,7 @@ impl<'a> CollectCtx<'a> {
         active: &'a ActiveSet,
         cfg: &'a SimConfig,
         timing: &'a mut TimingState,
+        Buffers(segments, actions): Buffers,
     ) -> CollectCtx<'a> {
         CollectCtx {
             now,
@@ -135,8 +157,9 @@ impl<'a> CollectCtx<'a> {
             active,
             cfg,
             timing,
-            segments: VecDeque::new(),
-            cur_actions: VecDeque::new(),
+            segments,
+            actions,
+            cur_actions: 0,
             cur_charge: None,
             sw: Stopwatch::for_mode(cfg.timing),
         }
@@ -154,10 +177,15 @@ impl<'a> CollectCtx<'a> {
         )
     }
 
+    fn record(&mut self, action: Action) {
+        self.actions.push_back(action);
+        self.cur_actions += 1;
+    }
+
     fn close_segment(&mut self, closing: Action) {
         let work = self.lap() + self.cfg.step_overhead;
-        let mut actions = std::mem::take(&mut self.cur_actions);
-        actions.push_back(closing);
+        self.record(closing);
+        let actions = std::mem::take(&mut self.cur_actions);
         self.segments.push_back(Segment { work, actions });
     }
 
@@ -168,7 +196,7 @@ impl<'a> CollectCtx<'a> {
     pub(crate) fn finish(mut self, consumed_heap: u64) -> Invocation {
         // Trailing segment: only if it does something or costs something.
         let work = self.lap();
-        if !self.cur_actions.is_empty() || !work.is_zero() || self.segments.is_empty() {
+        if self.cur_actions > 0 || !work.is_zero() || self.segments.is_empty() {
             self.segments.push_back(Segment {
                 work: work + self.cfg.step_overhead,
                 actions: self.cur_actions,
@@ -177,6 +205,7 @@ impl<'a> CollectCtx<'a> {
         Invocation {
             consumed_heap,
             steps: self.segments,
+            actions: self.actions,
         }
     }
 }
@@ -211,22 +240,22 @@ impl OpCtx for CollectCtx<'_> {
     }
 
     fn mark(&mut self, label: &str) {
-        self.cur_actions.push_back(Action::Mark(label.to_string()));
+        self.record(Action::Mark(label.to_string()));
     }
 
     fn deactivate_thread(&mut self, t: ThreadId) {
-        self.cur_actions.push_back(Action::Deactivate(t));
+        self.record(Action::Deactivate(t));
     }
 
     fn fc_release(&mut self, source: OpId) {
-        self.cur_actions.push_back(Action::Release(source));
+        self.record(Action::Release(source));
     }
 
     fn account_state(&mut self, delta_bytes: i64) {
-        self.cur_actions.push_back(Action::Account(delta_bytes));
+        self.record(Action::Account(delta_bytes));
     }
 
     fn terminate(&mut self) {
-        self.cur_actions.push_back(Action::Terminate);
+        self.record(Action::Terminate);
     }
 }

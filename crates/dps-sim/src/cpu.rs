@@ -7,7 +7,9 @@
 //! steps due at an instant, and [`CpuModel::reprice`] re-splits the
 //! processors whose population or communication load changed.
 
-use desim::{FxHashMap, ProgressSet, SimDuration, SimTime};
+use std::collections::VecDeque;
+
+use desim::{ProgressSet, SimDuration, SimTime};
 use netmodel::NodeId;
 
 use crate::engine::ServerKey;
@@ -28,13 +30,15 @@ struct NodeCpu {
     /// Running steps.
     steps: usize,
     /// Rate last pushed to the node's steps; they are only re-rated when
-    /// the share moves or `dirty` is set, because a re-rate settles every
-    /// step and re-keys the node's completion-heap entry.
+    /// the share moves or `repopulated` is set, because a re-rate settles
+    /// every step and re-keys the node's completion-heap entry.
     rate: f64,
     /// A step started or finished here since the last reprice — its steps
     /// need fresh rates even if the share is unchanged (a new step still
     /// carries rate 0).
-    dirty: bool,
+    repopulated: bool,
+    /// Listed in [`CpuModel::affected`].
+    listed: bool,
 }
 
 /// Cloning it gives a fork its own independent copy.
@@ -42,13 +46,18 @@ struct NodeCpu {
 pub(crate) struct CpuModel {
     /// Running steps, grouped by node: a node's steps share one rate.
     progress: ProgressSet<u64, NodeId>,
-    steps: FxHashMap<u64, StepInfo>,
+    /// Entry `i` describes step `base + i`, `None` once it retired. Every
+    /// reserved id is started before the next is reserved, so ids arrive
+    /// in order; they retire roughly so, and the front is trimmed to a
+    /// running step.
+    steps: VecDeque<Option<StepInfo>>,
+    base: u64,
     /// Indexed by `NodeId`.
     nodes: Vec<NodeCpu>,
-    /// Nodes with `dirty` set.
-    dirty: Vec<NodeId>,
+    /// Nodes to re-split at the next reprice, each listed once.
+    affected: Vec<NodeId>,
     next_id: u64,
-    /// Scratch for `reprice`'s affected-node list.
+    /// Scratch for the fabric's report of changed nodes.
     scratch: Vec<NodeId>,
 }
 
@@ -56,9 +65,10 @@ impl CpuModel {
     pub(crate) fn new(node_count: usize) -> CpuModel {
         CpuModel {
             progress: ProgressSet::new(),
-            steps: FxHashMap::default(),
+            steps: VecDeque::new(),
+            base: 0,
             nodes: vec![NodeCpu::default(); node_count],
-            dirty: Vec::new(),
+            affected: Vec::new(),
             next_id: 0,
             scratch: Vec::new(),
         }
@@ -71,10 +81,19 @@ impl CpuModel {
         self.next_id - 1
     }
 
-    fn touch(&mut self, node: NodeId) {
-        if !std::mem::replace(&mut self.nodes[node.0 as usize].dirty, true) {
-            self.dirty.push(node);
+    /// Lists `node` for the next reprice, unless it is listed already or
+    /// runs nothing of the application's.
+    fn list(&mut self, node: NodeId) {
+        if let Some(cpu) = self.nodes.get_mut(node.0 as usize) {
+            if !std::mem::replace(&mut cpu.listed, true) {
+                self.affected.push(node);
+            }
         }
+    }
+
+    fn touch(&mut self, node: NodeId) {
+        self.nodes[node.0 as usize].repopulated = true;
+        self.list(node);
     }
 
     /// Starts step `id` (at rate 0 until the next [`reprice`]).
@@ -83,7 +102,12 @@ impl CpuModel {
     pub(crate) fn start(&mut self, id: u64, info: StepInfo) {
         self.progress
             .insert_in(info.start, info.node, id, info.work.as_secs_f64());
-        self.steps.insert(id, info);
+        assert_eq!(
+            id,
+            self.base + self.steps.len() as u64,
+            "steps start in id order"
+        );
+        self.steps.push_back(Some(info));
         self.nodes[info.node.0 as usize].steps += 1;
         self.touch(info.node);
     }
@@ -102,28 +126,36 @@ impl CpuModel {
 
     /// Forgets a finished step, freeing its share of the node.
     pub(crate) fn retire(&mut self, id: u64) -> StepInfo {
-        let info = self.steps.remove(&id).expect("unknown step");
+        let slot = id
+            .checked_sub(self.base)
+            .and_then(|i| self.steps.get_mut(i as usize));
+        let info = slot.and_then(Option::take).expect("unknown step");
+        while let Some(None) = self.steps.front() {
+            self.steps.pop_front();
+            self.base += 1;
+        }
         self.nodes[info.node.0 as usize].steps -= 1;
         self.touch(info.node);
         info
     }
 
     /// Re-splits processors. Only two things move a node's per-step rate:
-    /// its step population (the `dirty` marks) and its available CPU
-    /// (reported by the fabric), so the cost is O(nodes that changed).
+    /// its step population (the `repopulated` marks) and its available CPU
+    /// (reported by the fabric), so the cost is O(nodes that changed). The
+    /// order nodes are re-split in is immaterial: each re-rate settles only
+    /// its own node's steps, and completions pop by `(instant, node)`.
     pub(crate) fn reprice(&mut self, now: SimTime, fabric: &mut (impl Fabric + ?Sized)) {
-        let mut affected = std::mem::take(&mut self.scratch);
-        affected.clear();
-        fabric.comm_dirty_nodes(&mut affected);
-        affected.append(&mut self.dirty);
-        affected.sort_unstable();
-        affected.dedup();
-        for &node in &affected {
-            // The fabric may name nodes the application never deployed to.
-            let Some(cpu) = self.nodes.get_mut(node.0 as usize) else {
-                continue;
-            };
-            let repopulated = std::mem::take(&mut cpu.dirty);
+        let mut reported = std::mem::take(&mut self.scratch);
+        fabric.comm_dirty_nodes(&mut reported);
+        // The fabric may name nodes the application never deployed to.
+        for node in reported.drain(..) {
+            self.list(node);
+        }
+        self.scratch = reported;
+        for &node in &self.affected {
+            let cpu = &mut self.nodes[node.0 as usize];
+            cpu.listed = false;
+            let repopulated = std::mem::take(&mut cpu.repopulated);
             let k = cpu.steps;
             if k == 0 {
                 continue;
@@ -135,7 +167,7 @@ impl CpuModel {
             cpu.rate = rate;
             self.progress.set_group_rate(now, node, rate);
         }
-        self.scratch = affected;
+        self.affected.clear();
     }
 }
 

@@ -29,13 +29,13 @@ use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
 use desim::journal::{Journal, JournalEvent};
-use desim::{FxHashMap, SimTime};
+use desim::SimTime;
 use dps::{ActiveSet, Application, DataObj, OpId, Operation, RouteCtx, ThreadId, Window};
 use faults::FaultPlan;
 use netmodel::{NetParams, NodeId};
 
 use crate::accounting::Accounting;
-use crate::collect::{Action, CollectCtx, Invocation};
+use crate::collect::{Action, Buffers, CollectCtx, Invocation};
 use crate::control::RunControl;
 use crate::cpu::{CpuModel, StepInfo};
 use crate::error::{
@@ -51,6 +51,11 @@ pub use crate::config::SimConfig;
 pub use crate::control::{PausePoint, PausePred};
 
 pub(crate) type ServerKey = (OpId, ThreadId);
+
+/// Node ids an engine accepts are below this. The per-node tables (the
+/// processors, the network's ports, the progress sets' group indexes) are
+/// indexed by node id, so a larger one would balloon them.
+pub const NODE_ID_LIMIT: u64 = 1 << 16;
 
 /// One *(operation, thread)* pair: a sequential server with a FIFO queue.
 #[derive(Default)]
@@ -106,7 +111,7 @@ impl Delivery {
 /// never hangs.
 pub fn simulate(app: &Application, params: NetParams, cfg: &SimConfig) -> SimResult<RunReport> {
     let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
-    simulate_with_fabric(app, &mut fabric, cfg)
+    run(app, &mut fabric, cfg)
 }
 
 /// Runs `app` against an arbitrary fabric (the testbed emulator plugs in
@@ -114,6 +119,17 @@ pub fn simulate(app: &Application, params: NetParams, cfg: &SimConfig) -> SimRes
 pub fn simulate_with_fabric(
     app: &Application,
     fabric: &mut dyn Fabric,
+    cfg: &SimConfig,
+) -> SimResult<RunReport> {
+    run(app, fabric, cfg)
+}
+
+/// One run to the end. [`simulate`] calls it with the concrete
+/// [`SimFabric`], so its event loop calls the fabric directly rather than
+/// through a `dyn Fabric`.
+fn run<M: Fabric + ?Sized>(
+    app: &Application,
+    fabric: &mut M,
     cfg: &SimConfig,
 ) -> SimResult<RunReport> {
     let wall = Instant::now();
@@ -128,9 +144,9 @@ pub fn simulate_with_fabric(
 /// [`Accounting`] books and the [`RunControl`].
 ///
 /// Plain runs borrow the application and the fabric from the caller
-/// (`A = &Application`, `F = &mut dyn Fabric`); checkpoints, which outlive
-/// the calling frame and hand copies to forks, own them
-/// (`A = Arc<Application>`, `F = Box<SimFabric>`).
+/// (`A = &Application`, `F = &mut SimFabric` or `&mut dyn Fabric`);
+/// checkpoints, which outlive the calling frame and hand copies to forks,
+/// own them (`A = Arc<Application>`, `F = Box<SimFabric>`).
 pub(crate) struct Engine<A, F> {
     app: A,
     fabric: F,
@@ -152,9 +168,19 @@ pub(crate) struct Engine<A, F> {
     thread_count: usize,
     active: ActiveSet,
     edge_seq: Vec<u64>,
-    inflight: FxHashMap<u64, Delivery>,
+    /// Deliveries crossing the network, in handle order; `None` once
+    /// delivered, and the front is trimmed to an undelivered one. Handles
+    /// increase (see [`Fabric::start_transfer`]) and are usually
+    /// consecutive, so a handle's entry is found at its offset from the
+    /// front, else by binary search.
+    inflight: VecDeque<(u64, Option<Delivery>)>,
+    /// The last handle the fabric returned.
+    last_handle: Option<u64>,
     windows: BTreeMap<OpId, Window>,
     fc_waiters: BTreeMap<OpId, VecDeque<ServerKey>>,
+    /// The buffers of the last invocation that played out, for the next
+    /// recording.
+    spare: Buffers,
     timing: TimingState,
     meter: MemoryMeter,
 
@@ -197,7 +223,14 @@ where
         let thread_count = deployment.thread_count();
         let active = ActiveSet::all_active(thread_count);
         let acct = Accounting::new(active.allocated_nodes(deployment).len());
-        let cpu = CpuModel::new(deployment.max_node_plus_one() as usize);
+        let nodes = deployment.max_node_plus_one();
+        let error = (nodes > NODE_ID_LIMIT).then(|| {
+            SimError::protocol(format!(
+                "node id {} out of range: an engine models nodes below {NODE_ID_LIMIT}",
+                nodes - 1
+            ))
+        });
+        let cpu = CpuModel::new(if error.is_some() { 0 } else { nodes as usize });
         let windows = app
             .flow_controls()
             .map(|fc| (fc.source, Window::new(fc.window)))
@@ -219,16 +252,21 @@ where
             thread_count,
             active,
             edge_seq,
-            inflight: FxHashMap::default(),
+            inflight: VecDeque::new(),
+            last_handle: None,
             windows,
             fc_waiters: BTreeMap::new(),
+            spare: Buffers::default(),
             timing: TimingState::new(),
             meter: MemoryMeter::new(cfg.baseline_memory),
             terminated: false,
             steps_executed: 0,
             max_queue_len: 0,
-            error: None,
+            error,
         };
+        if eng.error.is_some() {
+            return eng;
+        }
         let app = eng.app.clone();
         for s in app.starts() {
             let obj = (s.make)();
@@ -351,11 +389,28 @@ where
         }
     }
 
+    /// Takes the delivery filed under `handle`, trimming delivered ones off
+    /// the front.
+    fn take_inflight(&mut self, handle: u64) -> Option<Delivery> {
+        let front = self.inflight.front()?.0;
+        let guess = usize::try_from(handle.checked_sub(front)?).ok()?;
+        let i = match self.inflight.get(guess) {
+            Some(&(h, _)) if h == handle => guess,
+            _ => self.inflight.binary_search_by_key(&handle, |e| e.0).ok()?,
+        };
+        let d = self.inflight[i].1.take();
+        while let Some((_, None)) = self.inflight.front() {
+            self.inflight.pop_front();
+        }
+        d
+    }
+
     fn deliver_transfer(&mut self, handle: u64) {
-        let d = self
-            .inflight
-            .remove(&handle)
-            .expect("unknown transfer completed");
+        let Some(d) = self.take_inflight(handle) else {
+            return self.fail(SimError::protocol(format!(
+                "the fabric completed transfer {handle}, which is not in flight"
+            )));
+        };
         self.jot(JournalEvent::Arrive {
             to: d.to.0,
             thread: d.thread.0,
@@ -410,6 +465,7 @@ where
             &self.active,
             &self.cfg,
             &mut self.timing,
+            std::mem::take(&mut self.spare),
         );
         op.on_object(obj, &mut ctx);
         let run = ctx.finish(consumed_heap);
@@ -440,6 +496,7 @@ where
         } else {
             let run = self.servers[i].run.take().expect("running invocation");
             self.meter.free(run.consumed_heap);
+            self.spare = run.into_buffers();
             if !self.servers[i].queue.is_empty() {
                 self.start_invocation(key);
             }
@@ -469,7 +526,7 @@ where
         loop {
             let run = self.servers[i].run.as_mut();
             let run = run.expect("invocation in progress");
-            let Some(action) = run.pending().pop_front() else {
+            let Some(action) = run.next_action() else {
                 run.finish_step();
                 break;
             };
@@ -482,7 +539,7 @@ where
                         .is_some_and(|w| !w.try_acquire())
                     {
                         // Park: put the post back and wait for a credit.
-                        run.pending().push_front(Action::Post { to, obj });
+                        run.put_back(Action::Post { to, obj });
                         self.fc_waiters.entry(key.0).or_default().push_back(key);
                         return;
                     }
@@ -556,6 +613,12 @@ where
             self.enqueue_delivery(to, dst_thread, obj);
         } else {
             let handle = self.fabric.start_transfer(self.now, src, dst, wire_bytes);
+            if let Some(last) = self.last_handle.filter(|&last| handle <= last) {
+                return self.fail(SimError::protocol(format!(
+                    "the fabric returned transfer handle {handle} after {last}: handles must increase"
+                )));
+            }
+            self.last_handle = Some(handle);
             let delivery = Delivery {
                 to,
                 thread: dst_thread,
@@ -565,7 +628,7 @@ where
                 wire_bytes,
                 start: self.now,
             };
-            self.inflight.insert(handle, delivery);
+            self.inflight.push_back((handle, Some(delivery)));
         }
     }
 
@@ -692,7 +755,7 @@ where
                 .map_or_else(Vec::new, |ops| ops.into_iter().map(name).collect()),
             queued_objects: self.servers.iter().map(|s| s.queue.len()).sum(),
             busy_servers: self.servers.iter().filter(|s| s.run.is_some()).count(),
-            inflight_transfers: self.inflight.len(),
+            inflight_transfers: self.inflight.iter().filter(|e| e.1.is_some()).count(),
             blocked,
         };
         let quiescent = diag.blocked.is_empty()
@@ -740,10 +803,10 @@ impl<A: Clone> Engine<A, Box<SimFabric>> {
     /// then fall back to a fresh run.
     pub(crate) fn try_fork(&self) -> Option<Self> {
         let servers = self.servers.iter().map(Server::try_clone);
-        let inflight = self
-            .inflight
-            .iter()
-            .map(|(&h, d)| Some((h, d.try_clone()?)));
+        let inflight = self.inflight.iter().map(|(h, d)| match d {
+            Some(d) => Some((*h, Some(d.try_clone()?))),
+            None => Some((*h, None)),
+        });
         Some(Engine {
             app: self.app.clone(),
             fabric: self.fabric.clone(),
@@ -761,8 +824,10 @@ impl<A: Clone> Engine<A, Box<SimFabric>> {
             active: self.active.clone(),
             edge_seq: self.edge_seq.clone(),
             inflight: inflight.collect::<Option<_>>()?,
+            last_handle: self.last_handle,
             windows: self.windows.clone(),
             fc_waiters: self.fc_waiters.clone(),
+            spare: Buffers::default(),
             timing: self.timing.clone(),
             meter: self.meter,
             terminated: self.terminated,

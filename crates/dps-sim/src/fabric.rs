@@ -43,6 +43,11 @@ use crate::error::{SimError, SimResult};
 pub trait Fabric {
     /// Begins a transfer of `bytes` payload bytes; returns a handle reported
     /// back by [`advance_into`](Fabric::advance_into) on completion.
+    ///
+    /// Handles increase: each is greater than every handle this fabric
+    /// returned before (a [`netmodel::FlowId`] does). The engine files its
+    /// in-flight deliveries by handle in that order, and a run over a fabric
+    /// that breaks it fails with a protocol error.
     fn start_transfer(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> u64;
 
     /// Next instant at which the fabric's state changes on its own.
@@ -160,11 +165,11 @@ impl Fabric for SimFabric {
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
-        let boundary = self.cpu.next_boundary_after(self.now);
-        [self.net.next_event_time(), boundary]
-            .into_iter()
-            .flatten()
-            .min()
+        let net = self.net.next_event_time();
+        if self.cpu.is_empty() {
+            return net;
+        }
+        SimTime::earlier(net, self.cpu.next_boundary_after(self.now))
     }
 
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {

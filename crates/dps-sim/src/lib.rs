@@ -44,7 +44,7 @@ pub mod timing;
 pub mod trace;
 
 pub use checkpoint::{simulate_until, SimCheckpoint};
-pub use engine::{simulate, simulate_with_fabric, PausePoint, PausePred, SimConfig};
+pub use engine::{simulate, simulate_with_fabric, PausePoint, PausePred, SimConfig, NODE_ID_LIMIT};
 pub use error::{
     BlockedOp, BudgetKind, CancelToken, DeadlockDiag, SimError, SimErrorKind, SimResult,
 };

@@ -2,7 +2,9 @@
 //! typed `DeadlockDetected` errors naming the blocked operations (never
 //! a hang or a panic), invalid network parameters as typed `Protocol`
 //! errors, budgets and cancellation must fail runs cleanly, and a killed
-//! run must leave the application reusable.
+//! run must leave the application reusable. Node ids past the engine's
+//! per-node tables and a fabric whose transfer handles go backwards are
+//! typed `Protocol` errors too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,11 +14,13 @@ use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
 use dps_sim::{
-    replay, simulate, simulate_until, BudgetKind, CancelToken, Journal, SimConfig, SimErrorKind,
-    SimFabric, TimingMode,
+    check_equivalent, replay, simulate, simulate_until, simulate_with_fabric, BudgetKind,
+    CancelToken, Fabric, Journal, SimCheckpoint, SimConfig, SimErrorKind, SimFabric, TimingMode,
+    NODE_ID_LIMIT,
 };
 use faults::FaultPlan;
-use netmodel::NetParams;
+use netmodel::network::NetStats;
+use netmodel::{NetParams, NodeId};
 
 struct Token(#[allow(dead_code)] u64);
 wire_size_fixed!(Token, 8);
@@ -321,4 +325,134 @@ fn nan_cpu_cost_is_a_typed_error() {
     let mut params = NetParams::ideal();
     params.cpu_in_cost = f64::NAN;
     assert_params_rejected(params, "cpu comm costs must be in [0,1)");
+}
+
+/// One thread on `node` running a split that charges `steps` steps.
+fn one_node_app(node: u32, steps: u64) -> Application {
+    let mut b = AppBuilder::new("one-node");
+    let main = b.thread_on_node("main", node);
+    let split = b.declare("split", OpKind::Split);
+    let leaf = b.declare("leaf", OpKind::Leaf);
+    b.body(split, move |_, _| {
+        op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+            for i in 0..steps {
+                ctx.charge(US);
+                ctx.post(leaf, Box::new(Token(i)));
+            }
+            ctx.terminate();
+        })
+    });
+    b.body(leaf, |_, _| op_fn(|_obj, _ctx| {}));
+    b.edge(split, leaf, to_thread(main));
+    b.start(split, main, || Box::new(Token(0)));
+    b.build().unwrap()
+}
+
+/// Every engine entry point turns `app` down with a protocol error naming
+/// the node id, before allocating anything sized by it.
+#[track_caller]
+fn assert_node_rejected(app: Application) {
+    let params = NetParams::ideal();
+    let app = Arc::new(app);
+    let fabric = SimFabric::new(params);
+    let errs = [
+        simulate(&app, params, &cfg()).err(),
+        simulate_until(Arc::clone(&app), params, &cfg(), SimTime(1)).err(),
+        replay(&app, params, &cfg(), &Journal::new(), 0).err(),
+        SimCheckpoint::new(Arc::clone(&app), fabric, &cfg())
+            .finish()
+            .err(),
+    ];
+    for err in errs {
+        let err = err.expect("an out-of-range node id is rejected");
+        assert!(
+            matches!(&err.kind, SimErrorKind::Protocol { detail } if detail.contains("out of range")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn node_id_at_u32_max_is_a_typed_error() {
+    assert_node_rejected(one_node_app(u32::MAX, 1));
+}
+
+#[test]
+fn node_id_far_past_the_tables_is_rejected_at_once() {
+    assert_node_rejected(one_node_app(50_000_000, 2));
+    assert_node_rejected(one_node_app(NODE_ID_LIMIT as u32, 2));
+    // The last id below the limit still runs.
+    let last = NODE_ID_LIMIT as u32 - 1;
+    let report = simulate(&one_node_app(last, 2), NetParams::ideal(), &cfg()).unwrap();
+    assert!(report.terminated);
+}
+
+/// A [`SimFabric`] that hands the engine its transfer handles renamed by
+/// `to`.
+struct Renamed {
+    inner: SimFabric,
+    to: fn(u64) -> u64,
+}
+
+impl Renamed {
+    fn new(to: fn(u64) -> u64) -> Renamed {
+        let inner = SimFabric::new(NetParams::ideal());
+        Renamed { inner, to }
+    }
+}
+
+impl Fabric for Renamed {
+    fn start_transfer(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> u64 {
+        (self.to)(self.inner.start_transfer(now, src, dst, bytes))
+    }
+
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        self.inner.next_event_time()
+    }
+
+    fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
+        let first = out.len();
+        self.inner.advance_into(now, out);
+        out[first..].iter_mut().for_each(|h| *h = (self.to)(*h));
+    }
+
+    fn cpu_available(&self, node: NodeId) -> f64 {
+        self.inner.cpu_available(node)
+    }
+
+    fn comm_dirty_nodes(&mut self, out: &mut Vec<NodeId>) {
+        self.inner.comm_dirty_nodes(out);
+    }
+
+    fn compute_time(&mut self, node: NodeId, nominal: SimDuration) -> SimDuration {
+        self.inner.compute_time(node, nominal)
+    }
+
+    fn net_stats(&self) -> NetStats {
+        self.inner.net_stats()
+    }
+}
+
+#[test]
+fn decreasing_transfer_handles_are_a_typed_error() {
+    // The split posts to two workers on other nodes: two transfers, the
+    // second with the smaller handle.
+    let mut fabric = Renamed::new(|h| u64::MAX - h);
+    let err = simulate_with_fabric(&good_app(2), &mut fabric, &cfg())
+        .expect_err("a decreasing handle is rejected");
+    assert!(
+        matches!(&err.kind, SimErrorKind::Protocol { detail } if detail.contains("handles must increase")),
+        "{err}"
+    );
+}
+
+#[test]
+fn increasing_handles_with_gaps_run_like_consecutive_ones() {
+    // Handles 5, 8, 11, …: none sits at its offset from the front.
+    let mut fabric = Renamed::new(|h| 3 * h + 5);
+    let app = good_app(16);
+    let gapped = simulate_with_fabric(&app, &mut fabric, &cfg()).unwrap();
+    let plain = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
+    assert!(plain.net.flows_completed >= 16);
+    check_equivalent(&gapped, &plain).unwrap();
 }

@@ -115,6 +115,13 @@ impl Application {
         &self.deployment
     }
 
+    /// The same application with every thread moved from its node `n` to
+    /// `f(n)` — the same cluster under other node ids.
+    pub fn with_nodes_renamed(mut self, f: impl FnMut(NodeId) -> NodeId) -> Application {
+        self.deployment.rename_nodes(f);
+        self
+    }
+
     /// Routing function of an edge.
     pub fn router(&self, edge: EdgeId) -> &Router {
         &self.routers[edge.0 as usize]

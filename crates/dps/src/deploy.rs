@@ -52,6 +52,11 @@ impl Deployment {
         );
     }
 
+    /// Moves every thread from its node `n` to `f(n)`.
+    pub(crate) fn rename_nodes(&mut self, mut f: impl FnMut(NodeId) -> NodeId) {
+        self.threads.iter_mut().for_each(|n| *n = f(*n));
+    }
+
     /// Node hosting a thread.
     pub fn node_of(&self, t: ThreadId) -> NodeId {
         self.threads[t.0 as usize]
@@ -88,9 +93,11 @@ impl Deployment {
         nodes.len()
     }
 
-    /// Highest node index + 1 (nodes are dense 0..n in practice).
-    pub fn max_node_plus_one(&self) -> u32 {
-        self.threads.iter().map(|n| n.0 + 1).max().unwrap_or(0)
+    /// Highest node index + 1 (nodes are dense 0..n in practice); wide
+    /// enough that `NodeId(u32::MAX)` does not overflow it.
+    pub fn max_node_plus_one(&self) -> u64 {
+        let plus_one = |n: &NodeId| u64::from(n.0) + 1;
+        self.threads.iter().map(plus_one).max().unwrap_or(0)
     }
 }
 

@@ -27,11 +27,6 @@ pub struct RouteCtx<'a> {
 }
 
 impl<'a> RouteCtx<'a> {
-    /// Active threads of a group, in declaration order.
-    pub fn active_in_group(&self, group: &str) -> Vec<ThreadId> {
-        self.active.active_in(self.deployment, group)
-    }
-
     /// All threads of a group regardless of activity (stable ownership).
     pub fn group_all(&self, group: &str) -> &[ThreadId] {
         self.deployment.group(group)
@@ -52,9 +47,13 @@ pub type Router = Box<dyn Fn(&dyn AnyDataObject, &RouteCtx) -> ThreadId + Send +
 pub fn round_robin(group: &str) -> Router {
     let group = group.to_string();
     Box::new(move |_obj, ctx| {
-        let active = ctx.active_in_group(&group);
-        assert!(!active.is_empty(), "no active thread in group {group:?}");
-        active[(ctx.edge_seq % active.len() as u64) as usize]
+        // Counted and picked in place: routing allocates nothing.
+        let all = ctx.group_all(&group).iter().copied();
+        let mut active = all.filter(|&t| ctx.active.is_active(t));
+        let n = active.clone().count();
+        assert!(n > 0, "no active thread in group {group:?}");
+        let pick = active.nth((ctx.edge_seq % n as u64) as usize);
+        pick.expect("fewer than n active threads")
     })
 }
 

@@ -324,8 +324,14 @@ impl Network {
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         let lat = self.latent.front().map(|&(ready, ..)| ready);
         let fin = self.active.earliest_completion().map(|(_, t)| t);
-        let window = self.windows[UP].next_boundary_after(self.active.now());
-        [lat, fin, window].into_iter().flatten().min()
+        let next = SimTime::earlier(lat, fin);
+        if self.windows[UP].is_empty() {
+            return next;
+        }
+        SimTime::earlier(
+            next,
+            self.windows[UP].next_boundary_after(self.active.now()),
+        )
     }
 
     /// Advances the model to `now`, promoting flows out of their latency

@@ -10,6 +10,14 @@ use desim::SimDuration;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
+/// Node ids are small and dense in practice: a progress set grouped by node
+/// (or node pair) finds its groups by array index.
+impl desim::GroupKey for NodeId {
+    fn dense_index(self) -> Option<usize> {
+        Some(self.0 as usize)
+    }
+}
+
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)

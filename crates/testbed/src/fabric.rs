@@ -160,10 +160,7 @@ impl Fabric for TestbedFabric {
 
     fn next_event_time(&mut self) -> Option<SimTime> {
         let held = self.held.keys().next().map(|&(t, _)| t);
-        [self.net.next_event_time(), held]
-            .into_iter()
-            .flatten()
-            .min()
+        SimTime::earlier(self.net.next_event_time(), held)
     }
 
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<u64>) {
