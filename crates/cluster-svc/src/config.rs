@@ -10,8 +10,6 @@
 use desim::SimDuration;
 use dps_sim::{SimError, SimResult};
 
-use crate::breaker::BreakerSpec;
-
 /// Scheduling policy of a cluster server.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SchedulePolicy {
@@ -149,12 +147,6 @@ pub struct ServiceConfig {
     pub policy: SchedulePolicy,
     /// Registered tenants; a `JobSpec.tenant` indexes this list.
     pub tenants: Vec<TenantSpec>,
-    /// Optional circuit breaker around fork-based what-if scoring: when
-    /// set, decisions whose session cost exceeds the budget count as
-    /// breaches, and a tripped breaker falls back to profile-priced
-    /// scoring until its deterministic cooldown elapses. `None` (the
-    /// default) disables the breaker entirely.
-    pub breaker: Option<BreakerSpec>,
 }
 
 impl ServiceConfig {
@@ -166,19 +158,12 @@ impl ServiceConfig {
             shards,
             policy,
             tenants: Vec::new(),
-            breaker: None,
         }
     }
 
     /// Adds a tenant (builder style).
     pub fn with_tenant(mut self, tenant: TenantSpec) -> Self {
         self.tenants.push(tenant);
-        self
-    }
-
-    /// Enables the what-if circuit breaker (builder style).
-    pub fn with_breaker(mut self, spec: BreakerSpec) -> Self {
-        self.breaker = Some(spec);
         self
     }
 
@@ -237,14 +222,6 @@ impl ServiceConfig {
                     "duplicate tenant name '{}'",
                     a.name
                 )));
-            }
-        }
-        if let Some(b) = &self.breaker {
-            if b.trip_after == 0 {
-                return Err(SimError::protocol("breaker trip_after must be at least 1"));
-            }
-            if b.max_steps_per_decision == 0 {
-                return Err(SimError::protocol("breaker step budget must be at least 1"));
             }
         }
         Ok(())

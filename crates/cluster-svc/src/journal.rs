@@ -61,14 +61,13 @@ pub mod decision {
     /// The winning what-if candidate was committed (`work` = its
     /// `candidate::CandidateKind` as an integer).
     pub const WHATIF: u32 = 10;
-    /// The what-if circuit breaker changed state (`start` = the new
-    /// `breaker::BreakerState` code, `work` = the step cost of the
-    /// decision that caused the transition, when one did).
-    pub const BREAKER: u32 = 11;
+    // Code 11 is retired (the what-if circuit breaker's state changes);
+    // its label stays in the table, which every journal interns.
 }
 
 /// Names of the decision codes, interned into the journal's label table in
-/// code order (so `labels[op]` names a decision).
+/// code order (so `labels[op]` names a decision). `"breaker"` names the
+/// retired code 11.
 pub const DECISION_LABELS: [&str; 12] = [
     "admit",
     "place",

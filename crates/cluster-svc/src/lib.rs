@@ -9,8 +9,7 @@
 //! it: per-job completion times come from the decision journal
 //! ([`completions`]). This crate owns every scheduling rule: the
 //! [`SchedulePolicy`], the node pool, fault pricing, backoff, the
-//! [`efficiency_target`] scan, the what-if circuit breaker
-//! ([`BreakerSpec`]) and candidate scoring.
+//! [`efficiency_target`] scan and candidate scoring.
 //!
 //! The moving parts:
 //!
@@ -56,7 +55,6 @@
 
 #![warn(missing_docs)]
 
-mod breaker;
 mod candidate;
 mod cells;
 mod config;
@@ -70,13 +68,12 @@ mod rules;
 mod scorer;
 mod service;
 
-pub use breaker::{BreakerSpec, BreakerStats};
 pub use config::{SchedulePolicy, ServiceConfig, TenantSpec};
 pub use job::{random_jobs, AnalyticJob, JobPayload, JobSpec, SyntheticLoad};
 pub use journal::{check_equivalent, completions, decision, ReplayStats, DECISION_LABELS, NO_CELL};
 pub use recovery::{
     CrashPlan, CrashReport, DurabilitySpec, RecoveredPrefix, TornTail, WalError, WriteAheadLog,
 };
-pub use report::{CellReport, LatencyHist, ServiceReport, TenantReport};
+pub use report::{BreakerStats, CellReport, LatencyHist, ServiceReport, TenantReport};
 pub use rules::efficiency_target;
 pub use service::{ClusterService, ServeOptions, ServiceBudget, ServiceOutcome};

@@ -15,8 +15,6 @@
 
 use desim::{SimDuration, SimTime};
 
-use crate::breaker::BreakerStats;
-
 /// Quarter-octave integer histogram of scheduling latencies (arrival →
 /// first start), exact below 4 ns and within ~12% above. Buckets, counts
 /// and the quantile scan are all integer arithmetic, so quantiles are
@@ -211,6 +209,23 @@ pub struct WhatIfStats {
     pub extra_checkpoints: u64,
 }
 
+/// Counters of a what-if circuit breaker the service does not have, so
+/// always zero. The canonical report's `breaker` line and the benchmark's
+/// `cluster.breaker.trips` still read them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BreakerStats {
+    /// Fork-scored decisions over budget.
+    pub breaches: u64,
+    /// Closed→open transitions.
+    pub trips: u64,
+    /// Open→half-open probe grants.
+    pub probes: u64,
+    /// Half-open→closed recoveries.
+    pub recloses: u64,
+    /// Decisions priced from profiles while open.
+    pub fallback_decisions: u64,
+}
+
 /// The aggregate outcome of one `serve` call.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceReport {
@@ -243,7 +258,7 @@ pub struct ServiceReport {
     pub cache_evictions: u64,
     /// What-if decision counters (all deterministic).
     pub whatif: WhatIfStats,
-    /// Circuit-breaker counters (all zero when no breaker is configured).
+    /// Always zero (see [`BreakerStats`]).
     pub breaker: BreakerStats,
     /// Profiling retries granted after a workload panic (bounded
     /// exponential backoff; a job only fails once its retries run out).

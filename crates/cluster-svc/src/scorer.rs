@@ -13,17 +13,17 @@
 //! [`Scorer::score`] picks each candidate's tier. In order:
 //!
 //! 1. **analytic** — an [`AnalyticJob`]'s closed form;
-//! 2. **breaker admission** — a fork is tried only for a candidate that
-//!    does not grow the job, while the job never grew, migrated or
-//!    restarted, and while the circuit breaker admits it;
-//! 3. **fork memo** — the score of an earlier fork with the same
+//! 2. **fork memo** — the score of an earlier fork with the same
 //!    fingerprint;
-//! 4. **fork** — a real run of the candidate's removal plan, forked from
+//! 3. **fork** — a real run of the candidate's removal plan, forked from
 //!    the job's warm [`WhatIfSession`] at the current barrier;
-//! 5. **breaker record** — the step cost of steps 3–4 against the
-//!    budget, or the fork the service wanted and could not get;
-//! 6. **profile memo**, then
-//! 7. **profile** — the suffix of a memoized fixed-allocation profile.
+//! 4. **profile memo**, then
+//! 5. **profile** — the suffix of a memoized fixed-allocation profile.
+//!
+//! Steps 2 and 3 are tried only for a candidate that does not grow the
+//! job, while the job never grew, migrated or restarted. A runaway fork
+//! needs no budget of its own: the engine's `SimConfig::max_steps` fails
+//! it with `BudgetExceeded`, which fails that one job.
 //!
 //! Each of the three memos answers one question. The [`ProfileCache`]:
 //! what is this workload's profile at this allocation? The score memo:
@@ -34,8 +34,8 @@
 //! Workload code is tenant code: every call into it goes through
 //! [`shielded`], so a panic there costs one job, never the service. The
 //! scorer owns the profile cache, the score memo, the warm sessions, the
-//! breaker, the decision counters and each job's [`ScoreState`]; nothing
-//! else touches them.
+//! decision counters and each job's [`ScoreState`]; nothing else touches
+//! them.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +47,6 @@ use desim::{SimDuration, SimTime};
 use dps_sim::{SimError, SimResult};
 use faults::{CheckpointSpec, FaultPlan};
 
-use crate::breaker::{BreakerState, BreakerStats, CircuitBreaker};
 use crate::candidate::{realized_suffix, score_fingerprint, CandidateKind, CandidateScore};
 use crate::config::{SchedulePolicy, ServiceConfig};
 use crate::job::{AnalyticJob, Iteration, JobPayload};
@@ -234,9 +233,6 @@ pub(crate) struct Scorer {
     /// eviction at [`MAX_SESSIONS`]).
     sessions: Vec<(u32, Box<dyn WhatIfSession>)>,
     stats: WhatIfStats,
-    /// Optional circuit breaker around fork scoring (service-global, like
-    /// the profile cache).
-    breaker: Option<CircuitBreaker>,
     /// Host-measure decision latency
     /// ([`crate::ServeOptions::measure_decisions`]).
     measure: bool,
@@ -256,14 +252,13 @@ impl Scorer {
             has_faults: !plan.outages().is_empty(),
             sessions: Vec::new(),
             stats: WhatIfStats::default(),
-            breaker: cfg.breaker.map(CircuitBreaker::new),
             measure,
             decision_hist: LatencyHist::new(),
             profile_retries: 0,
         }
     }
 
-    /// Writes the cache, decision, breaker and retry counters into
+    /// Writes the cache, decision and retry counters into
     /// `report`; the cache counters sum the profile cache and the score
     /// memo.
     pub fn fill_report(self, report: &mut ServiceReport) {
@@ -273,10 +268,6 @@ impl Scorer {
         report.cache_entries = (cache.len() + memo.map.len()) as u64;
         report.cache_evictions = cache.evictions() + memo.evictions;
         report.whatif = self.stats;
-        report.breaker = self
-            .breaker
-            .as_ref()
-            .map_or_else(BreakerStats::default, CircuitBreaker::stats);
         report.decision_hist = self.decision_hist;
         report.profile_retries = self.profile_retries;
     }
@@ -489,7 +480,7 @@ impl Scorer {
         let mut scored: Vec<(Candidate, CandidateScore)> = Vec::with_capacity(slate.len());
         for &c in slate {
             let keep = scored.first().map(|&(_, s)| s);
-            let s = self.score(log, now, slot, job, c, keep)?;
+            let s = self.score(slot, job, c, keep)?;
             scored.push((c, s));
         }
         let (tag, mut win) = (job.tag(), 0);
@@ -513,8 +504,6 @@ impl Scorer {
     /// slate's opening keep score, which checkpoint-now adjusts.
     fn score(
         &mut self,
-        log: &mut DecisionLog,
-        now: SimTime,
         slot: u32,
         job: &mut LiveJob,
         c: Candidate,
@@ -550,47 +539,23 @@ impl Scorer {
                 }
                 JobPayload::Boxed(w) => w.clone(),
             };
-            // Step 2. Breaker transitions are journaled against the job
-            // whose decision caused them, with the decision's step cost
-            // when it has one.
-            let (tag, cell) = (job.tag(), job.cell);
-            let mut transition = |to: Option<BreakerState>, steps: u64| {
-                if let Some(st) = to {
-                    log.record(now, decision::BREAKER, tag, cell, st.code(), steps);
-                }
-            };
-            let admitted = m <= n
-                && job.scoring.fork_ok
-                && self.breaker.as_mut().is_none_or(|b| {
-                    let (ok, to) = b.allow_fork(now);
-                    transition(to, 0);
-                    ok
-                });
-            if admitted {
+            if m <= n && job.scoring.fork_ok {
                 let mut plan = job.scoring.plan.clone();
                 if m < n {
                     plan.push((from, n - m));
                 }
                 let start = job.scoring.start_nodes;
                 let fp = score_fingerprint(&w.key(), start, &plan, from, m, FORK_TAG);
-                // Steps 3 to 5: the fork memo, the fork, and the breaker's
-                // record of whichever answered.
-                let forked = match self.memo.get(fp) {
-                    Some(s) => {
-                        self.stats.memo_scored += 1;
-                        Some((s, 0))
-                    }
-                    None => self.fork(slot, job, &*w, &plan, fp)?,
-                };
-                if let Some(b) = &mut self.breaker {
-                    let steps = forked.map(|(_, used)| used);
-                    transition(b.record(now, steps), steps.unwrap_or(0));
+                // Steps 2 and 3: the fork memo, then the fork.
+                if let Some(s) = self.memo.get(fp) {
+                    self.stats.memo_scored += 1;
+                    break 'tier s;
                 }
-                if let Some((s, _)) = forked {
+                if let Some(s) = self.fork(slot, job, &*w, &plan, fp)? {
                     break 'tier s;
                 }
             }
-            // Steps 6 and 7: the profile memo, then the profile.
+            // Steps 4 and 5: the profile memo, then the profile.
             let fp = score_fingerprint(&w.key(), m, &[], from, m, CandidateKind::Keep as u32);
             if let Some(s) = self.memo.get(fp) {
                 self.stats.memo_scored += 1;
@@ -609,10 +574,9 @@ impl Scorer {
     }
 
     /// Forks the job's warm session at the current barrier and runs `plan`
-    /// for real, memoizing the score under `fp`. Returns the score and the
-    /// session steps it cost (breaker budgets are virtual work, never host
-    /// time), or `None` when forking is unavailable: the backend refused,
-    /// the run already finished, or no session could be opened.
+    /// for real, memoizing the score under `fp`. `None` when forking is
+    /// unavailable: the backend refused, the run already finished, or no
+    /// session could be opened.
     fn fork(
         &mut self,
         slot: u32,
@@ -620,10 +584,7 @@ impl Scorer {
         w: &dyn Workload,
         plan: &[(usize, u32)],
         fp: u64,
-    ) -> SimResult<Option<(CandidateScore, u64)>> {
-        let before = self
-            .warm(slot)
-            .map_or(0, |i| self.sessions[i].1.steps_used());
+    ) -> SimResult<Option<CandidateScore>> {
         let Some(i) = self.session(slot, job, w) else {
             return Ok(None);
         };
@@ -635,11 +596,10 @@ impl Scorer {
             Ok(Some(sess.score_plan(plan)?))
         });
         if let Ok(Some(profile)) = realized {
-            let used = sess.steps_used().saturating_sub(before);
             let score = realized_suffix(&profile, job.scoring.start_nodes, plan, barrier);
             self.memo.insert(fp, score);
             self.stats.fork_scored += 1;
-            return Ok(Some((score, used)));
+            return Ok(Some(score));
         }
         // The session is spent or broken either way.
         self.sessions.remove(i);

@@ -10,7 +10,7 @@
 //! * `live::JobTable` — admitted jobs and their lifecycle state.
 //! * `fairshare::FairShare` — per-tenant queues and stride passes.
 //! * `scorer::Scorer` — everything asked of a workload: iteration
-//!   pricing, efficiency targets, what-if slates, sessions, the breaker.
+//!   pricing, efficiency targets, what-if slates, sessions, memos.
 //! * `journal::DecisionLog` — the decision journal and replay check.
 //!
 //! The engine below owns the clock, the global event queue and the

@@ -1,7 +1,7 @@
 //! Which tier scores each what-if candidate: analytic, the score memo, a
 //! fork of the job's warm session, or a profile suffix. Each case serves
-//! probe jobs whose sessions are fakes, and reads the tier and breaker
-//! counters off the report.
+//! probe jobs whose sessions are fakes, and reads the tier counters off
+//! the report.
 
 use std::sync::{Arc, Mutex};
 
@@ -16,8 +16,8 @@ use faults::FaultPlan;
 enum Fork {
     /// It cannot fork: `whatif_session` returns `None`.
     None,
-    /// Each fork succeeds and charges this many engine steps.
-    Steps(u64),
+    /// Every fork succeeds.
+    Ok,
     /// Sessions open, but every fork is refused.
     Refused,
 }
@@ -41,7 +41,6 @@ struct Probe {
     fork: Fork,
     calls: Arc<Mutex<Calls>>,
     start: u32,
-    steps: u64,
 }
 
 impl Probe {
@@ -95,19 +94,15 @@ impl WhatIfSession for Probe {
         Ok(true)
     }
     fn score_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<EfficiencyProfile> {
-        let Fork::Steps(steps) = self.fork else {
+        if !matches!(self.fork, Fork::Ok) {
             return Err(SimError::fork_refused("probe"));
-        };
-        self.steps += steps;
+        }
         Ok(self.profile_under(self.start, plan))
     }
     fn commit_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<()> {
         let commit = (self.start, plan.to_vec());
         self.calls.lock().unwrap().commits.push(commit);
         Ok(())
-    }
-    fn steps_used(&self) -> u64 {
-        self.steps
     }
 }
 
@@ -120,21 +115,19 @@ fn probe(key: &str, iters: &[(u64, f64)], fork: Fork, nodes: u32) -> (JobSpec, A
         fork,
         calls: calls.clone(),
         start: 0,
-        steps: 0,
     };
     (JobSpec::boxed(0, SimTime::ZERO, nodes, Arc::new(w)), calls)
 }
 
 /// Serves `jobs` to completion on one cell of `nodes` nodes under
 /// what-if scheduling with an 0.8 efficiency floor.
-fn serve(nodes: u32, breaker: Option<BreakerSpec>, jobs: Vec<JobSpec>) -> ServiceReport {
+fn serve(nodes: u32, jobs: Vec<JobSpec>) -> ServiceReport {
     let policy = SchedulePolicy::WhatIf {
         min_efficiency: 0.8,
         base_backoff: SimDuration::from_secs(1),
         max_backoff: SimDuration::from_secs(1),
     };
-    let mut cfg = ServiceConfig::new(nodes, 1, 1, policy).with_tenant(TenantSpec::new("t", 1));
-    cfg.breaker = breaker;
+    let cfg = ServiceConfig::new(nodes, 1, 1, policy).with_tenant(TenantSpec::new("t", 1));
     let opts = ServeOptions::default();
     let r = ClusterService::new(cfg)
         .unwrap()
@@ -169,7 +162,7 @@ fn an_analytic_job_scores_every_candidate_in_closed_form() {
         parallel_last: 0.999,
         iterations: 4,
     };
-    let r = serve(8, None, vec![JobSpec::analytic(0, SimTime::ZERO, 8, job)]);
+    let r = serve(8, vec![JobSpec::analytic(0, SimTime::ZERO, 8, job)]);
     // One placement and three boundaries, two candidates each.
     assert_eq!(tiers(&r), [4, 8, 8, 0, 0, 0, 0]);
 }
@@ -177,9 +170,9 @@ fn an_analytic_job_scores_every_candidate_in_closed_form() {
 #[test]
 fn a_job_before_its_first_start_is_scored_from_the_profile_then_the_memo() {
     // One-iteration jobs decide only at placement, where nothing forks.
-    let (a, calls) = probe("once", &[PARALLEL], Fork::Steps(1), 8);
-    let (b, _) = probe("once", &[PARALLEL], Fork::Steps(1), 8);
-    assert_eq!(tiers(&serve(8, None, vec![a, b])), [2, 4, 0, 2, 2, 0, 0]);
+    let (a, calls) = probe("once", &[PARALLEL], Fork::Ok, 8);
+    let (b, _) = probe("once", &[PARALLEL], Fork::Ok, 8);
+    assert_eq!(tiers(&serve(8, vec![a, b])), [2, 4, 0, 2, 2, 0, 0]);
     assert_eq!(calls.lock().unwrap().opened, 0);
 }
 
@@ -187,9 +180,9 @@ fn a_job_before_its_first_start_is_scored_from_the_profile_then_the_memo() {
 fn a_forked_score_answers_the_same_barrier_and_plan_from_the_memo() {
     // The second job waits for the first's nodes, then meets the same
     // placement and the same barrier under the same (empty) plan.
-    let (a, calls_a) = probe("twice", &[PARALLEL; 2], Fork::Steps(1), 8);
-    let (b, calls_b) = probe("twice", &[PARALLEL; 2], Fork::Steps(1), 8);
-    assert_eq!(tiers(&serve(8, None, vec![a, b])), [4, 8, 0, 2, 4, 2, 1]);
+    let (a, calls_a) = probe("twice", &[PARALLEL; 2], Fork::Ok, 8);
+    let (b, calls_b) = probe("twice", &[PARALLEL; 2], Fork::Ok, 8);
+    assert_eq!(tiers(&serve(8, vec![a, b])), [4, 8, 0, 2, 4, 2, 1]);
     assert_eq!(calls_a.lock().unwrap().opened, 1);
     assert_eq!(calls_b.lock().unwrap().opened, 0);
 }
@@ -198,43 +191,13 @@ fn a_forked_score_answers_the_same_barrier_and_plan_from_the_memo() {
 fn a_refused_fork_falls_back_to_the_profile_for_good() {
     for (fork, opened) in [(Fork::None, 0), (Fork::Refused, 1)] {
         let (job, calls) = probe("refused", &[PARALLEL; 3], fork, 8);
-        let r = serve(8, Some(BreakerSpec::default()), vec![job]);
+        let r = serve(8, vec![job]);
         // Placement and two boundaries: the first boundary's keep
         // candidate asks for the one session, and every candidate is
         // priced from the profile.
         assert_eq!(tiers(&r), [3, 6, 0, 6, 0, 0, opened]);
         assert_eq!(calls.lock().unwrap().opened, 1);
-        let breaches = BreakerStats {
-            breaches: 1,
-            ..BreakerStats::default()
-        };
-        assert_eq!(r.breaker, breaches, "a wanted fork that fails is a breach");
     }
-}
-
-#[test]
-fn an_open_breaker_falls_back_to_the_profile() {
-    // Every fork costs 10 steps against a budget of 5, and one breach
-    // trips the breaker for longer than the run lasts.
-    let breaker = BreakerSpec {
-        max_steps_per_decision: 5,
-        trip_after: 1,
-        cooldown: SimDuration::from_secs(1_000),
-    };
-    let (job, calls) = probe("costly", &[PARALLEL; 4], Fork::Steps(10), 8);
-    let r = serve(8, Some(breaker), vec![job]);
-    // The first boundary's keep candidate forks and trips the breaker;
-    // its half candidate and both candidates of the two later boundaries
-    // fall back.
-    assert_eq!(tiers(&r), [4, 8, 0, 7, 0, 1, 1]);
-    assert_eq!(calls.lock().unwrap().opened, 1);
-    let tripped = BreakerStats {
-        breaches: 1,
-        trips: 1,
-        fallback_decisions: 5,
-        ..BreakerStats::default()
-    };
-    assert_eq!(r.breaker, tripped);
 }
 
 #[test]
@@ -245,17 +208,17 @@ fn the_33rd_session_evicts_the_oldest_which_reopens_with_its_plan() {
     // iteration more than the 32 others, so it alone meets a second
     // boundary, after the 33rd session evicted its own.
     let (parallel, serial) = ((10_000, 1.0), (1_000, 0.0));
-    let (first, calls) = probe("job-0", &[parallel, serial, serial], Fork::Steps(1), 2);
+    let (first, calls) = probe("job-0", &[parallel, serial, serial], Fork::Ok, 2);
     let (mut jobs, mut others) = (vec![first], Vec::new());
     for i in 1..33 {
-        let (job, c) = probe(&format!("job-{i}"), &[parallel, serial], Fork::Steps(1), 2);
+        let (job, c) = probe(&format!("job-{i}"), &[parallel, serial], Fork::Ok, 2);
         jobs.push(job);
         others.push(c);
     }
     // 33 placements and 33 first boundaries of two candidates each, then
     // job 0's second boundary: keep its one node (forked in the reopened
     // session) or grow back to two (priced from the profile).
-    assert_eq!(tiers(&serve(66, None, jobs)), [67, 134, 0, 67, 0, 67, 34]);
+    assert_eq!(tiers(&serve(66, jobs)), [67, 134, 0, 67, 0, 67, 34]);
     let shrunk = (2, vec![(1, 1)]);
     let calls = calls.lock().unwrap();
     assert_eq!(calls.opened, 2);

@@ -87,19 +87,12 @@ pub trait WhatIfSession {
     /// returning the realized per-iteration profile. Requires a prior
     /// successful [`WhatIfSession::advance_to_barrier`]. May return a
     /// previously realized profile of the same effective plan (the
-    /// removals that actually fire), charged as the fork would have been.
+    /// removals that actually fire).
     fn score_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<EfficiencyProfile>;
 
     /// Commits `plan` into the warm base so future forks inherit it. The
     /// plan replaces any previously committed plan.
     fn commit_plan(&mut self, plan: &[(usize, u32)]) -> SimResult<()>;
-
-    /// Cumulative deterministic cost of this session: committed simulator
-    /// steps spent advancing the warm base plus every forked suffix. The
-    /// service's circuit breaker charges each decision the delta of this
-    /// counter — virtual work, never host wall time, so budget breaches are
-    /// reproducible per seed.
-    fn steps_used(&self) -> u64;
 }
 
 /// One phase of an analytic job: `work` of serial computation with parallel

@@ -121,14 +121,6 @@ impl SimCheckpoint {
         self.eng.current_time()
     }
 
-    /// Committed atomic steps the paused engine has executed so far — a
-    /// deterministic cost measure (what [`RunReport::steps`] reports at the
-    /// end of a run). Forks inherit the prefix count, so a finished fork's
-    /// suffix cost is `report.steps - base.steps()` at fork time.
-    pub fn steps(&self) -> u64 {
-        self.eng.steps()
-    }
-
     /// A fully independent copy of the paused simulation.
     /// [`crate::SimErrorKind::ForkRefused`] when some live payload or
     /// behaviour state opted out of cloning — callers fall back to a fresh

@@ -151,12 +151,6 @@ impl SimFabric {
         fabric.cpu = RateTimeline::new(plan.cpu_windows());
         Ok(fabric)
     }
-
-    /// Overrides one node's link capacities (heterogeneous clusters,
-    /// straggler studies).
-    pub fn set_node_capacity(&mut self, node: NodeId, up: f64, down: f64) {
-        self.net.set_node_capacity(node, up, down);
-    }
 }
 
 impl Fabric for SimFabric {

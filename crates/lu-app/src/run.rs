@@ -130,13 +130,6 @@ impl LuCheckpoint {
         self.ck.now()
     }
 
-    /// Committed simulator steps executed so far (see
-    /// [`SimCheckpoint::steps`]) — the deterministic cost metric what-if
-    /// budget accounting is charged in.
-    pub fn steps(&self) -> u64 {
-        self.ck.steps()
-    }
-
     /// Advances until the coordinator is about to close iteration
     /// `after`'s barrier (1-based, matching removal-plan notation: the
     /// decision step that records `iter:{after}` and consults the removal

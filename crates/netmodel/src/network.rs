@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use desim::{ProgressSet, RateTimeline, RateWindow, SimTime};
 
 use crate::fairness::{compute_rates, FlowSpec, Sharing};
-use crate::params::{is_bandwidth, NetParams, NodeId};
+use crate::params::{NetParams, NodeId};
 
 /// Identifies one data-object transfer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -75,9 +75,6 @@ struct Port {
     /// The node at the other end of every pair with bandwidth-phase flows
     /// on the link, with the pair's flow count.
     pairs: [Vec<(NodeId, usize)>; 2],
-    /// Capacity override in bytes/s, for heterogeneous clusters (straggler
-    /// nodes, mixed link speeds).
-    capacity: Option<[f64; 2]>,
     /// Equal share of each link, `link_capacity / flows`, as of the
     /// last rate assignment that found the link dirty. Whatever moves
     /// either input marks the link, so a clean link's share is current.
@@ -196,25 +193,6 @@ impl Network {
         }
     }
 
-    /// Overrides one node's link capacities (bytes/s). The star stays a
-    /// star; only this node's up/down links change. Takes effect at the
-    /// next rate recomputation.
-    pub fn set_node_capacity(
-        &mut self,
-        node: NodeId,
-        up_bytes_per_sec: f64,
-        down_bytes_per_sec: f64,
-    ) {
-        assert!(
-            is_bandwidth(up_bytes_per_sec) && is_bandwidth(down_bytes_per_sec),
-            "capacity of node {node} must be finite and positive, \
-             got up {up_bytes_per_sec}, down {down_bytes_per_sec}"
-        );
-        self.port_mut(node).capacity = Some([up_bytes_per_sec, down_bytes_per_sec]);
-        self.mark_link(node, UP);
-        self.mark_link(node, DOWN);
-    }
-
     /// Schedules a time-windowed capacity multiplier on one node's links:
     /// on `[from, to)` the node's up/down capacities are scaled by the
     /// given factors (in `(0, 1]`). Windows on the same node compose by
@@ -266,9 +244,7 @@ impl Network {
 
     fn link_capacity(&self, node: NodeId, side: usize) -> f64 {
         let nominal = [self.params.up_bytes_per_sec, self.params.down_bytes_per_sec];
-        let port = self.ports.get(node.0 as usize);
-        let base = port.and_then(|p| p.capacity).unwrap_or(nominal)[side];
-        base * self.windows[side].factor_at(node.0, self.active.now())
+        nominal[side] * self.windows[side].factor_at(node.0, self.active.now())
     }
 
     /// Cumulative statistics.
@@ -561,7 +537,7 @@ mod tests {
     #[test]
     fn clone_mid_flight_drains_identically() {
         let mut n = net(50, 1e6);
-        n.set_node_capacity(NodeId(2), 5e5, 5e5);
+        n.schedule_capacity_window(NodeId(2), 0.5, 0.5, SimTime(0), SimTime::MAX);
         n.schedule_capacity_window(NodeId(1), 0.5, 0.5, SimTime(0), SimTime(40_000_000));
         for i in 0..6u32 {
             n.start_flow(
@@ -571,8 +547,8 @@ mod tests {
                 100_000 + i as u64 * 10_000,
             );
         }
-        // Advance partway: some flows promoted, some still latent, the
-        // capacity window active.
+        // Advance partway: some flows promoted, some still latent, both
+        // capacity windows active.
         let mid = SimTime(10_000_000);
         n.advance(mid);
         let mut copy = n.clone();
@@ -789,29 +765,17 @@ mod tests {
     #[test]
     fn straggler_node_slows_only_its_own_flows() {
         let mut n = net(0, 1e6);
-        n.set_node_capacity(NodeId(1), 1e6, 0.25e6); // slow downlink
+        // A slow downlink for the whole run.
+        n.schedule_capacity_window(NodeId(1), 1.0, 0.25, SimTime::ZERO, SimTime::MAX);
         let slow = n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 250_000);
         let fast = n.start_flow(SimTime::ZERO, NodeId(2), NodeId(3), 250_000);
+        assert_eq!(n.node_capacity(NodeId(1)), (1e6, 0.25e6));
+        assert_eq!(n.node_capacity(NodeId(0)), (1e6, 1e6));
         let done = drain(&mut n);
         let t_slow = done.iter().find(|(_, id)| *id == slow).unwrap().0;
         let t_fast = done.iter().find(|(_, id)| *id == fast).unwrap().0;
         assert_eq!(t_fast, SimTime(250_000_000)); // 0.25 MB at 1 MB/s
         assert_eq!(t_slow, SimTime(1_000_000_000)); // at 0.25 MB/s
-        assert_eq!(n.node_capacity(NodeId(1)), (1e6, 0.25e6));
-        assert_eq!(n.node_capacity(NodeId(0)), (1e6, 1e6));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity of node n0 must be finite and positive")]
-    fn infinite_node_capacity_is_refused_where_it_is_set() {
-        // `NetParams::validate`'s predicate. Without it, two infinite ports
-        // with a flow between them surface as an invalid rate at the next
-        // advance, far from the cause.
-        let mut n = net(0, 1e6);
-        n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1_000);
-        n.set_node_capacity(NodeId(0), f64::INFINITY, f64::INFINITY);
-        n.set_node_capacity(NodeId(1), f64::INFINITY, f64::INFINITY);
-        n.advance(SimTime::ZERO);
     }
 
     #[test]
@@ -891,7 +855,8 @@ mod tests {
         let a = n.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1_000_000);
         n.advance(SimTime::ZERO);
         assert_eq!(n.flow_rate(a), Some(1e6));
-        n.set_node_capacity(NodeId(0), 0.5e6, 1e6); // uplink halved
+        // The uplink halved by a window that has already begun.
+        n.schedule_capacity_window(NodeId(0), 0.5, 1.0, SimTime::ZERO, SimTime::MAX);
         n.advance(SimTime(500_000_000)); // 0.5 MB already delivered
         assert_eq!(n.flow_rate(a), Some(0.5e6));
         let done = drain(&mut n);
@@ -911,10 +876,9 @@ mod props {
     use simrng::{Rng, Xoshiro256};
 
     /// After every advance the installed rates are exactly what a
-    /// from-scratch computation gives, while node capacities are overridden
-    /// mid-run and capacity windows open and close inside the run (some
-    /// scheduled after they began) — so a link share cached across any of
-    /// those would show as a stale rate.
+    /// from-scratch computation gives, while capacity windows open and
+    /// close inside the run (some scheduled after they began) — so a link
+    /// share cached across any of those would show as a stale rate.
     #[test]
     fn incremental_rates_match_from_scratch_on_random_sequences() {
         let mut rng = Xoshiro256::seed_from_u64(0x1ACE);
@@ -949,16 +913,8 @@ mod props {
                     }
                     n.start_flow(now, src, dst, rng.gen_range_u64(0, 200_000));
                 }
-                match rng.gen_index(32) {
-                    0 | 1 => {
-                        let node = NodeId(rng.gen_below(nodes as u64) as u32);
-                        let scale = |rng: &mut Xoshiro256| [0.5, 1.0, 2.0][rng.gen_index(3)];
-                        let up = params.up_bytes_per_sec * scale(&mut rng);
-                        let down = params.down_bytes_per_sec * scale(&mut rng);
-                        n.set_node_capacity(node, up, down);
-                    }
-                    2 => window(&mut n, &mut rng),
-                    _ => {}
+                if rng.gen_index(32) < 3 {
+                    window(&mut n, &mut rng);
                 }
                 now += SimDuration::from_nanos(rng.gen_range_u64(1, 2_000_000));
                 n.advance(now);

@@ -46,7 +46,7 @@ pub struct NetParams {
 }
 
 /// Whether `v` is a usable link capacity in bytes/s: finite and positive.
-pub(crate) fn is_bandwidth(v: f64) -> bool {
+fn is_bandwidth(v: f64) -> bool {
     v.is_finite() && v > 0.0
 }
 

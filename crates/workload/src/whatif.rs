@@ -41,13 +41,9 @@ pub struct WhatIfEvaluator {
     /// The base run completed before a requested barrier; the session is
     /// exhausted.
     finished: bool,
-    /// Committed simulator steps of forked suffixes, remembered ones charged
-    /// as forked (the base's own are read off the checkpoint); together
-    /// they are the session's deterministic cost, `steps_used`.
-    fork_steps: u64,
-    /// Realized runs as `(effective plan, profile, total committed steps)`,
-    /// only those whose past agrees with the committed plan's.
-    realized: Vec<(Plan, EfficiencyProfile, u64)>,
+    /// Realized runs as `(effective plan, profile)`, only those whose past
+    /// agrees with the committed plan's.
+    realized: Vec<(Plan, EfficiencyProfile)>,
 }
 
 type Plan = Vec<(usize, u32)>;
@@ -75,7 +71,6 @@ impl WhatIfEvaluator {
             committed: Vec::new(),
             installed: false,
             finished: false,
-            fork_steps: 0,
             realized: Vec::new(),
         }
     }
@@ -146,7 +141,7 @@ impl WhatIfSession for WhatIfEvaluator {
         // A run whose past differs from the base's is never asked for again.
         let committed = &self.committed;
         self.realized
-            .retain(|(plan, ..)| before(plan, barrier).eq(before(committed, barrier)));
+            .retain(|(plan, _)| before(plan, barrier).eq(before(committed, barrier)));
         Ok(true)
     }
 
@@ -157,12 +152,8 @@ impl WhatIfSession for WhatIfEvaluator {
             ));
         }
         check_order(plan)?;
-        // A fork's report counts the committed prefix it inherits; only the
-        // divergent suffix is this decision's cost.
-        let prefix = self.base.steps();
         let key = self.effective(plan);
-        if let Some((_, profile, steps)) = self.realized.iter().find(|r| r.0 == key) {
-            self.fork_steps += steps.saturating_sub(prefix);
+        if let Some((_, profile)) = self.realized.iter().find(|r| r.0 == key) {
             return Ok(profile.clone());
         }
         let mut f = self.base.fork()?;
@@ -170,9 +161,8 @@ impl WhatIfSession for WhatIfEvaluator {
         // they already executed in the shared prefix.
         f.set_removal_plan(plan.to_vec());
         let run = f.finish()?;
-        self.fork_steps += run.report.steps.saturating_sub(prefix);
         let profile = profile_from_report(&run.report);
-        self.realized.push((key, profile.clone(), run.report.steps));
+        self.realized.push((key, profile.clone()));
         Ok(profile)
     }
 
@@ -187,10 +177,6 @@ impl WhatIfSession for WhatIfEvaluator {
             self.installed = false;
         }
         Ok(())
-    }
-
-    fn steps_used(&self) -> u64 {
-        self.base.steps() + self.fork_steps
     }
 }
 
@@ -343,35 +329,8 @@ mod tests {
         assert!(!sess.advance_to_barrier(10_001).unwrap());
     }
 
-    #[test]
-    fn steps_used_counts_base_and_fork_work_deterministically() {
-        let env = SimEnv::paper();
-        let cfg = small_cfg(&env, 4);
-        let run_once = || {
-            let mut sess =
-                WhatIfEvaluator::new(LuCheckpoint::start(&cfg, env.net, &env.simcfg).unwrap());
-            assert_eq!(sess.steps_used(), 0, "no work before the first advance");
-            assert!(sess.advance_to_barrier(2).unwrap());
-            let after_advance = sess.steps_used();
-            assert!(after_advance > 0, "advancing the base costs steps");
-            sess.score_plan(&[(2usize, 2u32)]).unwrap();
-            let after_score = sess.steps_used();
-            assert!(after_score > after_advance, "forked suffixes cost steps");
-            (after_advance, after_score)
-        };
-        // The breaker's budget metric must be a pure function of the run.
-        assert_eq!(run_once(), run_once());
-    }
-
     fn open(env: &SimEnv, cfg: &LuConfig) -> WhatIfEvaluator {
         WhatIfEvaluator::new(LuCheckpoint::start(cfg, env.net, &env.simcfg).unwrap())
-    }
-
-    /// Scores `plan`, returning the profile and the steps it charged.
-    fn charged(sess: &mut WhatIfEvaluator, plan: &[(usize, u32)]) -> (EfficiencyProfile, u64) {
-        let before = sess.steps_used();
-        let profile = sess.score_plan(plan).unwrap();
-        (profile, sess.steps_used() - before)
     }
 
     fn points(p: &EfficiencyProfile) -> Vec<(String, SimDuration, SimDuration, u64)> {
@@ -388,11 +347,11 @@ mod tests {
         committed: &[(usize, u32)],
         barrier: usize,
         plan: &[(usize, u32)],
-    ) -> (EfficiencyProfile, u64) {
+    ) -> EfficiencyProfile {
         let mut sess = open(env, cfg);
         sess.commit_plan(committed).unwrap();
         assert!(sess.advance_to_barrier(barrier).unwrap());
-        charged(&mut sess, plan)
+        sess.score_plan(plan).unwrap()
     }
 
     #[test]
@@ -401,12 +360,12 @@ mod tests {
         let cfg = small_cfg(&env, 4);
         let mut sess = open(&env, &cfg);
         assert!(sess.advance_to_barrier(2).unwrap());
-        charged(&mut sess, &[]);
+        sess.score_plan(&[]).unwrap();
         assert!(sess.advance_to_barrier(3).unwrap());
-        let hit = charged(&mut sess, &[]);
+        let hit = sess.score_plan(&[]).unwrap();
         assert_eq!(sess.realized.len(), 1, "the second keep must not fork");
         let fresh = fresh_fork(&env, &cfg, &[], 3, &[]);
-        assert_eq!((points(&hit.0), hit.1), (points(&fresh.0), fresh.1));
+        assert_eq!(points(&hit), points(&fresh));
     }
 
     #[test]
@@ -416,13 +375,13 @@ mod tests {
         let plan = [(2usize, 2u32)];
         let mut sess = open(&env, &cfg);
         assert!(sess.advance_to_barrier(2).unwrap());
-        charged(&mut sess, &plan);
+        sess.score_plan(&plan).unwrap();
         sess.commit_plan(&plan).unwrap();
         assert!(sess.advance_to_barrier(4).unwrap());
-        let hit = charged(&mut sess, &plan);
+        let hit = sess.score_plan(&plan).unwrap();
         assert_eq!(sess.realized.len(), 1, "the committed future must not fork");
         let fresh = fresh_fork(&env, &cfg, &plan, 4, &plan);
-        assert_eq!((points(&hit.0), hit.1), (points(&fresh.0), fresh.1));
+        assert_eq!(points(&hit), points(&fresh));
     }
 
     #[test]
@@ -436,16 +395,16 @@ mod tests {
         let plan = [(2usize, 2u32)];
         let mut sess = open(&env, &cfg);
         assert!(sess.advance_to_barrier(2).unwrap());
-        let removal = charged(&mut sess, &plan);
+        let removal = sess.score_plan(&plan).unwrap();
         assert!(sess.advance_to_barrier(3).unwrap());
-        let again = charged(&mut sess, &plan);
+        let again = sess.score_plan(&plan).unwrap();
         let fresh = fresh_fork(&env, &cfg, &[], 3, &plan);
-        assert_eq!((points(&again.0), again.1), (points(&fresh.0), fresh.1));
+        assert_eq!(points(&again), points(&fresh));
         let ns = |p: &EfficiencyProfile| -> Vec<u64> {
             p.points[2..].iter().map(|q| q.span.as_nanos()).collect()
         };
-        assert_eq!(ns(&again.0), [71_841_424, 10_154_159], "iterations 3-4");
-        assert_eq!(ns(&removal.0), [86_732_900, 11_017_387], "iterations 3-4");
+        assert_eq!(ns(&again), [71_841_424, 10_154_159], "iterations 3-4");
+        assert_eq!(ns(&removal), [86_732_900, 11_017_387], "iterations 3-4");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! decision journal (every placement, every candidate score, every
 //! committed winner) and the canonical report must be identical across
 //! shard counts, quiet and under a seeded fault plan
-//! (`cluster_svc::check_equivalent`).
+//! (`cluster_svc::check_equivalent`), and a crashed durable serve must
+//! recover to the same outcome.
 //!
 //! The streams mix analytic synthetic jobs with simulator-backed LU jobs,
 //! so the compare covers the fork-scoring path, the profile-memo path and
@@ -10,11 +11,13 @@
 
 use std::sync::Arc;
 
-use cluster::Workload;
+use cluster::{EfficiencyProfile, Workload};
 use cluster_svc::{
-    check_equivalent, BreakerSpec, ClusterService, JobSpec, ServeOptions, ServiceOutcome,
+    check_equivalent, ClusterService, CrashPlan, DurabilitySpec, JobPayload, JobSpec, ServeOptions,
+    ServiceOutcome,
 };
-use desim::{SimDuration, SimTime};
+use desim::{JournalEntry, SimTime};
+use dps_sim::SimResult;
 use faults::FaultPlan;
 use workload::{server_scale_load, server_scale_plan, server_whatif_config, LuWorkload, SimEnv};
 
@@ -22,12 +25,21 @@ const JOBS: u64 = 300;
 const BOXED: u64 = 2;
 const SEED: u64 = 7;
 
-/// A small mixed stream: analytic jobs plus boxed simulator-backed LU jobs.
-fn mixed_load() -> Vec<JobSpec> {
+/// The small LU job both boxed submissions run.
+fn lu() -> LuWorkload {
     let env = SimEnv::paper();
     let mut cfg = env.lu_sized(324, 81, 4);
     cfg.workers = 4;
-    let lu: Arc<dyn Workload> = Arc::new(LuWorkload::new(cfg, env.net, env.simcfg));
+    LuWorkload::new(cfg, env.net, env.simcfg)
+}
+
+/// A small mixed stream: analytic jobs plus boxed simulator-backed LU jobs.
+fn mixed_load() -> Vec<JobSpec> {
+    load_with(Arc::new(lu()))
+}
+
+/// The analytic stream with `BOXED` submissions of `lu` spread across it.
+fn load_with(lu: Arc<dyn Workload>) -> Vec<JobSpec> {
     let mut specs: Vec<JobSpec> = server_scale_load(JOBS, SEED).collect();
     let horizon = specs.last().expect("non-empty stream").arrival.as_nanos();
     for i in 0..BOXED {
@@ -38,19 +50,30 @@ fn mixed_load() -> Vec<JobSpec> {
     specs
 }
 
-fn run(shards: u32, faulted: bool) -> ServiceOutcome {
-    let svc = ClusterService::new(server_whatif_config(shards)).expect("valid config");
-    let plan = if faulted {
+fn plan(faulted: bool) -> FaultPlan {
+    if faulted {
         server_scale_plan(JOBS, SEED)
     } else {
         FaultPlan::none()
-    };
+    }
+}
+
+fn service(shards: u32) -> ClusterService {
+    ClusterService::new(server_whatif_config(shards)).expect("valid config")
+}
+
+fn serve(shards: u32, faulted: bool, load: Vec<JobSpec>) -> ServiceOutcome {
     let opts = ServeOptions {
         journal: true,
         ..ServeOptions::default()
     };
-    svc.serve(mixed_load(), &plan, &opts)
+    service(shards)
+        .serve(load, &plan(faulted), &opts)
         .expect("what-if serve")
+}
+
+fn run(shards: u32, faulted: bool) -> ServiceOutcome {
+    serve(shards, faulted, mixed_load())
 }
 
 #[test]
@@ -86,55 +109,6 @@ fn faulted_decisions_are_invariant_across_shards() {
     }
 }
 
-/// A breaker-wrapped run with a step budget tiny enough that every
-/// non-memoized fork breaches: trips, profile-priced fallback, and
-/// half-open probes after the deterministic cooldown are all exercised.
-fn run_breaker(shards: u32) -> ServiceOutcome {
-    let cfg = server_whatif_config(shards).with_breaker(BreakerSpec {
-        max_steps_per_decision: 1,
-        trip_after: 2,
-        cooldown: SimDuration::from_secs(30),
-    });
-    let svc = ClusterService::new(cfg).expect("valid breaker config");
-    let opts = ServeOptions {
-        journal: true,
-        ..ServeOptions::default()
-    };
-    svc.serve(mixed_load(), &FaultPlan::none(), &opts)
-        .expect("breaker serve")
-}
-
-#[test]
-fn tripped_breaker_degrades_and_probes_deterministically() {
-    let reference = run_breaker(1);
-    let b = &reference.report.breaker;
-    assert!(b.breaches > 0, "the tiny budget must be breached: {b:?}");
-    assert!(b.trips > 0, "consecutive breaches must trip: {b:?}");
-    assert!(
-        b.fallback_decisions > 0,
-        "an open breaker must fall back to profile pricing: {b:?}"
-    );
-    assert!(
-        reference.report.whatif.profile_scored > 0,
-        "degraded decisions are profile-priced"
-    );
-    // The breaker's life cycle is part of the determinism contract: its
-    // journaled transitions and counters must be byte-identical across
-    // shard counts.
-    let other = run_breaker(2);
-    assert_eq!(&other.report.breaker, b, "2 shards");
-    check_equivalent(&reference, &other).unwrap_or_else(|e| panic!("breaker, 2 shards: {e}"));
-    // Degraded mode is visible against the unbroken run: the breaker
-    // diverts fork-scored decisions to the profile path.
-    let unbroken = run(1, false);
-    assert!(
-        reference.report.whatif.fork_scored < unbroken.report.whatif.fork_scored,
-        "breaker={} unbroken={}",
-        reference.report.whatif.fork_scored,
-        unbroken.report.whatif.fork_scored
-    );
-}
-
 #[test]
 fn repeat_runs_are_byte_identical() {
     let a = run(2, false);
@@ -144,34 +118,99 @@ fn repeat_runs_are_byte_identical() {
     assert_eq!(a.report.canonical_string(), b.report.canonical_string());
 }
 
-/// The step charge of every fork-scored decision, pinned by absolute
-/// output. The fork tier's decisions here cost 123, 67, 60, 36 and 36
-/// committed steps (base advance plus forked suffix), so a 40-step budget
-/// lands three breaches and two within-budget records; four breaches
-/// would trip, so the count alone moves the report. A session that
-/// answered a repeated future without charging its suffix would turn the
-/// 60-step keep into a 31-step one and drop a breach.
+/// The LU job behind a backend that cannot fork: it keeps the trait's
+/// default `whatif_session` (`Ok(None)`), so the service prices every
+/// candidate of it from profiles.
+struct NoFork(LuWorkload);
+
+impl Workload for NoFork {
+    fn key(&self) -> String {
+        self.0.key()
+    }
+    fn iterations(&self) -> usize {
+        self.0.iterations()
+    }
+    fn max_nodes(&self) -> u32 {
+        self.0.max_nodes()
+    }
+    fn profile(&self, nodes: u32) -> SimResult<EfficiencyProfile> {
+        self.0.profile(nodes)
+    }
+}
+
 #[test]
-fn breaker_step_charges_are_pinned() {
-    use std::hash::Hasher;
-    let cfg = server_whatif_config(1).with_breaker(BreakerSpec {
-        max_steps_per_decision: 40,
-        trip_after: 4,
-        cooldown: SimDuration::from_secs(30),
-    });
-    let opts = ServeOptions {
-        journal: true,
-        ..ServeOptions::default()
-    };
-    let out = ClusterService::new(cfg)
-        .expect("valid breaker config")
-        .serve(mixed_load(), &FaultPlan::none(), &opts)
-        .expect("breaker serve");
-    let (b, w) = (&out.report.breaker, &out.report.whatif);
-    assert!(b.breaches > 0 && b.breaches < w.fork_scored, "{b:?} {w:?}");
-    assert_eq!(b.trips, 0, "{b:?}");
-    let mut h = desim::FxHasher::default();
-    h.write(out.report.canonical_string().as_bytes());
-    h.write(&out.journal.expect("journal requested").encode());
-    assert_eq!(format!("{:016x}", h.finish()), "dfbc11a378e5f841");
+fn fork_off_serves_are_profile_priced_and_invariant_across_shards() {
+    for faulted in [false, true] {
+        let load = || load_with(Arc::new(NoFork(lu())));
+        let reference = serve(1, faulted, load());
+        let w = &reference.report.whatif;
+        assert_eq!(
+            (w.fork_scored, w.sessions_opened),
+            (0, 0),
+            "faulted={faulted}"
+        );
+        assert!(w.profile_scored > 0, "faulted={faulted}: {w:?}");
+        let other = serve(2, faulted, load());
+        check_equivalent(&reference, &other)
+            .unwrap_or_else(|e| panic!("fork off, faulted={faulted}, 2 shards: {e}"));
+        let forked = run(1, faulted).report.whatif.fork_scored;
+        assert!(forked > 0, "faulted={faulted}: the unwrapped serve forks");
+    }
+}
+
+#[test]
+fn durable_whatif_serves_recover_to_the_uninterrupted_run() {
+    let spec = DurabilitySpec::group_commit(64);
+    // Submission ids are stream positions.
+    let ids: Vec<u64> = (0..)
+        .zip(mixed_load())
+        .filter(|(_, s)| matches!(s.payload, JobPayload::Boxed(_)))
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(ids.len(), BOXED as usize);
+    for faulted in [false, true] {
+        let (baseline, wal) = service(1)
+            .serve_durable(
+                mixed_load(),
+                &plan(faulted),
+                &ServeOptions::default(),
+                &spec,
+            )
+            .expect("durable what-if serve");
+        assert!(baseline.report.whatif.fork_scored > 0, "faulted={faulted}");
+        let recover = |bytes: &[u8], what: &str| {
+            let (out, crash) = service(2)
+                .recover(
+                    mixed_load(),
+                    &plan(faulted),
+                    &ServeOptions::default(),
+                    bytes,
+                )
+                .unwrap_or_else(|e| panic!("faulted={faulted}, {what}: recovery failed: {e}"));
+            check_equivalent(&out, &baseline)
+                .unwrap_or_else(|e| panic!("faulted={faulted}, {what}: {e}"));
+            let replay = out.replay.expect("resumed runs report replay stats");
+            assert_eq!(replay.prefix_entries, crash.recovered_entries, "{what}");
+            assert_eq!(replay.matched, replay.prefix_entries, "{what}");
+        };
+        // Every clean frame prefix, one of them ending between the two LU
+        // jobs: the first job's forks and memos are rebuilt by re-execution,
+        // the second's built fresh past the prefix.
+        let entries = &baseline.journal.as_ref().expect("journal").entries;
+        let of = |id: u64| move |e: &JournalEntry| e.event.ticket() == Some(id);
+        let first_done = entries.iter().rposition(of(ids[0])).expect("journaled") as u64 + 1;
+        let second_seen = entries.iter().position(of(ids[1])).expect("journaled") as u64;
+        let between = |k| (first_done..=second_seen).contains(&wal.entries_through(k));
+        assert!((1..=wal.frames()).any(between), "faulted={faulted}");
+        for k in 1..=wal.frames() {
+            recover(
+                wal.frame_prefix(k),
+                &format!("{k} of {} frames", wal.frames()),
+            );
+        }
+        for seed in 0..3 {
+            let crash = CrashPlan::new(seed);
+            recover(&crash.crashed_bytes(&wal), &format!("crash seed {seed}"));
+        }
+    }
 }

@@ -178,27 +178,33 @@ fn max_min_sharing_ablation_changes_little_here() {
 
 #[test]
 fn straggler_node_slows_the_whole_factorization() {
-    // Heterogeneous cluster: node 2's links run at a quarter speed. Both
-    // engines see it; the LU (whose multiplications round-robin over every
-    // node) slows down, and the simulator still tracks the testbed.
+    // Heterogeneous cluster: node 2's links run at a quarter speed for the
+    // whole run, a capacity window spanning it. The LU (whose
+    // multiplications round-robin over every node) slows down, but one
+    // slow node does not quarter the whole run.
+    use dvns::desim::SimTime;
+    use dvns::faults::{CheckpointSpec, FaultEvent, FaultKind, FaultPlan};
+    use dvns::sim::{simulate_with_fabric, SimFabric};
     let cfg = small_lu();
     let net = NetParams::fast_ethernet();
-    let cripple = |fabric: &mut dvns::sim::SimFabric| {
-        fabric.set_node_capacity(
-            dvns::netmodel::NodeId(2),
-            net.up_bytes_per_sec / 4.0,
-            net.down_bytes_per_sec / 4.0,
-        );
+    let straggler = FaultPlan::new(
+        vec![FaultEvent {
+            at: SimTime::ZERO,
+            node: 2,
+            kind: FaultKind::LinkDegrade {
+                factor: 0.25,
+                window: SimDuration::MAX,
+            },
+        }],
+        CheckpointSpec::none(),
+    );
+    let run = |plan: &FaultPlan| {
+        let (app, _sh) = build_lu_app(cfg.clone());
+        let mut fabric = SimFabric::with_plan(net, plan).expect("valid plan");
+        simulate_with_fabric(&app, &mut fabric, &simcfg()).unwrap()
     };
-
-    let (app, _sh) = build_lu_app(cfg.clone());
-    let mut uniform = dvns::sim::SimFabric::new(net);
-    let base = dvns::sim::simulate_with_fabric(&app, &mut uniform, &simcfg()).unwrap();
-
-    let (app2, _sh2) = build_lu_app(cfg.clone());
-    let mut slow = dvns::sim::SimFabric::new(net);
-    cripple(&mut slow);
-    let degraded = dvns::sim::simulate_with_fabric(&app2, &mut slow, &simcfg()).unwrap();
+    let base = run(&FaultPlan::none());
+    let degraded = run(&straggler);
 
     assert!(
         degraded.completion > base.completion,
