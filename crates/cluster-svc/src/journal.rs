@@ -14,17 +14,21 @@
 //! the first disagreeing field, which is what lets what-if forks be
 //! diffed decision-by-decision.
 //!
-//! [`DecisionLog`] is the only code that touches the journal. When the
-//! run resumes from a recovered prefix it receives that prefix in chunks
-//! of decoded entries ([`PrefixFeed`]) while the WAL decoder is still
-//! reading the rest. While the re-execution is inside the prefix, each
-//! decision is built on the stack and compared with the next entry
-//! received, and nothing is pushed — so a recovery that diverges fails
-//! instead of silently rewriting history. Past the prefix the log appends
-//! as usual, and the recovery puts the decoded prefix back in front: one
-//! journal, not a recovered one and a re-recorded one.
+//! [`DecisionLog`] is the only code that touches the journal, and
+//! [`ChunkSender`] → [`PrefixFeed`] is the one channel between a run and
+//! the durable log's helper thread, in chunks of recycled buffers. When
+//! the run resumes from a recovered prefix it receives that prefix in
+//! chunks of decoded entries while the WAL decoder is still reading the
+//! rest. While the re-execution is inside the prefix, each decision is
+//! built on the stack and compared with the next entry received, and
+//! nothing is pushed — so a recovery that diverges fails instead of
+//! silently rewriting history. Past the prefix the log appends as usual,
+//! and the recovery puts the decoded prefix back in front: one journal,
+//! not a recovered one and a re-recorded one. When the run writes a WAL
+//! the channel runs the other way: every committed decision goes to the
+//! writer thread, which appends it to the journal and seals the frames.
 
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
 use desim::journal::first_text_divergence;
@@ -139,15 +143,103 @@ pub(crate) struct JobTag {
     pub tenant: u32,
 }
 
-/// The recovered committed prefix, streamed by the WAL decoder in chunks
-/// while the re-execution validates it.
+/// Entries handed across at a time, whatever the frame size: a few
+/// hundred messages per million entries. Each message can wake the other
+/// thread, which costs the sending thread tens of microseconds on a
+/// virtual machine, so a chunk is worth many hundred microseconds of
+/// serving.
+pub(crate) const CHUNK_ENTRIES: usize = 4096;
+
+/// Chunks filled ahead of the receiving side: enough to keep it fed, few
+/// enough to hold little memory.
+pub(crate) const CHUNKS_AHEAD: usize = 4;
+
+/// The receiving end of the channel: journal entries in log order, in
+/// non-empty chunks. `recover` streams the recovered committed prefix,
+/// decoded by the WAL reader, to the re-execution that validates it;
+/// `serve_durable` streams a run's committed decisions to the WAL writer.
 pub(crate) struct PrefixFeed {
-    /// The prefix entries in log order, in non-empty chunks; `None` when
-    /// the scan failed (its error outranks the replay's). The channel
-    /// closes at the end of the committed prefix.
+    /// The entries, chunk by chunk; `None` when the WAL scan failed (its
+    /// error outranks the replay's). The channel closes after the last
+    /// entry.
     pub chunks: Receiver<Option<Vec<JournalEntry>>>,
-    /// Spent chunk buffers, back to the decoder for reuse.
+    /// Spent chunk buffers, back to the sender for reuse.
     pub spent: Sender<Vec<JournalEntry>>,
+}
+
+/// The sending end of a [`PrefixFeed`]: gathers entries into chunks, in
+/// buffers the receiver hands back.
+pub(crate) struct ChunkSender {
+    chunks: mpsc::SyncSender<Option<Vec<JournalEntry>>>,
+    spent: Receiver<Vec<JournalEntry>>,
+    chunk: Vec<JournalEntry>,
+    /// Cleared once the receiver has stopped; the sender goes on.
+    open: bool,
+}
+
+impl ChunkSender {
+    /// A sender and the feed it fills. Every chunk buffer is allocated
+    /// here, on the calling thread: one being filled, one being read, and
+    /// the channel's worth between them.
+    pub fn new() -> (ChunkSender, PrefixFeed) {
+        let (chunks_tx, chunks) = mpsc::sync_channel(CHUNKS_AHEAD);
+        let (spent, spent_rx) = mpsc::channel();
+        for _ in 0..=CHUNKS_AHEAD {
+            let _ = spent.send(Vec::with_capacity(CHUNK_ENTRIES));
+        }
+        let sender = ChunkSender {
+            chunks: chunks_tx,
+            spent: spent_rx,
+            chunk: Vec::with_capacity(CHUNK_ENTRIES),
+            open: true,
+        };
+        (sender, PrefixFeed { chunks, spent })
+    }
+
+    /// Queues `entries`, sending each chunk as it fills.
+    pub fn push(&mut self, mut entries: &[JournalEntry]) {
+        while self.open && !entries.is_empty() {
+            let take = entries.len().min(CHUNK_ENTRIES - self.chunk.len());
+            self.chunk.extend_from_slice(&entries[..take]);
+            entries = &entries[take..];
+            if self.chunk.len() == CHUNK_ENTRIES {
+                self.send();
+                // Waits for a spent buffer; none comes once the receiver
+                // has stopped.
+                match self.spent.recv() {
+                    Ok(buf) => self.chunk = buf,
+                    Err(_) => self.open = false,
+                }
+                self.chunk.clear();
+            }
+        }
+    }
+
+    fn send(&mut self) {
+        let chunk = std::mem::take(&mut self.chunk);
+        self.open &= self.chunks.send(Some(chunk)).is_ok();
+    }
+
+    /// Sends the last partial chunk, or `None` when the WAL scan failed.
+    pub fn finish(mut self, scanned: bool) {
+        if !scanned {
+            let _ = self.chunks.send(None);
+        } else if self.open && !self.chunk.is_empty() {
+            self.send();
+        }
+    }
+}
+
+/// What a run's decision log is joined to besides its own journal.
+pub(crate) enum Link {
+    /// Nothing: the run records only when asked to.
+    Off,
+    /// The recovered committed prefix, which the run must reproduce
+    /// before it records anything; its journal holds only what follows.
+    Resume(PrefixFeed),
+    /// The WAL writer: every committed decision goes to it, and the run's
+    /// own journal keeps only the tables.
+    Write(ChunkSender),
 }
 
 /// Live state of a validated journal replay.
@@ -250,21 +342,26 @@ impl ResumeCheck {
     }
 }
 
-/// The journal tap and the replay check behind it.
+/// The journal tap, and the replay check or the WAL writer behind it.
 pub(crate) struct DecisionLog {
     journal: Option<Journal>,
     resume: Option<ResumeCheck>,
+    writer: Option<ChunkSender>,
 }
 
 impl DecisionLog {
-    /// A log that records when asked to or when resuming from `prefix`
-    /// (the recovered committed entries, which the run must reproduce
-    /// before it records anything; its journal holds only what follows).
-    pub fn new(cfg: &ServiceConfig, record: bool, prefix: Option<PrefixFeed>) -> DecisionLog {
-        let journal = (record || prefix.is_some()).then(|| journal_tables(cfg));
+    /// A log that records when asked to or when `link`ed to anything.
+    pub fn new(cfg: &ServiceConfig, record: bool, link: Link) -> DecisionLog {
+        let journal = (record || !matches!(link, Link::Off)).then(|| journal_tables(cfg));
+        let (resume, writer) = match link {
+            Link::Off => (None, None),
+            Link::Resume(prefix) => (Some(ResumeCheck::new(prefix)), None),
+            Link::Write(sender) => (None, Some(sender)),
+        };
         DecisionLog {
             journal,
-            resume: prefix.map(ResumeCheck::new),
+            resume,
+            writer,
         }
     }
 
@@ -297,9 +394,10 @@ impl DecisionLog {
 
     fn commit(&mut self, got: JournalEntry) {
         let Some(j) = &mut self.journal else { return };
-        match &mut self.resume {
+        match (&mut self.resume, &mut self.writer) {
             // Inside the prefix the entry is already in the decoded WAL.
-            Some(rc) if rc.inside() => rc.validate(&got),
+            (Some(rc), _) if rc.inside() => rc.validate(&got),
+            (_, Some(writer)) => writer.push(std::slice::from_ref(&got)),
             _ => j.entries.push(got),
         }
     }
@@ -332,10 +430,14 @@ impl DecisionLog {
         Err(SimError::protocol(msg).context("validated journal replay"))
     }
 
-    /// The journal (when recording; past the prefix, when resuming) and
-    /// the replay statistics (when resuming, after a run that passed
-    /// [`DecisionLog::check`], so every prefix entry was matched).
+    /// The journal (when recording; past the prefix, when resuming; the
+    /// tables alone, when writing) and the replay statistics (when
+    /// resuming, after a run that passed [`DecisionLog::check`], so every
+    /// prefix entry was matched). The writer gets the last decisions.
     pub fn finish(self) -> (Option<Journal>, Option<ReplayStats>) {
+        if let Some(writer) = self.writer {
+            writer.finish(true);
+        }
         let replay = self.resume.map(|rc| ReplayStats {
             prefix_entries: rc.cursor as u64,
             matched: rc.cursor as u64,

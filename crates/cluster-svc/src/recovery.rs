@@ -12,12 +12,15 @@
 //! A frame boundary models an `fsync`:
 //! a crash loses only the unsealed tail, never a sealed frame.
 //!
-//! Because the sealing cadence is a pure function of the committed entry
-//! stream, [`WriteAheadLog::build`] constructed *after* a run is
-//! byte-identical to the log an online implementation would have written
-//! frame-by-frame — which is what lets the crash harness snapshot "what
-//! the disk held" at any commit boundary without threading I/O through
-//! the hot loop.
+//! The sealing cadence is a pure function of the committed entry stream:
+//! a frame's boundaries depend only on the entry count. So
+//! [`ClusterService::serve_durable`] writes the log while it serves — its
+//! decision log hands each committed decision, in chunks, to one scoped
+//! helper thread, which appends them to the run's journal and seals a
+//! frame every time a group is complete — and [`WriteAheadLog::build`],
+//! which runs the same framer over a finished journal, writes the same
+//! bytes. Neither threads I/O through the hot loop, and the crash harness
+//! can snapshot "what the disk held" at any commit boundary.
 //!
 //! # Recovery
 //!
@@ -50,7 +53,6 @@
 //! the recover-at-every-prefix property tests assert exactly that.
 
 use std::fmt;
-use std::sync::mpsc;
 use std::thread;
 
 use desim::journal::MAX_ENTRY_BYTES;
@@ -59,7 +61,7 @@ use dps_sim::{SimError, SimResult};
 use faults::FaultPlan;
 
 use crate::job::JobSpec;
-use crate::journal::{journal_tables, PrefixFeed};
+use crate::journal::{journal_tables, ChunkSender, Link, CHUNK_ENTRIES};
 use crate::service::{ClusterService, ServeOptions, ServiceOutcome};
 
 /// Magic bytes opening every WAL.
@@ -96,14 +98,20 @@ impl DurabilitySpec {
     /// `max_payload` bytes: no group holds more entries than fit in that
     /// at their widest encoding, whatever their values turn out to be.
     fn frame_ranges_under(&self, entries: usize, max_payload: usize) -> Vec<(usize, usize)> {
-        let fits = max_payload.saturating_sub(BATCH_COUNT_BYTES) / MAX_ENTRY_BYTES;
-        let group = usize::try_from(self.group_events)
-            .unwrap_or(usize::MAX)
-            .clamp(1, fits.max(1));
+        let group = self.group_under(max_payload);
         (0..entries)
             .step_by(group)
             .map(|start| (start, entries.min(start.saturating_add(group))))
             .collect()
+    }
+
+    /// Entries per sealed frame, for frames of at most `max_payload`
+    /// bytes: at least one, and no more than fit at the widest encoding.
+    fn group_under(&self, max_payload: usize) -> usize {
+        let fits = max_payload.saturating_sub(BATCH_COUNT_BYTES) / MAX_ENTRY_BYTES;
+        usize::try_from(self.group_events)
+            .unwrap_or(usize::MAX)
+            .clamp(1, fits.max(1))
     }
 }
 
@@ -241,29 +249,53 @@ fn declared_entries(bytes: &[u8], mut pos: usize) -> usize {
 impl WriteAheadLog {
     /// Builds the WAL of a finished run's journal under `spec`. Frame 0
     /// is the journal header; each later frame is one sealed entry batch.
+    /// [`ClusterService::serve_durable`] writes the same bytes as it
+    /// serves.
     pub fn build(journal: &Journal, spec: &DurabilitySpec) -> WriteAheadLog {
-        Self::build_framed(journal, spec.frame_ranges(&journal.entries))
+        let (entries, group) = (journal.len(), spec.group_under(MAX_FRAME_PAYLOAD));
+        let mut wal = WriteAheadLog::begin(journal, 64 + entries * 8, entries.div_ceil(group));
+        wal.seal(journal, group, true);
+        wal
     }
 
-    fn build_framed(journal: &Journal, ranges: Vec<(usize, usize)>) -> WriteAheadLog {
-        let mut bytes = Vec::with_capacity(64 + journal.entries.len() * 8);
-        bytes.extend_from_slice(WAL_MAGIC);
-        let mut offsets = vec![bytes.len()];
-        let mut cum_entries = vec![0u64];
-        push_frame(&mut bytes, |out| {
+    /// A log holding the magic and `journal`'s header frame, with room for
+    /// `bytes` bytes and `frames` entry frames.
+    fn begin(journal: &Journal, bytes: usize, frames: usize) -> WriteAheadLog {
+        let mut wal = WriteAheadLog {
+            bytes: Vec::with_capacity(bytes),
+            offsets: Vec::with_capacity(frames + 2),
+            cum_entries: Vec::with_capacity(frames + 2),
+        };
+        wal.bytes.extend_from_slice(WAL_MAGIC);
+        wal.offsets.push(wal.bytes.len());
+        wal.cum_entries.push(0);
+        push_frame(&mut wal.bytes, |out| {
             out.extend_from_slice(&journal.encode_header())
         });
-        offsets.push(bytes.len());
-        cum_entries.push(0);
-        for (s, e) in ranges {
-            push_frame(&mut bytes, |out| journal.encode_entries_into(out, s, e));
-            offsets.push(bytes.len());
-            cum_entries.push(e as u64);
-        }
-        WriteAheadLog {
-            bytes,
-            offsets,
-            cum_entries,
+        wal.offsets.push(wal.bytes.len());
+        wal.cum_entries.push(0);
+        wal
+    }
+
+    /// The framer: seals `journal`'s entries past the last sealed frame,
+    /// `group` entries to a frame, and with `last` the rest as one final
+    /// shorter frame. Sealed a chunk at a time or all at once, the frames
+    /// are [`DurabilitySpec::frame_ranges`]'s.
+    fn seal(&mut self, journal: &Journal, group: usize, last: bool) {
+        let len = journal.entries.len();
+        let mut start = usize::try_from(self.entries()).expect("sealed entries are in the journal");
+        while start < len {
+            let end = start.saturating_add(group);
+            if end > len && !last {
+                break;
+            }
+            let end = end.min(len);
+            push_frame(&mut self.bytes, |out| {
+                journal.encode_entries_into(out, start, end)
+            });
+            self.offsets.push(self.bytes.len());
+            self.cum_entries.push(end as u64);
+            start = end;
         }
     }
 
@@ -387,76 +419,6 @@ fn walk_frames(
     Ok((frames, None))
 }
 
-/// Prefix entries handed to the re-execution at a time, whatever the
-/// frame size: a few hundred messages per million entries, in buffers
-/// small enough to stay in the allocator's heap.
-const CHUNK_ENTRIES: usize = 1024;
-
-/// Chunks decoded ahead of the re-execution: enough to keep it fed, few
-/// enough to hold little memory.
-const CHUNKS_AHEAD: usize = 4;
-
-/// The decoder's end of a [`PrefixFeed`]: gathers the decoded entries
-/// into chunks, in buffers the re-execution hands back.
-struct ChunkSender {
-    chunks: mpsc::SyncSender<Option<Vec<JournalEntry>>>,
-    spent: mpsc::Receiver<Vec<JournalEntry>>,
-    chunk: Vec<JournalEntry>,
-    /// Cleared once the re-execution has stopped; the scan goes on.
-    open: bool,
-}
-
-impl ChunkSender {
-    /// A sender and the feed it fills. Every chunk buffer is allocated
-    /// here, on the calling thread: one being filled, one being matched,
-    /// and the channel's worth between them.
-    fn new() -> (ChunkSender, PrefixFeed) {
-        let (chunks_tx, chunks) = mpsc::sync_channel(CHUNKS_AHEAD);
-        let (spent, spent_rx) = mpsc::channel();
-        for _ in 0..=CHUNKS_AHEAD {
-            let _ = spent.send(Vec::with_capacity(CHUNK_ENTRIES));
-        }
-        let sender = ChunkSender {
-            chunks: chunks_tx,
-            spent: spent_rx,
-            chunk: Vec::with_capacity(CHUNK_ENTRIES),
-            open: true,
-        };
-        (sender, PrefixFeed { chunks, spent })
-    }
-
-    fn push(&mut self, mut entries: &[JournalEntry]) {
-        while self.open && !entries.is_empty() {
-            let take = entries.len().min(CHUNK_ENTRIES - self.chunk.len());
-            self.chunk.extend_from_slice(&entries[..take]);
-            entries = &entries[take..];
-            if self.chunk.len() == CHUNK_ENTRIES {
-                self.send();
-                // Waits for a spent buffer; none comes once the rerun ends.
-                match self.spent.recv() {
-                    Ok(buf) => self.chunk = buf,
-                    Err(_) => self.open = false,
-                }
-                self.chunk.clear();
-            }
-        }
-    }
-
-    fn send(&mut self) {
-        let chunk = std::mem::take(&mut self.chunk);
-        self.open &= self.chunks.send(Some(chunk)).is_ok();
-    }
-
-    /// Sends the last partial chunk, or `None` when the scan failed.
-    fn finish(mut self, scanned: bool) {
-        if !scanned {
-            let _ = self.chunks.send(None);
-        } else if self.open && !self.chunk.is_empty() {
-            self.send();
-        }
-    }
-}
-
 /// A seeded crash point: which sealed frames survive. The write in
 /// flight at the crash leaves a torn partial of the next frame behind —
 /// half its bytes with one bit flipped — exercising checksum truncation
@@ -504,11 +466,23 @@ impl CrashPlan {
     }
 }
 
+/// Journal entries `serve_durable` reserves before the run. The pages
+/// the run never fills cost no memory, and a reservation this large is
+/// mapped on its own, so growing past it remaps instead of copying. A
+/// copy of a journal tens of megabytes long would stall the helper for
+/// milliseconds while the run waits on a full channel.
+const RESERVED_ENTRIES: usize = 1 << 20;
+
 impl ClusterService {
     /// Serves `stream` with the decision journal on and returns the
     /// outcome plus the durable WAL of its committed decision stream
-    /// under `spec` — byte-identical to what online frame-by-frame
-    /// logging would have written (see the module docs).
+    /// under `spec`, written while the run serves: the same bytes as
+    /// [`WriteAheadLog::build`] over the finished journal.
+    ///
+    /// One helper thread receives the committed decisions in chunks,
+    /// appends them to the outcome's journal and seals a frame each time
+    /// a group is complete. When the run fails, its error is returned
+    /// once the helper has stopped.
     pub fn serve_durable(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
@@ -516,10 +490,31 @@ impl ClusterService {
         opts: &ServeOptions,
         spec: &DurabilitySpec,
     ) -> SimResult<(ServiceOutcome, WriteAheadLog)> {
-        let mut o = opts.clone();
-        o.journal = true;
-        let out = self.serve(stream, plan, &o)?;
-        let wal = WriteAheadLog::build(out.journal.as_ref().expect("journal requested"), spec);
+        let group = spec.group_under(MAX_FRAME_PAYLOAD);
+        // Every buffer the helper grows is allocated here, on the calling
+        // thread: grown from the helper's first allocation instead, the
+        // log would stay in the helper's malloc arena.
+        let mut journal = journal_tables(self.config());
+        journal.entries.reserve_exact(RESERVED_ENTRIES);
+        let mut wal = WriteAheadLog::begin(&journal, 8 * CHUNK_ENTRIES, 64);
+        let (sender, feed) = ChunkSender::new();
+        let (served, journal, wal) = thread::scope(|s| {
+            let writer = s.spawn(move || {
+                for chunk in feed.chunks.iter().flatten() {
+                    journal.entries.extend_from_slice(&chunk);
+                    // The run may have stopped; then the buffer is freed.
+                    let _ = feed.spent.send(chunk);
+                    wal.seal(&journal, group, false);
+                }
+                wal.seal(&journal, group, true);
+                (journal, wal)
+            });
+            let served = self.serve_linked(stream, plan, opts, Link::Write(sender));
+            let (journal, wal) = writer.join().expect("the WAL writer does not panic");
+            (served, journal, wal)
+        });
+        let mut out = served?;
+        out.journal = Some(journal);
         Ok((out, wal))
     }
 
@@ -553,7 +548,7 @@ impl ClusterService {
                 sender.finish(walked.is_ok());
                 walked.map(|(frames, torn)| (head, frames, torn))
             });
-            let served = self.serve_resumed(stream, plan, opts, Some(feed));
+            let served = self.serve_linked(stream, plan, opts, Link::Resume(feed));
             let walked = decoder.join().expect("the WAL decoder does not panic");
             (served, walked)
         });
@@ -601,8 +596,12 @@ mod tests {
     use super::*;
     use crate::config::{ServiceConfig, TenantSpec};
     use crate::job::SyntheticLoad;
-    use crate::SchedulePolicy;
+    use crate::journal::{PrefixFeed, CHUNKS_AHEAD};
+    use crate::{SchedulePolicy, ServiceBudget};
     use desim::SimDuration;
+    use dps_sim::{CancelToken, SimErrorKind};
+    use faults::{CheckpointSpec, FaultGenConfig};
+    use std::sync::mpsc;
 
     fn svc(shards: u32) -> ClusterService {
         ClusterService::new(
@@ -782,7 +781,11 @@ mod tests {
         let ranges = spec.frame_ranges_under(j.len(), cap);
         assert_eq!(ranges.len(), j.len().div_ceil(8));
         assert!(ranges.iter().all(|&(s, e)| s < e && e - s <= 8));
-        let wal = WriteAheadLog::build_framed(&j, ranges);
+        let mut wal = WriteAheadLog::begin(&j, 0, 0);
+        wal.seal(&j, spec.group_under(cap), true);
+        let sealed: Vec<u64> = (2..=wal.frames()).map(|f| wal.entries_through(f)).collect();
+        let ends: Vec<u64> = ranges.iter().map(|&(_, e)| e as u64).collect();
+        assert_eq!(sealed, ends);
         for i in 0..wal.frames() {
             assert!(wal.frame_bytes(i).len() - 8 <= cap, "frame {i}");
         }
@@ -938,7 +941,7 @@ mod tests {
         drop(tx);
         let spent = mpsc::channel().0;
         let feed = PrefixFeed { chunks, spent };
-        let mut out = svc.serve_resumed(stream, &FaultPlan::none(), opts, Some(feed))?;
+        let mut out = svc.serve_linked(stream, &FaultPlan::none(), opts, Link::Resume(feed))?;
         let report = CrashReport {
             recovered_entries: head.len() as u64,
             frames,
@@ -980,7 +983,7 @@ mod tests {
     fn the_pipelined_verdict_is_the_serial_verdict() {
         // Enough decisions for several chunks, so that the re-execution
         // can stop while the decoder is still behind or ahead of it.
-        let jobs = 1500;
+        let jobs = 6000;
         let spec = DurabilitySpec::group_commit(64);
         let none = FaultPlan::none();
         let opts = ServeOptions::default();
@@ -1059,5 +1062,116 @@ mod tests {
         );
         let msg = recover(wal.bytes(), &budget);
         assert!(msg.contains("budget exceeded"), "{msg}");
+    }
+
+    /// A seeded plan of the server-scale faulted row's kind — crashes and
+    /// preemptions, slowdown and degrade windows, periodic checkpoints —
+    /// on `svc`'s 16 nodes while `jobs` jobs of `load` arrive.
+    fn faulted(jobs: u64) -> FaultPlan {
+        FaultGenConfig {
+            crashes: 3,
+            preempts: 6,
+            slowdowns: 4,
+            degrades: 2,
+            checkpoint: CheckpointSpec::every(
+                2,
+                SimDuration::from_millis(50),
+                SimDuration::from_millis(200),
+            ),
+            ..FaultGenConfig::quiet(16, SimDuration::from_millis(50 * jobs))
+        }
+        .generate(7)
+    }
+
+    #[test]
+    fn the_wal_written_while_serving_is_the_wal_built_after_the_run() {
+        let jobs = 6000;
+        let journaled = ServeOptions {
+            journal: true,
+            ..ServeOptions::default()
+        };
+        for plan in [FaultPlan::none(), faulted(jobs)] {
+            let served = svc(2).serve(load(jobs), &plan, &journaled).unwrap();
+            let journal = served.journal.as_ref().expect("journal");
+            let n = journal.len() as u64;
+            assert!(n > 4 * CHUNK_ENTRIES as u64, "{n} entries");
+            if !plan.is_empty() {
+                let cells = &served.report.cells;
+                assert!(served.report.total_restarts() > 0);
+                assert!(cells.iter().any(|c| c.degraded_ns > 0));
+            }
+            for group in [1, 3, 4096, n + 1] {
+                let spec = DurabilitySpec::group_commit(group);
+                let built = WriteAheadLog::build(journal, &spec);
+                let (out, wal) = svc(2)
+                    .serve_durable(load(jobs), &plan, &ServeOptions::default(), &spec)
+                    .unwrap();
+                let what = format!("{} faults, group {group}", plan.events.len());
+                assert!(wal.bytes() == built.bytes(), "{what}");
+                assert_eq!(wal.frames(), built.frames(), "{what}");
+                for i in 0..=wal.frames() {
+                    assert_eq!(wal.entries_through(i), built.entries_through(i), "{what}");
+                }
+                let j = out.journal.expect("journal");
+                assert!(j.encode() == journal.encode(), "{what}");
+                assert_eq!(
+                    out.report.canonical_string(),
+                    served.report.canonical_string()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_durable_serve_that_stops_returns_the_serves_error() {
+        let spec = DurabilitySpec::group_commit(64);
+        let none = FaultPlan::none();
+        let token = CancelToken::new();
+        token.cancel();
+        let stopped = [
+            ServeOptions {
+                budget: ServiceBudget {
+                    max_events: 3 * CHUNK_ENTRIES as u64,
+                    ..ServiceBudget::default()
+                },
+                ..ServeOptions::default()
+            },
+            ServeOptions {
+                cancel: Some(token),
+                ..ServeOptions::default()
+            },
+        ];
+        for opts in &stopped {
+            // Several chunks are with the writer when the run stops.
+            let err = svc(1)
+                .serve_durable(load(6000), &none, opts, &spec)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err.kind,
+                    SimErrorKind::BudgetExceeded { .. } | SimErrorKind::Cancelled { .. }
+                ),
+                "{err}"
+            );
+            let serve_err = svc(1).serve(load(6000), &none, opts).unwrap_err();
+            assert_eq!(format!("{err}"), format!("{serve_err}"));
+        }
+    }
+
+    #[test]
+    fn a_durable_serve_of_no_jobs_writes_the_header_frame_alone() {
+        let spec = DurabilitySpec::group_commit(64);
+        let svc = svc(1);
+        let (out, wal) = svc
+            .serve_durable(load(0), &FaultPlan::none(), &ServeOptions::default(), &spec)
+            .unwrap();
+        let j = out.journal.expect("journal");
+        assert!(j.is_empty());
+        assert_eq!((wal.frames(), wal.entries()), (1, 0));
+        let header = WriteAheadLog::build(&journal_tables(svc.config()), &spec);
+        assert_eq!(wal.bytes(), header.bytes());
+        let rec = WriteAheadLog::scan(wal.bytes()).unwrap();
+        assert_eq!((rec.frames, rec.journal.len()), (1, 0));
+        assert!(rec.torn.is_none());
     }
 }

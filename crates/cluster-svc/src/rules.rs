@@ -13,7 +13,7 @@
 use cluster::{ProfileCache, Workload};
 use desim::{SimDuration, SimTime};
 use dps_sim::SimResult;
-use faults::{CheckpointSpec, FaultPlan, RateTimeline};
+use faults::{CheckpointSpec, FaultPlan, RateTimeline, RateWindow};
 
 /// `holder` entry of a node no job holds.
 const NO_HOLDER: u32 = u32::MAX;
@@ -194,20 +194,90 @@ impl NodePool {
 }
 
 /// The plan-derived inputs that price an iteration: the slowdown/degrade
-/// timelines plus the checkpoint spec, fixed for a whole server run.
+/// factors plus the checkpoint spec, fixed for a whole server run.
 pub(crate) struct FaultPricing {
-    cpu: RateTimeline,
-    link: RateTimeline,
+    cpu: Factors,
+    link: Factors,
     /// The checkpoint/restart cost model in force.
     pub ckpt: CheckpointSpec,
 }
 
+/// One rate timeline's factor for every pool node, as of one instant and
+/// until its next window boundary: pricing an iteration looks up its held
+/// nodes instead of scanning the plan.
+struct Factors {
+    timeline: RateTimeline,
+    /// `timeline.factor_at(n, from)` for node ids `n` up to the highest
+    /// windowed pool node; every node past it runs at 1.
+    table: Vec<f64>,
+    /// The table holds on `[from, until)`: no window starts or ends inside.
+    from: SimTime,
+    until: SimTime,
+    /// Whether some window covers a pool node; when none does, every
+    /// factor is 1.
+    active: bool,
+}
+
+impl Factors {
+    /// The factors of `windows` for pool nodes `0..nodes`, filled at the
+    /// first lookup.
+    fn new(windows: Vec<RateWindow>, nodes: u32) -> Factors {
+        let len = windows
+            .iter()
+            .filter(|w| w.node < nodes)
+            .map(|w| w.node + 1)
+            .max()
+            .unwrap_or(0);
+        Factors {
+            timeline: RateTimeline::new(windows),
+            table: vec![1.0; len as usize],
+            from: SimTime::ZERO,
+            until: SimTime::ZERO,
+            active: false,
+        }
+    }
+
+    /// The smallest factor over the nodes in `held` at `at` (1 for none):
+    /// the rate a synchronized iteration on them runs at.
+    fn slowest(&mut self, held: &[u32], at: SimTime) -> f64 {
+        if at < self.from || at >= self.until {
+            self.refill(at);
+        }
+        if !self.active {
+            return 1.0;
+        }
+        let table = &self.table;
+        held.iter()
+            .map(|&n| table.get(n as usize).copied().unwrap_or(1.0))
+            .fold(1.0f64, f64::min)
+    }
+
+    /// Fills the table as of `at`, for as long as it holds.
+    fn refill(&mut self, at: SimTime) {
+        self.table.fill(1.0);
+        self.active = false;
+        for w in self.timeline.windows() {
+            if w.from <= at && at < w.to {
+                if let Some(f) = self.table.get_mut(w.node as usize) {
+                    *f = self.timeline.factor_at(w.node, at);
+                    self.active = true;
+                }
+            }
+        }
+        self.from = at;
+        self.until = self
+            .timeline
+            .next_boundary_after(at)
+            .unwrap_or(SimTime::MAX);
+    }
+}
+
 impl FaultPricing {
-    /// The pricing inputs of `plan`.
-    pub fn new(plan: &FaultPlan) -> FaultPricing {
+    /// The pricing inputs of `plan` on a pool of `nodes` nodes.
+    pub fn new(plan: &FaultPlan, nodes: u32) -> FaultPricing {
         FaultPricing {
-            cpu: RateTimeline::new(plan.cpu_windows()),
-            link: RateTimeline::new(plan.link_windows()),
+            cpu: Factors::new(plan.cpu_windows(), nodes),
+            link: Factors::new(plan.link_windows(), nodes),
             ckpt: plan.checkpoint,
         }
     }
@@ -221,7 +291,7 @@ impl FaultPricing {
     /// degradation extra)`. With no windows active the nominal span passes
     /// through untouched.
     pub fn span(
-        &self,
+        &mut self,
         held: &[u32],
         nominal: SimDuration,
         work: SimDuration,
@@ -231,22 +301,15 @@ impl FaultPricing {
     ) -> (SimDuration, SimDuration) {
         let mut span = nominal;
         let mut degraded = SimDuration::ZERO;
-        if !self.cpu.is_empty() || !self.link.is_empty() {
-            let slowest = |tl: &RateTimeline| {
-                held.iter()
-                    .map(|&n| tl.factor_at(n, at))
-                    .fold(1.0f64, f64::min)
-            };
-            let (cpu_f, link_f) = (slowest(&self.cpu), slowest(&self.link));
-            if cpu_f != 1.0 || link_f != 1.0 {
-                // Split the span into a compute part (ideal work share) and a
-                // communication/imbalance part, and stretch each by its factor.
-                let compute = work.mul_f64(1.0 / held.len() as f64).min(span);
-                let comm = span - compute;
-                let slowed = compute.mul_f64(1.0 / cpu_f) + comm.mul_f64(1.0 / link_f);
-                degraded = slowed.saturating_sub(span);
-                span = slowed;
-            }
+        let (cpu_f, link_f) = (self.cpu.slowest(held, at), self.link.slowest(held, at));
+        if cpu_f != 1.0 || link_f != 1.0 {
+            // Split the span into a compute part (ideal work share) and a
+            // communication/imbalance part, and stretch each by its factor.
+            let compute = work.mul_f64(1.0 / held.len() as f64).min(span);
+            let comm = span - compute;
+            let slowed = compute.mul_f64(1.0 / cpu_f) + comm.mul_f64(1.0 / link_f);
+            degraded = slowed.saturating_sub(span);
+            span = slowed;
         }
         if self.ckpt.checkpoints_after(iter) {
             span += self.ckpt.checkpoint_cost;
@@ -287,6 +350,57 @@ pub fn efficiency_target(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_factors_are_the_timelines_at_every_instant() {
+        let w = |node, factor, from, to| RateWindow {
+            node,
+            factor,
+            from: SimTime(from),
+            to: SimTime(to),
+        };
+        let windows = vec![
+            w(1, 0.5, 10, 20),
+            // Overlaps the first window on node 1, then abuts one on node 3.
+            w(1, 0.7, 15, 30),
+            w(3, 0.3, 5, 30),
+            w(3, 0.9, 30, 40),
+            w(9, 0.4, 0, 50),
+            // Outside a pool of 16 nodes: no pool node is slowed by it.
+            w(40, 0.2, 20, 45),
+        ];
+        let timeline = RateTimeline::new(windows.clone());
+        let mut factors = Factors::new(windows, 16);
+        assert_eq!(factors.table.len(), 10);
+        // Every window edge and its neighbours, going forward, then random
+        // instants, which also go backward.
+        let mut instants: Vec<u64> = [0, 5, 10, 15, 20, 30, 40, 45, 50]
+            .iter()
+            .flat_map(|&t: &u64| [t.saturating_sub(1), t, t + 1])
+            .collect();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            instants.push(x % 60);
+        }
+        for at in instants.into_iter().map(SimTime) {
+            // Nodes 10..16 are past the highest windowed node.
+            for n in 0..16 {
+                let want = timeline.factor_at(n, at);
+                let got = factors.slowest(&[n], at);
+                assert_eq!(got.to_bits(), want.to_bits(), "node {n} at {at:?}");
+            }
+            let held = [(x % 16) as u32, 1, 3, 12];
+            let want = held
+                .iter()
+                .map(|&n| timeline.factor_at(n, at))
+                .fold(1.0f64, f64::min);
+            assert_eq!(factors.slowest(&held, at).to_bits(), want.to_bits());
+            assert_eq!(factors.slowest(&[], at), 1.0);
+        }
+    }
 
     /// The sorted-free-list pool the bitset replaced, kept as the
     /// reference the differential test checks against.

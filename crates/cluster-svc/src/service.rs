@@ -49,7 +49,7 @@ use crate::cells::{Cells, PhaseEnd};
 use crate::config::ServiceConfig;
 use crate::fairshare::FairShare;
 use crate::job::JobSpec;
-use crate::journal::{decision, DecisionLog, JobTag, PrefixFeed, ReplayStats, NO_CELL};
+use crate::journal::{decision, DecisionLog, JobTag, Link, ReplayStats, NO_CELL};
 use crate::live::{JobState, JobTable};
 use crate::report::{LatencyHist, ServiceReport, TenantReport};
 use crate::rules::{capped_backoff, FaultPricing, NodePool, Strike};
@@ -125,23 +125,24 @@ impl ClusterService {
         plan: &FaultPlan,
         opts: &ServeOptions,
     ) -> SimResult<ServiceOutcome> {
-        self.serve_resumed(stream, plan, opts, None)
+        self.serve_linked(stream, plan, opts, Link::Off)
     }
 
-    /// [`ClusterService::serve`], resuming from `prefix` when there is
-    /// one: committed decisions streamed from a durable log, which the
-    /// re-execution must reproduce exactly before committing anything new
-    /// (so it implies `journal`, which holds only what follows them).
-    pub(crate) fn serve_resumed(
+    /// [`ClusterService::serve`] with its decision log `link`ed to a
+    /// durable log: resuming from committed decisions streamed from one,
+    /// which the re-execution must reproduce exactly before committing
+    /// anything new, or streaming every committed decision to its writer.
+    /// Either implies `journal`.
+    pub(crate) fn serve_linked(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
         plan: &FaultPlan,
         opts: &ServeOptions,
-        prefix: Option<PrefixFeed>,
+        link: Link,
     ) -> SimResult<ServiceOutcome> {
         plan.validate()
             .map_err(|why| SimError::protocol(why).context("validating the fault plan"))?;
-        let mut engine = Engine::new(&self.cfg, plan, opts, prefix);
+        let mut engine = Engine::new(&self.cfg, plan, opts, link);
         engine.run(stream.into_iter(), plan)?;
         Ok(engine.finish())
     }
@@ -206,19 +207,19 @@ impl<'a> Engine<'a> {
         cfg: &'a ServiceConfig,
         plan: &FaultPlan,
         opts: &'a ServeOptions,
-        prefix: Option<PrefixFeed>,
+        link: Link,
     ) -> Engine<'a> {
         Engine {
             cfg,
             opts,
-            pricing: FaultPricing::new(plan),
+            pricing: FaultPricing::new(plan, cfg.total_nodes()),
             pool: NodePool::new(cfg.nodes_per_cell, cfg.cells),
             cells: Cells::new(cfg.cells),
             jobs: JobTable::default(),
             queues: FairShare::new(&cfg.tenants),
             global: EventQueue::new(),
             scorer: Scorer::new(cfg, plan, opts.measure_decisions),
-            log: DecisionLog::new(cfg, opts.journal, prefix),
+            log: DecisionLog::new(cfg, opts.journal, link),
             tenants: cfg
                 .tenants
                 .iter()
