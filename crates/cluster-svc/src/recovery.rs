@@ -1142,7 +1142,8 @@ mod tests {
             },
         ];
         for opts in &stopped {
-            // Several chunks are with the writer when the run stops.
+            // The run stops mid-stream, with decisions already handed to
+            // the writer.
             let err = svc(1)
                 .serve_durable(load(6000), &none, opts, &spec)
                 .unwrap_err();
