@@ -127,9 +127,6 @@ pub fn check_equivalent(ours: &ServiceOutcome, theirs: &ServiceOutcome) -> Resul
 pub struct ReplayStats {
     /// Entries in the recovered committed prefix.
     pub prefix_entries: u64,
-    /// Prefix entries the re-execution reproduced (all of them, on a
-    /// successful recovery).
-    pub matched: u64,
     /// Host wall seconds spent re-executing through the prefix — the
     /// recovery's catch-up latency.
     pub catch_up_secs: f64,
@@ -440,7 +437,6 @@ impl DecisionLog {
         }
         let replay = self.resume.map(|rc| ReplayStats {
             prefix_entries: rc.cursor as u64,
-            matched: rc.cursor as u64,
             catch_up_secs: rc
                 .caught_up
                 .unwrap_or_else(|| rc.started.elapsed().as_secs_f64()),

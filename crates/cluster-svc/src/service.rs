@@ -36,6 +36,11 @@
 //!   handling an instant never schedules into it: the events due at `t`
 //!   are fixed before stage 3 and pop in ascending cell id, then in the
 //!   order they were scheduled.
+//! * **Placement at the end of a handler.** Every handler that frees
+//!   capacity or queues a job runs one placement pass at its own end.
+//!   Nothing inside the pass places: a job that fails at start gives back
+//!   what it took in that pass, and a job leaves only through
+//!   `Engine::end_job`, which never places.
 //! * **Integer accounting.** All accumulated report state is integer
 //!   nanoseconds / node-nanoseconds; `f64` appears only inside per-job
 //!   pricing (identical inputs per job regardless of grouping) and in
@@ -70,7 +75,9 @@ pub struct ServiceBudget {
 pub struct ServeOptions {
     /// Event and virtual-time budgets.
     pub budget: ServiceBudget,
-    /// Cooperative cancellation, checked between events.
+    /// Cooperative cancellation, polled before each virtual instant is
+    /// handled: a token cancelled before the serve starts stops it at
+    /// zero events.
     pub cancel: Option<CancelToken>,
     /// Record the scheduling-decision journal.
     pub journal: bool,
@@ -150,9 +157,6 @@ impl ClusterService {
 
 // ----- internal engine ------------------------------------------------------
 
-/// Cancel-token poll interval, in events.
-const CANCEL_CHECK_EVERY: u64 = 4096;
-
 #[derive(Clone, Copy, Debug)]
 enum GlobalEv {
     /// Outage `i` of the fault plan fires.
@@ -191,13 +195,6 @@ struct Engine<'a> {
     makespan: SimTime,
     events: u64,
     now: SimTime,
-    next_cancel_check: u64,
-    /// Reentrancy guard: terminal transitions triggered *during* placement
-    /// (a workload erroring at start) must not recurse into placement.
-    placing: bool,
-    /// Set when capacity returned to a cell while `placing` — tells the
-    /// placement loop to retry capacity-blocked tenants.
-    freed_while_placing: bool,
     /// Reusable per-tenant capacity-blocked flags.
     blocked: Vec<bool>,
 }
@@ -233,9 +230,6 @@ impl<'a> Engine<'a> {
             makespan: SimTime::ZERO,
             events: 0,
             now: SimTime::ZERO,
-            next_cancel_check: CANCEL_CHECK_EVERY,
-            placing: false,
-            freed_while_placing: false,
             blocked: Vec::new(),
         }
     }
@@ -263,15 +257,12 @@ impl<'a> Engine<'a> {
             if budget.max_events != 0 && self.events >= budget.max_events {
                 return Err(over_budget(BudgetKind::Steps, self.now, self.events));
             }
-            if self.events >= self.next_cancel_check {
-                self.next_cancel_check = self.events + CANCEL_CHECK_EVERY;
-                if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(SimError::new(SimErrorKind::Cancelled {
-                        at: self.now,
-                        steps: self.events,
-                    })
-                    .context("cluster-svc serve"));
-                }
+            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                return Err(SimError::new(SimErrorKind::Cancelled {
+                    at: self.now,
+                    steps: self.events,
+                })
+                .context("cluster-svc serve"));
             }
             // Next instant: the min over the global queue, the arrival
             // stream and the cells' queue, an empty one counting as the end
@@ -301,20 +292,20 @@ impl<'a> Engine<'a> {
                 let (_, ev) = self.global.pop().expect("peeked");
                 self.events += 1;
                 match ev {
-                    GlobalEv::Fault(i) => self.handle_fault(&outages[i as usize])?,
+                    GlobalEv::Fault(i) => self.handle_fault(&outages[i as usize]),
                     GlobalEv::Return(node) => {
                         if self.pool.rejoin(node) {
-                            self.place_pending()?;
+                            self.place_pending();
                         }
                     }
-                    GlobalEv::Requeue { slot, epoch } => self.handle_requeue(slot, epoch)?,
-                    GlobalEv::CancelJob { slot, epoch } => self.handle_cancel(slot, epoch)?,
+                    GlobalEv::Requeue { slot, epoch } => self.handle_requeue(slot, epoch),
+                    GlobalEv::CancelJob { slot, epoch } => self.handle_cancel(slot, epoch),
                     GlobalEv::RetryPhase {
                         slot,
                         epoch,
                         gen,
                         restart,
-                    } => self.handle_retry(slot, epoch, gen, restart)?,
+                    } => self.handle_retry(slot, epoch, gen, restart),
                 }
             }
             // Stage 2: arrivals at this instant, in stream order.
@@ -334,7 +325,7 @@ impl<'a> Engine<'a> {
             // Stage 3: cell events, in ascending cell id.
             while let Some(pe) = self.cells.pop_due(t) {
                 self.events += 1;
-                self.handle_phase_end(pe)?;
+                self.handle_phase_end(pe);
             }
         }
         self.log.check(true)
@@ -399,71 +390,50 @@ impl<'a> Engine<'a> {
             self.global
                 .schedule(at.max(self.now), GlobalEv::CancelJob { slot, epoch });
         }
-        self.place_pending()
-    }
-
-    /// Returns a job's slot to the table once its terminal decision is
-    /// journaled.
-    fn release_slot(&mut self, slot: u32) {
-        self.scorer.forget(slot, &mut self.jobs[slot]);
-        self.jobs.release(slot);
+        self.place_pending();
+        Ok(())
     }
 
     // ----- placement -------------------------------------------------------
 
-    fn place_pending(&mut self) -> SimResult<()> {
-        if self.placing || self.queues.pending_total() == 0 {
-            return Ok(());
+    /// One placement pass: serves the lowest-pass startable tenant until
+    /// every remaining tenant is capacity-blocked or out of startable
+    /// jobs. A tenant whose head job doesn't fit is skipped for the rest
+    /// of the pass. A job that fails at start gives back exactly what it
+    /// took, so no tenant blocked earlier in the pass could start now.
+    fn place_pending(&mut self) {
+        if self.queues.pending_total() == 0 {
+            return;
         }
-        self.placing = true;
-        let result = self.place_rounds();
-        self.placing = false;
-        result
-    }
-
-    /// Serves the lowest-pass startable tenant until every remaining
-    /// tenant is capacity-blocked or out of startable jobs. A tenant whose
-    /// head job doesn't fit is skipped for the round; if a terminal
-    /// failure during placement returned capacity to a cell, blocked
-    /// tenants get another round.
-    fn place_rounds(&mut self) -> SimResult<()> {
-        let nt = self.queues.tenants.len();
         let mut blocked = std::mem::take(&mut self.blocked);
-        loop {
-            blocked.clear();
-            blocked.resize(nt, false);
-            self.freed_while_placing = false;
-            while self.queues.pending_total() > 0 {
-                let Some(ti) = self.queues.next_candidate(&blocked) else {
-                    break;
-                };
-                if !self.try_place_head(ti)? {
-                    blocked[ti] = true;
-                }
-            }
-            if !self.freed_while_placing {
+        blocked.clear();
+        blocked.resize(self.queues.tenants.len(), false);
+        while self.queues.pending_total() > 0 {
+            let Some(ti) = self.queues.next_candidate(&blocked) else {
                 break;
+            };
+            if !self.try_place_head(ti) {
+                blocked[ti] = true;
             }
         }
         self.blocked = blocked;
-        Ok(())
     }
 
     /// Places (or terminally fails) the head job of tenant `ti`. Returns
     /// `false` only when missing capacity is what prevents placement.
-    fn try_place_head(&mut self, ti: usize) -> SimResult<bool> {
+    fn try_place_head(&mut self, ti: usize) -> bool {
         let slot = *self.queues.tenants[ti].pending.front().expect("candidate");
         let req_eff = self.jobs[slot].requested.min(self.pool.max_alive());
         if req_eff == 0 {
-            self.queues.pop_head(ti as u32);
-            self.fail_pending(slot);
-            return Ok(true);
+            // No surviving cell can ever host it.
+            self.end_job(slot, decision::FAIL);
+            return true;
         }
         let min_grant = self.cfg.policy.min_start(req_eff);
         // Work-balancing placement: the cell with the most free nodes,
         // ties to the lowest cell id.
         let Some((cell, free)) = self.pool.roomiest(None).filter(|&(_, f)| f >= min_grant) else {
-            return Ok(false);
+            return false;
         };
         let full = req_eff.min(free);
         let job = &mut self.jobs[slot];
@@ -473,11 +443,11 @@ impl<'a> Engine<'a> {
         self.queues.pop_head(ti as u32);
         self.queues.charge(ti, grant);
         self.queues.tenants[ti].inflight += 1;
-        self.start_job(slot, cell, grant)?;
-        Ok(true)
+        self.start_job(slot, cell, grant);
+        true
     }
 
-    fn start_job(&mut self, slot: u32, cell_id: u32, grant: u32) -> SimResult<()> {
+    fn start_job(&mut self, slot: u32, cell_id: u32, grant: u32) {
         let now = self.now;
         let e = &mut self.jobs[slot];
         e.state = JobState::Running;
@@ -507,7 +477,7 @@ impl<'a> Engine<'a> {
             decision::PLACE
         };
         self.log.record(now, op, e.tag(), cell_id, grant, wait_ns);
-        self.schedule_phase(slot, restart_cost)
+        self.schedule_phase(slot, restart_cost);
     }
 
     // ----- iteration scheduling --------------------------------------------
@@ -515,15 +485,19 @@ impl<'a> Engine<'a> {
     /// Prices the job's next iteration on its current allocation and
     /// schedules its end. A workload that errors fails the job; one that
     /// panics keeps its nodes while it waits to be asked again, and the
-    /// idle window is charged as allocated time.
-    fn schedule_phase(&mut self, slot: u32, restart_cost: SimDuration) -> SimResult<()> {
+    /// idle window is charged as allocated time. Returns whether it failed
+    /// the job, whose nodes the caller may then need to place.
+    fn schedule_phase(&mut self, slot: u32, restart_cost: SimDuration) -> bool {
         let now = self.now;
         let e = &mut self.jobs[slot];
         let n = e.held.len() as u64;
         let report = &mut self.cells.reports[e.cell as usize];
         let (nominal, work) = match self.scorer.price(e) {
             Priced::Point(span, work) => (span, work),
-            Priced::Failed => return self.fail_running(slot),
+            Priced::Failed => {
+                self.end_job(slot, decision::FAIL);
+                return true;
+            }
             Priced::Retry(backoff) => {
                 // The backoff is the job's current interval: a fault or a
                 // cancellation inside it refunds only what is left of it.
@@ -538,7 +512,7 @@ impl<'a> Engine<'a> {
                     restart: restart_cost,
                 };
                 self.global.schedule(now + backoff, retry);
-                return Ok(());
+                return false;
             }
         };
         let (mut span, degraded) =
@@ -557,7 +531,8 @@ impl<'a> Engine<'a> {
         // An iteration that cannot end before the end of time would run in
         // zero virtual time: its job fails instead.
         let Some(end) = now.checked_add(span).filter(|&end| end < SimTime::MAX) else {
-            return self.fail_running(slot);
+            self.end_job(slot, decision::FAIL);
+            return true;
         };
         e.gen += 1;
         e.iter_start = now;
@@ -571,38 +546,33 @@ impl<'a> Engine<'a> {
             gen: e.gen,
         };
         self.cells.schedule(end, pe);
-        Ok(())
+        false
     }
 
     /// A profiling retry came due. Stale retries — the job was meanwhile
     /// interrupted, cancelled, or its slot reused — are dropped by the
     /// epoch/gen guard.
-    fn handle_retry(
-        &mut self,
-        slot: u32,
-        epoch: u32,
-        gen: u32,
-        restart: SimDuration,
-    ) -> SimResult<()> {
+    fn handle_retry(&mut self, slot: u32, epoch: u32, gen: u32, restart: SimDuration) {
         let e = &self.jobs[slot];
-        if e.epoch != epoch || e.gen != gen || e.state != JobState::Running {
-            return Ok(());
+        let live = e.epoch == epoch && e.gen == gen && e.state == JobState::Running;
+        if live && self.schedule_phase(slot, restart) {
+            self.place_pending();
         }
-        self.schedule_phase(slot, restart)
     }
 
-    fn handle_phase_end(&mut self, pe: PhaseEnd) -> SimResult<()> {
+    fn handle_phase_end(&mut self, pe: PhaseEnd) {
         let (cell_id, slot) = (pe.cell, pe.slot);
         let e = &mut self.jobs[slot];
         if e.state != JobState::Running || e.gen != pe.gen {
-            return Ok(()); // stale (interrupted or cancelled meanwhile)
+            return; // stale (interrupted or cancelled meanwhile)
         }
         let iter_work = e.finish_iteration(&self.pricing.ckpt);
         let report = &mut self.cells.reports[cell_id as usize];
         report.iterations += 1;
         report.committed_work_ns += u128::from(iter_work.as_nanos());
         if e.phase >= e.payload.iterations() {
-            return self.complete_job(slot);
+            self.end_job(slot, decision::COMPLETE);
+            return self.place_pending();
         }
         // Resize at the boundary: shrink to the efficiency target, or grow
         // back into the cell's free nodes when capacity allows.
@@ -616,7 +586,10 @@ impl<'a> Engine<'a> {
             .scorer
             .boundary(&mut self.log, self.now, slot, e, cap, &self.pool);
         let target = match decided {
-            Err(_) => return self.fail_running(slot),
+            Err(_) => {
+                self.end_job(slot, decision::FAIL);
+                return self.place_pending();
+            }
             Ok(WhatIfAction::Migrate { cell, nodes }) => {
                 return self.migrate_job(slot, cell, nodes);
             }
@@ -641,18 +614,17 @@ impl<'a> Engine<'a> {
         } else if target > n {
             self.pool.grant(cell_id, target - n, slot, &mut e.held);
         }
-        self.schedule_phase(slot, SimDuration::ZERO)?;
-        if target < n {
-            // Shrinking freed capacity other tenants may be waiting for.
-            self.place_pending()?;
+        // Shrinking or failing freed capacity other tenants may be waiting
+        // for.
+        if self.schedule_phase(slot, SimDuration::ZERO) || target < n {
+            self.place_pending();
         }
-        Ok(())
     }
 
     /// Commits a what-if migration: checkpoint here, restart on `nodes` in
     /// cell `to` (always a growth move — the scorer only proposes migration
     /// when the destination beats every in-place candidate).
-    fn migrate_job(&mut self, slot: u32, to: u32, nodes: u32) -> SimResult<()> {
+    fn migrate_job(&mut self, slot: u32, to: u32, nodes: u32) {
         let e = &mut self.jobs[slot];
         self.pool.release_all(&mut e.held);
         e.cell = to;
@@ -662,75 +634,78 @@ impl<'a> Engine<'a> {
         e.since_ckpt = SimDuration::ZERO;
         e.extra_ckpt_phase = e.phase;
         let ckpt = self.pricing.ckpt;
-        self.schedule_phase(slot, ckpt.checkpoint_cost + ckpt.restart_cost)?;
-        // The vacated cell's nodes may unblock queued tenants.
-        self.place_pending()
+        self.schedule_phase(slot, ckpt.checkpoint_cost + ckpt.restart_cost);
+        // The vacated cell's nodes (or, if the job failed, all of them)
+        // may unblock queued tenants.
+        self.place_pending();
     }
 
     // ----- terminal transitions --------------------------------------------
 
-    /// A placed job leaves its cell for good: its nodes return to the
-    /// pool and its tenant's quota frees. Returns its journal identity,
-    /// cell and allocation.
-    fn vacate(&mut self, slot: u32) -> (JobTag, u32, u32) {
+    /// The one exit of an admitted job: `op` is `decision::COMPLETE`,
+    /// `FAIL` or `CANCEL`. A placed job returns its nodes and its
+    /// tenant's quota; a queued one leaves its queue. Journals the
+    /// decision, frees the slot, and never places: the caller does.
+    fn end_job(&mut self, slot: u32, op: u32) {
+        debug_assert!(matches!(
+            op,
+            decision::COMPLETE | decision::FAIL | decision::CANCEL
+        ));
+        let now = self.now;
         let e = &mut self.jobs[slot];
-        let left = (e.tag(), e.cell, e.held.len() as u32);
-        self.pool.release_all(&mut e.held);
-        self.queues.tenants[e.tenant as usize].inflight -= 1;
-        self.makespan = self.makespan.max(self.now);
-        left
-    }
-
-    fn complete_job(&mut self, slot: u32) -> SimResult<()> {
-        let turnaround = (self.now - self.jobs[slot].arrival).as_nanos();
-        let (tag, cell, n) = self.vacate(slot);
-        self.cells.reports[cell as usize].completed += 1;
-        self.tenants[tag.tenant as usize].completed += 1;
-        self.log
-            .record(self.now, decision::COMPLETE, tag, cell, n, turnaround);
-        self.release_slot(slot);
-        self.place_pending()
-    }
-
-    /// Terminal failure of a *running* job (workload error or panic): the
-    /// service keeps serving everyone else.
-    fn fail_running(&mut self, slot: u32) -> SimResult<()> {
-        let (tag, cell, n) = self.vacate(slot);
-        if self.placing {
-            // Failed at start, under the placement loop: its nodes are
-            // free again, so capacity-blocked tenants deserve a retry.
-            self.freed_while_placing = true;
+        let tag = e.tag();
+        let (cell, nodes, extra) = if e.state == JobState::Running {
+            let report = &mut self.cells.reports[e.cell as usize];
+            let mut turnaround = 0;
+            match op {
+                decision::COMPLETE => {
+                    report.completed += 1;
+                    turnaround = (now - e.arrival).as_nanos();
+                }
+                decision::FAIL => report.failed += 1,
+                _ => {
+                    report.allocated_node_ns -= e.unused_node_ns(now);
+                    report.cancelled += 1;
+                    e.gen += 1; // stale out the PhaseEnd
+                }
+            }
+            let n = e.held.len() as u32;
+            self.pool.release_all(&mut e.held);
+            self.queues.tenants[e.tenant as usize].inflight -= 1;
+            (e.cell, n, turnaround)
+        } else {
+            if e.state == JobState::Pending {
+                let removed = self.queues.remove(tag.tenant, slot);
+                debug_assert!(removed, "pending job must be queued");
+            }
+            // A queued failure journals its request, a cancellation none.
+            let nodes = if op == decision::FAIL { e.requested } else { 0 };
+            (NO_CELL, nodes, 0)
+        };
+        self.makespan = self.makespan.max(now);
+        let tr = &mut self.tenants[tag.tenant as usize];
+        match op {
+            decision::COMPLETE => tr.completed += 1,
+            decision::FAIL => tr.failed += 1,
+            _ => tr.cancelled += 1,
         }
-        self.cells.reports[cell as usize].failed += 1;
-        self.tenants[tag.tenant as usize].failed += 1;
-        self.log.record(self.now, decision::FAIL, tag, cell, n, 0);
-        self.release_slot(slot);
-        self.place_pending()
-    }
-
-    /// Terminal failure of a job still in the queue (no surviving cell can
-    /// ever host it).
-    fn fail_pending(&mut self, slot: u32) {
-        let e = &self.jobs[slot];
-        self.tenants[e.tenant as usize].failed += 1;
-        self.makespan = self.makespan.max(self.now);
-        self.log
-            .record(self.now, decision::FAIL, e.tag(), NO_CELL, e.requested, 0);
-        self.release_slot(slot);
+        self.log.record(now, op, tag, cell, nodes, extra);
+        self.scorer.forget(slot, &mut self.jobs[slot]);
+        self.jobs.release(slot);
     }
 
     // ----- faults, returns, requeues, cancellations ------------------------
 
-    fn handle_fault(&mut self, o: &Outage) -> SimResult<()> {
+    fn handle_fault(&mut self, o: &Outage) {
         match self.pool.strike(o.node, o.returns.is_none()) {
-            Strike::Ignored => return Ok(()),
+            Strike::Ignored => return,
             Strike::Idle => {}
             Strike::Held(slot) => self.interrupt(slot),
         }
         if let Some(at) = o.returns {
             self.global.schedule(at, GlobalEv::Return(o.node));
         }
-        self.place_pending()
+        self.place_pending();
     }
 
     /// A fault struck a node the job holds: refund the unfinished remainder
@@ -770,48 +745,25 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn handle_requeue(&mut self, slot: u32, epoch: u32) -> SimResult<()> {
+    fn handle_requeue(&mut self, slot: u32, epoch: u32) {
         let e = &mut self.jobs[slot];
         if e.epoch != epoch || e.state != JobState::Limbo {
-            return Ok(()); // cancelled while in limbo
+            return; // cancelled while in limbo
         }
         e.state = JobState::Pending;
         self.queues.push_front(e.tenant, slot);
-        self.place_pending()
+        self.place_pending();
     }
 
-    fn handle_cancel(&mut self, slot: u32, epoch: u32) -> SimResult<()> {
-        let e = &mut self.jobs[slot];
+    fn handle_cancel(&mut self, slot: u32, epoch: u32) {
+        let e = &self.jobs[slot];
         if e.epoch != epoch {
-            return Ok(()); // job already finished
+            return; // job already finished
         }
-        let (tag, state) = (e.tag(), e.state);
-        match state {
-            JobState::Pending | JobState::Limbo => {
-                if state == JobState::Pending {
-                    let removed = self.queues.remove(tag.tenant, slot);
-                    debug_assert!(removed, "pending job must be queued");
-                }
-                self.makespan = self.makespan.max(self.now);
-                self.log
-                    .record(self.now, decision::CANCEL, tag, NO_CELL, 0, 0);
-            }
-            JobState::Running => {
-                let refund = e.unused_node_ns(self.now);
-                e.gen += 1; // stale out the PhaseEnd
-                let (_, cell, grant) = self.vacate(slot);
-                let report = &mut self.cells.reports[cell as usize];
-                report.allocated_node_ns -= refund;
-                report.cancelled += 1;
-                self.log
-                    .record(self.now, decision::CANCEL, tag, cell, grant, 0);
-            }
+        let running = e.state == JobState::Running;
+        self.end_job(slot, decision::CANCEL);
+        if running {
+            self.place_pending();
         }
-        self.tenants[tag.tenant as usize].cancelled += 1;
-        self.release_slot(slot);
-        if state == JobState::Running {
-            self.place_pending()?;
-        }
-        Ok(())
     }
 }

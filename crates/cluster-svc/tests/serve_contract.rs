@@ -109,7 +109,17 @@ fn cancel_token_aborts_between_events() {
     let err = svc
         .serve(small_load(300_000), &FaultPlan::none(), &opts)
         .unwrap_err();
-    assert!(matches!(err.kind, SimErrorKind::Cancelled { .. }));
+    // The token is polled before the first instant, so nothing runs.
+    assert!(
+        matches!(
+            err.kind,
+            SimErrorKind::Cancelled {
+                at: SimTime::ZERO,
+                steps: 0
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]

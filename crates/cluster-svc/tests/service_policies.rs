@@ -164,6 +164,64 @@ fn panicking_tenant_workload_is_quarantined() {
 }
 
 #[test]
+fn a_failed_start_gives_back_only_what_it_took() {
+    // Tenant a's job holds 4 of 8 nodes. At t = 1 s tenant b asks for all
+    // 8, then tenant a for 4 with a workload that errors at start: b stays
+    // blocked, a's job takes the 4 free nodes and fails at once, and b
+    // starts only when the first job completes.
+    let cfg = ServiceConfig::new(8, 1, 1, SchedulePolicy::Rigid)
+        .with_tenant(TenantSpec::new("a", 1))
+        .with_tenant(TenantSpec::new("b", 1));
+    let t1 = 1_000_000_000;
+    let stream = vec![
+        unit_job(0, 0, 4, 20),
+        unit_job(1, t1, 8, 8),
+        JobSpec::boxed(0, SimTime(t1), 4, Arc::new(ErrWorkload)),
+    ];
+    let opts = ServeOptions {
+        journal: true,
+        ..ServeOptions::default()
+    };
+    let out = ClusterService::new(cfg)
+        .unwrap()
+        .serve(stream, &FaultPlan::none(), &opts)
+        .unwrap();
+    let (r, j) = (out.report, out.journal.unwrap());
+    // `(instant, cell, nodes)` of every `want` decision about `id`.
+    let on = |id: u64, want: u32| -> Vec<(SimTime, u32, u64)> {
+        j.entries
+            .iter()
+            .filter_map(|e| match e.event {
+                JournalEvent::Step {
+                    job,
+                    op,
+                    node,
+                    start,
+                    ..
+                } if job == id && op == want => Some((e.vtime, node, start)),
+                _ => None,
+            })
+            .collect()
+    };
+    let first_done = on(0, decision::COMPLETE);
+    assert_eq!(first_done.len(), 1);
+    let done_at = first_done[0].0;
+    assert!(done_at > SimTime(t1));
+    assert_eq!(on(2, decision::PLACE), [(SimTime(t1), 0, 4)]);
+    assert_eq!(on(2, decision::FAIL), [(SimTime(t1), 0, 4)]);
+    assert_eq!(on(1, decision::PLACE), [(done_at, 0, 8)], "b waits for 8");
+    let b_done = on(1, decision::COMPLETE)[0].0;
+    // Allocated time: the first job's 4 nodes and b's 8, nothing for the
+    // failed start.
+    let node_ns = |n: u128, from: SimTime, to: SimTime| n * u128::from((to - from).as_nanos());
+    assert_eq!(
+        r.cells[0].allocated_node_ns,
+        node_ns(4, SimTime::ZERO, done_at) + node_ns(8, done_at, b_done)
+    );
+    assert_eq!((r.completed_jobs(), r.failed_jobs()), (2, 1));
+}
+
+#[test]
 fn oversized_and_degenerate_requests_are_rejected_not_fatal() {
     let cfg =
         ServiceConfig::new(4, 1, 1, SchedulePolicy::Rigid).with_tenant(TenantSpec::new("t", 1));
