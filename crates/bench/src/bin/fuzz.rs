@@ -119,15 +119,8 @@ fn main() {
             if !args.quiet && out.cases.len() > seen_ok {
                 let c = &out.cases[out.cases.len() - 1];
                 println!(
-                    "  case {}: ok ({}, {} events{})",
-                    c.index,
-                    c.what,
-                    c.journal_len,
-                    if c.perturbation_fired {
-                        ", perturbation pinpointed"
-                    } else {
-                        ""
-                    }
+                    "  case {}: ok ({}, {} events)",
+                    c.index, c.what, c.journal_len
                 );
             }
             if out.failures.len() > seen_fail {

@@ -22,10 +22,9 @@
 //!
 //! `--replay [path]` instead verifies such a journal (default
 //! `results/lu_reference.journal`): the run is rebuilt from the journal's
-//! own metadata, resumed from an empty, a midpoint and a full prefix, and
-//! every replay must re-emit the recorded event stream and canonical digest
-//! byte-for-byte. A mismatch exits non-zero naming the first diverging
-//! event.
+//! own metadata and simulated once, and it must re-emit the recorded event
+//! stream and canonical digest byte-for-byte. A mismatch exits non-zero
+//! naming the first diverging event.
 //!
 //! Only virtual-time values are written here. Host-time numbers (jobs/s,
 //! decision latency, fork-vs-fresh) come from `benchmark run` / `trace`;
@@ -69,10 +68,9 @@ fn replay_mode(path_arg: Option<String>) -> ! {
     match replay_journal_file(&path) {
         Ok(r) => {
             println!(
-                "replay: {} ({} events) byte-identical from prefixes {:?}",
+                "replay: {} ({} events) byte-identical",
                 path.display(),
-                r.events,
-                r.prefixes
+                r.events
             );
             std::process::exit(0);
         }

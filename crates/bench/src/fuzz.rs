@@ -4,18 +4,12 @@
 //! stencil, random sizes and worker→node routing) on node ids that are
 //! dense, gappy, or spread up to the engine's node-id limit, and an
 //! optional seeded fault plan, then asserts the engine's core invariant
-//! four ways:
+//! two ways:
 //!
 //! 1. **Rerun**: a second fresh run is equivalent to the baseline
 //!    (`dps_sim::check_equivalent`: committed-event journal, metadata
 //!    excluded, then canonical report);
-//! 2. **Replay**: re-executing against the recorded journal from a random
-//!    prefix is equivalent to the baseline in the same sense;
-//! 3. **Pinpointer sanity**: a run perturbed with an injected commit-order
-//!    tie-break swap either leaves the stream untouched (the drawn swap
-//!    index never fired) or produces a divergence diagnostic that names a
-//!    ticket and a virtual time;
-//! 4. **Fork**: a run paused at a random instant and forked — fault plan
+//! 2. **Fork**: a run paused at a random instant and forked — fault plan
 //!    and all — finishes equivalent to the baseline, and so does the
 //!    paused original.
 //!
@@ -34,7 +28,6 @@ use std::sync::Arc;
 use cluster_svc::{DurabilitySpec, WriteAheadLog};
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
 use dps::Application;
-use dps_sim::journal::replay_with_fabric;
 use dps_sim::{
     check_equivalent, SimCheckpoint, SimConfig, SimErrorKind, SimFabric, SimResult, TimingMode,
     NODE_ID_LIMIT,
@@ -64,8 +57,6 @@ pub struct CaseReport {
     pub what: String,
     /// Journal length of the baseline run.
     pub journal_len: usize,
-    /// Whether the injected tie-break swap actually perturbed the stream.
-    pub perturbation_fired: bool,
 }
 
 /// Outcome of a fuzz run: per-case logs and pinpointed failures.
@@ -224,47 +215,13 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
 
     let baseline = run_case_app(&app, &plan, net, &base_cfg())
         .map_err(|e| fail("baseline run", e.to_string()))?;
-    let recorded = baseline.journal.as_ref().expect("journal recorded");
 
     // 1. A second fresh run commits the same stream.
     let rerun = run_case_app(&app, &plan, net, &base_cfg())
         .map_err(|e| fail("second run", e.to_string()))?;
     check_equivalent(&rerun, &baseline).map_err(|d| fail("rerun≡baseline", d))?;
 
-    // 2. Replay from a random prefix.
-    let prefix = rng.gen_range_u64(0, recorded.len() as u64 + 1) as usize;
-    let mut fabric = fabric_for(&plan, net);
-    let out = replay_with_fabric(&app, &mut fabric, &base_cfg(), recorded, prefix)
-        .map_err(|e| fail("replay run", e.to_string()))?;
-    check_equivalent(&out.report, &baseline)
-        .map_err(|d| fail(&format!("replay at prefix={prefix}"), d))?;
-
-    // 3. Pinpointer sanity under an injected tie-break swap.
-    let mut cfg = base_cfg();
-    cfg.tie_break_swap = Some(rng.gen_range_u64(0, 4));
-    let perturbed =
-        run_case_app(&app, &plan, net, &cfg).map_err(|e| fail("perturbed run", e.to_string()))?;
-    let pj = perturbed.journal.as_ref().expect("journal recorded");
-    let perturbation_fired = match pj.first_divergence(recorded) {
-        None => false,
-        Some(d) => {
-            if d.ticket.is_none() && d.field != "length" {
-                return Err(fail(
-                    "pinpointer",
-                    format!("divergence without a ticket: {d}"),
-                ));
-            }
-            if d.vtime_ours.or(d.vtime_theirs).is_none() {
-                return Err(fail(
-                    "pinpointer",
-                    format!("divergence without a vtime: {d}"),
-                ));
-            }
-            true
-        }
-    };
-
-    // 4. Pause at a random instant, fork, and finish both copies.
+    // 2. Pause at a random instant, fork, and finish both copies.
     let t = SimTime(rng.gen_range_u64(0, baseline.completion.as_nanos() + 1));
     let mut paused = SimCheckpoint::new(
         Arc::new(case.build(&ids)),
@@ -285,8 +242,7 @@ fn run_case(index: usize, root_seed: u64) -> Result<CaseReport, String> {
     Ok(CaseReport {
         index,
         what,
-        journal_len: recorded.len(),
-        perturbation_fired,
+        journal_len: baseline.journal.as_ref().map_or(0, Journal::len),
     })
 }
 
@@ -306,17 +262,6 @@ fn run_out_of_range_case(node: u32) -> Result<(), String> {
     let net = NetParams::fast_ethernet();
     let checks = [
         ("run", run_case_app(&app, &None, net, &base_cfg()).err()),
-        (
-            "replay",
-            replay_with_fabric(
-                &app,
-                &mut SimFabric::new(net),
-                &base_cfg(),
-                &Journal::new(),
-                0,
-            )
-            .err(),
-        ),
         (
             "checkpoint",
             SimCheckpoint::new(Arc::new(app), SimFabric::new(net), &base_cfg())

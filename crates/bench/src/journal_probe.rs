@@ -7,17 +7,16 @@
 //! `results/lu_reference.journal`. The file is self-contained: the
 //! application configuration, root seed and a digest of the canonical
 //! report ride along as journal metadata, so `scenarios --replay <path>` can
-//! rebuild the exact run in a later process, resume it from several
-//! prefixes, and byte-compare — reporting the first diverging event
-//! (ticket, virtual time, op, field) on any mismatch instead of a
-//! whole-file diff.
+//! rebuild the exact run in a later process, run it once, and byte-compare
+//! — reporting the first diverging event (ticket, virtual time, op, field)
+//! on any mismatch instead of a whole-file diff.
 
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 use desim::fxhash::FxHasher;
-use dps_sim::{replay, Journal};
-use lu_app::{build_lu_app, LuConfig};
+use dps_sim::Journal;
+use lu_app::LuConfig;
 
 use crate::Env;
 
@@ -95,15 +94,13 @@ pub fn record_reference_journal(
 pub struct JournalReplay {
     /// Committed events in the recorded stream.
     pub events: usize,
-    /// Prefix lengths replay resumed from (each byte-identical).
-    pub prefixes: Vec<usize>,
 }
 
 /// Decodes a journal written by [`record_reference_journal`], rebuilds
-/// the run from its metadata, and replays it from an empty, a midpoint
-/// and a full prefix. Every replay must re-emit the recorded stream
-/// event-for-event and reproduce the recorded canonical digest; the error
-/// pinpoints the first diverging event otherwise.
+/// the run from its metadata, and runs it again. The rerun must re-emit
+/// the recorded stream event-for-event and reproduce the recorded
+/// canonical digest; the error pinpoints the first diverging event
+/// otherwise.
 pub fn replay_journal_file(path: &Path) -> Result<JournalReplay, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let recorded =
@@ -135,26 +132,22 @@ pub fn replay_journal_file(path: &Path) -> Result<JournalReplay, String> {
 
     let mut env = Env::paper_seeded(seed);
     env.simcfg.record_journal = true;
-    let cfg = env.lu_sized(n, r, nodes);
-    let (app, _shared) = build_lu_app(cfg);
-
-    let prefixes = vec![0, recorded.len() / 2, recorded.len()];
-    for &prefix in &prefixes {
-        let out = replay(&app, env.net, &env.simcfg, &recorded, prefix)
-            .map_err(|e| format!("replay from prefix {prefix} failed: {e}"))?;
-        if let Some(d) = out.divergence {
-            return Err(format!("replay from prefix {prefix} diverged: {d}"));
-        }
-        let got = canonical_digest(&out.report.canonical_string());
-        if got != digest {
-            return Err(format!(
-                "replay from prefix {prefix}: canonical digest {got} != recorded {digest}"
-            ));
-        }
+    let report = env
+        .predict(&env.lu_sized(n, r, nodes))
+        .map_err(|e| format!("rerun failed: {e}"))?
+        .report;
+    let rerun = report.journal.as_ref().expect("record_journal was set");
+    if let Some(d) = rerun.first_divergence(&recorded) {
+        return Err(format!("rerun diverged: {d}"));
+    }
+    let got = canonical_digest(&report.canonical_string());
+    if got != digest {
+        return Err(format!(
+            "rerun: canonical digest {got} != recorded {digest}"
+        ));
     }
     Ok(JournalReplay {
         events: recorded.len(),
-        prefixes,
     })
 }
 
@@ -172,7 +165,6 @@ mod tests {
         assert!(probe.events > 0);
         let replayed = replay_journal_file(&path).unwrap();
         assert_eq!(replayed.events, probe.events);
-        assert_eq!(replayed.prefixes.len(), 3);
         let _ = std::fs::remove_file(&path);
     }
 

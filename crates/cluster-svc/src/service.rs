@@ -61,7 +61,7 @@ use crate::rules::{capped_backoff, FaultPricing, NodePool, Strike};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
 
 /// Execution budgets for one `serve` call (`0`/zero duration = unlimited),
-/// the service-level analogue of `SimConfig::max_steps`/`max_virtual_time`.
+/// the service-level analogue of `SimConfig::max_steps`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceBudget {
     /// Abort with [`SimErrorKind::BudgetExceeded`] after this many events.

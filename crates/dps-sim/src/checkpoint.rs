@@ -26,10 +26,11 @@
 //! configuration — property tests assert byte-for-byte equality of
 //! [`RunReport::canonical_string`].
 //!
-//! The point: a parameter sweep whose configurations share a common prefix
-//! (same matrix, same cluster, different *removal plans* kicking in at
-//! iteration `k`) pays for the shared prefix once and only re-simulates the
-//! divergent suffixes.
+//! The one program caller is the what-if evaluator
+//! (`workload::whatif::WhatIfEvaluator`): it keeps a job's run paused at
+//! its current iteration barrier and scores each candidate removal plan on
+//! a fork, so the shared prefix is simulated once per job and only the
+//! divergent suffixes are re-simulated.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -84,8 +85,8 @@ impl SimCheckpoint {
 
     /// Advances until the next event would land past `t`. Returns
     /// `Ok(true)` while the run still has work left, `Ok(false)` once it
-    /// completed, and the typed failure if the run deadlocked, blew a
-    /// budget, or was cancelled while advancing.
+    /// completed, and the typed failure if the run deadlocked or blew its
+    /// step budget while advancing.
     pub fn advance_until(&mut self, t: SimTime) -> SimResult<bool> {
         let wall = Instant::now();
         self.eng.control.time_limit = Some(t);

@@ -1,8 +1,8 @@
 //! Run control: everything that can stop the event loop short of the end of
 //! the run and let a later call pick up exactly where it stopped — the
-//! checkpoint machinery's pause predicate and time limit, the replayer's
-//! journal-prefix limit — and the buffer of same-instant events that makes
-//! stopping *between* two of them possible.
+//! checkpoint machinery's pause predicate and time limit — and the buffer
+//! of same-instant events that makes stopping *between* two of them
+//! possible.
 
 use desim::SimTime;
 use dps::{AnyDataObject, OpId, Operation, ThreadId};
@@ -27,9 +27,9 @@ pub struct PausePoint<'e> {
 /// Pause predicate for [`crate::checkpoint::SimCheckpoint::run_until`].
 pub type PausePred = Box<dyn FnMut(&PausePoint<'_>) -> bool>;
 
-/// The loop's stop conditions and event buffer. Drivers (checkpoints, the
-/// replayer) set the limits between `Engine::resume` calls; none is ever
-/// set during plain `simulate` runs.
+/// The loop's stop conditions and event buffer. Checkpoints set the stop
+/// conditions between `Engine::resume` calls; neither is ever set during
+/// plain `simulate` runs.
 #[derive(Default)]
 pub(crate) struct RunControl {
     /// Completed transfers / finished steps not yet acted upon. The event
@@ -48,28 +48,11 @@ pub(crate) struct RunControl {
     /// Virtual-time ceiling (checkpoint `advance_until`); the loop stops
     /// before advancing past it.
     pub(crate) time_limit: Option<SimTime>,
-    /// Stop the loop once the journal holds at least this many entries
-    /// (replay-to-prefix; granularity is the enclosing event batch).
-    pub(crate) journal_limit: Option<usize>,
-    /// Event batches seen so far in which ≥ 2 steps finished at the same
-    /// instant (drives [`crate::SimConfig::tie_break_swap`]).
-    tie_batches: u64,
 }
 
 impl RunControl {
     /// Readies the events one instant just reported for consumption.
-    /// `tie_break_swap` is the fuzzing hook of that name: it perturbs the
-    /// id tie-break of the n-th batch in which two or more steps finished
-    /// together.
-    pub(crate) fn order_batch(&mut self, tie_break_swap: Option<u64>) {
-        if let Some(n) = tie_break_swap {
-            if self.finished.len() >= 2 {
-                if self.tie_batches == n {
-                    self.finished.swap(0, 1);
-                }
-                self.tie_batches += 1;
-            }
-        }
+    pub(crate) fn order_batch(&mut self) {
         self.arrived.reverse();
         self.finished.reverse();
     }
@@ -91,7 +74,6 @@ impl RunControl {
             arrived: self.arrived.clone(),
             finished: self.finished.clone(),
             parked: self.parked.clone(),
-            tie_batches: self.tie_batches,
             ..RunControl::default()
         }
     }

@@ -39,8 +39,7 @@ use crate::collect::{Action, Buffers, CollectCtx, Invocation};
 use crate::control::RunControl;
 use crate::cpu::{CpuModel, StepInfo};
 use crate::error::{
-    find_wait_cycle, BlockedOp, BudgetKind, CancelToken, DeadlockDiag, SimError, SimErrorKind,
-    SimResult,
+    find_wait_cycle, BlockedOp, BudgetKind, DeadlockDiag, SimError, SimErrorKind, SimResult,
 };
 use crate::fabric::{Fabric, SimFabric};
 use crate::memory::MemoryMeter;
@@ -107,8 +106,8 @@ impl Delivery {
 
 /// Runs `app` on the paper's machine model with the given network
 /// parameters. Fails with a typed [`SimError`] on invalid parameters,
-/// deadlock, a blown budget, cancellation, or a wiring bug — never panics,
-/// never hangs.
+/// deadlock, a blown step budget, or a wiring bug — never panics, never
+/// hangs.
 pub fn simulate(app: &Application, params: NetParams, cfg: &SimConfig) -> SimResult<RunReport> {
     let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
     run(app, &mut fabric, cfg)
@@ -152,8 +151,8 @@ pub(crate) struct Engine<A, F> {
     fabric: F,
     cpu: CpuModel,
     acct: Accounting,
-    /// How far the loop may run; drivers (checkpoints, the replayer) set
-    /// its limits between [`Engine::resume`] calls.
+    /// How far the loop may run; checkpoints set its limits between
+    /// [`Engine::resume`] calls.
     pub(crate) control: RunControl,
     /// Committed-event journal; present when the run records a journal
     /// and/or a trace (the trace is derived from it at the end of the run).
@@ -282,28 +281,11 @@ where
     /// Acts on every buffered event, then advances virtual time to the next
     /// one. Returns `false` when the run is over (terminated, quiescent,
     /// step budget blown) or stopped by the run control (pause predicate
-    /// fired, time or journal limit reached) — in the stopped cases the
-    /// un-acted-on events stay buffered and a later call resumes exactly
-    /// where this one left off.
+    /// fired, time limit reached) — in the stopped cases the un-acted-on
+    /// events stay buffered and a later call resumes exactly where this one
+    /// left off.
     fn step_events(&mut self) -> bool {
         if self.terminated || self.error.is_some() {
-            return false;
-        }
-        if let (Some(lim), Some(j)) = (self.control.journal_limit, &self.journal) {
-            if j.len() >= lim {
-                return false;
-            }
-        }
-        if self
-            .cfg
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled)
-        {
-            self.fail(SimError::new(SimErrorKind::Cancelled {
-                at: self.now,
-                steps: self.steps_executed,
-            }));
             return false;
         }
         // Network first: arrivals may start new computations at `now`.
@@ -335,14 +317,6 @@ where
             (Some(a), Some(b)) => a.min(b),
         };
         debug_assert!(t >= self.now);
-        if self.cfg.max_virtual_time.is_some_and(|lim| t > lim) {
-            self.fail(SimError::new(SimErrorKind::BudgetExceeded {
-                kind: BudgetKind::VirtualTime,
-                at: self.now,
-                steps: self.steps_executed,
-            }));
-            return false;
-        }
         if self.control.time_limit.is_some_and(|lim| t > lim) {
             return false;
         }
@@ -352,7 +326,7 @@ where
         debug_assert!(self.control.arrived.is_empty() && self.control.finished.is_empty());
         self.fabric.advance_into(t, &mut self.control.arrived);
         self.cpu.take_finished_into(t, &mut self.control.finished);
-        self.control.order_batch(self.cfg.tie_break_swap);
+        self.control.order_batch();
         true
     }
 
@@ -681,12 +655,6 @@ where
 
     pub(crate) fn current_time(&self) -> SimTime {
         self.now
-    }
-
-    /// Committed atomic steps so far — the deterministic cost metric
-    /// (surfaced as `RunReport::steps` at the end of a run).
-    pub(crate) fn steps(&self) -> u64 {
-        self.steps_executed
     }
 
     /// The typed failure recorded so far, if any — checkpoints poll this

@@ -1,4 +1,4 @@
-//! Journal consumers: replay, divergence pinpointing, and the trace view.
+//! Journal consumers: divergence pinpointing and the trace view.
 //!
 //! The engine emits the committed-event journal (schema and encoding in
 //! [`desim::journal`]); this module holds everything built *on top* of it
@@ -7,12 +7,6 @@
 //! * [`trace_from_journal`] — the Gantt/chrome [`Trace`] is a derived view
 //!   of the journal (`Step` entries become step records, `Arrive` entries
 //!   become transfer records), not a second instrumentation path;
-//! * [`replay`] / [`replay_with_fabric`] — re-execute a run against a
-//!   recorded journal: drive the engine to the batch boundary at a chosen
-//!   prefix length (the reconstructed intermediate state), resume to
-//!   completion, and check every re-emitted event against the recorded one.
-//!   A deterministic engine replays any prefix to a byte-identical report;
-//!   the first mismatch comes back as a pinpointed [`Divergence`];
 //! * [`check_equivalent`] — the property tests' comparison: when both
 //!   reports carry journals, a mismatch names the first diverging event
 //!   (ticket, virtual time, op, field) instead of diffing canonical
@@ -23,19 +17,15 @@
 //! A journal does not serialize engine state; it serializes the *committed
 //! decisions* of a run. Because the engine is deterministic, re-executing
 //! the same application/fabric/config re-takes exactly those decisions, so
-//! "reconstructing state at prefix k" is: re-execute until k events have
-//! been committed. The engine pauses at the first event-batch boundary at
-//! or past k (events within one virtual instant commit atomically), hands
-//! back the reconstructed state's virtual time and step count, then
-//! resumes. Replay therefore doubles as verification — every event after
-//! the pause is checked against the recorded stream too.
-
-use std::time::Instant;
+//! replaying a recording is running it again with `record_journal` set and
+//! comparing the two streams ([`Journal::first_divergence`], or
+//! [`check_equivalent`] for whole reports). State at an intermediate point
+//! comes from a checkpoint ([`crate::SimCheckpoint`]), whose paused runs
+//! must finish identical to uninterrupted ones.
 
 use desim::SimTime;
 use dps::{Application, OpId, ThreadId};
-use faults::FaultPlan;
-use netmodel::{NetParams, NodeId};
+use netmodel::NodeId;
 
 pub use desim::journal::{
     Divergence, Journal, JournalDecodeError, JournalEntry, JournalEvent, JOURNAL_MAGIC,
@@ -43,9 +33,6 @@ pub use desim::journal::{
 
 use desim::journal::first_text_divergence;
 
-use crate::engine::{Engine, SimConfig};
-use crate::error::SimResult;
-use crate::fabric::{Fabric, SimFabric};
 use crate::report::RunReport;
 use crate::trace::{StepRecord, Trace, TransferRecord};
 
@@ -87,72 +74,6 @@ pub fn trace_from_journal(j: &Journal, app: &Application) -> Trace {
         }
     }
     trace
-}
-
-/// What a replay produced: the full re-executed report (journal included),
-/// the virtual time and step count of the reconstructed intermediate state
-/// at the requested prefix, and the first divergence between the
-/// re-emitted stream and the recorded one (`None` for a faithful replay).
-#[derive(Debug)]
-pub struct ReplayOutcome {
-    /// Report of the re-executed run, resumed to completion.
-    pub report: RunReport,
-    /// Virtual time of the reconstructed state at the prefix boundary.
-    pub prefix_time: SimTime,
-    /// Atomic steps executed up to the prefix boundary.
-    pub prefix_steps: u64,
-    /// First disagreement between the replayed stream and `recorded`.
-    pub divergence: Option<Divergence>,
-}
-
-/// Replays `recorded` on the paper's machine model: re-executes `app`,
-/// pausing at the reconstructed state `prefix` events in, then resumes to
-/// completion and compares the re-emitted journal against `recorded`.
-/// Parameters that fail [`NetParams::validate`] are a protocol error.
-pub fn replay(
-    app: &Application,
-    params: NetParams,
-    cfg: &SimConfig,
-    recorded: &Journal,
-    prefix: usize,
-) -> SimResult<ReplayOutcome> {
-    let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
-    replay_with_fabric(app, &mut fabric, cfg, recorded, prefix)
-}
-
-/// [`replay`] against an arbitrary fabric (fault-injected runs replay over
-/// a [`SimFabric::with_plan`] built from the same plan).
-pub fn replay_with_fabric(
-    app: &Application,
-    fabric: &mut dyn Fabric,
-    cfg: &SimConfig,
-    recorded: &Journal,
-    prefix: usize,
-) -> SimResult<ReplayOutcome> {
-    // Two phases: first up to the batch boundary at or past `prefix` journal
-    // entries (the reconstructed intermediate state), then to completion.
-    let wall = Instant::now();
-    let cfg = SimConfig {
-        record_journal: true,
-        ..cfg.clone()
-    };
-    let mut eng = Engine::start(app, fabric, &cfg);
-    eng.control.journal_limit = Some(prefix);
-    eng.resume();
-    let (prefix_time, prefix_steps) = (eng.current_time(), eng.steps());
-    eng.control.journal_limit = None;
-    eng.resume();
-    let report = eng.into_result(wall.elapsed())?;
-    let divergence = report
-        .journal
-        .as_ref()
-        .and_then(|ours| ours.first_divergence(recorded));
-    Ok(ReplayOutcome {
-        report,
-        prefix_time,
-        prefix_steps,
-        divergence,
-    })
 }
 
 /// Compares two reports of supposedly equivalent runs. On mismatch the

@@ -50,8 +50,7 @@ pub use error::{
 };
 pub use fabric::{Fabric, SimFabric};
 pub use journal::{
-    check_equivalent, replay, replay_with_fabric, trace_from_journal, Divergence, Journal,
-    JournalEntry, JournalEvent, ReplayOutcome,
+    check_equivalent, trace_from_journal, Divergence, Journal, JournalEntry, JournalEvent,
 };
 pub use memory::MemoryMeter;
 pub use report::{Interval, RunReport};

@@ -128,6 +128,25 @@ fn single_worker_serializes_compute() {
 }
 
 #[test]
+fn free_split_leaves_merge_has_closed_form_makespan() {
+    // Closed form, independent of the engine: a free split posts N equal
+    // leaves of t at time zero, round-robin hands worker k the pieces
+    // k, k + P, …, each worker runs its queue back to back, and free
+    // communication adds nothing, so the last result lands at ⌈N/P⌉·t.
+    let t = MS * 3;
+    for p in 1..=4u32 {
+        let p64 = u64::from(p);
+        for n in [1, p64, p64 + 1, 2 * p64 + 1, 7] {
+            let app = pipeline_app(p, n, SimDuration::ZERO, t, 100);
+            let r = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
+            assert!(r.terminated, "P={p} N={n}");
+            let want = n.div_ceil(p64) * t.as_nanos();
+            assert_eq!(r.completion, SimTime(want), "P={p} N={n}");
+        }
+    }
+}
+
+#[test]
 fn cpu_sharing_on_one_node_halves_progress() {
     // Two *different* leaf ops arriving simultaneously on the same node run
     // under processor sharing: each 1ms step takes 2ms wall.

@@ -1,8 +1,8 @@
 //! Hardened-execution tests: mis-wired flow graphs must come back as
 //! typed `DeadlockDetected` errors naming the blocked operations (never
 //! a hang or a panic), invalid network parameters as typed `Protocol`
-//! errors, budgets and cancellation must fail runs cleanly, and a killed
-//! run must leave the application reusable. Node ids past the engine's
+//! errors, the step budget must fail runs cleanly, and a killed run must
+//! leave the application reusable. Node ids past the engine's
 //! per-node tables and a fabric whose transfer handles go backwards are
 //! typed `Protocol` errors too.
 
@@ -14,9 +14,8 @@ use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
 use dps_sim::{
-    check_equivalent, replay, simulate, simulate_until, simulate_with_fabric, BudgetKind,
-    CancelToken, Fabric, Journal, SimCheckpoint, SimConfig, SimErrorKind, SimFabric, TimingMode,
-    NODE_ID_LIMIT,
+    check_equivalent, simulate, simulate_until, simulate_with_fabric, BudgetKind, Fabric,
+    SimCheckpoint, SimConfig, SimErrorKind, SimFabric, TimingMode, NODE_ID_LIMIT,
 };
 use faults::FaultPlan;
 use netmodel::network::NetStats;
@@ -203,35 +202,6 @@ fn step_budget_fails_runs_instead_of_looping() {
 }
 
 #[test]
-fn virtual_time_budget_fails_runs_before_advancing_past_it() {
-    let mut c = cfg();
-    c.max_virtual_time = Some(SimTime(2_000_000)); // 2ms << the ~1s run
-    let err =
-        simulate(&good_app(64), NetParams::ideal(), &c).expect_err("the run lasts far beyond 2ms");
-    match err.kind {
-        SimErrorKind::BudgetExceeded { kind, at, .. } => {
-            assert_eq!(kind, BudgetKind::VirtualTime);
-            assert!(at <= SimTime(2_000_000), "stopped at {at}");
-        }
-        other => panic!("expected BudgetExceeded, got {other:?}"),
-    }
-}
-
-#[test]
-fn cancellation_token_aborts_between_events() {
-    let token = CancelToken::new();
-    token.cancel(); // cancelled before the run even starts
-    let mut c = cfg();
-    c.cancel = Some(token);
-    let err = simulate(&good_app(64), NetParams::ideal(), &c)
-        .expect_err("a cancelled token must abort the run");
-    assert!(
-        matches!(err.kind, SimErrorKind::Cancelled { .. }),
-        "expected Cancelled, got {err}"
-    );
-}
-
-#[test]
 fn budget_killed_run_leaves_the_application_reusable() {
     // Killing a run (budget or deadlock) must not poison the application
     // value: a fresh simulation of the same app completes and matches a
@@ -301,7 +271,6 @@ fn assert_params_rejected(params: NetParams, want: &str) {
     let errs = [
         simulate(&app, params, &cfg()).err(),
         simulate_until(Arc::new(good_app(1)), params, &cfg(), SimTime::ZERO).err(),
-        replay(&app, params, &cfg(), &Journal::new(), 0).err(),
         SimFabric::with_plan(params, &FaultPlan::none()).err(),
     ];
     for err in errs {
@@ -358,7 +327,6 @@ fn assert_node_rejected(app: Application) {
     let errs = [
         simulate(&app, params, &cfg()).err(),
         simulate_until(Arc::clone(&app), params, &cfg(), SimTime(1)).err(),
-        replay(&app, params, &cfg(), &Journal::new(), 0).err(),
         SimCheckpoint::new(Arc::clone(&app), fabric, &cfg())
             .finish()
             .err(),

@@ -95,8 +95,9 @@ pub fn predict_lu_with_fabric(
     finish(cfg, &sh, report).map_err(|e| e.context(lu_context(cfg)))
 }
 
-/// A pausable/forkable LU prediction run: the building block of
-/// shared-prefix sweeps (one common prefix, N divergent removal plans).
+/// A pausable/forkable LU prediction run: the what-if evaluator's warm
+/// base (`workload::whatif`), paused at a job's current iteration barrier
+/// and forked once per candidate removal plan.
 ///
 /// Only prediction (`DataMode::Alloc`/`Ghost`) runs fork — `Real` mode
 /// behaviours opt out of cloning and [`LuCheckpoint::fork`] fails with

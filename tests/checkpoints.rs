@@ -1,8 +1,8 @@
 //! Property tests for snapshot/fork simulation: a run paused at an
 //! arbitrary point, forked, and driven to completion must produce a
 //! `RunReport` byte-identical (modulo host wall time) to an uninterrupted
-//! run of the same configuration. This is the guarantee the shared-prefix
-//! sweep planner and the bench result cache are built on.
+//! run of the same configuration. This is the guarantee the what-if
+//! evaluator's fork-based scoring is built on.
 
 use std::sync::Arc;
 
@@ -175,6 +175,13 @@ fn faulted_forks_match_fresh_faulted_run() {
     let app = Arc::new(build_lu_app(cfg.clone()).0);
     let fresh = simulate_with_fabric(&app, &mut fabric(), &simcfg()).unwrap();
     assert_ne!(fresh.completion, quiet, "the plan moves the run");
+    // The plan's rate windows open the stream (RateWindow entries at t=0).
+    let journal = fresh.journal.as_ref().expect("journal recorded");
+    assert!(journal
+        .entries
+        .iter()
+        .take_while(|e| e.vtime == SimTime::ZERO)
+        .any(|e| e.event.kind_name() == "RateWindow"));
 
     let slow = plan.cpu_windows()[0];
     let inside = SimTime(slow.from.0 + (slow.to.0 - slow.from.0) / 2);
