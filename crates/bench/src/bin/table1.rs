@@ -16,6 +16,7 @@
 
 use std::time::Instant;
 
+use dps_bench::runner::csv_field;
 use dps_bench::{smoke, Env, N};
 use dps_sim::TimingMode;
 use linalg::Matrix;
@@ -77,16 +78,15 @@ impl Table {
 
     /// Header and rows as CSV.
     fn to_csv(&self) -> String {
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
         std::iter::once(&self.header)
             .chain(&self.rows)
-            .map(|row| row.iter().map(esc).collect::<Vec<_>>().join(",") + "\n")
+            .map(|row| {
+                row.iter()
+                    .map(|c| csv_field(c))
+                    .collect::<Vec<_>>()
+                    .join(",")
+                    + "\n"
+            })
             .collect()
     }
 }
@@ -169,12 +169,11 @@ fn main() {
     pdexec_cfg.cost = Some(env.cost);
     let run = lu_app::predict_lu(&pdexec_cfg, env.net, &env.simcfg)
         .unwrap_or_else(|e| panic!("PDEXEC run failed: {e}"));
-    let pdexec_pred = run.factorization_time.as_secs_f64();
     table.row(&[
         "PDEXEC (sim)".into(),
         format!("{:.2}", run.report.host_wall.as_secs_f64()),
         mb(run.report.mem_peak_bytes),
-        format!("{pdexec_pred:.1}"),
+        format!("{:.1}", run.factorization_time.as_secs_f64()),
     ]);
 
     // --- PDEXEC NOALLOC: ghost payloads.
@@ -182,12 +181,11 @@ fn main() {
     noalloc_cfg.mode = DataMode::Ghost;
     let run = lu_app::predict_lu(&noalloc_cfg, env.net, &env.simcfg)
         .unwrap_or_else(|e| panic!("NOALLOC run failed: {e}"));
-    let noalloc_pred = run.factorization_time.as_secs_f64();
     table.row(&[
         "PDEXEC NOALLOC (sim)".into(),
         format!("{:.2}", run.report.host_wall.as_secs_f64()),
         mb(run.report.mem_peak_bytes),
-        format!("{noalloc_pred:.1}"),
+        format!("{:.1}", run.factorization_time.as_secs_f64()),
     ]);
 
     // --- Portability / what-if rows (§4's parametric studies).
@@ -211,12 +209,6 @@ fn main() {
     ]);
 
     dps_bench::emit("table1", &table.render(), Some(&table.to_csv()));
-
-    let drift = (pdexec_pred - noalloc_pred).abs() / pdexec_pred;
-    println!(
-        "PDEXEC vs NOALLOC prediction drift: {:.2}% (paper: -1.3% vs direct)",
-        drift * 100.0
-    );
 }
 
 #[cfg(test)]

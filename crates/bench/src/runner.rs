@@ -10,6 +10,8 @@
 //! error row (`!error` in the CSV) while every other point's row stays
 //! byte-identical to a clean run.
 
+use std::borrow::Cow;
+
 use workload::{ScenarioCtx, ScenarioSpec};
 
 use crate::harness::{run_parallel_isolated_with, thread_count};
@@ -46,10 +48,15 @@ pub fn run_scenario_with(
 /// panic that killed it.
 pub type ScenarioRow = (String, Result<Vec<(&'static str, f64)>, String>);
 
-/// Flattens an error message to one CSV-safe cell (no commas, no
-/// newlines).
-fn sanitize_error(msg: &str) -> String {
-    msg.replace(['\n', '\r'], " ").replace(',', ";")
+/// One CSV field per RFC 4180: a field holding a comma, a double quote or
+/// a line break is wrapped in double quotes, its quotes doubled; any other
+/// field is written as it is.
+pub fn csv_field(s: &str) -> Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(s)
+    }
 }
 
 /// Renders rows of `(label, fields-or-error)` as an aligned table plus a
@@ -84,7 +91,7 @@ pub fn render(spec: &ScenarioSpec, rows: &[ScenarioRow]) -> (String, String) {
     csv.push('\n');
     for (label, row) in rows {
         text.push_str(&format!("{label:label_w$}"));
-        csv.push_str(label);
+        csv.push_str(&csv_field(label));
         match row {
             Ok(fields) => {
                 for (key, value) in fields {
@@ -95,7 +102,7 @@ pub fn render(spec: &ScenarioSpec, rows: &[ScenarioRow]) -> (String, String) {
             }
             Err(msg) => {
                 text.push_str(&format!("  !error: {msg}"));
-                csv.push_str(&format!(",!error,{}", sanitize_error(msg)));
+                csv.push_str(&format!(",!error,{}", csv_field(msg)));
             }
         }
         text.push('\n');
@@ -145,8 +152,46 @@ mod tests {
         ];
         let (text, csv) = render(&spec, &rows);
         assert!(csv.starts_with("label,answer\n"), "csv: {csv}");
-        assert!(csv.contains("dead,!error,boom; with a comma\n"));
+        assert!(csv.contains("dead,!error,\"boom, with a comma\"\n"));
         assert!(csv.contains("live,42\n"));
         assert!(text.contains("!error: boom, with a comma"));
+    }
+
+    /// Splits one CSV record per RFC 4180 (quoted fields, doubled quotes).
+    fn parse_record(line: &str) -> Vec<String> {
+        let (mut fields, mut cur, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (c, quoted) {
+                ('"', true) if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    cur.push('"');
+                }
+                ('"', _) => quoted = !quoted,
+                (',', false) => fields.push(std::mem::take(&mut cur)),
+                _ => cur.push(c),
+            }
+        }
+        fields.push(cur);
+        fields
+    }
+
+    #[test]
+    fn comma_and_quote_labels_parse_back_as_one_field() {
+        let spec = toy_spec();
+        let labels = ["8 nodes, kill 4 after it. 1", "a \"quoted\" label", "plain"];
+        let rows: Vec<ScenarioRow> = labels
+            .iter()
+            .map(|l| (l.to_string(), Ok(vec![("seed", 1.0), ("answer", 42.0)])))
+            .collect();
+        let (_, csv) = render(&spec, &rows);
+        let mut lines = csv.lines();
+        assert_eq!(
+            parse_record(lines.next().unwrap()),
+            ["label", "seed", "answer"]
+        );
+        for (line, label) in lines.zip(labels) {
+            assert_eq!(parse_record(line), [label, "1", "42"], "line: {line}");
+        }
     }
 }

@@ -64,7 +64,9 @@ use crate::scorer::{Priced, Scorer, WhatIfAction};
 /// the service-level analogue of `SimConfig::max_steps`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceBudget {
-    /// Abort with [`SimErrorKind::BudgetExceeded`] after this many events.
+    /// Abort with [`SimErrorKind::BudgetExceeded`] of kind
+    /// [`BudgetKind::Events`](dps_sim::BudgetKind::Events) after this many
+    /// events.
     pub max_events: u64,
     /// Abort once virtual time passes this horizon.
     pub max_virtual_time: SimDuration,
@@ -255,7 +257,7 @@ impl<'a> Engine<'a> {
         loop {
             self.log.check(false)?;
             if budget.max_events != 0 && self.events >= budget.max_events {
-                return Err(over_budget(BudgetKind::Steps, self.now, self.events));
+                return Err(over_budget(BudgetKind::Events, self.now, self.events));
             }
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 return Err(SimError::new(SimErrorKind::Cancelled {

@@ -66,13 +66,15 @@ fn event_budget_fires_a_typed_error() {
     let err = svc
         .serve(small_load(300), &FaultPlan::none(), &opts)
         .unwrap_err();
-    assert!(matches!(
-        err.kind,
-        SimErrorKind::BudgetExceeded {
-            kind: BudgetKind::Steps,
-            ..
-        }
-    ));
+    // The budget counts service events, and the error says so.
+    let SimErrorKind::BudgetExceeded { kind, at, steps } = &err.kind else {
+        panic!("{err}");
+    };
+    assert_eq!((*kind, *steps), (BudgetKind::Events, 10));
+    assert_eq!(
+        err.kind.to_string(),
+        format!("event budget exceeded at {at} after 10 events")
+    );
 }
 
 #[test]
@@ -119,6 +121,10 @@ fn cancel_token_aborts_between_events() {
             }
         ),
         "{err}"
+    );
+    assert_eq!(
+        err.kind.to_string(),
+        format!("cancelled at {} after 0 events", SimTime::ZERO)
     );
 }
 

@@ -12,8 +12,8 @@ use desim::{SimDuration, SimTime};
 use dps::{ActiveSet, DataObj, Deployment, OpCtx, OpId, ThreadId};
 use netmodel::NodeId;
 
-use crate::engine::{ServerKey, SimConfig};
-use crate::timing::{Stopwatch, TimingState};
+use crate::engine::SimConfig;
+use crate::timing::Stopwatch;
 
 /// Something an operation asked the runtime to do at the end of a step.
 pub(crate) enum Action {
@@ -125,12 +125,10 @@ pub(crate) struct Buffers(VecDeque<Segment>, VecDeque<Action>);
 /// questions about the deployment and records everything else.
 pub(crate) struct CollectCtx<'a> {
     now: SimTime,
-    op_id: OpId,
     thread: ThreadId,
     deployment: &'a Deployment,
     active: &'a ActiveSet,
     cfg: &'a SimConfig,
-    timing: &'a mut TimingState,
     segments: VecDeque<Segment>,
     actions: VecDeque<Action>,
     /// Actions recorded since the last cut.
@@ -142,21 +140,18 @@ pub(crate) struct CollectCtx<'a> {
 impl<'a> CollectCtx<'a> {
     pub(crate) fn new(
         now: SimTime,
-        (op_id, thread): ServerKey,
+        thread: ThreadId,
         deployment: &'a Deployment,
         active: &'a ActiveSet,
         cfg: &'a SimConfig,
-        timing: &'a mut TimingState,
         Buffers(segments, actions): Buffers,
     ) -> CollectCtx<'a> {
         CollectCtx {
             now,
-            op_id,
             thread,
             deployment,
             active,
             cfg,
-            timing,
             segments,
             actions,
             cur_actions: 0,
@@ -165,16 +160,12 @@ impl<'a> CollectCtx<'a> {
         }
     }
 
-    /// Prices the code that ran since the last cut.
+    /// Prices the code that ran since the last cut: its charge if it
+    /// called `charge`, else the stopwatch's lap (zero when disabled). The
+    /// lap is taken either way, so the next step is timed from this cut.
     fn lap(&mut self) -> SimDuration {
         let measured = self.sw.lap();
-        self.timing.step_duration(
-            self.cfg.timing,
-            self.op_id,
-            self.segments.len() as u32,
-            self.cur_charge.take(),
-            measured,
-        )
+        self.cur_charge.take().unwrap_or(measured)
     }
 
     fn record(&mut self, action: Action) {

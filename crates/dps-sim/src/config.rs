@@ -23,8 +23,6 @@ pub struct SimConfig {
     /// oracle — see [`crate::journal`] for divergence pinpointing. Costs
     /// memory proportional to the event count.
     pub record_journal: bool,
-    /// Modeled baseline memory of the DPS runtime itself.
-    pub baseline_memory: u64,
     /// Atomic-step budget: exceeding it fails the run with
     /// [`crate::SimErrorKind::BudgetExceeded`] instead of looping forever.
     pub max_steps: u64,
@@ -37,7 +35,6 @@ impl Default for SimConfig {
             step_overhead: SimDuration::from_micros(20),
             record_trace: false,
             record_journal: false,
-            baseline_memory: 2 << 20,
             max_steps: 200_000_000,
         }
     }

@@ -12,7 +12,7 @@
 //!   the paper's alternation between DPS execution threads and the simulator
 //!   thread) and is decomposed into **atomic steps** at every post. Step
 //!   durations come from host measurement (direct execution), charges
-//!   (partial direct execution), or calibration — see [`crate::timing`].
+//!   (partial direct execution) — see [`crate::TimingMode`].
 //! * The recorded steps then play out in virtual time: compute segments
 //!   drain under the node's processor-sharing rate (reduced by the CPU cost
 //!   of concurrent communications), posts start network transfers through
@@ -44,7 +44,6 @@ use crate::error::{
 use crate::fabric::{Fabric, SimFabric};
 use crate::memory::MemoryMeter;
 use crate::report::RunReport;
-use crate::timing::TimingState;
 
 pub use crate::config::SimConfig;
 pub use crate::control::{PausePoint, PausePred};
@@ -110,23 +109,13 @@ impl Delivery {
 /// hangs.
 pub fn simulate(app: &Application, params: NetParams, cfg: &SimConfig) -> SimResult<RunReport> {
     let mut fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
-    run(app, &mut fabric, cfg)
+    simulate_with_fabric(app, &mut fabric, cfg)
 }
 
 /// Runs `app` against an arbitrary fabric (the testbed emulator plugs in
-/// here).
-pub fn simulate_with_fabric(
-    app: &Application,
-    fabric: &mut dyn Fabric,
-    cfg: &SimConfig,
-) -> SimResult<RunReport> {
-    run(app, fabric, cfg)
-}
-
-/// One run to the end. [`simulate`] calls it with the concrete
-/// [`SimFabric`], so its event loop calls the fabric directly rather than
-/// through a `dyn Fabric`.
-fn run<M: Fabric + ?Sized>(
+/// here). [`simulate`] calls it with the concrete [`SimFabric`], so its
+/// event loop calls the fabric directly rather than through a `dyn Fabric`.
+pub fn simulate_with_fabric<M: Fabric + ?Sized>(
     app: &Application,
     fabric: &mut M,
     cfg: &SimConfig,
@@ -180,7 +169,6 @@ pub(crate) struct Engine<A, F> {
     /// The buffers of the last invocation that played out, for the next
     /// recording.
     spare: Buffers,
-    timing: TimingState,
     meter: MemoryMeter,
 
     terminated: bool,
@@ -256,8 +244,7 @@ where
             windows,
             fc_waiters: BTreeMap::new(),
             spare: Buffers::default(),
-            timing: TimingState::new(),
-            meter: MemoryMeter::new(cfg.baseline_memory),
+            meter: MemoryMeter::new(),
             terminated: false,
             steps_executed: 0,
             max_queue_len: 0,
@@ -434,11 +421,10 @@ where
         });
         let mut ctx = CollectCtx::new(
             self.now,
-            key,
+            key.1,
             self.app.deployment(),
             &self.active,
             &self.cfg,
-            &mut self.timing,
             std::mem::take(&mut self.spare),
         );
         op.on_object(obj, &mut ctx);
@@ -796,7 +782,6 @@ impl<A: Clone> Engine<A, Box<SimFabric>> {
             windows: self.windows.clone(),
             fc_waiters: self.fc_waiters.clone(),
             spare: Buffers::default(),
-            timing: self.timing.clone(),
             meter: self.meter,
             terminated: self.terminated,
             steps_executed: self.steps_executed,

@@ -21,9 +21,10 @@ pub type SimResult<T> = Result<T, SimError>;
 /// Which budget a run exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// The atomic-step budget (`SimConfig::max_steps`), or a serve's event
-    /// budget (`cluster_svc::ServiceBudget::max_events`).
+    /// The atomic-step budget (`SimConfig::max_steps`).
     Steps,
+    /// A serve's event budget (`cluster_svc::ServiceBudget::max_events`).
+    Events,
     /// A serve's virtual-time horizon
     /// (`cluster_svc::ServiceBudget::max_virtual_time`).
     VirtualTime,
@@ -161,7 +162,8 @@ pub enum SimErrorKind {
         kind: BudgetKind,
         /// Virtual time when the budget fired.
         at: SimTime,
-        /// Atomic steps executed so far.
+        /// Atomic steps executed so far under [`BudgetKind::Steps`]; the
+        /// serve's events so far under the serve's budgets.
         steps: u64,
     },
     /// A serve's [`CancelToken`] (`cluster_svc::ServeOptions::cancel`) was
@@ -169,7 +171,7 @@ pub enum SimErrorKind {
     Cancelled {
         /// Virtual time when cancellation was observed.
         at: SimTime,
-        /// Atomic steps executed so far.
+        /// The serve's events so far.
         steps: u64,
     },
     /// The application used the flow graph in a way it does not support
@@ -200,16 +202,16 @@ impl fmt::Display for SimErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimErrorKind::DeadlockDetected(d) => write!(f, "{d}"),
-            SimErrorKind::BudgetExceeded { kind, at, steps } => write!(
-                f,
-                "{} budget exceeded at {at} after {steps} steps",
-                match kind {
-                    BudgetKind::Steps => "step",
-                    BudgetKind::VirtualTime => "virtual-time",
-                }
-            ),
+            SimErrorKind::BudgetExceeded { kind, at, steps } => {
+                let (budget, unit) = match kind {
+                    BudgetKind::Steps => ("step", "steps"),
+                    BudgetKind::Events => ("event", "events"),
+                    BudgetKind::VirtualTime => ("virtual-time", "events"),
+                };
+                write!(f, "{budget} budget exceeded at {at} after {steps} {unit}")
+            }
             SimErrorKind::Cancelled { at, steps } => {
-                write!(f, "cancelled at {at} after {steps} steps")
+                write!(f, "cancelled at {at} after {steps} events")
             }
             SimErrorKind::WiringError { op, detail } => {
                 write!(f, "wiring error at operation '{op}': {detail}")

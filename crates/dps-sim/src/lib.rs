@@ -11,12 +11,11 @@
 //!   function of time ([`report::Interval::efficiency`]), the quantity that
 //!   tells a scheduler when nodes can be deallocated almost for free.
 //!
-//! Three timing sources are supported and can be mixed per atomic step
-//! (see [`timing::TimingMode`]): direct execution (host wall-clock
-//! measurement of the application's real code), partial direct execution
-//! (modeled charges; the application posts ghost payloads and skips the
-//! kernels — fast, small, portable), and calibrated direct execution
-//! (measure the first *n* instances, reuse the average).
+//! Two timing sources are supported and can be mixed per atomic step
+//! (see [`TimingMode`]): direct execution (host wall-clock measurement of
+//! the application's real code) and partial direct execution (modeled
+//! charges; the application posts ghost payloads and skips the kernels —
+//! fast, small, portable).
 //!
 //! The machine model lives behind the [`fabric::Fabric`] trait so the same
 //! engine executes applications against the paper's flow-level model
@@ -38,9 +37,9 @@ pub mod engine;
 pub mod error;
 pub mod fabric;
 pub mod journal;
-pub mod memory;
+mod memory;
 pub mod report;
-pub mod timing;
+mod timing;
 pub mod trace;
 
 pub use checkpoint::{simulate_until, SimCheckpoint};
@@ -52,7 +51,6 @@ pub use fabric::{Fabric, SimFabric};
 pub use journal::{
     check_equivalent, trace_from_journal, Divergence, Journal, JournalEntry, JournalEvent,
 };
-pub use memory::MemoryMeter;
 pub use report::{Interval, RunReport};
-pub use timing::{Stopwatch, TimingMode, TimingState};
+pub use timing::TimingMode;
 pub use trace::{StepRecord, Trace, TransferRecord};

@@ -6,35 +6,35 @@
 //! every in-flight data object contributes its `heap_bytes`, and operations
 //! report state they hold (stored matrix blocks) via `OpCtx::account_state`.
 
+/// Fixed modeled memory of the DPS runtime's own structures (thread
+/// managers, queues), counted from the start of every run so that NOALLOC
+/// numbers are not absurdly zero.
+const BASELINE_BYTES: i64 = 2 << 20;
+
 /// Tracks live and peak modeled bytes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MemoryMeter {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MemoryMeter {
     live: i64,
     peak: i64,
-    /// Fixed baseline representing runtime structures (thread managers,
-    /// queues); included so that NOALLOC numbers are not absurdly zero.
-    baseline: i64,
 }
 
 impl MemoryMeter {
-    /// Creates an empty instance.
-    pub fn new(baseline_bytes: u64) -> MemoryMeter {
-        let baseline = baseline_bytes as i64;
+    /// A meter holding only the runtime baseline.
+    pub(crate) fn new() -> MemoryMeter {
         MemoryMeter {
-            live: baseline,
-            peak: baseline,
-            baseline,
+            live: BASELINE_BYTES,
+            peak: BASELINE_BYTES,
         }
     }
 
     /// Accounts an allocation.
-    pub fn alloc(&mut self, bytes: u64) {
+    pub(crate) fn alloc(&mut self, bytes: u64) {
         self.live += bytes as i64;
         self.peak = self.peak.max(self.live);
     }
 
     /// Accounts a release.
-    pub fn free(&mut self, bytes: u64) {
+    pub(crate) fn free(&mut self, bytes: u64) {
         self.live -= bytes as i64;
         debug_assert!(
             self.live >= 0,
@@ -43,25 +43,15 @@ impl MemoryMeter {
     }
 
     /// Signed adjustment from `OpCtx::account_state`.
-    pub fn adjust(&mut self, delta: i64) {
+    pub(crate) fn adjust(&mut self, delta: i64) {
         self.live += delta;
         self.peak = self.peak.max(self.live);
         debug_assert!(self.live >= 0, "memory meter went negative");
     }
 
-    /// Currently live modeled bytes.
-    pub fn live_bytes(&self) -> u64 {
-        self.live.max(0) as u64
-    }
-
     /// High-water mark of live bytes.
-    pub fn peak_bytes(&self) -> u64 {
+    pub(crate) fn peak_bytes(&self) -> u64 {
         self.peak.max(0) as u64
-    }
-
-    /// The fixed runtime baseline.
-    pub fn baseline_bytes(&self) -> u64 {
-        self.baseline.max(0) as u64
     }
 }
 
@@ -71,22 +61,21 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let mut m = MemoryMeter::new(100);
+        let mut m = MemoryMeter::new();
         m.alloc(1000);
         m.alloc(500);
         m.free(1200);
         m.alloc(50);
-        assert_eq!(m.live_bytes(), 450);
-        assert_eq!(m.peak_bytes(), 1600);
-        assert_eq!(m.baseline_bytes(), 100);
+        assert_eq!(m.live, BASELINE_BYTES + 350);
+        assert_eq!(m.peak_bytes(), BASELINE_BYTES as u64 + 1500);
     }
 
     #[test]
     fn adjust_moves_both_ways() {
-        let mut m = MemoryMeter::new(0);
+        let mut m = MemoryMeter::new();
         m.adjust(700);
         m.adjust(-200);
-        assert_eq!(m.live_bytes(), 500);
-        assert_eq!(m.peak_bytes(), 700);
+        assert_eq!(m.live, BASELINE_BYTES + 500);
+        assert_eq!(m.peak_bytes(), BASELINE_BYTES as u64 + 700);
     }
 }

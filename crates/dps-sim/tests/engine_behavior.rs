@@ -133,6 +133,10 @@ fn free_split_leaves_merge_has_closed_form_makespan() {
     // leaves of t at time zero, round-robin hands worker k the pieces
     // k, k + P, …, each worker runs its queue back to back, and free
     // communication adds nothing, so the last result lands at ⌈N/P⌉·t.
+    // The report's efficiency divides the work done, N·t (the split and
+    // merge steps cost nothing here), by the node-seconds of every
+    // allocated node: the P workers and `main`'s node P, all held to the
+    // end, so N·t / ((P + 1)·⌈N/P⌉·t).
     let t = MS * 3;
     for p in 1..=4u32 {
         let p64 = u64::from(p);
@@ -142,6 +146,12 @@ fn free_split_leaves_merge_has_closed_form_makespan() {
             assert!(r.terminated, "P={p} N={n}");
             let want = n.div_ceil(p64) * t.as_nanos();
             assert_eq!(r.completion, SimTime(want), "P={p} N={n}");
+            let want_eff = (n * t.as_nanos()) as f64 / ((p64 + 1) * want) as f64;
+            let eff = r.overall_efficiency();
+            assert!(
+                ((eff - want_eff) / want_eff).abs() < 1e-12,
+                "P={p} N={n}: efficiency {eff}, closed form {want_eff}"
+            );
         }
     }
 }
@@ -700,22 +710,6 @@ fn direct_execution_measures_host_time() {
         (0.015..0.5).contains(&secs),
         "direct-exec predicted {secs}s, expected ~0.02s"
     );
-}
-
-#[test]
-fn calibrated_mode_stabilizes_predictions() {
-    // Same app twice: ChargedOnly is exactly reproducible; Calibrated with
-    // warmup replays averages after the warmup and stays within a band.
-    let mk = || pipeline_app(2, 50, SimDuration::ZERO, SimDuration::ZERO, 8);
-    let mut c = cfg();
-    c.timing = TimingMode::Calibrated { warmup: 4 };
-    let r = simulate(&mk(), NetParams::ideal(), &c).unwrap();
-    assert!(r.terminated);
-    // All uncharged steps are host-measured (sub-microsecond each; in
-    // release builds they can even round to zero nanoseconds); the
-    // prediction stays far below a millisecond per piece.
-    assert!(r.steps > 0);
-    assert!(r.completion < SimTime(50 * 1_000_000));
 }
 
 #[test]
