@@ -684,32 +684,43 @@ fn runs_are_deterministic() {
 
 #[test]
 fn direct_execution_measures_host_time() {
-    // A leaf that really burns ~20ms of host CPU; in Measured mode the
-    // predicted time should be within a loose band around that.
-    let mut b = AppBuilder::new("direct");
-    let main = b.thread_on_node("main", 0);
-    let op = b.declare("op", OpKind::Leaf);
-    b.body(op, |_, _| {
-        op_fn(|_obj, ctx: &mut dyn OpCtx| {
-            let t0 = std::time::Instant::now();
-            let mut x = 0u64;
-            while t0.elapsed() < std::time::Duration::from_millis(20) {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            std::hint::black_box(x);
-            ctx.terminate();
-        })
-    });
-    b.start(op, main, || Box::new(Work(0)));
-    let app = b.build().unwrap();
-    let mut c = cfg();
-    c.timing = TimingMode::Measured;
-    let r = simulate(&app, NetParams::ideal(), &c).unwrap();
-    let secs = r.completion.as_secs_f64();
+    // A leaf that really burns ~20ms of host CPU. In Measured mode the
+    // predicted time should be within a loose band around that; a charge
+    // replaces the measurement in either mode; ChargedOnly prices the
+    // uncharged step at zero.
+    let run = |timing: TimingMode, charge: Option<SimDuration>| {
+        let mut b = AppBuilder::new("direct");
+        let main = b.thread_on_node("main", 0);
+        let op = b.declare("op", OpKind::Leaf);
+        b.body(op, move |_, _| {
+            op_fn(move |_obj, ctx: &mut dyn OpCtx| {
+                let t0 = std::time::Instant::now();
+                let mut x = 0u64;
+                while t0.elapsed() < std::time::Duration::from_millis(20) {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                }
+                std::hint::black_box(x);
+                if let Some(d) = charge {
+                    ctx.charge(d);
+                }
+                ctx.terminate();
+            })
+        });
+        b.start(op, main, || Box::new(Work(0)));
+        let c = SimConfig { timing, ..cfg() };
+        simulate(&b.build().unwrap(), NetParams::ideal(), &c)
+            .unwrap()
+            .completion
+    };
+    let secs = run(TimingMode::Measured, None).as_secs_f64();
     assert!(
         (0.015..0.5).contains(&secs),
         "direct-exec predicted {secs}s, expected ~0.02s"
     );
+    for timing in [TimingMode::Measured, TimingMode::ChargedOnly] {
+        assert_eq!(run(timing, Some(MS * 3)), SimTime(3_000_000), "{timing:?}");
+    }
+    assert_eq!(run(TimingMode::ChargedOnly, None), SimTime::ZERO);
 }
 
 #[test]
