@@ -1,6 +1,6 @@
 //! Engine invariants that must hold regardless of calibration: work
-//! conservation, monotonicity in platform resources, timing-mode
-//! relationships.
+//! conservation, monotonicity in platform resources, step-overhead and
+//! flow-control relationships.
 
 use dvns::desim::SimDuration;
 use dvns::lu_app::{predict_lu, DataMode, LuConfig};
