@@ -13,7 +13,7 @@
 //! ```
 
 use desim::SimDuration;
-use dps_sim::{SimConfig, TimingMode};
+use dps_sim::{trace_from_journal, SimConfig, TimingMode};
 use lu_app::{build_lu_app, DataMode, LuConfig};
 use netmodel::NetParams;
 use perfmodel::{LuCost, PlatformProfile};
@@ -144,7 +144,7 @@ fn main() {
             TimingMode::ChargedOnly
         },
         step_overhead: SimDuration::from_micros(50),
-        record_trace: gantt,
+        record_journal: gantt,
         ..SimConfig::default()
     };
 
@@ -161,7 +161,7 @@ fn main() {
 
     match engine.as_str() {
         "sim" => match lu_app::predict_lu(&cfg, net, &simcfg) {
-            Ok(run) => report(&run, gantt),
+            Ok(run) => report(&run, &cfg, gantt),
             Err(e) => {
                 eprintln!("simulation failed: {e}");
                 std::process::exit(1);
@@ -169,7 +169,7 @@ fn main() {
         },
         "testbed" => {
             match lu_app::measure_lu(&cfg, TestbedParams::sun_cluster(), cfg.seed, &simcfg) {
-                Ok(run) => report(&run, gantt),
+                Ok(run) => report(&run, &cfg, gantt),
                 Err(e) => {
                     eprintln!("testbed run failed: {e}");
                     std::process::exit(1);
@@ -195,7 +195,7 @@ fn main() {
     }
 }
 
-fn report(run: &lu_app::LuRun, gantt: bool) {
+fn report(run: &lu_app::LuRun, cfg: &LuConfig, gantt: bool) {
     println!(
         "factorization time: {:.3}s   (completion {:.3}s, host {:?})",
         run.factorization_time.as_secs_f64(),
@@ -222,8 +222,9 @@ fn report(run: &lu_app::LuRun, gantt: bool) {
         );
     }
     if gantt {
-        if let Some(trace) = &run.report.trace {
-            println!("\n{}", trace.gantt(100));
+        if let Some(journal) = &run.report.journal {
+            let app = build_lu_app(cfg.clone()).0;
+            println!("\n{}", trace_from_journal(journal, &app).gantt(100));
         }
     }
 }

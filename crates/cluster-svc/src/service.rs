@@ -250,8 +250,8 @@ impl<'a> Engine<'a> {
         let mut next_arrival = stream.next();
         let mut last_arrival = SimTime::ZERO;
         let (budget, cancel) = (self.opts.budget, &self.opts.cancel);
-        let over_budget = |kind, at, steps| {
-            SimError::new(SimErrorKind::BudgetExceeded { kind, at, steps })
+        let over_budget = |kind, at, count| {
+            SimError::new(SimErrorKind::BudgetExceeded { kind, at, count })
                 .context("cluster-svc serve")
         };
         loop {
@@ -262,7 +262,7 @@ impl<'a> Engine<'a> {
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 return Err(SimError::new(SimErrorKind::Cancelled {
                     at: self.now,
-                    steps: self.events,
+                    events: self.events,
                 })
                 .context("cluster-svc serve"));
             }

@@ -67,10 +67,10 @@ fn event_budget_fires_a_typed_error() {
         .serve(small_load(300), &FaultPlan::none(), &opts)
         .unwrap_err();
     // The budget counts service events, and the error says so.
-    let SimErrorKind::BudgetExceeded { kind, at, steps } = &err.kind else {
+    let SimErrorKind::BudgetExceeded { kind, at, count } = &err.kind else {
         panic!("{err}");
     };
-    assert_eq!((*kind, *steps), (BudgetKind::Events, 10));
+    assert_eq!((*kind, *count), (BudgetKind::Events, 10));
     assert_eq!(
         err.kind.to_string(),
         format!("event budget exceeded at {at} after 10 events")
@@ -117,7 +117,7 @@ fn cancel_token_aborts_between_events() {
             err.kind,
             SimErrorKind::Cancelled {
                 at: SimTime::ZERO,
-                steps: 0
+                events: 0
             }
         ),
         "{err}"

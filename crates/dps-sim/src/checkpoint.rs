@@ -3,9 +3,10 @@
 //!
 //! A [`SimCheckpoint`] wraps a paused engine. Two pause mechanisms exist:
 //!
-//! * **Time-based** ([`simulate_until`], [`SimCheckpoint::advance_until`]) —
-//!   stop before virtual time passes `t`. Always safe: the engine only
-//!   pauses *between* discrete events, never inside application code.
+//! * **Time-based** ([`SimCheckpoint::new`], then
+//!   [`SimCheckpoint::advance_until`]) — stop before virtual time passes
+//!   `t`. Always safe: the engine only pauses *between* discrete events,
+//!   never inside application code.
 //! * **Predicate-based** ([`SimCheckpoint::run_until`]) — stop when a
 //!   chosen server is about to consume a chosen object, *before* the
 //!   operation's code runs. This pins a fork right in front of an atomic
@@ -16,7 +17,7 @@
 //! [`SimCheckpoint::fork`] deep-copies every piece of live state — queued
 //! and in-flight data objects, behaviour state, recorded segments and
 //! pending actions, CPU and network model state (a [`SimFabric`], fault
-//! plan included), timing calibration, and accumulated report data.
+//! plan included), and accumulated report data.
 //! Cloning is *fallible by design*: payloads and operations opt in via
 //! [`dps::DataObject::try_clone_obj`] and [`dps::Operation::fork_op`]; if
 //! anything live opts out, `fork` fails with
@@ -37,8 +38,6 @@ use std::time::Instant;
 
 use desim::SimTime;
 use dps::{Application, OpId, ThreadId};
-use faults::FaultPlan;
-use netmodel::NetParams;
 
 use crate::engine::{Engine, PausePred, SimConfig};
 use crate::error::{SimError, SimResult};
@@ -53,24 +52,6 @@ pub struct SimCheckpoint {
     /// Host wall time spent driving this branch so far (inherited by
     /// forks); folded into the final report's `host_wall`.
     host: std::time::Duration,
-}
-
-/// Starts a simulation of `app` on the paper's machine model and advances
-/// it until the next event would pass `t`, returning the paused engine.
-///
-/// Advancing to [`SimTime::ZERO`] stops before the first event, i.e. right
-/// after start injection. Parameters that fail [`NetParams::validate`] are
-/// a protocol error.
-pub fn simulate_until(
-    app: Arc<Application>,
-    params: NetParams,
-    cfg: &SimConfig,
-    t: SimTime,
-) -> SimResult<SimCheckpoint> {
-    let fabric = SimFabric::with_plan(params, &FaultPlan::none())?;
-    let mut ck = SimCheckpoint::new(app, fabric, cfg);
-    ck.advance_until(t)?;
-    Ok(ck)
 }
 
 impl SimCheckpoint {
@@ -115,11 +96,6 @@ impl SimCheckpoint {
             return Err(err.clone().context("running a checkpoint to a pause point"));
         }
         Ok(paused)
-    }
-
-    /// Current virtual time of the paused engine.
-    pub fn now(&self) -> SimTime {
-        self.eng.current_time()
     }
 
     /// A fully independent copy of the paused simulation.

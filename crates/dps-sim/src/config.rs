@@ -12,11 +12,6 @@ pub struct SimConfig {
     /// Fixed dispatch overhead added to every atomic step — the cost of the
     /// DPS runtime delivering an object and scheduling the operation.
     pub step_overhead: SimDuration,
-    /// Record a full Gantt trace (costs memory on large runs). The trace is
-    /// a derived view of the event journal: enabling it records the journal
-    /// internally and renders [`crate::Trace`] from it at the end of the
-    /// run.
-    pub record_trace: bool,
     /// Record the committed-event journal into
     /// [`crate::RunReport::journal`]: one [`desim::journal::JournalEntry`]
     /// per committed event. The journal is the engine's determinism
@@ -33,7 +28,6 @@ impl Default for SimConfig {
         SimConfig {
             timing: TimingMode::ChargedOnly,
             step_overhead: SimDuration::from_micros(20),
-            record_trace: false,
             record_journal: false,
             max_steps: 200_000_000,
         }

@@ -143,8 +143,7 @@ pub(crate) struct Engine<A, F> {
     /// How far the loop may run; checkpoints set its limits between
     /// [`Engine::resume`] calls.
     pub(crate) control: RunControl,
-    /// Committed-event journal; present when the run records a journal
-    /// and/or a trace (the trace is derived from it at the end of the run).
+    /// Committed-event journal; present when the run records one.
     journal: Option<Journal>,
     cfg: SimConfig,
     now: SimTime,
@@ -190,7 +189,7 @@ where
         // The journal opens with the fabric's scheduled rate-window edits
         // (a fault plan's link degradations), so differing plans produce
         // differing streams from entry zero.
-        let journal = (cfg.record_journal || cfg.record_trace).then(|| {
+        let journal = cfg.record_journal.then(|| {
             let mut j = Journal::new();
             for (node, up, down, from, to) in fabric.scheduled_windows() {
                 j.push(
@@ -294,7 +293,7 @@ where
             self.fail(SimError::new(SimErrorKind::BudgetExceeded {
                 kind: BudgetKind::Steps,
                 at: self.now,
-                steps: self.steps_executed,
+                count: self.steps_executed,
             }));
             return false;
         }
@@ -639,10 +638,6 @@ where
                 || self.fabric.next_event_time().is_some())
     }
 
-    pub(crate) fn current_time(&self) -> SimTime {
-        self.now
-    }
-
     /// The typed failure recorded so far, if any — checkpoints poll this
     /// after every drive phase.
     pub(crate) fn error(&self) -> Option<&SimError> {
@@ -726,12 +721,6 @@ where
         if let Some(diag) = self.deadlock_diagnostic() {
             return Err(SimError::deadlock(diag));
         }
-        // The Gantt/chrome trace is a derived view of the journal.
-        let journal = self.journal.take();
-        let trace = journal
-            .as_ref()
-            .filter(|_| self.cfg.record_trace)
-            .map(|j| crate::journal::trace_from_journal(j, &self.app));
         let mut report = RunReport {
             // The loop never advances past the event that ended the run.
             completion: self.now,
@@ -741,8 +730,7 @@ where
             max_queue_len: self.max_queue_len,
             net: self.fabric.net_stats(),
             host_wall,
-            trace,
-            journal: journal.filter(|_| self.cfg.record_journal),
+            journal: self.journal.take(),
             ..RunReport::default()
         };
         self.acct.close_into(self.now, &mut report);

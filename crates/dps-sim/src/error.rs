@@ -162,9 +162,9 @@ pub enum SimErrorKind {
         kind: BudgetKind,
         /// Virtual time when the budget fired.
         at: SimTime,
-        /// Atomic steps executed so far under [`BudgetKind::Steps`]; the
-        /// serve's events so far under the serve's budgets.
-        steps: u64,
+        /// What the budget counts, so far: engine steps under
+        /// [`BudgetKind::Steps`], service events under the others.
+        count: u64,
     },
     /// A serve's [`CancelToken`] (`cluster_svc::ServeOptions::cancel`) was
     /// cancelled between virtual instants.
@@ -172,7 +172,7 @@ pub enum SimErrorKind {
         /// Virtual time when cancellation was observed.
         at: SimTime,
         /// The serve's events so far.
-        steps: u64,
+        events: u64,
     },
     /// The application used the flow graph in a way it does not support
     /// (posting along a missing edge, releasing a credit for an unwindowed
@@ -202,16 +202,16 @@ impl fmt::Display for SimErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimErrorKind::DeadlockDetected(d) => write!(f, "{d}"),
-            SimErrorKind::BudgetExceeded { kind, at, steps } => {
+            SimErrorKind::BudgetExceeded { kind, at, count } => {
                 let (budget, unit) = match kind {
                     BudgetKind::Steps => ("step", "steps"),
                     BudgetKind::Events => ("event", "events"),
                     BudgetKind::VirtualTime => ("virtual-time", "events"),
                 };
-                write!(f, "{budget} budget exceeded at {at} after {steps} {unit}")
+                write!(f, "{budget} budget exceeded at {at} after {count} {unit}")
             }
-            SimErrorKind::Cancelled { at, steps } => {
-                write!(f, "cancelled at {at} after {steps} events")
+            SimErrorKind::Cancelled { at, events } => {
+                write!(f, "cancelled at {at} after {events} events")
             }
             SimErrorKind::WiringError { op, detail } => {
                 write!(f, "wiring error at operation '{op}': {detail}")

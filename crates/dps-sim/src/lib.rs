@@ -42,7 +42,7 @@ pub mod report;
 mod timing;
 pub mod trace;
 
-pub use checkpoint::{simulate_until, SimCheckpoint};
+pub use checkpoint::SimCheckpoint;
 pub use engine::{simulate, simulate_with_fabric, PausePoint, PausePred, SimConfig, NODE_ID_LIMIT};
 pub use error::{
     BlockedOp, BudgetKind, CancelToken, DeadlockDiag, SimError, SimErrorKind, SimResult,

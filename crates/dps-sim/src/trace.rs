@@ -172,22 +172,11 @@ impl Trace {
         out.push_str("\n]\n");
         out
     }
-
-    /// Total busy time (sum of step durations) per thread, sorted by thread.
-    pub fn busy_by_thread(&self) -> Vec<(ThreadId, desim::SimDuration)> {
-        use std::collections::BTreeMap;
-        let mut m: BTreeMap<ThreadId, desim::SimDuration> = BTreeMap::new();
-        for s in &self.steps {
-            *m.entry(s.thread).or_default() += s.end - s.start;
-        }
-        m.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::SimDuration;
 
     fn step(t: u32, name: &str, a: u64, b: u64) -> StepRecord {
         StepRecord {
@@ -212,26 +201,6 @@ mod tests {
         assert!(lines[0].contains('s'));
         assert!(lines[1].contains('o'));
         assert!(lines[0].starts_with("  T0 |"));
-    }
-
-    #[test]
-    fn busy_sums_per_thread() {
-        let tr = Trace {
-            steps: vec![
-                step(0, "a", 0, 10),
-                step(0, "b", 20, 50),
-                step(2, "c", 0, 5),
-            ],
-            transfers: vec![],
-        };
-        let busy = tr.busy_by_thread();
-        assert_eq!(
-            busy,
-            vec![
-                (ThreadId(0), SimDuration(40)),
-                (ThreadId(2), SimDuration(5))
-            ]
-        );
     }
 
     #[test]

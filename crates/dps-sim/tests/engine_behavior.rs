@@ -5,7 +5,7 @@
 use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
-use dps_sim::{simulate, SimConfig, TimingMode};
+use dps_sim::{simulate, trace_from_journal, JournalEvent, SimConfig, TimingMode};
 use netmodel::NetParams;
 
 struct Work(u64);
@@ -40,7 +40,7 @@ fn cfg() -> SimConfig {
     SimConfig {
         timing: TimingMode::ChargedOnly,
         step_overhead: SimDuration::ZERO,
-        record_trace: true,
+        record_journal: true,
         ..SimConfig::default()
     }
 }
@@ -365,8 +365,8 @@ fn leaf_released_window_serializes_every_commit_without_deadlock() {
     // split's one window, and each leaf invocation both releases a credit
     // into that window and posts to the one merge server. A misordered
     // credit release would deadlock or move the timeline.
+    let (n, g, c) = (48u64, 1_000u64, 3_000u64); // pieces; generation and compute (ns)
     let app = |window: usize| {
-        let n = 48;
         let mut b = AppBuilder::new("shared-window");
         b.thread_group("workers", 4);
         let main = b.thread_on_node("main", 4);
@@ -376,14 +376,14 @@ fn leaf_released_window_serializes_every_commit_without_deadlock() {
         b.body(split, move |_, _| {
             op_fn(move |_obj, ctx: &mut dyn OpCtx| {
                 for _ in 0..n {
-                    ctx.charge(US);
+                    ctx.charge(SimDuration(g));
                     ctx.post(leaf, Box::new(Result_ { bytes: 8 }));
                 }
             })
         });
         b.body(leaf, move |_, _| {
             op_fn(move |_obj, ctx: &mut dyn OpCtx| {
-                ctx.charge(US * 3);
+                ctx.charge(SimDuration(c));
                 ctx.fc_release(split);
                 ctx.post(merge, Box::new(Result_ { bytes: 8 }));
             })
@@ -401,21 +401,45 @@ fn leaf_released_window_serializes_every_commit_without_deadlock() {
         b.edge(leaf, merge, to_thread(main));
         b.flow_control(split, window);
         b.start(split, main, || Box::new(Work(0)));
-        b.build().unwrap()
+        (b.build().unwrap(), split)
     };
-    let completion = |window: usize| {
-        let r = simulate(&app(window), NetParams::ideal(), &cfg())
-            .unwrap_or_else(|e| panic!("deadlocked at window {window}: {e}"));
+    // Closed form, with P = 4 workers. Piece k is posted at p_k and
+    // computed over [e_k - c, e_k]; its leaf returns the credit at e_k. The
+    // split generates the next piece only after a post went through, and a
+    // post needs at most w - 1 credits out, so
+    //     p_k = max(p_(k-1) + g, e_(k-w)),   p_k = k·g for k <= w.
+    // For w <= P the w credited pieces sit on distinct workers, so nothing
+    // queues and e_k = p_k + c. Write k = q·w + r with 1 <= r <= w:
+    //  * w·g <= c: p_k = r·g + q·c. The e_(k-w) term gives it, and the
+    //    p_(k-1) + g term stays below: at r = 1 it is (w + 1)·g + (q - 1)·c.
+    //  * w·g >= c: p_k = k·g = r·g + q·w·g. The window never binds, since
+    //    e_(k-w) = (k - w)·g + c <= k·g. Nor do the workers: P·g >= c, so a
+    //    worker's previous piece ends at (k - P)·g + c <= k·g. This also
+    //    covers w > P.
+    // Both cases give p_k = r·g + q·max(c, w·g), and the run ends when the
+    // last leaf does: completion = p_N + c. Window 1 gives 1 + 47·3 + 3 =
+    // 145us (the computes run back to back); window 7 gives 6 + 6·7 + 3 =
+    // 51us (the split's generation is the bottleneck from window 3 up).
+    for w in 1..=8u64 {
+        let (app, split) = app(w as usize);
+        let r = simulate(&app, NetParams::ideal(), &cfg())
+            .unwrap_or_else(|e| panic!("deadlocked at window {w}: {e}"));
         assert!(r.terminated);
-        r.completion
-    };
-    // Window 1: piece k is posted when piece k-1's leaf releases, so the
-    // 3us computes run back to back after the first 1us generation.
-    assert_eq!(completion(1), SimTime(1_000 + 48 * 3_000));
-    // Four workers: from window 4 up the split's 1us generation is the
-    // bottleneck, so the last piece is posted at 48us and computed by 51us.
-    assert!(completion(2) < completion(1));
-    assert_eq!(completion(7), SimTime(48_000 + 3_000));
+        let (q, rem) = ((n - 1) / w, (n - 1) % w + 1);
+        let want = rem * g + q * c.max(w * g) + c;
+        assert_eq!(r.completion, SimTime(want), "window {w}");
+        // The journal never shows more than w of the split's posts
+        // without their credit back.
+        let mut out = 0u64;
+        for e in &r.journal.unwrap().entries {
+            match e.event {
+                JournalEvent::Post { op, .. } if op == split.0 => out += 1,
+                JournalEvent::Release { op } if op == split.0 => out -= 1,
+                _ => {}
+            }
+            assert!(out <= w, "window {w}: {out} credits out at {}", e.vtime);
+        }
+    }
 }
 
 #[test]
@@ -427,7 +451,7 @@ fn without_flow_control_pieces_pipeline_immediately() {
     let app = pipeline_app(1, 3, MS, MS * 3, 8);
     let r = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
     assert_eq!(r.completion, SimTime(10_000_000));
-    let trace = r.trace.unwrap();
+    let trace = trace_from_journal(r.journal.as_ref().unwrap(), &app);
     // Split executed its three generation steps contiguously [0,3]ms.
     let split_steps: Vec<_> = trace
         .steps
@@ -544,7 +568,7 @@ fn deactivation_redistributes_round_robin_work() {
     let r = simulate(&app, NetParams::ideal(), &cfg()).unwrap();
     assert!(r.terminated);
     // All four leaf steps ran on thread 0 (serialized: 4ms of compute).
-    let trace = r.trace.unwrap();
+    let trace = trace_from_journal(r.journal.as_ref().unwrap(), &app);
     assert!(trace
         .steps
         .iter()

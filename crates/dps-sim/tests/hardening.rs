@@ -14,8 +14,8 @@ use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
 use dps_sim::{
-    check_equivalent, simulate, simulate_until, simulate_with_fabric, BudgetKind, Fabric,
-    SimCheckpoint, SimConfig, SimErrorKind, SimFabric, TimingMode, NODE_ID_LIMIT,
+    check_equivalent, simulate, simulate_with_fabric, BudgetKind, Fabric, SimCheckpoint, SimConfig,
+    SimErrorKind, SimFabric, TimingMode, NODE_ID_LIMIT,
 };
 use faults::FaultPlan;
 use netmodel::network::NetStats;
@@ -193,9 +193,9 @@ fn step_budget_fails_runs_instead_of_looping() {
     let err = simulate(&good_app(64), NetParams::ideal(), &c)
         .expect_err("5 steps cannot finish 64 pieces");
     match err.kind {
-        SimErrorKind::BudgetExceeded { kind, steps, .. } => {
+        SimErrorKind::BudgetExceeded { kind, count, .. } => {
             assert_eq!(kind, BudgetKind::Steps);
-            assert!(steps > 5, "budget fired after {steps} steps");
+            assert!(count > 5, "budget fired after {count} steps");
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }
@@ -270,7 +270,6 @@ fn assert_params_rejected(params: NetParams, want: &str) {
     let app = good_app(1);
     let errs = [
         simulate(&app, params, &cfg()).err(),
-        simulate_until(Arc::new(good_app(1)), params, &cfg(), SimTime::ZERO).err(),
         SimFabric::with_plan(params, &FaultPlan::none()).err(),
     ];
     for err in errs {
@@ -326,7 +325,9 @@ fn assert_node_rejected(app: Application) {
     let fabric = SimFabric::new(params);
     let errs = [
         simulate(&app, params, &cfg()).err(),
-        simulate_until(Arc::clone(&app), params, &cfg(), SimTime(1)).err(),
+        SimCheckpoint::new(Arc::clone(&app), SimFabric::new(params), &cfg())
+            .advance_until(SimTime(1))
+            .err(),
         SimCheckpoint::new(Arc::clone(&app), fabric, &cfg())
             .finish()
             .err(),

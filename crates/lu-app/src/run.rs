@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use desim::{SimDuration, SimTime};
-use dps_sim::{RunReport, SimCheckpoint, SimConfig, SimError, SimResult};
+use dps_sim::{RunReport, SimCheckpoint, SimConfig, SimError, SimFabric, SimResult};
 use linalg::blocked::LuFactors;
 use linalg::{lu_residual, Matrix};
 use netmodel::NetParams;
@@ -112,9 +112,14 @@ impl LuCheckpoint {
     /// Builds the application and pauses it at virtual time zero.
     pub fn start(cfg: &LuConfig, net: NetParams, simcfg: &SimConfig) -> SimResult<LuCheckpoint> {
         let (app, sh) = build_lu_app(cfg.clone());
+        let ctx = |e: SimError| e.context(lu_context(cfg));
+        // The default fault plan is the empty one.
+        let fabric = SimFabric::with_plan(net, &Default::default()).map_err(ctx)?;
+        let mut ck = SimCheckpoint::new(Arc::new(app), fabric, simcfg);
+        // Runs every time-zero event, so an engine error surfaces here.
+        ck.advance_until(SimTime::ZERO).map_err(ctx)?;
         Ok(LuCheckpoint {
-            ck: dps_sim::simulate_until(Arc::new(app), net, simcfg, SimTime::ZERO)
-                .map_err(|e| e.context(lu_context(cfg)))?,
+            ck,
             cfg: cfg.clone(),
             sh,
         })
@@ -124,11 +129,6 @@ impl LuCheckpoint {
     /// [`SimCheckpoint::advance_until`]).
     pub fn advance_until(&mut self, t: SimTime) -> SimResult<bool> {
         self.ck.advance_until(t)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.ck.now()
     }
 
     /// Advances until the coordinator is about to close iteration

@@ -14,7 +14,6 @@ fn simcfg() -> SimConfig {
     SimConfig {
         timing: TimingMode::ChargedOnly,
         step_overhead: SimDuration::from_micros(5),
-        record_trace: false,
         ..SimConfig::default()
     }
 }

@@ -29,7 +29,7 @@ pub use fabric::{TestbedFabric, TestbedParams};
 pub use native::{run_native, NativeReport};
 
 use dps::Application;
-use dps_sim::{RunReport, SimConfig, SimError, SimResult};
+use dps_sim::{Fabric, RunReport, SimConfig, SimError, SimResult};
 
 /// Convenience: runs `app` against the testbed emulator — the repository's
 /// equivalent of "measuring on the cluster". True parameters that fail
@@ -45,5 +45,7 @@ pub fn measure(
         .validate()
         .map_err(|e| SimError::protocol(format!("invalid network parameters: {e}")))?;
     let mut fabric = TestbedFabric::new(params, seed);
-    dps_sim::simulate_with_fabric(app, &mut fabric, cfg)
+    // Through `dyn Fabric`, so this run shares the engine copy of every
+    // other non-`SimFabric` caller instead of compiling its own.
+    dps_sim::simulate_with_fabric(app, &mut fabric as &mut dyn Fabric, cfg)
 }

@@ -60,7 +60,6 @@ impl SimEnv {
             simcfg: SimConfig {
                 timing: TimingMode::ChargedOnly,
                 step_overhead: SimDuration::from_micros(50),
-                record_trace: false,
                 ..SimConfig::default()
             },
             seed,

@@ -7,7 +7,7 @@
 use dvns::desim::SimDuration;
 use dvns::dps::prelude::*;
 use dvns::netmodel::NetParams;
-use dvns::sim::{simulate, SimConfig, TimingMode};
+use dvns::sim::{simulate, trace_from_journal, SimConfig, TimingMode};
 
 struct Work(u64);
 struct Piece {
@@ -67,7 +67,7 @@ fn main() {
 
     let cfg = SimConfig {
         timing: TimingMode::ChargedOnly,
-        record_trace: true,
+        record_journal: true,
         ..SimConfig::default()
     };
     let report = simulate(&app, NetParams::fast_ethernet(), &cfg).expect("simulation runs");
@@ -82,5 +82,6 @@ fn main() {
         report.overall_efficiency() * 100.0
     );
     println!("reconstructed schedule (first letter of each operation):");
-    print!("{}", report.trace.expect("trace recorded").gantt(72));
+    let journal = report.journal.expect("journal recorded");
+    print!("{}", trace_from_journal(&journal, &app).gantt(72));
 }

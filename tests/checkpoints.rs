@@ -7,10 +7,11 @@
 use std::sync::Arc;
 
 use dvns::desim::{SimDuration, SimTime};
+use dvns::faults::FaultPlan;
 use dvns::lu_app::{predict_lu, DataMode, LuCheckpoint, LuConfig};
 use dvns::netmodel::NetParams;
 use dvns::perfmodel::{LuCost, PlatformProfile};
-use dvns::sim::{check_equivalent, simulate_until, RunReport, SimConfig, TimingMode};
+use dvns::sim::{check_equivalent, RunReport, SimCheckpoint, SimConfig, SimFabric, TimingMode};
 use simrng::{Rng, Xoshiro256};
 
 fn simcfg() -> SimConfig {
@@ -139,7 +140,9 @@ fn stencil_forks_match_fresh_runs() {
         let fresh = predict_stencil(&cfg, net, &simcfg()).unwrap();
         let t = SimTime(rng.gen_range_u64(1, fresh.report.completion.as_nanos()));
         let app = Arc::new(build_stencil_app(cfg.clone()).0);
-        let mut base = simulate_until(app, net, &simcfg(), t).unwrap();
+        let fabric = SimFabric::with_plan(net, &FaultPlan::none()).unwrap();
+        let mut base = SimCheckpoint::new(app, fabric, &simcfg());
+        base.advance_until(t).unwrap();
         let forked = base.fork().expect("ghost mode forks");
         let a = forked.finish().unwrap();
         let b = base.finish().unwrap();
