@@ -25,9 +25,8 @@
 //! * **Elastic recovery** — faults interrupt placed jobs, refund their
 //!   unused allocation, charge lost work, and re-queue them; the re-placed
 //!   job may land in any surviving cell, so recovery crosses cells.
-//! * **Budgets and cancellation** — [`ServiceBudget`] bounds events and
-//!   virtual time with typed errors; a [`dps_sim::CancelToken`] aborts a
-//!   `serve` cooperatively; per-job `cancel_at` cancels one submission.
+//! * **Per-job cancellation** — a submission's `cancel_at` cancels it at
+//!   that virtual time; a serve itself ends when its stream drains.
 //! * **Decision journal** — every admit/place/shrink/requeue/recover/
 //!   reject/complete/fail/cancel decision can be committed to a
 //!   [`desim::Journal`]; [`check_equivalent`] compares two runs and names
@@ -76,4 +75,4 @@ pub use recovery::{
 };
 pub use report::{BreakerStats, CellReport, LatencyHist, ServiceReport, TenantReport};
 pub use rules::efficiency_target;
-pub use service::{ClusterService, ServeOptions, ServiceBudget, ServiceOutcome};
+pub use service::{ClusterService, ServeOptions, ServiceOutcome};

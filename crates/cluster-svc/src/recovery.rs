@@ -600,9 +600,9 @@ mod tests {
     use crate::config::{ServiceConfig, TenantSpec};
     use crate::job::SyntheticLoad;
     use crate::journal::{PrefixFeed, CHUNKS_AHEAD};
-    use crate::{SchedulePolicy, ServiceBudget};
-    use desim::SimDuration;
-    use dps_sim::{CancelToken, SimErrorKind};
+    use crate::SchedulePolicy;
+    use desim::{SimDuration, SimTime};
+    use dps_sim::SimErrorKind;
     use faults::{CheckpointSpec, FaultGenConfig};
     use std::sync::mpsc;
 
@@ -1015,14 +1015,17 @@ mod tests {
         let last = longer.entries.last().cloned().unwrap();
         longer.entries.extend(std::iter::repeat_n(last, extra));
         let longer = WriteAheadLog::build(&longer, &spec);
-        let budget = ServeOptions {
-            budget: crate::ServiceBudget {
-                max_events: 400,
-                ..Default::default()
-            },
-            ..ServeOptions::default()
-        };
-        let recover = |bytes: &[u8], opts| verdict(svc(1).recover(load(jobs), &none, opts, bytes));
+        // A stream over three tenants against `svc`'s two: the serve fails
+        // part-way through it.
+        let three = SyntheticLoad::new(
+            jobs,
+            3,
+            4,
+            SimDuration::from_millis(50),
+            SimDuration::from_millis(400),
+            11,
+        );
+        let recover = |bytes: &[u8], stream| verdict(svc(1).recover(stream, &none, &opts, bytes));
         for seed in 0..6 {
             let crash = CrashPlan::new(seed);
             let keep = crash.keep_frames(&wal).min(frames - 1);
@@ -1030,40 +1033,40 @@ mod tests {
             flipped[wal.frame_prefix(keep).len() + 9] ^= 1 << seed;
             let late = frames - 1 - seed as usize;
             let cases = [
-                ("torn", crash.crashed_bytes(&wal), &opts),
-                ("bit flip", flipped, &opts),
-                ("undecodable", undecodable_at(&wal, keep), &opts),
-                ("divergence", crash.crashed_bytes(&planted), &opts),
+                ("torn", crash.crashed_bytes(&wal), load(jobs)),
+                ("bit flip", flipped, load(jobs)),
+                ("undecodable", undecodable_at(&wal, keep), load(jobs)),
+                ("divergence", crash.crashed_bytes(&planted), load(jobs)),
                 (
                     "divergence, then undecodable",
                     undecodable_at(&planted, late),
-                    &opts,
+                    load(jobs),
                 ),
-                ("short stream", longer.bytes().to_vec(), &opts),
-                ("budget", crash.crashed_bytes(&wal), &budget),
+                ("short stream", longer.bytes().to_vec(), load(jobs)),
+                ("malformed stream", crash.crashed_bytes(&wal), three.clone()),
             ];
-            for (what, bytes, opts) in cases {
-                let serial = verdict(recover_serially(&svc(1), load(jobs), opts, &bytes));
-                assert_eq!(recover(&bytes, opts), serial, "seed {seed}, {what}");
+            for (what, bytes, stream) in cases {
+                let serial = verdict(recover_serially(&svc(1), stream.clone(), &opts, &bytes));
+                assert_eq!(recover(&bytes, stream), serial, "seed {seed}, {what}");
             }
         }
         // The cases say what they claim to.
         let late = frames - 2;
-        let msg = recover(&undecodable_at(&planted, late), &opts);
+        let msg = recover(&undecodable_at(&planted, late), load(jobs));
         assert!(
             msg.contains(&format!("frame {late} does not decode")),
             "{msg}"
         );
-        let msg = recover(planted.bytes(), &opts);
+        let msg = recover(planted.bytes(), load(jobs));
         assert!(msg.contains(&format!("prefix at entry {k}")), "{msg}");
         let n = original.len();
-        let msg = recover(longer.bytes(), &opts);
+        let msg = recover(longer.bytes(), load(jobs));
         assert!(
             msg.contains(&format!("committed only {n} of {} recovered", n + extra)),
             "{msg}"
         );
-        let msg = recover(wal.bytes(), &budget);
-        assert!(msg.contains("budget exceeded"), "{msg}");
+        let msg = recover(wal.bytes(), three);
+        assert!(msg.contains("job stream names tenant 2"), "{msg}");
     }
 
     /// A seeded plan of the server-scale faulted row's kind — crashes and
@@ -1128,36 +1131,23 @@ mod tests {
     fn a_durable_serve_that_stops_returns_the_serves_error() {
         let spec = DurabilitySpec::group_commit(64);
         let none = FaultPlan::none();
-        let token = CancelToken::new();
-        token.cancel();
-        let stopped = [
-            ServeOptions {
-                budget: ServiceBudget {
-                    max_events: 3 * CHUNK_ENTRIES as u64,
-                    ..ServiceBudget::default()
-                },
-                ..ServeOptions::default()
-            },
-            ServeOptions {
-                cancel: Some(token),
-                ..ServeOptions::default()
-            },
-        ];
-        for opts in &stopped {
-            // The budgeted run stops mid-stream, with decisions already
-            // handed to the writer; the cancelled one stops before its
-            // first instant, having handed it none.
+        let opts = ServeOptions::default();
+        // The early stream's first job names a tenant the service does not
+        // have, so no decision reaches the writer; the late one goes back in
+        // time after decisions were already handed to it.
+        let early: Vec<JobSpec> = load(6000).map(|job| JobSpec { tenant: 2, ..job }).collect();
+        let mut late: Vec<JobSpec> = load(6000).take(3 * CHUNK_ENTRIES).collect();
+        late.push(JobSpec {
+            arrival: SimTime::ZERO,
+            ..late[0].clone()
+        });
+        for (stream, why) in [(early, "names tenant 2"), (late, "non-decreasing")] {
             let err = svc(1)
-                .serve_durable(load(6000), &none, opts, &spec)
+                .serve_durable(stream.clone(), &none, &opts, &spec)
                 .unwrap_err();
-            assert!(
-                matches!(
-                    err.kind,
-                    SimErrorKind::BudgetExceeded { .. } | SimErrorKind::Cancelled { .. }
-                ),
-                "{err}"
-            );
-            let serve_err = svc(1).serve(load(6000), &none, opts).unwrap_err();
+            assert!(matches!(err.kind, SimErrorKind::Protocol { .. }), "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+            let serve_err = svc(1).serve(stream, &none, &opts).unwrap_err();
             assert_eq!(format!("{err}"), format!("{serve_err}"));
         }
     }

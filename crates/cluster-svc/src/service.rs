@@ -47,7 +47,7 @@
 //!   derived accessors computed once at the end.
 
 use desim::{EventQueue, Journal, SimDuration, SimTime};
-use dps_sim::{BudgetKind, CancelToken, SimError, SimErrorKind, SimResult};
+use dps_sim::{SimError, SimResult};
 use faults::{FaultPlan, Outage};
 
 use crate::cells::{Cells, PhaseEnd};
@@ -60,27 +60,9 @@ use crate::report::{LatencyHist, ServiceReport, TenantReport};
 use crate::rules::{capped_backoff, FaultPricing, NodePool, Strike};
 use crate::scorer::{Priced, Scorer, WhatIfAction};
 
-/// Execution budgets for one `serve` call (`0`/zero duration = unlimited),
-/// the service-level analogue of `SimConfig::max_steps`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServiceBudget {
-    /// Abort with [`SimErrorKind::BudgetExceeded`] of kind
-    /// [`BudgetKind::Events`](dps_sim::BudgetKind::Events) after this many
-    /// events.
-    pub max_events: u64,
-    /// Abort once virtual time passes this horizon.
-    pub max_virtual_time: SimDuration,
-}
-
 /// Options for one `serve` call.
 #[derive(Clone, Debug, Default)]
 pub struct ServeOptions {
-    /// Event and virtual-time budgets.
-    pub budget: ServiceBudget,
-    /// Cooperative cancellation, polled before each virtual instant is
-    /// handled: a token cancelled before the serve starts stops it at
-    /// zero events.
-    pub cancel: Option<CancelToken>,
     /// Record the scheduling-decision journal.
     pub journal: bool,
     /// Measure host wall-clock latency of each what-if decision into
@@ -124,10 +106,10 @@ impl ClusterService {
     /// Jobs are admitted per tenant (quotas, backpressure), placed on the
     /// least-loaded cell by the fair-share scheduler, resized at iteration
     /// boundaries per the policy, interrupted and re-queued (cross-cell)
-    /// by outages, and accounted into the aggregate report. Budgets and
-    /// the cancel token abort with typed errors; a workload that errors or
-    /// panics fails only its own job. A `plan` that does not
-    /// [`validate`](FaultPlan::validate) is a protocol error.
+    /// by outages, and accounted into the aggregate report. The serve ends
+    /// when the stream drains; a workload that errors or panics fails only
+    /// its own job. A `plan` that does not [`validate`](FaultPlan::validate)
+    /// is a protocol error.
     pub fn serve(
         &self,
         stream: impl IntoIterator<Item = JobSpec>,
@@ -181,7 +163,6 @@ enum GlobalEv {
 
 struct Engine<'a> {
     cfg: &'a ServiceConfig,
-    opts: &'a ServeOptions,
     pricing: FaultPricing,
     pool: NodePool,
     cells: Cells,
@@ -205,12 +186,11 @@ impl<'a> Engine<'a> {
     fn new(
         cfg: &'a ServiceConfig,
         plan: &FaultPlan,
-        opts: &'a ServeOptions,
+        opts: &ServeOptions,
         link: Link,
     ) -> Engine<'a> {
         Engine {
             cfg,
-            opts,
             pricing: FaultPricing::new(plan, cfg.total_nodes()),
             pool: NodePool::new(cfg.nodes_per_cell, cfg.cells),
             cells: Cells::new(cfg.cells),
@@ -249,23 +229,8 @@ impl<'a> Engine<'a> {
         }
         let mut next_arrival = stream.next();
         let mut last_arrival = SimTime::ZERO;
-        let (budget, cancel) = (self.opts.budget, &self.opts.cancel);
-        let over_budget = |kind, at, count| {
-            SimError::new(SimErrorKind::BudgetExceeded { kind, at, count })
-                .context("cluster-svc serve")
-        };
         loop {
             self.log.check(false)?;
-            if budget.max_events != 0 && self.events >= budget.max_events {
-                return Err(over_budget(BudgetKind::Events, self.now, self.events));
-            }
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return Err(SimError::new(SimErrorKind::Cancelled {
-                    at: self.now,
-                    events: self.events,
-                })
-                .context("cluster-svc serve"));
-            }
             // Next instant: the min over the global queue, the arrival
             // stream and the cells' queue, an empty one counting as the end
             // of time; all three can be empty only there.
@@ -282,11 +247,6 @@ impl<'a> Engine<'a> {
                 && self.cells.next_time().is_none()
             {
                 break;
-            }
-            if !budget.max_virtual_time.is_zero()
-                && t.as_nanos() > budget.max_virtual_time.as_nanos()
-            {
-                return Err(over_budget(BudgetKind::VirtualTime, t, self.events));
             }
             self.now = t;
             // Stage 1: global events (faults, returns, requeues, cancels).

@@ -1,12 +1,12 @@
-//! The `serve` contract, black-box: completion accounting, budgets,
-//! cancellation, the decision journal's shape, and stream validation.
+//! The `serve` contract, black-box: completion accounting, the decision
+//! journal's shape, and stream validation.
 
 use cluster_svc::{
-    decision, AnalyticJob, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceBudget,
-    ServiceConfig, SyntheticLoad, TenantSpec, DECISION_LABELS,
+    decision, AnalyticJob, ClusterService, JobSpec, SchedulePolicy, ServeOptions, ServiceConfig,
+    SyntheticLoad, TenantSpec, DECISION_LABELS,
 };
 use desim::{Journal, JournalEvent, SimDuration, SimTime};
-use dps_sim::{BudgetKind, CancelToken, SimErrorKind};
+use dps_sim::SimErrorKind;
 use faults::FaultPlan;
 
 fn small_cfg(shards: u32) -> ServiceConfig {
@@ -51,81 +51,6 @@ fn quiet_run_completes_every_admitted_job() {
     assert!(r.makespan > SimTime::ZERO);
     assert!(r.events > 300);
     assert!(r.allocation_efficiency() > 0.0);
-}
-
-#[test]
-fn event_budget_fires_a_typed_error() {
-    let svc = ClusterService::new(small_cfg(1)).unwrap();
-    let opts = ServeOptions {
-        budget: ServiceBudget {
-            max_events: 10,
-            max_virtual_time: SimDuration::ZERO,
-        },
-        ..ServeOptions::default()
-    };
-    let err = svc
-        .serve(small_load(300), &FaultPlan::none(), &opts)
-        .unwrap_err();
-    // The budget counts service events, and the error says so.
-    let SimErrorKind::BudgetExceeded { kind, at, count } = &err.kind else {
-        panic!("{err}");
-    };
-    assert_eq!((*kind, *count), (BudgetKind::Events, 10));
-    assert_eq!(
-        err.kind.to_string(),
-        format!("event budget exceeded at {at} after 10 events")
-    );
-}
-
-#[test]
-fn virtual_time_budget_fires_a_typed_error() {
-    let svc = ClusterService::new(small_cfg(1)).unwrap();
-    let opts = ServeOptions {
-        budget: ServiceBudget {
-            max_events: 0,
-            max_virtual_time: SimDuration::from_millis(1),
-        },
-        ..ServeOptions::default()
-    };
-    let err = svc
-        .serve(small_load(300), &FaultPlan::none(), &opts)
-        .unwrap_err();
-    assert!(matches!(
-        err.kind,
-        SimErrorKind::BudgetExceeded {
-            kind: BudgetKind::VirtualTime,
-            ..
-        }
-    ));
-}
-
-#[test]
-fn cancel_token_aborts_between_events() {
-    let svc = ClusterService::new(small_cfg(1)).unwrap();
-    let token = CancelToken::new();
-    token.cancel();
-    let opts = ServeOptions {
-        cancel: Some(token),
-        ..ServeOptions::default()
-    };
-    let err = svc
-        .serve(small_load(300_000), &FaultPlan::none(), &opts)
-        .unwrap_err();
-    // The token is polled before the first instant, so nothing runs.
-    assert!(
-        matches!(
-            err.kind,
-            SimErrorKind::Cancelled {
-                at: SimTime::ZERO,
-                events: 0
-            }
-        ),
-        "{err}"
-    );
-    assert_eq!(
-        err.kind.to_string(),
-        format!("cancelled at {} after 0 events", SimTime::ZERO)
-    );
 }
 
 #[test]

@@ -38,9 +38,7 @@ use crate::accounting::Accounting;
 use crate::collect::{Action, Buffers, CollectCtx, Invocation};
 use crate::control::RunControl;
 use crate::cpu::{CpuModel, StepInfo};
-use crate::error::{
-    find_wait_cycle, BlockedOp, BudgetKind, DeadlockDiag, SimError, SimErrorKind, SimResult,
-};
+use crate::error::{find_wait_cycle, BlockedOp, DeadlockDiag, SimError, SimErrorKind, SimResult};
 use crate::fabric::{Fabric, SimFabric};
 use crate::memory::MemoryMeter;
 use crate::report::RunReport;
@@ -291,9 +289,8 @@ where
         self.cpu.reprice(self.now, &mut *self.fabric);
         if self.steps_executed > self.cfg.max_steps {
             self.fail(SimError::new(SimErrorKind::BudgetExceeded {
-                kind: BudgetKind::Steps,
                 at: self.now,
-                count: self.steps_executed,
+                steps: self.steps_executed,
             }));
             return false;
         }

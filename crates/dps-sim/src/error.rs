@@ -1,34 +1,20 @@
 //! Typed failure semantics for the execution layer.
 //!
 //! Every way a simulation can fail — a mis-wired flow graph, a deadlocked
-//! window, a blown step or virtual-time budget, a cooperative cancellation,
-//! a fork the data model refuses — is a [`SimError`] variant instead of a
+//! window, a blown step budget, a fork the data model refuses — is a
+//! [`SimError`] variant instead of a
 //! panic or a post-hoc stall string. Callers at each layer attach context
 //! with [`SimError::context`], so an error surfacing from a cluster run
 //! still names the simulation-level cause.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use desim::SimTime;
 use dps::OpId;
 
 /// Result alias used throughout the simulation stack.
 pub type SimResult<T> = Result<T, SimError>;
-
-/// Which budget a run exhausted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BudgetKind {
-    /// The atomic-step budget (`SimConfig::max_steps`).
-    Steps,
-    /// A serve's event budget (`cluster_svc::ServiceBudget::max_events`).
-    Events,
-    /// A serve's virtual-time horizon
-    /// (`cluster_svc::ServiceBudget::max_virtual_time`).
-    VirtualTime,
-}
 
 /// One flow-control-blocked server in a deadlock diagnostic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,24 +141,13 @@ pub enum SimErrorKind {
     /// The event queue drained while work was still pending — a wiring or
     /// flow-control deadlock. Carries the wait-for diagnostic.
     DeadlockDetected(DeadlockDiag),
-    /// A configured budget (steps or virtual time) was exhausted before the
-    /// application terminated.
+    /// The atomic-step budget (`SimConfig::max_steps`) was exhausted before
+    /// the application terminated.
     BudgetExceeded {
-        /// Which budget ran out.
-        kind: BudgetKind,
         /// Virtual time when the budget fired.
         at: SimTime,
-        /// What the budget counts, so far: engine steps under
-        /// [`BudgetKind::Steps`], service events under the others.
-        count: u64,
-    },
-    /// A serve's [`CancelToken`] (`cluster_svc::ServeOptions::cancel`) was
-    /// cancelled between virtual instants.
-    Cancelled {
-        /// Virtual time when cancellation was observed.
-        at: SimTime,
-        /// The serve's events so far.
-        events: u64,
+        /// Engine steps taken so far.
+        steps: u64,
     },
     /// The application used the flow graph in a way it does not support
     /// (posting along a missing edge, releasing a credit for an unwindowed
@@ -202,16 +177,8 @@ impl fmt::Display for SimErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimErrorKind::DeadlockDetected(d) => write!(f, "{d}"),
-            SimErrorKind::BudgetExceeded { kind, at, count } => {
-                let (budget, unit) = match kind {
-                    BudgetKind::Steps => ("step", "steps"),
-                    BudgetKind::Events => ("event", "events"),
-                    BudgetKind::VirtualTime => ("virtual-time", "events"),
-                };
-                write!(f, "{budget} budget exceeded at {at} after {count} {unit}")
-            }
-            SimErrorKind::Cancelled { at, events } => {
-                write!(f, "cancelled at {at} after {events} events")
+            SimErrorKind::BudgetExceeded { at, steps } => {
+                write!(f, "step budget exceeded at {at} after {steps} steps")
             }
             SimErrorKind::WiringError { op, detail } => {
                 write!(f, "wiring error at operation '{op}': {detail}")
@@ -303,34 +270,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A cooperative cancellation token. Its one user is
-/// `cluster_svc::ServeOptions::cancel`: the serve loop polls it before each
-/// virtual instant and stops with [`SimErrorKind::Cancelled`].
-///
-/// Clone it freely: every clone observes the same flag, so the caller keeps
-/// one and cancels the serve from outside.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation; the serve notices before its next instant.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,15 +284,6 @@ mod tests {
         let lu = s.find("predicting LU").unwrap();
         let job = s.find("scheduling job j3").unwrap();
         assert!(lu < job, "inner hop first: {s}");
-    }
-
-    #[test]
-    fn cancel_token_is_shared() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!t.is_cancelled());
-        u.cancel();
-        assert!(t.is_cancelled());
     }
 
     #[test]

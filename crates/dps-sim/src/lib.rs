@@ -44,9 +44,7 @@ pub mod trace;
 
 pub use checkpoint::SimCheckpoint;
 pub use engine::{simulate, simulate_with_fabric, PausePoint, PausePred, SimConfig, NODE_ID_LIMIT};
-pub use error::{
-    BlockedOp, BudgetKind, CancelToken, DeadlockDiag, SimError, SimErrorKind, SimResult,
-};
+pub use error::{BlockedOp, DeadlockDiag, SimError, SimErrorKind, SimResult};
 pub use fabric::{Fabric, SimFabric};
 pub use journal::{
     check_equivalent, trace_from_journal, Divergence, Journal, JournalEntry, JournalEvent,

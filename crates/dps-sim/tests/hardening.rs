@@ -14,7 +14,7 @@ use desim::{SimDuration, SimTime};
 use dps::prelude::*;
 use dps::wire_size_fixed;
 use dps_sim::{
-    check_equivalent, simulate, simulate_with_fabric, BudgetKind, Fabric, SimCheckpoint, SimConfig,
+    check_equivalent, simulate, simulate_with_fabric, Fabric, SimCheckpoint, SimConfig,
     SimErrorKind, SimFabric, TimingMode, NODE_ID_LIMIT,
 };
 use faults::FaultPlan;
@@ -193,9 +193,12 @@ fn step_budget_fails_runs_instead_of_looping() {
     let err = simulate(&good_app(64), NetParams::ideal(), &c)
         .expect_err("5 steps cannot finish 64 pieces");
     match err.kind {
-        SimErrorKind::BudgetExceeded { kind, count, .. } => {
-            assert_eq!(kind, BudgetKind::Steps);
-            assert!(count > 5, "budget fired after {count} steps");
+        SimErrorKind::BudgetExceeded { at, steps } => {
+            assert!(steps > 5, "budget fired after {steps} steps");
+            assert_eq!(
+                err.kind.to_string(),
+                format!("step budget exceeded at {at} after {steps} steps")
+            );
         }
         other => panic!("expected BudgetExceeded, got {other:?}"),
     }

@@ -80,11 +80,6 @@ impl Deployment {
         self.groups.contains_key(name)
     }
 
-    /// Iterates over group names.
-    pub fn group_names(&self) -> impl Iterator<Item = &str> {
-        self.groups.keys().map(String::as_str)
-    }
-
     /// Number of distinct nodes referenced by the deployment.
     pub fn node_count(&self) -> usize {
         let mut nodes: Vec<NodeId> = self.threads.clone();
